@@ -27,7 +27,7 @@ from .encoding import (
     transformed_generator,
 )
 from .operators import commutator_i, require_hermitian, seminorm
-from .qfi import QfiReport, qfi_report
+from .qfi import QfiReport, SpectralPlan, spectral_plan
 from .thermal import GibbsState
 
 ORDERING_RTOL = 1e-9
@@ -78,13 +78,11 @@ def seminorm_bound(rho0: GibbsState, h) -> float:
 
 def product_bound(hamiltonian, dh_dlambda, beta: float, t: float) -> float:
     """beta^2 t^2 ||H||^2 ||dH/dlambda||^2 / 4, the fully factorized ceiling."""
-    return (
-        float(beta) ** 2
-        * float(t) ** 2
-        * seminorm(hamiltonian) ** 2
-        * seminorm(dh_dlambda) ** 2
-        / 4.0
-    )
+    return _product(beta, t, seminorm(hamiltonian), seminorm(dh_dlambda))
+
+
+def _product(beta, t, h_width: float, dh_width: float) -> float:
+    return float(beta) ** 2 * float(t) ** 2 * h_width**2 * dh_width**2 / 4.0
 
 
 def scheme_product_bound(rho0: GibbsState, scheme) -> float:
@@ -154,30 +152,62 @@ def _below(x: float, y: float) -> bool:
     return x <= y + ORDERING_RTOL * max(1.0, abs(y))
 
 
-def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None = None) -> BoundReport:
-    """Evaluate every bound for a probe plus encoding and certify the chain.
+class BoundScales(NamedTuple):
+    """The beta- and t-independent scalars of the bound chain: ||H||, the
+    minimum gap of the probe Hamiltonian H, and ||dH/dlambda|| (None for
+    encodings that expose no derivative)."""
 
-    The product bound is left out (None) for encodings that do not expose
-    a Hamiltonian derivative. Bounds are reported even when vacuous; the
-    certificate only checks the one-sided orderings.
+    h_width: float
+    min_gap: float
+    dh_width: float | None
+
+
+def _derivative(scheme) -> np.ndarray | None:
+    if isinstance(scheme, ExplicitGenerator):
+        return scheme.generator
+    if isinstance(scheme, HamiltonianFamily):
+        return scheme.dh_dlambda
+    if isinstance(scheme, NumericUnitary):
+        return None
+    raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
+
+
+def bound_scales(hamiltonian, eigenvalues, scheme) -> BoundScales:
+    """The gap treats spacings below 1e-9 * ||H|| as degenerate."""
+    derivative = _derivative(scheme)
+    h_width = seminorm(hamiltonian)
+    return BoundScales(
+        h_width=h_width,
+        min_gap=minimum_gap(eigenvalues, GAP_DEGENERACY_RTOL * h_width),
+        dh_width=None if derivative is None else seminorm(derivative),
+    )
+
+
+def evaluate_point(
+    plan: SpectralPlan,
+    rho0: GibbsState,
+    scales: BoundScales,
+    t: float | None,
+    qfi_result: QfiReport | None = None,
+) -> tuple[QfiReport, BoundReport]:
+    """The three QFI routes and every bound at one temperature, from a plan.
+
+    The shared per-point step of bound_report and run_sweep: only the
+    probe probabilities and beta enter here, everything else comes
+    precomputed from the plan and the scales. t is the evolution time of
+    the product bound.
     """
-    if h is None:
-        h = transformed_generator(scheme)
+    p = rho0.probabilities
+    var_c = plan.commutator_variance(p)
     if qfi_result is None:
-        qfi_result = qfi_report(rho0, h)
-    hm = require_hermitian(as_operator(h), "generator")
-    comm = commutator_i(rho0.hamiltonian, hm)
+        qfi_result = plan.qfi_report(rho0, var_c)
     beta = rho0.beta
-    var_c = _thermal_variance(rho0, comm)
-    width = seminorm(comm)
+    width = plan.noncommutativity
     v_bound = beta**2 * var_c
     s_bound = beta**2 * width**2 / 4.0
-    try:
-        p_bound = scheme_product_bound(rho0, scheme)
-    except UnsupportedEncodingError:
-        p_bound = None
-    gap = minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.hamiltonian))
-    convexity = _convexity_sum(rho0, hm)
+    p_bound = None if scales.dh_width is None else _product(beta, t, scales.h_width, scales.dh_width)
+    gap = scales.min_gap
+    convexity = plan.convexity_sum(p)
     gap_var = 4.0 * var_c / gap**2
     gap_semi = width**2 / gap**2
     f = qfi_result.f_general
@@ -193,7 +223,7 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
         and _below(convexity, gap_var)
         and _below(gap_var, gap_semi)
     )
-    return BoundReport(
+    return qfi_result, BoundReport(
         f=f,
         variance_bound=v_bound,
         seminorm_bound=s_bound,
@@ -205,3 +235,22 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
         noncommutativity=width,
         ordering_ok=ordering_ok,
     )
+
+
+def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None = None) -> BoundReport:
+    """Evaluate every bound for a probe plus encoding and certify the chain.
+
+    The product bound is left out (None) for encodings that do not expose
+    a Hamiltonian derivative. Bounds are reported even when vacuous; the
+    certificate only checks the one-sided orderings. A qfi_result from
+    qfi_report(rho0, h) lends its plan, so the commutator and the basis
+    changes are not formed twice.
+    """
+    if h is None:
+        h = transformed_generator(scheme)
+    plan = getattr(qfi_result, "plan", None)
+    if plan is None or plan.decomposition is not rho0.decomposition or plan.generator is not as_operator(h):
+        plan = spectral_plan(rho0.hamiltonian, rho0.decomposition, h)
+    scales = bound_scales(rho0.hamiltonian, rho0.eigenvalues, scheme)
+    # a NumericUnitary carries no t, and has no product bound to use one
+    return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]

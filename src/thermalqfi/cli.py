@@ -57,7 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a grid sweep from a JSON config")
     swp.add_argument("--config", required=True, help="path to the sweep config")
     swp.add_argument("--out", help="output path (overrides the config's output_path; default stdout)")
-    swp.add_argument("--parallelism", type=int, help="worker count (overrides the config)")
+    swp.add_argument(
+        "--parallelism",
+        type=int,
+        help="accepted and validated for compatibility (overrides the config); sweeps run serially",
+    )
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ver = sub.add_parser("verify", help="run the full acceptance battery")
@@ -66,7 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figs = sub.add_parser("figures", help="emit the four canonical figure sweep configs")
     figs.add_argument("--out", default="figures", help="directory for the config files")
-    figs.add_argument("--run", action="store_true", help="also run each config and write its CSV")
+    figs.add_argument(
+        "--run",
+        action="store_true",
+        help="also run each config, write its CSV and report whether every row is ordering_ok",
+    )
     return parser
 
 
@@ -148,6 +156,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_figures(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    violated = False
     for name, cfg_dict in figure_configs().items():
         cfg_path = out_dir / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg_dict, indent=2) + "\n", encoding="utf-8")
@@ -159,8 +168,10 @@ def _cmd_figures(args) -> int:
             rows = run_sweep(config)
             csv_path = out_dir / config.output_path
             emit_csv(rows, csv_path)
-            print(f"wrote {csv_path} ({len(rows)} rows)")
-    return EXIT_OK
+            ok = all(row.ordering_ok for row in rows)
+            print(f"{name}: {len(rows)} rows -> {csv_path} (ordering_ok everywhere: {ok})")
+            violated = violated or not ok
+    return EXIT_VERIFY_FAILED if violated else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except EigensolverError as exc:
+    except (EigensolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except ValueError as exc:

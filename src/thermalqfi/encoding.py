@@ -122,6 +122,43 @@ def _phase_kernel(delta: np.ndarray, t: float) -> np.ndarray:
     return np.where(small, series, kernel)
 
 
+@dataclass(frozen=True, eq=False)
+class EncodingSpectrum:
+    """The time-independent half of the spectral-kernel generator: the
+    eigenvectors W of H(lambda), V = W^dagger dH/dlambda W and the level
+    differences E_m - E_n."""
+
+    eigenvectors: np.ndarray
+    v_eig: np.ndarray
+    delta: np.ndarray
+
+
+def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
+    """Diagonalize H(lambda) once; generator_at then serves every time t."""
+    h_enc = require_hermitian(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
+    v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
+    if h_enc.shape != v.shape:
+        raise ValueError(f"dimension mismatch: H {h_enc.shape}, dH/dlambda {v.shape}")
+    dec = eigendecompose(h_enc, "encoding Hamiltonian")
+    w = dec.eigenvectors
+    return EncodingSpectrum(
+        eigenvectors=w,
+        v_eig=w.conj().T @ v @ w,
+        delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
+    )
+
+
+def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
+    """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated back."""
+    w = spectrum.eigenvectors
+    h_eig = spectrum.v_eig * _phase_kernel(spectrum.delta, _check_time(t))
+    h = w @ h_eig @ w.conj().T
+    residue = 0.5 * hermiticity_defect(h)
+    if residue > 0.0:
+        logger.debug("generator_integral: symmetrized residue %.3e", residue)
+    return TransformedLocalGenerator(0.5 * (h + h.conj().T), "integral")
+
+
 def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
     """Generator via the spectral kernel in the eigenbasis of H(lambda).
 
@@ -129,20 +166,7 @@ def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
     kernel satisfies k(-d) = conj(k(d)), so h is Hermitian, and reduces to
     t*V when [H, V] = 0.
     """
-    h_enc = require_hermitian(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
-    v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
-    if h_enc.shape != v.shape:
-        raise ValueError(f"dimension mismatch: H {h_enc.shape}, dH/dlambda {v.shape}")
-    dec = eigendecompose(h_enc, "encoding Hamiltonian")
-    w = dec.eigenvectors
-    v_eig = w.conj().T @ v @ w
-    delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    h_eig = v_eig * _phase_kernel(delta, scheme.t)
-    h = w @ h_eig @ w.conj().T
-    residue = 0.5 * hermiticity_defect(h)
-    if residue > 0.0:
-        logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    return TransformedLocalGenerator(0.5 * (h + h.conj().T), "integral")
+    return generator_at(encoding_spectrum(scheme), scheme.t)
 
 
 def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
@@ -170,6 +194,18 @@ def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
     if isinstance(scheme, NumericUnitary):
         return generator_fd(scheme)
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
+
+
+def generator_family(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[float], TransformedLocalGenerator]:
+    """h as a function of the evolution time, with the t-independent work
+    (the eigendecomposition of H(lambda)) done once; scheme.t is ignored."""
+    if isinstance(scheme, ExplicitGenerator):
+        generator = scheme.generator
+        return lambda t: generator_explicit(generator, t)
+    if isinstance(scheme, HamiltonianFamily):
+        spectrum = encoding_spectrum(scheme)
+        return lambda t: generator_at(spectrum, t)
+    raise TypeError(f"no time family for encoding scheme type: {type(scheme).__name__}")
 
 
 def evolution_unitary(hamiltonian, t) -> np.ndarray:

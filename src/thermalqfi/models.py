@@ -18,6 +18,7 @@ from .closed_forms import (
     oat_variance_closed,
 )
 from .encoding import (
+    EncodingScheme,
     ExplicitGenerator,
     HamiltonianFamily,
     TransformedLocalGenerator,
@@ -56,91 +57,74 @@ def lmg_hamiltonian(twice_j, lam: float) -> np.ndarray:
     return _symmetrized_square(jx) + float(lam) * jz
 
 
-def linear_scenario(twice_j, beta, t, axis: str = "x") -> Scenario:
-    if axis not in AXES:
+def model_encoding(model: str, twice_j, t, axis: str = "x", lam=None) -> tuple[np.ndarray, EncodingScheme]:
+    """(probe Hamiltonian J_z, encoding scheme at time t) for a reference model."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if model == "linear" and axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
+    if model == "lmg" and lam is None:
+        raise ValueError("the lmg model requires lambda")
     jx, jy, jz = spin_operators(twice_j)
-    generator = {"x": jx, "y": jy, "z": jz}[axis]
-    probe = gibbs_state(jz, beta)
-    scheme = ExplicitGenerator(generator, t)
-    return Scenario(
-        model="linear",
-        twice_j=check_twice_j(twice_j),
-        beta=float(beta),
-        t=float(t),
-        axis=axis,
-        lam=None,
-        probe=probe,
-        scheme=scheme,
-        h=transformed_generator(scheme),
-    )
-
-
-def oat_scenario(twice_j, beta, t) -> Scenario:
-    jx, _, jz = spin_operators(twice_j)
-    probe = gibbs_state(jz, beta)
-    scheme = ExplicitGenerator(_symmetrized_square(jx), t)
-    return Scenario(
-        model="oat",
-        twice_j=check_twice_j(twice_j),
-        beta=float(beta),
-        t=float(t),
-        axis=None,
-        lam=None,
-        probe=probe,
-        scheme=scheme,
-        h=transformed_generator(scheme),
-    )
-
-
-def lmg_scenario(twice_j, beta, t, lam) -> Scenario:
-    jx, _, jz = spin_operators(twice_j)
+    if model == "linear":
+        return jz, ExplicitGenerator({"x": jx, "y": jy, "z": jz}[axis], t)
+    if model == "oat":
+        return jz, ExplicitGenerator(_symmetrized_square(jx), t)
     jx2 = _symmetrized_square(jx)
-    probe = gibbs_state(jz, beta)
-    scheme = HamiltonianFamily(
+    family = HamiltonianFamily(
         hamiltonian=lambda value: jx2 + value * jz,
         dh_dlambda=jz,
         lam=float(lam),
         t=float(t),
     )
+    return jz, family
+
+
+def build_scenario(model: str, twice_j, beta, t, axis: str = "x", lam=None) -> Scenario:
+    jz, scheme = model_encoding(model, twice_j, t, axis=axis, lam=lam)
     return Scenario(
-        model="lmg",
+        model=model,
         twice_j=check_twice_j(twice_j),
         beta=float(beta),
         t=float(t),
-        axis=None,
-        lam=float(lam),
-        probe=probe,
+        axis=axis if model == "linear" else None,
+        lam=float(lam) if model == "lmg" else None,
+        probe=gibbs_state(jz, beta),
         scheme=scheme,
         h=transformed_generator(scheme),
     )
 
 
-def build_scenario(model: str, twice_j, beta, t, axis: str = "x", lam=None) -> Scenario:
-    if model == "linear":
-        return linear_scenario(twice_j, beta, t, axis=axis)
+def linear_scenario(twice_j, beta, t, axis: str = "x") -> Scenario:
+    return build_scenario("linear", twice_j, beta, t, axis=axis)
+
+
+def oat_scenario(twice_j, beta, t) -> Scenario:
+    return build_scenario("oat", twice_j, beta, t)
+
+
+def lmg_scenario(twice_j, beta, t, lam) -> Scenario:
+    return build_scenario("lmg", twice_j, beta, t, lam=lam)
+
+
+def closed_forms_for(model: str, axis: str | None):
+    """The (QFI, variance bound) closed forms, as functions of (2J, beta, t),
+    where they exist: the linear model along x, and the twisting model.
+    None elsewhere."""
+    if model == "linear" and axis == "x":
+        return linear_qfi_closed, linear_variance_closed
     if model == "oat":
-        return oat_scenario(twice_j, beta, t)
-    if model == "lmg":
-        if lam is None:
-            raise ValueError("the lmg model requires lambda")
-        return lmg_scenario(twice_j, beta, t, lam)
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+        return oat_qfi_closed, oat_variance_closed
+    return None
 
 
 def closed_qfi(scenario: Scenario) -> float | None:
-    """Analytic QFI where one exists: linear along x, and the twisting model."""
-    if scenario.model == "linear" and scenario.axis == "x":
-        return linear_qfi_closed(scenario.twice_j, scenario.beta, scenario.t)
-    if scenario.model == "oat":
-        return oat_qfi_closed(scenario.twice_j, scenario.beta, scenario.t)
-    return None
+    """Analytic QFI where one exists (see closed_forms_for)."""
+    forms = closed_forms_for(scenario.model, scenario.axis)
+    return None if forms is None else forms[0](scenario.twice_j, scenario.beta, scenario.t)
 
 
 def closed_variance(scenario: Scenario) -> float | None:
     """Analytic variance bound where one exists (same coverage as closed_qfi)."""
-    if scenario.model == "linear" and scenario.axis == "x":
-        return linear_variance_closed(scenario.twice_j, scenario.beta, scenario.t)
-    if scenario.model == "oat":
-        return oat_variance_closed(scenario.twice_j, scenario.beta, scenario.t)
-    return None
+    forms = closed_forms_for(scenario.model, scenario.axis)
+    return None if forms is None else forms[1](scenario.twice_j, scenario.beta, scenario.t)

@@ -8,18 +8,21 @@ three at 1e-8 relative on full-rank thermal probes is the package's
 central correctness property, certified in QfiReport.
 
 Sums are accumulated with math.fsum, so results are deterministic to the
-last bit regardless of evaluation order.
+last bit regardless of evaluation order. Each route's beta-dependent sum
+lives in one private function, shared by the public route functions and
+by SpectralPlan, which holds the beta-independent matrix elements so that
+a temperature sweep evaluates each beta as a few O(n^2) weighted sums.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import as_operator
-from .operators import commutator_i, require_hermitian
+from .operators import SpectralDecomposition, commutator_i, require_hermitian, seminorm
 from .thermal import GibbsState
 
 # probe support truncation for non-thermal probes: pairs whose combined
@@ -63,19 +66,34 @@ def _probe_parts(probe, h):
     return p, v, hm
 
 
-def qfi_general(probe, h) -> float:
-    """Mixed-state dynamic QFI from the probe spectrum.
-
-    F = sum_i 4 p_i Var[h]_i - sum_{i != j} 8 p_i p_j / (p_i + p_j) |h_ij|^2
-    in the probe eigenbasis. A uniform spectrum cancels the two sums
-    exactly; a pure probe reduces to 4 Var[h] on its support.
-    """
-    p, v, hm = _probe_parts(probe, h)
+def _generator_elements(v, hm):
+    """|h_ij|^2 in the probe eigenbasis and the eigenstate variances Var_i[h]."""
     ht = v.conj().T @ hm @ v
     habs2 = np.abs(ht) ** 2
-    hdiag = np.real(np.diag(ht))
-    var_i = habs2.sum(axis=1) - hdiag**2
-    first = math.fsum((4.0 * p * var_i).tolist())
+    var_i = habs2.sum(axis=1) - np.real(np.diag(ht)) ** 2
+    return habs2, var_i
+
+
+def _commutator_elements(v, comm):
+    """|C_ij|^2 and the diagonal C_ii in the probe eigenbasis."""
+    ct = v.conj().T @ comm @ v
+    return np.abs(ct) ** 2, np.real(np.diag(ct))
+
+
+def _eigenstate_sum(p, var_i) -> float:
+    """sum_i 4 p_i Var[h]_i, the convexity bound and the general route's first term."""
+    return math.fsum((4.0 * p * var_i).tolist())
+
+
+def _variance_sum(p, cdiag, cabs2) -> float:
+    """Var[C] against the probe from the matrix elements of C in its eigenbasis."""
+    mean = math.fsum((p * cdiag).tolist())
+    second_moment = math.fsum((p[:, None] * cabs2).ravel().tolist())
+    return second_moment - mean * mean
+
+
+def _general_sum(p, var_i, habs2) -> float:
+    first = _eigenstate_sum(p, var_i)
     pair_sum = p[:, None] + p[None, :]
     mask = pair_sum >= SUPPORT_TOL
     np.fill_diagonal(mask, False)
@@ -85,17 +103,45 @@ def qfi_general(probe, h) -> float:
     return _clamped(first - second, "general-route QFI")
 
 
-def qfi_sld(probe, h) -> float:
-    """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
-    p, v, hm = _probe_parts(probe, h)
-    ht = v.conj().T @ hm @ v
-    habs2 = np.abs(ht) ** 2
+def _sld_sum(p, habs2) -> float:
     pair_sum = p[:, None] + p[None, :]
     diff2 = (p[:, None] - p[None, :]) ** 2
     mask = pair_sum >= SUPPORT_TOL
     terms = np.zeros_like(pair_sum)
     terms[mask] = 2.0 * diff2[mask] / pair_sum[mask] * habs2[mask]
     return _clamped(math.fsum(terms[mask].tolist()), "SLD-route QFI")
+
+
+def _thermal_sum(beta, p, delta, cabs2, var_c) -> float:
+    weight = 1.0 - tanhc(0.5 * beta * delta) ** 2
+    terms = p[:, None] * weight * cabs2
+    np.fill_diagonal(terms, 0.0)
+    second = math.fsum(terms.ravel().tolist())
+    return _clamped(beta * beta * (var_c - second), "thermal-route QFI")
+
+
+def qfi_general(probe, h) -> float:
+    """Mixed-state dynamic QFI from the probe spectrum.
+
+    F = sum_i 4 p_i Var[h]_i - sum_{i != j} 8 p_i p_j / (p_i + p_j) |h_ij|^2
+    in the probe eigenbasis. A uniform spectrum cancels the two sums
+    exactly; a pure probe reduces to 4 Var[h] on its support.
+    """
+    p, v, hm = _probe_parts(probe, h)
+    habs2, var_i = _generator_elements(v, hm)
+    return _general_sum(p, var_i, habs2)
+
+
+def qfi_sld(probe, h) -> float:
+    """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
+    p, v, hm = _probe_parts(probe, h)
+    habs2, _ = _generator_elements(v, hm)
+    return _sld_sum(p, habs2)
+
+
+def _require_gibbs(rho0) -> None:
+    if not isinstance(rho0, GibbsState):
+        raise TypeError("the thermal route requires a GibbsState probe")
 
 
 def qfi_thermal(rho0: GibbsState, h) -> float:
@@ -106,53 +152,109 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
     Hamiltonian. Both orientations of each pair contribute with their own
     weight; degenerate pairs drop out exactly since tanhc(0) = 1.
     """
-    if not isinstance(rho0, GibbsState):
-        raise TypeError("the thermal route requires a GibbsState probe")
+    _require_gibbs(rho0)
     hm = require_hermitian(as_operator(h), "generator")
     if hm.shape[0] != rho0.dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
     comm = commutator_i(rho0.hamiltonian, hm)
-    v = rho0.eigenvectors
-    energies = rho0.eigenvalues
+    cabs2, cdiag = _commutator_elements(rho0.eigenvectors, comm)
     p = rho0.probabilities
-    beta = rho0.beta
-    ct = v.conj().T @ comm @ v
-    cabs2 = np.abs(ct) ** 2
-    mean = math.fsum((p * np.real(np.diag(ct))).tolist())
-    second_moment = math.fsum((p[:, None] * cabs2).ravel().tolist())
-    var_c = second_moment - mean * mean
+    energies = rho0.eigenvalues
     delta = energies[:, None] - energies[None, :]
-    weight = 1.0 - tanhc(0.5 * beta * delta) ** 2
-    terms = p[:, None] * weight * cabs2
-    np.fill_diagonal(terms, 0.0)
-    second = math.fsum(terms.ravel().tolist())
-    return _clamped(beta * beta * (var_c - second), "thermal-route QFI")
+    return _thermal_sum(rho0.beta, p, delta, cabs2, _variance_sum(p, cdiag, cabs2))
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralPlan:
+    """Everything the routes and bounds need that does not depend on beta.
+
+    Built once per (probe Hamiltonian, generator): the real |h_ij|^2,
+    Var_i[h], |C_ij|^2 and C_ii of h and C = i[H, h] in the probe
+    eigenbasis, the probe level differences and ||C||. Each temperature is
+    then a handful of O(n^2) weighted sums. generator is the matrix the
+    plan was built from; bound_report reuses a report's plan only for
+    that same matrix.
+    """
+
+    decomposition: SpectralDecomposition
+    generator: np.ndarray
+    delta: np.ndarray
+    habs2: np.ndarray
+    var_i: np.ndarray
+    cabs2: np.ndarray
+    cdiag: np.ndarray
+    noncommutativity: float
+
+    def commutator_variance(self, p) -> float:
+        return _variance_sum(p, self.cdiag, self.cabs2)
+
+    def convexity_sum(self, p) -> float:
+        return _eigenstate_sum(p, self.var_i)
+
+    def qfi_report(self, rho0: GibbsState, var_c: float | None = None) -> QfiReport:
+        """The three routes at the probe's temperature; var_c may be passed
+        in when the caller already holds commutator_variance(p)."""
+        p = rho0.probabilities
+        if var_c is None:
+            var_c = self.commutator_variance(p)
+        f_general = _general_sum(p, self.var_i, self.habs2)
+        f_thermal = _thermal_sum(rho0.beta, p, self.delta, self.cabs2, var_c)
+        f_sld = _sld_sum(p, self.habs2)
+        spread = max(
+            abs(f_general - f_thermal),
+            abs(f_general - f_sld),
+            abs(f_thermal - f_sld),
+        )
+        return QfiReport(
+            f_general=f_general,
+            f_thermal=f_thermal,
+            f_sld=f_sld,
+            max_pairwise_rel_diff=spread / max(1.0, f_general),
+            pure_state_flag=rho0.effectively_pure,
+            plan=self,
+        )
+
+
+def spectral_plan(hamiltonian, decomposition: SpectralDecomposition, h) -> SpectralPlan:
+    """Build the beta-independent plan for probe Hamiltonian H (with its
+    eigendecomposition) and generator h. The complex intermediates (the
+    commutator and both basis changes) are dropped once reduced."""
+    hm = require_hermitian(as_operator(h), "generator")
+    v = decomposition.eigenvectors
+    if hm.shape[0] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {v.shape[0]}")
+    habs2, var_i = _generator_elements(v, hm)
+    comm = commutator_i(hamiltonian, hm)
+    cabs2, cdiag = _commutator_elements(v, comm)
+    energies = decomposition.eigenvalues
+    return SpectralPlan(
+        decomposition=decomposition,
+        generator=hm,
+        delta=energies[:, None] - energies[None, :],
+        habs2=habs2,
+        var_i=var_i,
+        cabs2=cabs2,
+        cdiag=cdiag,
+        noncommutativity=seminorm(comm),
+    )
 
 
 @dataclass(frozen=True)
 class QfiReport:
-    """The three route values and their agreement certificate."""
+    """The three route values and their agreement certificate.
+
+    plan is the SpectralPlan the values came from, kept so bound_report
+    can reuse it for the same probe and generator.
+    """
 
     f_general: float
     f_thermal: float
     f_sld: float
     max_pairwise_rel_diff: float
     pure_state_flag: bool
+    plan: SpectralPlan | None = field(default=None, repr=False, compare=False)
 
 
 def qfi_report(rho0: GibbsState, h) -> QfiReport:
-    f_general = qfi_general(rho0, h)
-    f_thermal = qfi_thermal(rho0, h)
-    f_sld = qfi_sld(rho0, h)
-    spread = max(
-        abs(f_general - f_thermal),
-        abs(f_general - f_sld),
-        abs(f_thermal - f_sld),
-    )
-    return QfiReport(
-        f_general=f_general,
-        f_thermal=f_thermal,
-        f_sld=f_sld,
-        max_pairwise_rel_diff=spread / max(1.0, f_general),
-        pure_state_flag=bool(getattr(rho0, "effectively_pure", False)),
-    )
+    _require_gibbs(rho0)
+    return spectral_plan(rho0.hamiltonian, rho0.decomposition, h).qfi_report(rho0)

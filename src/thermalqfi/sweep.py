@@ -2,24 +2,24 @@
 
 A sweep config names a model, a spin, one temperature grid (beta or
 polarization) and a time grid, and lists the quantities to emit. Rows come
-out ordered lexicographically by (t, beta) and are byte-identical across
-parallelism levels: each grid point is pure, and results are gathered by
-index.
+out ordered lexicographically by (t, beta). Sweeps run serially; the
+parallelism field is still accepted and validated, and the output is
+byte-identical whatever its value.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import bound_report
-from .models import AXES, MODELS, build_scenario, closed_qfi, closed_variance
-from .qfi import qfi_report
-from .thermal import beta_from_polarization, polarization
+from .bounds import bound_scales, evaluate_point
+from .encoding import generator_family
+from .models import AXES, MODELS, closed_forms_for, model_encoding
+from .operators import eigendecompose
+from .qfi import spectral_plan
+from .thermal import beta_from_polarization, gibbs_from_spectrum, polarization
 
 OUTPUT_KEYS = (
     "qfi_general",
@@ -130,6 +130,12 @@ def _check_grid(name: str, values, low=None, high=None, strict_high=False) -> tu
     return tuple(grid)
 
 
+def _check_parallelism(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"parallelism: must be a positive integer, got {value!r}")
+    return value
+
+
 def _config_from_dict(raw: dict) -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
@@ -185,9 +191,7 @@ def _config_from_dict(raw: dict) -> SweepConfig:
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path: must be a string")
 
-    parallelism = raw.get("parallelism", 1)
-    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
-        raise ConfigError(f"parallelism: must be a positive integer, got {parallelism!r}")
+    parallelism = _check_parallelism(raw.get("parallelism", 1))
 
     return SweepConfig(
         model=model,
@@ -235,21 +239,14 @@ class SweepRow:
     ordering_ok: bool
 
 
-def _row_for_point(config: SweepConfig, t: float, beta: float) -> SweepRow:
-    scenario = build_scenario(
-        config.model, config.twice_j, beta, t, axis=config.axis, lam=config.lam
-    )
-    report = qfi_report(scenario.probe, scenario.h)
-    bounds = bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
-    want = set(config.outputs)
-
+def _row(config: SweepConfig, want: set, closed_forms, t: float, beta: float, report, bounds) -> SweepRow:
     def gate(key, value):
         return value if key in want else None
 
     closed_q = closed_v = None
     if "closed_forms" in want:
-        closed_q = closed_qfi(scenario)
-        closed_v = closed_variance(scenario)
+        closed_q = closed_forms[0](config.twice_j, beta, t)
+        closed_v = closed_forms[1](config.twice_j, beta, t)
     return SweepRow(
         model=config.model,
         j=config.twice_j / 2.0,
@@ -275,20 +272,37 @@ def _row_for_point(config: SweepConfig, t: float, beta: float) -> SweepRow:
 def run_sweep(config: SweepConfig, parallelism: int | None = None) -> list[SweepRow]:
     """Evaluate every grid point; rows ordered lexicographically by (t, beta).
 
-    Points are independent, so any parallelism level yields identical rows;
-    the gather restores grid order by index.
+    Factor once, sweep many: the probe eigendecomposition, ||H||, the gap,
+    ||dH/dlambda|| and (for lmg) the eigendecomposition of H(lambda) are
+    built once per sweep, the generator and its SpectralPlan once per t,
+    and each beta costs only the O(n^2) weighted sums of evaluate_point.
+    Sweeps run serially: the per-beta work is GIL-bound Python, so threads
+    only slowed it down. parallelism is accepted and validated for
+    compatibility and does not change the rows.
     """
     if parallelism is not None:
-        config = dataclasses.replace(config, parallelism=int(parallelism))
+        _check_parallelism(parallelism)
     if config.beta_grid is not None:
         betas = list(config.beta_grid)
     else:
         betas = [beta_from_polarization(p) for p in config.p_grid]
-    points = [(t, beta) for t in config.t_grid for beta in betas]
-    if config.parallelism == 1 or len(points) == 1:
-        return [_row_for_point(config, t, beta) for t, beta in points]
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        return list(pool.map(lambda pt: _row_for_point(config, *pt), points))
+    probe_h, scheme = model_encoding(
+        config.model, config.twice_j, config.t_grid[0], axis=config.axis, lam=config.lam
+    )
+    decomposition = eigendecompose(probe_h, "Hamiltonian")
+    scales = bound_scales(probe_h, decomposition.eigenvalues, scheme)
+    generator = generator_family(scheme)
+    del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
+    closed_forms = closed_forms_for(config.model, config.axis)
+    want = set(config.outputs)
+    rows = []
+    for t in config.t_grid:
+        plan = spectral_plan(probe_h, decomposition, generator(t))
+        for beta in betas:
+            rho0 = gibbs_from_spectrum(probe_h, decomposition, beta)
+            report, bounds = evaluate_point(plan, rho0, scales, t)
+            rows.append(_row(config, want, closed_forms, t, beta, report, bounds))
+    return rows
 
 
 def format_float(x: float) -> str:

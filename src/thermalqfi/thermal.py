@@ -71,17 +71,31 @@ class SpectralProbe:
         object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=np.complex128))
 
 
+def _check_beta(beta) -> float:
+    beta = float(beta)
+    if not math.isfinite(beta) or beta < 0.0:
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    return beta
+
+
 def gibbs_state(hamiltonian, beta: float) -> GibbsState:
     """Build exp(-beta H)/Z; beta = 0 gives the maximally mixed state exactly.
 
     Weights are computed relative to the ground energy, so any finite
     beta >= 0 is safe regardless of the spectral width.
     """
-    beta = float(beta)
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    dec = eigendecompose(hamiltonian, "Hamiltonian")
-    energies = dec.eigenvalues
+    beta = _check_beta(beta)
+    return gibbs_from_spectrum(hamiltonian, eigendecompose(hamiltonian, "Hamiltonian"), beta)
+
+
+def gibbs_from_spectrum(hamiltonian, decomposition: SpectralDecomposition, beta: float) -> GibbsState:
+    """exp(-beta H)/Z from an existing eigendecomposition of H.
+
+    The only beta-dependent step of gibbs_state: a temperature sweep
+    decomposes H once and calls this per beta.
+    """
+    beta = _check_beta(beta)
+    energies = decomposition.eigenvalues
     ground = float(energies[0])
     weights = np.exp(-beta * (energies - ground))
     effectively_pure = int(np.count_nonzero(weights)) == 1
@@ -91,7 +105,7 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsState:
     return GibbsState(
         beta=beta,
         hamiltonian=np.asarray(hamiltonian, dtype=np.complex128),
-        decomposition=dec,
+        decomposition=decomposition,
         probabilities=probabilities,
         log_partition=float(-beta * ground + math.log(shifted_z)),
         ground_energy=ground,
@@ -132,10 +146,7 @@ def partition_moment_ratio(twice_j, beta: float) -> float:
 
 def polarization(beta: float) -> float:
     """P = tanh(beta/2), the natural temperature axis for thermal spin probes."""
-    beta = float(beta)
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    return math.tanh(0.5 * beta)
+    return math.tanh(0.5 * _check_beta(beta))
 
 
 def beta_from_polarization(p: float) -> float:

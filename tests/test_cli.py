@@ -113,3 +113,24 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bounds"]["ordering_ok"] is True
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError("negative QFI"), OverflowError("exp overflow")])
+def test_numerical_errors_exit_3(monkeypatch, capsys, exc):
+    import thermalqfi.cli as cli
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "qfi_report", failing)
+    code = main(["compute", "--model", "oat", "--twice-j", "4", "--beta", "1", "--t", "1"])
+    assert code == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_figures_run_reports_ordering(tmp_path, capsys):
+    assert main(["figures", "--out", str(tmp_path), "--run"]) == 0
+    out = capsys.readouterr().out
+    for name in ("fig2a", "fig2b", "fig3a", "fig3b"):
+        assert f"{name}: " in out
+    assert out.count("(ordering_ok everywhere: True)") == 4

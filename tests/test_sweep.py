@@ -1,9 +1,14 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import thermalqfi.operators as operators
+from thermalqfi.bounds import ORDERING_RTOL, gap_bounds, scheme_product_bound, seminorm_bound, variance_bound
+from thermalqfi.models import build_scenario, closed_qfi, closed_variance
+from thermalqfi.qfi import qfi_general, qfi_sld, qfi_thermal
 from thermalqfi.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -296,3 +301,114 @@ def test_tanhc_corruption_breaks_route_agreement(monkeypatch):
     assert not result.passed
     assert "f_thermal" in result.detail
     assert result.repro is not None
+
+
+def _runnable(raw):
+    return SweepConfig.from_dict({k: v for k, v in raw.items() if k != "metadata"})
+
+
+PLAN_CONFIGS = {
+    **{name: _runnable(raw) for name, raw in figure_configs().items()},
+    "linear-y": SweepConfig.from_dict({
+        "model": "linear", "twice_j": 6, "axis": "y",
+        "beta_grid": [0.0, 0.3, 1.7, 12.0], "t_grid": [0.0, 0.4, 2.5],
+        "outputs": ["qfi_general", "qfi_thermal", "qfi_sld", "variance_bound",
+                    "seminorm_bound", "product_bound", "gap_bounds"],
+    }),
+    "oat-half-integer": SweepConfig.from_dict({
+        "model": "oat", "twice_j": 3, "p_grid": [0.05, 0.5, 0.95], "t_grid": [0.25, 1.0, 3.14],
+    }),
+}
+
+
+def _reference_row(config, t, beta):
+    """A sweep row from the per-point functions, independent of the plan."""
+    sc = build_scenario(config.model, config.twice_j, beta, t, axis=config.axis, lam=config.lam)
+    f = qfi_general(sc.probe, sc.h)
+    v = variance_bound(sc.probe, sc.h)
+    s = seminorm_bound(sc.probe, sc.h)
+    prod = scheme_product_bound(sc.probe, sc.scheme)
+    gaps = gap_bounds(sc.probe, sc.h)
+
+    def below(x, y):
+        return x <= y + ORDERING_RTOL * max(1.0, abs(y))
+
+    chain = (v, s, prod, gaps.convexity_bound, gaps.gap_variance_bound, gaps.gap_seminorm_bound)
+    ordering_ok = (
+        all(below(f, bound) for bound in chain)
+        and below(v, s) and below(s, prod)
+        and below(gaps.convexity_bound, gaps.gap_variance_bound)
+        and below(gaps.gap_variance_bound, gaps.gap_seminorm_bound)
+    )
+    want = set(config.outputs)
+    closed = "closed_forms" in want
+    return {
+        "f_general": f if "qfi_general" in want else None,
+        "f_thermal": qfi_thermal(sc.probe, sc.h) if "qfi_thermal" in want else None,
+        "f_sld": qfi_sld(sc.probe, sc.h) if "qfi_sld" in want else None,
+        "variance_bound": v if "variance_bound" in want else None,
+        "seminorm_bound": s if "seminorm_bound" in want else None,
+        "product_bound": prod if "product_bound" in want else None,
+        "convexity_bound": gaps.convexity_bound if "gap_bounds" in want else None,
+        "gap_variance_bound": gaps.gap_variance_bound if "gap_bounds" in want else None,
+        "gap_seminorm_bound": gaps.gap_seminorm_bound if "gap_bounds" in want else None,
+        "closed_qfi": closed_qfi(sc) if closed else None,
+        "closed_variance": closed_variance(sc) if closed else None,
+        "ordering_ok": ordering_ok,
+    }
+
+
+class TestSpectralPlan:
+    @pytest.mark.parametrize("name", sorted(PLAN_CONFIGS))
+    def test_rows_match_per_point_path_bit_for_bit(self, name):
+        config = PLAN_CONFIGS[name]
+        rows = run_sweep(config)
+        assert len(rows) == len(config.t_grid) * len(config.beta_grid or config.p_grid)
+        for row in rows:
+            expected = _reference_row(config, row.t, row.beta)
+            got = {key: getattr(row, key) for key in expected}
+            # repr round-trips a double, so equal reprs mean equal bits (and catch -0.0)
+            assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in expected.items()}, (
+                f"{name} t={row.t} beta={row.beta}"
+            )
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": "lmg", "twice_j": 5, "lambda": 0.7, "outputs": ["qfi_general", "gap_bounds"]},
+            {"model": "oat", "twice_j": 4},
+            {"model": "linear", "twice_j": 3, "axis": "z", "outputs": ["qfi_thermal", "product_bound"]},
+        ],
+        ids=["lmg", "oat", "linear"],
+    )
+    def test_factor_once_call_counts(self, monkeypatch, raw):
+        t_grid, beta_grid = [0.0, 0.5, 1.0, 2.0, 3.14], [0.1, 0.9, 2.0, 7.5]
+        config = SweepConfig.from_dict({**raw, "t_grid": t_grid, "beta_grid": beta_grid})
+        calls = {"eigh": 0, "commutator_i": 0}
+        original_eigh = np.linalg.eigh
+        original_commutator = operators.commutator_i
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return original_eigh(*args, **kwargs)
+
+        def counting_commutator(*args, **kwargs):
+            calls["commutator_i"] += 1
+            return original_commutator(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        # modules bind commutator_i by name at import, so patch every binding
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thermalqfi") and getattr(module, "commutator_i", None) is original_commutator:
+                monkeypatch.setattr(module, "commutator_i", counting_commutator)
+        rows = run_sweep(config)
+        assert len(rows) == len(t_grid) * len(beta_grid)
+        assert calls["eigh"] <= 2
+        assert calls["commutator_i"] == len(t_grid)
+
+
+def test_parallelism_override_still_validated():
+    cfg = SweepConfig.from_dict(qubit_config())
+    for bad in (0, -2, True, 1.5):
+        with pytest.raises(ConfigError, match="parallelism"):
+            run_sweep(cfg, parallelism=bad)
