@@ -66,6 +66,7 @@ from .operators import (
 )
 from .qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, tanhc
 from .spin import (
+    MAX_TWICE_J,
     m_values,
     oat_commutator,
     rotated_oat_operator,

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import (
+    _diagonal_of,
     as_complex_matrix,
     eigendecompose,
     hermiticity_defect,
@@ -134,16 +135,21 @@ class EncodingSpectrum:
 
 
 def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
-    """Diagonalize H(lambda) once; generator_at then serves every time t."""
+    """Diagonalize H(lambda) once; generator_at then serves every time t.
+
+    A diagonal dH/dlambda (J_z for lmg) scales the columns of W^dagger
+    instead of multiplying, with the same IEEE operations per nonzero
+    entry as the zero-padded product."""
     h_enc = require_hermitian(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
     v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
     if h_enc.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {h_enc.shape}, dH/dlambda {v.shape}")
     dec = eigendecompose(h_enc, "encoding Hamiltonian")
     w = dec.eigenvectors
+    d = _diagonal_of(v)
     return EncodingSpectrum(
         eigenvectors=w,
-        v_eig=w.conj().T @ v @ w,
+        v_eig=(w.conj().T @ v if d is None else w.conj().T * d) @ w,
         delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
     )
 

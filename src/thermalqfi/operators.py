@@ -9,7 +9,7 @@ sites that enforce them. All operations are pure and thread-safe.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,17 +64,49 @@ def require_unitary(u, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _diagonal_of(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square matrix whose off-diagonal entries are all
+    exact zeros (of either sign), else None.
+
+    The off-diagonal entries of an n x n array, flattened, are the n - 1
+    runs of n entries between consecutive diagonal ones, so the scan is
+    a view of a C-contiguous matrix rather than a masked copy.
+    """
+    n = m.shape[0]
+    if n > 1 and (m[1, 0] != 0 or m[0, 1] != 0):
+        return None
+    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    return np.diagonal(m)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Ascending real eigenvalues and orthonormal eigenvector columns.
 
     Certified at construction: max |V^dagger V - I| <= 1e-10 and
-    max |V diag(E) V^dagger - A| <= 1e-10 * max(1, max|A|).
+    max |V diag(E) V^dagger - A| <= 1e-10 * max(1, max|A|). order is set
+    when the source matrix was diagonal: the eigenvectors are then the
+    unit vectors e_order[k], and basis changes reindex instead of
+    multiplying. source is the validated matrix that was decomposed.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     source_dim: int
+    order: np.ndarray | None = None
+    source: np.ndarray | None = field(default=None, repr=False)
+
+    def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
+        """V^dagger op V; for a diagonal source, op reindexed by order
+        (op itself when order is the identity), which equals the product
+        up to the sign of exact zeros."""
+        if self.order is None:
+            v = self.eigenvectors
+            return v.conj().T @ op @ v
+        if np.array_equal(self.order, np.arange(self.source_dim)):
+            return op
+        return op[np.ix_(self.order, self.order)]
 
 
 def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
@@ -82,30 +114,43 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
 
     Deterministic for bit-identical input. Among degenerate eigenvalues the
     eigenvector gauge is arbitrary; downstream code must only use
-    basis-independent quantities.
+    basis-independent quantities. A diagonal matrix skips the eigensolver:
+    its eigenvalues are the stably sorted real diagonal and its
+    eigenvectors the matching unit vectors, which is bit for bit what
+    eigh returns for a nondegenerate diagonal (the identity for J_z).
     """
     m = require_hermitian(a, what)
-    try:
-        evals, evecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigensolver failed on a {m.shape[0]}x{m.shape[0]} {what}: {exc} "
-            f"(hermiticity defect {hermiticity_defect(m):.3e})"
-        ) from exc
     dim = m.shape[0]
-    ortho = float(np.max(np.abs(evecs.conj().T @ evecs - np.eye(dim))))
-    recon = float(np.max(np.abs((evecs * evals) @ evecs.conj().T - m)))
-    scale = max(1.0, float(np.max(np.abs(m))))
+    d = _diagonal_of(m)
+    if d is None:
+        order = None
+        try:
+            evals, evecs = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(
+                f"eigensolver failed on a {dim}x{dim} {what}: {exc} "
+                f"(hermiticity defect {hermiticity_defect(m):.3e})"
+            ) from exc
+        ortho = float(np.max(np.abs(evecs.conj().T @ evecs - np.eye(dim))))
+        recon = float(np.max(np.abs((evecs * evals) @ evecs.conj().T - m)))
+        scale = max(1.0, float(np.max(np.abs(m))))
+    else:
+        order = np.argsort(d.real, kind="stable")
+        evals = d.real[order]
+        evecs = np.zeros((dim, dim), dtype=np.complex128)
+        evecs[order, np.arange(dim)] = 1.0
+        ortho = 0.0
+        recon = float(np.max(np.abs(d[order] - evals)))
+        scale = max(1.0, float(np.max(np.abs(d))))
     if ortho > ORTHONORMALITY_TOL or recon > RECONSTRUCTION_RTOL * scale:
         raise EigensolverError(
             f"eigendecomposition of {what} misses its residual contract: "
             f"orthonormality {ortho:.3e}, reconstruction {recon:.3e} (scale {scale:.3e})"
         )
-    return SpectralDecomposition(evals, evecs, dim)
+    return SpectralDecomposition(evals, evecs, dim, order, m)
 
 
-def _eigvalsh(a, what: str = "matrix") -> np.ndarray:
-    m = require_hermitian(a, what)
+def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -134,32 +179,51 @@ def matrix_exp_scaled(a, scale) -> np.ndarray:
     return (dec.eigenvectors * weights) @ dec.eigenvectors.conj().T
 
 
-def commutator_i(a, b) -> np.ndarray:
+def commutator_i(a, b, *, validated: bool = False) -> np.ndarray:
     """i[A, B] = i(AB - BA), Hermitian for Hermitian inputs.
 
     Floating-point products drift off the Hermitian manifold at the 1e-15
     scale; the result is symmetrized and the discarded anti-Hermitian
     residue logged so the drift cannot poison downstream tolerance checks.
+    A diagonal A scales the rows and columns of B instead of multiplying,
+    with the same IEEE operations per nonzero entry as the zero-padded
+    products; only the sign of an exact zero may differ, as it does
+    between BLAS kernels.
+    validated=True skips the Hermiticity scans of A and B, for callers
+    that have already validated both.
     """
-    ma = require_hermitian(a, "commutator argument A")
-    mb = require_hermitian(b, "commutator argument B")
+    if validated:
+        ma, mb = a, b
+    else:
+        ma = require_hermitian(a, "commutator argument A")
+        mb = require_hermitian(b, "commutator argument B")
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch in commutator: {ma.shape} vs {mb.shape}")
-    x = 1j * (ma @ mb - mb @ ma)
+    d = _diagonal_of(ma)
+    if d is None:
+        x = 1j * (ma @ mb - mb @ ma)
+    else:
+        x = 1j * (d[:, None] * mb - mb * d[None, :])
     residue = 0.5 * hermiticity_defect(x)
     if residue > 0.0:
         logger.debug("commutator_i: symmetrized away anti-Hermitian residue %.3e", residue)
     return 0.5 * (x + x.conj().T)
 
 
-def seminorm(a) -> float:
+def seminorm(a, *, validated: bool = False) -> float:
     """Spectral width E_max - E_min of a Hermitian matrix.
 
     Nonnegative; zero exactly when A is a multiple of the identity (within
     eigensolver tolerance). Invariant under unitary conjugation and under
-    shifts A -> A + c*I.
+    shifts A -> A + c*I. A diagonal A is read off its real diagonal.
+    validated=True skips the Hermiticity scan, for a caller that has
+    already validated A (an output of commutator_i is exactly Hermitian).
     """
-    evals = _eigvalsh(a, "seminorm argument")
+    m = a if validated else require_hermitian(a, "seminorm argument")
+    d = _diagonal_of(m)
+    if d is not None:
+        return float(d.real.max() - d.real.min())
+    evals = _eigvalsh(m, "seminorm argument")
     return float(evals[-1] - evals[0])
 
 

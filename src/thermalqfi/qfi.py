@@ -66,17 +66,15 @@ def _probe_parts(probe, h):
     return p, v, hm
 
 
-def _generator_elements(v, hm):
-    """|h_ij|^2 in the probe eigenbasis and the eigenstate variances Var_i[h]."""
-    ht = v.conj().T @ hm @ v
+def _generator_elements(ht):
+    """|h_ij|^2 and the eigenstate variances Var_i[h] from h in the probe eigenbasis."""
     habs2 = np.abs(ht) ** 2
     var_i = habs2.sum(axis=1) - np.real(np.diag(ht)) ** 2
     return habs2, var_i
 
 
-def _commutator_elements(v, comm):
-    """|C_ij|^2 and the diagonal C_ii in the probe eigenbasis."""
-    ct = v.conj().T @ comm @ v
+def _commutator_elements(ct):
+    """|C_ij|^2 and the diagonal C_ii from C in the probe eigenbasis."""
     return np.abs(ct) ** 2, np.real(np.diag(ct))
 
 
@@ -128,14 +126,14 @@ def qfi_general(probe, h) -> float:
     exactly; a pure probe reduces to 4 Var[h] on its support.
     """
     p, v, hm = _probe_parts(probe, h)
-    habs2, var_i = _generator_elements(v, hm)
+    habs2, var_i = _generator_elements(v.conj().T @ hm @ v)
     return _general_sum(p, var_i, habs2)
 
 
 def qfi_sld(probe, h) -> float:
     """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
     p, v, hm = _probe_parts(probe, h)
-    habs2, _ = _generator_elements(v, hm)
+    habs2, _ = _generator_elements(v.conj().T @ hm @ v)
     return _sld_sum(p, habs2)
 
 
@@ -157,7 +155,8 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
     if hm.shape[0] != rho0.dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
     comm = commutator_i(rho0.hamiltonian, hm)
-    cabs2, cdiag = _commutator_elements(rho0.eigenvectors, comm)
+    v = rho0.eigenvectors
+    cabs2, cdiag = _commutator_elements(v.conj().T @ comm @ v)
     p = rho0.probabilities
     energies = rho0.eigenvalues
     delta = energies[:, None] - energies[None, :]
@@ -200,32 +199,45 @@ class SpectralPlan:
         f_general = _general_sum(p, self.var_i, self.habs2)
         f_thermal = _thermal_sum(rho0.beta, p, self.delta, self.cabs2, var_c)
         f_sld = _sld_sum(p, self.habs2)
-        spread = max(
-            abs(f_general - f_thermal),
-            abs(f_general - f_sld),
-            abs(f_thermal - f_sld),
-        )
         return QfiReport(
             f_general=f_general,
             f_thermal=f_thermal,
             f_sld=f_sld,
-            max_pairwise_rel_diff=spread / max(1.0, f_general),
+            max_pairwise_rel_diff=_relative_spread(f_general, f_thermal, f_sld),
             pure_state_flag=rho0.effectively_pure,
             plan=self,
         )
 
 
+def _relative_spread(f_general: float, f_thermal: float, f_sld: float) -> float:
+    """Largest pairwise difference of the three routes over the largest
+    |F|, so a small F cannot hide a disagreement; 0 when all three are 0."""
+    scale = max(abs(f_general), abs(f_thermal), abs(f_sld))
+    if scale == 0.0:
+        return 0.0
+    spread = max(abs(f_general - f_thermal), abs(f_general - f_sld), abs(f_thermal - f_sld))
+    return spread / scale
+
+
 def spectral_plan(hamiltonian, decomposition: SpectralDecomposition, h) -> SpectralPlan:
     """Build the beta-independent plan for probe Hamiltonian H (with its
     eigendecomposition) and generator h. The complex intermediates (the
-    commutator and both basis changes) are dropped once reduced."""
+    commutator and both basis changes) are dropped once reduced.
+
+    Each matrix is scanned for Hermiticity at most once: h here, H only
+    when it is not the matrix the decomposition was built (and validated)
+    from, and C not at all, since commutator_i returns 0.5 (X + X^dagger),
+    which is exactly Hermitian in floating point.
+    """
     hm = require_hermitian(as_operator(h), "generator")
-    v = decomposition.eigenvectors
-    if hm.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {v.shape[0]}")
-    habs2, var_i = _generator_elements(v, hm)
-    comm = commutator_i(hamiltonian, hm)
-    cabs2, cdiag = _commutator_elements(v, comm)
+    dim = decomposition.source_dim
+    if hm.shape[0] != dim:
+        raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
+    if hamiltonian is not decomposition.source:
+        hamiltonian = require_hermitian(hamiltonian, "commutator argument A")
+    habs2, var_i = _generator_elements(decomposition.to_eigenbasis(hm))
+    comm = commutator_i(hamiltonian, hm, validated=True)
+    cabs2, cdiag = _commutator_elements(decomposition.to_eigenbasis(comm))
     energies = decomposition.eigenvalues
     return SpectralPlan(
         decomposition=decomposition,
@@ -235,7 +247,7 @@ def spectral_plan(hamiltonian, decomposition: SpectralDecomposition, h) -> Spect
         var_i=var_i,
         cabs2=cabs2,
         cdiag=cdiag,
-        noncommutativity=seminorm(comm),
+        noncommutativity=seminorm(comm, validated=True),
     )
 
 
@@ -243,7 +255,8 @@ def spectral_plan(hamiltonian, decomposition: SpectralDecomposition, h) -> Spect
 class QfiReport:
     """The three route values and their agreement certificate.
 
-    plan is the SpectralPlan the values came from, kept so bound_report
+    max_pairwise_rel_diff is the largest pairwise route difference over
+    the largest |F| (see _relative_spread). plan is the SpectralPlan the values came from, kept so bound_report
     can reuse it for the same probe and generator.
     """
 

@@ -10,9 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 
+# Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB
+# and a sweep holds a handful of them plus the eigensolver workspace, so
+# anything larger is refused before a single array is allocated.
+MAX_TWICE_J = 2000
+
+
 def check_twice_j(twice_j) -> int:
     if isinstance(twice_j, bool) or not isinstance(twice_j, (int, np.integer)) or twice_j < 1:
         raise ValueError(f"twice_j must be a positive integer, got {twice_j!r}")
+    if twice_j > MAX_TWICE_J:
+        raise ValueError(f"twice_j must be at most {MAX_TWICE_J}, got {twice_j!r}")
     return int(twice_j)
 
 

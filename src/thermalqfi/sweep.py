@@ -19,6 +19,7 @@ from .encoding import generator_family
 from .models import AXES, MODELS, closed_forms_for, model_encoding
 from .operators import eigendecompose
 from .qfi import spectral_plan
+from .spin import check_twice_j
 from .thermal import beta_from_polarization, gibbs_from_spectrum, polarization
 
 OUTPUT_KEYS = (
@@ -147,9 +148,10 @@ def _config_from_dict(raw: dict) -> SweepConfig:
     if model not in MODELS:
         raise ConfigError(f"model: must be one of {MODELS}, got {model!r}")
 
-    twice_j = raw.get("twice_j")
-    if isinstance(twice_j, bool) or not isinstance(twice_j, int) or twice_j < 1:
-        raise ConfigError(f"twice_j: must be a positive integer, got {twice_j!r}")
+    try:
+        twice_j = check_twice_j(raw.get("twice_j"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     has_beta = "beta_grid" in raw
     has_p = "p_grid" in raw

@@ -134,3 +134,31 @@ def test_figures_run_reports_ordering(tmp_path, capsys):
     for name in ("fig2a", "fig2b", "fig3a", "fig3b"):
         assert f"{name}: " in out
     assert out.count("(ordering_ok everywhere: True)") == 4
+
+
+@pytest.fixture
+def no_numpy_allocation(monkeypatch):
+    """Make every numpy array constructor raise, so a test can show that a
+    command refuses its input before it allocates anything."""
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy allocated an array")
+
+    for name in ("array", "asarray", "zeros", "empty", "ones", "full", "eye", "identity",
+                 "arange", "diag", "zeros_like", "empty_like"):
+        monkeypatch.setattr(np, name, refuse)
+
+
+def test_compute_refuses_spin_above_cap_before_allocating(capsys, no_numpy_allocation):
+    code = main(["compute", "--model", "oat", "--twice-j", "2001", "--beta", "1", "--t", "1"])
+    assert code == 2
+    assert "config error: twice_j must be at most 2000" in capsys.readouterr().err
+
+
+def test_sweep_refuses_spin_above_cap_before_allocating(tmp_path, capsys, no_numpy_allocation):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "oat", "twice_j": 100000, "beta_grid": [1.0], "t_grid": [1.0]}))
+    code = main(["sweep", "--config", str(cfg_path)])
+    assert code == 2
+    assert "config error: twice_j must be at most 2000" in capsys.readouterr().err

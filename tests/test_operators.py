@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import thermalqfi.operators as operators
 from thermalqfi.operators import (
     EigensolverError,
     NotHermitianError,
@@ -231,3 +232,137 @@ def test_require_hermitian_scale_relative_tolerance():
 def test_require_unitary_rejects_scaled_identity():
     with pytest.raises(ValueError, match="unitary"):
         require_unitary(1.5 * np.eye(3))
+
+
+def _diag(values) -> np.ndarray:
+    return np.diag(np.asarray(values, dtype=float)).astype(np.complex128)
+
+
+def _with_negative_zero_offdiagonal(m: np.ndarray) -> np.ndarray:
+    out = m.copy()
+    off = ~np.eye(m.shape[0], dtype=bool)
+    out[off] = complex(-0.0, -0.0)
+    return out
+
+
+_RNG = np.random.default_rng(20261018)
+DIAGONAL_CASES = {
+    **{f"jz-{tj}": spin_operators(tj)[2] for tj in (1, 3, 10, 100, 400)},
+    "unsorted": _diag([3.0, -1.0, 2.0, 0.5]),
+    "unsorted-200": _diag(_RNG.normal(size=200)),
+    "degenerate": _diag([2.0, 1.0, 1.0, 0.0, 1.0]),
+    "degenerate-60": _diag(np.round(_RNG.normal(size=60)) + 0.0),
+    "signed-zeros": _diag([0.0, -0.0, 1.0]),
+    "negative-zero-offdiagonal": _with_negative_zero_offdiagonal(spin_operators(4)[2]),
+}
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _eigenspaces(evals, evecs):
+    """For each distinct eigenvalue, the set of unit vectors spanning its eigenspace."""
+    rows = np.argmax(np.abs(evecs), axis=0)
+    return {float(e): frozenset(rows[evals == e].tolist()) for e in np.unique(evals)}
+
+
+class TestDiagonalFastPath:
+    """A diagonal input skips the eigensolver and the dense products and must
+    give what the dense path gives, bit for bit."""
+
+    def test_diagonal_detection(self):
+        jx, _, jz = spin_operators(6)
+        assert _bits(operators._diagonal_of(jz)) == _bits(np.diagonal(jz))
+        assert operators._diagonal_of(DIAGONAL_CASES["negative-zero-offdiagonal"]) is not None
+        assert operators._diagonal_of(jz.T) is not None
+        assert operators._diagonal_of(np.eye(1, dtype=np.complex128)) is not None
+        assert operators._diagonal_of(jx) is None
+        late = jz.copy()
+        late[6, 2] = 1e-300
+        assert operators._diagonal_of(late) is None
+
+    @pytest.mark.parametrize("twice_j", [1, 3, 10, 100, 400])
+    def test_jz_eigh_is_the_exact_identity(self, twice_j):
+        _, _, jz = spin_operators(twice_j)
+        evals, evecs = np.linalg.eigh(jz)
+        assert _bits(evecs) == _bits(np.eye(twice_j + 1, dtype=np.complex128))
+        assert _bits(evals) == _bits(np.diagonal(jz).real)
+        dec = eigendecompose(jz)
+        np.testing.assert_array_equal(dec.order, np.arange(twice_j + 1))
+        assert dec.source is jz
+        assert dec.to_eigenbasis(jz) is jz
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
+    def test_eigendecompose_matches_eigh(self, name, monkeypatch):
+        a = DIAGONAL_CASES[name]
+        evals, evecs = np.linalg.eigh(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigensolver ran on a diagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        dec = eigendecompose(a)
+        assert _bits(dec.eigenvalues) == _bits(evals)
+        if len(np.unique(evals)) == len(evals):
+            assert _bits(dec.eigenvectors) == _bits(evecs)
+        else:
+            # within an eigenspace the gauge is arbitrary; LAPACK's selection
+            # sort may order the unit vectors differently from a stable sort
+            assert _eigenspaces(dec.eigenvalues, dec.eigenvectors) == _eigenspaces(evals, evecs)
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
+    def test_to_eigenbasis_matches_dense_product(self, name):
+        a = DIAGONAL_CASES[name]
+        dec = eigendecompose(a)
+        op = random_hermitian(np.random.default_rng(7), a.shape[0])
+        v = dec.eigenvectors
+        assert _bits(dec.to_eigenbasis(op)) == _bits(v.conj().T @ op @ v)
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
+    def test_seminorm_matches_eigvalsh(self, name, monkeypatch):
+        a = DIAGONAL_CASES[name]
+        evals = np.linalg.eigvalsh(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the eigensolver ran on a diagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert repr(seminorm(a)) == repr(float(evals[-1] - evals[0]))
+
+    @pytest.mark.parametrize("name", sorted(set(DIAGONAL_CASES) - {"signed-zeros"}))
+    def test_commutator_matches_explicit_products(self, name):
+        a = DIAGONAL_CASES[name]
+        b = random_hermitian(np.random.default_rng(7), a.shape[0])
+        x = 1j * (a @ b - b @ a)
+        assert _bits(commutator_i(a, b)) == _bits(0.5 * (x + x.conj().T))
+
+    @pytest.mark.parametrize("a", [DIAGONAL_CASES["signed-zeros"], -spin_operators(40)[2]], ids=["signed-zeros", "negated-jz"])
+    def test_a_negative_zero_on_the_diagonal_agrees_in_value(self, a):
+        """A -0.0 on the diagonal (-J_z at integer J has one, in both parts)
+        times an entry of B is an exact zero whose sign depends on the BLAS
+        kernel, and LAPACK does not keep the sign of a zero eigenvalue
+        either; everything else stays bit for bit."""
+        n = a.shape[0]
+        b = random_hermitian(np.random.default_rng(7), n)
+        evals, evecs = np.linalg.eigh(a)
+        dec = eigendecompose(a)
+        np.testing.assert_array_equal(dec.eigenvalues, evals)
+        assert _bits(dec.eigenvectors) == _bits(evecs)
+        x = 1j * (a @ b - b @ a)
+        fast, dense = commutator_i(a, b), 0.5 * (x + x.conj().T)
+        np.testing.assert_array_equal(fast, dense)
+        nonzero = dense != 0
+        assert _bits(fast[nonzero]) == _bits(dense[nonzero])
+
+    def test_validated_skips_the_scans_but_not_the_shape_check(self, monkeypatch):
+        _, _, jz = spin_operators(4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validated input was scanned again")
+
+        monkeypatch.setattr(operators, "require_hermitian", refuse)
+        assert seminorm(jz, validated=True) == 4.0
+        assert _bits(commutator_i(jz, jz, validated=True)) == _bits(np.zeros((5, 5), dtype=np.complex128))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            commutator_i(jz, np.eye(3, dtype=np.complex128), validated=True)

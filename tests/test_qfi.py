@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 
 from thermalqfi.encoding import ExplicitGenerator, transformed_generator
 from thermalqfi.models import build_scenario
-from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, tanhc
+from thermalqfi.operators import NotHermitianError
+from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, spectral_plan, tanhc
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import SpectralProbe, gibbs_state
 
@@ -159,3 +160,61 @@ class TestReport:
             values.append(f)
             assert f <= beta**2 * 6.0**2 / 4.0 + 1e-15
         assert values[0] > values[1] > values[2]
+
+
+class TestRelativeSpread:
+    def test_small_f_cannot_hide_a_disagreement(self):
+        # at beta = 1e-8 F ~ 2e-8 and the general route loses ~eps/beta^2:
+        # the routes differ by 0.4%, which dividing by max(1, F) hid (8.5e-11)
+        scenario = build_scenario("lmg", 200, 1e-8, 50.0, lam=1.0)
+        report = qfi_report(scenario.probe, scenario.h)
+        values = (report.f_general, report.f_thermal, report.f_sld)
+        spread = max(abs(a - b) for a in values for b in values)
+        assert report.max_pairwise_rel_diff == spread / max(abs(v) for v in values)
+        assert 4e-3 < report.max_pairwise_rel_diff < 5e-3
+
+    def test_zero_when_every_route_is_zero(self):
+        scenario = build_scenario("linear", 6, 1.3, 2.0, axis="z")
+        report = qfi_report(scenario.probe, scenario.h)
+        assert (report.f_general, report.f_thermal, report.f_sld) == (0.0, 0.0, 0.0)
+        assert report.max_pairwise_rel_diff == 0.0
+
+
+class TestPlanScans:
+    @staticmethod
+    def _count_scans(monkeypatch):
+        import sys
+
+        import thermalqfi.operators as operators
+
+        scanned = []
+        original = operators.require_hermitian
+
+        def counting(a, what="matrix"):
+            scanned.append(what)
+            return original(a, what)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thermalqfi") and getattr(module, "require_hermitian", None) is original:
+                monkeypatch.setattr(module, "require_hermitian", counting)
+        return scanned
+
+    def test_each_matrix_scanned_at_most_once(self, monkeypatch):
+        scenario = build_scenario("oat", 8, 1.1, 0.7)
+        probe = scenario.probe
+        scanned = self._count_scans(monkeypatch)
+        spectral_plan(probe.hamiltonian, probe.decomposition, scenario.h)
+        assert scanned == ["generator"]
+        scanned.clear()
+        spectral_plan(probe.hamiltonian.copy(), probe.decomposition, scenario.h)
+        assert scanned == ["generator", "commutator argument A"]
+
+    def test_error_messages_unchanged(self):
+        scenario = build_scenario("oat", 4, 1.1, 0.7)
+        probe = scenario.probe
+        bad = probe.hamiltonian.copy()
+        bad[0, 1] = 1.0
+        with pytest.raises(NotHermitianError, match="commutator argument A is not Hermitian"):
+            spectral_plan(bad, probe.decomposition, scenario.h)
+        with pytest.raises(NotHermitianError, match="generator is not Hermitian"):
+            spectral_plan(probe.hamiltonian, probe.decomposition, bad)

@@ -5,6 +5,7 @@ import pytest
 
 from thermalqfi.operators import seminorm
 from thermalqfi.spin import (
+    MAX_TWICE_J,
     check_twice_j,
     m_values,
     oat_commutator,
@@ -19,6 +20,13 @@ def test_rejects_bad_twice_j():
     for bad in (0, -1, 1.5, True, "2"):
         with pytest.raises(ValueError):
             check_twice_j(bad)
+
+
+def test_spin_cap():
+    assert check_twice_j(MAX_TWICE_J) == MAX_TWICE_J == 2000
+    for too_large in (MAX_TWICE_J + 1, np.int64(10**9)):
+        with pytest.raises(ValueError, match="at most 2000"):
+            check_twice_j(too_large)
 
 
 def test_dimensions_and_m_ordering():

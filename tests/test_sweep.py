@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 import thermalqfi.operators as operators
-from thermalqfi.bounds import ORDERING_RTOL, gap_bounds, scheme_product_bound, seminorm_bound, variance_bound
-from thermalqfi.models import build_scenario, closed_qfi, closed_variance
-from thermalqfi.qfi import qfi_general, qfi_sld, qfi_thermal
+from thermalqfi.bounds import (
+    ORDERING_RTOL,
+    bound_scales,
+    evaluate_point,
+    gap_bounds,
+    scheme_product_bound,
+    seminorm_bound,
+    variance_bound,
+)
+from thermalqfi.encoding import generator_family
+from thermalqfi.models import build_scenario, closed_qfi, closed_variance, model_encoding
+from thermalqfi.qfi import qfi_general, qfi_sld, qfi_thermal, spectral_plan
+from thermalqfi.spin import MAX_TWICE_J
 from thermalqfi.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -21,6 +31,7 @@ from thermalqfi.sweep import (
     rows_as_dicts,
     run_sweep,
 )
+from thermalqfi.thermal import gibbs_from_spectrum
 
 EXPECTED_HEADER = (
     "model,J,beta,P,t,lambda,f_general,f_thermal,f_sld,variance_bound,seminorm_bound,"
@@ -412,3 +423,74 @@ def test_parallelism_override_still_validated():
     for bad in (0, -2, True, 1.5):
         with pytest.raises(ConfigError, match="parallelism"):
             run_sweep(cfg, parallelism=bad)
+
+
+DIAGONAL_PROBE_MODELS = [
+    ("linear", "x", None),
+    ("linear", "y", None),
+    ("linear", "z", None),
+    ("oat", "x", None),
+    ("lmg", "x", 0.8),
+]
+
+
+def _plan_points(model, twice_j, axis, lam, decompose):
+    """repr of evaluate_point over a small (t, beta) grid on the J_z probe."""
+    probe_h, scheme = model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)
+    decomposition = decompose(probe_h)
+    scales = bound_scales(probe_h, decomposition.eigenvalues, scheme)
+    generator = generator_family(scheme)
+    out = []
+    for t in (0.0, 0.5, 3.14):
+        plan = spectral_plan(probe_h, decomposition, generator(t))
+        for beta in (1e-6, 0.3, 1.1, 7.5):
+            rho0 = gibbs_from_spectrum(probe_h, decomposition, beta)
+            out.append(repr(evaluate_point(plan, rho0, scales, t)))
+    return out
+
+
+class TestDiagonalProbe:
+    @pytest.mark.parametrize("twice_j", [1, 10, 40])
+    @pytest.mark.parametrize("model, axis, lam", DIAGONAL_PROBE_MODELS)
+    def test_fast_path_matches_dense_path_bit_for_bit(self, monkeypatch, model, axis, lam, twice_j):
+        fast = _plan_points(model, twice_j, axis, lam, lambda h: operators.eigendecompose(h, "Hamiltonian"))
+        assert fast[0].count("QfiReport") == 1
+        # the dense path: eigh's decomposition (order=None) and every diagonal
+        # shortcut switched off, so each basis change and commutator is a product
+        for name, module in list(sys.modules.items()):
+            if name.startswith("thermalqfi") and hasattr(module, "_diagonal_of"):
+                monkeypatch.setattr(module, "_diagonal_of", lambda m: None)
+
+        def dense(h):
+            evals, evecs = np.linalg.eigh(h)
+            return operators.SpectralDecomposition(evals, evecs, h.shape[0])
+
+        assert fast == _plan_points(model, twice_j, axis, lam, dense)
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ({"model": "linear", "twice_j": 20, "axis": "x"}, 0),
+            ({"model": "oat", "twice_j": 20}, 0),
+            ({"model": "lmg", "twice_j": 20, "lambda": 1.0, "outputs": ["qfi_general", "gap_bounds"]}, 1),
+        ],
+        ids=["linear", "oat", "lmg"],
+    )
+    def test_jz_probe_makes_no_eigh_call(self, monkeypatch, raw, expected):
+        config = SweepConfig.from_dict({**raw, "t_grid": [0.5, 1.0, 3.14], "beta_grid": [0.1, 2.0]})
+        calls = []
+        original_eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert len(run_sweep(config)) == 6
+        assert len(calls) == expected
+
+
+def test_spin_cap_refused_in_config():
+    with pytest.raises(ConfigError, match=f"twice_j must be at most {MAX_TWICE_J}"):
+        SweepConfig.from_dict(qubit_config(twice_j=MAX_TWICE_J + 1))
+    assert SweepConfig.from_dict(qubit_config(twice_j=MAX_TWICE_J)).twice_j == MAX_TWICE_J
