@@ -26,7 +26,7 @@ from .encoding import (
     as_operator,
     transformed_generator,
 )
-from .operators import commutator_i, require_hermitian, seminorm
+from .operators import SpectralDecomposition, commutator_i, require_hermitian, seminorm
 from .qfi import QfiReport, SpectralPlan, spectral_plan
 from .thermal import GibbsState
 
@@ -172,14 +172,20 @@ def _derivative(scheme) -> np.ndarray | None:
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
 
 
-def bound_scales(hamiltonian, eigenvalues, scheme) -> BoundScales:
-    """The gap treats spacings below 1e-9 * ||H|| as degenerate."""
+def bound_scales(hamiltonian, decomposition: SpectralDecomposition, scheme) -> BoundScales:
+    """The scales for probe Hamiltonian H with its eigendecomposition.
+
+    The gap treats spacings below 1e-9 * ||H|| as degenerate. A matrix
+    that is the decomposition's source (H itself, or J_z as the lmg
+    dH/dlambda) was validated when it was decomposed and is not scanned
+    again.
+    """
     derivative = _derivative(scheme)
-    h_width = seminorm(hamiltonian)
+    h_width = seminorm(hamiltonian, validated=hamiltonian is decomposition.source)
     return BoundScales(
         h_width=h_width,
-        min_gap=minimum_gap(eigenvalues, GAP_DEGENERACY_RTOL * h_width),
-        dh_width=None if derivative is None else seminorm(derivative),
+        min_gap=minimum_gap(decomposition.eigenvalues, GAP_DEGENERACY_RTOL * h_width),
+        dh_width=None if derivative is None else seminorm(derivative, validated=derivative is decomposition.source),
     )
 
 
@@ -195,10 +201,14 @@ def evaluate_point(
     The shared per-point step of bound_report and run_sweep: only the
     probe probabilities and beta enter here, everything else comes
     precomputed from the plan and the scales. t is the evolution time of
-    the product bound.
+    the product bound. A qfi_result that plan.qfi_report made for this
+    very probe also lends its Var[C].
     """
     p = rho0.probabilities
-    var_c = plan.commutator_variance(p)
+    if qfi_result is not None and qfi_result.plan is plan and qfi_result.probe is rho0:
+        var_c = qfi_result.commutator_variance
+    else:
+        var_c = plan.commutator_variance(p)
     if qfi_result is None:
         qfi_result = plan.qfi_report(rho0, var_c)
     beta = rho0.beta
@@ -251,6 +261,6 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     plan = getattr(qfi_result, "plan", None)
     if plan is None or plan.decomposition is not rho0.decomposition or plan.generator is not as_operator(h):
         plan = spectral_plan(rho0.hamiltonian, rho0.decomposition, h)
-    scales = bound_scales(rho0.hamiltonian, rho0.eigenvalues, scheme)
+    scales = bound_scales(rho0.hamiltonian, rho0.decomposition, scheme)
     # a NumericUnitary carries no t, and has no product bound to use one
     return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]

@@ -140,11 +140,10 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     A diagonal dH/dlambda (J_z for lmg) scales the columns of W^dagger
     instead of multiplying, with the same IEEE operations per nonzero
     entry as the zero-padded product."""
-    h_enc = require_hermitian(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
+    dec = eigendecompose(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
     v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
-    if h_enc.shape != v.shape:
-        raise ValueError(f"dimension mismatch: H {h_enc.shape}, dH/dlambda {v.shape}")
-    dec = eigendecompose(h_enc, "encoding Hamiltonian")
+    if dec.source.shape != v.shape:
+        raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
     w = dec.eigenvectors
     d = _diagonal_of(v)
     return EncodingSpectrum(
@@ -159,9 +158,10 @@ def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
     w = spectrum.eigenvectors
     h_eig = spectrum.v_eig * _phase_kernel(spectrum.delta, _check_time(t))
     h = w @ h_eig @ w.conj().T
-    residue = 0.5 * hermiticity_defect(h)
-    if residue > 0.0:
-        logger.debug("generator_integral: symmetrized residue %.3e", residue)
+    if logger.isEnabledFor(logging.DEBUG):
+        residue = 0.5 * hermiticity_defect(h)
+        if residue > 0.0:
+            logger.debug("generator_integral: symmetrized residue %.3e", residue)
     return TransformedLocalGenerator(0.5 * (h + h.conj().T), "integral")
 
 
@@ -179,7 +179,7 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
     """Second-order central-difference generator i U^dagger dU/dlambda.
 
     The anti-Hermitian residue before symmetrization is O(step^2) and is
-    logged; halving the step shrinks the disagreement with the spectral
+    logged at DEBUG; halving the step shrinks the disagreement with the spectral
     route by about a factor of four.
     """
     step = scheme.fd_step
@@ -187,8 +187,9 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
     up = require_unitary(scheme.unitary(scheme.lam + step), "U(lambda + step)")
     um = require_unitary(scheme.unitary(scheme.lam - step), "U(lambda - step)")
     raw = 1j * (u0.conj().T @ (up - um)) / (2.0 * step)
-    residue = 0.5 * hermiticity_defect(raw)
-    logger.debug("generator_fd: anti-Hermitian residue %.3e at step %.1e", residue, step)
+    if logger.isEnabledFor(logging.DEBUG):
+        residue = 0.5 * hermiticity_defect(raw)
+        logger.debug("generator_fd: anti-Hermitian residue %.3e at step %.1e", residue, step)
     return TransformedLocalGenerator(0.5 * (raw + raw.conj().T), "finite-difference")
 
 

@@ -206,6 +206,8 @@ class SpectralPlan:
             max_pairwise_rel_diff=_relative_spread(f_general, f_thermal, f_sld),
             pure_state_flag=rho0.effectively_pure,
             plan=self,
+            probe=rho0,
+            commutator_variance=var_c,
         )
 
 
@@ -256,8 +258,10 @@ class QfiReport:
     """The three route values and their agreement certificate.
 
     max_pairwise_rel_diff is the largest pairwise route difference over
-    the largest |F| (see _relative_spread). plan is the SpectralPlan the values came from, kept so bound_report
-    can reuse it for the same probe and generator.
+    the largest |F| (see _relative_spread). plan is the SpectralPlan the
+    values came from, probe the state they were evaluated at and
+    commutator_variance the Var[C] summed on the way, kept so bound_report
+    can reuse both for the same probe and generator.
     """
 
     f_general: float
@@ -266,6 +270,8 @@ class QfiReport:
     max_pairwise_rel_diff: float
     pure_state_flag: bool
     plan: SpectralPlan | None = field(default=None, repr=False, compare=False)
+    probe: GibbsState | None = field(default=None, repr=False, compare=False)
+    commutator_variance: float | None = field(default=None, repr=False, compare=False)
 
 
 def qfi_report(rho0: GibbsState, h) -> QfiReport:

@@ -292,7 +292,7 @@ def run_sweep(config: SweepConfig, parallelism: int | None = None) -> list[Sweep
         config.model, config.twice_j, config.t_grid[0], axis=config.axis, lam=config.lam
     )
     decomposition = eigendecompose(probe_h, "Hamiltonian")
-    scales = bound_scales(probe_h, decomposition.eigenvalues, scheme)
+    scales = bound_scales(probe_h, decomposition, scheme)
     generator = generator_family(scheme)
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
     closed_forms = closed_forms_for(config.model, config.axis)

@@ -9,6 +9,7 @@ the pytest acceptance module asserts them one by one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tempfile
@@ -18,18 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_report
-from .closed_forms import (
-    large_j_linear_approx,
-    linear_qfi_closed,
-    linear_variance_closed,
-    oat_qfi_closed,
-    oat_seminorm_semiclassical,
-    oat_variance_closed,
-)
+from .closed_forms import large_j_linear_approx, linear_qfi_closed, oat_seminorm_semiclassical
 from .encoding import ExplicitGenerator, HamiltonianFamily, NumericUnitary, generator_fd, generator_integral
-from .models import build_scenario, lmg_hamiltonian
+from .models import build_scenario, closed_forms_for, lmg_hamiltonian
 from .operators import seminorm
-from .qfi import qfi_general, qfi_report
+from .qfi import qfi_general
 from .spin import oat_commutator, spin_operators
 from .sweep import SweepConfig, figure_configs, render_csv, run_sweep
 from .thermal import gibbs_state
@@ -56,14 +50,7 @@ class CheckResult:
     repro: dict | None = field(default=None)
 
 
-def _grid_models():
-    for twice_j in GRID_TWICE_J:
-        for beta in GRID_BETA:
-            for t in GRID_T:
-                yield ("linear", twice_j, beta, t, "x", None)
-                yield ("oat", twice_j, beta, t, "x", None)
-                for lam in LMG_LAMBDAS:
-                    yield ("lmg", twice_j, beta, t, "x", lam)
+GRID_VARIANTS = (("linear", None), ("oat", None)) + tuple(("lmg", lam) for lam in LMG_LAMBDAS)
 
 
 def _point_config(model, twice_j, beta, t, axis, lam) -> dict:
@@ -81,6 +68,26 @@ def _point_config(model, twice_j, beta, t, axis, lam) -> dict:
     return cfg
 
 
+def _grid_config(model, twice_j, lam) -> SweepConfig:
+    """The repro config of a variant's first grid point, widened to GRID_BETA x GRID_T."""
+    raw = _point_config(model, twice_j, GRID_BETA[0], GRID_T[0], "x", lam)
+    return SweepConfig.from_dict({**raw, "beta_grid": list(GRID_BETA), "t_grid": list(GRID_T)})
+
+
+def _grid_rows(variants, twice_js):
+    """(model, 2J, beta, t, lambda, sweep row) in the order 2J, beta, t,
+    (model, lambda) variant, from one run_sweep per variant and 2J: one
+    probe and encoding decomposition per sweep, one SpectralPlan per t."""
+    for twice_j in twice_js:
+        sweeps = []
+        for model, lam in variants:
+            rows = run_sweep(_grid_config(model, twice_j, lam))
+            sweeps.append((model, lam, {(row.beta, row.t): row for row in rows}))
+        for beta, t in itertools.product(GRID_BETA, GRID_T):
+            for model, lam, rows in sweeps:
+                yield model, twice_j, beta, t, lam, rows[beta, t]
+
+
 def _rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
@@ -90,14 +97,12 @@ def check_three_way_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
     on the full model grid."""
     worst = 0.0
     count = 0
-    for model, twice_j, beta, t, axis, lam in _grid_models():
-        scenario = build_scenario(model, twice_j, beta, t, axis=axis, lam=lam)
-        report = qfi_report(scenario.probe, scenario.h)
+    for model, twice_j, beta, t, lam, row in _grid_rows(GRID_VARIANTS, GRID_TWICE_J):
         count += 1
-        scale = max(1.0, report.f_general)
+        scale = max(1.0, row.f_general)
         diff = max(
-            abs(report.f_general - report.f_thermal),
-            abs(report.f_general - report.f_sld),
+            abs(row.f_general - row.f_thermal),
+            abs(row.f_general - row.f_sld),
         )
         worst = max(worst, diff / scale)
         if diff > AGREEMENT_RTOL * scale:
@@ -106,8 +111,8 @@ def check_three_way_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
                 "three-way QFI agreement",
                 False,
                 f"route disagreement {diff / scale:.3e} at {model} 2J={twice_j} beta={beta} t={t} lam={lam} "
-                f"(f_general={report.f_general!r}, f_thermal={report.f_thermal!r}, f_sld={report.f_sld!r})",
-                _point_config(model, twice_j, beta, t, axis, lam),
+                f"(f_general={row.f_general!r}, f_thermal={row.f_thermal!r}, f_sld={row.f_sld!r})",
+                _point_config(model, twice_j, beta, t, "x", lam),
             )
     return CheckResult(
         1,
@@ -163,30 +168,23 @@ def check_variance_closed_forms(seed: int = DEFAULT_SEED) -> CheckResult:
     explicit t^2) and the closed twisting QFI match the numeric pipeline at
     1e-8 relative."""
     worst = 0.0
-    for twice_j in WIDE_TWICE_J:
-        for beta in GRID_BETA:
-            for t in GRID_T:
-                lin = build_scenario("linear", twice_j, beta, t)
-                lin_bounds = bound_report(lin.probe, lin.scheme, h=lin.h)
-                checks = [
-                    ("linear variance", linear_variance_closed(twice_j, beta, t), lin_bounds.variance_bound, "linear"),
-                ]
-                oat = build_scenario("oat", twice_j, beta, t)
-                oat_bounds = bound_report(oat.probe, oat.scheme, h=oat.h)
-                checks.append(("oat variance", oat_variance_closed(twice_j, beta, t), oat_bounds.variance_bound, "oat"))
-                checks.append(("oat qfi", oat_qfi_closed(twice_j, beta, t), qfi_general(oat.probe, oat.h), "oat"))
-                for label, closed, numeric, model in checks:
-                    scale = max(1.0, abs(closed), abs(numeric))
-                    rel = abs(closed - numeric) / scale
-                    worst = max(worst, rel)
-                    if rel > CLOSED_FORM_RTOL:
-                        return CheckResult(
-                            3,
-                            "closed-form variance bounds and twisting QFI",
-                            False,
-                            f"{label}: closed {closed!r} vs numeric {numeric!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
-                            _point_config(model, twice_j, beta, t, "x", None),
-                        )
+    for model, twice_j, beta, t, _, row in _grid_rows(GRID_VARIANTS[:2], WIDE_TWICE_J):
+        closed_qfi, closed_variance = closed_forms_for(model, "x")
+        checks = [(f"{model} variance", closed_variance(twice_j, beta, t), row.variance_bound)]
+        if model == "oat":
+            checks.append(("oat qfi", closed_qfi(twice_j, beta, t), row.f_general))
+        for label, closed, numeric in checks:
+            scale = max(1.0, abs(closed), abs(numeric))
+            rel = abs(closed - numeric) / scale
+            worst = max(worst, rel)
+            if rel > CLOSED_FORM_RTOL:
+                return CheckResult(
+                    3,
+                    "closed-form variance bounds and twisting QFI",
+                    False,
+                    f"{label}: closed {closed!r} vs numeric {numeric!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
+                    _point_config(model, twice_j, beta, t, "x", None),
+                )
     return CheckResult(
         3,
         "closed-form variance bounds and twisting QFI",
@@ -204,16 +202,17 @@ def check_bound_chain(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 4: the full ordering chain holds on the model grid and on
     1000 seeded random scenarios, and the documented spot values for the
     seminorm and product bounds come out exactly."""
-    for model, twice_j, beta, t, axis, lam in _grid_models():
-        scenario = build_scenario(model, twice_j, beta, t, axis=axis, lam=lam)
-        report = bound_report(scenario.probe, scenario.scheme, h=scenario.h)
-        if not report.ordering_ok:
+    for model, twice_j, beta, t, lam, row in _grid_rows(GRID_VARIANTS, GRID_TWICE_J):
+        if not row.ordering_ok:
+            # the detail shows the whole BoundReport, which a sweep row does not carry
+            scenario = build_scenario(model, twice_j, beta, t, lam=lam)
+            report = bound_report(scenario.probe, scenario.scheme, h=scenario.h)
             return CheckResult(
                 4,
                 "bound ordering chain",
                 False,
                 f"ordering violated at {model} 2J={twice_j} beta={beta} t={t} lam={lam}: {report}",
-                _point_config(model, twice_j, beta, t, axis, lam),
+                _point_config(model, twice_j, beta, t, "x", lam),
             )
     rng = np.random.default_rng(seed)
     for index in range(RANDOM_SCENARIO_COUNT):

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import thermalqfi.encoding as encoding
 from thermalqfi.encoding import (
     ExplicitGenerator,
     HamiltonianFamily,
@@ -154,3 +157,49 @@ class TestDispatchAndConventions:
         f_minus = qfi_general(probe, h_minus)
         f_plus = qfi_general(probe, h_plus)
         assert f_plus == pytest.approx(f_minus, rel=1e-8)
+
+
+def _lmg_family(lam=1.0, t=1.0):
+    return HamiltonianFamily(
+        hamiltonian=lambda value: lmg_hamiltonian(4, value),
+        dh_dlambda=spin_operators(4)[2],
+        lam=lam,
+        t=t,
+    )
+
+
+def _lmg_unitary(lam=1.0, t=1.0):
+    return NumericUnitary(unitary=lambda value: evolution_unitary(lmg_hamiltonian(4, value), t), lam=lam)
+
+
+class TestDebugResidue:
+    """The symmetrized residue of the generators is measured only for the DEBUG log."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: generator_integral(_lmg_family()), "generator_integral: symmetrized residue"),
+            (lambda: generator_fd(_lmg_unitary()), "generator_fd: anti-Hermitian residue"),
+        ],
+        ids=["integral", "fd"],
+    )
+    def test_logged_at_debug(self, caplog, build, message):
+        with caplog.at_level(logging.DEBUG, logger="thermalqfi.encoding"):
+            build()
+        assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: generator_integral(_lmg_family()), lambda: generator_fd(_lmg_unitary())],
+        ids=["integral", "fd"],
+    )
+    def test_not_measured_without_debug(self, caplog, monkeypatch, build):
+        expected = build().h
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("residue measured with DEBUG off")
+
+        monkeypatch.setattr(encoding, "hermiticity_defect", refuse)
+        with caplog.at_level(logging.INFO, logger="thermalqfi.encoding"):
+            got = build().h
+        assert np.array_equal(got, expected)

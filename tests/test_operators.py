@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,3 +368,47 @@ class TestDiagonalFastPath:
         assert _bits(commutator_i(jz, jz, validated=True)) == _bits(np.zeros((5, 5), dtype=np.complex128))
         with pytest.raises(ValueError, match="dimension mismatch"):
             commutator_i(jz, np.eye(3, dtype=np.complex128), validated=True)
+
+
+class TestValidators:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+    def test_non_finite_entries_refused(self, entry):
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 2] = entry
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            operators.as_complex_matrix(m)
+
+    def test_defect_and_message(self):
+        a = np.array([[1.0, 2.0 + 1e-3j], [2.0, -1.0]])
+        assert hermiticity_defect(a) == 1e-3
+        message = "m is not Hermitian: defect 1.000e-03 exceeds tolerance 2.000e-12"
+        with pytest.raises(NotHermitianError, match=f"^{re.escape(message)}$"):
+            require_hermitian(a, "m")
+
+
+class TestDebugResidue:
+    """The discarded anti-Hermitian residue is measured only for the DEBUG log."""
+
+    @staticmethod
+    def _pair():
+        a, b = spin_operators(4)[:2]
+        b = b.copy()
+        b[0, 1] += 1e-14  # within tolerance, so the commutator has a nonzero residue
+        return a, b
+
+    def test_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="thermalqfi.operators"):
+            commutator_i(*self._pair())
+        assert "commutator_i: symmetrized away anti-Hermitian residue" in caplog.text
+
+    def test_not_measured_without_debug(self, caplog, monkeypatch):
+        a, b = self._pair()
+        expected = commutator_i(a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("residue measured with DEBUG off")
+
+        monkeypatch.setattr(operators, "hermiticity_defect", refuse)
+        with caplog.at_level(logging.INFO, logger="thermalqfi.operators"):
+            got = commutator_i(a, b, validated=True)
+        assert _bits(got) == _bits(expected)

@@ -218,3 +218,86 @@ class TestPlanScans:
             spectral_plan(bad, probe.decomposition, scenario.h)
         with pytest.raises(NotHermitianError, match="generator is not Hermitian"):
             spectral_plan(probe.hamiltonian, probe.decomposition, bad)
+
+
+class TestScansOutsidePlan:
+    """encoding_spectrum and bound_scales scan each matrix at most once."""
+
+    def test_encoding_hamiltonian_scanned_once(self, monkeypatch):
+        from thermalqfi.encoding import encoding_spectrum
+        from thermalqfi.models import model_encoding
+
+        _, family = model_encoding("lmg", 6, 0.7, lam=0.8)
+        scanned = TestPlanScans._count_scans(monkeypatch)
+        encoding_spectrum(family)
+        assert scanned == ["encoding Hamiltonian", "dH/dlambda"]
+
+    def test_encoding_error_messages_unchanged(self):
+        from thermalqfi.encoding import HamiltonianFamily, encoding_spectrum
+
+        jz = spin_operators(2)[2]
+        bad = jz.copy()
+        bad[0, 1] = 1.0
+        with pytest.raises(NotHermitianError, match="encoding Hamiltonian is not Hermitian"):
+            encoding_spectrum(HamiltonianFamily(lambda lam: bad, jz, 1.0, 1.0))
+        with pytest.raises(NotHermitianError, match="dH/dlambda is not Hermitian"):
+            encoding_spectrum(HamiltonianFamily(lambda lam: jz, bad, 1.0, 1.0))
+        with pytest.raises(ValueError, match=r"dimension mismatch: H \(3, 3\), dH/dlambda \(2, 2\)"):
+            encoding_spectrum(HamiltonianFamily(lambda lam: jz, spin_operators(1)[2], 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "model, lam, expected",
+        [("oat", None, ["seminorm argument"]), ("lmg", 1.0, [])],
+        ids=["oat", "lmg"],
+    )
+    def test_bound_scales_skip_the_decomposed_source(self, monkeypatch, model, lam, expected):
+        from thermalqfi.bounds import bound_scales
+        from thermalqfi.operators import eigendecompose, seminorm
+
+        scenario = build_scenario(model, 6, 1.1, 0.7, lam=lam)
+        probe = scenario.probe
+        reference = bound_scales(probe.hamiltonian.copy(), probe.decomposition, scenario.scheme)
+        other = eigendecompose(probe.hamiltonian.copy())
+        scanned = TestPlanScans._count_scans(monkeypatch)
+        scales = bound_scales(probe.hamiltonian, probe.decomposition, scenario.scheme)
+        # the lmg dH/dlambda is the probe's J_z itself, decomposed and validated with it
+        assert scanned == expected
+        assert repr(scales) == repr(reference)
+        assert scales.h_width == seminorm(probe.hamiltonian)
+        scanned.clear()
+        bound_scales(probe.hamiltonian, other, scenario.scheme)
+        assert scanned == ["seminorm argument"] * 2
+
+
+class TestVarianceReuse:
+    @pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", 1.0)], ids=["oat", "lmg"])
+    def test_commutator_variance_summed_once_per_point(self, monkeypatch, model, lam):
+        import thermalqfi.qfi as qfi_module
+        from thermalqfi.bounds import bound_report
+
+        scenario = build_scenario(model, 8, 1.1, 0.7, lam=lam)
+        expected = repr(bound_report(scenario.probe, scenario.scheme, h=scenario.h))
+        calls = []
+        original = qfi_module._variance_sum
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qfi_module, "_variance_sum", counting)
+        report = qfi_report(scenario.probe, scenario.h)
+        bounds = bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
+        assert len(calls) == 1
+        assert repr(bounds) == expected
+
+    def test_report_of_another_probe_lends_no_variance(self):
+        from thermalqfi.bounds import bound_report
+        from thermalqfi.thermal import gibbs_from_spectrum
+
+        scenario = build_scenario("oat", 6, 1.1, 0.7)
+        probe = scenario.probe
+        colder = gibbs_from_spectrum(probe.hamiltonian, probe.decomposition, 3.0)
+        borrowed = bound_report(probe, scenario.scheme, h=scenario.h, qfi_result=qfi_report(colder, scenario.h))
+        fresh = bound_report(probe, scenario.scheme, h=scenario.h)
+        assert repr(borrowed.variance_bound) == repr(fresh.variance_bound)
+        assert repr(borrowed.gap_variance_bound) == repr(fresh.gap_variance_bound)

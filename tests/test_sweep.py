@@ -314,12 +314,58 @@ def test_tanhc_corruption_breaks_route_agreement(monkeypatch):
     assert result.repro is not None
 
 
+def test_criterion_1_builds_one_plan_per_sweep_time(monkeypatch):
+    import thermalqfi.qfi as qfi_module
+    import thermalqfi.verify as verify_module
+
+    calls = {"spectral_plan": 0, "eigh": 0}
+    original_plan = qfi_module.spectral_plan
+    original_eigh = np.linalg.eigh
+
+    def counting_plan(*args, **kwargs):
+        calls["spectral_plan"] += 1
+        return original_plan(*args, **kwargs)
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return original_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thermalqfi") and getattr(module, "spectral_plan", None) is original_plan:
+            monkeypatch.setattr(module, "spectral_plan", counting_plan)
+    assert verify_module.check_three_way_agreement().passed
+    sweeps = len(verify_module.GRID_VARIANTS) * len(verify_module.GRID_TWICE_J)
+    # one plan per (sweep, t), not one per grid point (360)
+    assert calls["spectral_plan"] == sweeps * len(verify_module.GRID_T) == 72
+    # one eigh per lmg sweep for H(lambda), which is diagonal at 2J = 1
+    assert calls["eigh"] <= 10
+
+
 def _runnable(raw):
     return SweepConfig.from_dict({k: v for k, v in raw.items() if k != "metadata"})
 
 
+def _verify_grid_configs():
+    """The sweeps behind the grids of verify criteria 1, 3 and 4, one per
+    (model variant, 2J); criterion 3's linear and oat sweeps at the 2J it
+    shares with the model grid are the same configs."""
+    from thermalqfi import verify
+
+    configs = {}
+    for variants, twice_js in (
+        (verify.GRID_VARIANTS, verify.GRID_TWICE_J),
+        (verify.GRID_VARIANTS[:2], verify.WIDE_TWICE_J),
+    ):
+        for model, lam in variants:
+            for twice_j in twice_js:
+                configs[f"verify-{model}{'' if lam is None else lam}-{twice_j}"] = verify._grid_config(model, twice_j, lam)
+    return configs
+
+
 PLAN_CONFIGS = {
     **{name: _runnable(raw) for name, raw in figure_configs().items()},
+    **_verify_grid_configs(),
     "linear-y": SweepConfig.from_dict({
         "model": "linear", "twice_j": 6, "axis": "y",
         "beta_grid": [0.0, 0.3, 1.7, 12.0], "t_grid": [0.0, 0.4, 2.5],
@@ -438,7 +484,7 @@ def _plan_points(model, twice_j, axis, lam, decompose):
     """repr of evaluate_point over a small (t, beta) grid on the J_z probe."""
     probe_h, scheme = model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)
     decomposition = decompose(probe_h)
-    scales = bound_scales(probe_h, decomposition.eigenvalues, scheme)
+    scales = bound_scales(probe_h, decomposition, scheme)
     generator = generator_family(scheme)
     out = []
     for t in (0.0, 0.5, 3.14):
