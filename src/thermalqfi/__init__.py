@@ -46,10 +46,7 @@ from .models import (
     build_scenario,
     closed_qfi,
     closed_variance,
-    linear_scenario,
     lmg_hamiltonian,
-    lmg_scenario,
-    oat_scenario,
 )
 from .operators import (
     EigensolverError,

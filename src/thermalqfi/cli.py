@@ -23,7 +23,7 @@ from .sweep import (
     figure_configs,
     load_config,
     render_csv,
-    rows_as_dicts,
+    render_json,
     run_sweep,
 )
 from .thermal import beta_from_polarization, polarization
@@ -131,16 +131,11 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     rows = run_sweep(config, parallelism=args.parallelism)
     out = args.out or config.output_path
-    if args.format == "csv":
-        if out:
-            emit_csv(rows, out)
-        else:
-            sys.stdout.write(render_csv(rows))
+    render, emit = (render_csv, emit_csv) if args.format == "csv" else (render_json, emit_json)
+    if out:
+        emit(rows, out)
     else:
-        if out:
-            emit_json(rows, out)
-        else:
-            sys.stdout.write(json.dumps(rows_as_dicts(rows), indent=2) + "\n")
+        sys.stdout.write(render(rows))
     bad = [row for row in rows if not row.ordering_ok]
     if bad:
         first = bad[0]
@@ -162,9 +157,7 @@ def _cmd_figures(args) -> int:
         cfg_path.write_text(json.dumps(cfg_dict, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {cfg_path}")
         if args.run:
-            runnable = dict(cfg_dict)
-            runnable.pop("metadata", None)
-            config = SweepConfig.from_dict(runnable)
+            config = SweepConfig.from_dict(cfg_dict)
             rows = run_sweep(config)
             csv_path = out_dir / config.output_path
             emit_csv(rows, csv_path)

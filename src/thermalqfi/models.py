@@ -95,18 +95,6 @@ def build_scenario(model: str, twice_j, beta, t, axis: str = "x", lam=None) -> S
     )
 
 
-def linear_scenario(twice_j, beta, t, axis: str = "x") -> Scenario:
-    return build_scenario("linear", twice_j, beta, t, axis=axis)
-
-
-def oat_scenario(twice_j, beta, t) -> Scenario:
-    return build_scenario("oat", twice_j, beta, t)
-
-
-def lmg_scenario(twice_j, beta, t, lam) -> Scenario:
-    return build_scenario("lmg", twice_j, beta, t, lam=lam)
-
-
 def closed_forms_for(model: str, axis: str | None):
     """The (QFI, variance bound) closed forms, as functions of (2J, beta, t),
     where they exist: the linear model along x, and the twisting model.

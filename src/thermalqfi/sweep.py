@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .bounds import bound_scales, evaluate_point
@@ -31,27 +32,6 @@ OUTPUT_KEYS = (
     "product_bound",
     "gap_bounds",
     "closed_forms",
-)
-
-CSV_COLUMNS = (
-    "model",
-    "J",
-    "beta",
-    "P",
-    "t",
-    "lambda",
-    "f_general",
-    "f_thermal",
-    "f_sld",
-    "variance_bound",
-    "seminorm_bound",
-    "product_bound",
-    "convexity_bound",
-    "gap_variance_bound",
-    "gap_seminorm_bound",
-    "closed_qfi",
-    "closed_variance",
-    "ordering_ok",
 )
 
 
@@ -74,27 +54,75 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        return _config_from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError("config: expected a JSON object")
+        for key in raw:
+            if key not in _KNOWN_FIELDS:
+                raise ConfigError(f"unknown config field {key!r}")
 
-    def to_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "twice_j": self.twice_j,
-            "t_grid": list(self.t_grid),
-            "outputs": list(self.outputs),
-            "parallelism": self.parallelism,
-        }
-        if self.beta_grid is not None:
-            out["beta_grid"] = list(self.beta_grid)
-        if self.p_grid is not None:
-            out["p_grid"] = list(self.p_grid)
-        if self.model == "linear":
-            out["axis"] = self.axis
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.output_path is not None:
-            out["output_path"] = self.output_path
-        return out
+        model = raw.get("model")
+        if model not in MODELS:
+            raise ConfigError(f"model: must be one of {MODELS}, got {model!r}")
+
+        try:
+            twice_j = check_twice_j(raw.get("twice_j"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+        has_beta = "beta_grid" in raw
+        has_p = "p_grid" in raw
+        if has_beta == has_p:
+            raise ConfigError("beta_grid/p_grid: exactly one of the two must be present")
+        beta_grid = _check_grid("beta_grid", raw["beta_grid"], low=0.0) if has_beta else None
+        p_grid = _check_grid("p_grid", raw["p_grid"], low=0.0, high=1.0, strict_high=True) if has_p else None
+
+        if "t_grid" not in raw:
+            raise ConfigError("t_grid: required")
+        t_grid = _check_grid("t_grid", raw["t_grid"], low=0.0)
+
+        axis = raw.get("axis", "x")
+        if "axis" in raw and model != "linear":
+            raise ConfigError("axis: only valid for the linear model")
+        if axis not in AXES:
+            raise ConfigError(f"axis: must be one of {AXES}, got {axis!r}")
+
+        lam = raw.get("lambda")
+        if model == "lmg":
+            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+                raise ConfigError("lambda: required (a number) for the lmg model")
+            lam = float(lam)
+        elif lam is not None:
+            raise ConfigError("lambda: only valid for the lmg model")
+
+        outputs = raw.get("outputs", list(OUTPUT_KEYS))
+        if not isinstance(outputs, (list, tuple)) or len(outputs) == 0:
+            raise ConfigError("outputs: must be a nonempty list")
+        for i, key in enumerate(outputs):
+            if key not in OUTPUT_KEYS:
+                raise ConfigError(f"outputs[{i}]: unknown output {key!r}")
+        if "closed_forms" in outputs and closed_forms_for(model, axis) is None:
+            raise ConfigError(
+                "outputs: closed_forms is only defined for the oat model and the linear model along x"
+            )
+
+        output_path = raw.get("output_path")
+        if output_path is not None and not isinstance(output_path, str):
+            raise ConfigError("output_path: must be a string")
+
+        parallelism = _check_parallelism(raw.get("parallelism", 1))
+
+        return cls(
+            model=model,
+            twice_j=twice_j,
+            t_grid=t_grid,
+            beta_grid=beta_grid,
+            p_grid=p_grid,
+            axis=axis,
+            lam=lam,
+            outputs=tuple(outputs),
+            output_path=output_path,
+            parallelism=parallelism,
+        )
 
 
 _KNOWN_FIELDS = {
@@ -137,78 +165,6 @@ def _check_parallelism(value) -> int:
     return value
 
 
-def _config_from_dict(raw: dict) -> SweepConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
-    for key in raw:
-        if key not in _KNOWN_FIELDS:
-            raise ConfigError(f"unknown config field {key!r}")
-
-    model = raw.get("model")
-    if model not in MODELS:
-        raise ConfigError(f"model: must be one of {MODELS}, got {model!r}")
-
-    try:
-        twice_j = check_twice_j(raw.get("twice_j"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    has_beta = "beta_grid" in raw
-    has_p = "p_grid" in raw
-    if has_beta == has_p:
-        raise ConfigError("beta_grid/p_grid: exactly one of the two must be present")
-    beta_grid = _check_grid("beta_grid", raw["beta_grid"], low=0.0) if has_beta else None
-    p_grid = _check_grid("p_grid", raw["p_grid"], low=0.0, high=1.0, strict_high=True) if has_p else None
-
-    if "t_grid" not in raw:
-        raise ConfigError("t_grid: required")
-    t_grid = _check_grid("t_grid", raw["t_grid"], low=0.0)
-
-    axis = raw.get("axis", "x")
-    if "axis" in raw and model != "linear":
-        raise ConfigError("axis: only valid for the linear model")
-    if axis not in AXES:
-        raise ConfigError(f"axis: must be one of {AXES}, got {axis!r}")
-
-    lam = raw.get("lambda")
-    if model == "lmg":
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-            raise ConfigError("lambda: required (a number) for the lmg model")
-        lam = float(lam)
-    elif lam is not None:
-        raise ConfigError("lambda: only valid for the lmg model")
-
-    outputs = raw.get("outputs", list(OUTPUT_KEYS))
-    if not isinstance(outputs, (list, tuple)) or len(outputs) == 0:
-        raise ConfigError("outputs: must be a nonempty list")
-    for i, key in enumerate(outputs):
-        if key not in OUTPUT_KEYS:
-            raise ConfigError(f"outputs[{i}]: unknown output {key!r}")
-    if "closed_forms" in outputs and not (model == "oat" or (model == "linear" and axis == "x")):
-        raise ConfigError(
-            "outputs: closed_forms is only defined for the oat model and the linear model along x"
-        )
-
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path: must be a string")
-
-    parallelism = _check_parallelism(raw.get("parallelism", 1))
-
-    return SweepConfig(
-        model=model,
-        twice_j=twice_j,
-        t_grid=t_grid,
-        beta_grid=beta_grid,
-        p_grid=p_grid,
-        axis=axis,
-        lam=lam,
-        outputs=tuple(outputs),
-        output_path=output_path,
-        parallelism=parallelism,
-    )
-
-
 def load_config(path) -> SweepConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -219,56 +175,86 @@ def load_config(path) -> SweepConfig:
     return SweepConfig.from_dict(raw)
 
 
+def _float_cell(value: float | None) -> str:
+    """17 significant digits, enough to round-trip any double; empty for None."""
+    return "" if value is None else f"{value:.17g}"
+
+
+def _bool_cell(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _column(cell, gate: str | None = None, name: str | None = None):
+    """A SweepRow field: its CSV cell formatter, the output key that gates it
+    (None: always emitted) and its column name where it differs from the
+    attribute."""
+    return field(metadata={"cell": cell, "gate": gate, "column": name})
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    model: str
-    j: float
-    beta: float
-    p: float
-    t: float
-    lam: float | None
-    f_general: float | None
-    f_thermal: float | None
-    f_sld: float | None
-    variance_bound: float | None
-    seminorm_bound: float | None
-    product_bound: float | None
-    convexity_bound: float | None
-    gap_variance_bound: float | None
-    gap_seminorm_bound: float | None
-    closed_qfi: float | None
-    closed_variance: float | None
-    ordering_ok: bool
+    """One sweep point and the only spelling of the row schema: the field
+    order is the CSV column and JSON key order, and each field's metadata
+    names its column, its cell formatter and the output key gating it."""
+
+    model: str = _column(str)
+    j: float = _column(_float_cell, name="J")
+    beta: float = _column(_float_cell)
+    p: float = _column(_float_cell, name="P")
+    t: float = _column(_float_cell)
+    lam: float | None = _column(_float_cell, name="lambda")
+    f_general: float | None = _column(_float_cell, "qfi_general")
+    f_thermal: float | None = _column(_float_cell, "qfi_thermal")
+    f_sld: float | None = _column(_float_cell, "qfi_sld")
+    variance_bound: float | None = _column(_float_cell, "variance_bound")
+    seminorm_bound: float | None = _column(_float_cell, "seminorm_bound")
+    product_bound: float | None = _column(_float_cell, "product_bound")
+    convexity_bound: float | None = _column(_float_cell, "gap_bounds")
+    gap_variance_bound: float | None = _column(_float_cell, "gap_bounds")
+    gap_seminorm_bound: float | None = _column(_float_cell, "gap_bounds")
+    closed_qfi: float | None = _column(_float_cell, "closed_forms")
+    closed_variance: float | None = _column(_float_cell, "closed_forms")
+    ordering_ok: bool = _column(_bool_cell)
 
 
-def _row(config: SweepConfig, want: set, closed_forms, t: float, beta: float, report, bounds) -> SweepRow:
-    def gate(key, value):
-        return value if key in want else None
+CSV_COLUMNS = tuple(f.metadata["column"] or f.name for f in fields(SweepRow))
+_CELLS = tuple(f.metadata["cell"] for f in fields(SweepRow))
+_field_values = attrgetter(*(f.name for f in fields(SweepRow)))
 
+
+def _gated_off(outputs) -> dict:
+    """None for every gated field whose output key is not requested."""
+    gates = {f.name: f.metadata["gate"] for f in fields(SweepRow)}
+    return {name: None for name, gate in gates.items() if gate is not None and gate not in outputs}
+
+
+def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: float, report, bounds) -> SweepRow:
     closed_q = closed_v = None
-    if "closed_forms" in want:
+    if closed_forms is not None:
         closed_q = closed_forms[0](config.twice_j, beta, t)
         closed_v = closed_forms[1](config.twice_j, beta, t)
-    return SweepRow(
-        model=config.model,
-        j=config.twice_j / 2.0,
-        beta=beta,
-        p=polarization(beta),
-        t=t,
-        lam=config.lam,
-        f_general=gate("qfi_general", report.f_general),
-        f_thermal=gate("qfi_thermal", report.f_thermal),
-        f_sld=gate("qfi_sld", report.f_sld),
-        variance_bound=gate("variance_bound", bounds.variance_bound),
-        seminorm_bound=gate("seminorm_bound", bounds.seminorm_bound),
-        product_bound=gate("product_bound", bounds.product_bound),
-        convexity_bound=gate("gap_bounds", bounds.convexity_bound),
-        gap_variance_bound=gate("gap_bounds", bounds.gap_variance_bound),
-        gap_seminorm_bound=gate("gap_bounds", bounds.gap_seminorm_bound),
-        closed_qfi=closed_q,
-        closed_variance=closed_v,
-        ordering_ok=bounds.ordering_ok,
-    )
+    values = {
+        "model": config.model,
+        "j": config.twice_j / 2.0,
+        "beta": beta,
+        "p": polarization(beta),
+        "t": t,
+        "lam": config.lam,
+        "f_general": report.f_general,
+        "f_thermal": report.f_thermal,
+        "f_sld": report.f_sld,
+        "variance_bound": bounds.variance_bound,
+        "seminorm_bound": bounds.seminorm_bound,
+        "product_bound": bounds.product_bound,
+        "convexity_bound": bounds.convexity_bound,
+        "gap_variance_bound": bounds.gap_variance_bound,
+        "gap_seminorm_bound": bounds.gap_seminorm_bound,
+        "closed_qfi": closed_q,
+        "closed_variance": closed_v,
+        "ordering_ok": bounds.ordering_ok,
+    }
+    values.update(gated_off)
+    return SweepRow(**values)
 
 
 def run_sweep(config: SweepConfig, parallelism: int | None = None) -> list[SweepRow]:
@@ -295,110 +281,51 @@ def run_sweep(config: SweepConfig, parallelism: int | None = None) -> list[Sweep
     scales = bound_scales(probe_h, decomposition, scheme)
     generator = generator_family(scheme)
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
-    closed_forms = closed_forms_for(config.model, config.axis)
-    want = set(config.outputs)
+    closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
+    gated_off = _gated_off(config.outputs)
     rows = []
     for t in config.t_grid:
         plan = spectral_plan(probe_h, decomposition, generator(t))
         for beta in betas:
             rho0 = gibbs_from_spectrum(probe_h, decomposition, beta)
             report, bounds = evaluate_point(plan, rho0, scales, t)
-            rows.append(_row(config, want, closed_forms, t, beta, report, bounds))
+            rows.append(_row(config, gated_off, closed_forms, t, beta, report, bounds))
     return rows
-
-
-def format_float(x: float) -> str:
-    """17 significant digits, enough to round-trip any double."""
-    return f"{x:.17g}"
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return format_float(value)
-
-
-def _row_cells(row: SweepRow) -> list[str]:
-    return [
-        _cell(row.model),
-        _cell(row.j),
-        _cell(row.beta),
-        _cell(row.p),
-        _cell(row.t),
-        _cell(row.lam),
-        _cell(row.f_general),
-        _cell(row.f_thermal),
-        _cell(row.f_sld),
-        _cell(row.variance_bound),
-        _cell(row.seminorm_bound),
-        _cell(row.product_bound),
-        _cell(row.convexity_bound),
-        _cell(row.gap_variance_bound),
-        _cell(row.gap_seminorm_bound),
-        _cell(row.closed_qfi),
-        _cell(row.closed_variance),
-        _cell(row.ordering_ok),
-    ]
 
 
 def render_csv(rows: list[SweepRow]) -> str:
     if not rows:
         raise ValueError("no rows to emit")
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_row_cells(row)) for row in rows)
+    lines.extend(",".join([cell(value) for cell, value in zip(_CELLS, _field_values(row))]) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def rows_as_dicts(rows: list[SweepRow]) -> list[dict]:
+    return [dict(zip(CSV_COLUMNS, _field_values(row))) for row in rows]
+
+
+def render_json(rows: list[SweepRow]) -> str:
+    if not rows:
+        raise ValueError("no rows to emit")
+    return json.dumps(rows_as_dicts(rows), indent=2) + "\n"
+
+
+def _write(text: str, path, kind: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OSError(f"failed to write {kind} to {path}: {exc}") from exc
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
     """UTF-8, LF line endings, absent quantities as empty fields."""
-    text = render_csv(rows)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"failed to write CSV to {path}: {exc}") from exc
-
-
-def rows_as_dicts(rows: list[SweepRow]) -> list[dict]:
-    return [dict(zip(CSV_COLUMNS, _row_values(row))) for row in rows]
-
-
-def _row_values(row: SweepRow):
-    return (
-        row.model,
-        row.j,
-        row.beta,
-        row.p,
-        row.t,
-        row.lam,
-        row.f_general,
-        row.f_thermal,
-        row.f_sld,
-        row.variance_bound,
-        row.seminorm_bound,
-        row.product_bound,
-        row.convexity_bound,
-        row.gap_variance_bound,
-        row.gap_seminorm_bound,
-        row.closed_qfi,
-        row.closed_variance,
-        row.ordering_ok,
-    )
+    _write(render_csv(rows), path, "CSV")
 
 
 def emit_json(rows: list[SweepRow], path) -> None:
-    if not rows:
-        raise ValueError("no rows to emit")
-    text = json.dumps(rows_as_dicts(rows), indent=2) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"failed to write JSON to {path}: {exc}") from exc
+    _write(render_json(rows), path, "JSON")
 
 
 def figure_configs() -> dict[str, dict]:

@@ -6,14 +6,18 @@ hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
 
 
+def random_hermitian(rng, dim, scale=1.0):
+    """(X + X^dagger)/2 for X with independent complex Gaussian entries."""
+    x = rng.normal(scale=scale, size=(dim, dim)) + 1j * rng.normal(scale=scale, size=(dim, dim))
+    return 0.5 * (x + x.conj().T)
+
+
 @st.composite
 def hermitian_matrices(draw, min_dim=2, max_dim=8, scale=1.0):
     """Random dense Hermitian matrices, reproducible through a drawn seed."""
     dim = draw(st.integers(min_value=min_dim, max_value=max_dim))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    rng = np.random.default_rng(seed)
-    x = rng.normal(scale=scale, size=(dim, dim)) + 1j * rng.normal(scale=scale, size=(dim, dim))
-    return 0.5 * (x + x.conj().T)
+    return random_hermitian(np.random.default_rng(seed), dim, scale)
 
 
 @st.composite
@@ -22,9 +26,4 @@ def hermitian_pairs(draw, min_dim=2, max_dim=8):
     dim = draw(st.integers(min_value=min_dim, max_value=max_dim))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-
-    def one():
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return 0.5 * (x + x.conj().T)
-
-    return one(), one()
+    return random_hermitian(rng, dim), random_hermitian(rng, dim)

@@ -19,6 +19,7 @@ from thermalqfi.bounds import (
 )
 from thermalqfi.encoding import ExplicitGenerator, NumericUnitary, evolution_unitary
 from thermalqfi.models import build_scenario
+from thermalqfi.operators import commutator_i, variance
 from thermalqfi.qfi import qfi_general
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
@@ -46,6 +47,11 @@ class TestVarianceBound:
                 scenario = build_scenario("linear", twice_j, beta, 1.0)
                 f = qfi_general(scenario.probe, scenario.h)
                 assert f <= variance_bound(scenario.probe, scenario.h) + 1e-9
+                # oracle: the dense Tr[rho C^2] - Tr[rho C]^2 route
+                c = commutator_i(scenario.probe.hamiltonian, scenario.h.h)
+                assert beta**2 * variance(c, scenario.probe.density_matrix()) == pytest.approx(
+                    variance_bound(scenario.probe, scenario.h), rel=1e-12
+                )
 
 
 class TestSeminormBound:

@@ -23,12 +23,7 @@ from thermalqfi.operators import (
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state, partition_moment_ratio
 
-from conftest import hermitian_matrices, hermitian_pairs
-
-
-def random_hermitian(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (x + x.conj().T)
+from conftest import hermitian_matrices, hermitian_pairs, random_hermitian
 
 
 class TestEigendecompose:

@@ -21,6 +21,7 @@ from thermalqfi.qfi import qfi_general, qfi_sld, qfi_thermal, spectral_plan
 from thermalqfi.spin import MAX_TWICE_J
 from thermalqfi.sweep import (
     CSV_COLUMNS,
+    OUTPUT_KEYS,
     ConfigError,
     SweepConfig,
     emit_csv,
@@ -28,6 +29,7 @@ from thermalqfi.sweep import (
     figure_configs,
     load_config,
     render_csv,
+    render_json,
     rows_as_dicts,
     run_sweep,
 )
@@ -200,6 +202,34 @@ class TestRunSweep:
         assert row.f_sld is None and row.variance_bound is None and row.closed_qfi is None
         assert row.ordering_ok  # always computed
 
+    # written out here, independently of the SweepRow metadata that drives the gating
+    GATED_COLUMNS = {
+        "qfi_general": {"f_general"},
+        "qfi_thermal": {"f_thermal"},
+        "qfi_sld": {"f_sld"},
+        "variance_bound": {"variance_bound"},
+        "seminorm_bound": {"seminorm_bound"},
+        "product_bound": {"product_bound"},
+        "gap_bounds": {"convexity_bound", "gap_variance_bound", "gap_seminorm_bound"},
+        "closed_forms": {"closed_qfi", "closed_variance"},
+    }
+
+    @pytest.mark.parametrize("key", OUTPUT_KEYS)
+    def test_each_output_key_gates_exactly_its_columns(self, key):
+        cfg = SweepConfig.from_dict(
+            {"model": "oat", "twice_j": 3, "beta_grid": [0.7, 2.0], "t_grid": [1.0], "outputs": [key]}
+        )
+        rows = run_sweep(cfg)
+        gated = self.GATED_COLUMNS[key]
+        header, *lines = render_csv(rows).splitlines()
+        for line in lines:
+            cells = dict(zip(header.split(","), line.split(",")))
+            filled = {column for column, cell in cells.items() if cell != ""}
+            assert filled == {"model", "J", "beta", "P", "t", "ordering_ok"} | gated
+        for row in rows:
+            present = {name for name, value in vars(row).items() if value is not None}
+            assert present == {"model", "j", "beta", "p", "t", "ordering_ok"} | gated
+
     def test_parallelism_matches_serial(self):
         cfg = SweepConfig.from_dict(qubit_config(beta_grid=[0.5, 1.0, 2.0, 4.0], t_grid=[1.0, 3.14]))
         serial = render_csv(run_sweep(cfg, parallelism=1))
@@ -271,6 +301,14 @@ class TestEmission:
         assert record["f_sld"] is None
         assert record["ordering_ok"] is True
         assert rows_as_dicts(rows) == loaded
+
+    def test_json_key_order_is_column_order(self, tmp_path):
+        rows = run_sweep(SweepConfig.from_dict(qubit_config(beta_grid=[0.5, 2.0])))
+        assert list(rows_as_dicts(rows)[0]) == list(CSV_COLUMNS)
+        path = tmp_path / "out.json"
+        emit_json(rows, path)
+        assert path.read_text(encoding="utf-8") == render_json(rows)
+        assert [list(record) for record in json.loads(render_json(rows))] == [list(CSV_COLUMNS)] * 2
 
 
 class TestFigureConfigs:
