@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .bounds import bound_report
+from .bounds import BoundReport, bound_report
 from .models import AXES, MODELS, build_scenario, closed_qfi, closed_variance
 from .operators import EigensolverError
-from .qfi import qfi_report
+from .qfi import QfiReport, qfi_report
 from .sweep import (
     ConfigError,
     SweepConfig,
@@ -98,24 +99,9 @@ def _cmd_compute(args) -> int:
         "t": scenario.t,
         "lambda": scenario.lam,
         "axis": scenario.axis,
-        "qfi": {
-            "f_general": report.f_general,
-            "f_thermal": report.f_thermal,
-            "f_sld": report.f_sld,
-            "max_pairwise_rel_diff": report.max_pairwise_rel_diff,
-            "pure_state_flag": report.pure_state_flag,
-        },
-        "bounds": {
-            "variance_bound": bounds.variance_bound,
-            "seminorm_bound": bounds.seminorm_bound,
-            "product_bound": bounds.product_bound,
-            "convexity_bound": bounds.convexity_bound,
-            "gap_variance_bound": bounds.gap_variance_bound,
-            "gap_seminorm_bound": bounds.gap_seminorm_bound,
-            "min_gap": bounds.min_gap,
-            "noncommutativity": bounds.noncommutativity,
-            "ordering_ok": bounds.ordering_ok,
-        },
+        # the reports' printed fields; BoundReport.f repeats qfi.f_general
+        "qfi": {f.name: getattr(report, f.name) for f in fields(QfiReport) if f.repr},
+        "bounds": {f.name: getattr(bounds, f.name) for f in fields(BoundReport) if f.name != "f"},
         "closed_qfi": closed_qfi(scenario),
         "closed_variance": closed_variance(scenario),
     }

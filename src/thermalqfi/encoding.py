@@ -13,13 +13,13 @@ Hamiltonian family, and by central differences on a black-box unitary.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .operators import (
-    _diagonal_of,
+    SpectralDecomposition,
     as_complex_matrix,
     eigendecompose,
     hermiticity_defect,
@@ -126,10 +126,10 @@ def _phase_kernel(delta: np.ndarray, t: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EncodingSpectrum:
     """The time-independent half of the spectral-kernel generator: the
-    eigenvectors W of H(lambda), V = W^dagger dH/dlambda W and the level
-    differences E_m - E_n."""
+    eigendecomposition of H(lambda), V = W^dagger dH/dlambda W and the
+    level differences E_m - E_n."""
 
-    eigenvectors: np.ndarray
+    decomposition: SpectralDecomposition
     v_eig: np.ndarray
     delta: np.ndarray
 
@@ -137,27 +137,25 @@ class EncodingSpectrum:
 def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     """Diagonalize H(lambda) once; generator_at then serves every time t.
 
-    A diagonal dH/dlambda (J_z for lmg) scales the columns of W^dagger
-    instead of multiplying, with the same IEEE operations per nonzero
-    entry as the zero-padded product."""
+    Both basis changes go through the decomposition, so a diagonal
+    dH/dlambda (J_z for lmg) scales instead of multiplying, and an
+    H(lambda) that splits into parity blocks changes basis block by
+    block."""
     dec = eigendecompose(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
     v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
     if dec.source.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
-    w = dec.eigenvectors
-    d = _diagonal_of(v)
     return EncodingSpectrum(
-        eigenvectors=w,
-        v_eig=(w.conj().T @ v if d is None else w.conj().T * d) @ w,
+        decomposition=replace(dec, source=None),  # the basis only, not H(lambda) itself
+        v_eig=dec.to_eigenbasis(v),
         delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
     )
 
 
 def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
     """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated back."""
-    w = spectrum.eigenvectors
     h_eig = spectrum.v_eig * _phase_kernel(spectrum.delta, _check_time(t))
-    h = w @ h_eig @ w.conj().T
+    h = spectrum.decomposition.from_eigenbasis(h_eig)
     if logger.isEnabledFor(logging.DEBUG):
         residue = 0.5 * hermiticity_defect(h)
         if residue > 0.0:

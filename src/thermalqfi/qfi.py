@@ -11,13 +11,15 @@ Sums are accumulated with math.fsum, so results are deterministic to the
 last bit regardless of evaluation order. Each route's beta-dependent sum
 lives in one private function, shared by the public route functions and
 by SpectralPlan, which holds the beta-independent matrix elements so that
-a temperature sweep evaluates each beta as a few O(n^2) weighted sums.
+a temperature sweep evaluates each beta as a few weighted sums over their
+nonzero support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,16 +68,35 @@ def _probe_parts(probe, h):
     return p, v, hm
 
 
+class Support(NamedTuple):
+    """The nonzero off-diagonal entries of a real n x n array: their row
+    and column indices and their values."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _support(abs2: np.ndarray) -> Support:
+    mask = abs2 != 0.0
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)
+    return Support(rows, cols, abs2[rows, cols])
+
+
 def _generator_elements(ht):
-    """|h_ij|^2 and the eigenstate variances Var_i[h] from h in the probe eigenbasis."""
+    """The support of |h_ij|^2 and the eigenstate variances Var_i[h] from
+    h in the probe eigenbasis."""
     habs2 = np.abs(ht) ** 2
     var_i = habs2.sum(axis=1) - np.real(np.diag(ht)) ** 2
-    return habs2, var_i
+    return _support(habs2), var_i
 
 
 def _commutator_elements(ct):
-    """|C_ij|^2 and the diagonal C_ii from C in the probe eigenbasis."""
-    return np.abs(ct) ** 2, np.real(np.diag(ct))
+    """The support of |C_ij|^2, the diagonal C_ii and the diagonal
+    |C_ii|^2 from C in the probe eigenbasis."""
+    cabs2 = np.abs(ct) ** 2
+    return _support(cabs2), np.real(np.diag(ct)), np.diag(cabs2).copy()
 
 
 def _eigenstate_sum(p, var_i) -> float:
@@ -83,38 +104,34 @@ def _eigenstate_sum(p, var_i) -> float:
     return math.fsum((4.0 * p * var_i).tolist())
 
 
-def _variance_sum(p, cdiag, cabs2) -> float:
+def _variance_sum(p, cdiag, cdiag_abs2, c: Support) -> float:
     """Var[C] against the probe from the matrix elements of C in its eigenbasis."""
     mean = math.fsum((p * cdiag).tolist())
-    second_moment = math.fsum((p[:, None] * cabs2).ravel().tolist())
+    second_moment = math.fsum((p * cdiag_abs2).tolist() + (p[c.rows] * c.values).tolist())
     return second_moment - mean * mean
 
 
-def _general_sum(p, var_i, habs2) -> float:
+def _general_sum(p, var_i, h: Support) -> float:
     first = _eigenstate_sum(p, var_i)
-    pair_sum = p[:, None] + p[None, :]
+    pi, pj = p[h.rows], p[h.cols]
+    pair_sum = pi + pj
     mask = pair_sum >= SUPPORT_TOL
-    np.fill_diagonal(mask, False)
-    coeff = np.zeros_like(pair_sum)
-    coeff[mask] = 8.0 * (p[:, None] * p[None, :])[mask] / pair_sum[mask]
-    second = math.fsum((coeff * habs2)[mask].tolist())
+    second = math.fsum((8.0 * (pi * pj)[mask] / pair_sum[mask] * h.values[mask]).tolist())
     return _clamped(first - second, "general-route QFI")
 
 
-def _sld_sum(p, habs2) -> float:
-    pair_sum = p[:, None] + p[None, :]
-    diff2 = (p[:, None] - p[None, :]) ** 2
+def _sld_sum(p, h: Support) -> float:
+    pi, pj = p[h.rows], p[h.cols]
+    pair_sum = pi + pj
     mask = pair_sum >= SUPPORT_TOL
-    terms = np.zeros_like(pair_sum)
-    terms[mask] = 2.0 * diff2[mask] / pair_sum[mask] * habs2[mask]
-    return _clamped(math.fsum(terms[mask].tolist()), "SLD-route QFI")
+    terms = 2.0 * ((pi - pj) ** 2)[mask] / pair_sum[mask] * h.values[mask]
+    return _clamped(math.fsum(terms.tolist()), "SLD-route QFI")
 
 
-def _thermal_sum(beta, p, delta, cabs2, var_c) -> float:
+def _thermal_sum(beta, p, c: Support, delta, var_c) -> float:
+    """delta holds the probe level differences at the entries of c."""
     weight = 1.0 - tanhc(0.5 * beta * delta) ** 2
-    terms = p[:, None] * weight * cabs2
-    np.fill_diagonal(terms, 0.0)
-    second = math.fsum(terms.ravel().tolist())
+    second = math.fsum((p[c.rows] * weight * c.values).tolist())
     return _clamped(beta * beta * (var_c - second), "thermal-route QFI")
 
 
@@ -126,15 +143,15 @@ def qfi_general(probe, h) -> float:
     exactly; a pure probe reduces to 4 Var[h] on its support.
     """
     p, v, hm = _probe_parts(probe, h)
-    habs2, var_i = _generator_elements(v.conj().T @ hm @ v)
-    return _general_sum(p, var_i, habs2)
+    pairs, var_i = _generator_elements(v.conj().T @ hm @ v)
+    return _general_sum(p, var_i, pairs)
 
 
 def qfi_sld(probe, h) -> float:
     """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
     p, v, hm = _probe_parts(probe, h)
-    habs2, _ = _generator_elements(v.conj().T @ hm @ v)
-    return _sld_sum(p, habs2)
+    pairs, _ = _generator_elements(v.conj().T @ hm @ v)
+    return _sld_sum(p, pairs)
 
 
 def _require_gibbs(rho0) -> None:
@@ -156,36 +173,40 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
     comm = commutator_i(rho0.hamiltonian, hm)
     v = rho0.eigenvectors
-    cabs2, cdiag = _commutator_elements(v.conj().T @ comm @ v)
+    pairs, cdiag, cdiag_abs2 = _commutator_elements(v.conj().T @ comm @ v)
     p = rho0.probabilities
     energies = rho0.eigenvalues
-    delta = energies[:, None] - energies[None, :]
-    return _thermal_sum(rho0.beta, p, delta, cabs2, _variance_sum(p, cdiag, cabs2))
+    delta = energies[pairs.rows] - energies[pairs.cols]
+    return _thermal_sum(rho0.beta, p, pairs, delta, _variance_sum(p, cdiag, cdiag_abs2, pairs))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralPlan:
     """Everything the routes and bounds need that does not depend on beta.
 
-    Built once per (probe Hamiltonian, generator): the real |h_ij|^2,
-    Var_i[h], |C_ij|^2 and C_ii of h and C = i[H, h] in the probe
-    eigenbasis, the probe level differences and ||C||. Each temperature is
-    then a handful of O(n^2) weighted sums. generator is the matrix the
-    plan was built from; bound_report reuses a report's plan only for
-    that same matrix.
+    Built once per (probe Hamiltonian, generator) from h and C = i[H, h]
+    in the probe eigenbasis: the nonzero off-diagonal |h_ij|^2 and
+    |C_ij|^2 with their indices (h_pairs, c_pairs), the probe level
+    differences at the entries of c_pairs (c_delta), Var_i[h], C_ii,
+    |C_ii|^2 and ||C||. Each temperature is then a handful of weighted
+    sums over that support; the exact zeros left out would add nothing
+    to a correctly rounded fsum. generator is the matrix the plan was
+    built from; bound_report reuses a report's plan only for that same
+    matrix.
     """
 
     decomposition: SpectralDecomposition
     generator: np.ndarray
-    delta: np.ndarray
-    habs2: np.ndarray
+    h_pairs: Support
     var_i: np.ndarray
-    cabs2: np.ndarray
+    c_pairs: Support
+    c_delta: np.ndarray
     cdiag: np.ndarray
+    cdiag_abs2: np.ndarray
     noncommutativity: float
 
     def commutator_variance(self, p) -> float:
-        return _variance_sum(p, self.cdiag, self.cabs2)
+        return _variance_sum(p, self.cdiag, self.cdiag_abs2, self.c_pairs)
 
     def convexity_sum(self, p) -> float:
         return _eigenstate_sum(p, self.var_i)
@@ -196,9 +217,9 @@ class SpectralPlan:
         p = rho0.probabilities
         if var_c is None:
             var_c = self.commutator_variance(p)
-        f_general = _general_sum(p, self.var_i, self.habs2)
-        f_thermal = _thermal_sum(rho0.beta, p, self.delta, self.cabs2, var_c)
-        f_sld = _sld_sum(p, self.habs2)
+        f_general = _general_sum(p, self.var_i, self.h_pairs)
+        f_thermal = _thermal_sum(rho0.beta, p, self.c_pairs, self.c_delta, var_c)
+        f_sld = _sld_sum(p, self.h_pairs)
         return QfiReport(
             f_general=f_general,
             f_thermal=f_thermal,
@@ -237,18 +258,19 @@ def spectral_plan(hamiltonian, decomposition: SpectralDecomposition, h) -> Spect
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
     if hamiltonian is not decomposition.source:
         hamiltonian = require_hermitian(hamiltonian, "commutator argument A")
-    habs2, var_i = _generator_elements(decomposition.to_eigenbasis(hm))
+    h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(hm))
     comm = commutator_i(hamiltonian, hm, validated=True)
-    cabs2, cdiag = _commutator_elements(decomposition.to_eigenbasis(comm))
+    c_pairs, cdiag, cdiag_abs2 = _commutator_elements(decomposition.to_eigenbasis(comm))
     energies = decomposition.eigenvalues
     return SpectralPlan(
         decomposition=decomposition,
         generator=hm,
-        delta=energies[:, None] - energies[None, :],
-        habs2=habs2,
+        h_pairs=h_pairs,
         var_i=var_i,
-        cabs2=cabs2,
+        c_pairs=c_pairs,
+        c_delta=energies[c_pairs.rows] - energies[c_pairs.cols],
         cdiag=cdiag,
+        cdiag_abs2=cdiag_abs2,
         noncommutativity=seminorm(comm, validated=True),
     )
 

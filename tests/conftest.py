@@ -27,3 +27,17 @@ def hermitian_pairs(draw, min_dim=2, max_dim=8):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     return random_hermitian(rng, dim), random_hermitian(rng, dim)
+
+
+def record_solver_calls(monkeypatch, *names):
+    """Patch each numpy.linalg.<name> to record (dimension, complex?) per call."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            calls.append((a.shape[0], np.iscomplexobj(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls

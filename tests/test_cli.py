@@ -26,6 +26,20 @@ def test_compute_accepts_polarization(capsys):
     assert payload["beta"] == pytest.approx(2.0 * math.atanh(0.6))
 
 
+def test_compute_json_keys_in_order(capsys):
+    code = main(["compute", "--model", "lmg", "--twice-j", "4", "--beta", "1", "--t", "1", "--lam", "0.5"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
+        "model", "J", "beta", "P", "t", "lambda", "axis", "qfi", "bounds", "closed_qfi", "closed_variance",
+    ]
+    assert list(payload["qfi"]) == ["f_general", "f_thermal", "f_sld", "max_pairwise_rel_diff", "pure_state_flag"]
+    assert list(payload["bounds"]) == [
+        "variance_bound", "seminorm_bound", "product_bound", "convexity_bound", "gap_variance_bound",
+        "gap_seminorm_bound", "min_gap", "noncommutativity", "ordering_ok",
+    ]
+
+
 def test_compute_lmg_requires_lambda(capsys):
     code = main(["compute", "--model", "lmg", "--twice-j", "2", "--beta", "1", "--t", "1"])
     assert code == 2

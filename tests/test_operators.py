@@ -23,7 +23,7 @@ from thermalqfi.operators import (
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state, partition_moment_ratio
 
-from conftest import hermitian_matrices, hermitian_pairs, random_hermitian
+from conftest import hermitian_matrices, hermitian_pairs, random_hermitian, record_solver_calls
 
 
 class TestEigendecompose:
@@ -407,3 +407,101 @@ class TestDebugResidue:
         with caplog.at_level(logging.INFO, logger="thermalqfi.operators"):
             got = commutator_i(a, b, validated=True)
         assert _bits(got) == _bits(expected)
+
+
+def _jx_squared(twice_j):
+    jx, _, _ = spin_operators(twice_j)
+    x = jx @ jx
+    return 0.5 * (x + x.conj().T)
+
+
+def _lmg(twice_j, lam):
+    _, _, jz = spin_operators(twice_j)
+    return _jx_squared(twice_j) + lam * jz
+
+
+def _halves(dim):
+    return [((dim + 1) // 2, False), (dim // 2, False)]
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("twice_j", [10, 11, 100, 101, 200, 400])
+    def test_jx_squared_width(self, twice_j, monkeypatch):
+        # the eigenvalues of J_x^2 are M^2, so its width is J^2 (integer J)
+        # or J^2 - 1/4 (half-integer J)
+        j = twice_j / 2.0
+        expected = j * j if twice_j % 2 == 0 else j * j - 0.25
+        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        assert seminorm(_jx_squared(twice_j)) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        dim = twice_j + 1
+        assert calls == (_halves(dim) if dim > operators.DENSE_MAX_DIM else [(dim, True)])
+
+    def test_threshold_keeps_every_verify_dimension_dense(self):
+        # criterion 8 takes seminorms up to 2J = 80, and the figures run at 2J = 10
+        assert operators.DENSE_MAX_DIM >= 81
+
+    @pytest.mark.parametrize("offset, split", [(0, False), (1, True)], ids=["at", "above"])
+    def test_one_full_size_solve_at_the_threshold(self, offset, split, monkeypatch):
+        dim = operators.DENSE_MAX_DIM + offset
+        h = _lmg(dim - 1, 0.3)
+        eighs = record_solver_calls(monkeypatch, "eigh")
+        eigvalshs = record_solver_calls(monkeypatch, "eigvalsh")
+        dec = eigendecompose(h)
+        seminorm(h)
+        assert (dec.blocks is not None) == split
+        expected = _halves(dim) if split else [(dim, True)]
+        assert eighs == expected
+        assert eigvalshs == expected
+
+    def test_no_split_across_parity(self, monkeypatch):
+        jx, _, _ = spin_operators(100)  # J_x flips the parity of J + M
+        calls = record_solver_calls(monkeypatch, "eigh")
+        assert eigendecompose(jx).blocks is None
+        assert calls == [(101, True)]
+
+    def test_complex_blocks_stay_complex(self, monkeypatch):
+        _, _, jz = spin_operators(100)
+        c = commutator_i(jz, _jx_squared(100))  # i times a real antisymmetric matrix
+        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        width = seminorm(c)
+        assert calls == [(51, True), (50, True)]
+        evals = np.linalg.eigvalsh(c)
+        assert width == pytest.approx(evals[-1] - evals[0], rel=1e-12)
+
+    @pytest.mark.parametrize("twice_j", [100, 101])
+    def test_block_decomposition_matches_dense(self, twice_j):
+        h = _lmg(twice_j, -0.7)
+        dec = eigendecompose(h)
+        assert dec.blocks is not None
+        assert all(not np.iscomplexobj(block.vectors) for block in dec.blocks)
+        scale = float(np.abs(h).max())
+        dense = np.linalg.eigvalsh(h)
+        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+        assert np.max(np.abs(dec.eigenvalues - dense)) <= 1e-12 * scale
+        v = dec.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(twice_j + 1))) <= 1e-12
+        assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - h)) <= 1e-12 * scale
+        jx, _, jz = spin_operators(twice_j)
+        ops = {"diagonal": jz, "cross-parity": jx, "dense": random_hermitian(np.random.default_rng(5), twice_j + 1)}
+        for name, op in ops.items():
+            x = dec.to_eigenbasis(op)
+            assert np.max(np.abs(x - v.conj().T @ op @ v)) <= 1e-12 * twice_j, name
+            assert np.max(np.abs(dec.from_eigenbasis(x) - op)) <= 1e-12 * twice_j, name
+
+    def test_basis_changes_keep_exact_zeros_across_parity(self):
+        dec = eigendecompose(_lmg(100, 1.0))
+        _, _, jz = spin_operators(100)
+        back = dec.from_eigenbasis(dec.to_eigenbasis(jz) * (1.0 + 0.5j))
+        assert not back[0::2, 1::2].any() and not back[1::2, 0::2].any()
+
+    def test_residual_contract_per_block(self, monkeypatch):
+        h = _lmg(100, 1.0)
+        original = np.linalg.eigh
+
+        def perturbed(a, *args, **kwargs):
+            evals, evecs = original(a, *args, **kwargs)
+            return evals, evecs * (1.0 + 1e-8)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(EigensolverError, match="residual contract"):
+            eigendecompose(h)

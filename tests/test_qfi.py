@@ -12,7 +12,7 @@ from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_ther
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import SpectralProbe, gibbs_state
 
-from conftest import hermitian_pairs
+from conftest import hermitian_pairs, random_hermitian, record_solver_calls
 
 
 class TestTanhc:
@@ -301,3 +301,132 @@ class TestVarianceReuse:
         fresh = bound_report(probe, scenario.scheme, h=scenario.h)
         assert repr(borrowed.variance_bound) == repr(fresh.variance_bound)
         assert repr(borrowed.gap_variance_bound) == repr(fresh.gap_variance_bound)
+
+
+def _dense_route_sums(decomposition, hamiltonian, h, p, beta):
+    """(f_general, f_thermal, f_sld, Var[C]) summed over all n^2 entries
+    of |h_ij|^2 and |C_ij|^2, the oracle for the support-only sums."""
+    import thermalqfi.qfi as qfi_module
+    from thermalqfi.operators import commutator_i
+
+    ht = decomposition.to_eigenbasis(h)
+    habs2 = np.abs(ht) ** 2
+    var_i = habs2.sum(axis=1) - np.real(np.diag(ht)) ** 2
+    ct = decomposition.to_eigenbasis(commutator_i(hamiltonian, h))
+    cabs2 = np.abs(ct) ** 2
+    cdiag = np.real(np.diag(ct))
+    energies = decomposition.eigenvalues
+    delta = energies[:, None] - energies[None, :]
+
+    mean = math.fsum((p * cdiag).tolist())
+    var_c = math.fsum((p[:, None] * cabs2).ravel().tolist()) - mean * mean
+
+    pair_sum = p[:, None] + p[None, :]
+    mask = pair_sum >= qfi_module.SUPPORT_TOL
+    off = mask.copy()
+    np.fill_diagonal(off, False)
+    coeff = np.zeros_like(pair_sum)
+    coeff[off] = 8.0 * (p[:, None] * p[None, :])[off] / pair_sum[off]
+    first = math.fsum((4.0 * p * var_i).tolist())
+    general = first - math.fsum((coeff * habs2)[off].tolist())
+
+    terms = np.zeros_like(pair_sum)
+    terms[mask] = 2.0 * ((p[:, None] - p[None, :]) ** 2)[mask] / pair_sum[mask] * habs2[mask]
+    sld = math.fsum(terms[mask].tolist())
+
+    weighted = p[:, None] * (1.0 - tanhc(0.5 * beta * delta) ** 2) * cabs2
+    np.fill_diagonal(weighted, 0.0)
+    thermal = beta * beta * (var_c - math.fsum(weighted.ravel().tolist()))
+
+    clamp = qfi_module._clamped
+    return clamp(general, "general"), clamp(thermal, "thermal"), clamp(sld, "sld"), var_c
+
+
+def _assert_support_sums_are_dense_sums(probe, scheme, h):
+    from thermalqfi.bounds import bound_report
+    from thermalqfi.encoding import as_operator
+
+    report = qfi_report(probe, h)
+    bounds = bound_report(probe, scheme, h=h, qfi_result=report)
+    general, thermal, sld, var_c = _dense_route_sums(
+        probe.decomposition, probe.hamiltonian, as_operator(h), probe.probabilities, probe.beta
+    )
+    assert repr((report.f_general, report.f_thermal, report.f_sld)) == repr((general, thermal, sld))
+    assert repr(bounds.variance_bound) == repr(probe.beta**2 * var_c)
+    assert repr(bounds.gap_variance_bound) == repr(4.0 * var_c / bounds.min_gap**2)
+
+
+SUPPORT_MODELS = [
+    ("linear", "x", None), ("linear", "y", None), ("linear", "z", None),
+    ("oat", "x", None), ("lmg", "x", 1.0), ("lmg", "x", -0.7),
+]
+
+
+class TestSupportSums:
+    @pytest.mark.parametrize("twice_j", [1, 3, 10, 40])
+    @pytest.mark.parametrize("model, axis, lam", SUPPORT_MODELS, ids=["x", "y", "z", "oat", "lmg", "lmg-neg"])
+    def test_model_points_bit_identical_to_dense_sums(self, model, axis, lam, twice_j):
+        for beta in (1e-6, 1e-3, 0.3, 2.5, 40.0):
+            for t in (0.0, 0.7, 3.14):
+                scenario = build_scenario(model, twice_j, beta, t, axis=axis, lam=lam)
+                _assert_support_sums_are_dense_sums(scenario.probe, scenario.scheme, scenario.h)
+
+    def test_random_scenarios_bit_identical_to_dense_sums(self):
+        rng = np.random.default_rng(20240611)
+        for _ in range(200):
+            dim = int(rng.integers(2, 9))
+            hamiltonian = random_hermitian(rng, dim)
+            scheme = ExplicitGenerator(random_hermitian(rng, dim), float(rng.uniform(0.0, 3.14)))
+            probe = gibbs_state(hamiltonian, float(10.0 ** rng.uniform(-6.0, 1.6)))
+            _assert_support_sums_are_dense_sums(probe, scheme, transformed_generator(scheme))
+
+    def test_tiny_entries_stay_in_the_support(self):
+        # |h_ij|^2 ~ 1e-300: a support that dropped small entries would zero F
+        jx, _, jz = spin_operators(3)
+        probe = gibbs_state(jz, 0.8)
+        scheme = ExplicitGenerator(1e-150 * jx, 1.0)
+        h = transformed_generator(scheme)
+        _assert_support_sums_are_dense_sums(probe, scheme, h)
+        assert qfi_report(probe, h).f_sld > 0.0
+
+    def test_plan_keeps_only_the_support(self):
+        # J_x^2 couples M to M +- 2 only, and so does C = i[J_z, t J_x^2]:
+        # 2 (n - 2) = 798 off-diagonal entries of 160,801 at 2J = 400
+        scenario = build_scenario("oat", 400, 1.3, 2.1)
+        plan = qfi_report(scenario.probe, scenario.h).plan
+        assert plan.h_pairs.values.size == 798
+        assert plan.c_pairs.values.size == 798
+        assert plan.c_delta.shape == (798,)
+        assert np.all(plan.h_pairs.values > 0.0)
+
+
+class TestParityBlockAgreement:
+    @pytest.mark.parametrize("twice_j", [100, 200, 400])
+    @pytest.mark.parametrize(
+        "model, axis, lam", [("oat", "x", None), ("lmg", "x", 1.0), ("lmg", "x", -0.7), ("linear", "y", None)],
+        ids=["oat", "lmg", "lmg-neg", "linear"],
+    )
+    def test_block_path_agrees_with_dense_path(self, model, axis, lam, twice_j, monkeypatch):
+        import dataclasses
+
+        import thermalqfi.operators as operators
+        from thermalqfi.bounds import BoundReport, bound_report
+
+        def evaluate():
+            scenario = build_scenario(model, twice_j, 1.7, 2.3, axis=axis, lam=lam)
+            report = qfi_report(scenario.probe, scenario.h)
+            return report, bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
+
+        calls = record_solver_calls(monkeypatch, "eigh", "eigvalsh")
+        blocked, blocked_bounds = evaluate()
+        # oat and lmg never solve at full size; linear has no parity structure
+        assert (max(dim for dim, _ in calls) == twice_j + 1) == (model == "linear")
+        monkeypatch.setattr(operators, "DENSE_MAX_DIM", 10**9)
+        dense, dense_bounds = evaluate()
+        for name in ("f_general", "f_thermal", "f_sld"):
+            assert getattr(blocked, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=0.0), name
+        for f in dataclasses.fields(BoundReport):
+            a, b = getattr(blocked_bounds, f.name), getattr(dense_bounds, f.name)
+            if isinstance(b, float):
+                assert a == pytest.approx(b, rel=1e-12, abs=0.0), f.name
+        assert blocked_bounds.ordering_ok == dense_bounds.ordering_ok
