@@ -172,16 +172,16 @@ def _derivative(scheme) -> np.ndarray | None:
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
 
 
-def bound_scales(hamiltonian, decomposition: SpectralDecomposition, scheme) -> BoundScales:
-    """The scales for probe Hamiltonian H with its eigendecomposition.
+def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
+    """The scales for the probe Hamiltonian H, read as the source of its
+    eigendecomposition.
 
-    The gap treats spacings below 1e-9 * ||H|| as degenerate. A matrix
-    that is the decomposition's source (H itself, or J_z as the lmg
-    dH/dlambda) was validated when it was decomposed and is not scanned
-    again.
+    The gap treats spacings below 1e-9 * ||H|| as degenerate. H, and a
+    derivative that is H itself (J_z as the lmg dH/dlambda), were
+    validated when H was decomposed and are not scanned again.
     """
     derivative = _derivative(scheme)
-    h_width = seminorm(hamiltonian, validated=hamiltonian is decomposition.source)
+    h_width = seminorm(decomposition.source, validated=True)
     return BoundScales(
         h_width=h_width,
         min_gap=minimum_gap(decomposition.eigenvalues, GAP_DEGENERACY_RTOL * h_width),
@@ -260,7 +260,7 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
         h = transformed_generator(scheme)
     plan = getattr(qfi_result, "plan", None)
     if plan is None or plan.decomposition is not rho0.decomposition or plan.generator is not as_operator(h):
-        plan = spectral_plan(rho0.hamiltonian, rho0.decomposition, h)
-    scales = bound_scales(rho0.hamiltonian, rho0.decomposition, scheme)
+        plan = spectral_plan(rho0.decomposition, h)
+    scales = bound_scales(rho0.decomposition, scheme)
     # a NumericUnitary carries no t, and has no product bound to use one
     return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]

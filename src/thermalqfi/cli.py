@@ -58,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a grid sweep from a JSON config")
     swp.add_argument("--config", required=True, help="path to the sweep config")
     swp.add_argument("--out", help="output path (overrides the config's output_path; default stdout)")
-    swp.add_argument(
-        "--parallelism",
-        type=int,
-        help="accepted and validated for compatibility (overrides the config); sweeps run serially",
-    )
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ver = sub.add_parser("verify", help="run the full acceptance battery")
@@ -115,7 +110,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    rows = run_sweep(config, parallelism=args.parallelism)
+    rows = run_sweep(config)
     out = args.out or config.output_path
     render, emit = (render_csv, emit_csv) if args.format == "csv" else (render_json, emit_json)
     if out:

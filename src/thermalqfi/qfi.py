@@ -242,24 +242,22 @@ def _relative_spread(f_general: float, f_thermal: float, f_sld: float) -> float:
     return spread / scale
 
 
-def spectral_plan(hamiltonian, decomposition: SpectralDecomposition, h) -> SpectralPlan:
-    """Build the beta-independent plan for probe Hamiltonian H (with its
-    eigendecomposition) and generator h. The complex intermediates (the
-    commutator and both basis changes) are dropped once reduced.
+def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
+    """Build the beta-independent plan for the probe Hamiltonian H, read as
+    the source of its eigendecomposition, and generator h. The complex
+    intermediates (the commutator and both basis changes) are dropped
+    once reduced.
 
-    Each matrix is scanned for Hermiticity at most once: h here, H only
-    when it is not the matrix the decomposition was built (and validated)
-    from, and C not at all, since commutator_i returns 0.5 (X + X^dagger),
-    which is exactly Hermitian in floating point.
+    Only h is scanned for Hermiticity: H was validated when it was
+    decomposed, and C = i[H, h] is exactly Hermitian in floating point,
+    since commutator_i returns 0.5 (X + X^dagger).
     """
     hm = require_hermitian(as_operator(h), "generator")
     dim = decomposition.source_dim
     if hm.shape[0] != dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
-    if hamiltonian is not decomposition.source:
-        hamiltonian = require_hermitian(hamiltonian, "commutator argument A")
     h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(hm))
-    comm = commutator_i(hamiltonian, hm, validated=True)
+    comm = commutator_i(decomposition.source, hm, validated=True)
     c_pairs, cdiag, cdiag_abs2 = _commutator_elements(decomposition.to_eigenbasis(comm))
     energies = decomposition.eigenvalues
     return SpectralPlan(
@@ -298,4 +296,4 @@ class QfiReport:
 
 def qfi_report(rho0: GibbsState, h) -> QfiReport:
     _require_gibbs(rho0)
-    return spectral_plan(rho0.hamiltonian, rho0.decomposition, h).qfi_report(rho0)
+    return spectral_plan(rho0.decomposition, h).qfi_report(rho0)

