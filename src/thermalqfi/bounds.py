@@ -87,15 +87,12 @@ def _product(beta, t, h_width: float, dh_width: float) -> float:
 
 def scheme_product_bound(rho0: GibbsState, scheme) -> float:
     """Product bound for an encoding scheme; the probe Hamiltonian supplies ||H||."""
-    if isinstance(scheme, ExplicitGenerator):
-        return product_bound(rho0.hamiltonian, scheme.generator, rho0.beta, scheme.t)
-    if isinstance(scheme, HamiltonianFamily):
-        return product_bound(rho0.hamiltonian, scheme.dh_dlambda, rho0.beta, scheme.t)
-    if isinstance(scheme, NumericUnitary):
+    derivative = _derivative(scheme)
+    if derivative is None:
         raise UnsupportedEncodingError(
             "numeric-unitary encodings expose no dH/dlambda; the product bound is undefined"
         )
-    raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
+    return product_bound(rho0.hamiltonian, derivative, rho0.beta, scheme.t)
 
 
 def minimum_gap(eigenvalues, threshold: float) -> float:

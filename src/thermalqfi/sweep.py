@@ -21,16 +21,54 @@ from .qfi import spectral_plan
 from .spin import check_twice_j
 from .thermal import beta_from_polarization, gibbs_from_spectrum, polarization
 
-OUTPUT_KEYS = (
-    "qfi_general",
-    "qfi_thermal",
-    "qfi_sld",
-    "variance_bound",
-    "seminorm_bound",
-    "product_bound",
-    "gap_bounds",
-    "closed_forms",
-)
+
+def _float_cell(value: float | None) -> str:
+    """17 significant digits, enough to round-trip any double; empty for None."""
+    return "" if value is None else f"{value:.17g}"
+
+
+def _bool_cell(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _column(cell, gate: str | None = None, name: str | None = None):
+    """A SweepRow field: its CSV cell formatter, the output key that gates it
+    (None: always emitted) and its column name where it differs from the
+    attribute."""
+    return field(metadata={"cell": cell, "gate": gate, "column": name})
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep point and the only spelling of the row schema: the field
+    order is the CSV column and JSON key order, and each field's metadata
+    names its column, its cell formatter and the output key gating it."""
+
+    model: str = _column(str)
+    j: float = _column(_float_cell, name="J")
+    beta: float = _column(_float_cell)
+    p: float = _column(_float_cell, name="P")
+    t: float = _column(_float_cell)
+    lam: float | None = _column(_float_cell, name="lambda")
+    f_general: float | None = _column(_float_cell, "qfi_general")
+    f_thermal: float | None = _column(_float_cell, "qfi_thermal")
+    f_sld: float | None = _column(_float_cell, "qfi_sld")
+    variance_bound: float | None = _column(_float_cell, "variance_bound")
+    seminorm_bound: float | None = _column(_float_cell, "seminorm_bound")
+    product_bound: float | None = _column(_float_cell, "product_bound")
+    convexity_bound: float | None = _column(_float_cell, "gap_bounds")
+    gap_variance_bound: float | None = _column(_float_cell, "gap_bounds")
+    gap_seminorm_bound: float | None = _column(_float_cell, "gap_bounds")
+    closed_qfi: float | None = _column(_float_cell, "closed_forms")
+    closed_variance: float | None = _column(_float_cell, "closed_forms")
+    ordering_ok: bool = _column(_bool_cell)
+
+
+CSV_COLUMNS = tuple(f.metadata["column"] or f.name for f in fields(SweepRow))
+_CELLS = tuple(f.metadata["cell"] for f in fields(SweepRow))
+_field_values = attrgetter(*(f.name for f in fields(SweepRow)))
+# the valid `outputs` keys, in the order of the first column each one gates
+OUTPUT_KEYS = tuple(dict.fromkeys(f.metadata["gate"] for f in fields(SweepRow) if f.metadata["gate"]))
 
 
 class ConfigError(ValueError):
@@ -160,53 +198,6 @@ def load_config(path) -> SweepConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return SweepConfig.from_dict(raw)
-
-
-def _float_cell(value: float | None) -> str:
-    """17 significant digits, enough to round-trip any double; empty for None."""
-    return "" if value is None else f"{value:.17g}"
-
-
-def _bool_cell(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _column(cell, gate: str | None = None, name: str | None = None):
-    """A SweepRow field: its CSV cell formatter, the output key that gates it
-    (None: always emitted) and its column name where it differs from the
-    attribute."""
-    return field(metadata={"cell": cell, "gate": gate, "column": name})
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point and the only spelling of the row schema: the field
-    order is the CSV column and JSON key order, and each field's metadata
-    names its column, its cell formatter and the output key gating it."""
-
-    model: str = _column(str)
-    j: float = _column(_float_cell, name="J")
-    beta: float = _column(_float_cell)
-    p: float = _column(_float_cell, name="P")
-    t: float = _column(_float_cell)
-    lam: float | None = _column(_float_cell, name="lambda")
-    f_general: float | None = _column(_float_cell, "qfi_general")
-    f_thermal: float | None = _column(_float_cell, "qfi_thermal")
-    f_sld: float | None = _column(_float_cell, "qfi_sld")
-    variance_bound: float | None = _column(_float_cell, "variance_bound")
-    seminorm_bound: float | None = _column(_float_cell, "seminorm_bound")
-    product_bound: float | None = _column(_float_cell, "product_bound")
-    convexity_bound: float | None = _column(_float_cell, "gap_bounds")
-    gap_variance_bound: float | None = _column(_float_cell, "gap_bounds")
-    gap_seminorm_bound: float | None = _column(_float_cell, "gap_bounds")
-    closed_qfi: float | None = _column(_float_cell, "closed_forms")
-    closed_variance: float | None = _column(_float_cell, "closed_forms")
-    ordering_ok: bool = _column(_bool_cell)
-
-
-CSV_COLUMNS = tuple(f.metadata["column"] or f.name for f in fields(SweepRow))
-_CELLS = tuple(f.metadata["cell"] for f in fields(SweepRow))
-_field_values = attrgetter(*(f.name for f in fields(SweepRow)))
 
 
 def _gated_off(outputs) -> dict:

@@ -9,6 +9,7 @@ the pytest acceptance module asserts them one by one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -20,11 +21,10 @@ import numpy as np
 
 from .bounds import bound_report
 from .closed_forms import large_j_linear_approx, linear_qfi_closed, oat_seminorm_semiclassical
-from .encoding import ExplicitGenerator, HamiltonianFamily, NumericUnitary, generator_fd, generator_integral
-from .models import build_scenario, closed_forms_for, lmg_hamiltonian
+from .encoding import ExplicitGenerator, NumericUnitary, evolution_unitary, generator_fd, generator_integral
+from .models import build_scenario, closed_forms_for, model_encoding
 from .operators import seminorm
-from .qfi import qfi_general
-from .spin import oat_commutator, spin_operators
+from .spin import oat_commutator
 from .sweep import SweepConfig, figure_configs, render_csv, run_sweep
 from .thermal import gibbs_state
 
@@ -48,6 +48,35 @@ class CheckResult:
     passed: bool
     detail: str
     repro: dict | None = field(default=None)
+
+
+@dataclass(frozen=True)
+class Failure:
+    """What a check body returns when its criterion fails: the detail line
+    and, where one point is to blame, the sweep config reproducing it."""
+
+    detail: str
+    repro: dict | None = None
+
+
+def _criterion(number: int, name: str):
+    """Turn a check body into the public check for criterion `number`.
+
+    The body takes the seed and returns its pass detail (a str) or a
+    Failure; the check returns the CheckResult for either.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(seed: int = DEFAULT_SEED) -> CheckResult:
+            outcome = body(seed)
+            if isinstance(outcome, Failure):
+                return CheckResult(number, name, False, outcome.detail, outcome.repro)
+            return CheckResult(number, name, True, outcome)
+
+        return check
+
+    return wrap
 
 
 GRID_VARIANTS = (("linear", None), ("oat", None)) + tuple(("lmg", lam) for lam in LMG_LAMBDAS)
@@ -92,9 +121,10 @@ def _rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
-def check_three_way_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 1: the general, thermal and SLD routes agree at 1e-8 relative
-    on the full model grid."""
+@_criterion(1, "three-way QFI agreement")
+def check_three_way_agreement(seed):
+    """The general, thermal and SLD routes agree at 1e-8 relative on the
+    full model grid."""
     worst = 0.0
     count = 0
     for model, twice_j, beta, t, lam, row in _grid_rows(GRID_VARIANTS, GRID_TWICE_J):
@@ -106,26 +136,19 @@ def check_three_way_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
         )
         worst = max(worst, diff / scale)
         if diff > AGREEMENT_RTOL * scale:
-            return CheckResult(
-                1,
-                "three-way QFI agreement",
-                False,
+            return Failure(
                 f"route disagreement {diff / scale:.3e} at {model} 2J={twice_j} beta={beta} t={t} lam={lam} "
                 f"(f_general={row.f_general!r}, f_thermal={row.f_thermal!r}, f_sld={row.f_sld!r})",
                 _point_config(model, twice_j, beta, t, lam),
             )
-    return CheckResult(
-        1,
-        "three-way QFI agreement",
-        True,
-        f"max relative route spread {worst:.3e} over {count} scenarios",
-    )
+    return f"max relative route spread {worst:.3e} over {count} scenarios"
 
 
-def check_linear_closed_form(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 2: the closed linear QFI matches the matrix pipeline at 1e-8
-    relative for J <= 20, and the qubit value at beta=2, t=1 equals tanh(1)^2
-    to 1e-10."""
+@_criterion(2, "linear closed-form QFI")
+def check_linear_closed_form(seed):
+    """The closed linear QFI matches the matrix pipeline at 1e-8 relative
+    for J <= 20, and the qubit value at beta=2, t=1 equals tanh(1)^2 to
+    1e-10."""
     worst = 0.0
     for _, twice_j, beta, t, _, row in _grid_rows((("linear", None),), WIDE_TWICE_J):
         pipeline = row.f_general
@@ -134,36 +157,28 @@ def check_linear_closed_form(seed: int = DEFAULT_SEED) -> CheckResult:
         rel = abs(closed - pipeline) / scale
         worst = max(worst, rel)
         if rel > CLOSED_FORM_RTOL:
-            return CheckResult(
-                2,
-                "linear closed-form QFI",
-                False,
+            return Failure(
                 f"closed {closed!r} vs pipeline {pipeline!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
                 _point_config("linear", twice_j, beta, t, None),
             )
     qubit = linear_qfi_closed(1, 2.0, 1.0)
     target = math.tanh(1.0) ** 2
     if abs(qubit - target) > 1e-10:
-        return CheckResult(
-            2,
-            "linear closed-form QFI",
-            False,
+        return Failure(
             f"qubit spot value {qubit!r} differs from tanh(1)^2 = {target!r}",
             _point_config("linear", 1, 2.0, 1.0, None),
         )
-    return CheckResult(
-        2,
-        "linear closed-form QFI",
-        True,
+    return (
         f"max rel deviation {worst:.3e} over {len(WIDE_TWICE_J) * len(GRID_BETA) * len(GRID_T)} points; "
-        f"qubit value matches tanh(1)^2 to {abs(qubit - target):.1e}",
+        f"qubit value matches tanh(1)^2 to {abs(qubit - target):.1e}"
     )
 
 
-def check_variance_closed_forms(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 3: the closed variance bounds (linear and twisting, with the
-    explicit t^2) and the closed twisting QFI match the numeric pipeline at
-    1e-8 relative."""
+@_criterion(3, "closed-form variance bounds and twisting QFI")
+def check_variance_closed_forms(seed):
+    """The closed variance bounds (linear and twisting, with the explicit
+    t^2) and the closed twisting QFI match the numeric pipeline at 1e-8
+    relative."""
     worst = 0.0
     for model, twice_j, beta, t, _, row in _grid_rows(GRID_VARIANTS[:2], WIDE_TWICE_J):
         closed_qfi, closed_variance = closed_forms_for(model, "x")
@@ -175,19 +190,11 @@ def check_variance_closed_forms(seed: int = DEFAULT_SEED) -> CheckResult:
             rel = abs(closed - numeric) / scale
             worst = max(worst, rel)
             if rel > CLOSED_FORM_RTOL:
-                return CheckResult(
-                    3,
-                    "closed-form variance bounds and twisting QFI",
-                    False,
+                return Failure(
                     f"{label}: closed {closed!r} vs numeric {numeric!r} (rel {rel:.3e}) at 2J={twice_j} beta={beta} t={t}",
                     _point_config(model, twice_j, beta, t, None),
                 )
-    return CheckResult(
-        3,
-        "closed-form variance bounds and twisting QFI",
-        True,
-        f"max rel deviation {worst:.3e} across linear variance, twisting variance and twisting QFI",
-    )
+    return f"max rel deviation {worst:.3e} across linear variance, twisting variance and twisting QFI"
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -195,19 +202,17 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def check_bound_chain(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 4: the full ordering chain holds on the model grid and on
-    1000 seeded random scenarios, and the documented spot values for the
-    seminorm and product bounds come out exactly."""
+@_criterion(4, "bound ordering chain")
+def check_bound_chain(seed):
+    """The full ordering chain holds on the model grid and on 1000 seeded
+    random scenarios, and the documented spot values for the seminorm and
+    product bounds come out exactly."""
     for model, twice_j, beta, t, lam, row in _grid_rows(GRID_VARIANTS, GRID_TWICE_J):
         if not row.ordering_ok:
             # the detail shows the whole BoundReport, which a sweep row does not carry
             scenario = build_scenario(model, twice_j, beta, t, lam=lam)
             report = bound_report(scenario.probe, scenario.scheme, h=scenario.h)
-            return CheckResult(
-                4,
-                "bound ordering chain",
-                False,
+            return Failure(
                 f"ordering violated at {model} 2J={twice_j} beta={beta} t={t} lam={lam}: {report}",
                 _point_config(model, twice_j, beta, t, lam),
             )
@@ -221,12 +226,8 @@ def check_bound_chain(seed: int = DEFAULT_SEED) -> CheckResult:
         probe = gibbs_state(hamiltonian, beta)
         report = bound_report(probe, ExplicitGenerator(generator, t))
         if not report.ordering_ok:
-            return CheckResult(
-                4,
-                "bound ordering chain",
-                False,
-                f"ordering violated on random scenario {index} (seed {seed}, dim {dim}, beta {beta}, t {t}): {report}",
-                None,
+            return Failure(
+                f"ordering violated on random scenario {index} (seed {seed}, dim {dim}, beta {beta}, t {t}): {report}"
             )
     # spot values: linear seminorm bound beta^2 t^2 (2J)^2 / 4, twisting product bound beta^2 t^2 J^6
     beta, t = 1.3, 0.7
@@ -234,60 +235,54 @@ def check_bound_chain(seed: int = DEFAULT_SEED) -> CheckResult:
     lin_rep = bound_report(lin.probe, lin.scheme, h=lin.h)
     expect_semi = beta**2 * t**2 * 4.0**2 / 4.0
     if not _rel_close(lin_rep.seminorm_bound, expect_semi, 1e-12):
-        return CheckResult(4, "bound ordering chain", False,
-                           f"linear seminorm bound {lin_rep.seminorm_bound!r} != beta^2 t^2 (2J)^2/4 = {expect_semi!r}",
-                           _point_config("linear", 4, beta, t, None))
+        return Failure(f"linear seminorm bound {lin_rep.seminorm_bound!r} != beta^2 t^2 (2J)^2/4 = {expect_semi!r}",
+                       _point_config("linear", 4, beta, t, None))
     oat = build_scenario("oat", 4, beta, t)  # integer J = 2
     oat_rep = bound_report(oat.probe, oat.scheme, h=oat.h)
     expect_prod = beta**2 * t**2 * 2.0**6
     if not _rel_close(oat_rep.product_bound, expect_prod, 1e-12):
-        return CheckResult(4, "bound ordering chain", False,
-                           f"twisting product bound {oat_rep.product_bound!r} != beta^2 t^2 J^6 = {expect_prod!r}",
-                           _point_config("oat", 4, beta, t, None))
-    return CheckResult(
-        4,
-        "bound ordering chain",
-        True,
-        f"ordering_ok on the full grid and {RANDOM_SCENARIO_COUNT} random scenarios (seed {seed}); spot values exact",
-    )
+        return Failure(f"twisting product bound {oat_rep.product_bound!r} != beta^2 t^2 J^6 = {expect_prod!r}",
+                       _point_config("oat", 4, beta, t, None))
+    return f"ordering_ok on the full grid and {RANDOM_SCENARIO_COUNT} random scenarios (seed {seed}); spot values exact"
 
 
-def check_high_temperature_vanishing(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 5: the linear QFI at beta = 1e-3 sits below its seminorm
-    ceiling beta^2 ||J_y||^2 / 4 (1e-4 at J=10, 2.5e-5 at J=5), and F/beta^2
+def _linear_qfi(twice_j, betas, t) -> dict[float, float]:
+    """The general-route QFI of the linear model along x at time t, by beta,
+    from one sweep over betas (increasing)."""
+    config = SweepConfig("linear", twice_j, (t,), beta_grid=betas, outputs=("qfi_general",))
+    return {row.beta: row.f_general for row in run_sweep(config)}
+
+
+@_criterion(5, "high-temperature vanishing")
+def check_high_temperature_vanishing(seed):
+    """The linear QFI at beta = 1e-3 sits below its seminorm ceiling
+    beta^2 ||J_y||^2 / 4 (1e-4 at J=10, 2.5e-5 at J=5), and F/beta^2
     converges on a log grid as beta -> 0."""
     t = 1.0
-    failures = []
-    for twice_j, ceiling in ((20, 1e-4), (10, 2.5e-5)):
-        scenario = build_scenario("linear", twice_j, 1e-3, t)
-        f = qfi_general(scenario.probe, scenario.h)
-        if f > ceiling:
-            failures.append(f"2J={twice_j}: F(1e-3) = {f!r} exceeds ceiling {ceiling!r}")
+    f = {20: _linear_qfi(20, (1e-4, 1e-3, 1e-2), t), 10: _linear_qfi(10, (1e-3,), t)}
+    failures = [
+        f"2J={twice_j}: F(1e-3) = {f[twice_j][1e-3]!r} exceeds ceiling {ceiling!r}"
+        for twice_j, ceiling in ((20, 1e-4), (10, 2.5e-5))
+        if f[twice_j][1e-3] > ceiling
+    ]
     if failures:
-        return CheckResult(5, "high-temperature vanishing", False, "; ".join(failures),
-                           _point_config("linear", 20, 1e-3, t, None))
-    ratios = []
-    for beta in (1e-2, 1e-3, 1e-4):
-        scenario = build_scenario("linear", 20, beta, t)
-        ratios.append(qfi_general(scenario.probe, scenario.h) / beta**2)
+        return Failure("; ".join(failures), _point_config("linear", 20, 1e-3, t, None))
+    ratios = [f[20][beta] / beta**2 for beta in (1e-2, 1e-3, 1e-4)]
     d1 = abs(ratios[1] - ratios[0])
     d2 = abs(ratios[2] - ratios[1])
     if not (d2 < d1 / 4.0):
-        return CheckResult(5, "high-temperature vanishing", False,
-                           f"F/beta^2 not converging: ratios {ratios}, diffs {d1!r}, {d2!r}", None)
-    return CheckResult(
-        5,
-        "high-temperature vanishing",
-        True,
+        return Failure(f"F/beta^2 not converging: ratios {ratios}, diffs {d1!r}, {d2!r}")
+    return (
         f"F(1e-3) below the seminorm ceiling at J=10 and J=5; F/beta^2 -> {ratios[-1]:.6f} "
-        f"(successive diffs {d1:.2e}, {d2:.2e})",
+        f"(successive diffs {d1:.2e}, {d2:.2e})"
     )
 
 
-def check_standard_quantum_limit(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 6: at beta = 20, t = 1 the exact linear QFI matches the
-    large-spin approximation 2J - 2(2J+1)/(1+e^beta) at 1e-3 relative and
-    F/(2J) lands in [0.99, 1]."""
+@_criterion(6, "standard-quantum-limit scaling")
+def check_standard_quantum_limit(seed):
+    """At beta = 20, t = 1 the exact linear QFI matches the large-spin
+    approximation 2J - 2(2J+1)/(1+e^beta) at 1e-3 relative and F/(2J)
+    lands in [0.99, 1]."""
     beta, t = 20.0, 1.0
     details = []
     for twice_j in (20, 40, 100):  # J = 10, 20, 50
@@ -297,28 +292,20 @@ def check_standard_quantum_limit(seed: int = DEFAULT_SEED) -> CheckResult:
         rel = abs(exact - approx) / max(abs(exact), abs(approx))
         ratio = exact / (2.0 * j)
         if rel > 1e-3:
-            return CheckResult(6, "standard-quantum-limit scaling", False,
-                               f"J={j}: exact {exact!r} vs approx {approx!r} (rel {rel:.3e})", None)
+            return Failure(f"J={j}: exact {exact!r} vs approx {approx!r} (rel {rel:.3e})")
         if not (0.99 <= ratio <= 1.0 + 1e-12):
-            return CheckResult(6, "standard-quantum-limit scaling", False,
-                               f"J={j}: F/(2J) = {ratio!r} outside [0.99, 1]", None)
+            return Failure(f"J={j}: F/(2J) = {ratio!r} outside [0.99, 1]")
         details.append(f"J={j}: rel {rel:.1e}, F/(2J) = {ratio:.6f}")
-    return CheckResult(6, "standard-quantum-limit scaling", True, "; ".join(details))
+    return "; ".join(details)
 
 
-def check_oat_temperature_peak(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 7: at J = 5, t = 1 the twisting QFI over the polarization
-    grid has an interior maximum while the linear QFI is monotone
-    nondecreasing (curve shapes, not point values, are the target)."""
-    p_grid = [round(0.05 * k, 12) for k in range(1, 20)]
-    oat_cfg = SweepConfig.from_dict({
-        "model": "oat", "twice_j": 10, "p_grid": p_grid, "t_grid": [1.0],
-        "outputs": ["qfi_general", "variance_bound", "seminorm_bound", "gap_bounds"],
-    })
-    lin_cfg = SweepConfig.from_dict({
-        "model": "linear", "twice_j": 10, "axis": "x", "p_grid": p_grid, "t_grid": [1.0],
-        "outputs": ["qfi_general", "variance_bound", "seminorm_bound", "gap_bounds"],
-    })
+@_criterion(7, "twisting temperature optimum")
+def check_oat_temperature_peak(seed):
+    """On the figure-2 sweeps (J = 5, t = 1) the twisting QFI over the
+    polarization grid has an interior maximum while the linear QFI is
+    monotone nondecreasing (curve shapes, not point values, are the
+    target)."""
+    oat_cfg, lin_cfg = (SweepConfig.from_dict(_figure_sweep_config(name)) for name in ("fig2a", "fig2b"))
     oat_f = [row.f_general for row in run_sweep(oat_cfg)]
     lin_f = [row.f_general for row in run_sweep(lin_cfg)]
     peak = max(range(len(oat_f)), key=oat_f.__getitem__)
@@ -326,107 +313,79 @@ def check_oat_temperature_peak(seed: int = DEFAULT_SEED) -> CheckResult:
     diffs = np.diff(lin_f)
     monotone = bool(np.all(diffs >= -1e-12 * np.maximum(1.0, np.abs(lin_f[:-1]))))
     if not interior:
-        return CheckResult(7, "twisting temperature optimum", False,
-                           f"no interior maximum: F over P = {oat_f}", None)
+        return Failure(f"no interior maximum: F over P = {oat_f}")
     if not monotone:
-        return CheckResult(7, "twisting temperature optimum", False,
-                           f"linear QFI not monotone in P: {lin_f}", None)
-    return CheckResult(
-        7,
-        "twisting temperature optimum",
-        True,
-        f"twisting F peaks at P = {p_grid[peak]} (interior), linear F monotone nondecreasing over P",
-    )
+        return Failure(f"linear QFI not monotone in P: {lin_f}")
+    return f"twisting F peaks at P = {oat_cfg.p_grid[peak]} (interior), linear F monotone nondecreasing over P"
 
 
-def check_semiclassical_seminorm(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 8: ||J_x J_y + J_y J_x|| <= 2J^2 for every tested J, exact
-    small-spin values 2 (J=1) and 2 sqrt(3) (J=3/2), and the ratio to 2J^2
+@_criterion(8, "semiclassical seminorm estimate")
+def check_semiclassical_seminorm(seed):
+    """||J_x J_y + J_y J_x|| <= 2J^2 for every tested J, exact small-spin
+    values 2 (J=1) and 2 sqrt(3) (J=3/2), and the ratio to 2J^2
     nondecreasing from J = 3/2 up (at J = 1 the estimate is already exact,
     so the ratio starts at 1 and the monotone run begins one step later)."""
     exact_1 = seminorm(oat_commutator(2))
     exact_32 = seminorm(oat_commutator(3))
     if abs(exact_1 - 2.0) > 1e-9:
-        return CheckResult(8, "semiclassical seminorm estimate", False,
-                           f"J=1 seminorm {exact_1!r} != 2", None)
+        return Failure(f"J=1 seminorm {exact_1!r} != 2")
     if abs(exact_32 - 2.0 * math.sqrt(3.0)) > 1e-9:
-        return CheckResult(8, "semiclassical seminorm estimate", False,
-                           f"J=3/2 seminorm {exact_32!r} != 2 sqrt(3)", None)
+        return Failure(f"J=3/2 seminorm {exact_32!r} != 2 sqrt(3)")
     ratios = []
     for twice_j in (2, 3, 4, 10, 20, 40, 80):  # J = 1, 3/2, 2, 5, 10, 20, 40
         exact = seminorm(oat_commutator(twice_j))
         estimate = oat_seminorm_semiclassical(twice_j)
         if exact > estimate + 1e-9:
-            return CheckResult(8, "semiclassical seminorm estimate", False,
-                               f"2J={twice_j}: exact {exact!r} exceeds 2J^2 = {estimate!r}", None)
+            return Failure(f"2J={twice_j}: exact {exact!r} exceeds 2J^2 = {estimate!r}")
         ratios.append(exact / estimate)
     tail = ratios[1:]  # from J = 3/2 on
     if any(b < a - 1e-12 for a, b in zip(tail, tail[1:])):
-        return CheckResult(8, "semiclassical seminorm estimate", False,
-                           f"ratio not nondecreasing from J=3/2: {ratios}", None)
-    return CheckResult(
-        8,
-        "semiclassical seminorm estimate",
-        True,
-        f"exact values reproduced; ratios to 2J^2: {[round(r, 4) for r in ratios]}",
+        return Failure(f"ratio not nondecreasing from J=3/2: {ratios}")
+    return f"exact values reproduced; ratios to 2J^2: {[round(r, 4) for r in ratios]}"
+
+
+def _fd_gap(family, reference: np.ndarray, step: float) -> float:
+    """Largest entry of |finite-difference generator - reference| for the
+    family's unitary exp(-i H(lambda) t) at the given step."""
+    numeric = NumericUnitary(
+        unitary=lambda value: evolution_unitary(family.hamiltonian(value), family.t),
+        lam=family.lam,
+        fd_step=step,
     )
+    return float(np.max(np.abs(generator_fd(numeric).h - reference)))
 
 
-def check_lmg_generator_routes(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 9: spectral-kernel and finite-difference generators agree at
-    1e-5 relative on the collective-spin family, and halving the step
-    shrinks the gap by a factor in [3, 5] wherever the gap sits above the
-    roundoff floor (below ~1e-9 the O(eps/step) subtraction noise, not the
-    stencil truncation, dominates and no step scaling can show)."""
-    from .encoding import evolution_unitary
-
+@_criterion(9, "generator route cross-check")
+def check_lmg_generator_routes(seed):
+    """Spectral-kernel and finite-difference generators agree at 1e-5
+    relative on the collective-spin family, and halving the step shrinks
+    the gap by a factor in [3, 5] wherever the gap sits above the roundoff
+    floor (below ~1e-9 the O(eps/step) subtraction noise, not the stencil
+    truncation, dominates and no step scaling can show)."""
     noise_floor = 1e-9
     worst_rel = 0.0
     ratios = []
     for twice_j in (2, 4, 8):  # J = 1, 2, 4
         for lam in (0.5, 1.0):
             for t in (1.0, 3.14):
-                family = HamiltonianFamily(
-                    hamiltonian=lambda value, twice_j=twice_j: lmg_hamiltonian(twice_j, value),
-                    dh_dlambda=spin_operators(twice_j)[2],
-                    lam=lam,
-                    t=t,
-                )
+                family = model_encoding("lmg", twice_j, t, lam=lam)[1]
                 h_int = generator_integral(family).h
                 scale = max(1.0, float(np.max(np.abs(h_int))))
-
-                def fd_gap(step):
-                    numeric = NumericUnitary(
-                        unitary=lambda value, twice_j=twice_j, t=t: evolution_unitary(
-                            lmg_hamiltonian(twice_j, value), t
-                        ),
-                        lam=lam,
-                        fd_step=step,
-                    )
-                    return float(np.max(np.abs(generator_fd(numeric).h - h_int)))
-
-                gap_full = fd_gap(1e-5)
+                gap_full = _fd_gap(family, h_int, 1e-5)
                 rel = gap_full / scale
                 worst_rel = max(worst_rel, rel)
                 if rel > 1e-5:
-                    return CheckResult(9, "generator route cross-check", False,
-                                       f"2J={twice_j} lam={lam} t={t}: fd vs spectral rel gap {rel:.3e}", None)
+                    return Failure(f"2J={twice_j} lam={lam} t={t}: fd vs spectral rel gap {rel:.3e}")
                 if gap_full > noise_floor:
-                    ratio = gap_full / fd_gap(5e-6)
+                    ratio = gap_full / _fd_gap(family, h_int, 5e-6)
                     ratios.append(ratio)
                     if not (3.0 <= ratio <= 5.0):
-                        return CheckResult(9, "generator route cross-check", False,
-                                           f"2J={twice_j} lam={lam} t={t}: step-halving ratio {ratio!r} outside [3, 5]",
-                                           None)
+                        return Failure(f"2J={twice_j} lam={lam} t={t}: step-halving ratio {ratio!r} outside [3, 5]")
     if len(ratios) < 3:
-        return CheckResult(9, "generator route cross-check", False,
-                           f"only {len(ratios)} points rose above the noise floor for the step-halving check", None)
-    return CheckResult(
-        9,
-        "generator route cross-check",
-        True,
+        return Failure(f"only {len(ratios)} points rose above the noise floor for the step-halving check")
+    return (
         f"max rel gap {worst_rel:.3e}; step-halving ratios in [{min(ratios):.2f}, {max(ratios):.2f}] "
-        f"on {len(ratios)} above-floor points",
+        f"on {len(ratios)} above-floor points"
     )
 
 
@@ -439,39 +398,36 @@ def _figure_sweep_config(name: str) -> dict:
     return cfg_dict
 
 
-def check_figure3_sweeps(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 10: the fixed-temperature and fixed-time collective-spin
-    sweeps emit CSV with every row ordering_ok (curve shapes are for manual
-    comparison; point-wise reproduction is out of scope)."""
+@_criterion(10, "figure-3 sweeps")
+def check_figure3_sweeps(seed):
+    """The fixed-temperature and fixed-time collective-spin sweeps emit CSV
+    with every row ordering_ok (curve shapes are for manual comparison;
+    point-wise reproduction is out of scope)."""
     details = []
     for name in ("fig3a", "fig3b"):
         cfg_dict = _figure_sweep_config(name)
-        cfg = SweepConfig.from_dict(cfg_dict)
-        rows = run_sweep(cfg)
+        rows = run_sweep(SweepConfig.from_dict(cfg_dict))
         bad = [row for row in rows if not row.ordering_ok]
         if bad:
-            return CheckResult(10, "figure-3 sweeps", False,
-                               f"{name}: {len(bad)} rows violate the ordering, first at beta={bad[0].beta} t={bad[0].t}",
-                               cfg_dict)
-        text = render_csv(rows)
-        lines = text.splitlines()
+            return Failure(
+                f"{name}: {len(bad)} rows violate the ordering, first at beta={bad[0].beta} t={bad[0].t}", cfg_dict
+            )
+        lines = render_csv(rows).splitlines()
         if len(lines) != len(rows) + 1:
-            return CheckResult(10, "figure-3 sweeps", False, f"{name}: CSV has {len(lines)} lines for {len(rows)} rows", None)
+            return Failure(f"{name}: CSV has {len(lines)} lines for {len(rows)} rows")
         details.append(f"{name}: {len(rows)} rows, all ordering_ok")
-    return CheckResult(10, "figure-3 sweeps", True, "; ".join(details))
+    return "; ".join(details)
 
 
-def check_sweep_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 11: sweep output is byte-identical across four consecutive
-    runs."""
+@_criterion(11, "sweep determinism")
+def check_sweep_determinism(seed):
+    """Sweep output is byte-identical across four consecutive runs."""
     cfg_dict = _figure_sweep_config("fig2a")
     cfg = SweepConfig.from_dict(cfg_dict)
     outputs = [render_csv(run_sweep(cfg)).encode("utf-8") for _ in range(4)]
     if any(blob != outputs[0] for blob in outputs[1:]):
-        return CheckResult(11, "sweep determinism", False,
-                           "CSV bytes differ across consecutive runs", cfg_dict)
-    return CheckResult(11, "sweep determinism", True,
-                       f"byte-identical CSV ({len(outputs[0])} bytes) across four consecutive runs")
+        return Failure("CSV bytes differ across consecutive runs", cfg_dict)
+    return f"byte-identical CSV ({len(outputs[0])} bytes) across four consecutive runs"
 
 
 ALL_CHECKS = (

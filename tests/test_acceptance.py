@@ -1,59 +1,23 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 The criterion implementations live in thermalqfi.verify so the CLI verify
-verb runs the identical battery; this module is the pytest surface.
+verb runs the identical battery; this module is the pytest surface, one
+case per entry of verify.ALL_CHECKS, so no criterion can be left out.
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
+import pytest
+
 from thermalqfi import verify
 
+CHECKS = list(enumerate(verify.ALL_CHECKS, start=1))
 
-def _run(check):
+
+@pytest.mark.parametrize(("position", "check"), CHECKS, ids=[check.__name__ for _, check in CHECKS])
+def test_criterion(position, check):
     result = check()
     status = "PASS" if result.passed else "FAIL"
     print(f"[criterion {result.criterion:02d}] {status} {result.name}: {result.detail}")
+    # the bench numbers its verify units by this position
+    assert result.criterion == position
     assert result.passed, f"criterion {result.criterion} ({result.name}): {result.detail}"
-
-
-def test_criterion_01_three_way_qfi_agreement():
-    _run(verify.check_three_way_agreement)
-
-
-def test_criterion_02_linear_closed_form():
-    _run(verify.check_linear_closed_form)
-
-
-def test_criterion_03_variance_closed_forms():
-    _run(verify.check_variance_closed_forms)
-
-
-def test_criterion_04_bound_ordering_chain():
-    _run(verify.check_bound_chain)
-
-
-def test_criterion_05_high_temperature_vanishing():
-    _run(verify.check_high_temperature_vanishing)
-
-
-def test_criterion_06_standard_quantum_limit():
-    _run(verify.check_standard_quantum_limit)
-
-
-def test_criterion_07_twisting_temperature_optimum():
-    _run(verify.check_oat_temperature_peak)
-
-
-def test_criterion_08_semiclassical_seminorm():
-    _run(verify.check_semiclassical_seminorm)
-
-
-def test_criterion_09_generator_route_cross_check():
-    _run(verify.check_lmg_generator_routes)
-
-
-def test_criterion_10_figure3_sweeps():
-    _run(verify.check_figure3_sweeps)
-
-
-def test_criterion_11_sweep_determinism():
-    _run(verify.check_sweep_determinism)

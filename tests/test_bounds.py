@@ -104,8 +104,15 @@ class TestProductBound:
         jx, _, jz = spin_operators(2)
         probe = gibbs_state(jz, 1.0)
         scheme = NumericUnitary(lambda lam: evolution_unitary(lam * jx, 1.0), lam=0.5)
-        with pytest.raises(UnsupportedEncodingError):
+        message = "^numeric-unitary encodings expose no dH/dlambda; the product bound is undefined$"
+        with pytest.raises(UnsupportedEncodingError, match=message):
             scheme_product_bound(probe, scheme)
+
+    def test_unknown_scheme_type_rejected(self):
+        probe = gibbs_state(spin_operators(2)[2], 1.0)
+        with pytest.raises(TypeError, match="^unknown encoding scheme type: object$") as excinfo:
+            scheme_product_bound(probe, object())
+        assert excinfo.type is TypeError
 
     def test_dominates_seminorm_bound(self):
         for twice_j in (2, 4, 7):

@@ -210,6 +210,9 @@ class TestRunSweep:
         "closed_forms": {"closed_qfi", "closed_variance"},
     }
 
+    def test_output_keys_in_the_order_of_the_columns_they_gate(self):
+        assert OUTPUT_KEYS == tuple(self.GATED_COLUMNS)
+
     @pytest.mark.parametrize("key", OUTPUT_KEYS)
     def test_each_output_key_gates_exactly_its_columns(self, key):
         cfg = SweepConfig.from_dict(
