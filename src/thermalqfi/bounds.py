@@ -26,9 +26,18 @@ from .encoding import (
     as_operator,
     transformed_generator,
 )
-from .operators import SpectralDecomposition, commutator_i, require_hermitian, seminorm
-from .qfi import QfiReport, SpectralPlan, spectral_plan
-from .thermal import GibbsState
+from .operators import (
+    EigensolverError,
+    SpectralDecomposition,
+    certified_eigh,
+    commutator_i,
+    dense_hermitian,
+    require_hermitian,
+    seminorm,
+    stacked_seminorms,
+)
+from .qfi import QfiReport, SpectralPlan, plan_from_eigenbasis, spectral_plan
+from .thermal import GibbsState, gibbs_from_spectrum, gibbs_state
 
 ORDERING_RTOL = 1e-9
 GAP_DEGENERACY_RTOL = 1e-9
@@ -131,7 +140,12 @@ def gap_bounds(rho0: GibbsState, h) -> GapBounds:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The QFI next to every bound, with the ordering certificate."""
+    """The QFI next to every bound, with the ordering certificate.
+
+    f is the SLD-route QFI, which sums only nonnegative terms and so keeps
+    its digits at high temperature, where the general route loses about
+    eps/beta^2; the ordering is judged on it.
+    """
 
     f: float
     variance_bound: float
@@ -181,9 +195,13 @@ def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
     h_width = seminorm(decomposition.source, validated=True)
     return BoundScales(
         h_width=h_width,
-        min_gap=minimum_gap(decomposition.eigenvalues, GAP_DEGENERACY_RTOL * h_width),
+        min_gap=_probe_gap(decomposition, h_width),
         dh_width=None if derivative is None else seminorm(derivative, validated=derivative is decomposition.source),
     )
+
+
+def _probe_gap(decomposition: SpectralDecomposition, h_width: float) -> float:
+    return minimum_gap(decomposition.eigenvalues, GAP_DEGENERACY_RTOL * h_width)
 
 
 def evaluate_point(
@@ -217,7 +235,7 @@ def evaluate_point(
     convexity = plan.convexity_sum(p)
     gap_var = 4.0 * var_c / gap**2
     gap_semi = width**2 / gap**2
-    f = qfi_result.f_general
+    f = qfi_result.f_sld
     ordering_ok = (
         _below(f, v_bound)
         and _below(f, s_bound)
@@ -261,3 +279,91 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     scales = bound_scales(rho0.decomposition, scheme)
     # a NumericUnitary carries no t, and has no product bound to use one
     return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]
+
+
+def explicit_bound_reports(scenarios):
+    """(index, BoundReport) for each (H, A, beta, t) of an iterable of
+    scenarios, each report equal by repr to
+    bound_report(gibbs_state(H, beta), ExplicitGenerator(A, t)).
+
+    The scenarios are evaluated one stack per dimension, in ascending
+    dimension and each stack in scenario order; a stack's scenarios and
+    arrays are dropped before the next stack is formed. Stacked eigh,
+    products and eigvalsh give the bits of per-matrix calls, and each
+    report comes from the same plan constructor, scales and
+    evaluate_point as bound_report. A stack on which any member would
+    fail a check of the single-point path, or take another branch of it,
+    runs through bound_report one scenario at a time. An error is raised
+    once every stack has run, and only where a loop over the scenarios in
+    order, stopping at the first ordering violation, would meet it: the
+    error of the lowest scenario that raised, unless a lower one violates.
+    Those are the errors the single-point path raises on bad input
+    (ValueError, ArithmeticError, EigensolverError); any other propagates
+    at once.
+    """
+    groups = {}
+    for index, scenario in enumerate(scenarios):
+        groups.setdefault(np.shape(scenario[0]), []).append((index, scenario))
+    first_error = None  # (index, error) of the lowest scenario that raised
+    first_violation = math.inf
+    for shape in sorted(groups):
+        indices, members = zip(*groups.pop(shape))
+        reports = _stacked_reports(members) or _single_point_reports(members)
+        for index in indices:
+            try:
+                report = next(reports)
+            except (ValueError, ArithmeticError, EigensolverError) as error:  # the input's faults; raised below
+                if first_error is None or index < first_error[0]:
+                    first_error = (index, error)
+                break
+            if not report.ordering_ok:
+                first_violation = min(first_violation, index)
+            yield index, report
+        del indices, members, reports  # this stack's scenarios and arrays, before the next stack's
+    if first_error is not None and first_error[0] < first_violation:
+        raise first_error[1]
+
+
+def _single_point_reports(members):
+    for hamiltonian, generator, beta, t in members:
+        yield bound_report(gibbs_state(hamiltonian, beta), ExplicitGenerator(generator, t))
+
+
+def _stacked_reports(members):
+    """The reports of same-shape scenarios as an iterator over stacked
+    intermediates, or None when the stack must go one scenario at a time."""
+    shape = np.shape(members[0][0])
+    if len(shape) != 2 or not 0 < shape[0] == shape[1] or any(np.shape(m[1]) != shape for m in members):
+        return None
+    dim = shape[0]
+    hamiltonians, generators = (np.array([m[k] for m in members], dtype=np.complex128) for k in (0, 1))
+    times = np.array([m[3] for m in members], dtype=float)
+    if not (np.isfinite(times).all() and (times >= 0.0).all()):  # beta is checked per scenario, in its turn
+        return None
+    scaled = times[:, None, None] * generators  # h = t A, as generator_explicit forms it
+    if not (dense_hermitian(generators) and dense_hermitian(scaled)):
+        return None
+    a_width = stacked_seminorms(generators)
+    del generators  # not needed past its widths: one stack fewer under the temporaries below
+    eigenpairs = certified_eigh(hamiltonians)
+    if a_width is None or eigenpairs is None:
+        return None
+    evals, evecs = eigenpairs
+    comm = commutator_i(hamiltonians, scaled, validated=True)
+    if not dense_hermitian(comm):
+        return None
+    c_width, h_width = stacked_seminorms(comm), stacked_seminorms(hamiltonians)
+    if c_width is None or h_width is None:
+        return None
+    h_eig = evecs.conj().mT @ scaled @ evecs
+    c_eig = evecs.conj().mT @ comm @ evecs
+
+    def reports():
+        for i, (_, _, beta, t) in enumerate(members):
+            decomposition = SpectralDecomposition(evals[i], evecs[i], dim, source=hamiltonians[i])
+            rho0 = gibbs_from_spectrum(decomposition, beta)
+            plan = plan_from_eigenbasis(decomposition, scaled[i], h_eig[i], c_eig[i], c_width[i])
+            scales = BoundScales(h_width[i], _probe_gap(decomposition, h_width[i]), a_width[i])
+            yield evaluate_point(plan, rho0, scales, float(t))[1]
+
+    return reports()

@@ -94,7 +94,7 @@ def _cmd_compute(args) -> int:
         "t": scenario.t,
         "lambda": scenario.lam,
         "axis": scenario.axis,
-        # the reports' printed fields; BoundReport.f repeats qfi.f_general
+        # the reports' printed fields; BoundReport.f repeats qfi.f_sld
         "qfi": {f.name: getattr(report, f.name) for f in fields(QfiReport) if f.repr},
         "bounds": {f.name: getattr(bounds, f.name) for f in fields(BoundReport) if f.name != "f"},
         "closed_qfi": closed_qfi(scenario),

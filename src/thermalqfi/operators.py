@@ -6,6 +6,8 @@ tolerances are module constants so the contracts stay visible at the call
 sites that enforce them. All operations are pure and thread-safe.
 Diagonal matrices, and matrices above DENSE_MAX_DIM that split into
 parity blocks, skip the dense eigensolver under the same contracts.
+certified_eigh and stacked_seminorms solve a (k, n, n) stack of dense
+matrices in one LAPACK call, with the bits of per-matrix calls.
 """
 
 from __future__ import annotations
@@ -46,16 +48,22 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entrywise deviation from self-adjointness, max |A - A^dagger|."""
+def hermiticity_defect(a):
+    """Largest entrywise deviation from self-adjointness, max |A - A^dagger|;
+    one per matrix of a (..., n, n) stack."""
     m = np.asarray(a)
-    return float(np.abs(m - m.conj().T).max())
+    return np.abs(m - m.conj().mT).max(axis=(-2, -1))
+
+
+def _hermiticity_test(m: np.ndarray):
+    """The defect of each matrix of a (..., n, n) stack and its tolerance,
+    1e-12 relative to the largest entry (at least 1)."""
+    return hermiticity_defect(m), HERMITICITY_RTOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
 
 
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(a)
-    tol = HERMITICITY_RTOL * max(1.0, float(np.abs(m).max()))
-    defect = hermiticity_defect(m)
+    defect, tol = _hermiticity_test(m)
     if defect > tol:
         raise NotHermitianError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -71,18 +79,26 @@ def require_unitary(u, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def _diagonal_of(m: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a square matrix whose off-diagonal entries are all
-    exact zeros (of either sign), else None.
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of each matrix of a (..., n, n) stack, as an
+    (..., n - 1, n) array.
 
     The off-diagonal entries of an n x n array, flattened, are the n - 1
-    runs of n entries between consecutive diagonal ones, so the scan is
-    a view of a C-contiguous matrix rather than a masked copy.
+    runs of n entries between consecutive diagonal ones, so this is a
+    view of a C-contiguous stack rather than a masked copy.
     """
+    n = m.shape[-1]
+    flat = m.reshape(*m.shape[:-2], n * n)[..., 1:]
+    return flat.reshape(*m.shape[:-2], n - 1, n + 1)[..., :n]
+
+
+def _diagonal_of(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square matrix whose off-diagonal entries are all
+    exact zeros (of either sign), else None."""
     n = m.shape[0]
     if n > 1 and (m[1, 0] != 0 or m[0, 1] != 0):
         return None
-    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+    if _off_diagonal(m).any():
         return None
     return np.diagonal(m)
 
@@ -205,11 +221,18 @@ def _eigh(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _residuals(evals: np.ndarray, evecs: np.ndarray, m: np.ndarray) -> tuple[float, float]:
-    """Orthonormality and reconstruction residuals of an eigenpair set."""
-    ortho = float(np.max(np.abs(evecs.conj().T @ evecs - np.eye(m.shape[0]))))
-    recon = float(np.max(np.abs((evecs * evals) @ evecs.conj().T - m)))
+def _residuals(evals: np.ndarray, evecs: np.ndarray, m: np.ndarray):
+    """Orthonormality and reconstruction residuals of an eigenpair set; one
+    pair per matrix of a (..., n, n) stack."""
+    ortho = np.abs(evecs.conj().mT @ evecs - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    recon = np.abs((evecs * evals[..., None, :]) @ evecs.conj().mT - m).max(axis=(-2, -1))
     return ortho, recon
+
+
+def _misses_contract(ortho, recon, scale):
+    """Whether residuals miss the eigendecomposition contract: 1e-10
+    orthonormality, and reconstruction 1e-10 relative to scale."""
+    return (ortho > ORTHONORMALITY_TOL) | (recon > RECONSTRUCTION_RTOL * scale)
 
 
 def _blockwise_eigh(halves: tuple[np.ndarray, np.ndarray], what: str):
@@ -268,12 +291,55 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     else:
         evals, evecs = _eigh(m, what)
         ortho, recon = _residuals(evals, evecs, m)
-    if ortho > ORTHONORMALITY_TOL or recon > RECONSTRUCTION_RTOL * scale:
+    if _misses_contract(ortho, recon, scale):
         raise EigensolverError(
             f"eigendecomposition of {what} misses its residual contract: "
             f"orthonormality {ortho:.3e}, reconstruction {recon:.3e} (scale {scale:.3e})"
         )
     return SpectralDecomposition(evals, evecs, dim, order, m, blocks)
+
+
+def dense_hermitian(stack: np.ndarray) -> bool:
+    """Whether every matrix of a (k, n, n) stack has finite entries, passes
+    require_hermitian and has a nonzero off-diagonal entry, so that the
+    functions here take their dense branch on it."""
+    if not np.isfinite(stack).all():
+        return False
+    defect, tol = _hermiticity_test(stack)
+    return not (defect > tol).any() and bool(_off_diagonal(stack).any(axis=(-2, -1)).all())
+
+
+def certified_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The eigenvalues and eigenvectors of each matrix of a (k, n, n)
+    stack, from one stacked eigh, which gives the bits of per-matrix calls.
+
+    None unless eigendecompose would take its dense path on every member
+    and pass every check there: dense_hermitian, n <= DENSE_MAX_DIM, no
+    LAPACK error and the residual contract. eigendecompose on the members
+    one at a time then raises its error or takes its other path.
+    """
+    if not (0 < stack.shape[-1] <= DENSE_MAX_DIM and dense_hermitian(stack)):
+        return None
+    try:
+        evals, evecs = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError:
+        return None
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    if _misses_contract(*_residuals(evals, evecs, stack), scale).any():
+        return None
+    return evals, evecs
+
+
+def stacked_seminorms(stack: np.ndarray) -> list[float] | None:
+    """seminorm of each matrix of a (k, n, n) stack on which seminorm takes
+    its dense path (dense_hermitian, n <= DENSE_MAX_DIM), from one stacked
+    eigvalsh, which gives the bits of per-matrix calls; None when LAPACK
+    raises."""
+    try:
+        evals = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError:
+        return None
+    return (evals[:, -1] - evals[:, 0]).tolist()
 
 
 def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
@@ -317,7 +383,8 @@ def commutator_i(a, b, *, validated: bool = False) -> np.ndarray:
     products; only the sign of an exact zero may differ, as it does
     between BLAS kernels.
     validated=True skips the Hermiticity scans of A and B, for callers
-    that have already validated both.
+    that have already validated both; validated (k, n, n) stacks of A and
+    B then give the k commutators, by the dense products.
     """
     if validated:
         ma, mb = a, b
@@ -326,16 +393,16 @@ def commutator_i(a, b, *, validated: bool = False) -> np.ndarray:
         mb = require_hermitian(b, "commutator argument B")
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch in commutator: {ma.shape} vs {mb.shape}")
-    d = _diagonal_of(ma)
+    d = _diagonal_of(ma) if ma.ndim == 2 else None
     if d is None:
         x = 1j * (ma @ mb - mb @ ma)
     else:
         x = 1j * (d[:, None] * mb - mb * d[None, :])
     if logger.isEnabledFor(logging.DEBUG):
-        residue = 0.5 * hermiticity_defect(x)
+        residue = 0.5 * np.max(hermiticity_defect(x))
         if residue > 0.0:
             logger.debug("commutator_i: symmetrized away anti-Hermitian residue %.3e", residue)
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + x.conj().mT)
 
 
 def seminorm(a, *, validated: bool = False) -> float:

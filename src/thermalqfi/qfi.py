@@ -244,9 +244,7 @@ def _relative_spread(f_general: float, f_thermal: float, f_sld: float) -> float:
 
 def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     """Build the beta-independent plan for the probe Hamiltonian H, read as
-    the source of its eigendecomposition, and generator h. The complex
-    intermediates (the commutator and both basis changes) are dropped
-    once reduced.
+    the source of its eigendecomposition, and generator h.
 
     Only h is scanned for Hermiticity: H was validated when it was
     decomposed, and C = i[H, h] is exactly Hermitian in floating point,
@@ -256,9 +254,25 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     dim = decomposition.source_dim
     if hm.shape[0] != dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
-    h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(hm))
     comm = commutator_i(decomposition.source, hm, validated=True)
-    c_pairs, cdiag, cdiag_abs2 = _commutator_elements(decomposition.to_eigenbasis(comm))
+    return plan_from_eigenbasis(
+        decomposition,
+        hm,
+        decomposition.to_eigenbasis(hm),
+        decomposition.to_eigenbasis(comm),
+        seminorm(comm, validated=True),
+    )
+
+
+def plan_from_eigenbasis(
+    decomposition: SpectralDecomposition, hm: np.ndarray, h_eig: np.ndarray, c_eig: np.ndarray, noncommutativity: float
+) -> SpectralPlan:
+    """The plan from the validated generator hm, hm and C = i[H, hm] in the
+    probe eigenbasis (h_eig, c_eig) and ||C||: spectral_plan forms these
+    for one generator, a caller holding them for a stack of scenarios
+    passes one slice of each."""
+    h_pairs, var_i = _generator_elements(h_eig)
+    c_pairs, cdiag, cdiag_abs2 = _commutator_elements(c_eig)
     energies = decomposition.eigenvalues
     return SpectralPlan(
         decomposition=decomposition,
@@ -269,7 +283,7 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
         c_delta=energies[c_pairs.rows] - energies[c_pairs.cols],
         cdiag=cdiag,
         cdiag_abs2=cdiag_abs2,
-        noncommutativity=seminorm(comm, validated=True),
+        noncommutativity=noncommutativity,
     )
 
 

@@ -20,11 +20,11 @@ from thermalqfi.bounds import (
 from thermalqfi.encoding import ExplicitGenerator, NumericUnitary, evolution_unitary
 from thermalqfi.models import build_scenario
 from thermalqfi.operators import commutator_i, variance
-from thermalqfi.qfi import qfi_general
+from thermalqfi.qfi import qfi_general, qfi_report
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
 
-from conftest import hermitian_pairs
+from conftest import hermitian_pairs, random_hermitian
 
 
 class TestVarianceBound:
@@ -201,6 +201,22 @@ class TestBoundReport:
         report = bound_report(probe, scheme)
         assert report.product_bound is None
         assert report.ordering_ok
+
+    def test_f_is_the_sld_route_at_high_temperature(self):
+        """At 2J = 200, beta = 1e-6 the general route has lost about eps/beta^2
+        (5e-5 relative) and overshoots the variance bound; the SLD route,
+        a sum of nonnegative terms, keeps its digits and the chain holds."""
+        scenario = build_scenario("oat", 200, 1e-6, 1.0)
+        report = bound_report(scenario.probe, scenario.scheme, h=scenario.h)
+        assert repr(report.f) == repr(qfi_report(scenario.probe, scenario.h).f_sld)
+        assert report.ordering_ok
+
+    def test_f_is_the_sld_route_on_a_random_scenario(self):
+        rng = np.random.default_rng(11)
+        hamiltonian, generator = (random_hermitian(rng, 6) for _ in range(2))
+        probe = gibbs_state(hamiltonian, 0.7)
+        report = bound_report(probe, ExplicitGenerator(generator, 1.3))
+        assert repr(report.f) == repr(qfi_report(probe, 1.3 * generator).f_sld)
 
     @given(hermitian_pairs(max_dim=8), st.floats(min_value=0.05, max_value=10.0))
     @settings(max_examples=100)

@@ -381,6 +381,70 @@ class TestValidators:
             require_hermitian(a, "m")
 
 
+def _stack(seed, k, dim, skewed=None):
+    """k random Hermitian matrices of one dimension; member skewed, if
+    given, gets a 1e-3 anti-Hermitian defect."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_hermitian(rng, dim) for _ in range(k)])
+    if skewed is not None:
+        stack[skewed, 0, dim - 1] += 1e-3j
+    return stack
+
+
+STACKS = {
+    "dim2": _stack(1, 5, 2),
+    "dim5": _stack(2, 3, 5),
+    "dim8-one-non-hermitian": _stack(3, 4, 8, skewed=2),
+}
+
+
+class TestStacks:
+    """hermiticity_defect, _residuals and the dense branch of commutator_i
+    take (k, n, n) stacks and give the per-matrix bits; certified_eigh
+    gives the bits of per-matrix eigh, or None where eigendecompose would
+    refuse a member or take another path."""
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_hermiticity_defect(self, name):
+        stack = STACKS[name]
+        assert _bits(hermiticity_defect(stack)) == _bits(np.array([hermiticity_defect(m) for m in stack]))
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_residuals(self, name):
+        stack = STACKS[name]
+        evals, evecs = np.linalg.eigh(stack)
+        ortho, recon = operators._residuals(evals, evecs, stack)
+        single = [operators._residuals(e, v, m) for e, v, m in zip(evals, evecs, stack)]
+        assert _bits(ortho) == _bits(np.array([o for o, _ in single]))
+        assert _bits(recon) == _bits(np.array([r for _, r in single]))
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_commutator(self, name):
+        a, b = STACKS[name], STACKS[name][::-1].copy()
+        single = np.array([commutator_i(x, y, validated=True) for x, y in zip(a, b)])
+        assert _bits(commutator_i(a, b, validated=True)) == _bits(single)
+
+    @pytest.mark.parametrize("name", sorted(set(STACKS) - {"dim8-one-non-hermitian"}))
+    def test_certified_eigh(self, name):
+        stack = STACKS[name]
+        evals, evecs = operators.certified_eigh(stack)
+        for e, v, m in zip(evals, evecs, stack):
+            dec = eigendecompose(m)
+            assert _bits(e) == _bits(dec.eigenvalues) and _bits(v) == _bits(dec.eigenvectors)
+
+    def test_certified_eigh_refuses_what_eigendecompose_would_not_solve_densely(self, monkeypatch):
+        assert operators.certified_eigh(STACKS["dim8-one-non-hermitian"]) is None
+        with_diagonal = STACKS["dim5"].copy()
+        with_diagonal[1] = np.diag(np.diagonal(with_diagonal[1]))
+        assert not operators.dense_hermitian(with_diagonal)
+        assert operators.certified_eigh(with_diagonal) is None
+        with_nan = STACKS["dim2"].copy()
+        with_nan[4, 0, 0] = np.nan
+        assert operators.certified_eigh(with_nan) is None
+        monkeypatch.setattr(operators, "RECONSTRUCTION_RTOL", -1.0)
+        assert operators.certified_eigh(STACKS["dim2"]) is None
+
+
 class TestDebugResidue:
     """The discarded anti-Hermitian residue is measured only for the DEBUG log."""
 

@@ -412,7 +412,7 @@ PLAN_CONFIGS = {
 def _reference_row(config, t, beta):
     """A sweep row from the per-point functions, independent of the plan."""
     sc = build_scenario(config.model, config.twice_j, beta, t, axis=config.axis, lam=config.lam)
-    f = qfi_general(sc.probe, sc.h)
+    f = qfi_sld(sc.probe, sc.h)  # the route the ordering is judged on
     v = variance_bound(sc.probe, sc.h)
     s = seminorm_bound(sc.probe, sc.h)
     prod = scheme_product_bound(sc.probe, sc.scheme)
@@ -431,9 +431,9 @@ def _reference_row(config, t, beta):
     want = set(config.outputs)
     closed = "closed_forms" in want
     return {
-        "f_general": f if "qfi_general" in want else None,
+        "f_general": qfi_general(sc.probe, sc.h) if "qfi_general" in want else None,
         "f_thermal": qfi_thermal(sc.probe, sc.h) if "qfi_thermal" in want else None,
-        "f_sld": qfi_sld(sc.probe, sc.h) if "qfi_sld" in want else None,
+        "f_sld": f if "qfi_sld" in want else None,
         "variance_bound": v if "variance_bound" in want else None,
         "seminorm_bound": s if "seminorm_bound" in want else None,
         "product_bound": prod if "product_bound" in want else None,
