@@ -27,17 +27,15 @@ from .encoding import (
     transformed_generator,
 )
 from .operators import (
-    EigensolverError,
     SpectralDecomposition,
     certified_eigh,
     commutator_i,
-    dense_hermitian,
     require_hermitian,
     seminorm,
     stacked_seminorms,
 )
 from .qfi import QfiReport, SpectralPlan, plan_from_eigenbasis, spectral_plan
-from .thermal import GibbsState, gibbs_from_spectrum, gibbs_state
+from .thermal import GibbsState, gibbs_from_spectrum
 
 ORDERING_RTOL = 1e-9
 GAP_DEGENERACY_RTOL = 1e-9
@@ -281,89 +279,33 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]
 
 
-def explicit_bound_reports(scenarios):
-    """(index, BoundReport) for each (H, A, beta, t) of an iterable of
-    scenarios, each report equal by repr to
+def stacked_bound_reports(hamiltonians, generators, betas, times):
+    """The BoundReport of each scenario (H, A, beta, t) of a (k, n, n)
+    stack, given as arrays of H, A, beta and t, each equal by repr to
     bound_report(gibbs_state(H, beta), ExplicitGenerator(A, t)).
 
-    The scenarios are evaluated one stack per dimension, in ascending
-    dimension and each stack in scenario order; a stack's scenarios and
-    arrays are dropped before the next stack is formed. Stacked eigh,
-    products and eigvalsh give the bits of per-matrix calls, and each
-    report comes from the same plan constructor, scales and
-    evaluate_point as bound_report. A stack on which any member would
-    fail a check of the single-point path, or take another branch of it,
-    runs through bound_report one scenario at a time. An error is raised
-    once every stack has run, and only where a loop over the scenarios in
-    order, stopping at the first ordering violation, would meet it: the
-    error of the lowest scenario that raised, unless a lower one violates.
-    Those are the errors the single-point path raises on bad input
-    (ValueError, ArithmeticError, EigensolverError); any other propagates
-    at once.
+    Precondition: every scenario takes the single-point dense branch
+    throughout. H and A are exactly Hermitian and finite, H and
+    C = i[H, t A] each have a nonzero off-diagonal entry,
+    n <= DENSE_MAX_DIM, and t is finite and nonnegative. Nothing here
+    checks it; a LAPACK error or a missed residual certificate of the
+    stacked eigh raises EigensolverError, and gibbs_from_spectrum checks
+    each beta as on the single-point path. One stacked eigh, commutator
+    and eigvalsh per seminorm give the bits of per-matrix calls, and each
+    report comes from the same plan constructor, gap threshold and
+    evaluate_point as bound_report.
     """
-    groups = {}
-    for index, scenario in enumerate(scenarios):
-        groups.setdefault(np.shape(scenario[0]), []).append((index, scenario))
-    first_error = None  # (index, error) of the lowest scenario that raised
-    first_violation = math.inf
-    for shape in sorted(groups):
-        indices, members = zip(*groups.pop(shape))
-        reports = _stacked_reports(members) or _single_point_reports(members)
-        for index in indices:
-            try:
-                report = next(reports)
-            except (ValueError, ArithmeticError, EigensolverError) as error:  # the input's faults; raised below
-                if first_error is None or index < first_error[0]:
-                    first_error = (index, error)
-                break
-            if not report.ordering_ok:
-                first_violation = min(first_violation, index)
-            yield index, report
-        del indices, members, reports  # this stack's scenarios and arrays, before the next stack's
-    if first_error is not None and first_error[0] < first_violation:
-        raise first_error[1]
-
-
-def _single_point_reports(members):
-    for hamiltonian, generator, beta, t in members:
-        yield bound_report(gibbs_state(hamiltonian, beta), ExplicitGenerator(generator, t))
-
-
-def _stacked_reports(members):
-    """The reports of same-shape scenarios as an iterator over stacked
-    intermediates, or None when the stack must go one scenario at a time."""
-    shape = np.shape(members[0][0])
-    if len(shape) != 2 or not 0 < shape[0] == shape[1] or any(np.shape(m[1]) != shape for m in members):
-        return None
-    dim = shape[0]
-    hamiltonians, generators = (np.array([m[k] for m in members], dtype=np.complex128) for k in (0, 1))
-    times = np.array([m[3] for m in members], dtype=float)
-    if not (np.isfinite(times).all() and (times >= 0.0).all()):  # beta is checked per scenario, in its turn
-        return None
     scaled = times[:, None, None] * generators  # h = t A, as generator_explicit forms it
-    if not (dense_hermitian(generators) and dense_hermitian(scaled)):
-        return None
-    a_width = stacked_seminorms(generators)
-    del generators  # not needed past its widths: one stack fewer under the temporaries below
-    eigenpairs = certified_eigh(hamiltonians)
-    if a_width is None or eigenpairs is None:
-        return None
-    evals, evecs = eigenpairs
+    a_width = stacked_seminorms(generators, "generator stack")
+    evals, evecs = certified_eigh(hamiltonians, "Hamiltonian stack")
     comm = commutator_i(hamiltonians, scaled, validated=True)
-    if not dense_hermitian(comm):
-        return None
-    c_width, h_width = stacked_seminorms(comm), stacked_seminorms(hamiltonians)
-    if c_width is None or h_width is None:
-        return None
+    c_width = stacked_seminorms(comm, "commutator stack")
+    h_width = stacked_seminorms(hamiltonians, "Hamiltonian stack")
     h_eig = evecs.conj().mT @ scaled @ evecs
     c_eig = evecs.conj().mT @ comm @ evecs
-
-    def reports():
-        for i, (_, _, beta, t) in enumerate(members):
-            decomposition = SpectralDecomposition(evals[i], evecs[i], dim, source=hamiltonians[i])
-            rho0 = gibbs_from_spectrum(decomposition, beta)
-            plan = plan_from_eigenbasis(decomposition, scaled[i], h_eig[i], c_eig[i], c_width[i])
-            scales = BoundScales(h_width[i], _probe_gap(decomposition, h_width[i]), a_width[i])
-            yield evaluate_point(plan, rho0, scales, float(t))[1]
-
-    return reports()
+    for i, (beta, t) in enumerate(zip(betas.tolist(), times.tolist())):
+        decomposition = SpectralDecomposition(evals[i], evecs[i], hamiltonians.shape[-1], source=hamiltonians[i])
+        rho0 = gibbs_from_spectrum(decomposition, beta)
+        plan = plan_from_eigenbasis(decomposition, scaled[i], h_eig[i], c_eig[i], c_width[i])
+        scales = BoundScales(h_width[i], _probe_gap(decomposition, h_width[i]), a_width[i])
+        yield evaluate_point(plan, rho0, scales, t)[1]

@@ -1,13 +1,15 @@
 """Command-line interface: compute, sweep, verify, figures.
 
 Exit codes: 0 success, 1 verification failure (including a sweep row that
-violates the bound ordering), 2 config error, 3 numerical failure.
+violates the bound ordering), 2 config error (including an output path
+that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -80,6 +82,8 @@ def _cmd_compute(args) -> int:
         raise ConfigError("lambda: required for the lmg model (pass --lam)")
     if args.model != "lmg" and args.lam is not None:
         raise ConfigError("lambda: only valid for the lmg model")
+    if args.lam is not None and not math.isfinite(args.lam):
+        raise ConfigError("lambda: must be a finite number")
     try:
         scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=args.axis, lam=args.lam)
     except ValueError as exc:
@@ -166,7 +170,7 @@ def main(argv=None) -> int:
     except (EigensolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an unwritable output path is a config fault too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     parser.error(f"unknown command {args.command!r}")

@@ -6,8 +6,11 @@ tolerances are module constants so the contracts stay visible at the call
 sites that enforce them. All operations are pure and thread-safe.
 Diagonal matrices, and matrices above DENSE_MAX_DIM that split into
 parity blocks, skip the dense eigensolver under the same contracts.
-certified_eigh and stacked_seminorms solve a (k, n, n) stack of dense
-matrices in one LAPACK call, with the bits of per-matrix calls.
+certified_eigh and stacked_seminorms solve a (k, n, n) stack in one
+LAPACK call, with the bits of per-matrix dense calls. They validate
+nothing: the caller guarantees that every member is one that the
+single-matrix functions would solve densely, and only a LAPACK error or
+a missed residual certificate raises EigensolverError.
 """
 
 from __future__ import annotations
@@ -55,15 +58,10 @@ def hermiticity_defect(a):
     return np.abs(m - m.conj().mT).max(axis=(-2, -1))
 
 
-def _hermiticity_test(m: np.ndarray):
-    """The defect of each matrix of a (..., n, n) stack and its tolerance,
-    1e-12 relative to the largest entry (at least 1)."""
-    return hermiticity_defect(m), HERMITICITY_RTOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-
-
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(a)
-    defect, tol = _hermiticity_test(m)
+    tol = HERMITICITY_RTOL * max(1.0, float(np.abs(m).max()))
+    defect = hermiticity_defect(m)
     if defect > tol:
         raise NotHermitianError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -79,26 +77,18 @@ def require_unitary(u, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def _off_diagonal(m: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of each matrix of a (..., n, n) stack, as an
-    (..., n - 1, n) array.
-
-    The off-diagonal entries of an n x n array, flattened, are the n - 1
-    runs of n entries between consecutive diagonal ones, so this is a
-    view of a C-contiguous stack rather than a masked copy.
-    """
-    n = m.shape[-1]
-    flat = m.reshape(*m.shape[:-2], n * n)[..., 1:]
-    return flat.reshape(*m.shape[:-2], n - 1, n + 1)[..., :n]
-
-
 def _diagonal_of(m: np.ndarray) -> np.ndarray | None:
     """The diagonal of a square matrix whose off-diagonal entries are all
-    exact zeros (of either sign), else None."""
+    exact zeros (of either sign), else None.
+
+    The off-diagonal entries of an n x n array, flattened, are the n - 1
+    runs of n entries between consecutive diagonal ones, so the scan is
+    a view of a C-contiguous matrix rather than a masked copy.
+    """
     n = m.shape[0]
     if n > 1 and (m[1, 0] != 0 or m[0, 1] != 0):
         return None
-    if _off_diagonal(m).any():
+    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
         return None
     return np.diagonal(m)
 
@@ -211,13 +201,19 @@ class SpectralDecomposition:
         return out
 
 
+def _shape(m: np.ndarray) -> str:
+    return "x".join(map(str, m.shape))
+
+
 def _eigh(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a matrix or of a (k, n, n) stack; a LAPACK error raises
+    EigensolverError with the largest Hermiticity defect."""
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
-            f"eigensolver failed on a {m.shape[0]}x{m.shape[0]} {what}: {exc} "
-            f"(hermiticity defect {hermiticity_defect(m):.3e})"
+            f"eigensolver failed on a {_shape(m)} {what}: {exc} "
+            f"(hermiticity defect {np.max(hermiticity_defect(m)):.3e})"
         ) from exc
 
 
@@ -229,10 +225,22 @@ def _residuals(evals: np.ndarray, evecs: np.ndarray, m: np.ndarray):
     return ortho, recon
 
 
-def _misses_contract(ortho, recon, scale):
-    """Whether residuals miss the eigendecomposition contract: 1e-10
-    orthonormality, and reconstruction 1e-10 relative to scale."""
-    return (ortho > ORTHONORMALITY_TOL) | (recon > RECONSTRUCTION_RTOL * scale)
+def _certify(ortho, recon, scale, what: str) -> None:
+    """Raise EigensolverError unless the residuals meet the
+    eigendecomposition contract: 1e-10 orthonormality, and reconstruction
+    1e-10 relative to scale. Residuals of a stack, one per matrix, name
+    the first matrix that misses it."""
+    missed = np.flatnonzero((ortho > ORTHONORMALITY_TOL) | (recon > RECONSTRUCTION_RTOL * scale))
+    if missed.size == 0:
+        return
+    where = ""
+    if np.ndim(ortho):
+        i = missed[0]
+        ortho, recon, scale, where = ortho[i], recon[i], scale[i], f" at matrix {i}"
+    raise EigensolverError(
+        f"eigendecomposition of {what} misses its residual contract{where}: "
+        f"orthonormality {ortho:.3e}, reconstruction {recon:.3e} (scale {scale:.3e})"
+    )
 
 
 def _blockwise_eigh(halves: tuple[np.ndarray, np.ndarray], what: str):
@@ -291,54 +299,23 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     else:
         evals, evecs = _eigh(m, what)
         ortho, recon = _residuals(evals, evecs, m)
-    if _misses_contract(ortho, recon, scale):
-        raise EigensolverError(
-            f"eigendecomposition of {what} misses its residual contract: "
-            f"orthonormality {ortho:.3e}, reconstruction {recon:.3e} (scale {scale:.3e})"
-        )
+    _certify(ortho, recon, scale, what)
     return SpectralDecomposition(evals, evecs, dim, order, m, blocks)
 
 
-def dense_hermitian(stack: np.ndarray) -> bool:
-    """Whether every matrix of a (k, n, n) stack has finite entries, passes
-    require_hermitian and has a nonzero off-diagonal entry, so that the
-    functions here take their dense branch on it."""
-    if not np.isfinite(stack).all():
-        return False
-    defect, tol = _hermiticity_test(stack)
-    return not (defect > tol).any() and bool(_off_diagonal(stack).any(axis=(-2, -1)).all())
-
-
-def certified_eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def certified_eigh(stack: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues and eigenvectors of each matrix of a (k, n, n)
-    stack, from one stacked eigh, which gives the bits of per-matrix calls.
-
-    None unless eigendecompose would take its dense path on every member
-    and pass every check there: dense_hermitian, n <= DENSE_MAX_DIM, no
-    LAPACK error and the residual contract. eigendecompose on the members
-    one at a time then raises its error or takes its other path.
-    """
-    if not (0 < stack.shape[-1] <= DENSE_MAX_DIM and dense_hermitian(stack)):
-        return None
-    try:
-        evals, evecs = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError:
-        return None
-    scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-    if _misses_contract(*_residuals(evals, evecs, stack), scale).any():
-        return None
+    stack, from one stacked eigh, which gives the bits of per-matrix
+    calls, under eigendecompose's residual certificate."""
+    evals, evecs = _eigh(stack, what)
+    _certify(*_residuals(evals, evecs, stack), np.maximum(1.0, np.abs(stack).max(axis=(-2, -1))), what)
     return evals, evecs
 
 
-def stacked_seminorms(stack: np.ndarray) -> list[float] | None:
-    """seminorm of each matrix of a (k, n, n) stack on which seminorm takes
-    its dense path (dense_hermitian, n <= DENSE_MAX_DIM), from one stacked
-    eigvalsh, which gives the bits of per-matrix calls; None when LAPACK
-    raises."""
-    try:
-        evals = np.linalg.eigvalsh(stack)
-    except np.linalg.LinAlgError:
-        return None
+def stacked_seminorms(stack: np.ndarray, what: str) -> list[float]:
+    """seminorm of each matrix of a (k, n, n) stack, from one stacked
+    eigvalsh, which gives the bits of per-matrix calls."""
+    evals = _eigvalsh(stack, what)
     return (evals[:, -1] - evals[:, 0]).tolist()
 
 
@@ -347,7 +324,7 @@ def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
-            f"eigensolver failed on a {m.shape[0]}x{m.shape[0]} {what}: {exc}"
+            f"eigensolver failed on a {_shape(m)} {what}: {exc}"
         ) from exc
 
 

@@ -125,11 +125,14 @@ class SweepConfig:
         if model == "lmg":
             if isinstance(lam, bool) or not isinstance(lam, (int, float)):
                 raise ConfigError("lambda: required (a number) for the lmg model")
+            if not math.isfinite(lam):
+                raise ConfigError("lambda: must be a finite number")
             lam = float(lam)
         elif lam is not None:
             raise ConfigError("lambda: only valid for the lmg model")
 
-        outputs = raw.get("outputs", list(OUTPUT_KEYS))
+        defined = [k for k in OUTPUT_KEYS if k != "closed_forms" or closed_forms_for(model, axis)]
+        outputs = raw.get("outputs", defined)  # by default every output the model defines
         if not isinstance(outputs, (list, tuple)) or len(outputs) == 0:
             raise ConfigError("outputs: must be a nonempty list")
         for i, key in enumerate(outputs):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import thermalqfi.verify as verify
 from thermalqfi.cli import main
 from thermalqfi.verify import CheckResult, run_verify
 
@@ -49,6 +50,34 @@ def test_compute_lmg_requires_lambda(capsys):
 def test_compute_rejects_stray_lambda(capsys):
     code = main(["compute", "--model", "oat", "--twice-j", "2", "--beta", "1", "--t", "1", "--lam", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
+def test_compute_rejects_a_non_finite_lambda(capsys, lam):
+    code = main(["compute", "--model", "lmg", "--twice-j", "2", "--beta", "1", "--t", "1", f"--lam={lam}"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: lambda: must be a finite number\n"
+
+
+@pytest.mark.parametrize("verb", ["compute", "sweep", "verify", "figures"])
+def test_an_unwritable_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, verb):
+    """Exit 2 with one stderr line, not exit 1 (a verification failure)
+    with a traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "linear", "twice_j": 1, "beta_grid": [1.0], "t_grid": [1.0]}))
+    monkeypatch.setattr(verify, "run_all", lambda seed, checks: [CheckResult(1, "stub pass", True, "fine")])
+    missing = str(tmp_path / "missing" / "out")
+    blocked = tmp_path / "a_file"  # figures creates missing directories, but none below a file
+    blocked.write_text("")
+    argv = {
+        "compute": ["compute", "--model", "oat", "--twice-j", "2", "--beta", "1", "--t", "1", "--out", missing],
+        "sweep": ["sweep", "--config", str(cfg_path), "--out", missing],
+        "verify": ["verify", "--out", missing],
+        "figures": ["figures", "--out", str(blocked / "out")],
+    }[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_sweep_end_to_end(tmp_path, capsys):

@@ -401,8 +401,9 @@ STACKS = {
 class TestStacks:
     """hermiticity_defect, _residuals and the dense branch of commutator_i
     take (k, n, n) stacks and give the per-matrix bits; certified_eigh
-    gives the bits of per-matrix eigh, or None where eigendecompose would
-    refuse a member or take another path."""
+    gives the bits of per-matrix eigh. The stack helpers raise
+    EigensolverError on a LAPACK error or a missed certificate, with the
+    stack's shape and the first matrix that misses."""
 
     @pytest.mark.parametrize("name", sorted(STACKS))
     def test_hermiticity_defect(self, name):
@@ -427,22 +428,52 @@ class TestStacks:
     @pytest.mark.parametrize("name", sorted(set(STACKS) - {"dim8-one-non-hermitian"}))
     def test_certified_eigh(self, name):
         stack = STACKS[name]
-        evals, evecs = operators.certified_eigh(stack)
+        evals, evecs = operators.certified_eigh(stack, "H stack")
         for e, v, m in zip(evals, evecs, stack):
             dec = eigendecompose(m)
             assert _bits(e) == _bits(dec.eigenvalues) and _bits(v) == _bits(dec.eigenvectors)
 
-    def test_certified_eigh_refuses_what_eigendecompose_would_not_solve_densely(self, monkeypatch):
-        assert operators.certified_eigh(STACKS["dim8-one-non-hermitian"]) is None
-        with_diagonal = STACKS["dim5"].copy()
-        with_diagonal[1] = np.diag(np.diagonal(with_diagonal[1]))
-        assert not operators.dense_hermitian(with_diagonal)
-        assert operators.certified_eigh(with_diagonal) is None
-        with_nan = STACKS["dim2"].copy()
-        with_nan[4, 0, 0] = np.nan
-        assert operators.certified_eigh(with_nan) is None
+    def test_certified_eigh_raises_the_certificate_error_of_its_first_matrix(self, monkeypatch):
+        stack = STACKS["dim5"]
         monkeypatch.setattr(operators, "RECONSTRUCTION_RTOL", -1.0)
-        assert operators.certified_eigh(STACKS["dim2"]) is None
+        with pytest.raises(EigensolverError) as single:
+            eigendecompose(stack[0], "H")
+        message = str(single.value).replace(
+            "of H misses its residual contract", "of H stack misses its residual contract at matrix 0"
+        )
+        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
+            operators.certified_eigh(stack, "H stack")
+
+    def test_certified_eigh_names_the_first_matrix_that_misses(self, monkeypatch):
+        stack = STACKS["dim5"]
+        original = np.linalg.eigh
+
+        def skewed(a):
+            evals, evecs = original(a)
+            evecs[1:] *= 1.0 + 1e-6  # matrices 1 and 2 lose orthonormality
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        ortho, recon = operators._residuals(*skewed(stack), stack)
+        message = (
+            f"eigendecomposition of H stack misses its residual contract at matrix 1: orthonormality "
+            f"{ortho[1]:.3e}, reconstruction {recon[1]:.3e} (scale {max(1.0, np.abs(stack[1]).max()):.3e})"
+        )
+        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
+            operators.certified_eigh(stack, "H stack")
+
+    @pytest.mark.parametrize(
+        "solver, helper, suffix",
+        [("eigh", "certified_eigh", " (hermiticity defect 1.000e-03)"), ("eigvalsh", "stacked_seminorms", "")],
+    )
+    def test_a_lapack_error_raises_for_the_stack(self, monkeypatch, solver, helper, suffix):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, failing)
+        message = f"eigensolver failed on a 4x8x8 H stack: Eigenvalues did not converge{suffix}"
+        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
+            getattr(operators, helper)(STACKS["dim8-one-non-hermitian"], "H stack")
 
 
 class TestDebugResidue:

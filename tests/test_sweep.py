@@ -62,6 +62,20 @@ class TestConfigValidation:
             "seminorm_bound", "product_bound", "gap_bounds", "closed_forms",
         }
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": "lmg", "twice_j": 4, "lambda": 1.0, "beta_grid": [1], "t_grid": [1]},
+            {"model": "linear", "axis": "y", "twice_j": 3, "beta_grid": [1], "t_grid": [1]},
+        ],
+    )
+    def test_default_outputs_leave_out_undefined_closed_forms(self, raw):
+        cfg = SweepConfig.from_dict(raw)
+        assert cfg.outputs == tuple(k for k in OUTPUT_KEYS if k != "closed_forms")
+        (row,) = run_sweep(cfg)
+        assert row.closed_qfi is None and row.closed_variance is None
+        assert render_csv([row]).splitlines()[1].endswith(",,,true")
+
     def test_unknown_model(self):
         with pytest.raises(ConfigError, match="model"):
             SweepConfig.from_dict(qubit_config(model="ising"))
@@ -108,6 +122,18 @@ class TestConfigValidation:
             )
         with pytest.raises(ConfigError, match="lambda"):
             SweepConfig.from_dict(qubit_config(**{"lambda": 1.0}))
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_lambda_must_be_finite(self, lam):
+        with pytest.raises(ConfigError, match="^lambda: must be a finite number$"):
+            SweepConfig.from_dict({"model": "lmg", "twice_j": 2, "lambda": lam, "beta_grid": [1.0], "t_grid": [1.0]})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_lambda_json_literal_refused(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"model": "lmg", "twice_j": 2, "lambda": {literal}, "beta_grid": [1], "t_grid": [1]}}')
+        with pytest.raises(ConfigError, match="^lambda: must be a finite number$"):
+            load_config(path)
 
     def test_unknown_output(self):
         with pytest.raises(ConfigError, match=r"outputs\[0\]"):

@@ -1,7 +1,7 @@
 """The failure branches of the verify criteria that read their values from
 sweeps: each reports the same detail line and repro config as when the
 values were computed point by point. Criterion 4's stacked random audit
-gives the single-point reports, detail lines and errors."""
+gives the single-point reports and detail lines."""
 
 import re
 
@@ -11,12 +11,12 @@ import pytest
 import thermalqfi.operators as operators
 import thermalqfi.qfi as qfi_module
 from thermalqfi import verify
-from thermalqfi.bounds import bound_report, explicit_bound_reports
+from thermalqfi.bounds import bound_report
 from thermalqfi.encoding import ExplicitGenerator, TransformedLocalGenerator
-from thermalqfi.operators import EigensolverError, NotHermitianError
+from thermalqfi.operators import EigensolverError
 from thermalqfi.thermal import gibbs_state
 
-from conftest import random_hermitian, record_solver_calls
+from conftest import record_solver_calls
 
 
 def test_high_temperature_vanishing_reports_the_exceeded_ceilings(monkeypatch):
@@ -67,7 +67,7 @@ def _single_point(scenario):
 def test_stacked_reports_equal_the_single_point_reports(seed):
     scenarios = list(verify._random_scenarios(seed))
     indices = []
-    for index, report in explicit_bound_reports(scenarios):
+    for index, report in verify._random_reports(seed):
         indices.append(index)
         # repr round-trips a double, so equal reprs mean equal bits
         assert repr(report) == repr(_single_point(scenarios[index])), f"scenario {index}"
@@ -78,63 +78,11 @@ def test_one_solver_call_per_dimension_and_quantity(monkeypatch):
     calls = record_solver_calls(monkeypatch, "eigh", "eigvalsh")
     scenarios = list(verify._random_scenarios(verify.DEFAULT_SEED))
     sizes = [scenario[0].shape[0] for scenario in scenarios]
-    reports = list(explicit_bound_reports(scenarios))
+    reports = list(verify._random_reports(verify.DEFAULT_SEED))
     # eigvalsh on A, eigh on H, eigvalsh on C and H; a stack's leading axis is its size
     assert [k for k, _ in calls] == [sizes.count(dim) for dim in range(2, 9) for _ in range(4)]
     # stacks in ascending dimension, each in draw order
     assert [index for index, _ in reports] == sorted(range(len(sizes)), key=sizes.__getitem__)
-
-
-def test_a_stack_off_the_dense_path_goes_one_scenario_at_a_time():
-    rng = np.random.default_rng(3)
-    scenarios = [(random_hermitian(rng, 4), random_hermitian(rng, 4), 0.8 + k, 1.2) for k in range(3)]
-    diagonal = np.diag([2.0, -1.0, 0.5, 3.0]).astype(np.complex128)
-    scenarios.insert(1, (diagonal, random_hermitian(rng, 4), 1.5, 0.7))
-    scenarios.append((random_hermitian(rng, 3), random_hermitian(rng, 3), 2.0, 0.4))
-    got = dict(explicit_bound_reports(scenarios))
-    assert sorted(got) == list(range(5))
-    for index, scenario in enumerate(scenarios):
-        assert repr(got[index]) == repr(_single_point(scenario))
-
-
-def test_a_failing_stack_raises_the_single_point_error_of_its_first_failure():
-    rng = np.random.default_rng(5)
-    scenarios = [(random_hermitian(rng, 3), random_hermitian(rng, 3), 1.0, 1.0) for _ in range(4)]
-    for index in (2, 3):
-        skewed = scenarios[index][1].copy()
-        skewed[0, 1] += 1e-3 * (index - 1)
-        scenarios[index] = (scenarios[index][0], skewed, 1.0, 1.0)
-    with pytest.raises(NotHermitianError) as single:
-        _single_point(scenarios[2])
-    reports = explicit_bound_reports(scenarios)
-    assert [index for index, _ in (next(reports), next(reports))] == [0, 1]
-    with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
-        next(reports)
-
-
-def test_an_error_is_raised_only_where_the_in_order_loop_meets_it(monkeypatch):
-    """Stacks run in ascending dimension, so a dim-4 stack runs before a
-    dim-5 one; an error is raised after every stack has run, unless a
-    scenario below it violates the ordering."""
-    rng = np.random.default_rng(9)
-
-    def scenarios(dims, skewed):
-        out = [(random_hermitian(rng, dim), random_hermitian(rng, dim), 1.0, 1.0) for dim in dims]
-        generator = out[skewed][1].copy()
-        generator[0, 1] += 1e-3
-        out[skewed] = (out[skewed][0], generator, 1.0, 1.0)
-        return out
-
-    error_below = scenarios((5, 4, 4), skewed=0)
-    error_above = scenarios((5, 5, 4, 4), skewed=2)
-    with pytest.raises(NotHermitianError):
-        list(explicit_bound_reports(error_above))
-    _huge_qfi_where(monkeypatch, lambda p: len(p) == 5)
-    reports = list(explicit_bound_reports(error_above))
-    assert [(index, report.ordering_ok) for index, report in reports] == [(0, False), (1, False)]
-    _huge_qfi_where(monkeypatch, lambda p: len(p) == 4)
-    with pytest.raises(NotHermitianError):
-        list(explicit_bound_reports(error_below))
 
 
 def _no_grid(monkeypatch):
@@ -179,11 +127,13 @@ def test_bound_chain_reports_the_lowest_violating_scenario(monkeypatch):
 
 
 def test_bound_chain_raises_the_single_point_certificate_error(monkeypatch):
+    """The dim-2 stack runs first; its matrix 0 is the first dim-2 draw,
+    whose single-point certificate has these residuals and scale."""
     _no_grid(monkeypatch)
     monkeypatch.setattr(operators, "ORTHONORMALITY_TOL", -1.0)
     message = (
-        "eigendecomposition of Hamiltonian misses its residual contract: "
-        "orthonormality 4.512e-16, reconstruction 1.167e-15 (scale 1.391e+00)"
+        "eigendecomposition of Hamiltonian stack misses its residual contract at matrix 0: "
+        "orthonormality 1.319e-16, reconstruction 4.448e-16 (scale 1.571e+00)"
     )
     with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
         verify.check_bound_chain()
