@@ -34,8 +34,17 @@ from .operators import (
     seminorm,
     stacked_seminorms,
 )
-from .qfi import QfiReport, SpectralPlan, plan_from_eigenbasis, spectral_plan
-from .thermal import GibbsState, gibbs_from_spectrum
+from .qfi import (
+    QfiReport,
+    RouteSums,
+    SpectralPlan,
+    plan_from_eigenbasis,
+    probe_sums,
+    report_from_sums,
+    route_sums,
+    spectral_plan,
+)
+from .thermal import GibbsState, boltzmann_weights
 
 ORDERING_RTOL = 1e-9
 GAP_DEGENERACY_RTOL = 1e-9
@@ -102,14 +111,19 @@ def scheme_product_bound(rho0: GibbsState, scheme) -> float:
     return product_bound(rho0.hamiltonian, derivative, rho0.beta, scheme.t)
 
 
-def minimum_gap(eigenvalues, threshold: float) -> float:
-    """Smallest pairwise level spacing exceeding the degeneracy threshold."""
+def minimum_gap(eigenvalues, threshold):
+    """Smallest pairwise level spacing exceeding the degeneracy threshold.
+
+    Takes one spectrum (n,) and a float, or a stack of spectra (k, n) and
+    k thresholds, one per spectrum, and then returns a list of k gaps.
+    """
     e = np.asarray(eigenvalues, dtype=float)
-    gaps = np.abs(e[:, None] - e[None, :])
-    above = gaps[gaps > threshold]
-    if above.size == 0:
+    gaps = np.abs(e[..., :, None] - e[..., None, :])
+    above = np.where(gaps > np.asarray(threshold, dtype=float)[..., None, None], gaps, np.inf)
+    smallest = above.min(axis=(-2, -1))
+    if np.any(np.isinf(smallest)):
         raise ValueError("spectrum is fully degenerate; no nonzero gap exists")
-    return float(above.min())
+    return smallest.tolist()
 
 
 class GapBounds(NamedTuple):
@@ -157,8 +171,20 @@ class BoundReport:
     ordering_ok: bool
 
 
-def _below(x: float, y: float) -> bool:
-    return x <= y + ORDERING_RTOL * max(1.0, abs(y))
+# the certified orderings x <= y as (x, y) rows of a chain: 0 f, 1 variance,
+# 2 seminorm, 3 convexity, 4 gap-variance, 5 gap-seminorm and, for an
+# encoding with a product bound, 6 product bound; keyed by the chain length
+_PAIRS = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4), (4, 5)]
+_ORDERINGS = {6: np.array(_PAIRS).T, 7: np.array(_PAIRS + [(0, 6), (2, 6)]).T}
+
+
+def _ordering_ok(chain) -> list[bool]:
+    """The ordering certificate of k points, judged at once on the (6, k)
+    or (7, k) array of their chain values: each x <= y within a relative
+    slack of ORDERING_RTOL * |y|."""
+    values = np.array(chain, dtype=float)
+    x, y = values[_ORDERINGS[len(values)]]
+    return np.all(x <= y + ORDERING_RTOL * np.abs(y), axis=0).tolist()
 
 
 class BoundScales(NamedTuple):
@@ -193,13 +219,54 @@ def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
     h_width = seminorm(decomposition.source, validated=True)
     return BoundScales(
         h_width=h_width,
-        min_gap=_probe_gap(decomposition, h_width),
+        min_gap=_probe_gap(decomposition.eigenvalues, h_width),
         dh_width=None if derivative is None else seminorm(derivative, validated=derivative is decomposition.source),
     )
 
 
-def _probe_gap(decomposition: SpectralDecomposition, h_width: float) -> float:
-    return minimum_gap(decomposition.eigenvalues, GAP_DEGENERACY_RTOL * h_width)
+def _probe_gap(energies: np.ndarray, h_width):
+    """The minimum gap of one probe spectrum, or of each of a (k, n) stack
+    against its own entry of a list of widths."""
+    return minimum_gap(energies, GAP_DEGENERACY_RTOL * np.asarray(h_width))
+
+
+def _per_row(value, k: int) -> list:
+    """A per-row list as it is; a value shared by every row repeated k times."""
+    return value if isinstance(value, list) else [value] * k
+
+
+def bound_rows(
+    plan: SpectralPlan, sums: RouteSums, betas, times, scales: BoundScales, f=None
+) -> list[BoundReport]:
+    """The BoundReport of each row of sums = route_sums(plan, p, betas),
+    with every ordering certificate judged at once on arrays.
+
+    times (the evolution times of the product bound), plan.noncommutativity
+    and each field of scales are one value shared by every row or a list
+    of one value per row. f, the QFI the chain is judged on, defaults to
+    the rows' SLD route.
+    """
+    k = len(betas)
+    f = sums.f_sld if f is None else f
+    var_c, convexity = sums.commutator_variance, sums.convexity
+    widths, times, h_widths, gaps, dh_widths = (
+        _per_row(value, k) for value in (plan.noncommutativity, times, *scales)
+    )
+    v_bound = [beta**2 * var for beta, var in zip(betas, var_c)]
+    s_bound = [beta**2 * width**2 / 4.0 for beta, width in zip(betas, widths)]
+    p_bound = None
+    if dh_widths[0] is not None:
+        p_bound = [_product(*row) for row in zip(betas, times, h_widths, dh_widths)]
+    gap_var = [4.0 * var / gap**2 for var, gap in zip(var_c, gaps)]
+    gap_semi = [width**2 / gap**2 for width, gap in zip(widths, gaps)]
+    chain = [f, v_bound, s_bound, convexity, gap_var, gap_semi]
+    ordering_ok = _ordering_ok(chain if p_bound is None else [*chain, p_bound])
+    return [
+        BoundReport(*row)
+        for row in zip(
+            f, v_bound, s_bound, p_bound or [None] * k, convexity, gap_var, gap_semi, gaps, widths, ordering_ok
+        )
+    ]
 
 
 def evaluate_point(
@@ -209,55 +276,22 @@ def evaluate_point(
     t: float | None,
     qfi_result: QfiReport | None = None,
 ) -> tuple[QfiReport, BoundReport]:
-    """The three QFI routes and every bound at one temperature, from a plan.
+    """The three QFI routes and every bound at one temperature, from a plan:
+    the k = 1 case of route_sums and bound_rows.
 
-    The shared per-point step of bound_report and run_sweep: only the
-    probe probabilities and beta enter here, everything else comes
-    precomputed from the plan and the scales. t is the evolution time of
-    the product bound. A qfi_result that plan.qfi_report made for this
-    very probe also lends its Var[C].
+    t is the evolution time of the product bound. A qfi_result that
+    qfi_report made from this very plan and probe lends its sums, so
+    Var[C] and the convexity sum are not summed again; any qfi_result
+    lends its f_sld as the QFI the chain is judged on.
     """
-    p = rho0.probabilities
     if qfi_result is not None and qfi_result.plan is plan and qfi_result.probe is rho0:
-        var_c = qfi_result.commutator_variance
+        sums = qfi_result.sums
     else:
-        var_c = plan.commutator_variance(p)
+        sums = probe_sums(plan, rho0)
     if qfi_result is None:
-        qfi_result = plan.qfi_report(rho0, var_c)
-    beta = rho0.beta
-    width = plan.noncommutativity
-    v_bound = beta**2 * var_c
-    s_bound = beta**2 * width**2 / 4.0
-    p_bound = None if scales.dh_width is None else _product(beta, t, scales.h_width, scales.dh_width)
-    gap = scales.min_gap
-    convexity = plan.convexity_sum(p)
-    gap_var = 4.0 * var_c / gap**2
-    gap_semi = width**2 / gap**2
-    f = qfi_result.f_sld
-    ordering_ok = (
-        _below(f, v_bound)
-        and _below(f, s_bound)
-        and (p_bound is None or _below(f, p_bound))
-        and _below(f, convexity)
-        and _below(f, gap_var)
-        and _below(f, gap_semi)
-        and _below(v_bound, s_bound)
-        and (p_bound is None or _below(s_bound, p_bound))
-        and _below(convexity, gap_var)
-        and _below(gap_var, gap_semi)
-    )
-    return qfi_result, BoundReport(
-        f=f,
-        variance_bound=v_bound,
-        seminorm_bound=s_bound,
-        product_bound=p_bound,
-        convexity_bound=convexity,
-        gap_variance_bound=gap_var,
-        gap_seminorm_bound=gap_semi,
-        min_gap=gap,
-        noncommutativity=width,
-        ordering_ok=ordering_ok,
-    )
+        qfi_result = report_from_sums(plan, rho0, sums)
+    (bounds,) = bound_rows(plan, sums, (rho0.beta,), t, scales, f=(qfi_result.f_sld,))
+    return qfi_result, bounds
 
 
 def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None = None) -> BoundReport:
@@ -279,7 +313,7 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]
 
 
-def stacked_bound_reports(hamiltonians, generators, betas, times):
+def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundReport]:
     """The BoundReport of each scenario (H, A, beta, t) of a (k, n, n)
     stack, given as arrays of H, A, beta and t, each equal by repr to
     bound_report(gibbs_state(H, beta), ExplicitGenerator(A, t)).
@@ -289,11 +323,11 @@ def stacked_bound_reports(hamiltonians, generators, betas, times):
     C = i[H, t A] each have a nonzero off-diagonal entry,
     n <= DENSE_MAX_DIM, and t is finite and nonnegative. Nothing here
     checks it; a LAPACK error or a missed residual certificate of the
-    stacked eigh raises EigensolverError, and gibbs_from_spectrum checks
+    stacked eigh raises EigensolverError, and boltzmann_weights checks
     each beta as on the single-point path. One stacked eigh, commutator
-    and eigvalsh per seminorm give the bits of per-matrix calls, and each
-    report comes from the same plan constructor, gap threshold and
-    evaluate_point as bound_report.
+    and eigvalsh per seminorm give the bits of per-matrix calls; one
+    stacked plan over the union of the scenarios' supports, one
+    route_sums and one bound_rows give the bits of bound_report.
     """
     scaled = times[:, None, None] * generators  # h = t A, as generator_explicit forms it
     a_width = stacked_seminorms(generators, "generator stack")
@@ -303,9 +337,8 @@ def stacked_bound_reports(hamiltonians, generators, betas, times):
     h_width = stacked_seminorms(hamiltonians, "Hamiltonian stack")
     h_eig = evecs.conj().mT @ scaled @ evecs
     c_eig = evecs.conj().mT @ comm @ evecs
-    for i, (beta, t) in enumerate(zip(betas.tolist(), times.tolist())):
-        decomposition = SpectralDecomposition(evals[i], evecs[i], hamiltonians.shape[-1], source=hamiltonians[i])
-        rho0 = gibbs_from_spectrum(decomposition, beta)
-        plan = plan_from_eigenbasis(decomposition, scaled[i], h_eig[i], c_eig[i], c_width[i])
-        scales = BoundScales(h_width[i], _probe_gap(decomposition, h_width[i]), a_width[i])
-        yield evaluate_point(plan, rho0, scales, t)[1]
+    plan = plan_from_eigenbasis(evals, scaled, h_eig, c_eig, c_width)
+    weights = boltzmann_weights(evals, betas.tolist())
+    scales = BoundScales(h_width, _probe_gap(evals, h_width), a_width)
+    sums = route_sums(plan, weights.probabilities, weights.betas)
+    return bound_rows(plan, sums, weights.betas, times.tolist(), scales)

@@ -7,12 +7,15 @@ the classical distinguishability of the probe spectrum. Agreement of the
 three at 1e-8 relative on full-rank thermal probes is the package's
 central correctness property, certified in QfiReport.
 
-Sums are accumulated with math.fsum, so results are deterministic to the
-last bit regardless of evaluation order. Each route's beta-dependent sum
-lives in one private function, shared by the public route functions and
-by SpectralPlan, which holds the beta-independent matrix elements so that
-a temperature sweep evaluates each beta as a few weighted sums over their
-nonzero support.
+Every beta-dependent sum lives in one evaluator, route_sums. It takes the
+probabilities of k probes as a (k, n) array and a SpectralPlan, which
+holds the beta-independent matrix elements over their nonzero support:
+either one plan shared by every row (the betas of one sweep time) or a
+plan whose arrays carry a leading axis of k (a stack of scenarios). Each
+sum is one pass over a (k, support) term array and one math.fsum per row.
+fsum is correctly rounded, so a row's result depends only on its own
+terms, not on k or on the order of the terms. The public route
+functions, qfi_report and the bound chain are its k = 1 case.
 """
 
 from __future__ import annotations
@@ -42,8 +45,11 @@ def tanhc(x):
     """
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < 1e-5
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 3.0 + 2.0 * arr**4 / 15.0, np.tanh(safe) / safe)
+    if small.any():
+        safe = np.where(small, 1.0, arr)
+        out = np.where(small, 1.0 - arr * arr / 3.0 + 2.0 * arr**4 / 15.0, np.tanh(safe) / safe)
+    else:  # no entry needs the series
+        out = np.tanh(arr) / arr
     if out.ndim == 0:
         return float(out)
     return out
@@ -70,7 +76,9 @@ def _probe_parts(probe, h):
 
 class Support(NamedTuple):
     """The nonzero off-diagonal entries of a real n x n array: their row
-    and column indices and their values."""
+    and column indices and their values. Over a stack of arrays it is the
+    union of their supports, values holds one row per array, and an entry
+    outside an array's own support is an exact zero in its row."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -79,60 +87,109 @@ class Support(NamedTuple):
 
 def _support(abs2: np.ndarray) -> Support:
     mask = abs2 != 0.0
+    if mask.ndim == 3:
+        mask = mask.any(axis=0)
     np.fill_diagonal(mask, False)
     rows, cols = np.nonzero(mask)
-    return Support(rows, cols, abs2[rows, cols])
+    return Support(rows, cols, abs2[..., rows, cols])
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    return np.diagonal(a, axis1=-2, axis2=-1)
 
 
 def _generator_elements(ht):
     """The support of |h_ij|^2 and the eigenstate variances Var_i[h] from
-    h in the probe eigenbasis."""
+    h in the probe eigenbasis, one matrix or a stack."""
     habs2 = np.abs(ht) ** 2
-    var_i = habs2.sum(axis=1) - np.real(np.diag(ht)) ** 2
+    var_i = habs2.sum(axis=-1) - np.real(_diagonal(ht)) ** 2
     return _support(habs2), var_i
 
 
-def _commutator_elements(ct):
-    """The support of |C_ij|^2, the diagonal C_ii and the diagonal
-    |C_ii|^2 from C in the probe eigenbasis."""
+def _commutator_elements(ct, energies):
+    """The support of |C_ij|^2, the diagonal C_ii, the diagonal |C_ii|^2
+    and the probe level differences at the entries of the support, from C
+    in the probe eigenbasis, one matrix or a stack."""
     cabs2 = np.abs(ct) ** 2
-    return _support(cabs2), np.real(np.diag(ct)), np.diag(cabs2).copy()
+    pairs = _support(cabs2)
+    delta = energies[..., pairs.rows] - energies[..., pairs.cols]
+    return pairs, np.real(_diagonal(ct)).copy(), _diagonal(cabs2).copy(), delta
 
 
-def _eigenstate_sum(p, var_i) -> float:
-    """sum_i 4 p_i Var[h]_i, the convexity bound and the general route's first term."""
-    return math.fsum((4.0 * p * var_i).tolist())
+def _fsum_rows(terms: np.ndarray) -> list[float]:
+    """One math.fsum per row of a (k, m) term array."""
+    return [math.fsum(row.tolist()) for row in terms]
 
 
-def _variance_sum(p, cdiag, cdiag_abs2, c: Support) -> float:
-    """Var[C] against the probe from the matrix elements of C in its eigenbasis."""
-    mean = math.fsum((p * cdiag).tolist())
-    second_moment = math.fsum((p * cdiag_abs2).tolist() + (p[c.rows] * c.values).tolist())
-    return second_moment - mean * mean
+def _generator_sums(p, var_i, h: Support):
+    """The convexity sum sum_i 4 p_i Var[h]_i and the general and SLD
+    routes for each row of p (k, n).
 
-
-def _general_sum(p, var_i, h: Support) -> float:
-    first = _eigenstate_sum(p, var_i)
-    pi, pj = p[h.rows], p[h.cols]
+    A pair whose weight p_i + p_j falls below SUPPORT_TOL is dropped from
+    its row before anything is divided by that weight, and its terms stay
+    out of the row's fsum.
+    """
+    convexity = _fsum_rows(4.0 * p * var_i)
+    pi, pj = p.take(h.rows, axis=1), p.take(h.cols, axis=1)
     pair_sum = pi + pj
     mask = pair_sum >= SUPPORT_TOL
-    second = math.fsum((8.0 * (pi * pj)[mask] / pair_sum[mask] * h.values[mask]).tolist())
-    return _clamped(first - second, "general-route QFI")
+    kept = mask.sum(axis=1).tolist()
+    pair_sum = np.where(mask, pair_sum, 1.0)  # a dropped pair is never divided by its weight
+    general_terms = (8.0 * (pi * pj) / pair_sum * h.values)[mask]
+    sld_terms = (2.0 * (pi - pj) ** 2 / pair_sum * h.values)[mask]
+    f_general, f_sld = [], []
+    start = 0
+    for first, count in zip(convexity, kept):
+        stop = start + count
+        f_general.append(_clamped(first - math.fsum(general_terms[start:stop].tolist()), "general-route QFI"))
+        f_sld.append(_clamped(math.fsum(sld_terms[start:stop].tolist()), "SLD-route QFI"))
+        start = stop
+    return convexity, f_general, f_sld
 
 
-def _sld_sum(p, h: Support) -> float:
-    pi, pj = p[h.rows], p[h.cols]
-    pair_sum = pi + pj
-    mask = pair_sum >= SUPPORT_TOL
-    terms = 2.0 * ((pi - pj) ** 2)[mask] / pair_sum[mask] * h.values[mask]
-    return _clamped(math.fsum(terms.tolist()), "SLD-route QFI")
+def _commutator_sums(p, betas, cdiag, cdiag_abs2, c: Support, delta):
+    """Var[C] and the thermal route for each row of p (k, n) at its beta;
+    delta holds the probe level differences at the entries of c."""
+    betas = np.asarray(betas, dtype=float)
+    p_pairs = p.take(c.rows, axis=1)
+    mean = _fsum_rows(p * cdiag)
+    second_moment = _fsum_rows(np.concatenate((p * cdiag_abs2, p_pairs * c.values), axis=1))
+    weight = 1.0 - tanhc(0.5 * betas[:, None] * delta) ** 2
+    weighted = _fsum_rows(p_pairs * weight * c.values)
+    var_c = [moment - m * m for moment, m in zip(second_moment, mean)]
+    f_thermal = [
+        _clamped(beta * beta * (var - second), "thermal-route QFI")
+        for beta, var, second in zip(betas.tolist(), var_c, weighted)
+    ]
+    return var_c, f_thermal
 
 
-def _thermal_sum(beta, p, c: Support, delta, var_c) -> float:
-    """delta holds the probe level differences at the entries of c."""
-    weight = 1.0 - tanhc(0.5 * beta * delta) ** 2
-    second = math.fsum((p[c.rows] * weight * c.values).tolist())
-    return _clamped(beta * beta * (var_c - second), "thermal-route QFI")
+class RouteSums(NamedTuple):
+    """What route_sums returns: one float per row in each field."""
+
+    f_general: list[float]
+    f_thermal: list[float]
+    f_sld: list[float]
+    commutator_variance: list[float]
+    convexity: list[float]
+
+
+def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
+    """The three routes, Var[C] and the convexity sum of k probes at once.
+
+    p holds the probe probabilities, one row (k, n) per probe, and betas
+    their k inverse temperatures. The plan's arrays either belong to one
+    generator and serve every row, or carry a leading axis of k, one
+    scenario per row. Row r has the bits of the k = 1 call on row r.
+    """
+    convexity, f_general, f_sld = _generator_sums(p, plan.var_i, plan.h_pairs)
+    var_c, f_thermal = _commutator_sums(p, betas, plan.cdiag, plan.cdiag_abs2, plan.c_pairs, plan.c_delta)
+    return RouteSums(f_general, f_thermal, f_sld, var_c, convexity)
+
+
+def probe_sums(plan: SpectralPlan, rho0: GibbsState) -> RouteSums:
+    """route_sums for the one probe rho0 (k = 1)."""
+    return route_sums(plan, rho0.probabilities[None], (rho0.beta,))
 
 
 def qfi_general(probe, h) -> float:
@@ -144,14 +201,14 @@ def qfi_general(probe, h) -> float:
     """
     p, v, hm = _probe_parts(probe, h)
     pairs, var_i = _generator_elements(v.conj().T @ hm @ v)
-    return _general_sum(p, var_i, pairs)
+    return _generator_sums(p[None], var_i, pairs)[1][0]
 
 
 def qfi_sld(probe, h) -> float:
     """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
     p, v, hm = _probe_parts(probe, h)
-    pairs, _ = _generator_elements(v.conj().T @ hm @ v)
-    return _sld_sum(p, pairs)
+    pairs, var_i = _generator_elements(v.conj().T @ hm @ v)
+    return _generator_sums(p[None], var_i, pairs)[2][0]
 
 
 def _require_gibbs(rho0) -> None:
@@ -173,11 +230,8 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
     comm = commutator_i(rho0.hamiltonian, hm)
     v = rho0.eigenvectors
-    pairs, cdiag, cdiag_abs2 = _commutator_elements(v.conj().T @ comm @ v)
-    p = rho0.probabilities
-    energies = rho0.eigenvalues
-    delta = energies[pairs.rows] - energies[pairs.cols]
-    return _thermal_sum(rho0.beta, p, pairs, delta, _variance_sum(p, cdiag, cdiag_abs2, pairs))
+    pairs, cdiag, cdiag_abs2, delta = _commutator_elements(v.conj().T @ comm @ v, rho0.eigenvalues)
+    return _commutator_sums(rho0.probabilities[None], (rho0.beta,), cdiag, cdiag_abs2, pairs, delta)[1][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +247,13 @@ class SpectralPlan:
     to a correctly rounded fsum. generator is the matrix the plan was
     built from; bound_report reuses a report's plan only for that same
     matrix.
+
+    The plan of a stack of k scenarios holds the union of their supports,
+    every array with a leading axis of k, k widths in noncommutativity
+    and no decomposition.
     """
 
-    decomposition: SpectralDecomposition
+    decomposition: SpectralDecomposition | None
     generator: np.ndarray
     h_pairs: Support
     var_i: np.ndarray
@@ -203,33 +261,7 @@ class SpectralPlan:
     c_delta: np.ndarray
     cdiag: np.ndarray
     cdiag_abs2: np.ndarray
-    noncommutativity: float
-
-    def commutator_variance(self, p) -> float:
-        return _variance_sum(p, self.cdiag, self.cdiag_abs2, self.c_pairs)
-
-    def convexity_sum(self, p) -> float:
-        return _eigenstate_sum(p, self.var_i)
-
-    def qfi_report(self, rho0: GibbsState, var_c: float | None = None) -> QfiReport:
-        """The three routes at the probe's temperature; var_c may be passed
-        in when the caller already holds commutator_variance(p)."""
-        p = rho0.probabilities
-        if var_c is None:
-            var_c = self.commutator_variance(p)
-        f_general = _general_sum(p, self.var_i, self.h_pairs)
-        f_thermal = _thermal_sum(rho0.beta, p, self.c_pairs, self.c_delta, var_c)
-        f_sld = _sld_sum(p, self.h_pairs)
-        return QfiReport(
-            f_general=f_general,
-            f_thermal=f_thermal,
-            f_sld=f_sld,
-            max_pairwise_rel_diff=_relative_spread(f_general, f_thermal, f_sld),
-            pure_state_flag=rho0.effectively_pure,
-            plan=self,
-            probe=rho0,
-            commutator_variance=var_c,
-        )
+    noncommutativity: float | list[float]
 
 
 def _relative_spread(f_general: float, f_thermal: float, f_sld: float) -> float:
@@ -256,31 +288,37 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
     comm = commutator_i(decomposition.source, hm, validated=True)
     return plan_from_eigenbasis(
-        decomposition,
+        decomposition.eigenvalues,
         hm,
         decomposition.to_eigenbasis(hm),
         decomposition.to_eigenbasis(comm),
         seminorm(comm, validated=True),
+        decomposition,
     )
 
 
 def plan_from_eigenbasis(
-    decomposition: SpectralDecomposition, hm: np.ndarray, h_eig: np.ndarray, c_eig: np.ndarray, noncommutativity: float
+    energies: np.ndarray,
+    hm: np.ndarray,
+    h_eig: np.ndarray,
+    c_eig: np.ndarray,
+    noncommutativity: float | list[float],
+    decomposition: SpectralDecomposition | None = None,
 ) -> SpectralPlan:
-    """The plan from the validated generator hm, hm and C = i[H, hm] in the
-    probe eigenbasis (h_eig, c_eig) and ||C||: spectral_plan forms these
-    for one generator, a caller holding them for a stack of scenarios
-    passes one slice of each."""
+    """The plan from the probe energies, the validated generator hm, hm and
+    C = i[H, hm] in the probe eigenbasis (h_eig, c_eig) and ||C||.
+    spectral_plan forms these for one generator and its decomposition; a
+    caller holding a (k, n, n) stack of scenarios passes the stacks, with
+    (k, n) energies and a list of k widths."""
     h_pairs, var_i = _generator_elements(h_eig)
-    c_pairs, cdiag, cdiag_abs2 = _commutator_elements(c_eig)
-    energies = decomposition.eigenvalues
+    c_pairs, cdiag, cdiag_abs2, c_delta = _commutator_elements(c_eig, energies)
     return SpectralPlan(
         decomposition=decomposition,
         generator=hm,
         h_pairs=h_pairs,
         var_i=var_i,
         c_pairs=c_pairs,
-        c_delta=energies[c_pairs.rows] - energies[c_pairs.cols],
+        c_delta=c_delta,
         cdiag=cdiag,
         cdiag_abs2=cdiag_abs2,
         noncommutativity=noncommutativity,
@@ -293,9 +331,9 @@ class QfiReport:
 
     max_pairwise_rel_diff is the largest pairwise route difference over
     the largest |F| (see _relative_spread). plan is the SpectralPlan the
-    values came from, probe the state they were evaluated at and
-    commutator_variance the Var[C] summed on the way, kept so bound_report
-    can reuse both for the same probe and generator.
+    values came from, probe the state they were evaluated at and sums the
+    k = 1 route_sums they were read from, kept so bound_report can reuse
+    Var[C] and the convexity sum for the same probe and generator.
     """
 
     f_general: float
@@ -305,9 +343,25 @@ class QfiReport:
     pure_state_flag: bool
     plan: SpectralPlan | None = field(default=None, repr=False, compare=False)
     probe: GibbsState | None = field(default=None, repr=False, compare=False)
-    commutator_variance: float | None = field(default=None, repr=False, compare=False)
+    sums: RouteSums | None = field(default=None, repr=False, compare=False)
+
+
+def report_from_sums(plan: SpectralPlan, rho0: GibbsState, sums: RouteSums) -> QfiReport:
+    """The QfiReport of sums = probe_sums(plan, rho0)."""
+    f_general, f_thermal, f_sld = sums.f_general[0], sums.f_thermal[0], sums.f_sld[0]
+    return QfiReport(
+        f_general=f_general,
+        f_thermal=f_thermal,
+        f_sld=f_sld,
+        max_pairwise_rel_diff=_relative_spread(f_general, f_thermal, f_sld),
+        pure_state_flag=rho0.effectively_pure,
+        plan=plan,
+        probe=rho0,
+        sums=sums,
+    )
 
 
 def qfi_report(rho0: GibbsState, h) -> QfiReport:
     _require_gibbs(rho0)
-    return spectral_plan(rho0.decomposition, h).qfi_report(rho0)
+    plan = spectral_plan(rho0.decomposition, h)
+    return report_from_sums(plan, rho0, probe_sums(plan, rho0))

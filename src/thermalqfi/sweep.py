@@ -13,13 +13,13 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 
-from .bounds import bound_scales, evaluate_point
+from .bounds import bound_rows, bound_scales
 from .encoding import generator_family
 from .models import AXES, MODELS, closed_forms_for, model_encoding
 from .operators import eigendecompose
-from .qfi import spectral_plan
+from .qfi import route_sums, spectral_plan
 from .spin import check_twice_j
-from .thermal import beta_from_polarization, gibbs_from_spectrum, polarization
+from .thermal import beta_from_polarization, boltzmann_weights, polarization
 
 
 def _float_cell(value: float | None) -> str:
@@ -209,7 +209,8 @@ def _gated_off(outputs) -> dict:
     return {name: None for name, gate in gates.items() if gate is not None and gate not in outputs}
 
 
-def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: float, report, bounds) -> SweepRow:
+def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: float, routes, bounds) -> SweepRow:
+    f_general, f_thermal, f_sld = routes
     closed_q = closed_v = None
     if closed_forms is not None:
         closed_q = closed_forms[0](config.twice_j, beta, t)
@@ -221,9 +222,9 @@ def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: flo
         "p": polarization(beta),
         "t": t,
         "lam": config.lam,
-        "f_general": report.f_general,
-        "f_thermal": report.f_thermal,
-        "f_sld": report.f_sld,
+        "f_general": f_general,
+        "f_thermal": f_thermal,
+        "f_sld": f_sld,
         "variance_bound": bounds.variance_bound,
         "seminorm_bound": bounds.seminorm_bound,
         "product_bound": bounds.product_bound,
@@ -241,10 +242,11 @@ def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: flo
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every grid point; rows ordered lexicographically by (t, beta).
 
-    Factor once, sweep many: the probe eigendecomposition, ||H||, the gap,
-    ||dH/dlambda|| and (for lmg) the eigendecomposition of H(lambda) are
-    built once per sweep, the generator and its SpectralPlan once per t,
-    and each beta costs only the O(n^2) weighted sums of evaluate_point.
+    Factor once, sweep many: the probe eigendecomposition, the Gibbs
+    weights of every beta, ||H||, the gap, ||dH/dlambda|| and (for lmg)
+    the eigendecomposition of H(lambda) are built once per sweep, and the
+    generator and its SpectralPlan once per t. Every beta of one t is then
+    one route_sums and one bound_rows call over that plan.
     """
     if config.beta_grid is not None:
         betas = list(config.beta_grid)
@@ -259,13 +261,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
     closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
     gated_off = _gated_off(config.outputs)
+    weights = boltzmann_weights(decomposition.eigenvalues, betas)
+    betas = weights.betas
     rows = []
     for t in config.t_grid:
         plan = spectral_plan(decomposition, generator(t))
-        for beta in betas:
-            rho0 = gibbs_from_spectrum(decomposition, beta)
-            report, bounds = evaluate_point(plan, rho0, scales, t)
-            rows.append(_row(config, gated_off, closed_forms, t, beta, report, bounds))
+        sums = route_sums(plan, weights.probabilities, betas)
+        bounds = bound_rows(plan, sums, betas, t, scales)
+        routes = zip(sums.f_general, sums.f_thermal, sums.f_sld)
+        for beta, point, chain in zip(betas, routes, bounds):
+            rows.append(_row(config, gated_off, closed_forms, t, beta, point, chain))
     return rows
 
 

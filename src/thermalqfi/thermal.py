@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,25 +94,51 @@ def gibbs_state(hamiltonian, beta: float) -> GibbsState:
 
 
 def gibbs_from_spectrum(decomposition: SpectralDecomposition, beta: float) -> GibbsState:
-    """exp(-beta H)/Z from an existing eigendecomposition of H.
-
-    The only beta-dependent step of gibbs_state: a temperature sweep
-    decomposes H once and calls this per beta.
-    """
-    beta = _check_beta(beta)
-    energies = decomposition.eigenvalues
-    ground = float(energies[0])
-    weights = np.exp(-beta * (energies - ground))
-    effectively_pure = int(np.count_nonzero(weights)) == 1
-    weights = np.maximum(weights, PROBABILITY_FLOOR)
-    shifted_z = math.fsum(weights.tolist())
-    probabilities = weights / shifted_z
+    """exp(-beta H)/Z from an existing eigendecomposition of H; the k = 1
+    case of boltzmann_weights."""
+    weights = boltzmann_weights(decomposition.eigenvalues, (beta,))
     return GibbsState(
-        beta=beta,
+        beta=weights.betas[0],
         decomposition=decomposition,
-        probabilities=probabilities,
-        log_partition=float(-beta * ground + math.log(shifted_z)),
-        ground_energy=ground,
+        probabilities=weights.probabilities[0],
+        log_partition=weights.log_partition[0],
+        ground_energy=weights.ground_energy[0],
+        effectively_pure=weights.effectively_pure[0],
+    )
+
+
+class BoltzmannWeights(NamedTuple):
+    """The Gibbs weights of k inverse temperatures, one row per beta:
+    probabilities is (k, n), every other field a list of k values."""
+
+    betas: list[float]
+    probabilities: np.ndarray
+    log_partition: list[float]
+    ground_energy: list[float]
+    effectively_pure: list[bool]
+
+
+def boltzmann_weights(energies, betas) -> BoltzmannWeights:
+    """The ground-shifted Boltzmann weights of every beta at once.
+
+    energies holds one ascending spectrum (n,) shared by every beta, or
+    one spectrum per beta (k, n). One exp over the (k, n) exponents and
+    one fsum per row: the only beta-dependent step of gibbs_state, so a
+    temperature sweep decomposes H once and calls this once.
+    """
+    betas = [_check_beta(beta) for beta in betas]
+    energies = np.asarray(energies, dtype=float)
+    ground = energies[..., :1]
+    weights = np.exp(-np.asarray(betas)[:, None] * (energies - ground))
+    effectively_pure = (np.count_nonzero(weights, axis=1) == 1).tolist()
+    weights = np.maximum(weights, PROBABILITY_FLOOR)
+    shifted_z = [math.fsum(row) for row in weights.tolist()]
+    grounds = np.broadcast_to(ground[..., 0], (len(betas),)).tolist()
+    return BoltzmannWeights(
+        betas=betas,
+        probabilities=weights / np.asarray(shifted_z)[:, None],
+        log_partition=[float(-beta * g + math.log(z)) for beta, g, z in zip(betas, grounds, shifted_z)],
+        ground_energy=grounds,
         effectively_pure=effectively_pure,
     )
 

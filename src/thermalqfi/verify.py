@@ -24,6 +24,7 @@ from .closed_forms import large_j_linear_approx, linear_qfi_closed, oat_seminorm
 from .encoding import ExplicitGenerator, NumericUnitary, evolution_unitary, generator_fd, generator_integral
 from .models import build_scenario, closed_forms_for, model_encoding
 from .operators import seminorm
+from .qfi import _relative_spread
 from .spin import oat_commutator
 from .sweep import SweepConfig, figure_configs, render_csv, run_sweep
 from .thermal import gibbs_state
@@ -121,23 +122,26 @@ def _rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
 
 
+def _relative_deviation(closed: float, numeric: float) -> float:
+    """|closed - numeric| over the larger magnitude of the two; 0 when both are 0."""
+    scale = max(abs(closed), abs(numeric))
+    return 0.0 if scale == 0.0 else abs(closed - numeric) / scale
+
+
 @_criterion(1, "three-way QFI agreement")
 def check_three_way_agreement(seed):
     """The general, thermal and SLD routes agree at 1e-8 relative on the
-    full model grid."""
+    full model grid: the largest pairwise difference over the largest |F|,
+    so a small F cannot hide a disagreement."""
     worst = 0.0
     count = 0
     for model, twice_j, beta, t, lam, row in _grid_rows(GRID_VARIANTS, GRID_TWICE_J):
         count += 1
-        scale = max(1.0, row.f_general)
-        diff = max(
-            abs(row.f_general - row.f_thermal),
-            abs(row.f_general - row.f_sld),
-        )
-        worst = max(worst, diff / scale)
-        if diff > AGREEMENT_RTOL * scale:
+        spread = _relative_spread(row.f_general, row.f_thermal, row.f_sld)
+        worst = max(worst, spread)
+        if spread > AGREEMENT_RTOL:
             return Failure(
-                f"route disagreement {diff / scale:.3e} at {model} 2J={twice_j} beta={beta} t={t} lam={lam} "
+                f"route disagreement {spread:.3e} at {model} 2J={twice_j} beta={beta} t={t} lam={lam} "
                 f"(f_general={row.f_general!r}, f_thermal={row.f_thermal!r}, f_sld={row.f_sld!r})",
                 _point_config(model, twice_j, beta, t, lam),
             )
@@ -153,8 +157,7 @@ def check_linear_closed_form(seed):
     for _, twice_j, beta, t, _, row in _grid_rows((("linear", None),), WIDE_TWICE_J):
         pipeline = row.f_general
         closed = linear_qfi_closed(twice_j, beta, t)
-        scale = max(1.0, abs(closed), abs(pipeline))
-        rel = abs(closed - pipeline) / scale
+        rel = _relative_deviation(closed, pipeline)
         worst = max(worst, rel)
         if rel > CLOSED_FORM_RTOL:
             return Failure(
@@ -186,8 +189,7 @@ def check_variance_closed_forms(seed):
         if model == "oat":
             checks.append(("oat qfi", closed_qfi(twice_j, beta, t), row.f_general))
         for label, closed, numeric in checks:
-            scale = max(1.0, abs(closed), abs(numeric))
-            rel = abs(closed - numeric) / scale
+            rel = _relative_deviation(closed, numeric)
             worst = max(worst, rel)
             if rel > CLOSED_FORM_RTOL:
                 return Failure(

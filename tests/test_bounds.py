@@ -20,7 +20,7 @@ from thermalqfi.bounds import (
 from thermalqfi.encoding import ExplicitGenerator, NumericUnitary, evolution_unitary
 from thermalqfi.models import build_scenario
 from thermalqfi.operators import commutator_i, variance
-from thermalqfi.qfi import qfi_general, qfi_report
+from thermalqfi.qfi import QfiReport, qfi_general, qfi_report
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
 
@@ -225,3 +225,23 @@ class TestBoundReport:
         probe = gibbs_state(hamiltonian, beta)
         report = bound_report(probe, ExplicitGenerator(generator, 1.1))
         assert report.ordering_ok
+
+
+class TestOrderingSlack:
+    def test_small_f_breaking_a_small_bound_by_1e_6_relative_fails(self):
+        # the linear qubit at beta = 0.1, t = 0.05: every bound is below 3e-3,
+        # so a slack of 1e-9 absolute would forgive F above one by 1e-6 relative
+        scenario = build_scenario("linear", 1, 0.1, 0.05)
+        honest = bound_report(scenario.probe, scenario.scheme, h=scenario.h)
+        tightest = min(
+            honest.variance_bound, honest.seminorm_bound, honest.product_bound,
+            honest.convexity_bound, honest.gap_variance_bound, honest.gap_seminorm_bound,
+        )
+        assert honest.ordering_ok and tightest < 1e-5
+
+        def ordering_ok(f):
+            claimed = QfiReport(f_general=f, f_thermal=f, f_sld=f, max_pairwise_rel_diff=0.0, pure_state_flag=False)
+            return bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=claimed).ordering_ok
+
+        assert ordering_ok(tightest)
+        assert not ordering_ok(tightest * (1.0 + 1e-6))

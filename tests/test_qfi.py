@@ -277,16 +277,18 @@ class TestVarianceReuse:
         scenario = build_scenario(model, 8, 1.1, 0.7, lam=lam)
         expected = repr(bound_report(scenario.probe, scenario.scheme, h=scenario.h))
         calls = []
-        original = qfi_module._variance_sum
+        original = qfi_module.route_sums
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(plan, p, betas):
+            calls.append(p.shape[0])
+            return original(plan, p, betas)
 
-        monkeypatch.setattr(qfi_module, "_variance_sum", counting)
+        # qfi_report and bound_report reach the evaluator through qfi.probe_sums
+        monkeypatch.setattr(qfi_module, "route_sums", counting)
         report = qfi_report(scenario.probe, scenario.h)
         bounds = bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
-        assert len(calls) == 1
+        # one k = 1 evaluator call, which sums Var[C] once
+        assert calls == [1]
         assert repr(bounds) == expected
 
     def test_report_of_another_probe_lends_no_variance(self):

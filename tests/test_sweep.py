@@ -445,7 +445,7 @@ def _reference_row(config, t, beta):
     gaps = gap_bounds(sc.probe, sc.h)
 
     def below(x, y):
-        return x <= y + ORDERING_RTOL * max(1.0, abs(y))
+        return x <= y + ORDERING_RTOL * abs(y)
 
     chain = (v, s, prod, gaps.convexity_bound, gaps.gap_variance_bound, gaps.gap_seminorm_bound)
     ordering_ok = (

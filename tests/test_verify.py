@@ -3,7 +3,9 @@ sweeps: each reports the same detail line and repro config as when the
 values were computed point by point. Criterion 4's stacked random audit
 gives the single-point reports and detail lines."""
 
+import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +21,25 @@ from thermalqfi.thermal import gibbs_state
 from conftest import record_solver_calls
 
 
+def _rewrite_route_sums(monkeypatch, rewrite):
+    """Wrap the evaluator at every module binding: rewrite(p, sums) gives
+    the RouteSums returned for the probabilities p."""
+    original = qfi_module.route_sums
+
+    def patched(plan, p, betas):
+        return rewrite(p, original(plan, p, betas))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thermalqfi") and getattr(module, "route_sums", None) is original:
+            monkeypatch.setattr(module, "route_sums", patched)
+
+
+def _unit_general_route(monkeypatch):
+    _rewrite_route_sums(monkeypatch, lambda p, sums: sums._replace(f_general=[1.0] * len(p)))
+
+
 def test_high_temperature_vanishing_reports_the_exceeded_ceilings(monkeypatch):
-    monkeypatch.setattr(qfi_module, "_general_sum", lambda *args: 1.0)
+    _unit_general_route(monkeypatch)
     result = verify.check_high_temperature_vanishing()
     assert (result.criterion, result.name, result.passed) == (5, "high-temperature vanishing", False)
     assert result.detail == (
@@ -37,11 +56,32 @@ def test_high_temperature_vanishing_reports_the_exceeded_ceilings(monkeypatch):
 
 
 def test_oat_temperature_peak_reports_a_flat_curve(monkeypatch):
-    monkeypatch.setattr(qfi_module, "_general_sum", lambda *args: 1.0)
+    _unit_general_route(monkeypatch)
     result = verify.check_oat_temperature_peak()
     assert (result.criterion, result.name, result.passed) == (7, "twisting temperature optimum", False)
     assert result.detail == f"no interior maximum: F over P = {[1.0] * 19}"
     assert result.repro is None
+
+
+def test_three_way_agreement_catches_a_small_relative_disagreement(monkeypatch):
+    """1e-6 relative on f_thermal at F ~ 4e-4 is 4e-10 absolute, which a
+    scale of max(1, F) would forgive."""
+    original = verify._grid_rows
+
+    def perturbed(variants, twice_js):
+        for model, twice_j, beta, t, lam, row in original(variants, twice_js):
+            if (model, twice_j, beta, t, lam) == ("lmg", 2, 0.1, 0.5, 0.5):
+                row = dataclasses.replace(row, f_thermal=row.f_thermal * (1.0 + 1e-6))
+            yield model, twice_j, beta, t, lam, row
+
+    monkeypatch.setattr(verify, "_grid_rows", perturbed)
+    result = verify.check_three_way_agreement()
+    assert (result.criterion, result.passed) == (1, False)
+    assert result.detail == (
+        "route disagreement 1.000e-06 at lmg 2J=2 beta=0.1 t=0.5 lam=0.5 (f_general=0.00039226466150438927, "
+        "f_thermal=0.0003922650537690856, f_sld=0.00039226466150442434)"
+    )
+    assert result.repro == verify._point_config("lmg", 2, 0.1, 0.5, 0.5)
 
 
 def test_generator_routes_report_an_offset_finite_difference(monkeypatch):
@@ -90,11 +130,16 @@ def _no_grid(monkeypatch):
 
 
 def _huge_qfi_where(monkeypatch, condition):
-    for name in ("_general_sum", "_sld_sum"):
-        original = getattr(qfi_module, name)
-        monkeypatch.setattr(
-            qfi_module, name, lambda p, *args, _original=original: 1e300 if condition(p) else _original(p, *args)
+    """The general and SLD routes read 1e300 on every row p with condition(p)."""
+
+    def rewrite(p, sums):
+        huge = [condition(row) for row in p]
+        return sums._replace(
+            f_general=[1e300 if h else f for h, f in zip(huge, sums.f_general)],
+            f_sld=[1e300 if h else f for h, f in zip(huge, sums.f_sld)],
         )
+
+    _rewrite_route_sums(monkeypatch, rewrite)
 
 
 def test_bound_chain_reports_an_injected_violation(monkeypatch):
