@@ -8,7 +8,8 @@ C = i[H, h]:
 
 where the seminorm ||.|| is the spectral width and gap is the minimum
 nonzero level spacing of H. BoundReport evaluates every member and
-certifies the ordering within a 1e-9 relative slack.
+certifies the ordering within a 1e-9 relative slack, widened on the
+pairs that judge F by the rounding error F carries (SLD_ROUNDING).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .encoding import (
     ExplicitGenerator,
@@ -48,6 +50,19 @@ from .thermal import GibbsState, boltzmann_weights
 
 ORDERING_RTOL = 1e-9
 GAP_DEGENERACY_RTOL = 1e-9
+# The SLD route's absolute rounding error, in units of
+# sqrt(f_sld * convexity sum). Each Boltzmann weight carries a relative
+# error delta of a few eps, which p_i - p_j keeps while the difference
+# itself shrinks like beta times the level spacing at high temperature.
+# Over the pairs, by Cauchy-Schwarz, f_sld is then off by at most
+# 2 delta sqrt(f_sld * convexity sum), about eps / (beta * spacing)
+# relative: 1e-7 at beta = 1e-9, beyond ORDERING_RTOL. This covers
+# delta = 4 eps; an exact (mpmath) sum over the same matrix elements puts
+# the error below 0.6 eps sqrt(f_sld * convexity sum) for beta in
+# [1e-9, 0.3] on the oat, lmg and linear models. At larger beta the
+# rounding of the exponents dominates instead, about 1e-13 relative at
+# oat 2J = 40, beta = 1, which ORDERING_RTOL covers.
+SLD_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class UnsupportedEncodingError(TypeError):
@@ -111,11 +126,12 @@ def scheme_product_bound(rho0: GibbsState, scheme) -> float:
     return product_bound(rho0.hamiltonian, derivative, rho0.beta, scheme.t)
 
 
-def minimum_gap(eigenvalues, threshold):
+def minimum_gap(eigenvalues, threshold) -> np.ndarray:
     """Smallest pairwise level spacing exceeding the degeneracy threshold.
 
-    Takes one spectrum (n,) and a float, or a stack of spectra (k, n) and
-    k thresholds, one per spectrum, and then returns a list of k gaps.
+    eigenvalues is one spectrum (n,) or a stack of spectra (..., n), and
+    threshold broadcasts against the stack's leading axes. Returns an
+    array of that leading shape, 0-d for one spectrum.
     """
     e = np.asarray(eigenvalues, dtype=float)
     gaps = np.abs(e[..., :, None] - e[..., None, :])
@@ -123,7 +139,7 @@ def minimum_gap(eigenvalues, threshold):
     smallest = above.min(axis=(-2, -1))
     if np.any(np.isinf(smallest)):
         raise ValueError("spectrum is fully degenerate; no nonzero gap exists")
-    return smallest.tolist()
+    return smallest
 
 
 class GapBounds(NamedTuple):
@@ -141,7 +157,7 @@ def gap_bounds(rho0: GibbsState, h) -> GapBounds:
     """
     hm = require_hermitian(as_operator(h), "generator")
     comm = commutator_i(rho0.hamiltonian, hm)
-    gap = minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.hamiltonian))
+    gap = float(minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.hamiltonian)))
     return GapBounds(
         convexity_bound=_convexity_sum(rho0, hm),
         gap_variance_bound=4.0 * _thermal_variance(rho0, comm) / gap**2,
@@ -181,20 +197,27 @@ _ORDERINGS = {6: np.array(_PAIRS).T, 7: np.array(_PAIRS + [(0, 6), (2, 6)]).T}
 def _ordering_ok(chain) -> list[bool]:
     """The ordering certificate of k points, judged at once on the (6, k)
     or (7, k) array of their chain values: each x <= y within a relative
-    slack of ORDERING_RTOL * |y|."""
+    slack of ORDERING_RTOL * |y|, and where x is f also within f's
+    rounding error SLD_ROUNDING * sqrt(f * convexity sum)."""
     values = np.array(chain, dtype=float)
-    x, y = values[_ORDERINGS[len(values)]]
-    return np.all(x <= y + ORDERING_RTOL * np.abs(y), axis=0).tolist()
+    pairs = _ORDERINGS[len(values)]
+    x, y = values[pairs]
+    f, convexity = values[0], values[3]
+    f_error = SLD_ROUNDING * np.sqrt(np.abs(f)) * np.sqrt(np.abs(convexity))
+    slack = ORDERING_RTOL * np.abs(y) + np.outer(pairs[0] == 0, f_error)
+    return np.all(x <= y + slack, axis=0).tolist()
 
 
 class BoundScales(NamedTuple):
     """The beta- and t-independent scalars of the bound chain: ||H||, the
     minimum gap of the probe Hamiltonian H, and ||dH/dlambda|| (None for
-    encodings that expose no derivative)."""
+    encodings that expose no derivative). Each broadcasts against the
+    rows of bound_rows: one value for a sweep, one per scenario for a
+    stack."""
 
-    h_width: float
-    min_gap: float
-    dh_width: float | None
+    h_width: ArrayLike
+    min_gap: ArrayLike
+    dh_width: ArrayLike | None
 
 
 def _derivative(scheme) -> np.ndarray | None:
@@ -219,20 +242,15 @@ def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
     h_width = seminorm(decomposition.source, validated=True)
     return BoundScales(
         h_width=h_width,
-        min_gap=_probe_gap(decomposition.eigenvalues, h_width),
+        min_gap=float(_probe_gap(decomposition.eigenvalues, h_width)),
         dh_width=None if derivative is None else seminorm(derivative, validated=derivative is decomposition.source),
     )
 
 
-def _probe_gap(energies: np.ndarray, h_width):
+def _probe_gap(energies: np.ndarray, h_width) -> np.ndarray:
     """The minimum gap of one probe spectrum, or of each of a (k, n) stack
-    against its own entry of a list of widths."""
+    against its own one of k widths."""
     return minimum_gap(energies, GAP_DEGENERACY_RTOL * np.asarray(h_width))
-
-
-def _per_row(value, k: int) -> list:
-    """A per-row list as it is; a value shared by every row repeated k times."""
-    return value if isinstance(value, list) else [value] * k
 
 
 def bound_rows(
@@ -242,20 +260,22 @@ def bound_rows(
     with every ordering certificate judged at once on arrays.
 
     times (the evolution times of the product bound), plan.noncommutativity
-    and each field of scales are one value shared by every row or a list
-    of one value per row. f, the QFI the chain is judged on, defaults to
-    the rows' SLD route.
+    and each field of scales broadcast against the k rows, as numpy
+    broadcasts them (np.full). The chain is then formed in Python floats, row by
+    row, so each row has the bits of a single point. f, the QFI the chain
+    is judged on, defaults to the rows' SLD route.
     """
     k = len(betas)
     f = sums.f_sld if f is None else f
     var_c, convexity = sums.commutator_variance, sums.convexity
-    widths, times, h_widths, gaps, dh_widths = (
-        _per_row(value, k) for value in (plan.noncommutativity, times, *scales)
+    widths, times, h_widths, gaps = (
+        np.full(k, value).tolist() for value in (plan.noncommutativity, times, *scales[:2])
     )
+    dh_widths = None if scales.dh_width is None else np.full(k, scales.dh_width).tolist()
     v_bound = [beta**2 * var for beta, var in zip(betas, var_c)]
     s_bound = [beta**2 * width**2 / 4.0 for beta, width in zip(betas, widths)]
     p_bound = None
-    if dh_widths[0] is not None:
+    if dh_widths is not None:
         p_bound = [_product(*row) for row in zip(betas, times, h_widths, dh_widths)]
     gap_var = [4.0 * var / gap**2 for var, gap in zip(var_c, gaps)]
     gap_semi = [width**2 / gap**2 for width, gap in zip(widths, gaps)]
@@ -300,13 +320,19 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     The product bound is left out (None) for encodings that do not expose
     a Hamiltonian derivative. Bounds are reported even when vacuous; the
     certificate only checks the one-sided orderings. A qfi_result from
-    qfi_report(rho0, h) lends its plan, so the commutator and the basis
-    changes are not formed twice.
+    qfi_report on rho0's decomposition and h lends its plan, so the
+    commutator and the basis changes are not formed twice.
     """
     if h is None:
         h = transformed_generator(scheme)
-    plan = getattr(qfi_result, "plan", None)
-    if plan is None or plan.decomposition is not rho0.decomposition or plan.generator is not as_operator(h):
+    lender = getattr(qfi_result, "probe", None)
+    if (
+        lender is not None
+        and lender.decomposition is rho0.decomposition
+        and qfi_result.plan.generator is as_operator(h)
+    ):
+        plan = qfi_result.plan
+    else:
         plan = spectral_plan(rho0.decomposition, h)
     scales = bound_scales(rho0.decomposition, scheme)
     # a NumericUnitary carries no t, and has no product bound to use one
@@ -341,4 +367,4 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     weights = boltzmann_weights(evals, betas.tolist())
     scales = BoundScales(h_width, _probe_gap(evals, h_width), a_width)
     sums = route_sums(plan, weights.probabilities, weights.betas)
-    return bound_rows(plan, sums, weights.betas, times.tolist(), scales)
+    return bound_rows(plan, sums, weights.betas, times, scales)

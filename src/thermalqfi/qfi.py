@@ -12,10 +12,12 @@ probabilities of k probes as a (k, n) array and a SpectralPlan, which
 holds the beta-independent matrix elements over their nonzero support:
 either one plan shared by every row (the betas of one sweep time) or a
 plan whose arrays carry a leading axis of k (a stack of scenarios). Each
-sum is one pass over a (k, support) term array and one math.fsum per row.
-fsum is correctly rounded, so a row's result depends only on its own
-terms, not on k or on the order of the terms. The public route
-functions, qfi_report and the bound chain are its k = 1 case.
+sum is one pass over a (rows, support) term array per chunk of rows, and
+one math.fsum per row; a chunk's terms hold no more entries than the
+plan's generator and the probabilities together. fsum is correctly rounded, so a row's result depends
+only on its own terms, not on k, on the chunks or on the order of the
+terms. The public route functions, qfi_report and the bound chain are
+its k = 1 case.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ def tanhc(x):
     """
     arr = np.asarray(x, dtype=float)
     small = np.abs(arr) < 1e-5
-    if small.any():
-        safe = np.where(small, 1.0, arr)
-        out = np.where(small, 1.0 - arr * arr / 3.0 + 2.0 * arr**4 / 15.0, np.tanh(safe) / safe)
-    else:  # no entry needs the series
-        out = np.tanh(arr) / arr
+    safe = np.where(small, 1.0, arr)
+    out = np.asarray(np.tanh(safe) / safe)
+    tiny = arr[small]  # the series runs on these entries alone
+    out[small] = 1.0 - tiny * tiny / 3.0 + 2.0 * tiny**4 / 15.0
     if out.ndim == 0:
         return float(out)
     return out
@@ -181,10 +182,27 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     their k inverse temperatures. The plan's arrays either belong to one
     generator and serve every row, or carry a leading axis of k, one
     scenario per row. Row r has the bits of the k = 1 call on row r.
+
+    The rows are summed in chunks small enough that no (rows, support)
+    term array holds more entries than the arrays handed in, the plan's
+    generator and p, together: a temporary grows with the k x n
+    probabilities the caller holds, never with k x support, which for a
+    nearly dense generator is n/2 times larger. A stack's (k, n, n)
+    generators have more entries than k rows of its support, so a stack
+    is one chunk.
     """
-    convexity, f_general, f_sld = _generator_sums(p, plan.var_i, plan.h_pairs)
-    var_c, f_thermal = _commutator_sums(p, betas, plan.cdiag, plan.cdiag_abs2, plan.c_pairs, plan.c_delta)
-    return RouteSums(f_general, f_thermal, f_sld, var_c, convexity)
+    support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
+    step = max(1, (plan.generator.size + p.size) // support)
+    sums = RouteSums([], [], [], [], [])
+    for start in range(0, len(p), step):
+        rows = slice(start, start + step)
+        convexity, f_general, f_sld = _generator_sums(p[rows], plan.var_i, plan.h_pairs)
+        var_c, f_thermal = _commutator_sums(
+            p[rows], betas[rows], plan.cdiag, plan.cdiag_abs2, plan.c_pairs, plan.c_delta
+        )
+        for field, chunk in zip(sums, (f_general, f_thermal, f_sld, var_c, convexity)):
+            field.extend(chunk)
+    return sums
 
 
 def probe_sums(plan: SpectralPlan, rho0: GibbsState) -> RouteSums:
@@ -248,12 +266,13 @@ class SpectralPlan:
     built from; bound_report reuses a report's plan only for that same
     matrix.
 
-    The plan of a stack of k scenarios holds the union of their supports,
-    every array with a leading axis of k, k widths in noncommutativity
-    and no decomposition.
+    The plan of a stack of k scenarios holds the union of their supports
+    and the k generators, every array with a leading axis of k. Either
+    way each array broadcasts against the k rows of route_sums and
+    bound_rows: noncommutativity is a 0-d array for one generator and
+    holds k widths for a stack.
     """
 
-    decomposition: SpectralDecomposition | None
     generator: np.ndarray
     h_pairs: Support
     var_i: np.ndarray
@@ -261,7 +280,7 @@ class SpectralPlan:
     c_delta: np.ndarray
     cdiag: np.ndarray
     cdiag_abs2: np.ndarray
-    noncommutativity: float | list[float]
+    noncommutativity: np.ndarray
 
 
 def _relative_spread(f_general: float, f_thermal: float, f_sld: float) -> float:
@@ -293,7 +312,6 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
         decomposition.to_eigenbasis(hm),
         decomposition.to_eigenbasis(comm),
         seminorm(comm, validated=True),
-        decomposition,
     )
 
 
@@ -302,18 +320,16 @@ def plan_from_eigenbasis(
     hm: np.ndarray,
     h_eig: np.ndarray,
     c_eig: np.ndarray,
-    noncommutativity: float | list[float],
-    decomposition: SpectralDecomposition | None = None,
+    noncommutativity,
 ) -> SpectralPlan:
     """The plan from the probe energies, the validated generator hm, hm and
     C = i[H, hm] in the probe eigenbasis (h_eig, c_eig) and ||C||.
     spectral_plan forms these for one generator and its decomposition; a
     caller holding a (k, n, n) stack of scenarios passes the stacks, with
-    (k, n) energies and a list of k widths."""
+    (k, n) energies and k widths."""
     h_pairs, var_i = _generator_elements(h_eig)
     c_pairs, cdiag, cdiag_abs2, c_delta = _commutator_elements(c_eig, energies)
     return SpectralPlan(
-        decomposition=decomposition,
         generator=hm,
         h_pairs=h_pairs,
         var_i=var_i,
@@ -321,7 +337,7 @@ def plan_from_eigenbasis(
         c_delta=c_delta,
         cdiag=cdiag,
         cdiag_abs2=cdiag_abs2,
-        noncommutativity=noncommutativity,
+        noncommutativity=np.asarray(noncommutativity, dtype=float),
     )
 
 

@@ -130,3 +130,27 @@ def test_tanhc_runs_once_per_criterion_4_stack(monkeypatch):
     # one call per dimension 2..8, over that dimension's whole stack
     assert [shape[0] for shape in calls] == [sizes.count(dim) for dim in range(2, 9)]
 
+
+
+def test_a_long_beta_grid_is_summed_in_chunks_no_larger_than_the_inputs(monkeypatch):
+    # lmg couples almost every pair of levels, so its support is nearly n^2
+    probe_h, scheme = model_encoding("lmg", 10, 1.0, lam=1.0)
+    decomposition = eigendecompose(probe_h, "Hamiltonian")
+    plan = spectral_plan(decomposition, generator_family(scheme)(1.0))
+    betas = np.linspace(0.05, 5.0, 400).tolist()
+    weights = boltzmann_weights(decomposition.eigenvalues, betas)
+    chunks = []
+    original = qfi_module._generator_sums
+
+    def recording(p, var_i, h):
+        chunks.append(p.shape[0])
+        return original(p, var_i, h)
+
+    monkeypatch.setattr(qfi_module, "_generator_sums", recording)
+    sums = route_sums(plan, weights.probabilities, weights.betas)
+    support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows))
+    assert sum(chunks) == len(betas) and len(chunks) > 1
+    assert max(chunks) * support <= plan.generator.size + weights.probabilities.size
+    for r, beta in enumerate(betas):
+        single = route_sums(plan, weights.probabilities[r:r + 1], [beta])
+        assert repr(tuple(field[r] for field in sums)) == repr(tuple(field[0] for field in single))

@@ -8,6 +8,7 @@ import pytest
 import thermalqfi.operators as operators
 from thermalqfi.bounds import (
     ORDERING_RTOL,
+    SLD_ROUNDING,
     bound_scales,
     evaluate_point,
     gap_bounds,
@@ -444,12 +445,14 @@ def _reference_row(config, t, beta):
     prod = scheme_product_bound(sc.probe, sc.scheme)
     gaps = gap_bounds(sc.probe, sc.h)
 
-    def below(x, y):
-        return x <= y + ORDERING_RTOL * abs(y)
+    def below(x, y, rounding=0.0):
+        return x <= y + ORDERING_RTOL * abs(y) + rounding
 
+    # f is also forgiven its own rounding error
+    f_rounding = SLD_ROUNDING * math.sqrt(abs(f)) * math.sqrt(abs(gaps.convexity_bound))
     chain = (v, s, prod, gaps.convexity_bound, gaps.gap_variance_bound, gaps.gap_seminorm_bound)
     ordering_ok = (
-        all(below(f, bound) for bound in chain)
+        all(below(f, bound, f_rounding) for bound in chain)
         and below(v, s) and below(s, prod)
         and below(gaps.convexity_bound, gaps.gap_variance_bound)
         and below(gaps.gap_variance_bound, gaps.gap_seminorm_bound)
