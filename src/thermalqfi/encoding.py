@@ -127,11 +127,14 @@ def _phase_kernel(delta: np.ndarray, t: float) -> np.ndarray:
 class EncodingSpectrum:
     """The time-independent half of the spectral-kernel generator: the
     eigendecomposition of H(lambda), V = W^dagger dH/dlambda W and the
-    level differences E_m - E_n."""
+    level differences E_m - E_n. When H(lambda) split into parity blocks
+    and dH/dlambda conserves parity too, V is an exact zero across the
+    blocks, and v_eig and delta are tuples holding one array per block,
+    over that block's levels."""
 
     decomposition: SpectralDecomposition
-    v_eig: np.ndarray
-    delta: np.ndarray
+    v_eig: np.ndarray | tuple[np.ndarray, ...]
+    delta: np.ndarray | tuple[np.ndarray, ...]
 
 
 def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
@@ -145,17 +148,29 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
     if dec.source.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
+    v_eig = dec.to_eigenbasis(v)
+    delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
+    if dec.blocks is not None and not (v[0::2, 1::2].any() or v[1::2, 0::2].any()):
+        sectors = [np.ix_(block.positions, block.positions) for block in dec.blocks]
+        v_eig, delta = (tuple(x[sector] for sector in sectors) for x in (v_eig, delta))
     return EncodingSpectrum(
         decomposition=replace(dec, source=None),  # the basis only, not H(lambda) itself
-        v_eig=dec.to_eigenbasis(v),
-        delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
+        v_eig=v_eig,
+        delta=delta,
     )
 
 
 def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
-    """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated back."""
-    h_eig = spectrum.v_eig * _phase_kernel(spectrum.delta, _check_time(t))
-    h = spectrum.decomposition.from_eigenbasis(h_eig)
+    """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated
+    back; over the same-parity pairs only, block by block, when V is split
+    by parity (see EncodingSpectrum)."""
+    t = _check_time(t)
+    dec = spectrum.decomposition
+    if isinstance(spectrum.v_eig, tuple):
+        parts = [v * _phase_kernel(delta, t) for v, delta in zip(spectrum.v_eig, spectrum.delta)]
+        h = dec.from_block_eigenbases(parts)
+    else:
+        h = dec.from_eigenbasis(spectrum.v_eig * _phase_kernel(spectrum.delta, t))
     if logger.isEnabledFor(logging.DEBUG):
         residue = 0.5 * hermiticity_defect(h)
         if residue > 0.0:

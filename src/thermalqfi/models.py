@@ -24,7 +24,8 @@ from .encoding import (
     TransformedLocalGenerator,
     transformed_generator,
 )
-from .spin import check_twice_j, spin_operators
+from . import operators
+from .spin import banded_jz_jx_squared, check_twice_j, spin_operators
 from .thermal import GibbsState, gibbs_state
 
 MODELS = ("linear", "oat", "lmg")
@@ -51,10 +52,20 @@ def _symmetrized_square(a: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
+def _jz_jx_squared(twice_j) -> tuple[np.ndarray, np.ndarray]:
+    """(J_z, J_x^2) for the twisting and collective-spin models: the dense
+    product of J_x up to operators.DENSE_MAX_DIM, whose bits the figure
+    and verify outputs pin, and the bands above it."""
+    if check_twice_j(twice_j) + 1 > operators.DENSE_MAX_DIM:
+        return banded_jz_jx_squared(twice_j)
+    jx, _, jz = spin_operators(twice_j)
+    return jz, _symmetrized_square(jx)
+
+
 def lmg_hamiltonian(twice_j, lam: float) -> np.ndarray:
     """Collective-spin encoding Hamiltonian J_x^2 + lambda J_z."""
-    jx, _, jz = spin_operators(twice_j)
-    return _symmetrized_square(jx) + float(lam) * jz
+    jz, jx2 = _jz_jx_squared(twice_j)
+    return jx2 + float(lam) * jz
 
 
 def model_encoding(model: str, twice_j, t, axis: str = "x", lam=None) -> tuple[np.ndarray, EncodingScheme]:
@@ -65,12 +76,12 @@ def model_encoding(model: str, twice_j, t, axis: str = "x", lam=None) -> tuple[n
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
     if model == "lmg" and lam is None:
         raise ValueError("the lmg model requires lambda")
-    jx, jy, jz = spin_operators(twice_j)
     if model == "linear":
+        jx, jy, jz = spin_operators(twice_j)
         return jz, ExplicitGenerator({"x": jx, "y": jy, "z": jz}[axis], t)
+    jz, jx2 = _jz_jx_squared(twice_j)
     if model == "oat":
-        return jz, ExplicitGenerator(_symmetrized_square(jx), t)
-    jx2 = _symmetrized_square(jx)
+        return jz, ExplicitGenerator(jx2, t)
     family = HamiltonianFamily(
         hamiltonian=lambda value: jx2 + value * jz,
         dh_dlambda=jz,

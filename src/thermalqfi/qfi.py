@@ -14,10 +14,13 @@ either one plan shared by every row (the betas of one sweep time) or a
 plan whose arrays carry a leading axis of k (a stack of scenarios). Each
 sum is one pass over a (rows, support) term array per chunk of rows, and
 one math.fsum per row; a chunk's terms hold no more entries than the
-plan's generator and the probabilities together. fsum is correctly rounded, so a row's result depends
-only on its own terms, not on k, on the chunks or on the order of the
-terms. The public route functions, qfi_report and the bound chain are
-its k = 1 case.
+plan's generator and the probabilities together. fsum is correctly
+rounded, so a row's result depends only on its own terms, not on k, on
+the chunks or on the order of the terms. A row of EXACT_SUM_MIN_TERMS
+terms or more is summed exactly in buckets of the terms' binary
+exponents instead (_exact_sum), which returns fsum's bits in a few
+array passes. The public route functions, qfi_report and the bound
+chain are its k = 1 case.
 """
 
 from __future__ import annotations
@@ -36,6 +39,13 @@ from .thermal import GibbsState
 # weight falls below this are outside the support sum
 SUPPORT_TOL = 1e-14
 NEGATIVE_CLAMP = 1e-10
+# Rows of at least this many terms are summed by _exact_sum instead of
+# math.fsum: 1,024 terms take about 60 us either way, and 80,000 terms
+# (an lmg row at 2J = 400) 7.6 ms in fsum against 2.8 ms.
+EXACT_SUM_MIN_TERMS = 1024
+# the smallest normal binary exponent, as np.frexp counts it; subnormals
+# share its bucket
+_MIN_BUCKET_EXP = -1021
 
 
 def tanhc(x):
@@ -117,9 +127,45 @@ def _commutator_elements(ct, energies):
     return pairs, np.real(_diagonal(ct)).copy(), _diagonal(cabs2).copy(), delta
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum of a 1-D float array, bit for bit.
+
+    From EXACT_SUM_MIN_TERMS terms on, the terms are summed exactly in
+    buckets of their binary exponent (Demmel & Hida, SIAM J. Sci. Comput.
+    25, 1214, 2003): x = M 2^(e - 53) with an integer mantissa |M| < 2^53
+    (e clamped at -1021, so the subnormals share one bucket), split as
+    M / 2^26 = whole + frac into its high part and its 26 low bits
+    (frac a multiple of 2^-26). Fewer than 2^26 terms per bucket keep
+    every partial sum of either part an exactly representable multiple,
+    so each bucket total times 2^(e - 27) is exact, and one fsum of the
+    bucket totals is the correctly rounded sum of x, as fsum's own.
+    A short row, a non-finite term, or an exponent at which a bucket
+    could overflow leaves the row to math.fsum, and so does a row whose
+    terms are all zeros, whose sign fsum decides.
+    """
+    if x.size < EXACT_SUM_MIN_TERMS or x.size >= 2**26 or not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    exponents = np.frexp(x)[1]
+    np.maximum(exponents, _MIN_BUCKET_EXP, out=exponents)
+    low, high = int(exponents.min()), int(exponents.max())
+    if high + x.size.bit_length() > 1023:
+        return math.fsum(x.tolist())
+    frac, whole = np.modf(np.ldexp(x, 27 - exponents))
+    exponents -= low
+    scale = np.arange(low - 27, high - 26)
+    buckets = np.concatenate(
+        (np.ldexp(np.bincount(exponents, weights=whole), scale), np.ldexp(np.bincount(exponents, weights=frac), scale))
+    )
+    buckets = buckets[buckets != 0.0]
+    return math.fsum((buckets if buckets.size else x).tolist())
+
+
 def _fsum_rows(terms: np.ndarray) -> list[float]:
-    """One math.fsum per row of a (k, m) term array."""
-    return [math.fsum(row.tolist()) for row in terms]
+    """One math.fsum per row of a (k, m) term array; long rows go through
+    _exact_sum, with the same bits."""
+    if terms.shape[1] < EXACT_SUM_MIN_TERMS:
+        return [math.fsum(row.tolist()) for row in terms]
+    return [_exact_sum(row) for row in terms]
 
 
 def _generator_sums(p, var_i, h: Support):
@@ -138,12 +184,18 @@ def _generator_sums(p, var_i, h: Support):
     pair_sum = np.where(mask, pair_sum, 1.0)  # a dropped pair is never divided by its weight
     general_terms = (8.0 * (pi * pj) / pair_sum * h.values)[mask]
     sld_terms = (2.0 * (pi - pj) ** 2 / pair_sum * h.values)[mask]
+    exact = h.rows.size >= EXACT_SUM_MIN_TERMS  # a row's terms may be long enough for _exact_sum
     f_general, f_sld = [], []
     start = 0
     for first, count in zip(convexity, kept):
         stop = start + count
-        f_general.append(_clamped(first - math.fsum(general_terms[start:stop].tolist()), "general-route QFI"))
-        f_sld.append(_clamped(math.fsum(sld_terms[start:stop].tolist()), "SLD-route QFI"))
+        general, sld = general_terms[start:stop], sld_terms[start:stop]
+        if exact:
+            general, sld = _exact_sum(general), _exact_sum(sld)
+        else:
+            general, sld = math.fsum(general.tolist()), math.fsum(sld.tolist())
+        f_general.append(_clamped(first - general, "general-route QFI"))
+        f_sld.append(_clamped(sld, "SLD-route QFI"))
         start = stop
     return convexity, f_general, f_sld
 

@@ -108,6 +108,17 @@ def test_sweep_stdout_json(tmp_path, capsys):
     assert rows[0]["model"] == "oat"
 
 
+@pytest.mark.parametrize("model", ["oat", "linear"])
+def test_sweep_with_closed_forms_at_low_temperature(tmp_path, capsys, model):
+    cfg = {"model": model, "twice_j": 10, "beta_grid": [1e3, 1e4, 1e5], "t_grid": [1.0]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    expected = 45.0 if model == "oat" else 10.0  # t^2 J (2J - 1) and 2J t^2
+    assert [row["closed_qfi"] for row in rows] == [pytest.approx(expected, rel=1e-14)] * 3
+
+
 def test_sweep_config_error_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": "nope"}), encoding="utf-8")

@@ -14,9 +14,9 @@ from thermalqfi.closed_forms import (
     oat_seminorm_semiclassical,
     oat_variance_closed,
 )
-from thermalqfi.models import build_scenario
+from thermalqfi.models import build_scenario, closed_forms_for
 from thermalqfi.operators import seminorm
-from thermalqfi.qfi import qfi_general
+from thermalqfi.qfi import qfi_general, qfi_report
 from thermalqfi.spin import oat_commutator, spin_operators
 from thermalqfi.thermal import beta_from_polarization, gibbs_state, partition_moment_ratio
 
@@ -164,6 +164,40 @@ class TestOatClosedForms:
         peak = int(np.argmax(values))
         assert 0 < peak < len(values) - 1
         assert values[peak] > max(values[0], values[-1])
+
+
+class TestLowTemperature:
+    """Past the overflow point of the original forms the bounded forms take
+    over, finite for every beta and still matching the pipeline."""
+
+    @pytest.mark.parametrize("twice_j", [2, 10, 200])
+    @pytest.mark.parametrize("beta", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("model", ["oat", "linear"])
+    def test_matches_pipeline(self, model, beta, twice_j):
+        scenario = build_scenario(model, twice_j, beta, 1.3)
+        report = qfi_report(scenario.probe, scenario.h)
+        numeric = variance_bound(scenario.probe, scenario.h)
+        qfi_form, variance_form = closed_forms_for(model, "x")
+        assert qfi_form(twice_j, beta, 1.3) == pytest.approx(report.f_sld, rel=1e-8, abs=0.0)
+        assert variance_form(twice_j, beta, 1.3) == pytest.approx(numeric, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("twice_j", [10, 200])
+    def test_ground_state_limits(self, twice_j):
+        # F -> t^2 J (2J - 1) and beta^2 Var[C] -> beta^2 t^2 J (2J - 1) for
+        # the twisting model; Var[J_y] -> J/2 in the ground state
+        j = twice_j / 2.0
+        for beta in (300.0, 700.0, 1e3, 1e5):
+            assert oat_qfi_closed(twice_j, beta, 1.0) == pytest.approx(j * (2.0 * j - 1.0), rel=1e-14)
+            assert oat_variance_closed(twice_j, beta, 1.0) == pytest.approx(beta**2 * j * (2.0 * j - 1.0), rel=1e-14)
+            assert linear_variance_closed(twice_j, beta, 1.0) == pytest.approx(beta**2 * j / 2.0, rel=1e-12)
+
+    def test_switch_over_lies_above_the_overflow_free_range(self):
+        # below beta = 350 no form switches, at any 2J up to the cap
+        from thermalqfi import closed_forms
+
+        assert closed_forms._OAT_VARIANCE_SWITCH > 355.0
+        assert not closed_forms._oat_large_beta(2000, 690.0)
+        assert closed_forms._oat_large_beta(2000, 700.0)
 
 
 class TestSemiclassicalSeminorm:

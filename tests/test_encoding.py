@@ -85,6 +85,34 @@ class TestIntegral:
         assert seminorm(h) <= 1.7 * seminorm(deriv) + 1e-8
 
 
+class TestBlockKernel:
+    @pytest.mark.parametrize("twice_j", [100, 101])
+    def test_block_kernel_has_the_bits_of_the_full_array_kernel(self, twice_j):
+        from dataclasses import replace
+
+        jz = spin_operators(twice_j)[2]
+        family = HamiltonianFamily(lambda lam: lmg_hamiltonian(twice_j, lam), jz, 0.6, 2.3)
+        spectrum = encoding.encoding_spectrum(family)
+        assert isinstance(spectrum.v_eig, tuple)  # J_z conserves parity
+        dec = spectrum.decomposition
+        full = replace(
+            spectrum,
+            v_eig=dec.to_eigenbasis(jz),
+            delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
+        )
+        blocked = encoding.generator_at(spectrum, 2.3).h
+        np.testing.assert_array_equal(blocked, encoding.generator_at(full, 2.3).h)
+
+    def test_a_parity_mixing_derivative_keeps_the_full_kernel(self):
+        jx, _, jz = spin_operators(100)
+        family = HamiltonianFamily(lambda lam: lmg_hamiltonian(100, lam), jx, 0.6, 2.3)
+        spectrum = encoding.encoding_spectrum(family)
+        assert spectrum.decomposition.blocks is not None
+        assert not isinstance(spectrum.v_eig, tuple)
+        h = encoding.generator_at(spectrum, 2.3).h
+        assert h[0::2, 1::2].any()  # J_x couples the two parities
+
+
 class TestFiniteDifference:
     def test_explicit_generator_recovered(self):
         jx, _, _ = spin_operators(2)

@@ -554,13 +554,40 @@ class TestParityBlocks:
         assert eigendecompose(jx).blocks is None
         assert calls == [(101, True)]
 
-    def test_complex_blocks_stay_complex(self, monkeypatch):
+    def test_tridiagonal_complex_blocks_are_solved_real(self, monkeypatch):
         _, _, jz = spin_operators(100)
         c = commutator_i(jz, _jx_squared(100))  # i times a real antisymmetric matrix
         calls = record_solver_calls(monkeypatch, "eigvalsh")
         width = seminorm(c)
+        # each block is Hermitian tridiagonal: a diagonal phase similarity
+        # away from a real symmetric one
+        assert calls == _halves(101)
+        evals = np.linalg.eigvalsh(c)
+        assert width == pytest.approx(evals[-1] - evals[0], rel=1e-12)
+
+    def test_complex_blocks_stay_complex(self, monkeypatch):
+        from thermalqfi.models import build_scenario
+
+        scenario = build_scenario("lmg", 100, 0.7, 2.3, lam=0.6)
+        c = commutator_i(scenario.probe.hamiltonian, scenario.h.h)  # dense within each block
+        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        width = seminorm(c)
         assert calls == [(51, True), (50, True)]
         evals = np.linalg.eigvalsh(c)
+        assert width == pytest.approx(evals[-1] - evals[0], rel=1e-12)
+
+    @pytest.mark.parametrize("twice_j", [100, 101, 400])
+    def test_tridiagonal_block_widths_match_dense(self, twice_j):
+        # a Hermitian matrix with offsets 0 and +-2 and random complex
+        # phases: each parity block is complex tridiagonal
+        rng = np.random.default_rng(twice_j)
+        n = twice_j + 1
+        m = np.zeros((n, n), dtype=np.complex128)
+        k = np.arange(n - 2)
+        m[k + 2, k] = rng.normal(size=n - 2) + 1j * rng.normal(size=n - 2)
+        m = m + m.conj().T + np.diag(rng.normal(size=n))
+        width = seminorm(m)
+        evals = np.linalg.eigvalsh(m)
         assert width == pytest.approx(evals[-1] - evals[0], rel=1e-12)
 
     @pytest.mark.parametrize("twice_j", [100, 101])

@@ -9,7 +9,7 @@ from thermalqfi.encoding import ExplicitGenerator, transformed_generator
 from thermalqfi.models import build_scenario
 from thermalqfi.operators import NotHermitianError
 from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, spectral_plan, tanhc
-from thermalqfi.spin import spin_operators
+from thermalqfi.spin import m_values, spin_operators
 from thermalqfi.thermal import SpectralProbe, gibbs_state
 
 from conftest import hermitian_pairs, random_hermitian, record_solver_calls
@@ -402,7 +402,7 @@ class TestSupportSums:
 
 
 class TestParityBlockAgreement:
-    @pytest.mark.parametrize("twice_j", [100, 200, 400])
+    @pytest.mark.parametrize("twice_j", [100, 101, 200, 400])
     @pytest.mark.parametrize(
         "model, axis, lam", [("oat", "x", None), ("lmg", "x", 1.0), ("lmg", "x", -0.7), ("linear", "y", None)],
         ids=["oat", "lmg", "lmg-neg", "linear"],
@@ -431,3 +431,122 @@ class TestParityBlockAgreement:
             if isinstance(b, float):
                 assert a == pytest.approx(b, rel=1e-12, abs=0.0), f.name
         assert blocked_bounds.ordering_ok == dense_bounds.ordering_ok
+
+
+def _point(model, twice_j, lam=None):
+    from thermalqfi.bounds import bound_report
+
+    scenario = build_scenario(model, twice_j, 0.7, 2.3, lam=lam)
+    report = qfi_report(scenario.probe, scenario.h)
+    return report, bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
+
+
+class TestBandPath:
+    """Above DENSE_MAX_DIM the twisting and collective-spin models take J_z
+    and J_x^2 from their bands, and every solve is half size."""
+
+    @pytest.mark.parametrize("twice_j", [100, 101, 200, 400, 2000])
+    def test_band_built_matrices_match_the_dense_product(self, twice_j):
+        import thermalqfi.models as models
+
+        dense = models._symmetrized_square(spin_operators(twice_j)[0])
+        jz, scheme = models.model_encoding("oat", twice_j, 1.0)
+        np.testing.assert_array_equal(jz, np.diag(m_values(twice_j)))
+        assert np.abs(scheme.generator - dense).max() <= 1e-15 * np.abs(dense).max()
+        dense += 0.6 * jz
+        h = models.lmg_hamiltonian(twice_j, 0.6)
+        assert np.abs(h - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("twice_j, banded", [(80, False), (81, True), (400, True)])
+    @pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", 0.6)], ids=["oat", "lmg"])
+    def test_no_dense_operator_or_product_above_the_threshold(self, model, lam, twice_j, banded, monkeypatch):
+        import thermalqfi.models as models
+        import thermalqfi.spin as spin
+
+        def refuse(*args):
+            raise AssertionError("dense construction")
+
+        monkeypatch.setattr(spin, "spin_operators", refuse)
+        monkeypatch.setattr(models, "spin_operators", refuse)
+        monkeypatch.setattr(models, "_symmetrized_square", refuse)
+        if banded:
+            _point(model, twice_j, lam)
+        else:
+            with pytest.raises(AssertionError, match="dense construction"):
+                _point(model, twice_j, lam)
+
+    def test_oat_makes_only_real_half_size_width_solves(self, monkeypatch):
+        eighs = record_solver_calls(monkeypatch, "eigh")
+        eigvalshs = record_solver_calls(monkeypatch, "eigvalsh")
+        _point("oat", 400)
+        assert eighs == []
+        # ||C|| and ||J_x^2||, two parity blocks each
+        assert sorted(eigvalshs) == [(200, False), (200, False), (201, False), (201, False)]
+
+    def test_lmg_keeps_two_real_half_size_eighs(self, monkeypatch):
+        eighs = record_solver_calls(monkeypatch, "eigh")
+        _point("lmg", 400, 0.6)
+        assert eighs == [(201, False), (200, False)]
+
+
+class TestExactSum:
+    """qfi._exact_sum equals math.fsum bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.one_of(st.integers(1000, 1100), st.integers(1, 6000)),
+        low=st.integers(-1074, 990),
+        spread=st.integers(0, 2000),
+        cancel=st.booleans(),
+    )
+    def test_equals_fsum(self, seed, length, low, spread, cancel):
+        from thermalqfi.qfi import _exact_sum
+
+        rng = np.random.default_rng(seed)
+        high = min(low + spread, 996)  # |x| up to about 1e300
+        x = rng.choice([-1.0, 1.0], size=length) * np.ldexp(rng.uniform(0.5, 1.0, size=length), rng.integers(low, high + 1, size=length))
+        if cancel:  # every term meets its negation: the exact sum is zero
+            x = np.concatenate((x, -x[::-1]))
+        expected = math.fsum(x.tolist())
+        got = _exact_sum(x)
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("length", [1023, 1024, 1025, 80000])
+    def test_both_sides_of_the_threshold(self, length):
+        from thermalqfi.qfi import EXACT_SUM_MIN_TERMS, _exact_sum
+
+        assert EXACT_SUM_MIN_TERMS == 1024
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=length) * 10.0 ** rng.uniform(-300, 300, size=length)
+        x[::7] = 5e-324 * rng.integers(-9, 9, size=x[::7].size)  # subnormals
+        assert _exact_sum(x) == math.fsum(x.tolist())
+
+    @pytest.mark.parametrize(
+        "special",
+        [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [1e308] * 2, [-0.0]],
+        ids=["inf", "-inf", "nan", "inf-inf", "overflow", "negative-zeros"],
+    )
+    def test_non_finite_and_overflowing_rows_behave_as_fsum(self, special):
+        from thermalqfi.qfi import _exact_sum
+
+        x = np.array(special * 2000 if special == [-0.0] else special + [1.0] * 2000)
+
+        def outcome(f):
+            try:
+                return repr(f(x))
+            except (ValueError, OverflowError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        assert outcome(_exact_sum) == outcome(lambda v: math.fsum(v.tolist()))
+
+    @pytest.mark.parametrize("twice_j", [100, 400])
+    def test_lmg_reports_do_not_depend_on_the_threshold(self, twice_j, monkeypatch):
+        import thermalqfi.qfi as qfi
+
+        report, bounds = _point("lmg", twice_j, 0.6)
+        assert report.plan.h_pairs.rows.size >= qfi.EXACT_SUM_MIN_TERMS  # the kernel sums these rows
+        monkeypatch.setattr(qfi, "EXACT_SUM_MIN_TERMS", 10**9)
+        fsum_report, fsum_bounds = _point("lmg", twice_j, 0.6)
+        assert repr(report) == repr(fsum_report)
+        assert repr(bounds) == repr(fsum_bounds)
