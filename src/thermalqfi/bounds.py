@@ -32,7 +32,6 @@ from .operators import (
     SpectralDecomposition,
     certified_eigh,
     commutator_i,
-    require_hermitian,
     seminorm,
     stacked_seminorms,
 )
@@ -42,7 +41,6 @@ from .qfi import (
     SpectralPlan,
     plan_from_eigenbasis,
     probe_sums,
-    report_from_sums,
     route_sums,
     spectral_plan,
 )
@@ -89,7 +87,7 @@ def _convexity_sum(rho0: GibbsState, hm: np.ndarray) -> float:
 
 
 def _probe_commutator(rho0: GibbsState, h) -> np.ndarray:
-    return commutator_i(rho0.hamiltonian, require_hermitian(as_operator(h), "generator"))
+    return commutator_i(rho0.hamiltonian, as_operator(h))
 
 
 def noncommutativity(hamiltonian, h) -> float:
@@ -155,7 +153,7 @@ def gap_bounds(rho0: GibbsState, h) -> GapBounds:
     The gap treats spacings below 1e-9 * ||H|| as degenerate; a fully
     degenerate probe Hamiltonian has no usable gap and raises.
     """
-    hm = require_hermitian(as_operator(h), "generator")
+    hm = as_operator(h)
     comm = commutator_i(rho0.hamiltonian, hm)
     gap = float(minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.hamiltonian)))
     return GapBounds(
@@ -234,16 +232,16 @@ def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
     """The scales for the probe Hamiltonian H, read as the source of its
     eigendecomposition.
 
-    The gap treats spacings below 1e-9 * ||H|| as degenerate. H, and a
-    derivative that is H itself (J_z as the lmg dH/dlambda), were
-    validated when H was decomposed and are not scanned again.
+    The gap treats spacings below 1e-9 * ||H|| as degenerate. Nothing is
+    scanned for Hermiticity: H was validated when it was decomposed, and
+    dH/dlambda when the scheme carrying it was made.
     """
     derivative = _derivative(scheme)
     h_width = seminorm(decomposition.source, validated=True)
     return BoundScales(
         h_width=h_width,
         min_gap=float(_probe_gap(decomposition.eigenvalues, h_width)),
-        dh_width=None if derivative is None else seminorm(derivative, validated=derivative is decomposition.source),
+        dh_width=None if derivative is None else seminorm(derivative, validated=True),
     )
 
 
@@ -289,54 +287,33 @@ def bound_rows(
     ]
 
 
-def evaluate_point(
-    plan: SpectralPlan,
-    rho0: GibbsState,
-    scales: BoundScales,
-    t: float | None,
-    qfi_result: QfiReport | None = None,
-) -> tuple[QfiReport, BoundReport]:
-    """The three QFI routes and every bound at one temperature, from a plan:
-    the k = 1 case of route_sums and bound_rows.
-
-    t is the evolution time of the product bound. A qfi_result that
-    qfi_report made from this very plan and probe lends its sums, so
-    Var[C] and the convexity sum are not summed again; any qfi_result
-    lends its f_sld as the QFI the chain is judged on.
-    """
-    if qfi_result is not None and qfi_result.plan is plan and qfi_result.probe is rho0:
-        sums = qfi_result.sums
-    else:
-        sums = probe_sums(plan, rho0)
-    if qfi_result is None:
-        qfi_result = report_from_sums(plan, rho0, sums)
-    (bounds,) = bound_rows(plan, sums, (rho0.beta,), t, scales, f=(qfi_result.f_sld,))
-    return qfi_result, bounds
-
-
 def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None = None) -> BoundReport:
-    """Evaluate every bound for a probe plus encoding and certify the chain.
+    """Evaluate every bound for a probe plus encoding and certify the chain:
+    the k = 1 case of route_sums and bound_rows.
 
     The product bound is left out (None) for encodings that do not expose
     a Hamiltonian derivative. Bounds are reported even when vacuous; the
-    certificate only checks the one-sided orderings. A qfi_result from
-    qfi_report on rho0's decomposition and h lends its plan, so the
-    commutator and the basis changes are not formed twice.
+    certificate only checks the one-sided orderings. A qfi_result that
+    qfi_report made for this very probe and generator lends its plan and
+    sums, so neither the commutator nor Var[C] is formed twice; any
+    qfi_result lends its f_sld as the QFI the chain is judged on.
     """
     if h is None:
         h = transformed_generator(scheme)
-    lender = getattr(qfi_result, "probe", None)
     if (
-        lender is not None
-        and lender.decomposition is rho0.decomposition
+        qfi_result is not None
+        and qfi_result.probe is rho0
         and qfi_result.plan.generator is as_operator(h)
     ):
-        plan = qfi_result.plan
+        plan, sums = qfi_result.plan, qfi_result.sums
     else:
         plan = spectral_plan(rho0.decomposition, h)
+        sums = probe_sums(plan, rho0)
     scales = bound_scales(rho0.decomposition, scheme)
+    f = None if qfi_result is None else (qfi_result.f_sld,)
     # a NumericUnitary carries no t, and has no product bound to use one
-    return evaluate_point(plan, rho0, scales, getattr(scheme, "t", None), qfi_result)[1]
+    (bounds,) = bound_rows(plan, sums, (rho0.beta,), getattr(scheme, "t", None), scales, f=f)
+    return bounds
 
 
 def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundReport]:

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     temp.add_argument("--beta", type=float, help="inverse temperature (k_B = 1)")
     temp.add_argument("--p", type=float, help="polarization tanh(beta/2) in [0, 1)")
     compute.add_argument("--t", required=True, type=float, help="evolution time")
-    compute.add_argument("--axis", default="x", choices=AXES, help="encoding axis (linear model only)")
+    compute.add_argument("--axis", choices=AXES, help="encoding axis (linear model only; default x)")
     compute.add_argument("--lam", type=float, help="encoding parameter (lmg model only)")
     compute.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -84,8 +84,10 @@ def _cmd_compute(args) -> int:
         raise ConfigError("lambda: only valid for the lmg model")
     if args.lam is not None and not math.isfinite(args.lam):
         raise ConfigError("lambda: must be a finite number")
+    if args.model != "linear" and args.axis is not None:
+        raise ConfigError("axis: only valid for the linear model")
     try:
-        scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=args.axis, lam=args.lam)
+        scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=args.axis or "x", lam=args.lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = qfi_report(scenario.probe, scenario.h)

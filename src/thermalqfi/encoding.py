@@ -20,7 +20,6 @@ import numpy as np
 
 from .operators import (
     SpectralDecomposition,
-    as_complex_matrix,
     eigendecompose,
     hermiticity_defect,
     matrix_exp_scaled,
@@ -50,7 +49,7 @@ class ExplicitGenerator:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "generator", as_complex_matrix(self.generator))
+        object.__setattr__(self, "generator", require_hermitian(self.generator, "generator"))
         object.__setattr__(self, "t", _check_time(self.t))
 
 
@@ -64,7 +63,7 @@ class HamiltonianFamily:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dh_dlambda", as_complex_matrix(self.dh_dlambda))
+        object.__setattr__(self, "dh_dlambda", require_hermitian(self.dh_dlambda, "dH/dlambda"))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "t", _check_time(self.t))
 
@@ -91,22 +90,27 @@ EncodingScheme = ExplicitGenerator | HamiltonianFamily | NumericUnitary
 @dataclass(frozen=True, eq=False)
 class TransformedLocalGenerator:
     """Hermitian generator of parameter changes in the probe frame, with a
-    tag recording which route produced it."""
+    tag recording which route produced it. h is validated here, so no
+    consumer scans it again."""
 
     h: np.ndarray
     method: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "h", require_hermitian(self.h, "generator"))
+
 
 def as_operator(h) -> np.ndarray:
-    """Accept either a TransformedLocalGenerator or a bare matrix."""
+    """The validated matrix of a TransformedLocalGenerator, or a bare
+    matrix validated here: the one gate for a bare generator array."""
     if isinstance(h, TransformedLocalGenerator):
         return h.h
-    return as_complex_matrix(h)
+    return require_hermitian(h, "generator")
 
 
 def generator_explicit(a, t) -> TransformedLocalGenerator:
     """h = t * A, exact for U = exp(-i lambda A t)."""
-    return TransformedLocalGenerator(_check_time(t) * require_hermitian(a, "generator"), "explicit")
+    return transformed_generator(ExplicitGenerator(a, t))
 
 
 def _phase_kernel(delta: np.ndarray, t: float) -> np.ndarray:
@@ -145,7 +149,7 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     H(lambda) that splits into parity blocks changes basis block by
     block."""
     dec = eigendecompose(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
-    v = require_hermitian(scheme.dh_dlambda, "dH/dlambda")
+    v = scheme.dh_dlambda
     if dec.source.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
     v_eig = dec.to_eigenbasis(v)
@@ -175,7 +179,8 @@ def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
         residue = 0.5 * hermiticity_defect(h)
         if residue > 0.0:
             logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    return TransformedLocalGenerator(0.5 * (h + h.conj().T), "integral")
+    h = 0.5 * (h + h.conj().T)  # rebound, so the raw h is freed before the scan
+    return TransformedLocalGenerator(h, "integral")
 
 
 def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
@@ -208,7 +213,7 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
 
 def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
     if isinstance(scheme, ExplicitGenerator):
-        return generator_explicit(scheme.generator, scheme.t)
+        return TransformedLocalGenerator(scheme.t * scheme.generator, "explicit")
     if isinstance(scheme, HamiltonianFamily):
         return generator_integral(scheme)
     if isinstance(scheme, NumericUnitary):
@@ -221,7 +226,7 @@ def generator_family(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[
     (the eigendecomposition of H(lambda)) done once; scheme.t is ignored."""
     if isinstance(scheme, ExplicitGenerator):
         generator = scheme.generator
-        return lambda t: generator_explicit(generator, t)
+        return lambda t: TransformedLocalGenerator(_check_time(t) * generator, "explicit")
     if isinstance(scheme, HamiltonianFamily):
         spectrum = encoding_spectrum(scheme)
         return lambda t: generator_at(spectrum, t)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import as_operator
-from .operators import SpectralDecomposition, commutator_i, require_hermitian, seminorm
+from .operators import SpectralDecomposition, commutator_i, seminorm
 from .thermal import GibbsState
 
 # probe support truncation for non-thermal probes: pairs whose combined
@@ -77,7 +77,7 @@ def _clamped(value: float, what: str) -> float:
 def _probe_parts(probe, h):
     p = np.asarray(probe.probabilities, dtype=float)
     v = np.asarray(probe.eigenvectors)
-    hm = require_hermitian(as_operator(h), "generator")
+    hm = as_operator(h)
     if hm.shape[0] != v.shape[0]:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {v.shape[0]}")
     if np.any(p < 0.0):
@@ -295,7 +295,7 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
     weight; degenerate pairs drop out exactly since tanhc(0) = 1.
     """
     _require_gibbs(rho0)
-    hm = require_hermitian(as_operator(h), "generator")
+    hm = as_operator(h)
     if hm.shape[0] != rho0.dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
     comm = commutator_i(rho0.hamiltonian, hm)
@@ -316,7 +316,7 @@ class SpectralPlan:
     sums over that support; the exact zeros left out would add nothing
     to a correctly rounded fsum. generator is the matrix the plan was
     built from; bound_report reuses a report's plan only for that same
-    matrix.
+    matrix and the same probe.
 
     The plan of a stack of k scenarios holds the union of their supports
     and the k generators, every array with a leading axis of k. Either
@@ -349,11 +349,13 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     """Build the beta-independent plan for the probe Hamiltonian H, read as
     the source of its eigendecomposition, and generator h.
 
-    Only h is scanned for Hermiticity: H was validated when it was
-    decomposed, and C = i[H, h] is exactly Hermitian in floating point,
-    since commutator_i returns 0.5 (X + X^dagger).
+    Nothing is scanned for Hermiticity here. A TransformedLocalGenerator
+    was validated when it was made, and a bare h is validated by
+    as_operator; H was validated when it was decomposed, and C = i[H, h]
+    is exactly Hermitian in floating point, since commutator_i returns
+    0.5 (X + X^dagger).
     """
-    hm = require_hermitian(as_operator(h), "generator")
+    hm = as_operator(h)
     dim = decomposition.source_dim
     if hm.shape[0] != dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
@@ -401,7 +403,8 @@ class QfiReport:
     the largest |F| (see _relative_spread). plan is the SpectralPlan the
     values came from, probe the state they were evaluated at and sums the
     k = 1 route_sums they were read from, kept so bound_report can reuse
-    Var[C] and the convexity sum for the same probe and generator.
+    the plan, Var[C] and the convexity sum for the same probe and
+    generator.
     """
 
     f_general: float
@@ -414,8 +417,10 @@ class QfiReport:
     sums: RouteSums | None = field(default=None, repr=False, compare=False)
 
 
-def report_from_sums(plan: SpectralPlan, rho0: GibbsState, sums: RouteSums) -> QfiReport:
-    """The QfiReport of sums = probe_sums(plan, rho0)."""
+def qfi_report(rho0: GibbsState, h) -> QfiReport:
+    _require_gibbs(rho0)
+    plan = spectral_plan(rho0.decomposition, h)
+    sums = probe_sums(plan, rho0)
     f_general, f_thermal, f_sld = sums.f_general[0], sums.f_thermal[0], sums.f_sld[0]
     return QfiReport(
         f_general=f_general,
@@ -427,9 +432,3 @@ def report_from_sums(plan: SpectralPlan, rho0: GibbsState, sums: RouteSums) -> Q
         probe=rho0,
         sums=sums,
     )
-
-
-def qfi_report(rho0: GibbsState, h) -> QfiReport:
-    _require_gibbs(rho0)
-    plan = spectral_plan(rho0.decomposition, h)
-    return report_from_sums(plan, rho0, probe_sums(plan, rho0))

@@ -118,10 +118,6 @@ def _grid_rows(variants, twice_js):
                 yield model, twice_j, beta, t, lam, rows[beta, t]
 
 
-def _rel_close(a: float, b: float, rtol: float) -> bool:
-    return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
-
-
 def _relative_deviation(closed: float, numeric: float) -> float:
     """|closed - numeric| over the larger magnitude of the two; 0 when both are 0."""
     scale = max(abs(closed), abs(numeric))
@@ -259,13 +255,13 @@ def check_bound_chain(seed):
     lin = build_scenario("linear", 4, beta, t)  # J = 2
     lin_rep = bound_report(lin.probe, lin.scheme, h=lin.h)
     expect_semi = beta**2 * t**2 * 4.0**2 / 4.0
-    if not _rel_close(lin_rep.seminorm_bound, expect_semi, 1e-12):
+    if _relative_deviation(lin_rep.seminorm_bound, expect_semi) > 1e-12:
         return Failure(f"linear seminorm bound {lin_rep.seminorm_bound!r} != beta^2 t^2 (2J)^2/4 = {expect_semi!r}",
                        _point_config("linear", 4, beta, t, None))
     oat = build_scenario("oat", 4, beta, t)  # integer J = 2
     oat_rep = bound_report(oat.probe, oat.scheme, h=oat.h)
     expect_prod = beta**2 * t**2 * 2.0**6
-    if not _rel_close(oat_rep.product_bound, expect_prod, 1e-12):
+    if _relative_deviation(oat_rep.product_bound, expect_prod) > 1e-12:
         return Failure(f"twisting product bound {oat_rep.product_bound!r} != beta^2 t^2 J^6 = {expect_prod!r}",
                        _point_config("oat", 4, beta, t, None))
     return f"ordering_ok on the full grid and {RANDOM_SCENARIO_COUNT} random scenarios (seed {seed}); spot values exact"

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,23 @@ def test_compute_lmg_requires_lambda(capsys):
 def test_compute_rejects_stray_lambda(capsys):
     code = main(["compute", "--model", "oat", "--twice-j", "2", "--beta", "1", "--t", "1", "--lam", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("model", [["oat"], ["lmg", "--lam", "0.6"]], ids=["oat", "lmg"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_compute_rejects_an_axis_outside_the_linear_model(capsys, model, axis):
+    code = main(["compute", "--model", *model, "--twice-j", "2", "--beta", "1", "--t", "1", "--axis", axis])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: axis: only valid for the linear model\n"
+
+
+def test_compute_linear_axis_defaults_to_x(capsys):
+    argv = ["compute", "--model", "linear", "--twice-j", "2", "--beta", "1", "--t", "1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert json.loads(default)["axis"] == "x"
+    assert main([*argv, "--axis", "x"]) == 0
+    assert capsys.readouterr().out == default
 
 
 @pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
@@ -173,10 +192,14 @@ def test_run_verify_plumbing(tmp_path, capsys):
 
 
 def test_module_invocation_smoke():
+    # the subprocess imports the package from this checkout's src, with or
+    # without an installed copy or a PYTHONPATH in the calling shell
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "thermalqfi", "compute", "--model", "linear",
          "--twice-j", "1", "--beta", "2", "--t", "1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bounds"]["ordering_ok"] is True

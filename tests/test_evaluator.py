@@ -9,11 +9,11 @@ import pytest
 
 import thermalqfi.qfi as qfi_module
 from thermalqfi import verify
-from thermalqfi.bounds import bound_report, bound_rows, bound_scales, evaluate_point, stacked_bound_reports
+from thermalqfi.bounds import bound_report, bound_rows, bound_scales, stacked_bound_reports
 from thermalqfi.encoding import ExplicitGenerator, generator_family
 from thermalqfi.models import model_encoding
 from thermalqfi.operators import eigendecompose
-from thermalqfi.qfi import SUPPORT_TOL, qfi_general, qfi_sld, route_sums, spectral_plan
+from thermalqfi.qfi import SUPPORT_TOL, probe_sums, qfi_general, qfi_sld, route_sums, spectral_plan
 from thermalqfi.sweep import SweepConfig, run_sweep
 from thermalqfi.thermal import SpectralProbe, boltzmann_weights, gibbs_from_spectrum, gibbs_state
 
@@ -49,9 +49,10 @@ def test_beta_rows_equal_the_single_point_calls(model, axis, lam, twice_j):
             rho0 = gibbs_from_spectrum(decomposition, beta)
             assert repr(weights.probabilities[r].tolist()) == repr(rho0.probabilities.tolist())
             assert (weights.log_partition[r], weights.effectively_pure[r]) == (rho0.log_partition, rho0.effectively_pure)
-            report, bounds = evaluate_point(plan, rho0, scales, t)
+            point = probe_sums(plan, rho0)
+            (bounds,) = bound_rows(plan, point, (rho0.beta,), t, scales)
             # repr round-trips a double, so equal reprs mean equal bits
-            assert repr(tuple(field[r] for field in sums)) == repr(tuple(field[0] for field in report.sums))
+            assert repr(tuple(field[r] for field in sums)) == repr(tuple(field[0] for field in point))
             assert repr(rows[r]) == repr(bounds), f"t={t} beta={beta}"
     # a qubit's single pair is never dropped below beta = 1e5, and J_z
     # along z commutes with the probe, so it has no pairs to drop

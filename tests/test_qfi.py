@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from thermalqfi.encoding import ExplicitGenerator, transformed_generator
+from thermalqfi.encoding import ExplicitGenerator, HamiltonianFamily, TransformedLocalGenerator, transformed_generator
 from thermalqfi.models import build_scenario
-from thermalqfi.operators import NotHermitianError
+from thermalqfi.operators import NotHermitianError, eigendecompose
 from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, spectral_plan, tanhc
 from thermalqfi.spin import m_values, spin_operators
 from thermalqfi.thermal import SpectralProbe, gibbs_state
@@ -200,11 +200,16 @@ class TestPlanScans:
         return scanned
 
     def test_each_matrix_scanned_at_most_once(self, monkeypatch):
-        scenario = build_scenario("oat", 8, 1.1, 0.7)
-        probe = scenario.probe
+        from thermalqfi.bounds import bound_report
+
         scanned = self._count_scans(monkeypatch)
-        spectral_plan(probe.decomposition, scenario.h)
-        assert scanned == ["generator"]
+        scenario = build_scenario("oat", 8, 1.1, 0.7)
+        # A by its ExplicitGenerator, J_z by its decomposition, h = t A by
+        # its TransformedLocalGenerator; the plan and the bounds scan none
+        assert scanned == ["generator", "Hamiltonian", "generator"]
+        report = qfi_report(scenario.probe, scenario.h)
+        bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
+        assert len(scanned) == 3
 
     def test_real_hamiltonian_is_held_once(self, monkeypatch):
         # a real or list H is converted once, by the decomposition that
@@ -226,16 +231,18 @@ class TestPlanScans:
 
 
 class TestScansOutsidePlan:
-    """encoding_spectrum and bound_scales scan each matrix at most once."""
+    """encoding_spectrum and bound_scales scan no matrix a constructor or
+    a decomposition has validated."""
 
     def test_encoding_hamiltonian_scanned_once(self, monkeypatch):
         from thermalqfi.encoding import encoding_spectrum
         from thermalqfi.models import model_encoding
 
-        _, family = model_encoding("lmg", 6, 0.7, lam=0.8)
         scanned = TestPlanScans._count_scans(monkeypatch)
+        _, family = model_encoding("lmg", 6, 0.7, lam=0.8)
+        assert scanned == ["dH/dlambda"]  # by the HamiltonianFamily that takes it in
         encoding_spectrum(family)
-        assert scanned == ["encoding Hamiltonian", "dH/dlambda"]
+        assert scanned == ["dH/dlambda", "encoding Hamiltonian"]
 
     def test_encoding_error_messages_unchanged(self):
         from thermalqfi.encoding import HamiltonianFamily, encoding_spectrum
@@ -250,12 +257,8 @@ class TestScansOutsidePlan:
         with pytest.raises(ValueError, match=r"dimension mismatch: H \(3, 3\), dH/dlambda \(2, 2\)"):
             encoding_spectrum(HamiltonianFamily(lambda lam: jz, spin_operators(1)[2], 1.0, 1.0))
 
-    @pytest.mark.parametrize(
-        "model, lam, expected",
-        [("oat", None, ["seminorm argument"]), ("lmg", 1.0, [])],
-        ids=["oat", "lmg"],
-    )
-    def test_bound_scales_skip_the_decomposed_source(self, monkeypatch, model, lam, expected):
+    @pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", 1.0)], ids=["oat", "lmg"])
+    def test_bound_scales_skip_the_decomposed_source(self, monkeypatch, model, lam):
         from thermalqfi.bounds import bound_scales
         from thermalqfi.operators import seminorm
 
@@ -263,8 +266,9 @@ class TestScansOutsidePlan:
         probe = scenario.probe
         scanned = TestPlanScans._count_scans(monkeypatch)
         scales = bound_scales(probe.decomposition, scenario.scheme)
-        # the lmg dH/dlambda is the probe's J_z itself, decomposed and validated with it
-        assert scanned == expected
+        # H was validated by its decomposition, dH/dlambda (J_x^2 for oat,
+        # J_z for lmg) by the scheme that carries it
+        assert scanned == []
         assert scales.h_width == seminorm(probe.hamiltonian)
 
 
@@ -302,6 +306,48 @@ class TestVarianceReuse:
         fresh = bound_report(probe, scenario.scheme, h=scenario.h)
         assert repr(borrowed.variance_bound) == repr(fresh.variance_bound)
         assert repr(borrowed.gap_variance_bound) == repr(fresh.gap_variance_bound)
+
+    def test_report_of_another_generator_lends_only_f(self, monkeypatch):
+        import thermalqfi.bounds as bounds_module
+
+        scenario = build_scenario("oat", 6, 1.1, 0.7)
+        probe = scenario.probe
+        other = qfi_report(probe, transformed_generator(ExplicitGenerator(scenario.scheme.generator, 1.3)))
+        fresh = bounds_module.bound_report(probe, scenario.scheme, h=scenario.h)
+        plans = []
+        original = bounds_module.spectral_plan
+
+        def counting(decomposition, h):
+            plans.append(h)
+            return original(decomposition, h)
+
+        monkeypatch.setattr(bounds_module, "spectral_plan", counting)
+        borrowed = bounds_module.bound_report(probe, scenario.scheme, h=scenario.h, qfi_result=other)
+        assert plans == [scenario.h]  # the plan of the other generator is not lent
+        assert borrowed.f == other.f_sld != fresh.f
+        for name in ("variance_bound", "seminorm_bound", "convexity_bound", "gap_variance_bound", "noncommutativity"):
+            assert repr(getattr(borrowed, name)) == repr(getattr(fresh, name)), name
+
+
+NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+JZ = np.diag([0.5, -0.5])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ExplicitGenerator(NOT_HERMITIAN, 1.0), "generator"),
+        (lambda: HamiltonianFamily(lambda lam: JZ, NOT_HERMITIAN, 1.0, 1.0), "dH/dlambda"),
+        (lambda: TransformedLocalGenerator(NOT_HERMITIAN, "explicit"), "generator"),
+        (lambda: qfi_report(gibbs_state(JZ, 1.0), NOT_HERMITIAN), "generator"),
+        (lambda: spectral_plan(gibbs_state(JZ, 1.0).decomposition, NOT_HERMITIAN), "generator"),
+        (lambda: eigendecompose(NOT_HERMITIAN, "Hamiltonian"), "Hamiltonian"),
+    ],
+    ids=["explicit", "family", "transformed", "qfi_report", "spectral_plan", "eigendecompose"],
+)
+def test_each_owner_refuses_a_non_hermitian_matrix(make, message):
+    with pytest.raises(NotHermitianError, match=f"^{message} is not Hermitian: defect 1.000e\\+00"):
+        make()
 
 
 def _dense_route_sums(decomposition, hamiltonian, h, p, beta):

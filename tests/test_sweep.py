@@ -9,8 +9,8 @@ import thermalqfi.operators as operators
 from thermalqfi.bounds import (
     ORDERING_RTOL,
     SLD_ROUNDING,
+    bound_rows,
     bound_scales,
-    evaluate_point,
     gap_bounds,
     scheme_product_bound,
     seminorm_bound,
@@ -18,7 +18,7 @@ from thermalqfi.bounds import (
 )
 from thermalqfi.encoding import generator_family
 from thermalqfi.models import build_scenario, closed_qfi, closed_variance, model_encoding
-from thermalqfi.qfi import qfi_general, qfi_sld, qfi_thermal, spectral_plan
+from thermalqfi.qfi import probe_sums, qfi_general, qfi_sld, qfi_thermal, spectral_plan
 from thermalqfi.spin import MAX_TWICE_J
 from thermalqfi.sweep import (
     CSV_COLUMNS,
@@ -534,7 +534,8 @@ DIAGONAL_PROBE_MODELS = [
 
 
 def _plan_points(model, twice_j, axis, lam, decompose):
-    """repr of evaluate_point over a small (t, beta) grid on the J_z probe."""
+    """repr of the k = 1 route sums and bound row over a small (t, beta)
+    grid on the J_z probe."""
     probe_h, scheme = model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)
     decomposition = decompose(probe_h)
     scales = bound_scales(decomposition, scheme)
@@ -544,7 +545,8 @@ def _plan_points(model, twice_j, axis, lam, decompose):
         plan = spectral_plan(decomposition, generator(t))
         for beta in (1e-6, 0.3, 1.1, 7.5):
             rho0 = gibbs_from_spectrum(decomposition, beta)
-            out.append(repr(evaluate_point(plan, rho0, scales, t)))
+            sums = probe_sums(plan, rho0)
+            out.append(repr((sums, bound_rows(plan, sums, (rho0.beta,), t, scales))))
     return out
 
 
@@ -553,7 +555,7 @@ class TestDiagonalProbe:
     @pytest.mark.parametrize("model, axis, lam", DIAGONAL_PROBE_MODELS)
     def test_fast_path_matches_dense_path_bit_for_bit(self, monkeypatch, model, axis, lam, twice_j):
         fast = _plan_points(model, twice_j, axis, lam, lambda h: operators.eigendecompose(h, "Hamiltonian"))
-        assert fast[0].count("QfiReport") == 1
+        assert fast[0].count("BoundReport") == 1
         # the dense path: eigh's decomposition (order=None) and every diagonal
         # shortcut switched off, so each basis change and commutator is a product
         for name, module in list(sys.modules.items()):
