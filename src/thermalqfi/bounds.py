@@ -39,10 +39,10 @@ from .qfi import (
     QfiReport,
     RouteSums,
     SpectralPlan,
-    plan_from_eigenbasis,
     probe_sums,
     route_sums,
     spectral_plan,
+    stacked_plan,
 )
 from .thermal import GibbsState, boltzmann_weights
 
@@ -251,6 +251,12 @@ def _probe_gap(energies: np.ndarray, h_width) -> np.ndarray:
     return minimum_gap(energies, GAP_DEGENERACY_RTOL * np.asarray(h_width))
 
 
+def _per_row(value, k: int) -> list:
+    """One entry per row from a value shared by k rows, or from one value
+    per group of k / size consecutive rows."""
+    return np.repeat(value, k // np.size(value)).tolist()
+
+
 def bound_rows(
     plan: SpectralPlan, sums: RouteSums, betas, times, scales: BoundScales, f=None
 ) -> list[BoundReport]:
@@ -258,18 +264,17 @@ def bound_rows(
     with every ordering certificate judged at once on arrays.
 
     times (the evolution times of the product bound), plan.noncommutativity
-    and each field of scales broadcast against the k rows, as numpy
-    broadcasts them (np.full). The chain is then formed in Python floats, row by
-    row, so each row has the bits of a single point. f, the QFI the chain
-    is judged on, defaults to the rows' SLD route.
+    and each field of scales hold one value for every row, one per row,
+    or one per generator of a stacked plan, repeated over the rows that
+    generator serves (_per_row). The chain is then formed in Python
+    floats, row by row, so each row has the bits of a single point. f,
+    the QFI the chain is judged on, defaults to the rows' SLD route.
     """
     k = len(betas)
     f = sums.f_sld if f is None else f
     var_c, convexity = sums.commutator_variance, sums.convexity
-    widths, times, h_widths, gaps = (
-        np.full(k, value).tolist() for value in (plan.noncommutativity, times, *scales[:2])
-    )
-    dh_widths = None if scales.dh_width is None else np.full(k, scales.dh_width).tolist()
+    widths, times, h_widths, gaps = (_per_row(value, k) for value in (plan.noncommutativity, times, *scales[:2]))
+    dh_widths = None if scales.dh_width is None else _per_row(scales.dh_width, k)
     v_bound = [beta**2 * var for beta, var in zip(betas, var_c)]
     s_bound = [beta**2 * width**2 / 4.0 for beta, width in zip(betas, widths)]
     p_bound = None
@@ -327,21 +332,16 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     n <= DENSE_MAX_DIM, and t is finite and nonnegative. Nothing here
     checks it; a LAPACK error or a missed residual certificate of the
     stacked eigh raises EigensolverError, and boltzmann_weights checks
-    each beta as on the single-point path. One stacked eigh, commutator
-    and eigvalsh per seminorm give the bits of per-matrix calls; one
-    stacked plan over the union of the scenarios' supports, one
-    route_sums and one bound_rows give the bits of bound_report.
+    each beta as on the single-point path. One stacked eigh and one
+    stacked_seminorms per seminorm give the bits of per-matrix calls;
+    stacked_plan, one route_sums and one bound_rows give the bits of
+    bound_report.
     """
     scaled = times[:, None, None] * generators  # h = t A, as generator_explicit forms it
-    a_width = stacked_seminorms(generators, "generator stack")
     evals, evecs = certified_eigh(hamiltonians, "Hamiltonian stack")
-    comm = commutator_i(hamiltonians, scaled, validated=True)
-    c_width = stacked_seminorms(comm, "commutator stack")
+    plan = stacked_plan(SpectralDecomposition(evals, evecs, evals.shape[-1], source=hamiltonians), scaled)
     h_width = stacked_seminorms(hamiltonians, "Hamiltonian stack")
-    h_eig = evecs.conj().mT @ scaled @ evecs
-    c_eig = evecs.conj().mT @ comm @ evecs
-    plan = plan_from_eigenbasis(evals, scaled, h_eig, c_eig, c_width)
     weights = boltzmann_weights(evals, betas.tolist())
-    scales = BoundScales(h_width, _probe_gap(evals, h_width), a_width)
+    scales = BoundScales(h_width, _probe_gap(evals, h_width), stacked_seminorms(generators, "generator stack"))
     sums = route_sums(plan, weights.probabilities, weights.betas)
     return bound_rows(plan, sums, weights.betas, times, scales)

@@ -24,6 +24,7 @@ from .operators import (
     hermiticity_defect,
     matrix_exp_scaled,
     require_hermitian,
+    require_hermitian_stack,
     require_unitary,
 )
 
@@ -39,6 +40,16 @@ def _check_time(t) -> float:
     if not np.isfinite(t) or t < 0.0:
         raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
     return t
+
+
+def _check_times(times) -> np.ndarray:
+    """The times as one array, each checked as _check_time checks it; the
+    first one that fails raises its message."""
+    times = np.asarray(times, dtype=float)
+    failed = times[~(np.isfinite(times) & (times >= 0.0))]
+    if failed.size:
+        _check_time(failed[0])
+    return times
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +124,21 @@ def generator_explicit(a, t) -> TransformedLocalGenerator:
     return transformed_generator(ExplicitGenerator(a, t))
 
 
-def _phase_kernel(delta: np.ndarray, t: float) -> np.ndarray:
-    """(exp(i d t) - 1)/(i d) with the removable singularity at d = 0.
+def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
+    """(exp(i d t) - 1)/(i d) with the removable singularity at d = 0, at
+    one time t or at a (T, 1, 1) array of times.
 
     For |d*t| below the cutoff the two-term series t*(1 + i d t/2) is used;
     its truncation error is O(t * (d t)^2) ~ 1e-18 * t at the switchover.
     """
     x = delta * t
     small = np.abs(x) < KERNEL_SERIES_CUTOFF
-    denom = np.where(small, 1.0, delta)
-    kernel = (np.exp(1j * x) - 1.0) / (1j * denom)
-    series = t * (1.0 + 0.5j * x)
-    return np.where(small, series, kernel)
+    kernel = np.exp(1j * x)  # updated in place, so a stack of times holds fewer complex temporaries
+    kernel -= 1.0
+    kernel /= 1j * np.where(small, 1.0, delta)
+    if small.any():
+        kernel[small] = np.broadcast_to(t, x.shape)[small] * (1.0 + 0.5j * x[small])
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,11 +178,12 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     )
 
 
-def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
+def _integral_matrices(spectrum: EncodingSpectrum, t) -> np.ndarray:
     """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated
-    back; over the same-parity pairs only, block by block, when V is split
-    by parity (see EncodingSpectrum)."""
-    t = _check_time(t)
+    back and symmetrized, not scanned; over the same-parity pairs only,
+    block by block, when V is split by parity (see EncodingSpectrum).
+    One matrix for a time t, or a (T, n, n) stack for T times given as a
+    (T, 1, 1) array, with the bits of one matrix per time."""
     dec = spectrum.decomposition
     if isinstance(spectrum.v_eig, tuple):
         parts = [v * _phase_kernel(delta, t) for v, delta in zip(spectrum.v_eig, spectrum.delta)]
@@ -176,11 +191,17 @@ def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
     else:
         h = dec.from_eigenbasis(spectrum.v_eig * _phase_kernel(spectrum.delta, t))
     if logger.isEnabledFor(logging.DEBUG):
-        residue = 0.5 * hermiticity_defect(h)
+        residue = 0.5 * np.max(hermiticity_defect(h))
         if residue > 0.0:
             logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    h = 0.5 * (h + h.conj().T)  # rebound, so the raw h is freed before the scan
-    return TransformedLocalGenerator(h, "integral")
+    return 0.5 * (h + h.conj().mT)
+
+
+def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
+    """The spectral-kernel generator at time t (see _integral_matrices); the
+    raw h is freed with that call's frame, before the constructor scans
+    the symmetrized one."""
+    return TransformedLocalGenerator(_integral_matrices(spectrum, _check_time(t)), "integral")
 
 
 def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
@@ -221,16 +242,27 @@ def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
 
 
-def generator_family(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[float], TransformedLocalGenerator]:
-    """h as a function of the evolution time, with the t-independent work
-    (the eigendecomposition of H(lambda)) done once; scheme.t is ignored."""
+def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[np.ndarray], np.ndarray]:
+    """h at each of T evolution times as one validated (T, n, n) stack,
+    with the bits of transformed_generator at each time; the
+    t-independent work (the eigendecomposition of H(lambda)) is done once
+    and scheme.t is ignored. An explicit stack is t A for each t, a
+    spectral-kernel stack one broadcast kernel and one broadcast
+    rotation. The stack is scanned once, as each TransformedLocalGenerator
+    would be, with its message."""
     if isinstance(scheme, ExplicitGenerator):
-        generator = scheme.generator
-        return lambda t: TransformedLocalGenerator(_check_time(t) * generator, "explicit")
-    if isinstance(scheme, HamiltonianFamily):
-        spectrum = encoding_spectrum(scheme)
-        return lambda t: generator_at(spectrum, t)
-    raise TypeError(f"no time family for encoding scheme type: {type(scheme).__name__}")
+        generator, spectrum = scheme.generator, None
+    elif isinstance(scheme, HamiltonianFamily):
+        generator, spectrum = None, encoding_spectrum(scheme)
+    else:
+        raise TypeError(f"no time family for encoding scheme type: {type(scheme).__name__}")
+
+    def stack(times) -> np.ndarray:
+        times = _check_times(times)[:, None, None]
+        h = _integral_matrices(spectrum, times) if generator is None else times * generator
+        return require_hermitian_stack(h, "generator")
+
+    return stack
 
 
 def evolution_unitary(hamiltonian, t) -> np.ndarray:

@@ -58,15 +58,35 @@ def hermiticity_defect(a):
     return np.abs(m - m.conj().mT).max(axis=(-2, -1))
 
 
-def require_hermitian(a, what: str = "matrix") -> np.ndarray:
-    m = as_complex_matrix(a)
-    tol = HERMITICITY_RTOL * max(1.0, float(np.abs(m).max()))
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """m itself if each of its matrices is Hermitian within
+    HERMITICITY_RTOL * max(1, max|entry|) of that matrix; else
+    NotHermitianError for the first matrix that is not."""
+    tol = HERMITICITY_RTOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     defect = hermiticity_defect(m)
-    if defect > tol:
+    failed = np.flatnonzero(defect > tol)
+    if failed.size:
+        i = failed[0]
         raise NotHermitianError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
+            f"{what} is not Hermitian: defect {defect.flat[i]:.3e} exceeds tolerance {tol.flat[i]:.3e}"
         )
     return m
+
+
+def require_hermitian(a, what: str = "matrix") -> np.ndarray:
+    return _hermitian(as_complex_matrix(a), what)
+
+
+def require_hermitian_stack(stack, what: str = "matrix") -> np.ndarray:
+    """require_hermitian of every matrix of a (k, n, n) stack in one scan,
+    with its finiteness check, its per-matrix tolerance and its message
+    for the first matrix that fails."""
+    m = np.asarray(stack, dtype=np.complex128)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"expected a stack of nonempty square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return _hermitian(m, what)
 
 
 def require_unitary(u, what: str = "matrix") -> np.ndarray:
@@ -77,18 +97,22 @@ def require_unitary(u, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of each matrix of a (..., n, n) array, as
+    (..., n - 1, n). Flattened, they are the n - 1 runs of n entries
+    between consecutive diagonal ones, so this is a view of a
+    C-contiguous array rather than a masked copy."""
+    lead, n = m.shape[:-2], m.shape[-1]
+    return m.reshape(*lead, n * n)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
+
+
 def _diagonal_of(m: np.ndarray) -> np.ndarray | None:
     """The diagonal of a square matrix whose off-diagonal entries are all
-    exact zeros (of either sign), else None.
-
-    The off-diagonal entries of an n x n array, flattened, are the n - 1
-    runs of n entries between consecutive diagonal ones, so the scan is
-    a view of a C-contiguous matrix rather than a masked copy.
-    """
+    exact zeros (of either sign), else None."""
     n = m.shape[0]
     if n > 1 and (m[1, 0] != 0 or m[0, 1] != 0):
         return None
-    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+    if _off_diagonal(m).any():
         return None
     return np.diagonal(m)
 
@@ -166,6 +190,13 @@ class SpectralDecomposition:
     multiplying. blocks is set when the source split into parity blocks
     (see _parity_blocks): basis changes then run block by block.
     source is the validated matrix that was decomposed.
+
+    A stacked decomposition holds the eigenpairs of a (k, n, n) stack from
+    certified_eigh, every array with a leading axis of k. The basis
+    changes take a (k, n, n) stack of operators, against one
+    decomposition or a stack of k, with the bits of per-matrix calls on
+    each member; only a 2-D operator is tested for a diagonal, so a
+    diagonal member of a stack is multiplied like any other, not scaled.
     """
 
     eigenvalues: np.ndarray
@@ -180,26 +211,25 @@ class SpectralDecomposition:
         (op itself when order is the identity), which equals the product
         up to the sign of exact zeros. A diagonal op scales the rows of
         V^dagger instead of multiplying."""
+        d = _diagonal_of(op) if op.ndim == 2 and self.order is None else None
         if self.blocks is not None:
-            d = _diagonal_of(op)
             out = np.zeros_like(op, dtype=np.complex128)
             for a in self.blocks:
                 for b in self.blocks:
                     if d is not None:
                         x = d[a.start::2] if a is b else None
                     else:
-                        x = op[a.start::2, b.start::2]
+                        x = op[..., a.start::2, b.start::2]
                         x = x if a is b or x.any() else None
                     if x is not None:
-                        out[np.ix_(a.positions, b.positions)] = _sandwich(a.vectors.conj().T, x, b.vectors)
+                        out[..., a.positions[:, None], b.positions] = _sandwich(a.vectors.conj().T, x, b.vectors)
             return out
         if self.order is None:
             v = self.eigenvectors
-            d = _diagonal_of(op)
-            return _sandwich(v.conj().T, op if d is None else d, v)
+            return _sandwich(v.conj().mT, op if d is None else d, v)
         if np.array_equal(self.order, np.arange(self.source_dim)):
             return op
-        return op[np.ix_(self.order, self.order)]
+        return op[..., self.order[:, None], self.order]
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
         """V x V^dagger, the inverse of to_eigenbasis."""
@@ -207,26 +237,26 @@ class SpectralDecomposition:
             out = np.zeros_like(x, dtype=np.complex128)
             for a in self.blocks:
                 for b in self.blocks:
-                    xab = x[np.ix_(a.positions, b.positions)]
+                    xab = x[..., a.positions[:, None], b.positions]
                     if a is b or xab.any():
-                        out[a.start::2, b.start::2] = _sandwich(a.vectors, xab, b.vectors.conj().T)
+                        out[..., a.start::2, b.start::2] = _sandwich(a.vectors, xab, b.vectors.conj().T)
             return out
         if self.order is None:
             v = self.eigenvectors
-            return v @ x @ v.conj().T
+            return v @ x @ v.conj().mT
         if np.array_equal(self.order, np.arange(self.source_dim)):
             return x
         out = np.empty_like(x)
-        out[np.ix_(self.order, self.order)] = x
+        out[..., self.order[:, None], self.order] = x
         return out
 
     def from_block_eigenbases(self, parts) -> np.ndarray:
         """from_eigenbasis of an x that is an exact zero across parity,
-        given as one part per block, x over that block's positions; the
-        bits of from_eigenbasis on the assembled x."""
-        out = np.zeros((self.source_dim, self.source_dim), dtype=np.complex128)
+        given as one part per block, x over that block's positions (or a
+        stack of them); the bits of from_eigenbasis on the assembled x."""
+        out = np.zeros(parts[0].shape[:-2] + (self.source_dim, self.source_dim), dtype=np.complex128)
         for block, x in zip(self.blocks, parts):
-            out[block.start::2, block.start::2] = _sandwich(block.vectors, x, block.vectors.conj().T)
+            out[..., block.start::2, block.start::2] = _sandwich(block.vectors, x, block.vectors.conj().T)
         return out
 
 
@@ -342,10 +372,22 @@ def certified_eigh(stack: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
 
 
 def stacked_seminorms(stack: np.ndarray, what: str) -> list[float]:
-    """seminorm of each matrix of a (k, n, n) stack, from one stacked
-    eigvalsh, which gives the bits of per-matrix calls."""
-    evals = _eigvalsh(stack, what)
-    return (evals[:, -1] - evals[:, 0]).tolist()
+    """seminorm of each matrix of a validated (k, n, n) stack, with its
+    bits: a diagonal member is read off its diagonal and the others share
+    one stacked eigvalsh, which gives the bits of per-matrix calls. Above
+    DENSE_MAX_DIM, where a sweep's chunk of times holds one generator,
+    each member takes seminorm's own path."""
+    if stack.shape[-1] > DENSE_MAX_DIM:
+        return [seminorm(m, validated=True) for m in stack]
+    widths = np.empty(len(stack))
+    diagonal = ~_off_diagonal(stack).any(axis=(-2, -1))
+    if diagonal.any():
+        d = np.diagonal(stack[diagonal], axis1=-2, axis2=-1).real
+        widths[diagonal] = d.max(axis=-1) - d.min(axis=-1)
+    if not diagonal.all():
+        evals = _eigvalsh(stack[~diagonal] if diagonal.any() else stack, what)
+        widths[~diagonal] = evals[:, -1] - evals[:, 0]
+    return widths.tolist()
 
 
 def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
@@ -389,15 +431,15 @@ def commutator_i(a, b, *, validated: bool = False) -> np.ndarray:
     products; only the sign of an exact zero may differ, as it does
     between BLAS kernels.
     validated=True skips the Hermiticity scans of A and B, for callers
-    that have already validated both; validated (k, n, n) stacks of A and
-    B then give the k commutators, by the dense products.
+    that have already validated both; a validated (k, n, n) stack of B,
+    against one A or a stack of k, then gives the k commutators.
     """
     if validated:
         ma, mb = a, b
     else:
         ma = require_hermitian(a, "commutator argument A")
         mb = require_hermitian(b, "commutator argument B")
-    if ma.shape != mb.shape:
+    if ma.shape[-2:] != mb.shape[-2:]:
         raise ValueError(f"dimension mismatch in commutator: {ma.shape} vs {mb.shape}")
     d = _diagonal_of(ma) if ma.ndim == 2 else None
     if d is None:
@@ -416,9 +458,11 @@ def seminorm(a, *, validated: bool = False) -> float:
 
     Nonnegative; zero exactly when A is a multiple of the identity (within
     eigensolver tolerance). Invariant under unitary conjugation and under
-    shifts A -> A + c*I. A diagonal A is read off its real diagonal, and
-    one that splits into parity blocks is solved block by block, a
-    complex tridiagonal block in real arithmetic (_real_tridiagonal).
+    shifts A -> A + c*I. A diagonal A is read off its real diagonal. Above
+    DENSE_MAX_DIM, one that splits into parity blocks is solved block by
+    block, and a complex tridiagonal block, or a whole matrix that does
+    not split (the linear model's J_x, J_y and C), in real arithmetic
+    (_real_tridiagonal).
     validated=True skips the Hermiticity scan, for a caller that has
     already validated A (an output of commutator_i is exactly Hermitian).
     """
@@ -427,6 +471,8 @@ def seminorm(a, *, validated: bool = False) -> float:
     if d is not None:
         return float(d.real.max() - d.real.min())
     blocks = _parity_blocks(m)
+    if blocks is None and m.shape[0] > DENSE_MAX_DIM:
+        blocks = (m,)
     if blocks is not None:
         spectra = [_eigvalsh(_real_tridiagonal(block), "seminorm argument") for block in blocks]
         return float(max(e[-1] for e in spectra) - min(e[0] for e in spectra))

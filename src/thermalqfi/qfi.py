@@ -10,16 +10,17 @@ central correctness property, certified in QfiReport.
 Every beta-dependent sum lives in one evaluator, route_sums. It takes the
 probabilities of k probes as a (k, n) array and a SpectralPlan, which
 holds the beta-independent matrix elements over their nonzero support:
-either one plan shared by every row (the betas of one sweep time) or a
-plan whose arrays carry a leading axis of k (a stack of scenarios). Each
-sum is one pass over a (rows, support) term array per chunk of rows, and
-one math.fsum per row; a chunk's terms hold no more entries than the
-plan's generator and the probabilities together. fsum is correctly
-rounded, so a row's result depends only on its own terms, not on k, on
-the chunks or on the order of the terms. A row of EXACT_SUM_MIN_TERMS
-terms or more is summed exactly in buckets of the terms' binary
-exponents instead (_exact_sum), which returns fsum's bits in a few
-array passes. The public route functions, qfi_report and the bound
+either one plan shared by every row, or a stacked plan whose arrays carry
+a leading axis of m generators, each serving k / m consecutive rows (the
+betas of each time of a chunk of sweep times, or one row per scenario of
+a stack). Each sum is one pass over a (rows, support) term array per
+chunk of rows, and one math.fsum per row; a chunk's terms hold no more
+entries than the plan's generators and the probabilities together. fsum
+is correctly rounded, so a row's result depends only on its own terms,
+not on k, on the chunks or on the order of the terms. A row of
+EXACT_SUM_MIN_TERMS terms or more is summed exactly in buckets of the
+terms' binary exponents instead (_exact_sum), which returns fsum's bits
+in a few array passes. The public route functions, qfi_report and the bound
 chain are its k = 1 case.
 """
 
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import as_operator
-from .operators import SpectralDecomposition, commutator_i, seminorm
+from .operators import SpectralDecomposition, commutator_i, seminorm, stacked_seminorms
 from .thermal import GibbsState
 
 # probe support truncation for non-thermal probes: pairs whose combined
@@ -227,31 +228,55 @@ class RouteSums(NamedTuple):
     convexity: list[float]
 
 
+def _row_arrays(plan: SpectralPlan, start: int, stop: int, per: int | None) -> tuple:
+    """var_i, h_pairs, cdiag, cdiag_abs2, c_pairs and c_delta for rows
+    start..stop: the plan's own arrays for a plan of one generator; for a
+    stacked plan whose generators each serve per consecutive rows, one
+    generator's arrays when the rows share it, else one row of each
+    array per row."""
+    h, c = plan.h_pairs, plan.c_pairs
+    if per is None:
+        return plan.var_i, h, plan.cdiag, plan.cdiag_abs2, c, plan.c_delta
+    first, last = start // per, (stop - 1) // per
+    members = first if first == last else np.arange(start, stop) // per
+    return (
+        plan.var_i[members],
+        Support(h.rows, h.cols, h.values[members]),
+        plan.cdiag[members],
+        plan.cdiag_abs2[members],
+        Support(c.rows, c.cols, c.values[members]),
+        plan.c_delta if plan.c_delta.ndim == 1 else plan.c_delta[members],
+    )
+
+
 def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     """The three routes, Var[C] and the convexity sum of k probes at once.
 
     p holds the probe probabilities, one row (k, n) per probe, and betas
     their k inverse temperatures. The plan's arrays either belong to one
-    generator and serve every row, or carry a leading axis of k, one
-    scenario per row. Row r has the bits of the k = 1 call on row r.
+    generator and serve every row, or carry a leading axis of m
+    generators, the first serving the first k / m rows, the next the
+    next k / m, and so on (one row each for a stack of scenarios). Row r
+    has the bits of the k = 1 call on row r against its own generator.
 
     The rows are summed in chunks small enough that no (rows, support)
     term array holds more entries than the arrays handed in, the plan's
-    generator and p, together: a temporary grows with the k x n
-    probabilities the caller holds, never with k x support, which for a
-    nearly dense generator is n/2 times larger. A stack's (k, n, n)
-    generators have more entries than k rows of its support, so a stack
-    is one chunk.
+    generators and p, together: a temporary grows with the generators
+    and the k x n probabilities the caller holds, never with
+    k x support, which for a nearly dense generator is n/2 times larger.
+    A stack's (k, n, n) generators have more entries than k rows of its
+    support, so a stack of scenarios is one chunk.
     """
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
     step = max(1, (plan.generator.size + p.size) // support)
+    per = len(p) // len(plan.var_i) if plan.var_i.ndim == 2 else None
     sums = RouteSums([], [], [], [], [])
     for start in range(0, len(p), step):
-        rows = slice(start, start + step)
-        convexity, f_general, f_sld = _generator_sums(p[rows], plan.var_i, plan.h_pairs)
-        var_c, f_thermal = _commutator_sums(
-            p[rows], betas[rows], plan.cdiag, plan.cdiag_abs2, plan.c_pairs, plan.c_delta
-        )
+        stop = min(start + step, len(p))
+        rows = slice(start, stop)
+        var_i, h_pairs, cdiag, cdiag_abs2, c_pairs, c_delta = _row_arrays(plan, start, stop, per)
+        convexity, f_general, f_sld = _generator_sums(p[rows], var_i, h_pairs)
+        var_c, f_thermal = _commutator_sums(p[rows], betas[rows], cdiag, cdiag_abs2, c_pairs, c_delta)
         for field, chunk in zip(sums, (f_general, f_thermal, f_sld, var_c, convexity)):
             field.extend(chunk)
     return sums
@@ -318,11 +343,12 @@ class SpectralPlan:
     built from; bound_report reuses a report's plan only for that same
     matrix and the same probe.
 
-    The plan of a stack of k scenarios holds the union of their supports
-    and the k generators, every array with a leading axis of k. Either
-    way each array broadcasts against the k rows of route_sums and
+    The plan of a stack of m generators (stacked_plan: the times of a
+    sweep chunk, or a stack of scenarios) holds the union of their
+    supports and the m generators, every array with a leading axis of m,
+    and each generator serves k / m consecutive rows of route_sums and
     bound_rows: noncommutativity is a 0-d array for one generator and
-    holds k widths for a stack.
+    holds m widths for a stack.
     """
 
     generator: np.ndarray
@@ -359,39 +385,37 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     dim = decomposition.source_dim
     if hm.shape[0] != dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
-    comm = commutator_i(decomposition.source, hm, validated=True)
-    return plan_from_eigenbasis(
-        decomposition.eigenvalues,
-        hm,
-        decomposition.to_eigenbasis(hm),
-        decomposition.to_eigenbasis(comm),
-        seminorm(comm, validated=True),
+    return stacked_plan(decomposition, hm)
+
+
+def stacked_plan(decomposition: SpectralDecomposition, generators: np.ndarray) -> SpectralPlan:
+    """The plan of a validated (m, n, n) stack of generators, with the bits
+    of spectral_plan for each: one commutator, one basis change of each
+    stack and one stacked_seminorms call, over the union of the
+    generators' supports (an entry outside a generator's own support is
+    an exact zero in its row, which adds nothing to a correctly rounded
+    fsum). The decomposition is one probe's, shared by every generator
+    (the times of a sweep), or a stacked one built from certified_eigh,
+    one probe per generator (a stack of scenarios). spectral_plan passes
+    its one validated matrix through here."""
+    comm = commutator_i(decomposition.source, generators, validated=True)
+    if comm.ndim == 2:
+        width = seminorm(comm, validated=True)
+    else:
+        width = stacked_seminorms(comm, "commutator stack")
+    h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(generators))
+    c_pairs, cdiag, cdiag_abs2, c_delta = _commutator_elements(
+        decomposition.to_eigenbasis(comm), decomposition.eigenvalues
     )
-
-
-def plan_from_eigenbasis(
-    energies: np.ndarray,
-    hm: np.ndarray,
-    h_eig: np.ndarray,
-    c_eig: np.ndarray,
-    noncommutativity,
-) -> SpectralPlan:
-    """The plan from the probe energies, the validated generator hm, hm and
-    C = i[H, hm] in the probe eigenbasis (h_eig, c_eig) and ||C||.
-    spectral_plan forms these for one generator and its decomposition; a
-    caller holding a (k, n, n) stack of scenarios passes the stacks, with
-    (k, n) energies and k widths."""
-    h_pairs, var_i = _generator_elements(h_eig)
-    c_pairs, cdiag, cdiag_abs2, c_delta = _commutator_elements(c_eig, energies)
     return SpectralPlan(
-        generator=hm,
+        generator=generators,
         h_pairs=h_pairs,
         var_i=var_i,
         c_pairs=c_pairs,
         c_delta=c_delta,
         cdiag=cdiag,
         cdiag_abs2=cdiag_abs2,
-        noncommutativity=np.asarray(noncommutativity, dtype=float),
+        noncommutativity=np.asarray(width, dtype=float),
     )
 
 

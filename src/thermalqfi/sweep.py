@@ -13,11 +13,13 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import bound_rows, bound_scales
-from .encoding import generator_family
+from .encoding import generator_stack
 from .models import AXES, MODELS, closed_forms_for, model_encoding
-from .operators import eigendecompose
-from .qfi import route_sums, spectral_plan
+from .operators import DENSE_MAX_DIM, eigendecompose
+from .qfi import route_sums, stacked_plan
 from .spin import check_twice_j
 from .thermal import beta_from_polarization, boltzmann_weights, polarization
 
@@ -244,9 +246,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 
     Factor once, sweep many: the probe eigendecomposition, the Gibbs
     weights of every beta, ||H||, the gap, ||dH/dlambda|| and (for lmg)
-    the eigendecomposition of H(lambda) are built once per sweep, and the
-    generator and its SpectralPlan once per t. Every beta of one t is then
-    one route_sums and one bound_rows call over that plan.
+    the eigendecomposition of H(lambda) are built once per sweep. The
+    times then go through in chunks of DENSE_MAX_DIM^2 // n^2 (at least
+    one), so a chunk's generators hold no more entries than one
+    DENSE_MAX_DIM x DENSE_MAX_DIM matrix. Each chunk is one generator
+    stack with one Hermiticity scan, one stacked_plan, and one route_sums
+    and one bound_rows call over its times x betas rows.
     """
     if config.beta_grid is not None:
         betas = list(config.beta_grid)
@@ -257,19 +262,24 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     )
     decomposition = eigendecompose(probe_h, "Hamiltonian")
     scales = bound_scales(decomposition, scheme)
-    generator = generator_family(scheme)
+    generators = generator_stack(scheme)
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
     closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
     gated_off = _gated_off(config.outputs)
     weights = boltzmann_weights(decomposition.eigenvalues, betas)
     betas = weights.betas
+    step = max(1, DENSE_MAX_DIM**2 // decomposition.source_dim**2)
     rows = []
-    for t in config.t_grid:
-        plan = spectral_plan(decomposition, generator(t))
-        sums = route_sums(plan, weights.probabilities, betas)
-        bounds = bound_rows(plan, sums, betas, t, scales)
+    for start in range(0, len(config.t_grid), step):
+        times = config.t_grid[start:start + step]
+        plan = stacked_plan(decomposition, generators(times))
+        # row r is time r // len(betas) at beta r % len(betas)
+        row_times = [t for t in times for _ in betas]
+        row_betas = betas * len(times)
+        sums = route_sums(plan, np.tile(weights.probabilities, (len(times), 1)), row_betas)
+        bounds = bound_rows(plan, sums, row_betas, row_times, scales)
         routes = zip(sums.f_general, sums.f_thermal, sums.f_sld)
-        for beta, point, chain in zip(betas, routes, bounds):
+        for t, beta, point, chain in zip(row_times, row_betas, routes, bounds):
             rows.append(_row(config, gated_off, closed_forms, t, beta, point, chain))
     return rows
 

@@ -107,7 +107,8 @@ def _grid_config(model, twice_j, lam) -> SweepConfig:
 def _grid_rows(variants, twice_js):
     """(model, 2J, beta, t, lambda, sweep row) in the order 2J, beta, t,
     (model, lambda) variant, from one run_sweep per variant and 2J: one
-    probe and encoding decomposition per sweep, one SpectralPlan per t."""
+    probe and encoding decomposition per sweep, one stacked SpectralPlan
+    per chunk of times (one per sweep here)."""
     for twice_j in twice_js:
         sweeps = []
         for model, lam in variants:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -41,3 +43,11 @@ def record_solver_calls(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def per_time_generator(scheme):
+    """h as a function of the evolution time, one point at a time through
+    transformed_generator: the per-point reference for a generator stack."""
+    from thermalqfi.encoding import transformed_generator
+
+    return lambda t: transformed_generator(dataclasses.replace(scheme, t=t))

@@ -113,6 +113,49 @@ class TestBlockKernel:
         assert h[0::2, 1::2].any()  # J_x couples the two parities
 
 
+def _schemes():
+    from thermalqfi.models import model_encoding
+
+    schemes = {
+        f"{model}-{twice_j}": model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)[1]
+        for model, axis, lam in (("linear", "y", None), ("oat", "x", None), ("lmg", "x", 0.6))
+        for twice_j in (1, 10, 101)
+    }
+    jx = spin_operators(100)[0]  # H(lambda) splits by parity, J_x does not
+    schemes["lmg-parity-mixing"] = HamiltonianFamily(lambda lam: lmg_hamiltonian(100, lam), jx, 0.6, 1.0)
+    return schemes
+
+
+SCHEMES = _schemes()
+
+
+class TestGeneratorStack:
+    """generator_stack gives every time of a grid in one stack, with the
+    bits of transformed_generator at each time."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_members_have_the_single_time_bits(self, name):
+        from dataclasses import replace
+
+        scheme = SCHEMES[name]
+        times = (0.0, 1e-12, 0.5, 3.14, 40.0)
+        stack = encoding.generator_stack(scheme)(times)
+        assert stack.shape[0] == len(times) and stack.dtype == np.complex128
+        for h, t in zip(stack, times):
+            single = transformed_generator(replace(scheme, t=t)).h
+            assert h.tobytes() == single.tobytes(), t
+
+    def test_times_are_checked(self):
+        stack = encoding.generator_stack(SCHEMES["oat-10"])
+        with pytest.raises(ValueError, match="evolution time must be finite and >= 0"):
+            stack([0.5, -1.0])
+
+    def test_a_numeric_unitary_has_no_stack(self):
+        numeric = NumericUnitary(lambda lam: evolution_unitary(lam * spin_operators(2)[0], 1.0), lam=0.4)
+        with pytest.raises(TypeError, match="no time family"):
+            encoding.generator_stack(numeric)
+
+
 class TestFiniteDifference:
     def test_explicit_generator_recovered(self):
         jx, _, _ = spin_operators(2)

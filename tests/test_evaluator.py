@@ -10,14 +10,14 @@ import pytest
 import thermalqfi.qfi as qfi_module
 from thermalqfi import verify
 from thermalqfi.bounds import bound_report, bound_rows, bound_scales, stacked_bound_reports
-from thermalqfi.encoding import ExplicitGenerator, generator_family
+from thermalqfi.encoding import ExplicitGenerator
 from thermalqfi.models import model_encoding
 from thermalqfi.operators import eigendecompose
 from thermalqfi.qfi import SUPPORT_TOL, probe_sums, qfi_general, qfi_sld, route_sums, spectral_plan
 from thermalqfi.sweep import SweepConfig, run_sweep
 from thermalqfi.thermal import SpectralProbe, boltzmann_weights, gibbs_from_spectrum, gibbs_state
 
-from conftest import random_hermitian
+from conftest import per_time_generator, random_hermitian
 
 # from the infinite-temperature state through the effectively pure regime
 EXTREME_BETAS = (0.0,) + tuple(10.0**e for e in range(-6, 6))
@@ -34,7 +34,7 @@ def test_beta_rows_equal_the_single_point_calls(model, axis, lam, twice_j):
     probe_h, scheme = model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)
     decomposition = eigendecompose(probe_h, "Hamiltonian")
     scales = bound_scales(decomposition, scheme)
-    generator = generator_family(scheme)
+    generator = per_time_generator(scheme)
     weights = boltzmann_weights(decomposition.eigenvalues, EXTREME_BETAS)
     assert len(set(weights.effectively_pure)) == 2  # the grid crosses into the pure regime
     partly_dropped = False
@@ -58,6 +58,36 @@ def test_beta_rows_equal_the_single_point_calls(model, axis, lam, twice_j):
     # along z commutes with the probe, so it has no pairs to drop
     if twice_j > 1 and axis != "z":
         assert partly_dropped
+
+
+@pytest.mark.parametrize("twice_j", [1, 10, 100, 101])
+@pytest.mark.parametrize("model, axis, lam", MODEL_VARIANTS, ids=["x", "y", "z", "oat", "lmg", "lmg-neg"])
+def test_a_sweep_over_the_extreme_grid_equals_the_single_point_calls(model, axis, lam, twice_j):
+    # every (t, beta) of the grid through run_sweep's stacked plans, against
+    # a plan and a k = 1 evaluator call per point
+    raw = {"model": model, "twice_j": twice_j, "beta_grid": list(EXTREME_BETAS), "t_grid": list(EXTREME_TIMES)}
+    raw.update({"axis": axis} if model == "linear" else {"lambda": lam} if model == "lmg" else {})
+    rows = run_sweep(SweepConfig.from_dict({**raw, "outputs": ["qfi_general", "qfi_thermal", "qfi_sld",
+                                                                "variance_bound", "seminorm_bound",
+                                                                "product_bound", "gap_bounds"]}))
+    probe_h, scheme = model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)
+    decomposition = eigendecompose(probe_h, "Hamiltonian")
+    scales = bound_scales(decomposition, scheme)
+    generator = per_time_generator(scheme)
+    expected = []
+    for t in EXTREME_TIMES:
+        plan = spectral_plan(decomposition, generator(t))
+        for beta in EXTREME_BETAS:
+            rho0 = gibbs_from_spectrum(decomposition, beta)
+            sums = probe_sums(plan, rho0)
+            (bounds,) = bound_rows(plan, sums, (rho0.beta,), t, scales)
+            expected.append((t, beta, sums.f_general[0], sums.f_thermal[0], sums.f_sld[0], bounds.variance_bound,
+                             bounds.seminorm_bound, bounds.product_bound, bounds.convexity_bound,
+                             bounds.gap_variance_bound, bounds.gap_seminorm_bound, bounds.ordering_ok))
+    got = [(row.t, row.beta, row.f_general, row.f_thermal, row.f_sld, row.variance_bound, row.seminorm_bound,
+            row.product_bound, row.convexity_bound, row.gap_variance_bound, row.gap_seminorm_bound,
+            row.ordering_ok) for row in rows]
+    assert repr(got) == repr(expected)
 
 
 def _block_tridiagonal(rng, n, split):
@@ -114,13 +144,20 @@ def _count_tanhc(monkeypatch):
     return calls
 
 
-def test_tanhc_runs_once_per_sweep_time(monkeypatch):
+@pytest.mark.parametrize(
+    "twice_j, expected",
+    # DENSE_MAX_DIM^2 // n^2 times per chunk: 133 at n = 7, so all four
+    # times are one chunk of 16 rows; 3 at n = 41, so chunks of 3 and 1
+    [(6, [16]), (40, [12, 4])],
+    ids=["one-chunk", "two-chunks"],
+)
+def test_tanhc_runs_once_per_time_chunk(monkeypatch, twice_j, expected):
     calls = _count_tanhc(monkeypatch)
     config = SweepConfig.from_dict({
-        "model": "oat", "twice_j": 6, "beta_grid": [0.1, 0.9, 2.0, 7.5], "t_grid": [0.0, 0.5, 1.0, 3.14],
+        "model": "oat", "twice_j": twice_j, "beta_grid": [0.1, 0.9, 2.0, 7.5], "t_grid": [0.0, 0.5, 1.0, 3.14],
     })
     run_sweep(config)
-    assert [shape[0] for shape in calls] == [4, 4, 4, 4]
+    assert [shape[0] for shape in calls] == expected
 
 
 def test_tanhc_runs_once_per_criterion_4_stack(monkeypatch):
@@ -137,7 +174,7 @@ def test_a_long_beta_grid_is_summed_in_chunks_no_larger_than_the_inputs(monkeypa
     # lmg couples almost every pair of levels, so its support is nearly n^2
     probe_h, scheme = model_encoding("lmg", 10, 1.0, lam=1.0)
     decomposition = eigendecompose(probe_h, "Hamiltonian")
-    plan = spectral_plan(decomposition, generator_family(scheme)(1.0))
+    plan = spectral_plan(decomposition, per_time_generator(scheme)(1.0))
     betas = np.linspace(0.05, 5.0, 400).tolist()
     weights = boltzmann_weights(decomposition.eigenvalues, betas)
     chunks = []

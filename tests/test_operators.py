@@ -476,6 +476,124 @@ class TestStacks:
             getattr(operators, helper)(STACKS["dim8-one-non-hermitian"], "H stack")
 
 
+class TestStackedScan:
+    """require_hermitian_stack judges each matrix of a stack as
+    require_hermitian judges it alone, and refuses the first one that
+    fails with require_hermitian's message for it."""
+
+    def test_a_non_hermitian_member_is_refused_with_its_own_message(self):
+        stack = STACKS["dim8-one-non-hermitian"]
+        with pytest.raises(NotHermitianError) as single:
+            require_hermitian(stack[2], "generator")
+        with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
+            operators.require_hermitian_stack(stack, "generator")
+
+    def test_the_tolerance_is_per_matrix(self):
+        # the same 1e-9 defect is within the tolerance of a matrix whose
+        # largest entry is 1e4, and beyond that of one with entries near 1
+        stack = np.array([1e4 * np.eye(3), np.eye(3), np.eye(3)], dtype=np.complex128)
+        stack[:2, 0, 1] += 1e-9j
+        stack[2, 1, 2] += 1e-3
+        with pytest.raises(NotHermitianError) as single:
+            require_hermitian(stack[1], "generator")
+        with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
+            operators.require_hermitian_stack(stack, "generator")
+        require_hermitian(stack[0], "generator")
+
+    def test_a_non_finite_member_is_refused_with_the_single_matrix_message(self):
+        stack = STACKS["dim5"].copy()
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            require_hermitian(stack[1], "generator")
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            operators.require_hermitian_stack(stack, "generator")
+
+    def test_a_hermitian_stack_is_returned_as_complex(self):
+        stack = STACKS["dim5"]
+        out = operators.require_hermitian_stack(stack.real.astype(np.complex128), "generator")
+        assert out.dtype == np.complex128 and out.shape == stack.shape
+        with pytest.raises(ValueError, match="stack of nonempty square matrices"):
+            operators.require_hermitian_stack(stack[0], "generator")
+
+
+def _mixed_stack(dim):
+    """A stack of dense, diagonal, zero and tridiagonal Hermitian matrices."""
+    rng = np.random.default_rng(dim)
+    jx, jy, jz = spin_operators(dim - 1)
+    return np.array([
+        random_hermitian(rng, dim), jz, np.zeros((dim, dim), dtype=np.complex128), 2.3 * jx,
+        commutator_i(jz, 0.7 * jy), np.diag(rng.normal(size=dim)).astype(np.complex128),
+    ])
+
+
+class TestStackedBasisAndWidths:
+    """The basis changes and stacked_seminorms take a stack with the bits
+    of per-matrix calls."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 11, 81, 82, 102])
+    def test_stacked_seminorms_have_the_bits_of_seminorm(self, dim):
+        stack = _mixed_stack(dim)
+        widths = operators.stacked_seminorms(stack, "stack")
+        assert repr(widths) == repr([seminorm(m, validated=True) for m in stack])
+
+    def test_diagonal_members_make_no_solver_call(self, monkeypatch):
+        assert repr(operators.stacked_seminorms(np.array([[[2.0 + 0j]], [[-1.0]]]), "1x1 stack")) == "[0.0, 0.0]"
+        stack = _mixed_stack(11)
+        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        operators.stacked_seminorms(stack[[1, 2, 5]], "stack")
+        assert calls == []
+        operators.stacked_seminorms(stack, "stack")
+        assert calls == [(3, True)]  # the three non-diagonal members, in one call
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: np.diag([2.0, -1.0, 0.5, 3.0, -1.0]),  # diagonal, a reordering
+            lambda: spin_operators(4)[2],  # diagonal, the identity order
+            lambda: random_hermitian(np.random.default_rng(4), 5),  # dense
+            lambda: _lmg(101, 0.6),  # parity blocks
+        ],
+        ids=["reordered", "identity", "dense", "blocks"],
+    )
+    def test_basis_changes_of_a_stack_have_the_per_matrix_bits(self, source):
+        dec = eigendecompose(source())
+        dim = dec.source_dim
+        rng = np.random.default_rng(dim)
+        _, jy, _ = spin_operators(dim - 1)
+        # no diagonal member: a 2-D diagonal operator takes the scaling
+        # shortcut, whose bits may differ from the product's
+        stack = np.array([random_hermitian(rng, dim), 1.7 * _jx_squared(dim - 1), jy])
+        assert _bits(dec.to_eigenbasis(stack)) == _bits(np.array([dec.to_eigenbasis(m) for m in stack]))
+        x = dec.to_eigenbasis(stack)
+        assert _bits(dec.from_eigenbasis(x)) == _bits(np.array([dec.from_eigenbasis(m) for m in x]))
+
+
+class TestLinearAboveTheThreshold:
+    """Above DENSE_MAX_DIM the linear model's J_x, J_y and C = i[J_z, t J_a]
+    do not split by parity, but are Hermitian tridiagonal: seminorm solves
+    each as one real tridiagonal matrix."""
+
+    @pytest.mark.parametrize("twice_j", [100, 101, 200, 400])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_widths_match_the_dense_complex_solve(self, twice_j, axis, monkeypatch):
+        jx, jy, jz = spin_operators(twice_j)
+        generator = {"x": jx, "y": jy}[axis]
+        dim = twice_j + 1
+        for m in (generator, commutator_i(jz, 2.3 * generator)):
+            dense = np.linalg.eigvalsh(m)
+            calls = record_solver_calls(monkeypatch, "eigvalsh")
+            width = seminorm(m)
+            assert calls == [(dim, False)]  # one real solve per width
+            monkeypatch.undo()
+            assert width == pytest.approx(dense[-1] - dense[0], rel=1e-12, abs=0.0)
+
+    def test_at_the_threshold_the_solve_stays_complex(self, monkeypatch):
+        jx, _, _ = spin_operators(operators.DENSE_MAX_DIM - 1)
+        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        seminorm(jx)
+        assert calls == [(operators.DENSE_MAX_DIM, True)]
+
+
 class TestDebugResidue:
     """The discarded anti-Hermitian residue is measured only for the DEBUG log."""
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,16 +188,18 @@ class TestPlanScans:
 
         import thermalqfi.operators as operators
 
+        # a scan of one matrix or of a stack records its message once
         scanned = []
-        original = operators.require_hermitian
+        for scan in ("require_hermitian", "require_hermitian_stack"):
+            original = getattr(operators, scan)
 
-        def counting(a, what="matrix"):
-            scanned.append(what)
-            return original(a, what)
+            def counting(a, what="matrix", _original=original):
+                scanned.append(what)
+                return _original(a, what)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("thermalqfi") and getattr(module, "require_hermitian", None) is original:
-                monkeypatch.setattr(module, "require_hermitian", counting)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("thermalqfi") and getattr(module, scan, None) is original:
+                    monkeypatch.setattr(module, scan, counting)
         return scanned
 
     def test_each_matrix_scanned_at_most_once(self, monkeypatch):
@@ -270,6 +273,63 @@ class TestScansOutsidePlan:
         # J_z for lmg) by the scheme that carries it
         assert scanned == []
         assert scales.h_width == seminorm(probe.hamiltonian)
+
+
+class TestSweepScans:
+    """A sweep scans its generators once per chunk of times, as one stack,
+    and refuses a bad member with the single-matrix message."""
+
+    def test_fig3a_scans_once_per_chunk(self, monkeypatch):
+        from thermalqfi.sweep import SweepConfig, figure_configs, run_sweep
+
+        config = SweepConfig.from_dict(figure_configs()["fig3a"])
+        scanned = TestPlanScans._count_scans(monkeypatch)
+        run_sweep(config)
+        # per sweep dH/dlambda, J_z and H(lambda); then the 64 times in
+        # chunks of 81^2 // 11^2 = 54 and 10, one scan each (67 scans
+        # when each time made its own generator)
+        assert scanned == ["dH/dlambda", "Hamiltonian", "encoding Hamiltonian", "generator", "generator"]
+
+    @pytest.mark.parametrize("twice_j", [10, 101])
+    def test_a_non_finite_generator_is_refused_as_on_the_single_point_path(self, monkeypatch, twice_j):
+        import thermalqfi.encoding as encoding
+        from thermalqfi.sweep import SweepConfig, run_sweep
+
+        original = encoding._phase_kernel
+
+        def poisoned(delta, t):
+            # NaN at the time 0.7 only, whether t is one time or a stack
+            return np.where(np.asarray(t) == 0.7, np.nan, original(delta, t))
+
+        monkeypatch.setattr(encoding, "_phase_kernel", poisoned)
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            build_scenario("lmg", twice_j, 1.1, 0.7, lam=0.6)
+        build_scenario("lmg", twice_j, 1.1, 0.5, lam=0.6)
+        config = SweepConfig.from_dict(
+            {"model": "lmg", "twice_j": twice_j, "lambda": 0.6, "beta_grid": [1.1], "t_grid": [0.5, 0.7, 1.0]}
+        )
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            run_sweep(config)
+
+    def test_a_non_hermitian_generator_is_refused_with_the_single_point_message(self, monkeypatch):
+        import thermalqfi.encoding as encoding
+        from thermalqfi.sweep import SweepConfig, run_sweep
+
+        original = encoding._integral_matrices
+
+        def skewed(spectrum, t):
+            h = original(spectrum, t)
+            h[..., 0, 1] += np.where(np.reshape(t, np.shape(t)[:1]) == 0.7, 1e-3, 0.0)
+            return h
+
+        monkeypatch.setattr(encoding, "_integral_matrices", skewed)
+        with pytest.raises(NotHermitianError) as single:
+            build_scenario("lmg", 6, 1.1, 0.7, lam=0.6)
+        config = SweepConfig.from_dict(
+            {"model": "lmg", "twice_j": 6, "lambda": 0.6, "beta_grid": [1.1], "t_grid": [0.5, 0.7, 1.0]}
+        )
+        with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
+            run_sweep(config)
 
 
 class TestVarianceReuse:

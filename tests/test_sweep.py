@@ -16,7 +16,6 @@ from thermalqfi.bounds import (
     seminorm_bound,
     variance_bound,
 )
-from thermalqfi.encoding import generator_family
 from thermalqfi.models import build_scenario, closed_qfi, closed_variance, model_encoding
 from thermalqfi.qfi import probe_sums, qfi_general, qfi_sld, qfi_thermal, spectral_plan
 from thermalqfi.spin import MAX_TWICE_J
@@ -35,6 +34,8 @@ from thermalqfi.sweep import (
     run_sweep,
 )
 from thermalqfi.thermal import gibbs_from_spectrum
+
+from conftest import per_time_generator
 
 EXPECTED_HEADER = (
     "model,J,beta,P,t,lambda,f_general,f_thermal,f_sld,variance_bound,seminorm_bound,"
@@ -372,16 +373,16 @@ def test_tanhc_corruption_breaks_route_agreement(monkeypatch):
     assert result.repro is not None
 
 
-def test_criterion_1_builds_one_plan_per_sweep_time(monkeypatch):
+def test_criterion_1_builds_one_plan_per_sweep(monkeypatch):
     import thermalqfi.qfi as qfi_module
     import thermalqfi.verify as verify_module
 
-    calls = {"spectral_plan": 0, "eigh": 0}
-    original_plan = qfi_module.spectral_plan
+    calls = {"stacked_plan": 0, "eigh": 0}
+    original_plan = qfi_module.stacked_plan
     original_eigh = np.linalg.eigh
 
     def counting_plan(*args, **kwargs):
-        calls["spectral_plan"] += 1
+        calls["stacked_plan"] += 1
         return original_plan(*args, **kwargs)
 
     def counting_eigh(*args, **kwargs):
@@ -390,12 +391,14 @@ def test_criterion_1_builds_one_plan_per_sweep_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for name, module in list(sys.modules.items()):
-        if name.startswith("thermalqfi") and getattr(module, "spectral_plan", None) is original_plan:
-            monkeypatch.setattr(module, "spectral_plan", counting_plan)
+        if name.startswith("thermalqfi") and getattr(module, "stacked_plan", None) is original_plan:
+            monkeypatch.setattr(module, "stacked_plan", counting_plan)
     assert verify_module.check_three_way_agreement().passed
     sweeps = len(verify_module.GRID_VARIANTS) * len(verify_module.GRID_TWICE_J)
-    # one plan per (sweep, t), not one per grid point (360)
-    assert calls["spectral_plan"] == sweeps * len(verify_module.GRID_T) == 72
+    # one stacked plan per sweep, whose three times are one chunk at
+    # 2J <= 10, not one per (sweep, t) (72) or per grid point (360)
+    assert len(verify_module.GRID_T) == 3
+    assert calls["stacked_plan"] == sweeps == 24
     # one eigh per lmg sweep for H(lambda), which is diagonal at 2J = 1
     assert calls["eigh"] <= 10
 
@@ -433,6 +436,29 @@ PLAN_CONFIGS = {
     "oat-half-integer": SweepConfig.from_dict({
         "model": "oat", "twice_j": 3, "p_grid": [0.05, 0.5, 0.95], "t_grid": [0.25, 1.0, 3.14],
     }),
+    # t = 0 gives h = C = 0: an empty support inside the union of its chunk
+    "lmg-from-t-zero": SweepConfig.from_dict({
+        "model": "lmg", "twice_j": 6, "lambda": 0.8, "beta_grid": [0.2, 1.1, 30.0], "t_grid": [0.0, 0.7, 3.14],
+    }),
+    # H(lambda) = 1/4 + lambda J_z is diagonal at 2J = 1
+    "lmg-spin-half": SweepConfig.from_dict({
+        "model": "lmg", "twice_j": 1, "lambda": 1.0, "beta_grid": [0.5, 3.0], "t_grid": [0.0, 0.5, 3.14],
+    }),
+    # 64 times at n = 11 are two chunks, of 54 and 10 times
+    "oat-64-times": SweepConfig.from_dict({
+        "model": "oat", "twice_j": 10, "beta_grid": [0.1, 1.1, 9.0],
+        "t_grid": [round(0.05 * k, 12) for k in range(64)],
+    }),
+    # on both sides of the chunk rule (two times per chunk up to n = 57,
+    # one above) and of DENSE_MAX_DIM (parity blocks from n = 82 up)
+    **{
+        f"{model}-2j{twice_j}": SweepConfig.from_dict({
+            "model": model, "twice_j": twice_j, **extra,
+            "beta_grid": [0.3, 2.0], "t_grid": [0.0, 0.5, 3.14],
+        })
+        for twice_j in (56, 57, 58, 101)
+        for model, extra in (("lmg", {"lambda": 0.6}), ("oat", {}), ("linear", {"axis": "y"}))
+    },
 }
 
 
@@ -521,7 +547,8 @@ class TestSpectralPlan:
         rows = run_sweep(config)
         assert len(rows) == len(t_grid) * len(beta_grid)
         assert calls["eigh"] <= 2
-        assert calls["commutator_i"] == len(t_grid)
+        # the five times are one chunk: one commutator of their stack
+        assert calls["commutator_i"] == 1
 
 
 DIAGONAL_PROBE_MODELS = [
@@ -539,7 +566,7 @@ def _plan_points(model, twice_j, axis, lam, decompose):
     probe_h, scheme = model_encoding(model, twice_j, 1.0, axis=axis, lam=lam)
     decomposition = decompose(probe_h)
     scales = bound_scales(decomposition, scheme)
-    generator = generator_family(scheme)
+    generator = per_time_generator(scheme)
     out = []
     for t in (0.0, 0.5, 3.14):
         plan = spectral_plan(decomposition, generator(t))
