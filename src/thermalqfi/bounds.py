@@ -130,11 +130,28 @@ def minimum_gap(eigenvalues, threshold) -> np.ndarray:
     eigenvalues is one spectrum (n,) or a stack of spectra (..., n), and
     threshold broadcasts against the stack's leading axes. Returns an
     array of that leading shape, 0-d for one spectrum.
+
+    Each spectrum is sorted, so fl(e_j - e_i) = |fl(e_i - e_j)| for j > i
+    and, rounding being monotone, it grows with j: the smallest spacing
+    above the threshold from e_i is to the first such j. All levels step
+    their j up together until every spacing exceeds the threshold, so a
+    step costs one pass over the levels and no (..., n, n) array is made;
+    the steps number the largest run of levels within the threshold.
     """
-    e = np.asarray(eigenvalues, dtype=float)
-    gaps = np.abs(e[..., :, None] - e[..., None, :])
-    above = np.where(gaps > np.asarray(threshold, dtype=float)[..., None, None], gaps, np.inf)
-    smallest = above.min(axis=(-2, -1))
+    e = np.sort(np.asarray(eigenvalues, dtype=float), axis=-1)
+    threshold = np.asarray(threshold, dtype=float)[..., None]
+    n = e.shape[-1]
+    padded = np.concatenate((e, np.full(e.shape, np.nan)), axis=-1)  # NaN past the top: never above
+    spacing = padded[..., 1 : n + 1] - e
+    within = spacing <= threshold
+    step = 1
+    while within.any():
+        step += 1
+        spacing = np.where(within, padded[..., step : step + n] - e, spacing)
+        within &= spacing <= threshold
+    above = np.where(spacing > threshold, spacing, np.inf)
+    # a negative threshold admits each level as its own neighbour, at spacing 0
+    smallest = np.where(threshold < 0, 0.0, above).min(axis=-1)
     if np.any(np.isinf(smallest)):
         raise ValueError("spectrum is fully degenerate; no nonzero gap exists")
     return smallest

@@ -20,6 +20,7 @@ import numpy as np
 
 from .operators import (
     SpectralDecomposition,
+    _symmetrize,
     eigendecompose,
     hermiticity_defect,
     matrix_exp_scaled,
@@ -194,7 +195,7 @@ def _integral_matrices(spectrum: EncodingSpectrum, t) -> np.ndarray:
         residue = 0.5 * np.max(hermiticity_defect(h))
         if residue > 0.0:
             logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    return 0.5 * (h + h.conj().mT)
+    return _symmetrize(h)
 
 
 def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
@@ -225,11 +226,13 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
     u0 = require_unitary(scheme.unitary(scheme.lam), "U(lambda)")
     up = require_unitary(scheme.unitary(scheme.lam + step), "U(lambda + step)")
     um = require_unitary(scheme.unitary(scheme.lam - step), "U(lambda - step)")
-    raw = 1j * (u0.conj().T @ (up - um)) / (2.0 * step)
+    raw = u0.conj().T @ (up - um)
+    raw *= 1j
+    raw /= 2.0 * step
     if logger.isEnabledFor(logging.DEBUG):
         residue = 0.5 * hermiticity_defect(raw)
         logger.debug("generator_fd: anti-Hermitian residue %.3e at step %.1e", residue, step)
-    return TransformedLocalGenerator(0.5 * (raw + raw.conj().T), "finite-difference")
+    return TransformedLocalGenerator(_symmetrize(raw), "finite-difference")
 
 
 def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:

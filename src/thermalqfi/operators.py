@@ -58,10 +58,31 @@ def hermiticity_defect(a):
     return np.abs(m - m.conj().mT).max(axis=(-2, -1))
 
 
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    """Whether every matrix of a (..., n, n) array equals its conjugate
+    transpose entry for entry (+0 and -0 equal, NaN equal to nothing).
+    Rows are compared a block at a time against one reused buffer of at
+    most 16384 entries, so no full-size temporary is made."""
+    n = m.shape[-1]
+    rows = max(1, 16384 * n // max(m.size, 1))
+    buffer = np.empty(m.shape[:-2] + (min(rows, n), n), dtype=m.dtype)
+    for start in range(0, n, rows):
+        block = buffer[..., : min(rows, n - start), :]
+        np.conjugate(m[..., start : start + rows].mT, out=block)
+        if not np.array_equal(m[..., start : start + rows, :], block):
+            return False
+    return True
+
+
 def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
     """m itself if each of its matrices is Hermitian within
     HERMITICITY_RTOL * max(1, max|entry|) of that matrix; else
-    NotHermitianError for the first matrix that is not."""
+    NotHermitianError for the first matrix that is not. An exactly
+    Hermitian m has defect 0 and passes whatever the tolerance, so the
+    tolerance and the defect are computed only when the one exact
+    comparison fails."""
+    if _exactly_hermitian(m):
+        return m
     tol = HERMITICITY_RTOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     defect = hermiticity_defect(m)
     failed = np.flatnonzero(defect > tol)
@@ -95,6 +116,16 @@ def require_unitary(u, what: str = "matrix") -> np.ndarray:
     if defect > UNITARITY_TOL:
         raise ValueError(f"{what} is not unitary: max |U U^dagger - I| = {defect:.3e}")
     return m
+
+
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    """x overwritten by 0.5 (x + x^dagger), for each matrix of a complex
+    (..., n, n) array, with the bits of that out-of-place formula: the
+    same additions and the same complex products by 0.5, made with one
+    conjugate buffer."""
+    x += x.conj().mT
+    x *= 0.5
+    return x
 
 
 def _off_diagonal(m: np.ndarray) -> np.ndarray:
@@ -443,14 +474,18 @@ def commutator_i(a, b, *, validated: bool = False) -> np.ndarray:
         raise ValueError(f"dimension mismatch in commutator: {ma.shape} vs {mb.shape}")
     d = _diagonal_of(ma) if ma.ndim == 2 else None
     if d is None:
-        x = 1j * (ma @ mb - mb @ ma)
+        x = ma @ mb
+        x -= mb @ ma
     else:
-        x = 1j * (d[:, None] * mb - mb * d[None, :])
+        x = d[:, None] * mb
+        x -= mb * d[None, :]
+    # 1j * x, in place unless x is real, since a real array cannot hold it
+    x = np.multiply(x, 1j, out=x if np.iscomplexobj(x) else None)
     if logger.isEnabledFor(logging.DEBUG):
         residue = 0.5 * np.max(hermiticity_defect(x))
         if residue > 0.0:
             logger.debug("commutator_i: symmetrized away anti-Hermitian residue %.3e", residue)
-    return 0.5 * (x + x.conj().mT)
+    return _symmetrize(x)
 
 
 def seminorm(a, *, validated: bool = False) -> float:

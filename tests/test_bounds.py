@@ -159,6 +159,94 @@ class TestGapBounds:
         assert minimum_gap(energies, threshold=1e-9) == pytest.approx(1.0 - 1e-12)
 
 
+def _dense_minimum_gap(eigenvalues, threshold):
+    """The minimum gap over the full (..., n, n) difference array: the
+    reference for minimum_gap."""
+    e = np.asarray(eigenvalues, dtype=float)
+    gaps = np.abs(e[..., :, None] - e[..., None, :])
+    above = np.where(gaps > np.asarray(threshold, dtype=float)[..., None, None], gaps, np.inf)
+    smallest = above.min(axis=(-2, -1))
+    if np.any(np.isinf(smallest)):
+        raise ValueError("spectrum is fully degenerate; no nonzero gap exists")
+    return smallest
+
+
+def _gap_outcome(gap, eigenvalues, threshold):
+    try:
+        value = gap(eigenvalues, threshold)
+    except ValueError as exc:
+        return str(exc)
+    return type(value), np.shape(value), _bits_of(value)
+
+
+def _bits_of(x):
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+class TestSortedMinimumGap:
+    """minimum_gap walks each sorted spectrum instead of forming every
+    pairwise difference, with the dense reference's values, shape and
+    verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 300)),
+            st.tuples(st.integers(1, 6), st.integers(1, 40)),
+        ),
+        levels=st.integers(1, 300),
+        splitting=st.sampled_from([0.0, 1e-15, 1e-13, 1e-10]),
+        threshold=st.sampled_from(["zero", "relative", "tiny", "large", "per-spectrum"]),
+    )
+    def test_equals_the_dense_reference(self, seed, shape, levels, splitting, threshold):
+        rng = np.random.default_rng(seed)
+        # unsorted draws from a few levels: degenerate clusters, exact
+        # duplicates and splittings around the threshold
+        base = rng.normal(size=min(levels, shape[-1])) * 10.0 ** rng.uniform(-3, 3)
+        e = rng.choice(base, size=shape) + splitting * rng.normal(size=shape)
+        width = np.ptp(e, axis=-1)
+        thresholds = {
+            "zero": 0.0,
+            "relative": 1e-9 * width,
+            "tiny": 1e-300,
+            "large": 0.3 * width,
+            "per-spectrum": rng.choice([0.0, 1e-12, 1e-9], size=shape[:-1]),
+        }
+        t = thresholds[threshold]
+        assert _gap_outcome(minimum_gap, e, t) == _gap_outcome(_dense_minimum_gap, e, t)
+
+    @pytest.mark.parametrize(
+        "energies, threshold",
+        [
+            ([3.0, -1.0, 2.0, 0.5], 0.0),
+            ([1.0, 1.0, 1.0, 2.0, 2.0 + 1e-12, 0.0], 1e-9),
+            ([0.0, 0.0], 0.0),
+            ([5.0], 0.0),
+            ([0.0, -0.0, 1.0], 0.0),
+            ([[0.0, 1.0, 3.0], [2.0, 2.0, 2.5]], [0.0, 0.6]),
+            ([0.0, 1.0, 3.0], [0.5, 1.5]),
+            ([0.0, 1.0, 3.0], -1.0),
+        ],
+        ids=["unsorted", "clusters", "fully-degenerate", "one-level", "signed-zeros",
+             "stack", "thresholds-broadcast", "negative-threshold"],
+    )
+    def test_edge_cases_equal_the_dense_reference(self, energies, threshold):
+        assert _gap_outcome(minimum_gap, energies, threshold) == _gap_outcome(_dense_minimum_gap, energies, threshold)
+
+    def test_no_pairwise_array(self):
+        import tracemalloc
+
+        e = np.random.default_rng(0).normal(size=2001)
+        tracemalloc.start()
+        try:
+            minimum_gap(e, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * e.nbytes < 2001 * e.nbytes
+
+
 class TestNoncommutativity:
     def test_zero_for_commuting_pair(self):
         _, _, jz = spin_operators(3)

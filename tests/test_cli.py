@@ -205,6 +205,40 @@ def test_module_invocation_smoke():
     assert json.loads(proc.stdout)["bounds"]["ordering_ok"] is True
 
 
+def _cli_bytes(args, threads, cwd):
+    """stdout of ``python -m thermalqfi args`` in a subprocess with
+    `threads` BLAS and OpenMP threads, importing this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "OMP_NUM_THREADS": str(threads),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "thermalqfi", *args], capture_output=True, timeout=300, env=env, cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_outputs_at_or_below_81_do_not_depend_on_the_thread_count(tmp_path):
+    # README's thread-count contract: every output at n <= 81 has the same
+    # bytes at one and at two BLAS threads (two: start no more than that)
+    from thermalqfi.sweep import figure_configs
+
+    config = tmp_path / "fig2a.json"
+    raw = {k: v for k, v in figure_configs()["fig2a"].items() if k != "output_path"}  # rows to stdout
+    config.write_text(json.dumps(raw))
+    runs = {
+        "compute": ["compute", "--model", "lmg", "--lam", "-0.7", "--twice-j", "10", "--beta", "1.7", "--t", "2.3"],
+        "sweep": ["sweep", "--config", str(config), "--format", "csv"],
+    }
+    for name, args in runs.items():
+        one, two = (_cli_bytes(args, threads, tmp_path) for threads in (1, 2))
+        assert one and one == two, name
+
+
 @pytest.mark.parametrize("exc", [ArithmeticError("negative QFI"), OverflowError("exp overflow")])
 def test_numerical_errors_exit_3(monkeypatch, capsys, exc):
     import thermalqfi.cli as cli

@@ -745,3 +745,216 @@ class TestParityBlocks:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(EigensolverError, match="residual contract"):
             eigendecompose(h)
+
+    @pytest.mark.parametrize("twice_j", [82, 100, 101, 200, 400])
+    @pytest.mark.parametrize("lam", [0.6, 1.0, -0.7])
+    def test_a_diagonal_operator_scales_within_one_rounding_of_the_products(self, twice_j, lam, monkeypatch):
+        # to_eigenbasis of a diagonal d on a parity-block decomposition
+        # scales V^T (left * d), which BLAS then multiplies in another
+        # operand layout than (left @ diag(d)): not the products bit for
+        # bit, but within eps * max|d| of them (measured at most 0.4 eps
+        # * max|d|, 4.4e-15 at lmg 2J = 101, lambda -0.7)
+        from thermalqfi.models import lmg_hamiltonian
+
+        dec = eigendecompose(lmg_hamiltonian(twice_j, lam))
+        jz = spin_operators(twice_j)[2]
+        scaled = dec.to_eigenbasis(jz)
+        monkeypatch.setattr(operators, "_diagonal_of", lambda m: None)
+        multiplied = dec.to_eigenbasis(jz)
+        assert dec.blocks is not None
+        assert np.max(np.abs(scaled - multiplied)) <= np.finfo(float).eps * np.abs(np.diagonal(jz)).max()
+
+
+def _tolerance_verdict(m: np.ndarray, what: str):
+    """The tolerance path alone, the gate's reference: None when every
+    matrix of m passes, else the message raised for the first that fails."""
+    tol = operators.HERMITICITY_RTOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    defect = hermiticity_defect(m)
+    failed = np.flatnonzero(defect > tol)
+    if failed.size == 0:
+        return None
+    i = failed[0]
+    return f"{what} is not Hermitian: defect {defect.flat[i]:.3e} exceeds tolerance {tol.flat[i]:.3e}"
+
+
+def _gate_verdict(m: np.ndarray, what: str):
+    try:
+        assert operators._hermitian(m, what) is m
+    except NotHermitianError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def gate_inputs(draw):
+    """A matrix or a (k, n, n) stack, real or complex, that is exactly
+    Hermitian or carries one defect: just inside or just outside the
+    tolerance, a NaN, an infinity, or a pair of zeros of opposite sign.
+    Dimensions up to 150 make the gate compare several blocks of rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.one_of(st.integers(1, 12), st.integers(100, 150)))
+    k = draw(st.sampled_from([None, 1, 3]))
+    is_complex = draw(st.booleans())
+    kind = draw(st.sampled_from(["exact", "inside", "outside", "nan", "inf", "inf-pair", "signed-zeros"]))
+    shape = (dim, dim) if k is None else (k, dim, dim)
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 5)
+    if is_complex:
+        x = x + 1j * rng.normal(size=shape)
+    m = 0.5 * (x + x.conj().mT)
+    member = m if k is None else m[rng.integers(k)]
+    i, j = rng.integers(dim, size=2)
+    tol = operators.HERMITICITY_RTOL * max(1.0, float(np.abs(member).max()))
+    if kind in ("inside", "outside"):
+        # a real defect d on an off-diagonal entry is a defect d (an
+        # imaginary one on the diagonal, 2 d); the factors keep clear of
+        # the entry's rounding
+        step = (0.4 if kind == "inside" else 2.5) * tol
+        if i == j and is_complex:
+            member[i, i] += 0.5j * step
+        elif i != j:
+            member[i, j] += step
+    elif kind == "nan":
+        member[i, j] = np.nan
+    elif kind in ("inf", "inf-pair"):
+        member[i, j] = np.inf
+        if kind == "inf-pair":
+            member[j, i] = np.inf
+    elif kind == "signed-zeros" and i != j:
+        member[i, j], member[j, i] = -0.0, 0.0
+    return m
+
+
+class TestExactHermiticityGate:
+    """_hermitian compares each matrix with its conjugate transpose once,
+    exactly, and computes the tolerance and the defect only when that
+    comparison fails: same verdict, same message as the tolerance path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=gate_inputs())
+    def test_same_verdict_and_message_as_the_tolerance_path(self, m):
+        with np.errstate(invalid="ignore"):  # inf - inf in the defect of an infinite entry
+            assert _gate_verdict(m, "generator") == _tolerance_verdict(m, "generator")
+        if np.isfinite(m).all():
+            expected = _tolerance_verdict(m.astype(np.complex128), "generator")
+            scan = require_hermitian if m.ndim == 2 else operators.require_hermitian_stack
+            try:
+                scan(m, "generator")
+            except NotHermitianError as exc:
+                assert str(exc) == expected
+            else:
+                assert expected is None
+
+    def test_an_exactly_hermitian_matrix_measures_no_defect(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("defect measured on an exactly Hermitian matrix")
+
+        monkeypatch.setattr(operators, "hermiticity_defect", refuse)
+        require_hermitian(spin_operators(100)[1], "generator")
+        operators.require_hermitian_stack(STACKS["dim5"], "generator")
+
+    @pytest.mark.parametrize("shape", [(401, 401), (3, 201, 201)])
+    def test_blocks_of_rows_make_no_full_size_temporary(self, shape):
+        import tracemalloc
+
+        x = np.random.default_rng(0).normal(size=shape) + 1j
+        m = x + x.conj().mT
+        tracemalloc.start()
+        try:
+            assert operators._exactly_hermitian(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16384 * m.itemsize < m.nbytes
+        m[..., -1, -2] += 1e-3  # a defect that only the last block of rows sees
+        assert not operators._exactly_hermitian(m)
+        assert _gate_verdict(m, "generator") == _tolerance_verdict(m, "generator") is not None
+
+
+def _old_commutator(a, b):
+    """commutator_i's out-of-place formula, the reference for its bits."""
+    d = operators._diagonal_of(a) if a.ndim == 2 else None
+    x = 1j * (a @ b - b @ a) if d is None else 1j * (d[:, None] * b - b * d[None, :])
+    return 0.5 * (x + x.conj().mT)
+
+
+def _uint64(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestInPlaceSymmetrization:
+    """commutator_i and the generators symmetrize in place, with the bits
+    of 0.5 (X + X^dagger) formed out of place."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 10),
+        k=st.sampled_from([None, 1, 4]),
+        a_kind=st.sampled_from(["diagonal", "dense", "dense-stack"]),
+        a_complex=st.booleans(),
+        b_complex=st.booleans(),
+        zeros=st.booleans(),
+    )
+    def test_commutator_has_the_out_of_place_bits(self, seed, dim, k, a_kind, a_complex, b_complex, zeros):
+        rng = np.random.default_rng(seed)
+
+        def hermitian(shape, is_complex):
+            x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if is_complex else 0.0)
+            h = 0.5 * (x + x.conj().mT)
+            if zeros:  # exact zeros of both signs, where the sign of a product's zero shows
+                mask = rng.random(shape) < 0.3
+                h[mask & np.triu(np.ones((dim, dim), dtype=bool))] = -0.0
+                h = np.triu(h) + np.triu(h, 1).conj().mT
+            return h
+
+        stack_k = k or 2
+        if a_kind == "diagonal":
+            a = np.diag(rng.normal(size=dim)) * (1.0 + (0j if a_complex else 0.0))
+        else:
+            a = hermitian((stack_k, dim, dim) if a_kind == "dense-stack" else (dim, dim), a_complex)
+        b = hermitian((dim, dim) if k is None and a_kind != "dense-stack" else (stack_k, dim, dim), b_complex)
+        got = commutator_i(a, b, validated=True)  # a real stack is never converted on this path
+        assert got.dtype == np.complex128
+        assert np.array_equal(_uint64(got), _uint64(_old_commutator(a, b)))
+        if b.ndim == 2:
+            scanned = commutator_i(a, b)
+            expected = _old_commutator(a.astype(np.complex128), b.astype(np.complex128))
+            assert np.array_equal(_uint64(scanned), _uint64(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 1), (5, 5), (3, 7, 7), (90, 90)]))
+    def test_symmetrize_has_the_out_of_place_bits(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # signed zeros in either part, and subnormals
+        x[rng.random(shape) < 0.2] = complex(-0.0, 0.0)
+        x.imag[rng.random(shape) < 0.2] = -0.0
+        x.real[rng.random(shape) < 0.1] = 5e-324
+        expected = 0.5 * (x + x.conj().mT)
+        got = operators._symmetrize(x)
+        assert got is x and np.array_equal(_uint64(got), _uint64(expected))
+
+    @pytest.mark.parametrize("twice_j, lam", [(10, 0.6), (101, -0.7)])
+    def test_integral_generator_has_the_out_of_place_bits(self, twice_j, lam, monkeypatch):
+        import thermalqfi.encoding as encoding
+        from thermalqfi.models import model_encoding
+
+        _, family = model_encoding("lmg", twice_j, 2.3, lam=lam)
+        spectrum = encoding.encoding_spectrum(family)
+        times = np.array([0.0, 0.7, 2.3])[:, None, None]
+        got = [encoding._integral_matrices(spectrum, t) for t in (2.3, times)]
+        monkeypatch.setattr(encoding, "_symmetrize", lambda h: h)
+        for value, t in zip(got, (2.3, times)):
+            h = encoding._integral_matrices(spectrum, t)
+            assert np.array_equal(_uint64(value), _uint64(0.5 * (h + h.conj().mT)))
+
+    def test_finite_difference_generator_has_the_out_of_place_bits(self):
+        from thermalqfi.encoding import NumericUnitary, evolution_unitary, generator_fd
+
+        jx, _, jz = spin_operators(6)
+        scheme = NumericUnitary(lambda lam: evolution_unitary(jx @ jx + lam * jz, 1.3), 0.4, 1e-4)
+        step = scheme.fd_step
+        u0, up, um = (np.asarray(scheme.unitary(scheme.lam + s), dtype=np.complex128) for s in (0.0, step, -step))
+        raw = 1j * (u0.conj().T @ (up - um)) / (2.0 * step)
+        expected = 0.5 * (raw + raw.conj().T)
+        assert np.array_equal(_uint64(generator_fd(scheme).h), _uint64(expected))
