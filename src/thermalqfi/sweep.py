@@ -7,15 +7,17 @@ out ordered lexicographically by (t, beta).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import bound_rows, bound_scales
+from .bounds import BoundScales, bound_rows, bound_scales
 from .encoding import generator_stack
 from .models import AXES, MODELS, closed_forms_for, model_encoding
 from .operators import DENSE_MAX_DIM, eigendecompose
@@ -241,47 +243,90 @@ def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: flo
     return SweepRow(**values)
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every grid point; rows ordered lexicographically by (t, beta).
+# the fields every config of one run_sweeps call must share: its spin and grids
+_SHARED_FIELDS = ("twice_j", "beta_grid", "p_grid", "t_grid")
 
-    Factor once, sweep many: the probe eigendecomposition, the Gibbs
-    weights of every beta, ||H||, the gap, ||dH/dlambda|| and (for lmg)
-    the eigendecomposition of H(lambda) are built once per sweep. The
-    times then go through in chunks of DENSE_MAX_DIM^2 // n^2 (at least
-    one), so a chunk's generators hold no more entries than one
-    DENSE_MAX_DIM x DENSE_MAX_DIM matrix. Each chunk is one generator
-    stack with one Hermiticity scan, one stacked_plan, and one route_sums
-    and one bound_rows call over its times x betas rows.
+
+class _Encoding(NamedTuple):
+    """One config's beta- and t-independent parts, over the shared probe."""
+
+    config: SweepConfig
+    scales: BoundScales
+    generators: Callable[[list[float]], np.ndarray]
+    gated_off: dict
+    closed_forms: tuple | None
+
+
+def run_sweeps(configs) -> list[list[SweepRow]]:
+    """The rows of each config, each list equal to run_sweep(config):
+    several encodings of one probe over one grid.
+
+    The configs must share twice_j, the temperature grid and t_grid
+    (ValueError names the first field that differs). Every model's probe
+    is J_z, so the probe eigendecomposition and the Gibbs weights of
+    every beta are built once per call. Once per config: ||H||, the gap,
+    ||dH/dlambda||, the generator family (for lmg, the
+    eigendecomposition of H(lambda)) and the gated-off columns. The
+    (config, time) pairs then go through in chunks of
+    DENSE_MAX_DIM^2 // n^2 (at least one), so a chunk's generators hold
+    no more entries than one DENSE_MAX_DIM x DENSE_MAX_DIM matrix,
+    whichever configs they come from. Each chunk is one generator stack
+    (one Hermiticity scan per config it holds), one stacked_plan, and
+    one route_sums and one bound_rows call over its pairs x betas rows,
+    with each time and scale given per generator.
     """
-    if config.beta_grid is not None:
-        betas = list(config.beta_grid)
-    else:
-        betas = [beta_from_polarization(p) for p in config.p_grid]
-    probe_h, scheme = model_encoding(
-        config.model, config.twice_j, config.t_grid[0], axis=config.axis, lam=config.lam
-    )
-    decomposition = eigendecompose(probe_h, "Hamiltonian")
-    scales = bound_scales(decomposition, scheme)
-    generators = generator_stack(scheme)
+    configs = list(configs)
+    if not configs:
+        return []
+    first = configs[0]
+    for config in configs[1:]:
+        for name in _SHARED_FIELDS:
+            if getattr(config, name) != getattr(first, name):
+                raise ValueError(f"{name}: every config of one run_sweeps call must share it")
+    decomposition = None
+    encodings = []
+    for config in configs:
+        probe_h, scheme = model_encoding(
+            config.model, config.twice_j, config.t_grid[0], axis=config.axis, lam=config.lam
+        )
+        if decomposition is None:
+            decomposition = eigendecompose(probe_h, "Hamiltonian")
+        closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
+        scales = bound_scales(decomposition, scheme)
+        encodings.append(_Encoding(config, scales, generator_stack(scheme), _gated_off(config.outputs), closed_forms))
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
-    closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
-    gated_off = _gated_off(config.outputs)
+    betas = list(first.beta_grid) if first.beta_grid is not None else [beta_from_polarization(p) for p in first.p_grid]
     weights = boltzmann_weights(decomposition.eigenvalues, betas)
     betas = weights.betas
+    pairs = [(index, t) for index, config in enumerate(configs) for t in config.t_grid]
     step = max(1, DENSE_MAX_DIM**2 // decomposition.source_dim**2)
-    rows = []
-    for start in range(0, len(config.t_grid), step):
-        times = config.t_grid[start:start + step]
-        plan = stacked_plan(decomposition, generators(times))
-        # row r is time r // len(betas) at beta r % len(betas)
-        row_times = [t for t in times for _ in betas]
-        row_betas = betas * len(times)
-        sums = route_sums(plan, np.tile(weights.probabilities, (len(times), 1)), row_betas)
-        bounds = bound_rows(plan, sums, row_betas, row_times, scales)
+    rows = [[] for _ in configs]
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start:start + step]
+        runs = [(index, [t for _, t in run]) for index, run in itertools.groupby(chunk, itemgetter(0))]
+        stacks = [encodings[index].generators(times) for index, times in runs]
+        plan = stacked_plan(decomposition, stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        # generator g is pair g of the chunk; row r is its pair r // len(betas) at beta r % len(betas)
+        times = [t for _, t in chunk]
+        row_betas = betas * len(chunk)
+        sums = route_sums(plan, np.tile(weights.probabilities, (len(chunk), 1)), row_betas)
+        # ||H|| and the gap are the shared probe's; ||dH/dlambda|| is each generator's config's
+        scales = BoundScales(*encodings[0].scales[:2], [encodings[index].scales.dh_width for index, _ in chunk])
+        bounds = bound_rows(plan, sums, row_betas, times, scales)
         routes = zip(sums.f_general, sums.f_thermal, sums.f_sld)
-        for t, beta, point, chain in zip(row_times, row_betas, routes, bounds):
-            rows.append(_row(config, gated_off, closed_forms, t, beta, point, chain))
+        chunk_rows = zip([t for t in times for _ in betas], row_betas, routes, bounds)
+        for index, run_times in runs:
+            config, _, _, gated_off, closed_forms = encodings[index]
+            out = rows[index]
+            for t, beta, point, chain in itertools.islice(chunk_rows, len(run_times) * len(betas)):
+                out.append(_row(config, gated_off, closed_forms, t, beta, point, chain))
     return rows
+
+
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
+    """Evaluate every grid point; rows ordered lexicographically by (t, beta):
+    run_sweeps of the one config."""
+    return run_sweeps([config])[0]
 
 
 def render_csv(rows: list[SweepRow]) -> str:

@@ -23,10 +23,10 @@ from .bounds import bound_report, stacked_bound_reports
 from .closed_forms import large_j_linear_approx, linear_qfi_closed, oat_seminorm_semiclassical
 from .encoding import ExplicitGenerator, NumericUnitary, evolution_unitary, generator_fd, generator_integral
 from .models import build_scenario, closed_forms_for, model_encoding
-from .operators import seminorm
+from .operators import _symmetrize, seminorm
 from .qfi import _relative_spread
 from .spin import oat_commutator
-from .sweep import SweepConfig, figure_configs, render_csv, run_sweep
+from .sweep import SweepConfig, figure_configs, render_csv, run_sweep, run_sweeps
 from .thermal import gibbs_state
 
 DEFAULT_SEED = 20240611
@@ -106,16 +106,15 @@ def _grid_config(model, twice_j, lam) -> SweepConfig:
 
 def _grid_rows(variants, twice_js):
     """(model, 2J, beta, t, lambda, sweep row) in the order 2J, beta, t,
-    (model, lambda) variant, from one run_sweep per variant and 2J: one
-    probe and encoding decomposition per sweep, one stacked SpectralPlan
-    per chunk of times (one per sweep here)."""
+    (model, lambda) variant, from one run_sweeps per 2J over its variants:
+    one probe decomposition per 2J, one encoding decomposition per
+    variant, one stacked SpectralPlan per chunk of (variant, time) pairs
+    (one per 2J up to 2J = 27)."""
     for twice_j in twice_js:
-        sweeps = []
-        for model, lam in variants:
-            rows = run_sweep(_grid_config(model, twice_j, lam))
-            sweeps.append((model, lam, {(row.beta, row.t): row for row in rows}))
+        sweeps = run_sweeps([_grid_config(model, twice_j, lam) for model, lam in variants])
+        points = [{(row.beta, row.t): row for row in rows} for rows in sweeps]
         for beta, t in itertools.product(GRID_BETA, GRID_T):
-            for model, lam, rows in sweeps:
+            for (model, lam), rows in zip(variants, points):
                 yield model, twice_j, beta, t, lam, rows[beta, t]
 
 
@@ -196,36 +195,50 @@ def check_variance_closed_forms(seed):
     return f"max rel deviation {worst:.3e} across linear variance, twisting variance and twisting QFI"
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (x + x.conj().T)
-
-
-def _random_scenarios(seed: int):
-    """Criterion 4's (H, A, beta, t) scenarios, drawn in the order dim, H,
-    A, beta, t from one seeded stream."""
+def _random_draws(seed: int):
+    """Criterion 4's draws of each scenario, in the order dim, H, A, beta,
+    t from one seeded stream: one (4, dim, dim) normal draw holding the
+    real and then the imaginary parts of H's Gaussian matrix, then A's,
+    and the two uniforms beta and t."""
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_SCENARIO_COUNT):
         dim = int(rng.integers(2, 9))
-        hamiltonian = _random_hermitian(rng, dim)
-        generator = _random_hermitian(rng, dim)
+        normals = rng.normal(size=(4, dim, dim))
         beta = float(rng.uniform(0.05, 10.0))
         t = float(rng.uniform(0.1, 3.14))
+        yield normals, beta, t
+
+
+def _hermitian_parts(normals: np.ndarray) -> np.ndarray:
+    """H and A, as a (2, ...) array, from (4, ...) draws: 0.5 (X + X^dagger)
+    of each X = re + i im, formed in place."""
+    return _symmetrize(normals[0::2] + 1j * normals[1::2])
+
+
+def _random_scenarios(seed: int):
+    """Criterion 4's (H, A, beta, t) scenarios, one at a time."""
+    for normals, beta, t in _random_draws(seed):
+        hamiltonian, generator = _hermitian_parts(normals)
         yield hamiltonian, generator, beta, t
 
 
 def _random_reports(seed: int):
     """(index, BoundReport) of each random scenario, one stack per
-    dimension in ascending dimension and each stack in draw order. The
-    draws are exactly Hermitian, finite and dense, with dim <= 8, so every
-    stack meets stacked_bound_reports' precondition. A stack's draws and
-    arrays are dropped before the next stack is formed."""
+    dimension in ascending dimension and each stack in draw order. Each
+    stack's H and A come from one _hermitian_parts over its (4, k, n, n)
+    draws, which are dropped once the parts exist. The draws are exactly
+    Hermitian, finite and dense, with dim <= 8, so every stack meets
+    stacked_bound_reports' precondition. A stack's arrays are dropped
+    before the next stack is formed."""
     groups = {}
-    for index, scenario in enumerate(_random_scenarios(seed)):
-        groups.setdefault(scenario[0].shape[0], []).append((index, *scenario))
+    for index, (normals, beta, t) in enumerate(_random_draws(seed)):
+        groups.setdefault(normals.shape[-1], []).append((index, normals, beta, t))
     for dim in sorted(groups):
-        indices, hamiltonians, generators, betas, times = map(np.array, zip(*groups.pop(dim)))
-        yield from zip(indices.tolist(), stacked_bound_reports(hamiltonians, generators, betas, times))
+        indices, normals, betas, times = zip(*groups.pop(dim))
+        normals = np.stack(normals, axis=1)
+        hamiltonians, generators = _hermitian_parts(normals)
+        del normals
+        yield from zip(indices, stacked_bound_reports(hamiltonians, generators, np.array(betas), np.array(times)))
         del indices, hamiltonians, generators, betas, times
 
 
@@ -328,8 +341,7 @@ def check_oat_temperature_peak(seed):
     monotone nondecreasing (curve shapes, not point values, are the
     target)."""
     oat_cfg, lin_cfg = (SweepConfig.from_dict(_figure_sweep_config(name)) for name in ("fig2a", "fig2b"))
-    oat_f = [row.f_general for row in run_sweep(oat_cfg)]
-    lin_f = [row.f_general for row in run_sweep(lin_cfg)]
+    oat_f, lin_f = ([row.f_general for row in rows] for rows in run_sweeps([oat_cfg, lin_cfg]))
     peak = max(range(len(oat_f)), key=oat_f.__getitem__)
     interior = 0 < peak < len(oat_f) - 1 and oat_f[peak] > max(oat_f[0], oat_f[-1])
     diffs = np.diff(lin_f)

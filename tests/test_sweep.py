@@ -32,6 +32,7 @@ from thermalqfi.sweep import (
     render_json,
     rows_as_dicts,
     run_sweep,
+    run_sweeps,
 )
 from thermalqfi.thermal import gibbs_from_spectrum
 
@@ -373,34 +374,117 @@ def test_tanhc_corruption_breaks_route_agreement(monkeypatch):
     assert result.repro is not None
 
 
-def test_criterion_1_builds_one_plan_per_sweep(monkeypatch):
+def _spy_stacked_plan(monkeypatch):
+    """Patch every binding of qfi.stacked_plan to record the shape of each
+    generator stack it is given."""
     import thermalqfi.qfi as qfi_module
+
+    shapes = []
+    original_plan = qfi_module.stacked_plan
+
+    def recording_plan(decomposition, generators):
+        shapes.append(generators.shape)
+        return original_plan(decomposition, generators)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thermalqfi") and getattr(module, "stacked_plan", None) is original_plan:
+            monkeypatch.setattr(module, "stacked_plan", recording_plan)
+    return shapes
+
+
+def test_criterion_1_builds_one_plan_per_twice_j(monkeypatch):
     import thermalqfi.verify as verify_module
 
-    calls = {"stacked_plan": 0, "eigh": 0}
-    original_plan = qfi_module.stacked_plan
+    calls = {"eigh": 0}
     original_eigh = np.linalg.eigh
-
-    def counting_plan(*args, **kwargs):
-        calls["stacked_plan"] += 1
-        return original_plan(*args, **kwargs)
 
     def counting_eigh(*args, **kwargs):
         calls["eigh"] += 1
         return original_eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("thermalqfi") and getattr(module, "stacked_plan", None) is original_plan:
-            monkeypatch.setattr(module, "stacked_plan", counting_plan)
+    shapes = _spy_stacked_plan(monkeypatch)
     assert verify_module.check_three_way_agreement().passed
-    sweeps = len(verify_module.GRID_VARIANTS) * len(verify_module.GRID_TWICE_J)
-    # one stacked plan per sweep, whose three times are one chunk at
-    # 2J <= 10, not one per (sweep, t) (72) or per grid point (360)
+    # one stacked plan per 2J, whose four variants x three times are one
+    # chunk at 2J <= 10, not one per (variant, 2J) sweep (24), per
+    # (sweep, t) (72) or per grid point (360)
     assert len(verify_module.GRID_T) == 3
-    assert calls["stacked_plan"] == sweeps == 24
+    assert len(shapes) == len(verify_module.GRID_TWICE_J) == 6
+    assert [m for m, _, _ in shapes] == [len(verify_module.GRID_VARIANTS) * 3] * 6
     # one eigh per lmg sweep for H(lambda), which is diagonal at 2J = 1
     assert calls["eigh"] <= 10
+
+
+# every encoding of the J_z probe: the linear model along each axis, the
+# twisting model and the collective-spin family at two lambdas
+SHARED_PROBE_VARIANTS = (
+    {"model": "linear", "axis": "x"},
+    {"model": "linear", "axis": "y"},
+    {"model": "linear", "axis": "z"},
+    {"model": "oat"},
+    {"model": "lmg", "lambda": 0.6},
+    {"model": "lmg", "lambda": -0.7},
+)
+# five times: one chunk at n <= 12, and chunks of three (n = 41) and two
+# (n = 57) pairs that straddle two configs
+SHARED_T_GRID = [0.0, 0.25, 1.0, 2.0, 3.14]
+SHARED_TEMPERATURES = {"beta_grid": [0.3, 2.0], "p_grid": [0.1, 0.6]}
+
+
+def _shared_configs(twice_j, grid):
+    return [
+        SweepConfig.from_dict({**variant, "twice_j": twice_j, grid: SHARED_TEMPERATURES[grid], "t_grid": SHARED_T_GRID})
+        for variant in SHARED_PROBE_VARIANTS
+    ]
+
+
+class TestRunSweeps:
+    @pytest.mark.parametrize("grid", sorted(SHARED_TEMPERATURES))
+    @pytest.mark.parametrize("twice_j", [1, 10, 40, 56, 57, 81, 101])
+    def test_each_config_equals_its_own_sweep(self, monkeypatch, twice_j, grid):
+        configs = _shared_configs(twice_j, grid)
+        shapes = _spy_stacked_plan(monkeypatch)
+        shared = run_sweeps(configs)
+        # the (config, time) pairs go through in chunks of DENSE_MAX_DIM^2 // n^2,
+        # whichever configs they come from
+        n = twice_j + 1
+        pairs = len(configs) * len(SHARED_T_GRID)
+        step = max(1, operators.DENSE_MAX_DIM**2 // n**2)
+        assert [m for m, _, _ in shapes] == [min(step, pairs - start) for start in range(0, pairs, step)]
+        assert len(shared) == len(configs)
+        for config, rows in zip(configs, shared):
+            # repr round-trips a double, so equal reprs mean equal bits
+            assert [repr(row) for row in rows] == [repr(row) for row in run_sweep(config)]
+
+    def test_no_chunk_holds_more_entries_than_one_dense_matrix(self, monkeypatch):
+        shapes = _spy_stacked_plan(monkeypatch)
+        for twice_j in (1, 10, 40, 56, 57, 80):
+            run_sweeps(_shared_configs(twice_j, "beta_grid"))
+        assert all(m * n * n <= operators.DENSE_MAX_DIM**2 for m, n, _ in shapes)
+        # above DENSE_MAX_DIM a chunk is the one generator it cannot do without
+        shapes.clear()
+        run_sweeps(_shared_configs(81, "beta_grid"))
+        assert {m for m, _, _ in shapes} == {1}
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("twice_j", {"twice_j": 4}),
+            ("beta_grid", {"beta_grid": [0.3, 2.5]}),
+            ("beta_grid", {"beta_grid": None, "p_grid": [0.1, 0.6]}),
+            ("t_grid", {"t_grid": [0.0, 0.25]}),
+        ],
+        ids=["twice_j", "beta_grid", "p_grid", "t_grid"],
+    )
+    def test_configs_must_share_the_spin_and_grids(self, field, overrides):
+        configs = _shared_configs(6, "beta_grid")
+        raw = {"model": "oat", "twice_j": 6, "beta_grid": [0.3, 2.0], "t_grid": SHARED_T_GRID, **overrides}
+        odd = SweepConfig.from_dict({key: value for key, value in raw.items() if value is not None})
+        with pytest.raises(ValueError, match=f"^{field}: every config of one run_sweeps call must share it$"):
+            run_sweeps([*configs, odd])
+
+    def test_no_configs_no_sweeps(self):
+        assert run_sweeps([]) == []
 
 
 def _runnable(raw):

@@ -98,6 +98,50 @@ def test_generator_routes_report_an_offset_finite_difference(monkeypatch):
     assert result.repro is None
 
 
+def _reference_hermitian(rng, dim):
+    """The per-matrix draw the stream is pinned to: two (dim, dim) normal
+    calls, symmetrized out of place."""
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (x + x.conj().T)
+
+
+def _reference_scenarios(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(verify.RANDOM_SCENARIO_COUNT):
+        dim = int(rng.integers(2, 9))
+        hamiltonian = _reference_hermitian(rng, dim)
+        generator = _reference_hermitian(rng, dim)
+        yield hamiltonian, generator, float(rng.uniform(0.05, 10.0)), float(rng.uniform(0.1, 3.14))
+
+
+def _bits(*values):
+    return [np.asarray(value).view(np.uint64).tolist() for value in values]
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1, 7])
+def test_draws_keep_the_bits_of_the_per_matrix_draws(monkeypatch, seed):
+    reference = list(_reference_scenarios(seed))
+    scenarios = list(verify._random_scenarios(seed))
+    assert len(scenarios) == len(reference)
+    for index, (got, want) in enumerate(zip(scenarios, reference)):
+        assert _bits(*got) == _bits(*want), f"scenario {index}"
+    # each stack's H and A, formed at once from its dimension's draws
+    stacks = []
+
+    def recording(hamiltonians, generators, betas, times):
+        stacks.append((hamiltonians, generators, betas, times))
+        return [None] * len(betas)
+
+    monkeypatch.setattr(verify, "stacked_bound_reports", recording)
+    indices = [index for index, _ in verify._random_reports(seed)]
+    drawn = iter(indices)
+    for stack in stacks:
+        for scenario in zip(*stack):
+            index = next(drawn)
+            assert _bits(*scenario) == _bits(*reference[index]), f"scenario {index}"
+    assert sorted(indices) == list(range(verify.RANDOM_SCENARIO_COUNT))
+
+
 def _single_point(scenario):
     hamiltonian, generator, beta, t = scenario
     return bound_report(gibbs_state(hamiltonian, beta), ExplicitGenerator(generator, t))
