@@ -30,6 +30,7 @@ from .encoding import (
 )
 from .operators import (
     SpectralDecomposition,
+    _dense,
     certified_eigh,
     commutator_i,
     seminorm,
@@ -71,7 +72,7 @@ def _thermal_variance(rho0: GibbsState, op: np.ndarray) -> float:
     """Var[op] against the Gibbs probe, evaluated in the probe eigenbasis."""
     v = rho0.eigenvectors
     p = rho0.probabilities
-    ot = v.conj().T @ op @ v
+    ot = v.conj().T @ op.matrix @ v
     mean = math.fsum((p * np.real(np.diag(ot))).tolist())
     second = math.fsum((p[:, None] * np.abs(ot) ** 2).ravel().tolist())
     return second - mean * mean
@@ -81,13 +82,13 @@ def _convexity_sum(rho0: GibbsState, hm: np.ndarray) -> float:
     """sum_i 4 p_i Var[h]_i over the probe eigenstates."""
     v = rho0.eigenvectors
     p = rho0.probabilities
-    ht = v.conj().T @ hm @ v
+    ht = v.conj().T @ hm.matrix @ v
     var_i = (np.abs(ht) ** 2).sum(axis=1) - np.real(np.diag(ht)) ** 2
     return math.fsum((4.0 * p * var_i).tolist())
 
 
-def _probe_commutator(rho0: GibbsState, h) -> np.ndarray:
-    return commutator_i(rho0.hamiltonian, as_operator(h))
+def _probe_commutator(rho0: GibbsState, h):
+    return commutator_i(rho0.decomposition.source, as_operator(h))
 
 
 def noncommutativity(hamiltonian, h) -> float:
@@ -121,7 +122,7 @@ def scheme_product_bound(rho0: GibbsState, scheme) -> float:
         raise UnsupportedEncodingError(
             "numeric-unitary encodings expose no dH/dlambda; the product bound is undefined"
         )
-    return product_bound(rho0.hamiltonian, derivative, rho0.beta, scheme.t)
+    return product_bound(rho0.decomposition.source, derivative, rho0.beta, scheme.t)
 
 
 def minimum_gap(eigenvalues, threshold) -> np.ndarray:
@@ -171,8 +172,8 @@ def gap_bounds(rho0: GibbsState, h) -> GapBounds:
     degenerate probe Hamiltonian has no usable gap and raises.
     """
     hm = as_operator(h)
-    comm = commutator_i(rho0.hamiltonian, hm)
-    gap = float(minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.hamiltonian)))
+    comm = commutator_i(rho0.decomposition.source, hm)
+    gap = float(minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.decomposition.source)))
     return GapBounds(
         convexity_bound=_convexity_sum(rho0, hm),
         gap_variance_bound=4.0 * _thermal_variance(rho0, comm) / gap**2,
@@ -250,15 +251,15 @@ def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
     eigendecomposition.
 
     The gap treats spacings below 1e-9 * ||H|| as degenerate. Nothing is
-    scanned for Hermiticity: H was validated when it was decomposed, and
-    dH/dlambda when the scheme carrying it was made.
+    scanned: H is the record that was decomposed, and dH/dlambda the
+    record the scheme carrying it took in.
     """
     derivative = _derivative(scheme)
-    h_width = seminorm(decomposition.source, validated=True)
+    h_width = seminorm(decomposition.source)
     return BoundScales(
         h_width=h_width,
         min_gap=float(_probe_gap(decomposition.eigenvalues, h_width)),
-        dh_width=None if derivative is None else seminorm(derivative, validated=True),
+        dh_width=None if derivative is None else seminorm(derivative),
     )
 
 
@@ -354,9 +355,9 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     stacked_plan, one route_sums and one bound_rows give the bits of
     bound_report.
     """
-    scaled = times[:, None, None] * generators  # h = t A, as generator_explicit forms it
+    scaled = _dense(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
     evals, evecs = certified_eigh(hamiltonians, "Hamiltonian stack")
-    plan = stacked_plan(SpectralDecomposition(evals, evecs, evals.shape[-1], source=hamiltonians), scaled)
+    plan = stacked_plan(SpectralDecomposition(evals, evecs, evals.shape[-1], source=_dense(hamiltonians)), scaled)
     h_width = stacked_seminorms(hamiltonians, "Hamiltonian stack")
     weights = boltzmann_weights(evals, betas.tolist())
     scales = BoundScales(h_width, _probe_gap(evals, h_width), stacked_seminorms(generators, "generator stack"))

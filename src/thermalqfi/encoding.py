@@ -19,13 +19,18 @@ from typing import Callable
 import numpy as np
 
 from .operators import (
+    Hermitian,
     SpectralDecomposition,
+    _blocks,
+    _dense,
+    _diagonal,
+    _require_finite,
     _symmetrize,
+    _with_matrix,
+    as_hermitian,
     eigendecompose,
     hermiticity_defect,
     matrix_exp_scaled,
-    require_hermitian,
-    require_hermitian_stack,
     require_unitary,
 )
 
@@ -57,11 +62,11 @@ def _check_times(times) -> np.ndarray:
 class ExplicitGenerator:
     """U(lambda) = exp(-i lambda A t) for a fixed Hermitian generator A."""
 
-    generator: np.ndarray
+    generator: Hermitian
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "generator", require_hermitian(self.generator, "generator"))
+        object.__setattr__(self, "generator", as_hermitian(self.generator, "generator"))
         object.__setattr__(self, "t", _check_time(self.t))
 
 
@@ -69,13 +74,13 @@ class ExplicitGenerator:
 class HamiltonianFamily:
     """U(lambda) = exp(-i H(lambda) t) with a lambda-independent dH/dlambda."""
 
-    hamiltonian: Callable[[float], np.ndarray]
-    dh_dlambda: np.ndarray
+    hamiltonian: Callable[[float], np.ndarray | Hermitian]
+    dh_dlambda: Hermitian
     lam: float
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dh_dlambda", require_hermitian(self.dh_dlambda, "dH/dlambda"))
+        object.__setattr__(self, "dh_dlambda", as_hermitian(self.dh_dlambda, "dH/dlambda"))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "t", _check_time(self.t))
 
@@ -102,22 +107,37 @@ EncodingScheme = ExplicitGenerator | HamiltonianFamily | NumericUnitary
 @dataclass(frozen=True, eq=False)
 class TransformedLocalGenerator:
     """Hermitian generator of parameter changes in the probe frame, with a
-    tag recording which route produced it. h is validated here, so no
-    consumer scans it again."""
+    tag recording which route produced it. operator is its record: a
+    record a generator builds is taken as it is, an array goes through
+    the gate here, so no consumer scans it again."""
 
-    h: np.ndarray
+    operator: Hermitian
     method: str
 
     def __post_init__(self):
-        object.__setattr__(self, "h", require_hermitian(self.h, "generator"))
+        object.__setattr__(self, "operator", as_hermitian(self.operator, "generator"))
+
+    @property
+    def h(self) -> np.ndarray:
+        """The generator as a dense matrix."""
+        return self.operator.matrix
 
 
-def as_operator(h) -> np.ndarray:
-    """The validated matrix of a TransformedLocalGenerator, or a bare
-    matrix validated here: the one gate for a bare generator array."""
+def as_operator(h) -> Hermitian:
+    """The record of a TransformedLocalGenerator, or of a bare matrix taken
+    in here: the one gate for a bare generator array."""
     if isinstance(h, TransformedLocalGenerator):
-        return h.h
-    return require_hermitian(h, "generator")
+        return h.operator
+    return as_hermitian(h, "generator")
+
+
+def _finite(h: Hermitian) -> Hermitian:
+    """h, once every stored entry is proved finite. A generator is
+    Hermitian by construction, but t A and the spectral kernel overflow
+    for a large enough t."""
+    for part in h.parts:
+        _require_finite(part)
+    return h
 
 
 def generator_explicit(a, t) -> TransformedLocalGenerator:
@@ -146,14 +166,16 @@ def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
 class EncodingSpectrum:
     """The time-independent half of the spectral-kernel generator: the
     eigendecomposition of H(lambda), V = W^dagger dH/dlambda W and the
-    level differences E_m - E_n. When H(lambda) split into parity blocks
-    and dH/dlambda conserves parity too, V is an exact zero across the
-    blocks, and v_eig and delta are tuples holding one array per block,
-    over that block's levels."""
+    level differences E_m - E_n. When H(lambda) is in parity blocks and
+    dH/dlambda conserves parity too (diagonal or block form), V is an
+    exact zero across the blocks, and v_eig and delta are tuples holding
+    one array per block, over that block's levels. diagonal says that
+    H(lambda) and dH/dlambda are both diagonal, so every h is."""
 
     decomposition: SpectralDecomposition
     v_eig: np.ndarray | tuple[np.ndarray, ...]
     delta: np.ndarray | tuple[np.ndarray, ...]
+    diagonal: bool = False
 
 
 def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
@@ -161,48 +183,64 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
 
     Both basis changes go through the decomposition, so a diagonal
     dH/dlambda (J_z for lmg) scales instead of multiplying, and an
-    H(lambda) that splits into parity blocks changes basis block by
-    block."""
+    H(lambda) in parity blocks changes basis block by block."""
     dec = eigendecompose(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
     v = scheme.dh_dlambda
     if dec.source.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
-    v_eig = dec.to_eigenbasis(v)
     delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
-    if dec.blocks is not None and not (v[0::2, 1::2].any() or v[1::2, 0::2].any()):
-        sectors = [np.ix_(block.positions, block.positions) for block in dec.blocks]
-        v_eig, delta = (tuple(x[sector] for sector in sectors) for x in (v_eig, delta))
+    diagonal = False
+    if dec.blocks is not None and v.form in ("diagonal", "blocks"):
+        v_eig = tuple(dec.to_block_eigenbases(v))
+        delta = tuple(delta[np.ix_(block.positions, block.positions)] for block in dec.blocks)
+    else:
+        v_eig = dec.to_eigenbasis(v)
+        diagonal = dec.order is not None and v_eig.form == "diagonal"
+        v_eig = v_eig.matrix
     return EncodingSpectrum(
         decomposition=replace(dec, source=None),  # the basis only, not H(lambda) itself
         v_eig=v_eig,
         delta=delta,
+        diagonal=diagonal,
     )
 
 
-def _integral_matrices(spectrum: EncodingSpectrum, t) -> np.ndarray:
+def _zero_times(h: Hermitian, times: np.ndarray, diagonal: bool) -> Hermitian:
+    """h, with the form of each matrix that is diagonal named: every one
+    when diagonal is set, else each at t = 0, where h vanishes. A record
+    that turns diagonal keeps its dense array as its matrix."""
+    zero = np.full(times.shape, True) if diagonal else times == 0.0
+    if h.form == "diagonal" or not zero.any():
+        return h
+    if h.ndim == 2 or zero.all():
+        return _with_matrix(_diagonal(h.diagonal()), h.matrix)
+    return replace(h, members=tuple("diagonal" if z else h.form for z in zero))
+
+
+def _integral_matrices(spectrum: EncodingSpectrum, t) -> Hermitian:
     """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated
-    back and symmetrized, not scanned; over the same-parity pairs only,
-    block by block, when V is split by parity (see EncodingSpectrum).
-    One matrix for a time t, or a (T, n, n) stack for T times given as a
+    back and symmetrized, Hermitian by construction; over the same-parity
+    pairs only, block by block, when V is split by parity (see
+    EncodingSpectrum), and then kept as its two parity blocks. One
+    matrix for a time t, or a (T, n, n) stack for T times given as a
     (T, 1, 1) array, with the bits of one matrix per time."""
     dec = spectrum.decomposition
     if isinstance(spectrum.v_eig, tuple):
         parts = [v * _phase_kernel(delta, t) for v, delta in zip(spectrum.v_eig, spectrum.delta)]
-        h = dec.from_block_eigenbases(parts)
+        raw = dec.from_block_eigenbases(parts)
     else:
-        h = dec.from_eigenbasis(spectrum.v_eig * _phase_kernel(spectrum.delta, t))
+        raw = (dec.from_eigenbasis(spectrum.v_eig * _phase_kernel(spectrum.delta, t)),)
     if logger.isEnabledFor(logging.DEBUG):
-        residue = 0.5 * np.max(hermiticity_defect(h))
+        residue = 0.5 * max(np.max(hermiticity_defect(x)) for x in raw)
         if residue > 0.0:
             logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    return _symmetrize(h)
+    h = _blocks(*map(_symmetrize, raw)) if len(raw) == 2 else _dense(_symmetrize(raw[0]))
+    return _zero_times(h, np.asarray(t).reshape(np.shape(t)[:1]), spectrum.diagonal)
 
 
 def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
-    """The spectral-kernel generator at time t (see _integral_matrices); the
-    raw h is freed with that call's frame, before the constructor scans
-    the symmetrized one."""
-    return TransformedLocalGenerator(_integral_matrices(spectrum, _check_time(t)), "integral")
+    """The spectral-kernel generator at time t (see _integral_matrices)."""
+    return TransformedLocalGenerator(_finite(_integral_matrices(spectrum, _check_time(t))), "integral")
 
 
 def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
@@ -237,7 +275,7 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
 
 def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
     if isinstance(scheme, ExplicitGenerator):
-        return TransformedLocalGenerator(scheme.t * scheme.generator, "explicit")
+        return TransformedLocalGenerator(_finite(scheme.t * scheme.generator), "explicit")
     if isinstance(scheme, HamiltonianFamily):
         return generator_integral(scheme)
     if isinstance(scheme, NumericUnitary):
@@ -245,14 +283,21 @@ def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
 
 
-def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[np.ndarray], np.ndarray]:
-    """h at each of T evolution times as one validated (T, n, n) stack,
-    with the bits of transformed_generator at each time; the
-    t-independent work (the eigendecomposition of H(lambda)) is done once
-    and scheme.t is ignored. An explicit stack is t A for each t, a
-    spectral-kernel stack one broadcast kernel and one broadcast
-    rotation. The stack is scanned once, as each TransformedLocalGenerator
-    would be, with its message."""
+def _scaled_stack(times: np.ndarray, a: Hermitian) -> Hermitian:
+    """t A for each of T times, as a (T, n, n) stack record in A's form,
+    each member at t = 0 named diagonal."""
+    lead = (slice(None),) + (None,) * (1 if a.form == "diagonal" else 2)
+    return _zero_times(replace(a, parts=tuple(times[lead] * p for p in a.parts)), times, a.form == "diagonal")
+
+
+def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[np.ndarray], Hermitian]:
+    """h at each of T evolution times as one (T, n, n) stack record, with
+    the bits of transformed_generator at each time; the t-independent
+    work (the eigendecomposition of H(lambda)) is done once and scheme.t
+    is ignored. An explicit stack is t A for each t, a spectral-kernel
+    stack one broadcast kernel and one broadcast rotation. Each is
+    Hermitian by construction, and proved finite as a single generator
+    is."""
     if isinstance(scheme, ExplicitGenerator):
         generator, spectrum = scheme.generator, None
     elif isinstance(scheme, HamiltonianFamily):
@@ -261,9 +306,10 @@ def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[
         raise TypeError(f"no time family for encoding scheme type: {type(scheme).__name__}")
 
     def stack(times) -> np.ndarray:
-        times = _check_times(times)[:, None, None]
-        h = _integral_matrices(spectrum, times) if generator is None else times * generator
-        return require_hermitian_stack(h, "generator")
+        times = _check_times(times)
+        if generator is None:
+            return _finite(_integral_matrices(spectrum, times[:, None, None]))
+        return _finite(_scaled_stack(times, generator))
 
     return stack
 

@@ -25,7 +25,8 @@ from .encoding import (
     transformed_generator,
 )
 from . import operators
-from .spin import banded_jz_jx_squared, check_twice_j, spin_operators
+from .operators import Hermitian, _dense, _diagonal, _with_matrix
+from .spin import banded_jz_jx_squared, check_twice_j, spin_operator_forms, spin_operators
 from .thermal import GibbsState, gibbs_state
 
 MODELS = ("linear", "oat", "lmg")
@@ -52,23 +53,27 @@ def _symmetrized_square(a: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def _jz_jx_squared(twice_j) -> tuple[np.ndarray, np.ndarray]:
+def _jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     """(J_z, J_x^2) for the twisting and collective-spin models: the dense
     product of J_x up to operators.DENSE_MAX_DIM, whose bits the figure
-    and verify outputs pin, and the bands above it."""
+    and verify outputs pin, and the bands above it. At 2J = 1,
+    J_x^2 = 1/4 is diagonal."""
     if check_twice_j(twice_j) + 1 > operators.DENSE_MAX_DIM:
         return banded_jz_jx_squared(twice_j)
     jx, _, jz = spin_operators(twice_j)
-    return jz, _symmetrized_square(jx)
+    jx2 = _symmetrized_square(jx)
+    square = _with_matrix(_diagonal(np.diagonal(jx2)), jx2) if twice_j == 1 else _dense(jx2)
+    return _with_matrix(_diagonal(np.diagonal(jz).real), jz), square
 
 
-def lmg_hamiltonian(twice_j, lam: float) -> np.ndarray:
-    """Collective-spin encoding Hamiltonian J_x^2 + lambda J_z."""
+def lmg_hamiltonian(twice_j, lam: float) -> Hermitian:
+    """Collective-spin encoding Hamiltonian J_x^2 + lambda J_z, as an
+    operator record (in parity blocks above operators.DENSE_MAX_DIM)."""
     jz, jx2 = _jz_jx_squared(twice_j)
     return jx2 + float(lam) * jz
 
 
-def model_encoding(model: str, twice_j, t, axis: str = "x", lam=None) -> tuple[np.ndarray, EncodingScheme]:
+def model_encoding(model: str, twice_j, t, axis: str = "x", lam=None) -> tuple[Hermitian, EncodingScheme]:
     """(probe Hamiltonian J_z, encoding scheme at time t) for a reference model."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -77,7 +82,7 @@ def model_encoding(model: str, twice_j, t, axis: str = "x", lam=None) -> tuple[n
     if model == "lmg" and lam is None:
         raise ValueError("the lmg model requires lambda")
     if model == "linear":
-        jx, jy, jz = spin_operators(twice_j)
+        jx, jy, jz = spin_operator_forms(twice_j)
         return jz, ExplicitGenerator({"x": jx, "y": jy, "z": jz}[axis], t)
     jz, jx2 = _jz_jx_squared(twice_j)
     if model == "oat":

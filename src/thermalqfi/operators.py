@@ -1,22 +1,27 @@
-"""Dense Hermitian operator algebra with explicit accuracy contracts.
+"""Hermitian operator algebra with explicit accuracy contracts.
 
-Operators are plain complex128 numpy arrays; the functions here validate
-their preconditions instead of wrapping every array in a class. The
-tolerances are module constants so the contracts stay visible at the call
-sites that enforce them. All operations are pure and thread-safe.
-Diagonal matrices, and matrices above DENSE_MAX_DIM that split into
-parity blocks, skip the dense eigensolver under the same contracts.
+An operator is a Hermitian record that holds a matrix, or a stack of
+them, in the form it was made in: diagonal, two parity blocks, Hermitian
+tridiagonal, or dense. The spin and band builders, the generators, the
+block basis changes and commutator_i make records and name their forms;
+a plain array is scanned once for finiteness and Hermiticity and its form
+detected once (as_hermitian, the one gate for user arrays). Everything
+downstream reads the form instead of scanning for it, so a parity
+operator above DENSE_MAX_DIM stays as two half blocks end to end.
+
+The public functions take arrays or records; given only arrays they
+return arrays, given a record they return a record. The tolerances are
+module constants so the contracts stay visible at the call sites that
+enforce them. All operations are pure and thread-safe.
 certified_eigh and stacked_seminorms solve a (k, n, n) stack in one
-LAPACK call, with the bits of per-matrix dense calls. They validate
-nothing: the caller guarantees that every member is one that the
-single-matrix functions would solve densely, and only a LAPACK error or
-a missed residual certificate raises EigensolverError.
+LAPACK call, with the bits of per-matrix dense calls.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +35,7 @@ EXP_ARG_LIMIT = 700.0
 # Largest dimension that always takes the dense eigensolver. Parity blocks
 # round differently from the dense solve, so every matrix the figures
 # (dim 11) and the verify battery (up to dim 81) decompose stays dense and
-# their outputs keep their bytes; only larger matrices split.
+# their outputs keep their bits; only larger matrices split.
 DENSE_MAX_DIM = 81
 
 
@@ -42,12 +47,22 @@ class EigensolverError(RuntimeError):
     """The dense symmetric eigensolver failed its accuracy contract."""
 
 
+def _require_finite(m: np.ndarray) -> None:
+    """ValueError unless every entry of m is finite. One sum proves it: a
+    NaN or an infinity poisons the sum, and only a sum that is not finite
+    (which finite entries also give when they overflow) takes the
+    entrywise check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = m.sum()
+    if not np.isfinite(total) and not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+
+
 def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    _require_finite(m)
     return m
 
 
@@ -105,8 +120,7 @@ def require_hermitian_stack(stack, what: str = "matrix") -> np.ndarray:
     m = np.asarray(stack, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
         raise ValueError(f"expected a stack of nonempty square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    _require_finite(m)
     return _hermitian(m, what)
 
 
@@ -137,35 +151,233 @@ def _off_diagonal(m: np.ndarray) -> np.ndarray:
     return m.reshape(*lead, n * n)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
 
 
-def _diagonal_of(m: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a square matrix whose off-diagonal entries are all
-    exact zeros (of either sign), else None."""
-    n = m.shape[0]
-    if n > 1 and (m[1, 0] != 0 or m[0, 1] != 0):
-        return None
-    if _off_diagonal(m).any():
-        return None
-    return np.diagonal(m)
-
-
 def _real_if_exact(x: np.ndarray) -> np.ndarray:
     """x itself, or its real part when its imaginary part is exactly zero."""
     return x.real if np.iscomplexobj(x) and not x.imag.any() else x
 
 
-def _parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The even-index and odd-index diagonal blocks of a matrix above
-    DENSE_MAX_DIM whose entries between an even and an odd index are all
-    exact zeros, else None.
+def _is_tridiagonal(block: np.ndarray) -> bool:
+    """Whether every nonzero entry of a square matrix lies on its three
+    central bands."""
+    bands = sum(np.count_nonzero(np.diagonal(block, k)) for k in (-1, 0, 1))
+    return np.count_nonzero(block) == bands
 
-    In the ascending J_z basis index k carries J + M = k, so these are the
-    two parity sectors that J_z, J_x^2, H(lambda) = J_x^2 + lambda J_z and
-    their commutators conserve. A block whose imaginary part is exactly
-    zero comes back real, to be solved in real arithmetic.
+
+def _real_tridiagonal(block: np.ndarray) -> np.ndarray:
+    """The isospectral real matrix of a complex Hermitian tridiagonal block.
+
+    The diagonal phase similarity that makes each subdiagonal entry e_k
+    real and positive (Golub & Van Loan, Matrix Computations, 8.4) maps
+    the block to the real symmetric tridiagonal matrix with diagonal
+    Re(d_k) and off-diagonals |e_k|. It is read from the lower triangle,
+    the one eigvalsh reads, and solved in real arithmetic.
     """
-    if m.shape[0] <= DENSE_MAX_DIM or m[0::2, 1::2].any() or m[1::2, 0::2].any():
-        return None
-    return _real_if_exact(m[0::2, 0::2]), _real_if_exact(m[1::2, 1::2])
+    off = np.abs(np.diagonal(block, -1))
+    return np.diag(np.diagonal(block).real) + np.diag(off, -1) + np.diag(off, 1)
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The (..., n) array whose even-index entries are even and odd-index
+    entries odd."""
+    out = np.empty(even.shape[:-1] + (even.shape[-1] + odd.shape[-1],), dtype=np.result_type(even, odd))
+    out[..., 0::2] = even
+    out[..., 1::2] = odd
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Hermitian:
+    """A Hermitian matrix, or a stack of them along leading axes, held in
+    the form that names how it is stored (dim is the matrix size n):
+
+    - "diagonal": parts = (d,), the diagonal, (..., n);
+    - "blocks": parts = (even, odd), the diagonal blocks over the even and
+      the odd indices, every entry between an even and an odd index being
+      an exact zero. In the ascending J_z basis index k carries J + M = k,
+      so these are the two parity sectors that J_z, J_x^2,
+      H(lambda) = J_x^2 + lambda J_z and their commutators conserve. A
+      block is real when its imaginary part is exactly zero, and
+      tridiagonal[b] says whether block b is tridiagonal;
+    - "tridiagonal": parts = (m,), the full matrix, Hermitian tridiagonal
+      (the linear model's J_x, J_y and C above DENSE_MAX_DIM);
+    - "dense": parts = (m,), the full matrix.
+
+    Every form but dense is used only where detection on the dense array
+    would find it: diagonal wherever every off-diagonal entry is an
+    exact zero, blocks and tridiagonal only above DENSE_MAX_DIM. For a
+    stack, members names each member's own form when it is narrower than
+    the stack's: a diagonal member (the generator at t = 0) of a dense or
+    block stack. The dense array is made only when asked for (matrix,
+    or numpy's array protocol, which makes a record usable wherever an
+    array is).
+    """
+
+    form: str
+    parts: tuple[np.ndarray, ...]
+    dim: int
+    tridiagonal: tuple[bool, ...] = ()
+    members: tuple[str, ...] | None = field(default=None, repr=False)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        lead = self.parts[0].shape[: -1 if self.form == "diagonal" else -2]
+        return lead + (self.dim, self.dim)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    dtype = np.dtype(np.complex128)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense complex array."""
+        if self.form in ("dense", "tridiagonal"):
+            return self.parts[0]
+        out = np.zeros(self.shape, dtype=np.complex128)
+        if self.form == "diagonal":
+            k = np.arange(self.dim)
+            out[..., k, k] = self.parts[0]
+        else:
+            out[..., 0::2, 0::2], out[..., 1::2, 1::2] = self.parts
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.matrix if dtype is None else self.matrix.astype(dtype)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal entries, (..., n)."""
+        if self.form == "diagonal":
+            return self.parts[0]
+        if self.form == "blocks":
+            return _interleave(*(np.diagonal(b, axis1=-2, axis2=-1) for b in self.parts))
+        return np.diagonal(self.parts[0], axis1=-2, axis2=-1)
+
+    def member(self, i: int) -> Hermitian:
+        """Member i of a stack, in its own form."""
+        whole = replace(self, parts=tuple(p[i] for p in self.parts), members=None)
+        if self.members is None or self.members[i] == self.form:
+            return whole
+        return _diagonal(whole.diagonal())
+
+    def member_forms(self) -> tuple[str, ...]:
+        return self.members or (self.form,) * self.shape[0]
+
+    def __mul__(self, c) -> Hermitian:
+        """c A for a real scalar c; a zero c gives the diagonal zero, whose
+        matrix is c times A's."""
+        if c == 0 and self.form != "diagonal":
+            return _with_matrix(_diagonal(c * self.diagonal()), c * self.matrix)
+        return replace(self, parts=tuple(c * p for p in self.parts))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: Hermitian) -> Hermitian:
+        """A + B of two single matrices, in the narrower of their forms
+        that holds the sum."""
+        forms = {self.form, other.form}
+        if forms == {"diagonal"}:
+            return _diagonal(self.parts[0] + other.parts[0])
+        if forms == {"blocks"}:
+            flags = tuple(a and b for a, b in zip(self.tridiagonal, other.tridiagonal))
+            return _blocks(*(a + b for a, b in zip(self.parts, other.parts)), flags)
+        if forms == {"blocks", "diagonal"}:
+            blocks, d = (self, other.parts[0]) if self.form == "blocks" else (other, self.parts[0])
+            parts = []
+            for start, block in enumerate(blocks.parts):
+                out = block.astype(np.result_type(block, d))
+                k = np.arange(out.shape[-1])
+                out[k, k] += d[start::2]
+                parts.append(out)
+            return _blocks(*parts, blocks.tridiagonal)
+        return _dense(self.matrix + other.matrix)
+
+
+def _diagonal(d: np.ndarray, members=None) -> Hermitian:
+    return Hermitian("diagonal", (d,), d.shape[-1], members=members)
+
+
+def _blocks(even: np.ndarray, odd: np.ndarray, tridiagonal=(False, False), members=None) -> Hermitian:
+    return Hermitian("blocks", (even, odd), even.shape[-1] + odd.shape[-1], tuple(tridiagonal), members)
+
+
+def _dense(m: np.ndarray, form: str = "dense", members=None) -> Hermitian:
+    return Hermitian(form, (m,), m.shape[-1], members=members)
+
+
+def _with_matrix(record: Hermitian, m: np.ndarray) -> Hermitian:
+    """record, with the dense array it was read from kept as its matrix."""
+    record.__dict__["matrix"] = m
+    return record
+
+
+def operator_form(m: np.ndarray) -> Hermitian:
+    """The record of a Hermitian complex matrix, in the form detection
+    finds on it: diagonal when every off-diagonal entry is an exact zero
+    (of either sign); above DENSE_MAX_DIM, parity blocks when every entry
+    between an even and an odd index is one, else tridiagonal when every
+    nonzero entry lies on the three central bands; else dense. The gate's
+    detection, and the reference for every form a builder or a product
+    names; m is kept as the record's matrix."""
+    n = m.shape[0]
+    if n == 1 or (m[1, 0] == 0 and m[0, 1] == 0 and not _off_diagonal(m).any()):
+        record = _diagonal(np.diagonal(m))
+    elif n > DENSE_MAX_DIM and not (m[0::2, 1::2].any() or m[1::2, 0::2].any()):
+        halves = [_real_if_exact(m[start::2, start::2]) for start in (0, 1)]
+        record = _blocks(*halves, [_is_tridiagonal(b) for b in halves])
+    elif n > DENSE_MAX_DIM and _is_tridiagonal(m):
+        record = _dense(m, "tridiagonal")
+    else:
+        record = _dense(m)
+    return _with_matrix(record, m)
+
+
+def as_hermitian(a, what: str = "matrix") -> Hermitian:
+    """The one gate for a user array: a record passes as it is; an array is
+    scanned once (require_hermitian) and its form detected once
+    (operator_form)."""
+    if isinstance(a, Hermitian):
+        return a
+    return operator_form(require_hermitian(a, what))
+
+
+def _stack_forms(stack) -> Hermitian:
+    """The record of a (k, n, n) stack array of at most DENSE_MAX_DIM,
+    each member diagonal or dense. Like every stack helper it scans
+    nothing: the caller vouches that each member is Hermitian and
+    finite."""
+    if isinstance(stack, Hermitian):
+        return stack
+    m = np.asarray(stack)
+    diagonal = ~_off_diagonal(m).any(axis=(-2, -1))
+    return _with_matrix(_dense(m, members=tuple("diagonal" if d else "dense" for d in diagonal)), m)
+
+
+def _as_output(record: Hermitian, *inputs):
+    """record, or its dense array when none of the inputs was a record."""
+    return record if any(isinstance(x, Hermitian) for x in inputs) else record.matrix
+
+
+def concatenate(records) -> Hermitian:
+    """The stacks of records, one after another, as one stack: in their
+    common form, or dense with each member's own form."""
+    records = list(records)
+    if len(records) == 1:
+        return records[0]
+    forms = [form for r in records for form in r.member_forms()]
+    storage = {r.form for r in records}
+    if len(storage) == 1 and records[0].tridiagonal == records[-1].tridiagonal:
+        parts = tuple(np.concatenate(p) for p in zip(*(r.parts for r in records)))
+        first = records[0]
+    else:
+        parts = (np.concatenate([r.matrix for r in records]),)
+        first = _dense(parts[0])
+    members = None if len(set(forms)) == 1 and forms[0] == first.form else tuple(forms)
+    return replace(first, parts=parts, members=members)
 
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -177,26 +389,6 @@ def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(x):
             return _sandwich(left, x.real, right) + 1j * _sandwich(left, x.imag, right)
     return (left * x if x.ndim == 1 else left @ x) @ right
-
-
-def _real_tridiagonal(block: np.ndarray) -> np.ndarray:
-    """An isospectral real matrix for a complex Hermitian block that is
-    tridiagonal, else the block itself.
-
-    The diagonal phase similarity that makes each subdiagonal entry e_k
-    real and positive (Golub & Van Loan, Matrix Computations, 8.4) maps
-    the block to the real symmetric tridiagonal matrix with diagonal
-    Re(d_k) and off-diagonals |e_k|. It is read from the lower triangle,
-    the one eigvalsh reads, and solved in real arithmetic.
-    """
-    if not np.iscomplexobj(block):
-        return block
-    diagonal, lower = np.diagonal(block), np.diagonal(block, -1)
-    bands = np.count_nonzero(diagonal) + np.count_nonzero(lower) + np.count_nonzero(np.diagonal(block, 1))
-    if np.count_nonzero(block) != bands:
-        return block
-    off = np.abs(lower)
-    return np.diag(diagonal.real) + np.diag(off, -1) + np.diag(off, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,54 +408,82 @@ class SpectralDecomposition:
 
     Certified at construction: max |V^dagger V - I| <= 1e-10 and
     max |V diag(E) V^dagger - A| <= 1e-10 * max(1, max|A|). order is set
-    when the source matrix was diagonal: the eigenvectors are then the
-    unit vectors e_order[k], and basis changes reindex instead of
-    multiplying. blocks is set when the source split into parity blocks
-    (see _parity_blocks): basis changes then run block by block.
-    source is the validated matrix that was decomposed.
+    when the source was diagonal: the eigenvectors are then the unit
+    vectors e_order[k], and basis changes reindex instead of multiplying.
+    blocks is set when the source was in parity blocks: basis changes
+    then run block by block. In both cases vectors is None and the full
+    eigenvector matrix is made only when asked for (eigenvectors).
+    source is the record that was decomposed.
 
     A stacked decomposition holds the eigenpairs of a (k, n, n) stack from
     certified_eigh, every array with a leading axis of k. The basis
-    changes take a (k, n, n) stack of operators, against one
-    decomposition or a stack of k, with the bits of per-matrix calls on
-    each member; only a 2-D operator is tested for a diagonal, so a
-    diagonal member of a stack is multiplied like any other, not scaled.
+    changes take a stack of operators, against one decomposition or a
+    stack of k, with the bits of per-matrix calls on each member.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    vectors: np.ndarray | None
     source_dim: int
     order: np.ndarray | None = None
-    source: np.ndarray | None = field(default=None, repr=False)
+    source: Hermitian | None = field(default=None, repr=False)
     blocks: tuple[ParityBlock, ...] | None = field(default=None, repr=False)
 
-    def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
-        """V^dagger op V; for a diagonal source, op reindexed by order
-        (op itself when order is the identity), which equals the product
-        up to the sign of exact zeros. A diagonal op scales the rows of
-        V^dagger instead of multiplying."""
-        d = _diagonal_of(op) if op.ndim == 2 and self.order is None else None
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        if self.vectors is not None:
+            return self.vectors
+        out = np.zeros((self.source_dim, self.source_dim), dtype=np.complex128)
+        if self.order is not None:
+            out[self.order, np.arange(self.source_dim)] = 1.0
+        for block in self.blocks or ():
+            out[block.start::2, block.positions] = block.vectors
+        return out
+
+    def to_eigenbasis(self, op):
+        """V^dagger op V. The form of op decides the work: for a diagonal
+        source, op reindexed by order (op itself when order is the
+        identity), which equals the product up to the sign of exact
+        zeros; a diagonal op scales the rows of V^dagger instead of
+        multiplying; on a block decomposition a diagonal or block op
+        takes only the products within each block. An array is taken as
+        dense."""
+        h = op if isinstance(op, Hermitian) else _dense(np.asarray(op))
+        return _as_output(self._to_eigenbasis(h), op)
+
+    def _to_eigenbasis(self, h: Hermitian) -> Hermitian:
+        if self.order is not None:
+            if np.array_equal(self.order, np.arange(self.source_dim)):
+                return h
+            if h.form == "diagonal":
+                return replace(h, parts=(h.parts[0][..., self.order],))
+            return _dense(h.matrix[..., self.order[:, None], self.order])
         if self.blocks is not None:
-            out = np.zeros_like(op, dtype=np.complex128)
+            out = np.zeros(h.shape, dtype=np.complex128)
+            if h.form == "blocks" or (h.form == "diagonal" and h.ndim == 2):
+                for block, x in zip(self.blocks, self.to_block_eigenbases(h)):
+                    out[..., block.positions[:, None], block.positions] = x
+                return _dense(out)
+            m = h.matrix
             for a in self.blocks:
                 for b in self.blocks:
-                    if d is not None:
-                        x = d[a.start::2] if a is b else None
-                    else:
-                        x = op[..., a.start::2, b.start::2]
-                        x = x if a is b or x.any() else None
-                    if x is not None:
-                        out[..., a.positions[:, None], b.positions] = _sandwich(a.vectors.conj().T, x, b.vectors)
-            return out
-        if self.order is None:
-            v = self.eigenvectors
-            return _sandwich(v.conj().mT, op if d is None else d, v)
-        if np.array_equal(self.order, np.arange(self.source_dim)):
-            return op
-        return op[..., self.order[:, None], self.order]
+                    x = m[..., a.start::2, b.start::2]
+                    out[..., a.positions[:, None], b.positions] = _sandwich(a.vectors.conj().T, x, b.vectors)
+            return _dense(out)
+        v = self.eigenvectors
+        x = h.parts[0] if h.form == "diagonal" and h.ndim == 2 else h.matrix
+        return _dense(_sandwich(v.conj().mT, x, v))
+
+    def to_block_eigenbases(self, op: Hermitian) -> list[np.ndarray]:
+        """V_b^dagger op_b V_b for each parity block b of a block
+        decomposition, of an op in diagonal or block form; a diagonal op
+        scales the rows of V_b^dagger."""
+        if op.form == "diagonal":
+            d = op.parts[0]
+            return [_sandwich(b.vectors.conj().T, d[b.start::2], b.vectors) for b in self.blocks]
+        return [_sandwich(b.vectors.conj().T, x, b.vectors) for b, x in zip(self.blocks, op.parts)]
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V x V^dagger, the inverse of to_eigenbasis."""
+        """V x V^dagger, the inverse of to_eigenbasis, for an array x."""
         if self.blocks is not None:
             out = np.zeros_like(x, dtype=np.complex128)
             for a in self.blocks:
@@ -281,14 +501,11 @@ class SpectralDecomposition:
         out[..., self.order[:, None], self.order] = x
         return out
 
-    def from_block_eigenbases(self, parts) -> np.ndarray:
-        """from_eigenbasis of an x that is an exact zero across parity,
-        given as one part per block, x over that block's positions (or a
-        stack of them); the bits of from_eigenbasis on the assembled x."""
-        out = np.zeros(parts[0].shape[:-2] + (self.source_dim, self.source_dim), dtype=np.complex128)
-        for block, x in zip(self.blocks, parts):
-            out[..., block.start::2, block.start::2] = _sandwich(block.vectors, x, block.vectors.conj().T)
-        return out
+    def from_block_eigenbases(self, parts) -> tuple[np.ndarray, np.ndarray]:
+        """The parity blocks V_b x_b V_b^dagger of from_eigenbasis of an x
+        that is an exact zero across parity, given as one part per block,
+        x over that block's positions (or a stack of them)."""
+        return tuple(_sandwich(block.vectors, x, block.vectors.conj().T) for block, x in zip(self.blocks, parts))
 
 
 def _shape(m: np.ndarray) -> str:
@@ -335,26 +552,22 @@ def _certify(ortho, recon, scale, what: str) -> None:
 
 def _blockwise_eigh(halves: tuple[np.ndarray, np.ndarray], what: str):
     """Eigenpairs of a matrix from its two parity blocks: the merged
-    ascending eigenvalues, the full eigenvector matrix, the ParityBlocks
-    and the largest orthonormality and reconstruction residuals."""
+    ascending eigenvalues, the ParityBlocks and the largest orthonormality
+    and reconstruction residuals."""
     parts = [_eigh(half, what) for half in halves]
     residuals = [_residuals(e, v, half) for (e, v), half in zip(parts, halves)]
     merged = np.concatenate([e for e, _ in parts])
     ascending = np.argsort(merged, kind="stable")
-    dim = merged.size
-    positions = np.empty(dim, dtype=np.intp)
-    positions[ascending] = np.arange(dim)
+    positions = np.empty(merged.size, dtype=np.intp)
+    positions[ascending] = np.arange(merged.size)
     split = parts[0][0].size
     blocks = (
         ParityBlock(0, positions[:split], parts[0][1]),
         ParityBlock(1, positions[split:], parts[1][1]),
     )
-    evecs = np.zeros((dim, dim), dtype=np.complex128)
-    for block in blocks:
-        evecs[block.start::2, block.positions] = block.vectors
     ortho = max(r[0] for r in residuals)
     recon = max(r[1] for r in residuals)
-    return merged[ascending], evecs, blocks, ortho, recon
+    return merged[ascending], blocks, ortho, recon
 
 
 def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
@@ -366,31 +579,30 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     its eigenvalues are the stably sorted real diagonal and its
     eigenvectors the matching unit vectors, which is bit for bit what
     eigh returns for a nondegenerate diagonal (the identity for J_z).
-    Above DENSE_MAX_DIM a matrix that splits into parity blocks is solved
-    block by block, in real arithmetic where a block is real; the
-    residuals are certified per block, which is the same contract since
-    the cross blocks are exact zeros on both sides.
+    A matrix in parity blocks is solved block by block, in real
+    arithmetic where a block is real; the residuals are certified per
+    block, which is the same contract since the cross blocks are exact
+    zeros on both sides.
     """
-    m = require_hermitian(a, what)
-    dim = m.shape[0]
-    d = _diagonal_of(m)
-    scale = max(1.0, float(np.max(np.abs(m if d is None else d))))
-    halves = None if d is not None else _parity_blocks(m)
-    order = blocks = None
-    if d is not None:
+    h = as_hermitian(a, what)
+    order = blocks = evecs = None
+    if h.form == "diagonal":
+        d = h.parts[0]
+        scale = max(1.0, float(np.max(np.abs(d))))
         order = np.argsort(d.real, kind="stable")
         evals = d.real[order]
-        evecs = np.zeros((dim, dim), dtype=np.complex128)
-        evecs[order, np.arange(dim)] = 1.0
         ortho = 0.0
         recon = float(np.max(np.abs(d[order] - evals)))
-    elif halves is not None:
-        evals, evecs, blocks, ortho, recon = _blockwise_eigh(halves, what)
+    elif h.form == "blocks":
+        scale = max(1.0, max(float(np.max(np.abs(b))) for b in h.parts))
+        evals, blocks, ortho, recon = _blockwise_eigh(h.parts, what)
     else:
+        m = h.parts[0]
+        scale = max(1.0, float(np.max(np.abs(m))))
         evals, evecs = _eigh(m, what)
         ortho, recon = _residuals(evals, evecs, m)
     _certify(ortho, recon, scale, what)
-    return SpectralDecomposition(evals, evecs, dim, order, m, blocks)
+    return SpectralDecomposition(evals, evecs, h.dim, order, h, blocks)
 
 
 def certified_eigh(stack: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -402,21 +614,26 @@ def certified_eigh(stack: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
     return evals, evecs
 
 
-def stacked_seminorms(stack: np.ndarray, what: str) -> list[float]:
-    """seminorm of each matrix of a validated (k, n, n) stack, with its
-    bits: a diagonal member is read off its diagonal and the others share
-    one stacked eigvalsh, which gives the bits of per-matrix calls. Above
+def stacked_seminorms(stack, what: str) -> list[float]:
+    """seminorm of each matrix of a (k, n, n) stack, with its bits: a
+    diagonal member is read off its diagonal and the others share one
+    stacked eigvalsh, which gives the bits of per-matrix calls. Above
     DENSE_MAX_DIM, where a sweep's chunk of times holds one generator,
-    each member takes seminorm's own path."""
+    each member takes seminorm's own path, in its own form. Nothing is
+    scanned: an array's members are taken as Hermitian, each diagonal or
+    dense up to DENSE_MAX_DIM, and each through seminorm's gate above."""
     if stack.shape[-1] > DENSE_MAX_DIM:
-        return [seminorm(m, validated=True) for m in stack]
-    widths = np.empty(len(stack))
-    diagonal = ~_off_diagonal(stack).any(axis=(-2, -1))
+        members = stack if not isinstance(stack, Hermitian) else [stack.member(i) for i in range(stack.shape[0])]
+        return [seminorm(m) for m in members]
+    h = _stack_forms(stack)
+    widths = np.empty(h.shape[0])
+    diagonal = np.array([form == "diagonal" for form in h.member_forms()])
     if diagonal.any():
-        d = np.diagonal(stack[diagonal], axis1=-2, axis2=-1).real
+        d = h.diagonal()[diagonal].real
         widths[diagonal] = d.max(axis=-1) - d.min(axis=-1)
     if not diagonal.all():
-        evals = _eigvalsh(stack[~diagonal] if diagonal.any() else stack, what)
+        m = h.matrix
+        evals = _eigvalsh(m[~diagonal] if diagonal.any() else m, what)
         widths[~diagonal] = evals[:, -1] - evals[:, 0]
     return widths.tolist()
 
@@ -450,69 +667,112 @@ def matrix_exp_scaled(a, scale) -> np.ndarray:
     return (dec.eigenvectors * weights) @ dec.eigenvectors.conj().T
 
 
-def commutator_i(a, b, *, validated: bool = False) -> np.ndarray:
+def _times_i_symmetrized(x: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """0.5 (i x + (i x)^dagger), in place where x is complex; a 1-D x is
+    the diagonal of a diagonal matrix."""
+    x = np.multiply(x, 1j, out=x if np.iscomplexobj(x) else None)
+    if logger.isEnabledFor(logging.DEBUG):
+        residue = 0.5 * np.max(np.abs(x - x.conj()) if diagonal else hermiticity_defect(x))
+        if residue > 0.0:
+            logger.debug("commutator_i: symmetrized away anti-Hermitian residue %.3e", residue)
+    if diagonal:
+        x += x.conj()
+        x *= 0.5
+        return x
+    return _symmetrize(x)
+
+
+def _scaled_commutator(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d_i b_ij - b_ij d_j: [diag(d), B] with the same IEEE operations per
+    nonzero entry as the zero-padded products."""
+    x = d[:, None] * b
+    x -= b * d[None, :]
+    return x
+
+
+def _member_forms(a: Hermitian, b: Hermitian, form: str):
+    """The members of a commutator stack whose own form is narrower than
+    the stack's: where B's member is diagonal, and A is diagonal."""
+    if b.members is None or a.form != "diagonal":
+        return None
+    return tuple("diagonal" if f == "diagonal" else form for f in b.members)
+
+
+def commutator_i(a, b):
     """i[A, B] = i(AB - BA), Hermitian for Hermitian inputs.
 
     Floating-point products drift off the Hermitian manifold at the 1e-15
     scale; the result is symmetrized and the discarded anti-Hermitian
     residue logged (measured only when DEBUG logging is on) so the drift
-    cannot poison downstream tolerance checks.
-    A diagonal A scales the rows and columns of B instead of multiplying,
-    with the same IEEE operations per nonzero entry as the zero-padded
-    products; only the sign of an exact zero may differ, as it does
-    between BLAS kernels.
-    validated=True skips the Hermiticity scans of A and B, for callers
-    that have already validated both; a validated (k, n, n) stack of B,
-    against one A or a stack of k, then gives the k commutators.
+    cannot poison downstream tolerance checks. An array argument goes
+    through the gate (as_hermitian); B may be a (k, n, n) stack record,
+    against one A or a stack of k.
+
+    The forms decide the work and the form of the result. A diagonal A
+    scales the rows and columns of B instead of multiplying, with the
+    same IEEE operations per nonzero entry as the zero-padded products
+    (only the sign of an exact zero may differ, as it does between BLAS
+    kernels), and keeps B's form: [diagonal, diagonal] is diagonal,
+    [diagonal, blocks] is blocks, block by block, and [diagonal,
+    tridiagonal] is tridiagonal. [blocks, blocks] is blocks, one product
+    per block. Anything else is a dense product.
     """
-    if validated:
-        ma, mb = a, b
+    ha = as_hermitian(a, "commutator argument A")
+    hb = b if isinstance(b, Hermitian) else as_hermitian(b, "commutator argument B")
+    if ha.shape[-2:] != hb.shape[-2:]:
+        raise ValueError(f"dimension mismatch in commutator: {ha.shape} vs {hb.shape}")
+    if ha.form == "diagonal" and ha.ndim == 2:
+        d = ha.parts[0]
+        if hb.form == "diagonal":
+            x = d * hb.parts[0]
+            x -= hb.parts[0] * d
+            out = _diagonal(_times_i_symmetrized(x, diagonal=True), hb.members)
+        elif hb.form == "blocks":
+            parts = [_times_i_symmetrized(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
+            out = _blocks(*parts, hb.tridiagonal, _member_forms(ha, hb, "blocks"))
+        else:
+            x = _times_i_symmetrized(_scaled_commutator(d, hb.parts[0]))
+            out = _dense(x, hb.form, _member_forms(ha, hb, hb.form))
+    elif ha.form == hb.form == "blocks" and ha.ndim == 2:
+        parts = []
+        for p, q in zip(ha.parts, hb.parts):
+            x = p @ q
+            x -= q @ p
+            parts.append(_times_i_symmetrized(x))
+        out = _blocks(*parts)
     else:
-        ma = require_hermitian(a, "commutator argument A")
-        mb = require_hermitian(b, "commutator argument B")
-    if ma.shape[-2:] != mb.shape[-2:]:
-        raise ValueError(f"dimension mismatch in commutator: {ma.shape} vs {mb.shape}")
-    d = _diagonal_of(ma) if ma.ndim == 2 else None
-    if d is None:
+        ma, mb = ha.matrix, hb.matrix
         x = ma @ mb
         x -= mb @ ma
-    else:
-        x = d[:, None] * mb
-        x -= mb * d[None, :]
-    # 1j * x, in place unless x is real, since a real array cannot hold it
-    x = np.multiply(x, 1j, out=x if np.iscomplexobj(x) else None)
-    if logger.isEnabledFor(logging.DEBUG):
-        residue = 0.5 * np.max(hermiticity_defect(x))
-        if residue > 0.0:
-            logger.debug("commutator_i: symmetrized away anti-Hermitian residue %.3e", residue)
-    return _symmetrize(x)
+        out = _dense(_times_i_symmetrized(x))
+    return _as_output(out, a, b)
 
 
-def seminorm(a, *, validated: bool = False) -> float:
+def seminorm(a) -> float:
     """Spectral width E_max - E_min of a Hermitian matrix.
 
     Nonnegative; zero exactly when A is a multiple of the identity (within
     eigensolver tolerance). Invariant under unitary conjugation and under
-    shifts A -> A + c*I. A diagonal A is read off its real diagonal. Above
-    DENSE_MAX_DIM, one that splits into parity blocks is solved block by
-    block, and a complex tridiagonal block, or a whole matrix that does
-    not split (the linear model's J_x, J_y and C), in real arithmetic
-    (_real_tridiagonal).
-    validated=True skips the Hermiticity scan, for a caller that has
-    already validated A (an output of commutator_i is exactly Hermitian).
+    shifts A -> A + c*I. The form decides the solve: a diagonal A is read
+    off its real diagonal, parity blocks are solved block by block, and a
+    complex tridiagonal block, or a tridiagonal matrix (the linear
+    model's J_x, J_y and C above DENSE_MAX_DIM), in real arithmetic
+    (_real_tridiagonal). An array goes through the gate.
     """
-    m = a if validated else require_hermitian(a, "seminorm argument")
-    d = _diagonal_of(m)
-    if d is not None:
+    h = as_hermitian(a, "seminorm argument")
+    if h.form == "diagonal":
+        d = h.parts[0]
         return float(d.real.max() - d.real.min())
-    blocks = _parity_blocks(m)
-    if blocks is None and m.shape[0] > DENSE_MAX_DIM:
-        blocks = (m,)
-    if blocks is not None:
-        spectra = [_eigvalsh(_real_tridiagonal(block), "seminorm argument") for block in blocks]
-        return float(max(e[-1] for e in spectra) - min(e[0] for e in spectra))
-    evals = _eigvalsh(m, "seminorm argument")
-    return float(evals[-1] - evals[0])
+    if h.form == "dense":
+        evals = _eigvalsh(h.parts[0], "seminorm argument")
+        return float(evals[-1] - evals[0])
+    flags = h.tridiagonal if h.form == "blocks" else (True,)
+    blocks = [
+        _real_tridiagonal(block) if np.iscomplexobj(block) and banded else block
+        for block, banded in zip(h.parts, flags)
+    ]
+    spectra = [_eigvalsh(block, "seminorm argument") for block in blocks]
+    return float(max(e[-1] for e in spectra) - min(e[0] for e in spectra))
 
 
 def variance(a, rho) -> float:
@@ -521,8 +781,8 @@ def variance(a, rho) -> float:
     Tiny negative results in [-1e-12, 0) are rounding residue and clamp to
     zero; anything more negative indicates an invalid input and raises.
     """
-    ma = require_hermitian(a, "observable")
-    mr = require_hermitian(rho, "density operator")
+    ma = as_hermitian(a, "observable").matrix
+    mr = as_hermitian(rho, "density operator").matrix
     if ma.shape != mr.shape:
         raise ValueError(f"dimension mismatch: observable {ma.shape}, state {mr.shape}")
     trace = complex(np.trace(mr)).real

@@ -33,7 +33,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import as_operator
-from .operators import SpectralDecomposition, commutator_i, seminorm, stacked_seminorms
+from .operators import (
+    Hermitian,
+    SpectralDecomposition,
+    _dense,
+    _interleave,
+    commutator_i,
+    seminorm,
+    stacked_seminorms,
+)
 from .thermal import GibbsState
 
 # probe support truncation for non-thermal probes: pairs whose combined
@@ -83,7 +91,7 @@ def _probe_parts(probe, h):
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {v.shape[0]}")
     if np.any(p < 0.0):
         raise ValueError("negative probe probability")
-    return p, v, hm
+    return p, v, hm.matrix
 
 
 class Support(NamedTuple):
@@ -110,22 +118,48 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return np.diagonal(a, axis1=-2, axis2=-1)
 
 
-def _generator_elements(ht):
+def _squares(x: Hermitian):
+    """|x_ij|^2 of an operator in its form, as (the support of its
+    off-diagonal entries, the row sums, the diagonal), each over the full
+    index range: nothing is read outside the stored form, so parity
+    blocks stay two half-size complex arrays. A row of a block is summed
+    with the exact zeros between its entries put back, in a real
+    half-height array, so the sums keep the bits of the dense rows. The
+    entries of the support come block by block, which no correctly
+    rounded sum can tell apart."""
+    if x.form == "diagonal":
+        d = np.abs(x.parts[0]) ** 2
+        return Support(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(d.shape[:-1] + (0,))), d, d
+    if x.form == "blocks":
+        supports, sums, diagonals = [], [], []
+        for start, block in enumerate(x.parts):
+            abs2 = np.abs(block) ** 2
+            support = _support(abs2)
+            supports.append(Support(start + 2 * support.rows, start + 2 * support.cols, support.values))
+            rows = np.zeros(abs2.shape[:-1] + (x.dim,))
+            rows[..., start::2] = abs2
+            sums.append(rows.sum(axis=-1))
+            diagonals.append(_diagonal(abs2))
+        rows, cols, values = (np.concatenate(p, axis=-1) for p in zip(*supports))
+        return Support(rows, cols, values), _interleave(*sums), _interleave(*diagonals)
+    abs2 = np.abs(x.parts[0]) ** 2
+    return _support(abs2), abs2.sum(axis=-1), _diagonal(abs2).copy()
+
+
+def _generator_elements(ht: Hermitian):
     """The support of |h_ij|^2 and the eigenstate variances Var_i[h] from
-    h in the probe eigenbasis, one matrix or a stack."""
-    habs2 = np.abs(ht) ** 2
-    var_i = habs2.sum(axis=-1) - np.real(_diagonal(ht)) ** 2
-    return _support(habs2), var_i
+    h in the probe eigenbasis, one matrix or a stack, read in its form."""
+    support, sums, _ = _squares(ht)
+    return support, sums - np.real(ht.diagonal()) ** 2
 
 
-def _commutator_elements(ct, energies):
+def _commutator_elements(ct: Hermitian, energies):
     """The support of |C_ij|^2, the diagonal C_ii, the diagonal |C_ii|^2
     and the probe level differences at the entries of the support, from C
-    in the probe eigenbasis, one matrix or a stack."""
-    cabs2 = np.abs(ct) ** 2
-    pairs = _support(cabs2)
+    in the probe eigenbasis, one matrix or a stack, read in its form."""
+    pairs, _, cdiag_abs2 = _squares(ct)
     delta = energies[..., pairs.rows] - energies[..., pairs.cols]
-    return pairs, np.real(_diagonal(ct)).copy(), _diagonal(cabs2).copy(), delta
+    return pairs, np.real(ct.diagonal()).copy(), cdiag_abs2, delta
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -264,11 +298,14 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     generators and p, together: a temporary grows with the generators
     and the k x n probabilities the caller holds, never with
     k x support, which for a nearly dense generator is n/2 times larger.
+    The chunks split the rows as evenly as that allows, ceil(k / m) rows
+    each for the fewest chunks m, so none is a short remainder.
     A stack's (k, n, n) generators have more entries than k rows of its
     support, so a stack of scenarios is one chunk.
     """
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
     step = max(1, (plan.generator.size + p.size) // support)
+    step = -(-len(p) // -(-len(p) // step)) if len(p) else step  # equal chunks, none larger than step
     per = len(p) // len(plan.var_i) if plan.var_i.ndim == 2 else None
     sums = RouteSums([], [], [], [], [])
     for start in range(0, len(p), step):
@@ -295,14 +332,14 @@ def qfi_general(probe, h) -> float:
     exactly; a pure probe reduces to 4 Var[h] on its support.
     """
     p, v, hm = _probe_parts(probe, h)
-    pairs, var_i = _generator_elements(v.conj().T @ hm @ v)
+    pairs, var_i = _generator_elements(_dense(v.conj().T @ hm @ v))
     return _generator_sums(p[None], var_i, pairs)[1][0]
 
 
 def qfi_sld(probe, h) -> float:
     """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
     p, v, hm = _probe_parts(probe, h)
-    pairs, var_i = _generator_elements(v.conj().T @ hm @ v)
+    pairs, var_i = _generator_elements(_dense(v.conj().T @ hm @ v))
     return _generator_sums(p[None], var_i, pairs)[2][0]
 
 
@@ -323,9 +360,9 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
     hm = as_operator(h)
     if hm.shape[0] != rho0.dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
-    comm = commutator_i(rho0.hamiltonian, hm)
+    comm = commutator_i(rho0.decomposition.source, hm)
     v = rho0.eigenvectors
-    pairs, cdiag, cdiag_abs2, delta = _commutator_elements(v.conj().T @ comm @ v, rho0.eigenvalues)
+    pairs, cdiag, cdiag_abs2, delta = _commutator_elements(_dense(v.conj().T @ comm.matrix @ v), rho0.eigenvalues)
     return _commutator_sums(rho0.probabilities[None], (rho0.beta,), cdiag, cdiag_abs2, pairs, delta)[1][0]
 
 
@@ -351,7 +388,7 @@ class SpectralPlan:
     holds m widths for a stack.
     """
 
-    generator: np.ndarray
+    generator: Hermitian
     h_pairs: Support
     var_i: np.ndarray
     c_pairs: Support
@@ -375,11 +412,11 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     """Build the beta-independent plan for the probe Hamiltonian H, read as
     the source of its eigendecomposition, and generator h.
 
-    Nothing is scanned for Hermiticity here. A TransformedLocalGenerator
-    was validated when it was made, and a bare h is validated by
-    as_operator; H was validated when it was decomposed, and C = i[H, h]
-    is exactly Hermitian in floating point, since commutator_i returns
-    0.5 (X + X^dagger).
+    Nothing is scanned here. A TransformedLocalGenerator holds its
+    record, and a bare h goes through as_operator, the gate; H is the
+    record that was decomposed, and C = i[H, h] is exactly Hermitian in
+    floating point, since commutator_i returns 0.5 (X + X^dagger), in the
+    form that the forms of H and h give it.
     """
     hm = as_operator(h)
     dim = decomposition.source_dim
@@ -388,8 +425,8 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     return stacked_plan(decomposition, hm)
 
 
-def stacked_plan(decomposition: SpectralDecomposition, generators: np.ndarray) -> SpectralPlan:
-    """The plan of a validated (m, n, n) stack of generators, with the bits
+def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) -> SpectralPlan:
+    """The plan of an (m, n, n) stack record of generators, with the bits
     of spectral_plan for each: one commutator, one basis change of each
     stack and one stacked_seminorms call, over the union of the
     generators' supports (an entry outside a generator's own support is
@@ -397,10 +434,12 @@ def stacked_plan(decomposition: SpectralDecomposition, generators: np.ndarray) -
     fsum). The decomposition is one probe's, shared by every generator
     (the times of a sweep), or a stacked one built from certified_eigh,
     one probe per generator (a stack of scenarios). spectral_plan passes
-    its one validated matrix through here."""
-    comm = commutator_i(decomposition.source, generators, validated=True)
+    its one record through here. Every step reads the records' forms:
+    above DENSE_MAX_DIM an oat or lmg generator, its commutator and their
+    squares stay two half-size parity blocks."""
+    comm = commutator_i(decomposition.source, generators)
     if comm.ndim == 2:
-        width = seminorm(comm, validated=True)
+        width = seminorm(comm)
     else:
         width = stacked_seminorms(comm, "commutator stack")
     h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(generators))

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import operators
+from .operators import Hermitian, _blocks, _dense, _diagonal, _with_matrix
 
-# Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB
-# and a point holds several of them with their temporaries: one compute
-# point at 2J = 2000 peaks at about 495 MB (oat) and 620 MB (lmg) of
-# ru_maxrss, in one process with one BLAS thread. Anything larger is
-# refused before a single array is allocated.
+# Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
+# the oat and lmg models keep their operators as half-size parity blocks,
+# so one compute point at 2J = 2000 peaks at about 138 MB (oat) and
+# 320 MB (lmg) of ru_maxrss, in one process with one BLAS thread.
+# Anything larger is refused before a single array is allocated.
 MAX_TWICE_J = 2000
 
 
@@ -64,9 +66,27 @@ def spin_operators(twice_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def banded_jz_jx_squared(twice_j) -> tuple[np.ndarray, np.ndarray]:
-    """(J_z, J_x^2) as complex matrices, filled in from their bands
-    without forming J_x or any product.
+def spin_operator_forms(twice_j) -> tuple[Hermitian, Hermitian, Hermitian]:
+    """(J_x, J_y, J_z) of spin_operators as operator records: J_z diagonal,
+    J_x and J_y dense, or tridiagonal above operators.DENSE_MAX_DIM (they
+    flip the parity of J + M, so they never split into parity blocks)."""
+    jx, jy, jz = spin_operators(twice_j)
+    form = "tridiagonal" if jz.shape[0] > operators.DENSE_MAX_DIM else "dense"
+    return _dense(jx, form), _dense(jy, form), _with_matrix(_diagonal(m_values(twice_j)), jz)
+
+
+def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The real symmetric tridiagonal matrix with these bands."""
+    out = np.diag(diagonal)
+    k = np.arange(off.size)
+    out[k, k + 1] = out[k + 1, k] = off
+    return out
+
+
+def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
+    """(J_z, J_x^2) as operator records, filled in from their bands
+    without forming J_x or any product: J_z diagonal, J_x^2 as its two
+    real tridiagonal parity blocks (it couples M to M +- 2 only).
 
     With h the off-diagonal of J_x (half the ladder elements), J_x^2 has
     the diagonal h[k-1]^2 + h[k]^2 and the offsets +-2 h[k] h[k+1], each
@@ -76,14 +96,12 @@ def banded_jz_jx_squared(twice_j) -> tuple[np.ndarray, np.ndarray]:
     measured 1.8e-16 of max |entry| up to 2J = 2000), not bit for bit.
     """
     m = m_values(twice_j)
-    dim = m.size
     h = 0.5 * _ladder(m)
     square = h * h
-    jx2 = np.zeros((dim, dim), dtype=np.complex128)
-    np.fill_diagonal(jx2, np.concatenate(([0.0], square)) + np.concatenate((square, [0.0])))
-    k = np.arange(dim - 2)
-    jx2[k, k + 2] = jx2[k + 2, k] = h[:-1] * h[1:]
-    return np.diag(m.astype(np.complex128)), jx2
+    diagonal = np.concatenate(([0.0], square)) + np.concatenate((square, [0.0]))
+    off = h[:-1] * h[1:]  # between k and k + 2
+    halves = [_tridiagonal(diagonal[start::2], off[start::2]) for start in (0, 1)]
+    return _diagonal(m), _blocks(*halves, (True, True))
 
 
 def _symmetrized(x: np.ndarray) -> np.ndarray:

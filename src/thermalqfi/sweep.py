@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundScales, bound_rows, bound_scales
 from .encoding import generator_stack
 from .models import AXES, MODELS, closed_forms_for, model_encoding
-from .operators import DENSE_MAX_DIM, eigendecompose
+from .operators import DENSE_MAX_DIM, concatenate, eigendecompose
 from .qfi import route_sums, stacked_plan
 from .spin import check_twice_j
 from .thermal import beta_from_polarization, boltzmann_weights, polarization
@@ -271,7 +271,7 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     DENSE_MAX_DIM^2 // n^2 (at least one), so a chunk's generators hold
     no more entries than one DENSE_MAX_DIM x DENSE_MAX_DIM matrix,
     whichever configs they come from. Each chunk is one generator stack
-    (one Hermiticity scan per config it holds), one stacked_plan, and
+    record (scanned by nothing), one stacked_plan, and
     one route_sums and one bound_rows call over its pairs x betas rows,
     with each time and scale given per generator.
     """
@@ -305,7 +305,7 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
         chunk = pairs[start:start + step]
         runs = [(index, [t for _, t in run]) for index, run in itertools.groupby(chunk, itemgetter(0))]
         stacks = [encodings[index].generators(times) for index, times in runs]
-        plan = stacked_plan(decomposition, stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        plan = stacked_plan(decomposition, concatenate(stacks))
         # generator g is pair g of the chunk; row r is its pair r // len(betas) at beta r % len(betas)
         times = [t for _, t in chunk]
         row_betas = betas * len(chunk)

@@ -35,8 +35,9 @@ class GibbsState:
 
     @property
     def hamiltonian(self) -> np.ndarray:
-        """H as the validated matrix its decomposition was built from."""
-        return self.decomposition.source
+        """H as the dense matrix of the record its decomposition was built
+        from (decomposition.source)."""
+        return self.decomposition.source.matrix
 
     @property
     def eigenvalues(self) -> np.ndarray:

@@ -239,6 +239,17 @@ def test_outputs_at_or_below_81_do_not_depend_on_the_thread_count(tmp_path):
         assert one and one == two, name
 
 
+@pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", "1")], ids=["oat", "lmg"])
+def test_routes_above_81_do_not_depend_on_the_thread_count(tmp_path, model, lam):
+    # README's contract above 81: the three QFI routes keep their bytes at
+    # one and at two BLAS threads (two: start no more than that)
+    args = ["compute", "--model", model, "--twice-j", "400", "--beta", "1.7", "--t", "2.3"]
+    args += [] if lam is None else ["--lam", lam]
+    one, two = (json.loads(_cli_bytes(args, threads, tmp_path))["qfi"] for threads in (1, 2))
+    for name in ("f_general", "f_thermal", "f_sld"):
+        assert repr(one[name]) == repr(two[name]), name
+
+
 @pytest.mark.parametrize("exc", [ArithmeticError("negative QFI"), OverflowError("exp overflow")])
 def test_numerical_errors_exit_3(monkeypatch, capsys, exc):
     import thermalqfi.cli as cli

@@ -97,7 +97,7 @@ class TestBlockKernel:
         dec = spectrum.decomposition
         full = replace(
             spectrum,
-            v_eig=dec.to_eigenbasis(jz),
+            v_eig=dec.to_eigenbasis(family.dh_dlambda).matrix,  # the diagonal record, scaled as the blocks are
             delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
         )
         blocked = encoding.generator_at(spectrum, 2.3).h
@@ -141,7 +141,7 @@ class TestGeneratorStack:
         times = (0.0, 1e-12, 0.5, 3.14, 40.0)
         stack = encoding.generator_stack(scheme)(times)
         assert stack.shape[0] == len(times) and stack.dtype == np.complex128
-        for h, t in zip(stack, times):
+        for h, t in zip(np.asarray(stack), times):
             single = transformed_generator(replace(scheme, t=t)).h
             assert h.tobytes() == single.tobytes(), t
 

@@ -270,14 +270,16 @@ class TestDiagonalFastPath:
 
     def test_diagonal_detection(self):
         jx, _, jz = spin_operators(6)
-        assert _bits(operators._diagonal_of(jz)) == _bits(np.diagonal(jz))
-        assert operators._diagonal_of(DIAGONAL_CASES["negative-zero-offdiagonal"]) is not None
-        assert operators._diagonal_of(jz.T) is not None
-        assert operators._diagonal_of(np.eye(1, dtype=np.complex128)) is not None
-        assert operators._diagonal_of(jx) is None
+        record = operators.operator_form(jz)
+        assert record.form == "diagonal" and _bits(record.parts[0]) == _bits(np.diagonal(jz))
+        assert record.matrix is jz  # the gate keeps the array it read
+        assert operators.operator_form(DIAGONAL_CASES["negative-zero-offdiagonal"]).form == "diagonal"
+        assert operators.operator_form(jz.T).form == "diagonal"
+        assert operators.operator_form(np.eye(1, dtype=np.complex128)).form == "diagonal"
+        assert operators.operator_form(jx).form == "dense"
         late = jz.copy()
         late[6, 2] = 1e-300
-        assert operators._diagonal_of(late) is None
+        assert operators.operator_form(late).form == "dense"
 
     @pytest.mark.parametrize("twice_j", [1, 3, 10, 100, 400])
     def test_jz_eigh_is_the_exact_identity(self, twice_j):
@@ -287,7 +289,7 @@ class TestDiagonalFastPath:
         assert _bits(evals) == _bits(np.diagonal(jz).real)
         dec = eigendecompose(jz)
         np.testing.assert_array_equal(dec.order, np.arange(twice_j + 1))
-        assert dec.source is jz
+        assert dec.source.matrix is jz
         assert dec.to_eigenbasis(jz) is jz
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
@@ -352,17 +354,19 @@ class TestDiagonalFastPath:
         nonzero = dense != 0
         assert _bits(fast[nonzero]) == _bits(dense[nonzero])
 
-    def test_validated_skips_the_scans_but_not_the_shape_check(self, monkeypatch):
+    def test_records_skip_the_scans_but_not_the_shape_check(self, monkeypatch):
         _, _, jz = spin_operators(4)
+        record, small = operators.operator_form(jz), operators.operator_form(np.eye(3, dtype=np.complex128))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("validated input was scanned again")
+            raise AssertionError("a record was scanned again")
 
         monkeypatch.setattr(operators, "require_hermitian", refuse)
-        assert seminorm(jz, validated=True) == 4.0
-        assert _bits(commutator_i(jz, jz, validated=True)) == _bits(np.zeros((5, 5), dtype=np.complex128))
+        assert seminorm(record) == 4.0
+        product = commutator_i(record, record)
+        assert product.form == "diagonal" and _bits(product.matrix) == _bits(np.zeros((5, 5), dtype=np.complex128))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            commutator_i(jz, np.eye(3, dtype=np.complex128), validated=True)
+            commutator_i(record, small)
 
 
 class TestValidators:
@@ -421,9 +425,10 @@ class TestStacks:
 
     @pytest.mark.parametrize("name", sorted(STACKS))
     def test_commutator(self, name):
+        # records: the stacks are taken as they are, unscanned
         a, b = STACKS[name], STACKS[name][::-1].copy()
-        single = np.array([commutator_i(x, y, validated=True) for x, y in zip(a, b)])
-        assert _bits(commutator_i(a, b, validated=True)) == _bits(single)
+        single = np.array([commutator_i(operators._dense(x), operators._dense(y)).matrix for x, y in zip(a, b)])
+        assert _bits(commutator_i(operators._dense(a), operators._dense(b)).matrix) == _bits(single)
 
     @pytest.mark.parametrize("name", sorted(set(STACKS) - {"dim8-one-non-hermitian"}))
     def test_certified_eigh(self, name):
@@ -534,7 +539,7 @@ class TestStackedBasisAndWidths:
     def test_stacked_seminorms_have_the_bits_of_seminorm(self, dim):
         stack = _mixed_stack(dim)
         widths = operators.stacked_seminorms(stack, "stack")
-        assert repr(widths) == repr([seminorm(m, validated=True) for m in stack])
+        assert repr(widths) == repr([seminorm(m) for m in stack])
 
     def test_diagonal_members_make_no_solver_call(self, monkeypatch):
         assert repr(operators.stacked_seminorms(np.array([[[2.0 + 0j]], [[-1.0]]]), "1x1 stack")) == "[0.0, 0.0]"
@@ -618,7 +623,8 @@ class TestDebugResidue:
 
         monkeypatch.setattr(operators, "hermiticity_defect", refuse)
         with caplog.at_level(logging.INFO, logger="thermalqfi.operators"):
-            got = commutator_i(a, b, validated=True)
+            # records: the gate's tolerance check of b would measure its defect
+            got = commutator_i(operators.operator_form(a), operators.operator_form(b)).matrix
         assert _bits(got) == _bits(expected)
 
 
@@ -758,9 +764,8 @@ class TestParityBlocks:
 
         dec = eigendecompose(lmg_hamiltonian(twice_j, lam))
         jz = spin_operators(twice_j)[2]
-        scaled = dec.to_eigenbasis(jz)
-        monkeypatch.setattr(operators, "_diagonal_of", lambda m: None)
-        multiplied = dec.to_eigenbasis(jz)
+        scaled = dec.to_eigenbasis(operators.operator_form(jz)).matrix  # the form decides: scaled
+        multiplied = dec.to_eigenbasis(jz)  # an array is taken as dense: multiplied
         assert dec.blocks is not None
         assert np.max(np.abs(scaled - multiplied)) <= np.finfo(float).eps * np.abs(np.diagonal(jz)).max()
 
@@ -870,9 +875,10 @@ class TestExactHermiticityGate:
         assert _gate_verdict(m, "generator") == _tolerance_verdict(m, "generator") is not None
 
 
-def _old_commutator(a, b):
-    """commutator_i's out-of-place formula, the reference for its bits."""
-    d = operators._diagonal_of(a) if a.ndim == 2 else None
+def _old_commutator(a, b, diagonal):
+    """commutator_i's out-of-place formula, the reference for its bits: a
+    diagonal A scales B."""
+    d = np.diagonal(a) if diagonal else None
     x = 1j * (a @ b - b @ a) if d is None else 1j * (d[:, None] * b - b * d[None, :])
     return 0.5 * (x + x.conj().mT)
 
@@ -913,13 +919,22 @@ class TestInPlaceSymmetrization:
         else:
             a = hermitian((stack_k, dim, dim) if a_kind == "dense-stack" else (dim, dim), a_complex)
         b = hermitian((dim, dim) if k is None and a_kind != "dense-stack" else (stack_k, dim, dim), b_complex)
-        got = commutator_i(a, b, validated=True)  # a real stack is never converted on this path
+        # records, taken as they are: a real stack is never converted on this path
+        record_a = operators._diagonal(np.diagonal(a)) if a_kind == "diagonal" else operators._dense(a)
+        got = commutator_i(record_a, operators._dense(b)).matrix
         assert got.dtype == np.complex128
-        assert np.array_equal(_uint64(got), _uint64(_old_commutator(a, b)))
+        assert np.array_equal(_uint64(got), _uint64(_old_commutator(a, b, a_kind == "diagonal")))
         if b.ndim == 2:
             scanned = commutator_i(a, b)
-            expected = _old_commutator(a.astype(np.complex128), b.astype(np.complex128))
-            assert np.array_equal(_uint64(scanned), _uint64(expected))
+            a, b = a.astype(np.complex128), b.astype(np.complex128)
+            expected = _old_commutator(a, b, a_kind == "diagonal")
+            if operators.operator_form(b).form == "diagonal" and a_kind == "diagonal":
+                # [diagonal, diagonal] is a diagonal record, which stores no
+                # off-diagonal zeros to sign: equal values, and bits on the diagonal
+                assert np.array_equal(scanned, expected)
+                assert np.array_equal(_uint64(np.diagonal(scanned)), _uint64(np.diagonal(expected)))
+            else:
+                assert np.array_equal(_uint64(scanned), _uint64(expected))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 1), (5, 5), (3, 7, 7), (90, 90)]))
@@ -942,10 +957,10 @@ class TestInPlaceSymmetrization:
         _, family = model_encoding("lmg", twice_j, 2.3, lam=lam)
         spectrum = encoding.encoding_spectrum(family)
         times = np.array([0.0, 0.7, 2.3])[:, None, None]
-        got = [encoding._integral_matrices(spectrum, t) for t in (2.3, times)]
+        got = [np.asarray(encoding._integral_matrices(spectrum, t)) for t in (2.3, times)]
         monkeypatch.setattr(encoding, "_symmetrize", lambda h: h)
         for value, t in zip(got, (2.3, times)):
-            h = encoding._integral_matrices(spectrum, t)
+            h = np.asarray(encoding._integral_matrices(spectrum, t))
             assert np.array_equal(_uint64(value), _uint64(0.5 * (h + h.conj().mT)))
 
     def test_finite_difference_generator_has_the_out_of_place_bits(self):
@@ -958,3 +973,79 @@ class TestInPlaceSymmetrization:
         raw = 1j * (u0.conj().T @ (up - um)) / (2.0 * step)
         expected = 0.5 * (raw + raw.conj().T)
         assert np.array_equal(_uint64(generator_fd(scheme).h), _uint64(expected))
+
+
+def _overflowing(shape, part):
+    """Finite entries whose sum overflows: two 1e308 on the diagonal of each
+    matrix, or, in the imaginary part, 1e308j twice above it (not
+    Hermitian: the imaginary parts of a Hermitian matrix cancel)."""
+    m = np.zeros(shape, dtype=np.complex128)
+    if part == "real":
+        m[..., 0, 0] = m[..., 1, 1] = 1e308
+    else:
+        m[..., 0, 1] = m[..., 0, 2] = 1e308j
+    return m
+
+
+class TestFiniteGate:
+    """The gate proves finiteness with one sum, and checks entry by entry
+    only when that sum is not finite: a NaN or an infinity is refused
+    with the same message, in either part, in a matrix or a stack, and
+    finite entries whose sum overflows are not."""
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)], ids=["matrix", "stack"])
+    def test_non_finite_entries_refused(self, entry, part, shape):
+        m = np.zeros(shape, dtype=np.complex128)
+        setattr(m[..., 1, 1:2][-1] if len(shape) == 3 else m[1, 1:2], part, entry)
+        check = operators.as_complex_matrix if len(shape) == 2 else operators.require_hermitian_stack
+        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+            check(m)
+
+    @pytest.mark.parametrize(
+        "shape, part", [((3, 3), "real"), ((3, 3), "imag"), ((2, 3, 3), "real")], ids=["matrix", "imag", "stack"]
+    )
+    def test_finite_entries_whose_sum_overflows_pass(self, shape, part):
+        m = _overflowing(shape, part)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(m.sum())
+        if len(shape) == 2:
+            assert operators.as_complex_matrix(m) is m
+        else:
+            assert operators.require_hermitian_stack(m) is m
+
+
+class TestOperatorRecords:
+    """A record stores a matrix in its form and gives back the dense array
+    it stands for."""
+
+    def test_forms_store_only_what_they_need(self):
+        from thermalqfi.models import lmg_hamiltonian
+
+        jz = operators.operator_form(spin_operators(100)[2])
+        assert jz.form == "diagonal" and jz.parts[0].shape == (101,)
+        h = lmg_hamiltonian(100, 0.6)
+        assert h.form == "blocks" and [p.shape for p in h.parts] == [(51, 51), (50, 50)]
+        assert not any(np.iscomplexobj(p) for p in h.parts) and h.tridiagonal == (True, True)
+        assert "matrix" not in h.__dict__  # no dense array until one is asked for
+        dense = np.asarray(h)
+        assert not dense[0::2, 1::2].any() and not dense[1::2, 0::2].any()
+        np.testing.assert_array_equal(dense[0::2, 0::2], h.parts[0])
+        assert h.shape == (101, 101) and h.size == 101 * 101 and h.dtype == np.complex128
+
+    def test_forms_follow_the_products(self):
+        from thermalqfi.models import lmg_hamiltonian
+
+        jz = operators.operator_form(spin_operators(100)[2])
+        h = lmg_hamiltonian(100, 0.6)
+        c = commutator_i(jz, h)
+        assert c.form == "blocks" and c.tridiagonal == (True, True)  # [diagonal, blocks]
+        assert commutator_i(jz, jz).form == "diagonal"
+        assert commutator_i(h, h).form == "blocks"
+        assert (0.0 * h).form == "diagonal" and (2.0 * h).form == "blocks"
+        assert commutator_i(jz, operators.operator_form(spin_operators(100)[0])).form == "tridiagonal"
+        # ([h, h] is blocks by the rule, though its entries all vanish)
+        for record in (c, 0.0 * h, h + 0.3 * jz):
+            detected = operators.operator_form(np.asarray(record).copy())
+            assert (detected.form, detected.tridiagonal) == (record.form, record.tridiagonal)

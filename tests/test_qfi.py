@@ -207,18 +207,21 @@ class TestPlanScans:
 
         scanned = self._count_scans(monkeypatch)
         scenario = build_scenario("oat", 8, 1.1, 0.7)
-        # A by its ExplicitGenerator, J_z by its decomposition, h = t A by
-        # its TransformedLocalGenerator; the plan and the bounds scan none
-        assert scanned == ["generator", "Hamiltonian", "generator"]
+        # J_z and A are built as records and h = t A is made from A's, so
+        # nothing is scanned; the plan and the bounds scan none either
+        assert scanned == []
         report = qfi_report(scenario.probe, scenario.h)
         bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
-        assert len(scanned) == 3
+        assert scanned == []
+        # a bare array is scanned once, by the gate that takes it in
+        ExplicitGenerator(spin_operators(8)[0], 0.7)
+        assert scanned == ["generator"]
 
     def test_real_hamiltonian_is_held_once(self, monkeypatch):
         # a real or list H is converted once, by the decomposition that
         # validates it; the probe reads that copy and no plan rescans it
         probe = gibbs_state(np.diag([0.0, 1.0, 3.0]), 0.7)
-        assert probe.hamiltonian is probe.decomposition.source
+        assert probe.hamiltonian is probe.decomposition.source.matrix
         assert probe.hamiltonian.dtype == np.complex128
         scanned = self._count_scans(monkeypatch)
         spectral_plan(probe.decomposition, spin_operators(2)[0])
@@ -238,14 +241,18 @@ class TestScansOutsidePlan:
     a decomposition has validated."""
 
     def test_encoding_hamiltonian_scanned_once(self, monkeypatch):
+        from dataclasses import replace
+
         from thermalqfi.encoding import encoding_spectrum
         from thermalqfi.models import model_encoding
 
         scanned = TestPlanScans._count_scans(monkeypatch)
         _, family = model_encoding("lmg", 6, 0.7, lam=0.8)
-        assert scanned == ["dH/dlambda"]  # by the HamiltonianFamily that takes it in
+        assert scanned == []  # J_z and H(lambda) are built as records
         encoding_spectrum(family)
-        assert scanned == ["dH/dlambda", "encoding Hamiltonian"]
+        assert scanned == []
+        encoding_spectrum(replace(family, hamiltonian=lambda lam: np.asarray(family.hamiltonian(lam))))
+        assert scanned == ["encoding Hamiltonian"]  # a bare array, by the decomposition that takes it in
 
     def test_encoding_error_messages_unchanged(self):
         from thermalqfi.encoding import HamiltonianFamily, encoding_spectrum
@@ -285,10 +292,11 @@ class TestSweepScans:
         config = SweepConfig.from_dict(figure_configs()["fig3a"])
         scanned = TestPlanScans._count_scans(monkeypatch)
         run_sweep(config)
-        # per sweep dH/dlambda, J_z and H(lambda); then the 64 times in
-        # chunks of 81^2 // 11^2 = 54 and 10, one scan each (67 scans
-        # when each time made its own generator)
-        assert scanned == ["dH/dlambda", "Hamiltonian", "encoding Hamiltonian", "generator", "generator"]
+        # dH/dlambda, J_z and H(lambda) are built as records, and the 64
+        # times' generators (two chunks, of 54 and 10) are Hermitian by
+        # construction: nothing is scanned (67 scans when each time made
+        # its own generator, 5 when each chunk was scanned)
+        assert scanned == []
 
     @pytest.mark.parametrize("twice_j", [10, 101])
     def test_a_non_finite_generator_is_refused_as_on_the_single_point_path(self, monkeypatch, twice_j):
@@ -309,26 +317,6 @@ class TestSweepScans:
             {"model": "lmg", "twice_j": twice_j, "lambda": 0.6, "beta_grid": [1.1], "t_grid": [0.5, 0.7, 1.0]}
         )
         with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
-            run_sweep(config)
-
-    def test_a_non_hermitian_generator_is_refused_with_the_single_point_message(self, monkeypatch):
-        import thermalqfi.encoding as encoding
-        from thermalqfi.sweep import SweepConfig, run_sweep
-
-        original = encoding._integral_matrices
-
-        def skewed(spectrum, t):
-            h = original(spectrum, t)
-            h[..., 0, 1] += np.where(np.reshape(t, np.shape(t)[:1]) == 0.7, 1e-3, 0.0)
-            return h
-
-        monkeypatch.setattr(encoding, "_integral_matrices", skewed)
-        with pytest.raises(NotHermitianError) as single:
-            build_scenario("lmg", 6, 1.1, 0.7, lam=0.6)
-        config = SweepConfig.from_dict(
-            {"model": "lmg", "twice_j": 6, "lambda": 0.6, "beta_grid": [1.1], "t_grid": [0.5, 0.7, 1.0]}
-        )
-        with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
             run_sweep(config)
 
 
@@ -656,3 +644,166 @@ class TestExactSum:
         fsum_report, fsum_bounds = _point("lmg", twice_j, 0.6)
         assert repr(report) == repr(fsum_report)
         assert repr(bounds) == repr(fsum_bounds)
+
+
+def _point_at(model, twice_j, lam=None):
+    from thermalqfi.bounds import bound_report
+
+    scenario = build_scenario(model, twice_j, 1.7, 2.3, lam=lam)
+    report = qfi_report(scenario.probe, scenario.h)
+    return bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
+
+
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    """Patch module.name and every thermalqfi module attribute bound to it."""
+    import sys
+
+    original = getattr(module, name)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("thermalqfi") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
+class TestNoRescans:
+    """A compute point scans and detects nothing it built itself: every
+    matrix of a model point is born a record, and a parity operator stays
+    as its two half blocks."""
+
+    @pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", 1.0)], ids=["oat", "lmg"])
+    def test_a_compute_point_at_400_scans_and_detects_nothing(self, monkeypatch, model, lam):
+        import thermalqfi.operators as operators
+        from thermalqfi.encoding import as_operator
+
+        calls = []
+        for name in ("_hermitian", "operator_form", "_is_tridiagonal", "_off_diagonal"):
+            original = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda *a, _o=original, _n=name: calls.append(_n) or _o(*a))
+        cached = operators.Hermitian.matrix
+
+        def no_dense_blocks(self):
+            assert self.form != "blocks", "a parity operator was made dense"
+            return cached.__get__(self, type(self))
+
+        monkeypatch.setattr(operators.Hermitian, "matrix", property(no_dense_blocks))
+        bounds = _point_at(model, 400, lam)
+        assert bounds.ordering_ok and calls == []
+        # a user array is scanned once and its form detected once, by the gate
+        as_operator(spin_operators(400)[0])
+        assert calls.count("_hermitian") == 1 and calls.count("operator_form") == 1
+
+
+def _forms(record):
+    """(form, tridiagonal flags, real blocks) of each member of a record."""
+    members = [record] if record.ndim == 2 else [record.member(i) for i in range(record.shape[0])]
+    return [(m.form, m.tridiagonal, [not np.iscomplexobj(p) for p in m.parts] if m.form == "blocks" else []) for m in members]
+
+
+def _record_forms(monkeypatch):
+    """Wrap every consumer of an operator record to compare each record it
+    is given, member by member, with what the gate's detection finds on
+    the record's dense array (the array it was built from where it keeps
+    one); the mismatches and the count of records checked are collected."""
+    import thermalqfi.operators as operators
+    import thermalqfi.qfi as qfi_module
+
+    seen = {"checked": 0, "mismatches": []}
+    dense = operators.Hermitian.matrix.func  # the dense array, not cached in the record
+
+    def check(x, where):
+        if not isinstance(x, operators.Hermitian):
+            return
+        stack = x.__dict__.get("matrix")
+        stack = dense(x) if stack is None else stack
+        detected = [operators.operator_form(m.copy()) for m in (stack[None] if x.ndim == 2 else stack)]
+        expected = [(d.form, d.tridiagonal, [not np.iscomplexobj(p) for p in d.parts] if d.form == "blocks" else [])
+                    for d in detected]
+        seen["checked"] += 1
+        if _forms(x) != expected:
+            seen["mismatches"].append((where, x.shape, _forms(x), expected))
+
+    consumers = [
+        (qfi_module, "_generator_elements", 1), (qfi_module, "_commutator_elements", 1),
+        (operators, "seminorm", 1), (operators, "stacked_seminorms", 1), (operators, "eigendecompose", 1),
+        (operators, "commutator_i", 2),
+    ]
+    for module, name, count in consumers:
+        original = getattr(module, name)
+
+        def wrapped(*args, _o=original, _n=name, _k=count):
+            for x in args[:_k]:
+                check(x, _n)
+            return _o(*args)
+
+        _patch_everywhere(monkeypatch, module, name, wrapped)
+    to_eigenbasis = operators.SpectralDecomposition._to_eigenbasis
+
+    def basis(self, h):
+        check(h, "to_eigenbasis")
+        return to_eigenbasis(self, h)
+
+    monkeypatch.setattr(operators.SpectralDecomposition, "_to_eigenbasis", basis)
+    return seen
+
+
+def _run_form_configs():
+    from thermalqfi import verify
+    from thermalqfi.sweep import SweepConfig, figure_configs, run_sweep, run_sweeps
+
+    for raw in figure_configs().values():
+        run_sweep(SweepConfig.from_dict({k: v for k, v in raw.items() if k != "metadata"}))
+    for variants, twice_js in ((verify.GRID_VARIANTS, verify.GRID_TWICE_J), (verify.GRID_VARIANTS[:2], verify.WIDE_TWICE_J)):
+        for twice_j in twice_js:
+            run_sweeps([verify._grid_config(model, twice_j, lam) for model, lam in variants])
+    for twice_j in (100, 101, 400):
+        for model, lam in (("oat", None), ("lmg", 1.0), ("lmg", -0.7)):
+            _point_at(model, twice_j, lam)
+
+
+class TestCarriedForms:
+    """Every record that reaches a consumer carries the form the gate's
+    detection finds on its dense array: on the four figure sweeps, the
+    verify grids (2J <= 81, so dense or diagonal, as detection found them
+    before records existed) and compute points at 2J = 100, 101 and 400."""
+
+    def test_carried_forms_equal_the_detected_ones(self, monkeypatch):
+        seen = _record_forms(monkeypatch)
+        _run_form_configs()
+        assert seen["checked"] > 300
+        assert seen["mismatches"] == []
+
+    @pytest.mark.parametrize("mutant", ["blocks-as-dense", "dense-as-diagonal"])
+    def test_a_wrong_form_is_caught(self, monkeypatch, mutant):
+        import thermalqfi.models as models
+        import thermalqfi.operators as operators
+        import thermalqfi.spin as spin
+
+        if mutant == "blocks-as-dense":  # J_x^2 above 81 tagged dense
+            monkeypatch.setattr(spin, "_blocks", lambda *a: operators._dense(operators._blocks(*a).matrix))
+        else:  # J_x^2 up to 81 tagged diagonal, though its array is dense
+            monkeypatch.setattr(models, "_dense", lambda m: operators._with_matrix(operators._diagonal(np.diagonal(m)), m))
+        seen = _record_forms(monkeypatch)
+        for twice_j in (10, 400):
+            _point_at("oat", twice_j)
+        assert seen["mismatches"]
+
+
+class TestEvenChunks:
+    def test_no_one_row_remainders_and_rows_unchanged(self, monkeypatch):
+        import thermalqfi.qfi as qfi_module
+        import thermalqfi.sweep as sweep_module
+        from thermalqfi.sweep import SweepConfig, figure_configs, run_sweep
+
+        chunks, calls = [], []
+        generator_sums, route_sums = qfi_module._generator_sums, qfi_module.route_sums
+        monkeypatch.setattr(qfi_module, "_generator_sums", lambda p, *a: chunks.append(len(p)) or generator_sums(p, *a))
+        monkeypatch.setattr(sweep_module, "route_sums", lambda *a: calls.append(a) or route_sums(*a))
+        for name, expected in (("fig2a", [10, 9]), ("fig3b", [10] * 10)):
+            chunks.clear(), calls.clear()
+            run_sweep(SweepConfig.from_dict({k: v for k, v in figure_configs()[name].items() if k != "metadata"}))
+            assert chunks == expected, name
+            # each row equals its own k = 1 evaluator call on the same plan
+            (plan, p, betas), = calls
+            whole = route_sums(plan, p, betas)
+            rows = [route_sums(plan, p[r : r + 1], betas[r : r + 1]) for r in range(len(p))]
+            assert repr(whole) == repr(type(whole)(*([row[i][0] for row in rows] for i in range(len(whole)))))

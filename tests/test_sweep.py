@@ -667,11 +667,13 @@ class TestDiagonalProbe:
     def test_fast_path_matches_dense_path_bit_for_bit(self, monkeypatch, model, axis, lam, twice_j):
         fast = _plan_points(model, twice_j, axis, lam, lambda h: operators.eigendecompose(h, "Hamiltonian"))
         assert fast[0].count("BoundReport") == 1
-        # the dense path: eigh's decomposition (order=None) and every diagonal
-        # shortcut switched off, so each basis change and commutator is a product
+        # the dense path: eigh's decomposition (order=None) and every
+        # diagonal record made dense, so each basis change, commutator and
+        # width is a product or a solve
+        diagonal = operators._diagonal
         for name, module in list(sys.modules.items()):
-            if name.startswith("thermalqfi") and hasattr(module, "_diagonal_of"):
-                monkeypatch.setattr(module, "_diagonal_of", lambda m: None)
+            if name.startswith("thermalqfi") and getattr(module, "_diagonal", None) is diagonal:
+                monkeypatch.setattr(module, "_diagonal", lambda d, members=None: operators._dense(diagonal(d).matrix))
 
         def dense(h):
             evals, evecs = np.linalg.eigh(h)
