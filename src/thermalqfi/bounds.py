@@ -345,21 +345,22 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     bound_report(gibbs_state(H, beta), ExplicitGenerator(A, t)).
 
     Precondition: every scenario takes the single-point dense branch
-    throughout. H and A are exactly Hermitian and finite, H and
+    throughout. H and A are exactly Hermitian and finite, H, t A and
     C = i[H, t A] each have a nonzero off-diagonal entry,
-    n <= DENSE_MAX_DIM, and t is finite and nonnegative. Nothing here
-    checks it; a LAPACK error or a missed residual certificate of the
-    stacked eigh raises EigensolverError, and boltzmann_weights checks
-    each beta as on the single-point path. One stacked eigh and one
-    stacked_seminorms per seminorm give the bits of per-matrix calls;
-    stacked_plan, one route_sums and one bound_rows give the bits of
-    bound_report.
+    n <= DENSE_MAX_DIM, and t is finite and positive. Nothing here
+    checks it: each stack is taken as a dense record. A LAPACK error or
+    a missed residual certificate of the stacked eigh raises
+    EigensolverError, and boltzmann_weights checks each beta as on the
+    single-point path. One stacked eigh and one stacked_seminorms per
+    seminorm give the bits of per-matrix calls; stacked_plan, one
+    route_sums and one bound_rows give the bits of bound_report.
     """
     scaled = _dense(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
     evals, evecs = certified_eigh(hamiltonians, "Hamiltonian stack")
-    plan = stacked_plan(SpectralDecomposition(evals, evecs, evals.shape[-1], source=_dense(hamiltonians)), scaled)
-    h_width = stacked_seminorms(hamiltonians, "Hamiltonian stack")
+    h = _dense(hamiltonians)
+    plan = stacked_plan(SpectralDecomposition(evals, evecs, evals.shape[-1], source=h), scaled)
+    h_width = stacked_seminorms(h, "Hamiltonian stack")
     weights = boltzmann_weights(evals, betas.tolist())
-    scales = BoundScales(h_width, _probe_gap(evals, h_width), stacked_seminorms(generators, "generator stack"))
+    scales = BoundScales(h_width, _probe_gap(evals, h_width), stacked_seminorms(_dense(generators), "generator stack"))
     sums = route_sums(plan, weights.probabilities, weights.betas)
     return bound_rows(plan, sums, weights.betas, times, scales)

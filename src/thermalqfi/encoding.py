@@ -212,7 +212,7 @@ def _zero_times(h: Hermitian, times: np.ndarray, diagonal: bool) -> Hermitian:
     zero = np.full(times.shape, True) if diagonal else times == 0.0
     if h.form == "diagonal" or not zero.any():
         return h
-    if h.ndim == 2 or zero.all():
+    if not h.stacked or zero.all():
         return _with_matrix(_diagonal(h.diagonal()), h.matrix)
     return replace(h, members=tuple("diagonal" if z else h.form for z in zero))
 

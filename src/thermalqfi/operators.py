@@ -9,8 +9,8 @@ detected once (as_hermitian, the one gate for user arrays). Everything
 downstream reads the form instead of scanning for it, so a parity
 operator above DENSE_MAX_DIM stays as two half blocks end to end.
 
-The public functions take arrays or records; given only arrays they
-return arrays, given a record they return a record. The tolerances are
+The public functions take an array or a record and return records. The
+tolerances are
 module constants so the contracts stay visible at the call sites that
 enforce them. All operations are pure and thread-safe.
 certified_eigh and stacked_seminorms solve a (k, n, n) stack in one
@@ -113,17 +113,6 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     return _hermitian(as_complex_matrix(a), what)
 
 
-def require_hermitian_stack(stack, what: str = "matrix") -> np.ndarray:
-    """require_hermitian of every matrix of a (k, n, n) stack in one scan,
-    with its finiteness check, its per-matrix tolerance and its message
-    for the first matrix that fails."""
-    m = np.asarray(stack, dtype=np.complex128)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
-        raise ValueError(f"expected a stack of nonempty square matrices, got shape {m.shape}")
-    _require_finite(m)
-    return _hermitian(m, what)
-
-
 def require_unitary(u, what: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(u)
     defect = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
@@ -207,9 +196,7 @@ class Hermitian:
     exact zero, blocks and tridiagonal only above DENSE_MAX_DIM. For a
     stack, members names each member's own form when it is narrower than
     the stack's: a diagonal member (the generator at t = 0) of a dense or
-    block stack. The dense array is made only when asked for (matrix,
-    or numpy's array protocol, which makes a record usable wherever an
-    array is).
+    block stack. The dense array is made only when asked for (matrix).
     """
 
     form: str
@@ -224,14 +211,9 @@ class Hermitian:
         return lead + (self.dim, self.dim)
 
     @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    dtype = np.dtype(np.complex128)
+    def stacked(self) -> bool:
+        """Whether the record holds a stack rather than one matrix."""
+        return len(self.shape) > 2
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -245,9 +227,6 @@ class Hermitian:
         else:
             out[..., 0::2, 0::2], out[..., 1::2, 1::2] = self.parts
         return out
-
-    def __array__(self, dtype=None, copy=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, (..., n)."""
@@ -345,23 +324,6 @@ def as_hermitian(a, what: str = "matrix") -> Hermitian:
     return operator_form(require_hermitian(a, what))
 
 
-def _stack_forms(stack) -> Hermitian:
-    """The record of a (k, n, n) stack array of at most DENSE_MAX_DIM,
-    each member diagonal or dense. Like every stack helper it scans
-    nothing: the caller vouches that each member is Hermitian and
-    finite."""
-    if isinstance(stack, Hermitian):
-        return stack
-    m = np.asarray(stack)
-    diagonal = ~_off_diagonal(m).any(axis=(-2, -1))
-    return _with_matrix(_dense(m, members=tuple("diagonal" if d else "dense" for d in diagonal)), m)
-
-
-def _as_output(record: Hermitian, *inputs):
-    """record, or its dense array when none of the inputs was a record."""
-    return record if any(isinstance(x, Hermitian) for x in inputs) else record.matrix
-
-
 def concatenate(records) -> Hermitian:
     """The stacks of records, one after another, as one stack: in their
     common form, or dense with each member's own form."""
@@ -439,18 +401,15 @@ class SpectralDecomposition:
             out[block.start::2, block.positions] = block.vectors
         return out
 
-    def to_eigenbasis(self, op):
+    def to_eigenbasis(self, op) -> Hermitian:
         """V^dagger op V. The form of op decides the work: for a diagonal
         source, op reindexed by order (op itself when order is the
         identity), which equals the product up to the sign of exact
         zeros; a diagonal op scales the rows of V^dagger instead of
         multiplying; on a block decomposition a diagonal or block op
-        takes only the products within each block. An array is taken as
-        dense."""
-        h = op if isinstance(op, Hermitian) else _dense(np.asarray(op))
-        return _as_output(self._to_eigenbasis(h), op)
-
-    def _to_eigenbasis(self, h: Hermitian) -> Hermitian:
+        takes only the products within each block. An array goes through
+        the gate."""
+        h = as_hermitian(op, "operator")
         if self.order is not None:
             if np.array_equal(self.order, np.arange(self.source_dim)):
                 return h
@@ -459,7 +418,7 @@ class SpectralDecomposition:
             return _dense(h.matrix[..., self.order[:, None], self.order])
         if self.blocks is not None:
             out = np.zeros(h.shape, dtype=np.complex128)
-            if h.form == "blocks" or (h.form == "diagonal" and h.ndim == 2):
+            if h.form == "blocks" or (h.form == "diagonal" and not h.stacked):
                 for block, x in zip(self.blocks, self.to_block_eigenbases(h)):
                     out[..., block.positions[:, None], block.positions] = x
                 return _dense(out)
@@ -470,7 +429,7 @@ class SpectralDecomposition:
                     out[..., a.positions[:, None], b.positions] = _sandwich(a.vectors.conj().T, x, b.vectors)
             return _dense(out)
         v = self.eigenvectors
-        x = h.parts[0] if h.form == "diagonal" and h.ndim == 2 else h.matrix
+        x = h.parts[0] if h.form == "diagonal" and not h.stacked else h.matrix
         return _dense(_sandwich(v.conj().mT, x, v))
 
     def to_block_eigenbases(self, op: Hermitian) -> list[np.ndarray]:
@@ -614,18 +573,14 @@ def certified_eigh(stack: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray
     return evals, evecs
 
 
-def stacked_seminorms(stack, what: str) -> list[float]:
-    """seminorm of each matrix of a (k, n, n) stack, with its bits: a
-    diagonal member is read off its diagonal and the others share one
+def stacked_seminorms(h: Hermitian, what: str) -> list[float]:
+    """seminorm of each matrix of a (k, n, n) stack record, with its bits:
+    a diagonal member is read off its diagonal and the others share one
     stacked eigvalsh, which gives the bits of per-matrix calls. Above
     DENSE_MAX_DIM, where a sweep's chunk of times holds one generator,
-    each member takes seminorm's own path, in its own form. Nothing is
-    scanned: an array's members are taken as Hermitian, each diagonal or
-    dense up to DENSE_MAX_DIM, and each through seminorm's gate above."""
-    if stack.shape[-1] > DENSE_MAX_DIM:
-        members = stack if not isinstance(stack, Hermitian) else [stack.member(i) for i in range(stack.shape[0])]
-        return [seminorm(m) for m in members]
-    h = _stack_forms(stack)
+    each member takes seminorm's own path, in its own form."""
+    if h.dim > DENSE_MAX_DIM:
+        return [seminorm(h.member(i)) for i in range(h.shape[0])]
     widths = np.empty(h.shape[0])
     diagonal = np.array([form == "diagonal" for form in h.member_forms()])
     if diagonal.any():
@@ -714,26 +669,31 @@ def commutator_i(a, b):
     (only the sign of an exact zero may differ, as it does between BLAS
     kernels), and keeps B's form: [diagonal, diagonal] is diagonal,
     [diagonal, blocks] is blocks, block by block, and [diagonal,
-    tridiagonal] is tridiagonal. [blocks, blocks] is blocks, one product
-    per block. Anything else is a dense product.
+    tridiagonal] is tridiagonal. Up to DENSE_MAX_DIM a diagonal B is
+    scaled as its dense array, which the result keeps as its matrix, so
+    its exact zeros carry the signs of the products. [blocks, blocks] is
+    blocks, one product per block. Anything else is a dense product.
     """
     ha = as_hermitian(a, "commutator argument A")
-    hb = b if isinstance(b, Hermitian) else as_hermitian(b, "commutator argument B")
+    hb = as_hermitian(b, "commutator argument B")
     if ha.shape[-2:] != hb.shape[-2:]:
         raise ValueError(f"dimension mismatch in commutator: {ha.shape} vs {hb.shape}")
-    if ha.form == "diagonal" and ha.ndim == 2:
+    if ha.form == "diagonal" and not ha.stacked:
         d = ha.parts[0]
-        if hb.form == "diagonal":
+        if hb.form == "diagonal" and hb.dim > DENSE_MAX_DIM:
             x = d * hb.parts[0]
             x -= hb.parts[0] * d
             out = _diagonal(_times_i_symmetrized(x, diagonal=True), hb.members)
+        elif hb.form == "diagonal":
+            x = _times_i_symmetrized(_scaled_commutator(d, hb.matrix))
+            out = _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1), hb.members), x)
         elif hb.form == "blocks":
             parts = [_times_i_symmetrized(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
             out = _blocks(*parts, hb.tridiagonal, _member_forms(ha, hb, "blocks"))
         else:
             x = _times_i_symmetrized(_scaled_commutator(d, hb.parts[0]))
             out = _dense(x, hb.form, _member_forms(ha, hb, hb.form))
-    elif ha.form == hb.form == "blocks" and ha.ndim == 2:
+    elif ha.form == hb.form == "blocks" and not ha.stacked:
         parts = []
         for p, q in zip(ha.parts, hb.parts):
             x = p @ q
@@ -745,7 +705,7 @@ def commutator_i(a, b):
         x = ma @ mb
         x -= mb @ ma
         out = _dense(_times_i_symmetrized(x))
-    return _as_output(out, a, b)
+    return out
 
 
 def seminorm(a) -> float:

@@ -304,7 +304,7 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     support, so a stack of scenarios is one chunk.
     """
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
-    step = max(1, (plan.generator.size + p.size) // support)
+    step = max(1, (math.prod(plan.generator.shape) + p.size) // support)
     step = -(-len(p) // -(-len(p) // step)) if len(p) else step  # equal chunks, none larger than step
     per = len(p) // len(plan.var_i) if plan.var_i.ndim == 2 else None
     sums = RouteSums([], [], [], [], [])
@@ -438,7 +438,7 @@ def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) ->
     above DENSE_MAX_DIM an oat or lmg generator, its commutator and their
     squares stay two half-size parity blocks."""
     comm = commutator_i(decomposition.source, generators)
-    if comm.ndim == 2:
+    if not comm.stacked:
         width = seminorm(comm)
     else:
         width = stacked_seminorms(comm, "commutator stack")

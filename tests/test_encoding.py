@@ -140,8 +140,8 @@ class TestGeneratorStack:
         scheme = SCHEMES[name]
         times = (0.0, 1e-12, 0.5, 3.14, 40.0)
         stack = encoding.generator_stack(scheme)(times)
-        assert stack.shape[0] == len(times) and stack.dtype == np.complex128
-        for h, t in zip(np.asarray(stack), times):
+        assert stack.shape[0] == len(times) and stack.matrix.dtype == np.complex128
+        for h, t in zip(stack.matrix, times):
             single = transformed_generator(replace(scheme, t=t)).h
             assert h.tobytes() == single.tobytes(), t
 

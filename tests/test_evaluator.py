@@ -188,7 +188,7 @@ def test_a_long_beta_grid_is_summed_in_chunks_no_larger_than_the_inputs(monkeypa
     sums = route_sums(plan, weights.probabilities, weights.betas)
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows))
     assert sum(chunks) == len(betas) and len(chunks) > 1
-    assert max(chunks) * support <= plan.generator.size + weights.probabilities.size
+    assert max(chunks) * support <= plan.generator.matrix.size + weights.probabilities.size
     for r, beta in enumerate(betas):
         single = route_sums(plan, weights.probabilities[r:r + 1], [beta])
         assert repr(tuple(field[r] for field in sums)) == repr(tuple(field[0] for field in single))

@@ -114,23 +114,23 @@ class TestMatrixExpScaled:
 class TestCommutator:
     def test_angular_momentum_algebra(self):
         jx, jy, jz = spin_operators(3)
-        np.testing.assert_allclose(commutator_i(jx, jy), -jz, atol=1e-12)
+        np.testing.assert_allclose(commutator_i(jx, jy).matrix, -jz, atol=1e-12)
 
     def test_self_commutator_vanishes(self):
         jx, _, _ = spin_operators(4)
-        assert np.max(np.abs(commutator_i(jx, jx))) == 0.0
+        assert np.max(np.abs(commutator_i(jx, jx).matrix)) == 0.0
 
     def test_against_direct_product_oracle(self):
         jx, jy, jz = spin_operators(2)
         oracle = 1j * (jz @ jx - jx @ jz)
-        got = commutator_i(jz, jx)
+        got = commutator_i(jz, jx).matrix
         assert np.max(np.abs(got - oracle)) <= 1e-12
         np.testing.assert_allclose(got, -jy, atol=1e-12)
 
     @given(hermitian_pairs(max_dim=6))
     def test_antisymmetry(self, pair):
         a, b = pair
-        np.testing.assert_allclose(commutator_i(a, b), -commutator_i(b, a), atol=1e-13)
+        np.testing.assert_allclose(commutator_i(a, b).matrix, -commutator_i(b, a).matrix, atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -139,7 +139,7 @@ class TestCommutator:
     def test_result_hermitian(self):
         rng = np.random.default_rng(9)
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
-        assert hermiticity_defect(commutator_i(a, b)) == 0.0
+        assert hermiticity_defect(commutator_i(a, b).matrix) == 0.0
 
 
 class TestSeminorm:
@@ -290,7 +290,7 @@ class TestDiagonalFastPath:
         dec = eigendecompose(jz)
         np.testing.assert_array_equal(dec.order, np.arange(twice_j + 1))
         assert dec.source.matrix is jz
-        assert dec.to_eigenbasis(jz) is jz
+        assert dec.to_eigenbasis(jz).matrix is jz
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
     def test_eigendecompose_matches_eigh(self, name, monkeypatch):
@@ -316,7 +316,7 @@ class TestDiagonalFastPath:
         dec = eigendecompose(a)
         op = random_hermitian(np.random.default_rng(7), a.shape[0])
         v = dec.eigenvectors
-        assert _bits(dec.to_eigenbasis(op)) == _bits(v.conj().T @ op @ v)
+        assert _bits(dec.to_eigenbasis(op).matrix) == _bits(v.conj().T @ op @ v)
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
     def test_seminorm_matches_eigvalsh(self, name, monkeypatch):
@@ -334,7 +334,7 @@ class TestDiagonalFastPath:
         a = DIAGONAL_CASES[name]
         b = random_hermitian(np.random.default_rng(7), a.shape[0])
         x = 1j * (a @ b - b @ a)
-        assert _bits(commutator_i(a, b)) == _bits(0.5 * (x + x.conj().T))
+        assert _bits(commutator_i(a, b).matrix) == _bits(0.5 * (x + x.conj().T))
 
     @pytest.mark.parametrize("a", [DIAGONAL_CASES["signed-zeros"], -spin_operators(40)[2]], ids=["signed-zeros", "negated-jz"])
     def test_a_negative_zero_on_the_diagonal_agrees_in_value(self, a):
@@ -349,7 +349,7 @@ class TestDiagonalFastPath:
         np.testing.assert_array_equal(dec.eigenvalues, evals)
         assert _bits(dec.eigenvectors) == _bits(evecs)
         x = 1j * (a @ b - b @ a)
-        fast, dense = commutator_i(a, b), 0.5 * (x + x.conj().T)
+        fast, dense = commutator_i(a, b).matrix, 0.5 * (x + x.conj().T)
         np.testing.assert_array_equal(fast, dense)
         nonzero = dense != 0
         assert _bits(fast[nonzero]) == _bits(dense[nonzero])
@@ -477,48 +477,9 @@ class TestStacks:
 
         monkeypatch.setattr(np.linalg, solver, failing)
         message = f"eigensolver failed on a 4x8x8 H stack: Eigenvalues did not converge{suffix}"
-        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            getattr(operators, helper)(STACKS["dim8-one-non-hermitian"], "H stack")
-
-
-class TestStackedScan:
-    """require_hermitian_stack judges each matrix of a stack as
-    require_hermitian judges it alone, and refuses the first one that
-    fails with require_hermitian's message for it."""
-
-    def test_a_non_hermitian_member_is_refused_with_its_own_message(self):
         stack = STACKS["dim8-one-non-hermitian"]
-        with pytest.raises(NotHermitianError) as single:
-            require_hermitian(stack[2], "generator")
-        with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
-            operators.require_hermitian_stack(stack, "generator")
-
-    def test_the_tolerance_is_per_matrix(self):
-        # the same 1e-9 defect is within the tolerance of a matrix whose
-        # largest entry is 1e4, and beyond that of one with entries near 1
-        stack = np.array([1e4 * np.eye(3), np.eye(3), np.eye(3)], dtype=np.complex128)
-        stack[:2, 0, 1] += 1e-9j
-        stack[2, 1, 2] += 1e-3
-        with pytest.raises(NotHermitianError) as single:
-            require_hermitian(stack[1], "generator")
-        with pytest.raises(NotHermitianError, match=f"^{re.escape(str(single.value))}$"):
-            operators.require_hermitian_stack(stack, "generator")
-        require_hermitian(stack[0], "generator")
-
-    def test_a_non_finite_member_is_refused_with_the_single_matrix_message(self):
-        stack = STACKS["dim5"].copy()
-        stack[1, 2, 3] = np.nan
-        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
-            require_hermitian(stack[1], "generator")
-        with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
-            operators.require_hermitian_stack(stack, "generator")
-
-    def test_a_hermitian_stack_is_returned_as_complex(self):
-        stack = STACKS["dim5"]
-        out = operators.require_hermitian_stack(stack.real.astype(np.complex128), "generator")
-        assert out.dtype == np.complex128 and out.shape == stack.shape
-        with pytest.raises(ValueError, match="stack of nonempty square matrices"):
-            operators.require_hermitian_stack(stack[0], "generator")
+        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
+            getattr(operators, helper)(stack if helper == "certified_eigh" else operators._dense(stack), "H stack")
 
 
 def _mixed_stack(dim):
@@ -527,8 +488,13 @@ def _mixed_stack(dim):
     jx, jy, jz = spin_operators(dim - 1)
     return np.array([
         random_hermitian(rng, dim), jz, np.zeros((dim, dim), dtype=np.complex128), 2.3 * jx,
-        commutator_i(jz, 0.7 * jy), np.diag(rng.normal(size=dim)).astype(np.complex128),
+        commutator_i(jz, 0.7 * jy).matrix, np.diag(rng.normal(size=dim)).astype(np.complex128),
     ])
+
+
+def _stack_forms(stack):
+    """The form of each member of a stack array, diagonal or dense."""
+    return tuple("diagonal" if operators.operator_form(m).form == "diagonal" else "dense" for m in stack)
 
 
 class TestStackedBasisAndWidths:
@@ -538,16 +504,20 @@ class TestStackedBasisAndWidths:
     @pytest.mark.parametrize("dim", [2, 3, 11, 81, 82, 102])
     def test_stacked_seminorms_have_the_bits_of_seminorm(self, dim):
         stack = _mixed_stack(dim)
-        widths = operators.stacked_seminorms(stack, "stack")
-        assert repr(widths) == repr([seminorm(m) for m in stack])
+        forms = _stack_forms(stack)
+        widths = operators.stacked_seminorms(operators._dense(stack, members=forms), "stack")
+        # up to DENSE_MAX_DIM these are the forms the gate finds on each member
+        assert repr(widths) == repr([seminorm(m if f == "diagonal" else operators._dense(m)) for m, f in zip(stack, forms)])
 
     def test_diagonal_members_make_no_solver_call(self, monkeypatch):
-        assert repr(operators.stacked_seminorms(np.array([[[2.0 + 0j]], [[-1.0]]]), "1x1 stack")) == "[0.0, 0.0]"
+        ones = np.array([[[2.0 + 0j]], [[-1.0]]])
+        assert repr(operators.stacked_seminorms(operators._dense(ones, members=_stack_forms(ones)), "1x1 stack")) == "[0.0, 0.0]"
         stack = _mixed_stack(11)
         calls = record_solver_calls(monkeypatch, "eigvalsh")
-        operators.stacked_seminorms(stack[[1, 2, 5]], "stack")
+        diagonal = stack[[1, 2, 5]]
+        operators.stacked_seminorms(operators._dense(diagonal, members=_stack_forms(diagonal)), "stack")
         assert calls == []
-        operators.stacked_seminorms(stack, "stack")
+        operators.stacked_seminorms(operators._dense(stack, members=_stack_forms(stack)), "stack")
         assert calls == [(3, True)]  # the three non-diagonal members, in one call
 
     @pytest.mark.parametrize(
@@ -568,8 +538,8 @@ class TestStackedBasisAndWidths:
         # no diagonal member: a 2-D diagonal operator takes the scaling
         # shortcut, whose bits may differ from the product's
         stack = np.array([random_hermitian(rng, dim), 1.7 * _jx_squared(dim - 1), jy])
-        assert _bits(dec.to_eigenbasis(stack)) == _bits(np.array([dec.to_eigenbasis(m) for m in stack]))
-        x = dec.to_eigenbasis(stack)
+        x = dec.to_eigenbasis(operators._dense(stack)).matrix
+        assert _bits(x) == _bits(np.array([dec.to_eigenbasis(operators._dense(m)).matrix for m in stack]))
         assert _bits(dec.from_eigenbasis(x)) == _bits(np.array([dec.from_eigenbasis(m) for m in x]))
 
 
@@ -584,7 +554,7 @@ class TestLinearAboveTheThreshold:
         jx, jy, jz = spin_operators(twice_j)
         generator = {"x": jx, "y": jy}[axis]
         dim = twice_j + 1
-        for m in (generator, commutator_i(jz, 2.3 * generator)):
+        for m in (generator, commutator_i(jz, 2.3 * generator).matrix):
             dense = np.linalg.eigvalsh(m)
             calls = record_solver_calls(monkeypatch, "eigvalsh")
             width = seminorm(m)
@@ -616,7 +586,7 @@ class TestDebugResidue:
 
     def test_not_measured_without_debug(self, caplog, monkeypatch):
         a, b = self._pair()
-        expected = commutator_i(a, b)
+        expected = commutator_i(a, b).matrix
 
         def refuse(*args, **kwargs):
             raise AssertionError("residue measured with DEBUG off")
@@ -680,7 +650,7 @@ class TestParityBlocks:
 
     def test_tridiagonal_complex_blocks_are_solved_real(self, monkeypatch):
         _, _, jz = spin_operators(100)
-        c = commutator_i(jz, _jx_squared(100))  # i times a real antisymmetric matrix
+        c = commutator_i(jz, _jx_squared(100)).matrix  # i times a real antisymmetric matrix
         calls = record_solver_calls(monkeypatch, "eigvalsh")
         width = seminorm(c)
         # each block is Hermitian tridiagonal: a diagonal phase similarity
@@ -693,7 +663,7 @@ class TestParityBlocks:
         from thermalqfi.models import build_scenario
 
         scenario = build_scenario("lmg", 100, 0.7, 2.3, lam=0.6)
-        c = commutator_i(scenario.probe.hamiltonian, scenario.h.h)  # dense within each block
+        c = commutator_i(scenario.probe.hamiltonian, scenario.h.h).matrix  # dense within each block
         calls = record_solver_calls(monkeypatch, "eigvalsh")
         width = seminorm(c)
         assert calls == [(51, True), (50, True)]
@@ -730,14 +700,14 @@ class TestParityBlocks:
         jx, _, jz = spin_operators(twice_j)
         ops = {"diagonal": jz, "cross-parity": jx, "dense": random_hermitian(np.random.default_rng(5), twice_j + 1)}
         for name, op in ops.items():
-            x = dec.to_eigenbasis(op)
+            x = dec.to_eigenbasis(op).matrix
             assert np.max(np.abs(x - v.conj().T @ op @ v)) <= 1e-12 * twice_j, name
             assert np.max(np.abs(dec.from_eigenbasis(x) - op)) <= 1e-12 * twice_j, name
 
     def test_basis_changes_keep_exact_zeros_across_parity(self):
         dec = eigendecompose(_lmg(100, 1.0))
         _, _, jz = spin_operators(100)
-        back = dec.from_eigenbasis(dec.to_eigenbasis(jz) * (1.0 + 0.5j))
+        back = dec.from_eigenbasis(dec.to_eigenbasis(jz).matrix * (1.0 + 0.5j))
         assert not back[0::2, 1::2].any() and not back[1::2, 0::2].any()
 
     def test_residual_contract_per_block(self, monkeypatch):
@@ -764,8 +734,8 @@ class TestParityBlocks:
 
         dec = eigendecompose(lmg_hamiltonian(twice_j, lam))
         jz = spin_operators(twice_j)[2]
-        scaled = dec.to_eigenbasis(operators.operator_form(jz)).matrix  # the form decides: scaled
-        multiplied = dec.to_eigenbasis(jz)  # an array is taken as dense: multiplied
+        scaled = dec.to_eigenbasis(jz).matrix  # the gate finds it diagonal: scaled
+        multiplied = dec.to_eigenbasis(operators._dense(jz)).matrix  # taken as dense: multiplied
         assert dec.blocks is not None
         assert np.max(np.abs(scaled - multiplied)) <= np.finfo(float).eps * np.abs(np.diagonal(jz)).max()
 
@@ -841,9 +811,9 @@ class TestExactHermiticityGate:
             assert _gate_verdict(m, "generator") == _tolerance_verdict(m, "generator")
         if np.isfinite(m).all():
             expected = _tolerance_verdict(m.astype(np.complex128), "generator")
-            scan = require_hermitian if m.ndim == 2 else operators.require_hermitian_stack
             try:
-                scan(m, "generator")
+                for member in [m] if m.ndim == 2 else m:
+                    require_hermitian(member, "generator")
             except NotHermitianError as exc:
                 assert str(exc) == expected
             else:
@@ -855,7 +825,7 @@ class TestExactHermiticityGate:
 
         monkeypatch.setattr(operators, "hermiticity_defect", refuse)
         require_hermitian(spin_operators(100)[1], "generator")
-        operators.require_hermitian_stack(STACKS["dim5"], "generator")
+        operators._hermitian(STACKS["dim5"], "generator")
 
     @pytest.mark.parametrize("shape", [(401, 401), (3, 201, 201)])
     def test_blocks_of_rows_make_no_full_size_temporary(self, shape):
@@ -925,16 +895,10 @@ class TestInPlaceSymmetrization:
         assert got.dtype == np.complex128
         assert np.array_equal(_uint64(got), _uint64(_old_commutator(a, b, a_kind == "diagonal")))
         if b.ndim == 2:
-            scanned = commutator_i(a, b)
+            scanned = commutator_i(a, b).matrix
             a, b = a.astype(np.complex128), b.astype(np.complex128)
-            expected = _old_commutator(a, b, a_kind == "diagonal")
-            if operators.operator_form(b).form == "diagonal" and a_kind == "diagonal":
-                # [diagonal, diagonal] is a diagonal record, which stores no
-                # off-diagonal zeros to sign: equal values, and bits on the diagonal
-                assert np.array_equal(scanned, expected)
-                assert np.array_equal(_uint64(np.diagonal(scanned)), _uint64(np.diagonal(expected)))
-            else:
-                assert np.array_equal(_uint64(scanned), _uint64(expected))
+            expected = _old_commutator(a, b, operators.operator_form(a).form == "diagonal")
+            assert np.array_equal(_uint64(scanned), _uint64(expected))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 1), (5, 5), (3, 7, 7), (90, 90)]))
@@ -957,10 +921,10 @@ class TestInPlaceSymmetrization:
         _, family = model_encoding("lmg", twice_j, 2.3, lam=lam)
         spectrum = encoding.encoding_spectrum(family)
         times = np.array([0.0, 0.7, 2.3])[:, None, None]
-        got = [np.asarray(encoding._integral_matrices(spectrum, t)) for t in (2.3, times)]
+        got = [encoding._integral_matrices(spectrum, t).matrix for t in (2.3, times)]
         monkeypatch.setattr(encoding, "_symmetrize", lambda h: h)
         for value, t in zip(got, (2.3, times)):
-            h = np.asarray(encoding._integral_matrices(spectrum, t))
+            h = encoding._integral_matrices(spectrum, t).matrix
             assert np.array_equal(_uint64(value), _uint64(0.5 * (h + h.conj().mT)))
 
     def test_finite_difference_generator_has_the_out_of_place_bits(self):
@@ -999,7 +963,7 @@ class TestFiniteGate:
     def test_non_finite_entries_refused(self, entry, part, shape):
         m = np.zeros(shape, dtype=np.complex128)
         setattr(m[..., 1, 1:2][-1] if len(shape) == 3 else m[1, 1:2], part, entry)
-        check = operators.as_complex_matrix if len(shape) == 2 else operators.require_hermitian_stack
+        check = operators.as_complex_matrix if len(shape) == 2 else operators._require_finite
         with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
             check(m)
 
@@ -1013,7 +977,7 @@ class TestFiniteGate:
         if len(shape) == 2:
             assert operators.as_complex_matrix(m) is m
         else:
-            assert operators.require_hermitian_stack(m) is m
+            operators._require_finite(m)
 
 
 class TestOperatorRecords:
@@ -1029,10 +993,10 @@ class TestOperatorRecords:
         assert h.form == "blocks" and [p.shape for p in h.parts] == [(51, 51), (50, 50)]
         assert not any(np.iscomplexobj(p) for p in h.parts) and h.tridiagonal == (True, True)
         assert "matrix" not in h.__dict__  # no dense array until one is asked for
-        dense = np.asarray(h)
+        dense = h.matrix
         assert not dense[0::2, 1::2].any() and not dense[1::2, 0::2].any()
         np.testing.assert_array_equal(dense[0::2, 0::2], h.parts[0])
-        assert h.shape == (101, 101) and h.size == 101 * 101 and h.dtype == np.complex128
+        assert h.shape == (101, 101) and dense.dtype == np.complex128
 
     def test_forms_follow_the_products(self):
         from thermalqfi.models import lmg_hamiltonian
@@ -1047,5 +1011,5 @@ class TestOperatorRecords:
         assert commutator_i(jz, operators.operator_form(spin_operators(100)[0])).form == "tridiagonal"
         # ([h, h] is blocks by the rule, though its entries all vanish)
         for record in (c, 0.0 * h, h + 0.3 * jz):
-            detected = operators.operator_form(np.asarray(record).copy())
+            detected = operators.operator_form(record.matrix.copy())
             assert (detected.form, detected.tridiagonal) == (record.form, record.tridiagonal)

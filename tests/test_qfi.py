@@ -190,7 +190,7 @@ class TestPlanScans:
 
         # a scan of one matrix or of a stack records its message once
         scanned = []
-        for scan in ("require_hermitian", "require_hermitian_stack"):
+        for scan in ("require_hermitian",):
             original = getattr(operators, scan)
 
             def counting(a, what="matrix", _original=original):
@@ -251,7 +251,7 @@ class TestScansOutsidePlan:
         assert scanned == []  # J_z and H(lambda) are built as records
         encoding_spectrum(family)
         assert scanned == []
-        encoding_spectrum(replace(family, hamiltonian=lambda lam: np.asarray(family.hamiltonian(lam))))
+        encoding_spectrum(replace(family, hamiltonian=lambda lam: family.hamiltonian(lam).matrix))
         assert scanned == ["encoding Hamiltonian"]  # a bare array, by the decomposition that takes it in
 
     def test_encoding_error_messages_unchanged(self):
@@ -283,8 +283,8 @@ class TestScansOutsidePlan:
 
 
 class TestSweepScans:
-    """A sweep scans its generators once per chunk of times, as one stack,
-    and refuses a bad member with the single-matrix message."""
+    """A sweep scans none of its generators, which are Hermitian by
+    construction, and takes a faulty one as the single-point path does."""
 
     def test_fig3a_scans_once_per_chunk(self, monkeypatch):
         from thermalqfi.sweep import SweepConfig, figure_configs, run_sweep
@@ -318,6 +318,45 @@ class TestSweepScans:
         )
         with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
             run_sweep(config)
+
+    def test_a_skewed_generator_is_taken_alike_on_the_sweep_and_single_point_paths(self, monkeypatch):
+        import thermalqfi.encoding as encoding
+        from thermalqfi.bounds import bound_report
+        from thermalqfi.sweep import SweepConfig, run_sweep
+
+        bound_fields = ("variance_bound", "seminorm_bound", "product_bound", "convexity_bound",
+                        "gap_variance_bound", "gap_seminorm_bound", "ordering_ok")
+
+        def point():
+            scenario = build_scenario("lmg", 6, 1.1, 0.7, lam=0.6)
+            report = qfi_report(scenario.probe, scenario.h)
+            bounds = bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
+            routes = (report.f_general, report.f_thermal, report.f_sld)
+            return repr(routes + tuple(getattr(bounds, f) for f in bound_fields))
+
+        def sweep_row():
+            config = SweepConfig.from_dict(
+                {"model": "lmg", "twice_j": 6, "lambda": 0.6, "beta_grid": [1.1], "t_grid": [0.5, 0.7, 1.0]}
+            )
+            row = run_sweep(config)[1]
+            assert row.t == 0.7
+            return repr(tuple(getattr(row, f) for f in ("f_general", "f_thermal", "f_sld", *bound_fields)))
+
+        clean = point()
+        assert sweep_row() == clean
+        original = encoding._integral_matrices
+
+        def skewed(spectrum, t):
+            # an anti-Hermitian defect at the time 0.7 only, whether t is
+            # one time or a stack, in the stored entries of the record
+            h = original(spectrum, t)
+            h.parts[0][..., 0, 1] += np.where(np.reshape(t, np.shape(t)[:1]) == 0.7, 1e-3, 0.0)
+            return h
+
+        monkeypatch.setattr(encoding, "_integral_matrices", skewed)
+        faulty = point()
+        assert faulty != clean
+        assert sweep_row() == faulty
 
 
 class TestVarianceReuse:
@@ -404,10 +443,10 @@ def _dense_route_sums(decomposition, hamiltonian, h, p, beta):
     import thermalqfi.qfi as qfi_module
     from thermalqfi.operators import commutator_i
 
-    ht = decomposition.to_eigenbasis(h)
+    ht = decomposition.to_eigenbasis(h).matrix
     habs2 = np.abs(ht) ** 2
     var_i = habs2.sum(axis=1) - np.real(np.diag(ht)) ** 2
-    ct = decomposition.to_eigenbasis(commutator_i(hamiltonian, h))
+    ct = decomposition.to_eigenbasis(commutator_i(hamiltonian, h)).matrix
     cabs2 = np.abs(ct) ** 2
     cdiag = np.real(np.diag(ct))
     energies = decomposition.eigenvalues
@@ -545,11 +584,11 @@ class TestBandPath:
 
         dense = models._symmetrized_square(spin_operators(twice_j)[0])
         jz, scheme = models.model_encoding("oat", twice_j, 1.0)
-        np.testing.assert_array_equal(jz, np.diag(m_values(twice_j)))
-        assert np.abs(scheme.generator - dense).max() <= 1e-15 * np.abs(dense).max()
-        dense += 0.6 * jz
+        np.testing.assert_array_equal(jz.matrix, np.diag(m_values(twice_j)))
+        assert np.abs(scheme.generator.matrix - dense).max() <= 1e-15 * np.abs(dense).max()
+        dense += 0.6 * jz.matrix
         h = models.lmg_hamiltonian(twice_j, 0.6)
-        assert np.abs(h - dense).max() <= 1e-15 * np.abs(dense).max()
+        assert np.abs(h.matrix - dense).max() <= 1e-15 * np.abs(dense).max()
 
     @pytest.mark.parametrize("twice_j, banded", [(80, False), (81, True), (400, True)])
     @pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", 0.6)], ids=["oat", "lmg"])
@@ -695,7 +734,7 @@ class TestNoRescans:
 
 def _forms(record):
     """(form, tridiagonal flags, real blocks) of each member of a record."""
-    members = [record] if record.ndim == 2 else [record.member(i) for i in range(record.shape[0])]
+    members = [record.member(i) for i in range(record.shape[0])] if record.stacked else [record]
     return [(m.form, m.tridiagonal, [not np.iscomplexobj(p) for p in m.parts] if m.form == "blocks" else []) for m in members]
 
 
@@ -715,7 +754,7 @@ def _record_forms(monkeypatch):
             return
         stack = x.__dict__.get("matrix")
         stack = dense(x) if stack is None else stack
-        detected = [operators.operator_form(m.copy()) for m in (stack[None] if x.ndim == 2 else stack)]
+        detected = [operators.operator_form(m.copy()) for m in (stack if x.stacked else stack[None])]
         expected = [(d.form, d.tridiagonal, [not np.iscomplexobj(p) for p in d.parts] if d.form == "blocks" else [])
                     for d in detected]
         seen["checked"] += 1
@@ -736,13 +775,13 @@ def _record_forms(monkeypatch):
             return _o(*args)
 
         _patch_everywhere(monkeypatch, module, name, wrapped)
-    to_eigenbasis = operators.SpectralDecomposition._to_eigenbasis
+    to_eigenbasis = operators.SpectralDecomposition.to_eigenbasis
 
     def basis(self, h):
         check(h, "to_eigenbasis")
         return to_eigenbasis(self, h)
 
-    monkeypatch.setattr(operators.SpectralDecomposition, "_to_eigenbasis", basis)
+    monkeypatch.setattr(operators.SpectralDecomposition, "to_eigenbasis", basis)
     return seen
 
 

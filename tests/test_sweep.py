@@ -676,7 +676,7 @@ class TestDiagonalProbe:
                 monkeypatch.setattr(module, "_diagonal", lambda d, members=None: operators._dense(diagonal(d).matrix))
 
         def dense(h):
-            evals, evecs = np.linalg.eigh(h)
+            evals, evecs = np.linalg.eigh(h.matrix)
             return operators.SpectralDecomposition(evals, evecs, h.shape[0], source=h)
 
         assert fast == _plan_points(model, twice_j, axis, lam, dense)
