@@ -3,18 +3,14 @@
 An operator is a Hermitian record that holds a matrix, or a stack of
 them, in the form it was made in: diagonal, two parity blocks, Hermitian
 tridiagonal, or dense. The spin and band builders, the generators, the
-block basis changes and commutator_i make records and name their forms;
-a plain array is scanned once for finiteness and Hermiticity and its form
-detected once (as_hermitian, the one gate for user arrays). Everything
-downstream reads the form instead of scanning for it, so a parity
-operator above DENSE_MAX_DIM stays as two half blocks end to end.
-
-The public functions take an array or a record and return records. The
-tolerances are
-module constants so the contracts stay visible at the call sites that
-enforce them. All operations are pure and thread-safe.
-certified_eigh and stacked_seminorms solve a (k, n, n) stack in one
-LAPACK call, with the bits of per-matrix dense calls.
+block basis changes and commutator_i make records; a plain array is
+scanned and its form detected once, by as_hermitian, the one gate for
+user arrays. Everything downstream reads the form instead of scanning
+for it, so a parity operator above DENSE_MAX_DIM stays as two half
+blocks end to end. The public functions take an array or a record and
+return records. The tolerances are module constants so the contracts
+stay visible at the call sites that enforce them. All operations are
+pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -256,24 +252,19 @@ class Hermitian:
     __rmul__ = __mul__
 
     def __add__(self, other: Hermitian) -> Hermitian:
-        """A + B of two single matrices, in the narrower of their forms
-        that holds the sum."""
-        forms = {self.form, other.form}
-        if forms == {"diagonal"}:
-            return _diagonal(self.parts[0] + other.parts[0])
-        if forms == {"blocks"}:
-            flags = tuple(a and b for a, b in zip(self.tridiagonal, other.tridiagonal))
-            return _blocks(*(a + b for a, b in zip(self.parts, other.parts)), flags)
-        if forms == {"blocks", "diagonal"}:
-            blocks, d = (self, other.parts[0]) if self.form == "blocks" else (other, self.parts[0])
-            parts = []
-            for start, block in enumerate(blocks.parts):
-                out = block.astype(np.result_type(block, d))
-                k = np.arange(out.shape[-1])
-                out[k, k] += d[start::2]
-                parts.append(out)
-            return _blocks(*parts, blocks.tridiagonal)
-        return _dense(self.matrix + other.matrix)
+        """A + D of a single matrix A and a diagonal D, in A's form."""
+        d = other.parts[0]
+        if self.form == "diagonal":
+            return _diagonal(self.parts[0] + d)
+        if self.form != "blocks":
+            return _dense(self.matrix + other.matrix, self.form)
+        parts = []
+        for start, block in enumerate(self.parts):
+            out = block.astype(np.result_type(block, d))
+            k = np.arange(out.shape[-1])
+            out[k, k] += d[start::2]
+            parts.append(out)
+        return _blocks(*parts, self.tridiagonal)
 
 
 def _diagonal(d: np.ndarray, members=None) -> Hermitian:
@@ -622,18 +613,13 @@ def matrix_exp_scaled(a, scale) -> np.ndarray:
     return (dec.eigenvectors * weights) @ dec.eigenvectors.conj().T
 
 
-def _times_i_symmetrized(x: np.ndarray, diagonal: bool = False) -> np.ndarray:
-    """0.5 (i x + (i x)^dagger), in place where x is complex; a 1-D x is
-    the diagonal of a diagonal matrix."""
+def _times_i_symmetrized(x: np.ndarray) -> np.ndarray:
+    """0.5 (i x + (i x)^dagger), in place where x is complex."""
     x = np.multiply(x, 1j, out=x if np.iscomplexobj(x) else None)
     if logger.isEnabledFor(logging.DEBUG):
-        residue = 0.5 * np.max(np.abs(x - x.conj()) if diagonal else hermiticity_defect(x))
+        residue = 0.5 * np.max(hermiticity_defect(x))
         if residue > 0.0:
             logger.debug("commutator_i: symmetrized away anti-Hermitian residue %.3e", residue)
-    if diagonal:
-        x += x.conj()
-        x *= 0.5
-        return x
     return _symmetrize(x)
 
 
@@ -667,12 +653,12 @@ def commutator_i(a, b):
     scales the rows and columns of B instead of multiplying, with the
     same IEEE operations per nonzero entry as the zero-padded products
     (only the sign of an exact zero may differ, as it does between BLAS
-    kernels), and keeps B's form: [diagonal, diagonal] is diagonal,
-    [diagonal, blocks] is blocks, block by block, and [diagonal,
-    tridiagonal] is tridiagonal. Up to DENSE_MAX_DIM a diagonal B is
-    scaled as its dense array, which the result keeps as its matrix, so
-    its exact zeros carry the signs of the products. [blocks, blocks] is
-    blocks, one product per block. Anything else is a dense product.
+    kernels), and keeps B's form: [diagonal, blocks] is blocks, block by
+    block, and [diagonal, tridiagonal] is tridiagonal. [diagonal,
+    diagonal] is diagonal, scaled on B's dense array, which the result
+    keeps as its matrix, so its zeros carry the signs of the products.
+    [blocks, blocks] is blocks, one product per block. Anything else is
+    a dense product.
     """
     ha = as_hermitian(a, "commutator argument A")
     hb = as_hermitian(b, "commutator argument B")
@@ -680,32 +666,24 @@ def commutator_i(a, b):
         raise ValueError(f"dimension mismatch in commutator: {ha.shape} vs {hb.shape}")
     if ha.form == "diagonal" and not ha.stacked:
         d = ha.parts[0]
-        if hb.form == "diagonal" and hb.dim > DENSE_MAX_DIM:
-            x = d * hb.parts[0]
-            x -= hb.parts[0] * d
-            out = _diagonal(_times_i_symmetrized(x, diagonal=True), hb.members)
-        elif hb.form == "diagonal":
-            x = _times_i_symmetrized(_scaled_commutator(d, hb.matrix))
-            out = _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1), hb.members), x)
-        elif hb.form == "blocks":
+        if hb.form == "blocks":
             parts = [_times_i_symmetrized(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
-            out = _blocks(*parts, hb.tridiagonal, _member_forms(ha, hb, "blocks"))
-        else:
-            x = _times_i_symmetrized(_scaled_commutator(d, hb.parts[0]))
-            out = _dense(x, hb.form, _member_forms(ha, hb, hb.form))
-    elif ha.form == hb.form == "blocks" and not ha.stacked:
+            return _blocks(*parts, hb.tridiagonal, _member_forms(ha, hb, "blocks"))
+        x = _times_i_symmetrized(_scaled_commutator(d, hb.matrix))
+        if hb.form == "diagonal":
+            return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1), hb.members), x)
+        return _dense(x, hb.form, _member_forms(ha, hb, hb.form))
+    if ha.form == hb.form == "blocks" and not ha.stacked:
         parts = []
         for p, q in zip(ha.parts, hb.parts):
             x = p @ q
             x -= q @ p
             parts.append(_times_i_symmetrized(x))
-        out = _blocks(*parts)
-    else:
-        ma, mb = ha.matrix, hb.matrix
-        x = ma @ mb
-        x -= mb @ ma
-        out = _dense(_times_i_symmetrized(x))
-    return out
+        return _blocks(*parts)
+    ma, mb = ha.matrix, hb.matrix
+    x = ma @ mb
+    x -= mb @ ma
+    return _dense(_times_i_symmetrized(x))
 
 
 def seminorm(a) -> float:

@@ -492,7 +492,7 @@ def _mixed_stack(dim):
     ])
 
 
-def _stack_forms(stack):
+def _detected_member_forms(stack):
     """The form of each member of a stack array, diagonal or dense."""
     return tuple("diagonal" if operators.operator_form(m).form == "diagonal" else "dense" for m in stack)
 
@@ -504,20 +504,20 @@ class TestStackedBasisAndWidths:
     @pytest.mark.parametrize("dim", [2, 3, 11, 81, 82, 102])
     def test_stacked_seminorms_have_the_bits_of_seminorm(self, dim):
         stack = _mixed_stack(dim)
-        forms = _stack_forms(stack)
+        forms = _detected_member_forms(stack)
         widths = operators.stacked_seminorms(operators._dense(stack, members=forms), "stack")
         # up to DENSE_MAX_DIM these are the forms the gate finds on each member
         assert repr(widths) == repr([seminorm(m if f == "diagonal" else operators._dense(m)) for m, f in zip(stack, forms)])
 
     def test_diagonal_members_make_no_solver_call(self, monkeypatch):
         ones = np.array([[[2.0 + 0j]], [[-1.0]]])
-        assert repr(operators.stacked_seminorms(operators._dense(ones, members=_stack_forms(ones)), "1x1 stack")) == "[0.0, 0.0]"
+        assert repr(operators.stacked_seminorms(operators._dense(ones, members=_detected_member_forms(ones)), "1x1 stack")) == "[0.0, 0.0]"
         stack = _mixed_stack(11)
         calls = record_solver_calls(monkeypatch, "eigvalsh")
         diagonal = stack[[1, 2, 5]]
-        operators.stacked_seminorms(operators._dense(diagonal, members=_stack_forms(diagonal)), "stack")
+        operators.stacked_seminorms(operators._dense(diagonal, members=_detected_member_forms(diagonal)), "stack")
         assert calls == []
-        operators.stacked_seminorms(operators._dense(stack, members=_stack_forms(stack)), "stack")
+        operators.stacked_seminorms(operators._dense(stack, members=_detected_member_forms(stack)), "stack")
         assert calls == [(3, True)]  # the three non-diagonal members, in one call
 
     @pytest.mark.parametrize(
