@@ -31,8 +31,8 @@ from .encoding import (
 from .operators import (
     SpectralDecomposition,
     _dense,
-    certified_eigh,
     commutator_i,
+    eigendecompose,
     seminorm,
     stacked_seminorms,
 )
@@ -349,16 +349,18 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     C = i[H, t A] each have a nonzero off-diagonal entry,
     n <= DENSE_MAX_DIM, and t is finite and positive. Nothing here
     checks it: each stack is taken as a dense record. A LAPACK error or
-    a missed residual certificate of the stacked eigh raises
+    a missed residual certificate of the stacked eigendecompose raises
     EigensolverError, and boltzmann_weights checks each beta as on the
-    single-point path. One stacked eigh and one stacked_seminorms per
-    seminorm give the bits of per-matrix calls; stacked_plan, one
-    route_sums and one bound_rows give the bits of bound_report.
+    single-point path. One stacked eigendecompose and one
+    stacked_seminorms per seminorm give the bits of per-matrix calls;
+    stacked_plan, one route_sums and one bound_rows give the bits of
+    bound_report.
     """
     scaled = _dense(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
-    evals, evecs = certified_eigh(hamiltonians, "Hamiltonian stack")
     h = _dense(hamiltonians)
-    plan = stacked_plan(SpectralDecomposition(evals, evecs, evals.shape[-1], source=h), scaled)
+    decomposition = eigendecompose(h, "Hamiltonian stack")
+    evals = decomposition.eigenvalues
+    plan = stacked_plan(decomposition, scaled)
     h_width = stacked_seminorms(h, "Hamiltonian stack")
     weights = boltzmann_weights(evals, betas.tolist())
     scales = BoundScales(h_width, _probe_gap(evals, h_width), stacked_seminorms(_dense(generators), "generator stack"))

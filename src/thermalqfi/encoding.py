@@ -179,7 +179,7 @@ class EncodingSpectrum:
 
 
 def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
-    """Diagonalize H(lambda) once; generator_at then serves every time t.
+    """Diagonalize H(lambda) once; _integral_matrices then serves every time.
 
     Both basis changes go through the decomposition, so a diagonal
     dH/dlambda (J_z for lmg) scales instead of multiplying, and an
@@ -188,15 +188,16 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     v = scheme.dh_dlambda
     if dec.source.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
-    delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
     diagonal = False
     if dec.blocks is not None and v.form in ("diagonal", "blocks"):
         v_eig = tuple(dec.to_block_eigenbases(v))
-        delta = tuple(delta[np.ix_(block.positions, block.positions)] for block in dec.blocks)
+        levels = [dec.eigenvalues[block.positions] for block in dec.blocks]
+        delta = tuple(e[:, None] - e[None, :] for e in levels)
     else:
         v_eig = dec.to_eigenbasis(v)
         diagonal = dec.order is not None and v_eig.form == "diagonal"
         v_eig = v_eig.matrix
+        delta = dec.eigenvalues[:, None] - dec.eigenvalues[None, :]
     return EncodingSpectrum(
         decomposition=replace(dec, source=None),  # the basis only, not H(lambda) itself
         v_eig=v_eig,
@@ -205,25 +206,13 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
     )
 
 
-def _zero_times(h: Hermitian, times: np.ndarray, diagonal: bool) -> Hermitian:
-    """h, with the form of each matrix that is diagonal named: every one
-    when diagonal is set, else each at t = 0, where h vanishes. A record
-    that turns diagonal keeps its dense array as its matrix."""
-    zero = np.full(times.shape, True) if diagonal else times == 0.0
-    if h.form == "diagonal" or not zero.any():
-        return h
-    if not h.stacked or zero.all():
-        return _with_matrix(_diagonal(h.diagonal()), h.matrix)
-    return replace(h, members=tuple("diagonal" if z else h.form for z in zero))
-
-
-def _integral_matrices(spectrum: EncodingSpectrum, t) -> Hermitian:
+def _integral_matrices(spectrum: EncodingSpectrum, t: np.ndarray) -> Hermitian:
     """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated
     back and symmetrized, Hermitian by construction; over the same-parity
     pairs only, block by block, when V is split by parity (see
-    EncodingSpectrum), and then kept as its two parity blocks. One
-    matrix for a time t, or a (T, n, n) stack for T times given as a
-    (T, 1, 1) array, with the bits of one matrix per time."""
+    EncodingSpectrum), and then kept as its two parity blocks. A
+    (T, n, n) stack for T times given as a (T, 1, 1) array, with the
+    bits of one matrix per time."""
     dec = spectrum.decomposition
     if isinstance(spectrum.v_eig, tuple):
         parts = [v * _phase_kernel(delta, t) for v, delta in zip(spectrum.v_eig, spectrum.delta)]
@@ -234,13 +223,7 @@ def _integral_matrices(spectrum: EncodingSpectrum, t) -> Hermitian:
         residue = 0.5 * max(np.max(hermiticity_defect(x)) for x in raw)
         if residue > 0.0:
             logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    h = _blocks(*map(_symmetrize, raw)) if len(raw) == 2 else _dense(_symmetrize(raw[0]))
-    return _zero_times(h, np.asarray(t).reshape(np.shape(t)[:1]), spectrum.diagonal)
-
-
-def generator_at(spectrum: EncodingSpectrum, t) -> TransformedLocalGenerator:
-    """The spectral-kernel generator at time t (see _integral_matrices)."""
-    return TransformedLocalGenerator(_finite(_integral_matrices(spectrum, _check_time(t))), "integral")
+    return _blocks(*map(_symmetrize, raw)) if len(raw) == 2 else _dense(_symmetrize(raw[0]))
 
 
 def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
@@ -250,7 +233,7 @@ def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
     kernel satisfies k(-d) = conj(k(d)), so h is Hermitian, and reduces to
     t*V when [H, V] = 0.
     """
-    return generator_at(encoding_spectrum(scheme), scheme.t)
+    return transformed_generator(scheme)
 
 
 def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
@@ -274,42 +257,42 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
 
 
 def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
-    if isinstance(scheme, ExplicitGenerator):
-        return TransformedLocalGenerator(_finite(scheme.t * scheme.generator), "explicit")
-    if isinstance(scheme, HamiltonianFamily):
-        return generator_integral(scheme)
+    """h at the scheme's time t: generator_stack's one-member stack [t], or
+    central differences for a black-box unitary."""
+    if isinstance(scheme, (ExplicitGenerator, HamiltonianFamily)):
+        method = "explicit" if isinstance(scheme, ExplicitGenerator) else "integral"
+        return TransformedLocalGenerator(generator_stack(scheme)([scheme.t]).member(0), method)
     if isinstance(scheme, NumericUnitary):
         return generator_fd(scheme)
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
 
 
-def _scaled_stack(times: np.ndarray, a: Hermitian) -> Hermitian:
-    """t A for each of T times, as a (T, n, n) stack record in A's form,
-    each member at t = 0 named diagonal."""
-    lead = (slice(None),) + (None,) * (1 if a.form == "diagonal" else 2)
-    return _zero_times(replace(a, parts=tuple(times[lead] * p for p in a.parts)), times, a.form == "diagonal")
-
-
 def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[np.ndarray], Hermitian]:
-    """h at each of T evolution times as one (T, n, n) stack record, with
-    the bits of transformed_generator at each time; the t-independent
-    work (the eigendecomposition of H(lambda)) is done once and scheme.t
-    is ignored. An explicit stack is t A for each t, a spectral-kernel
-    stack one broadcast kernel and one broadcast rotation. Each is
-    Hermitian by construction, and proved finite as a single generator
-    is."""
+    """h at each of T evolution times as one (T, n, n) stack record; the
+    t-independent work (the eigendecomposition of H(lambda)) is done once
+    and scheme.t is ignored. An explicit stack is t A for each t, in A's
+    form, a spectral-kernel stack one broadcast kernel and one broadcast
+    rotation; either is diagonal when all of it is (when every time is 0,
+    where h vanishes, it keeps its dense array as its matrix). Each is
+    Hermitian by construction, and proved finite."""
     if isinstance(scheme, ExplicitGenerator):
-        generator, spectrum = scheme.generator, None
+        a, spectrum, diagonal = scheme.generator, None, False
     elif isinstance(scheme, HamiltonianFamily):
-        generator, spectrum = None, encoding_spectrum(scheme)
+        a, spectrum = None, encoding_spectrum(scheme)
+        diagonal = spectrum.diagonal
     else:
         raise TypeError(f"no time family for encoding scheme type: {type(scheme).__name__}")
 
-    def stack(times) -> np.ndarray:
+    def stack(times) -> Hermitian:
         times = _check_times(times)
-        if generator is None:
-            return _finite(_integral_matrices(spectrum, times[:, None, None]))
-        return _finite(_scaled_stack(times, generator))
+        if spectrum is None:
+            lead = (slice(None),) + (None,) * (1 if a.form == "diagonal" else 2)
+            h = replace(a, parts=tuple(times[lead] * p for p in a.parts))
+        else:
+            h = _integral_matrices(spectrum, times[:, None, None])
+        if h.form != "diagonal" and (diagonal or (times == 0.0).all()):
+            h = _with_matrix(_diagonal(h.diagonal()), h.matrix)
+        return _finite(h)
 
     return stack
 

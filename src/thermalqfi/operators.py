@@ -189,17 +189,16 @@ class Hermitian:
 
     Every form but dense is used only where detection on the dense array
     would find it: diagonal wherever every off-diagonal entry is an
-    exact zero, blocks and tridiagonal only above DENSE_MAX_DIM. For a
-    stack, members names each member's own form when it is narrower than
-    the stack's: a diagonal member (the generator at t = 0) of a dense or
-    block stack. The dense array is made only when asked for (matrix).
+    exact zero, blocks and tridiagonal only above DENSE_MAX_DIM. A stack
+    has one form, that of all of it: a stack is diagonal only when every
+    matrix of it is. A single matrix is the one-member stack member(None).
+    The dense array is made only when asked for (matrix).
     """
 
     form: str
     parts: tuple[np.ndarray, ...]
     dim: int
     tridiagonal: tuple[bool, ...] = ()
-    members: tuple[str, ...] | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -232,21 +231,15 @@ class Hermitian:
             return _interleave(*(np.diagonal(b, axis1=-2, axis2=-1) for b in self.parts))
         return np.diagonal(self.parts[0], axis1=-2, axis2=-1)
 
-    def member(self, i: int) -> Hermitian:
-        """Member i of a stack, in its own form."""
-        whole = replace(self, parts=tuple(p[i] for p in self.parts), members=None)
-        if self.members is None or self.members[i] == self.form:
-            return whole
-        return _diagonal(whole.diagonal())
-
-    def member_forms(self) -> tuple[str, ...]:
-        return self.members or (self.form,) * self.shape[0]
+    def member(self, i: int | None) -> Hermitian:
+        """Member i of a stack, or for i = None the one-member stack of a
+        single matrix; a dense array the record keeps is indexed alike."""
+        record = replace(self, parts=tuple(p[i] for p in self.parts))
+        kept = self.__dict__.get("matrix")
+        return record if kept is None else _with_matrix(record, kept[i])
 
     def __mul__(self, c) -> Hermitian:
-        """c A for a real scalar c; a zero c gives the diagonal zero, whose
-        matrix is c times A's."""
-        if c == 0 and self.form != "diagonal":
-            return _with_matrix(_diagonal(c * self.diagonal()), c * self.matrix)
+        """c A for a real scalar c."""
         return replace(self, parts=tuple(c * p for p in self.parts))
 
     __rmul__ = __mul__
@@ -267,16 +260,16 @@ class Hermitian:
         return _blocks(*parts, self.tridiagonal)
 
 
-def _diagonal(d: np.ndarray, members=None) -> Hermitian:
-    return Hermitian("diagonal", (d,), d.shape[-1], members=members)
+def _diagonal(d: np.ndarray) -> Hermitian:
+    return Hermitian("diagonal", (d,), d.shape[-1])
 
 
-def _blocks(even: np.ndarray, odd: np.ndarray, tridiagonal=(False, False), members=None) -> Hermitian:
-    return Hermitian("blocks", (even, odd), even.shape[-1] + odd.shape[-1], tuple(tridiagonal), members)
+def _blocks(even: np.ndarray, odd: np.ndarray, tridiagonal=(False, False)) -> Hermitian:
+    return Hermitian("blocks", (even, odd), even.shape[-1] + odd.shape[-1], tuple(tridiagonal))
 
 
-def _dense(m: np.ndarray, form: str = "dense", members=None) -> Hermitian:
-    return Hermitian(form, (m,), m.shape[-1], members=members)
+def _dense(m: np.ndarray, form: str = "dense") -> Hermitian:
+    return Hermitian(form, (m,), m.shape[-1])
 
 
 def _with_matrix(record: Hermitian, m: np.ndarray) -> Hermitian:
@@ -317,31 +310,22 @@ def as_hermitian(a, what: str = "matrix") -> Hermitian:
 
 def concatenate(records) -> Hermitian:
     """The stacks of records, one after another, as one stack: in their
-    common form, or dense with each member's own form."""
+    common form, or else dense."""
     records = list(records)
     if len(records) == 1:
         return records[0]
-    forms = [form for r in records for form in r.member_forms()]
-    storage = {r.form for r in records}
-    if len(storage) == 1 and records[0].tridiagonal == records[-1].tridiagonal:
-        parts = tuple(np.concatenate(p) for p in zip(*(r.parts for r in records)))
-        first = records[0]
-    else:
-        parts = (np.concatenate([r.matrix for r in records]),)
-        first = _dense(parts[0])
-    members = None if len(set(forms)) == 1 and forms[0] == first.form else tuple(forms)
-    return replace(first, parts=parts, members=members)
+    if len({r.form for r in records}) == 1 and records[0].tridiagonal == records[-1].tridiagonal:
+        return replace(records[0], parts=tuple(np.concatenate(p) for p in zip(*(r.parts for r in records))))
+    return _dense(np.concatenate([r.matrix for r in records]))
 
 
-def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ x @ right, where a 1-D x is the diagonal of a matrix and
-    scales the columns of left instead of multiplying. With real outer
-    factors a complex x is taken as two real products."""
-    if not (np.iscomplexobj(left) or np.iscomplexobj(right)):
-        x = _real_if_exact(x)
-        if np.iscomplexobj(x):
-            return _sandwich(left, x.real, right) + 1j * _sandwich(left, x.imag, right)
-    return (left * x if x.ndim == 1 else left @ x) @ right
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """left @ x @ right, where a diagonal x holds the diagonal of each
+    matrix, (..., n), and scales the columns of left instead of
+    multiplying. With real outer factors a complex x is two real products."""
+    if np.iscomplexobj(x) and not (np.iscomplexobj(left) or np.iscomplexobj(right)):
+        return _sandwich(left, x.real, right, diagonal) + 1j * _sandwich(left, x.imag, right, diagonal)
+    return (left * x[..., None, :] if diagonal else left @ x) @ right
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +352,8 @@ class SpectralDecomposition:
     eigenvector matrix is made only when asked for (eigenvectors).
     source is the record that was decomposed.
 
-    A stacked decomposition holds the eigenpairs of a (k, n, n) stack from
-    certified_eigh, every array with a leading axis of k. The basis
+    A stacked decomposition holds the eigenpairs of a (k, n, n) dense
+    stack record, every array with a leading axis of k. The basis
     changes take a stack of operators, against one decomposition or a
     stack of k, with the bits of per-matrix calls on each member.
     """
@@ -396,10 +380,10 @@ class SpectralDecomposition:
         """V^dagger op V. The form of op decides the work: for a diagonal
         source, op reindexed by order (op itself when order is the
         identity), which equals the product up to the sign of exact
-        zeros; a diagonal op scales the rows of V^dagger instead of
-        multiplying; on a block decomposition a diagonal or block op
-        takes only the products within each block. An array goes through
-        the gate."""
+        zeros; a diagonal op, or a diagonal stack, scales the rows of
+        V^dagger instead of multiplying; on a block decomposition a
+        diagonal or block op takes only the products within each block.
+        An array goes through the gate."""
         h = as_hermitian(op, "operator")
         if self.order is not None:
             if np.array_equal(self.order, np.arange(self.source_dim)):
@@ -409,7 +393,7 @@ class SpectralDecomposition:
             return _dense(h.matrix[..., self.order[:, None], self.order])
         if self.blocks is not None:
             out = np.zeros(h.shape, dtype=np.complex128)
-            if h.form == "blocks" or (h.form == "diagonal" and not h.stacked):
+            if h.form in ("blocks", "diagonal"):
                 for block, x in zip(self.blocks, self.to_block_eigenbases(h)):
                     out[..., block.positions[:, None], block.positions] = x
                 return _dense(out)
@@ -420,16 +404,16 @@ class SpectralDecomposition:
                     out[..., a.positions[:, None], b.positions] = _sandwich(a.vectors.conj().T, x, b.vectors)
             return _dense(out)
         v = self.eigenvectors
-        x = h.parts[0] if h.form == "diagonal" and not h.stacked else h.matrix
-        return _dense(_sandwich(v.conj().mT, x, v))
+        diagonal = h.form == "diagonal"
+        return _dense(_sandwich(v.conj().mT, h.parts[0] if diagonal else h.matrix, v, diagonal))
 
     def to_block_eigenbases(self, op: Hermitian) -> list[np.ndarray]:
         """V_b^dagger op_b V_b for each parity block b of a block
-        decomposition, of an op in diagonal or block form; a diagonal op
-        scales the rows of V_b^dagger."""
+        decomposition, of an op (or a stack) in diagonal or block form; a
+        diagonal op scales the rows of V_b^dagger."""
         if op.form == "diagonal":
             d = op.parts[0]
-            return [_sandwich(b.vectors.conj().T, d[b.start::2], b.vectors) for b in self.blocks]
+            return [_sandwich(b.vectors.conj().T, d[..., b.start::2], b.vectors, True) for b in self.blocks]
         return [_sandwich(b.vectors.conj().T, x, b.vectors) for b, x in zip(self.blocks, op.parts)]
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
@@ -532,7 +516,8 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     A matrix in parity blocks is solved block by block, in real
     arithmetic where a block is real; the residuals are certified per
     block, which is the same contract since the cross blocks are exact
-    zeros on both sides.
+    zeros on both sides. A dense (k, n, n) stack record takes one stacked
+    eigh, with the bits and the certificate of per-matrix calls.
     """
     h = as_hermitian(a, what)
     order = blocks = evecs = None
@@ -548,40 +533,26 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
         evals, blocks, ortho, recon = _blockwise_eigh(h.parts, what)
     else:
         m = h.parts[0]
-        scale = max(1.0, float(np.max(np.abs(m))))
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
         evals, evecs = _eigh(m, what)
         ortho, recon = _residuals(evals, evecs, m)
     _certify(ortho, recon, scale, what)
     return SpectralDecomposition(evals, evecs, h.dim, order, h, blocks)
 
 
-def certified_eigh(stack: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues and eigenvectors of each matrix of a (k, n, n)
-    stack, from one stacked eigh, which gives the bits of per-matrix
-    calls, under eigendecompose's residual certificate."""
-    evals, evecs = _eigh(stack, what)
-    _certify(*_residuals(evals, evecs, stack), np.maximum(1.0, np.abs(stack).max(axis=(-2, -1))), what)
-    return evals, evecs
-
-
 def stacked_seminorms(h: Hermitian, what: str) -> list[float]:
-    """seminorm of each matrix of a (k, n, n) stack record, with its bits:
-    a diagonal member is read off its diagonal and the others share one
-    stacked eigvalsh, which gives the bits of per-matrix calls. Above
-    DENSE_MAX_DIM, where a sweep's chunk of times holds one generator,
-    each member takes seminorm's own path, in its own form."""
+    """seminorm of each matrix of a (k, n, n) stack record, in the stack's
+    form, with its bits: a diagonal stack is read off its diagonals, any
+    other takes one stacked eigvalsh, which gives the bits of per-matrix
+    calls. Above DENSE_MAX_DIM, where a sweep's chunk of times holds one
+    generator, each matrix takes seminorm's own path."""
     if h.dim > DENSE_MAX_DIM:
         return [seminorm(h.member(i)) for i in range(h.shape[0])]
-    widths = np.empty(h.shape[0])
-    diagonal = np.array([form == "diagonal" for form in h.member_forms()])
-    if diagonal.any():
-        d = h.diagonal()[diagonal].real
-        widths[diagonal] = d.max(axis=-1) - d.min(axis=-1)
-    if not diagonal.all():
-        m = h.matrix
-        evals = _eigvalsh(m[~diagonal] if diagonal.any() else m, what)
-        widths[~diagonal] = evals[:, -1] - evals[:, 0]
-    return widths.tolist()
+    if h.form == "diagonal":
+        d = h.parts[0].real
+        return (d.max(axis=-1) - d.min(axis=-1)).tolist()
+    evals = _eigvalsh(h.matrix, what)
+    return (evals[:, -1] - evals[:, 0]).tolist()
 
 
 def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
@@ -631,14 +602,6 @@ def _scaled_commutator(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _member_forms(a: Hermitian, b: Hermitian, form: str):
-    """The members of a commutator stack whose own form is narrower than
-    the stack's: where B's member is diagonal, and A is diagonal."""
-    if b.members is None or a.form != "diagonal":
-        return None
-    return tuple("diagonal" if f == "diagonal" else form for f in b.members)
-
-
 def commutator_i(a, b):
     """i[A, B] = i(AB - BA), Hermitian for Hermitian inputs.
 
@@ -668,11 +631,11 @@ def commutator_i(a, b):
         d = ha.parts[0]
         if hb.form == "blocks":
             parts = [_times_i_symmetrized(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
-            return _blocks(*parts, hb.tridiagonal, _member_forms(ha, hb, "blocks"))
+            return _blocks(*parts, hb.tridiagonal)
         x = _times_i_symmetrized(_scaled_commutator(d, hb.matrix))
         if hb.form == "diagonal":
-            return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1), hb.members), x)
-        return _dense(x, hb.form, _member_forms(ha, hb, hb.form))
+            return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1)), x)
+        return _dense(x, hb.form)
     if ha.form == hb.form == "blocks" and not ha.stacked:
         parts = []
         for p, q in zip(ha.parts, hb.parts):

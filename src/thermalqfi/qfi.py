@@ -9,11 +9,11 @@ central correctness property, certified in QfiReport.
 
 Every beta-dependent sum lives in one evaluator, route_sums. It takes the
 probabilities of k probes as a (k, n) array and a SpectralPlan, which
-holds the beta-independent matrix elements over their nonzero support:
-either one plan shared by every row, or a stacked plan whose arrays carry
-a leading axis of m generators, each serving k / m consecutive rows (the
-betas of each time of a chunk of sweep times, or one row per scenario of
-a stack). Each sum is one pass over a (rows, support) term array per
+holds the beta-independent matrix elements over their nonzero support,
+every array with a leading axis of m generators, each serving k / m
+consecutive rows (the betas of each time of a chunk of sweep times, one
+row per scenario of a stack, or every row for the one generator of a
+single point). Each sum is one pass over a (rows, support) term array per
 chunk of rows, and one math.fsum per row; a chunk's terms hold no more
 entries than the plan's generators and the probabilities together. fsum
 is correctly rounded, so a row's result depends only on its own terms,
@@ -27,7 +27,7 @@ chain are its k = 1 case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +39,6 @@ from .operators import (
     _dense,
     _interleave,
     commutator_i,
-    seminorm,
     stacked_seminorms,
 )
 from .thermal import GibbsState
@@ -262,24 +261,21 @@ class RouteSums(NamedTuple):
     convexity: list[float]
 
 
-def _row_arrays(plan: SpectralPlan, start: int, stop: int, per: int | None) -> tuple:
+def _row_arrays(plan: SpectralPlan, start: int, stop: int, per: int) -> tuple:
     """var_i, h_pairs, cdiag, cdiag_abs2, c_pairs and c_delta for rows
-    start..stop: the plan's own arrays for a plan of one generator; for a
-    stacked plan whose generators each serve per consecutive rows, one
-    generator's arrays when the rows share it, else one row of each
-    array per row."""
+    start..stop of a plan whose generators each serve per consecutive
+    rows: one generator's arrays when the rows share it, else one row of
+    each array per row."""
     h, c = plan.h_pairs, plan.c_pairs
-    if per is None:
-        return plan.var_i, h, plan.cdiag, plan.cdiag_abs2, c, plan.c_delta
     first, last = start // per, (stop - 1) // per
-    members = first if first == last else np.arange(start, stop) // per
+    served = first if first == last else np.arange(start, stop) // per
     return (
-        plan.var_i[members],
-        Support(h.rows, h.cols, h.values[members]),
-        plan.cdiag[members],
-        plan.cdiag_abs2[members],
-        Support(c.rows, c.cols, c.values[members]),
-        plan.c_delta if plan.c_delta.ndim == 1 else plan.c_delta[members],
+        plan.var_i[served],
+        Support(h.rows, h.cols, h.values[served]),
+        plan.cdiag[served],
+        plan.cdiag_abs2[served],
+        Support(c.rows, c.cols, c.values[served]),
+        plan.c_delta if plan.c_delta.ndim == 1 else plan.c_delta[served],
     )
 
 
@@ -287,11 +283,11 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     """The three routes, Var[C] and the convexity sum of k probes at once.
 
     p holds the probe probabilities, one row (k, n) per probe, and betas
-    their k inverse temperatures. The plan's arrays either belong to one
-    generator and serve every row, or carry a leading axis of m
-    generators, the first serving the first k / m rows, the next the
-    next k / m, and so on (one row each for a stack of scenarios). Row r
-    has the bits of the k = 1 call on row r against its own generator.
+    their k inverse temperatures. The plan's arrays carry a leading axis
+    of m generators, the first serving the first k / m rows, the next
+    the next k / m, and so on (one row each for a stack of scenarios,
+    every row for a single generator). Row r has the bits of the k = 1
+    call on row r against its own generator.
 
     The rows are summed in chunks small enough that no (rows, support)
     term array holds more entries than the arrays handed in, the plan's
@@ -306,7 +302,7 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
     step = max(1, (math.prod(plan.generator.shape) + p.size) // support)
     step = -(-len(p) // -(-len(p) // step)) if len(p) else step  # equal chunks, none larger than step
-    per = len(p) // len(plan.var_i) if plan.var_i.ndim == 2 else None
+    per = len(p) // len(plan.var_i)
     sums = RouteSums([], [], [], [], [])
     for start in range(0, len(p), step):
         stop = min(start + step, len(p))
@@ -376,16 +372,16 @@ class SpectralPlan:
     differences at the entries of c_pairs (c_delta), Var_i[h], C_ii,
     |C_ii|^2 and ||C||. Each temperature is then a handful of weighted
     sums over that support; the exact zeros left out would add nothing
-    to a correctly rounded fsum. generator is the matrix the plan was
+    to a correctly rounded fsum. generator is the record the plan was
     built from; bound_report reuses a report's plan only for that same
-    matrix and the same probe.
+    record and the same probe.
 
-    The plan of a stack of m generators (stacked_plan: the times of a
-    sweep chunk, or a stack of scenarios) holds the union of their
-    supports and the m generators, every array with a leading axis of m,
-    and each generator serves k / m consecutive rows of route_sums and
-    bound_rows: noncommutativity is a 0-d array for one generator and
-    holds m widths for a stack.
+    A plan is built from a stack of m generators (stacked_plan: the times
+    of a sweep chunk, a stack of scenarios, or the one-member stack of a
+    single generator). It holds the union of their supports, every array
+    with a leading axis of m, and noncommutativity holds one width per
+    generator. Each generator serves k / m consecutive rows of route_sums
+    and bound_rows.
     """
 
     generator: Hermitian
@@ -416,13 +412,14 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     record, and a bare h goes through as_operator, the gate; H is the
     record that was decomposed, and C = i[H, h] is exactly Hermitian in
     floating point, since commutator_i returns 0.5 (X + X^dagger), in the
-    form that the forms of H and h give it.
+    form that the forms of H and h give it. The plan is stacked_plan of
+    the one-member stack of h, with h kept as its generator.
     """
     hm = as_operator(h)
     dim = decomposition.source_dim
     if hm.shape[0] != dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")
-    return stacked_plan(decomposition, hm)
+    return replace(stacked_plan(decomposition, hm.member(None)), generator=hm)
 
 
 def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) -> SpectralPlan:
@@ -432,16 +429,12 @@ def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) ->
     generators' supports (an entry outside a generator's own support is
     an exact zero in its row, which adds nothing to a correctly rounded
     fsum). The decomposition is one probe's, shared by every generator
-    (the times of a sweep), or a stacked one built from certified_eigh,
+    (the times of a sweep), or a stacked one built by eigendecompose,
     one probe per generator (a stack of scenarios). spectral_plan passes
-    its one record through here. Every step reads the records' forms:
+    a one-member stack through here. Every step reads the records' forms:
     above DENSE_MAX_DIM an oat or lmg generator, its commutator and their
     squares stay two half-size parity blocks."""
     comm = commutator_i(decomposition.source, generators)
-    if not comm.stacked:
-        width = seminorm(comm)
-    else:
-        width = stacked_seminorms(comm, "commutator stack")
     h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(generators))
     c_pairs, cdiag, cdiag_abs2, c_delta = _commutator_elements(
         decomposition.to_eigenbasis(comm), decomposition.eigenvalues
@@ -454,7 +447,7 @@ def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) ->
         c_delta=c_delta,
         cdiag=cdiag,
         cdiag_abs2=cdiag_abs2,
-        noncommutativity=np.asarray(width, dtype=float),
+        noncommutativity=np.asarray(stacked_seminorms(comm, "commutator stack")),
     )
 
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import SpectralDecomposition, eigendecompose
+from .operators import SpectralDecomposition, eigendecompose, require_unitary
 from .spin import m_values, spin_value
 
 # keeps the p_i + p_j denominators in the QFI sums well defined deep in the pure regime
@@ -61,7 +61,8 @@ class GibbsState:
 
 @dataclass(frozen=True, eq=False)
 class SpectralProbe:
-    """Explicit probe spectrum for the general QFI route; need not be thermal."""
+    """Explicit probe spectrum for the general QFI route; need not be
+    thermal. eigenvectors is unitary, one column per probability."""
 
     probabilities: np.ndarray
     eigenvectors: np.ndarray
@@ -73,8 +74,11 @@ class SpectralProbe:
         total = math.fsum(p.tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probe probabilities sum to {total!r}, not 1")
+        v = require_unitary(self.eigenvectors, "probe eigenvector matrix")
+        if v.shape[0] != p.size:
+            raise ValueError(f"probe eigenvector matrix has dimension {v.shape[0]}, not {p.size} (the probabilities)")
         object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=np.complex128))
+        object.__setattr__(self, "eigenvectors", v)
 
 
 def _check_beta(beta) -> float:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -45,9 +43,29 @@ def record_solver_calls(monkeypatch, *names):
     return calls
 
 
-def per_time_generator(scheme):
-    """h as a function of the evolution time, one point at a time through
-    transformed_generator: the per-point reference for a generator stack."""
-    from thermalqfi.encoding import transformed_generator
+def full_kernel_generator(family, t):
+    """The spectral-kernel generator of a HamiltonianFamily at one time t,
+    formed on the full n x n arrays: V = W^dagger dH/dlambda W times the
+    kernel of every level difference E_m - E_n, rotated back and
+    symmetrized out of place. Where H(lambda) splits by parity and
+    dH/dlambda conserves it, V is an exact zero across the blocks, so this
+    has the bits of the block-by-block kernel."""
+    from thermalqfi.encoding import _phase_kernel
+    from thermalqfi.operators import eigendecompose
 
-    return lambda t: transformed_generator(dataclasses.replace(scheme, t=t))
+    dec = eigendecompose(family.hamiltonian(family.lam))
+    e = dec.eigenvalues
+    x = dec.from_eigenbasis(dec.to_eigenbasis(family.dh_dlambda).matrix * _phase_kernel(e[:, None] - e[None, :], t))
+    return 0.5 * (x + x.conj().T)
+
+
+def per_time_generator(scheme):
+    """h as an array, as a function of the evolution time, formed one time
+    at a time apart from the generator stack: t A on A's array for an
+    explicit generator, the full-array kernel for a Hamiltonian family.
+    The per-point reference for a generator stack."""
+    from thermalqfi.encoding import ExplicitGenerator
+
+    if isinstance(scheme, ExplicitGenerator):
+        return lambda t: t * scheme.generator.matrix
+    return lambda t: full_kernel_generator(scheme, t)

@@ -21,7 +21,7 @@ from thermalqfi.qfi import qfi_general
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
 
-from conftest import hermitian_pairs
+from conftest import full_kernel_generator, hermitian_pairs, per_time_generator
 
 
 class TestExplicit:
@@ -88,20 +88,13 @@ class TestIntegral:
 class TestBlockKernel:
     @pytest.mark.parametrize("twice_j", [100, 101])
     def test_block_kernel_has_the_bits_of_the_full_array_kernel(self, twice_j):
-        from dataclasses import replace
-
         jz = spin_operators(twice_j)[2]
         family = HamiltonianFamily(lambda lam: lmg_hamiltonian(twice_j, lam), jz, 0.6, 2.3)
         spectrum = encoding.encoding_spectrum(family)
         assert isinstance(spectrum.v_eig, tuple)  # J_z conserves parity
-        dec = spectrum.decomposition
-        full = replace(
-            spectrum,
-            v_eig=dec.to_eigenbasis(family.dh_dlambda).matrix,  # the diagonal record, scaled as the blocks are
-            delta=dec.eigenvalues[:, None] - dec.eigenvalues[None, :],
-        )
-        blocked = encoding.generator_at(spectrum, 2.3).h
-        np.testing.assert_array_equal(blocked, encoding.generator_at(full, 2.3).h)
+        blocked = transformed_generator(family).h
+        # the diagonal J_z, scaled as the blocks are
+        assert blocked.tobytes() == full_kernel_generator(family, 2.3).tobytes()
 
     def test_a_parity_mixing_derivative_keeps_the_full_kernel(self):
         jx, _, jz = spin_operators(100)
@@ -109,7 +102,7 @@ class TestBlockKernel:
         spectrum = encoding.encoding_spectrum(family)
         assert spectrum.decomposition.blocks is not None
         assert not isinstance(spectrum.v_eig, tuple)
-        h = encoding.generator_at(spectrum, 2.3).h
+        h = transformed_generator(family).h
         assert h[0::2, 1::2].any()  # J_x couples the two parities
 
 
@@ -131,19 +124,18 @@ SCHEMES = _schemes()
 
 class TestGeneratorStack:
     """generator_stack gives every time of a grid in one stack, with the
-    bits of transformed_generator at each time."""
+    bits of the generator formed on arrays one time at a time: t A, or
+    the full-array kernel."""
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_members_have_the_single_time_bits(self, name):
-        from dataclasses import replace
-
         scheme = SCHEMES[name]
         times = (0.0, 1e-12, 0.5, 3.14, 40.0)
         stack = encoding.generator_stack(scheme)(times)
         assert stack.shape[0] == len(times) and stack.matrix.dtype == np.complex128
+        reference = per_time_generator(scheme)
         for h, t in zip(stack.matrix, times):
-            single = transformed_generator(replace(scheme, t=t)).h
-            assert h.tobytes() == single.tobytes(), t
+            assert h.tobytes() == reference(t).tobytes(), t
 
     def test_times_are_checked(self):
         stack = encoding.generator_stack(SCHEMES["oat-10"])

@@ -20,6 +20,7 @@ from thermalqfi.operators import (
     seminorm,
     variance,
 )
+from thermalqfi.models import lmg_hamiltonian
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state, partition_moment_ratio
 
@@ -404,8 +405,9 @@ STACKS = {
 
 class TestStacks:
     """hermiticity_defect, _residuals and the dense branch of commutator_i
-    take (k, n, n) stacks and give the per-matrix bits; certified_eigh
-    gives the bits of per-matrix eigh. The stack helpers raise
+    take (k, n, n) stacks and give the per-matrix bits; eigendecompose of
+    a dense stack record gives the bits of per-matrix eigh. The stack
+    helpers raise
     EigensolverError on a LAPACK error or a missed certificate, with the
     stack's shape and the first matrix that misses."""
 
@@ -431,14 +433,14 @@ class TestStacks:
         assert _bits(commutator_i(operators._dense(a), operators._dense(b)).matrix) == _bits(single)
 
     @pytest.mark.parametrize("name", sorted(set(STACKS) - {"dim8-one-non-hermitian"}))
-    def test_certified_eigh(self, name):
+    def test_eigendecompose_of_a_stack(self, name):
         stack = STACKS[name]
-        evals, evecs = operators.certified_eigh(stack, "H stack")
-        for e, v, m in zip(evals, evecs, stack):
+        dec = eigendecompose(operators._dense(stack), "H stack")
+        for e, v, m in zip(dec.eigenvalues, dec.eigenvectors, stack):
             dec = eigendecompose(m)
             assert _bits(e) == _bits(dec.eigenvalues) and _bits(v) == _bits(dec.eigenvectors)
 
-    def test_certified_eigh_raises_the_certificate_error_of_its_first_matrix(self, monkeypatch):
+    def test_eigendecompose_of_a_stack_raises_the_certificate_error_of_its_first_matrix(self, monkeypatch):
         stack = STACKS["dim5"]
         monkeypatch.setattr(operators, "RECONSTRUCTION_RTOL", -1.0)
         with pytest.raises(EigensolverError) as single:
@@ -447,9 +449,9 @@ class TestStacks:
             "of H misses its residual contract", "of H stack misses its residual contract at matrix 0"
         )
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            operators.certified_eigh(stack, "H stack")
+            eigendecompose(operators._dense(stack), "H stack")
 
-    def test_certified_eigh_names_the_first_matrix_that_misses(self, monkeypatch):
+    def test_eigendecompose_of_a_stack_names_the_first_matrix_that_misses(self, monkeypatch):
         stack = STACKS["dim5"]
         original = np.linalg.eigh
 
@@ -465,11 +467,11 @@ class TestStacks:
             f"{ortho[1]:.3e}, reconstruction {recon[1]:.3e} (scale {max(1.0, np.abs(stack[1]).max()):.3e})"
         )
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            operators.certified_eigh(stack, "H stack")
+            eigendecompose(operators._dense(stack), "H stack")
 
     @pytest.mark.parametrize(
         "solver, helper, suffix",
-        [("eigh", "certified_eigh", " (hermiticity defect 1.000e-03)"), ("eigvalsh", "stacked_seminorms", "")],
+        [("eigh", "eigendecompose", " (hermiticity defect 1.000e-03)"), ("eigvalsh", "stacked_seminorms", "")],
     )
     def test_a_lapack_error_raises_for_the_stack(self, monkeypatch, solver, helper, suffix):
         def failing(a):
@@ -479,7 +481,7 @@ class TestStacks:
         message = f"eigensolver failed on a 4x8x8 H stack: Eigenvalues did not converge{suffix}"
         stack = STACKS["dim8-one-non-hermitian"]
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            getattr(operators, helper)(stack if helper == "certified_eigh" else operators._dense(stack), "H stack")
+            getattr(operators, helper)(operators._dense(stack), "H stack")
 
 
 def _mixed_stack(dim):
@@ -505,20 +507,20 @@ class TestStackedBasisAndWidths:
     def test_stacked_seminorms_have_the_bits_of_seminorm(self, dim):
         stack = _mixed_stack(dim)
         forms = _detected_member_forms(stack)
-        widths = operators.stacked_seminorms(operators._dense(stack, members=forms), "stack")
+        widths = operators.stacked_seminorms(operators._dense(stack), "stack")
         # up to DENSE_MAX_DIM these are the forms the gate finds on each member
         assert repr(widths) == repr([seminorm(m if f == "diagonal" else operators._dense(m)) for m, f in zip(stack, forms)])
 
     def test_diagonal_members_make_no_solver_call(self, monkeypatch):
-        ones = np.array([[[2.0 + 0j]], [[-1.0]]])
-        assert repr(operators.stacked_seminorms(operators._dense(ones, members=_detected_member_forms(ones)), "1x1 stack")) == "[0.0, 0.0]"
+        ones = np.array([[2.0 + 0j], [-1.0]])
+        assert repr(operators.stacked_seminorms(operators._diagonal(ones), "1x1 stack")) == "[0.0, 0.0]"
         stack = _mixed_stack(11)
         calls = record_solver_calls(monkeypatch, "eigvalsh")
-        diagonal = stack[[1, 2, 5]]
-        operators.stacked_seminorms(operators._dense(diagonal, members=_detected_member_forms(diagonal)), "stack")
-        assert calls == []
-        operators.stacked_seminorms(operators._dense(stack, members=_detected_member_forms(stack)), "stack")
-        assert calls == [(3, True)]  # the three non-diagonal members, in one call
+        diagonal = np.diagonal(stack[[1, 2, 5]], axis1=1, axis2=2)
+        operators.stacked_seminorms(operators._diagonal(diagonal), "stack")
+        assert calls == []  # a diagonal stack is read off its diagonals
+        operators.stacked_seminorms(operators._dense(stack), "stack")
+        assert calls == [(6, True)]  # a mixed stack is dense: every member, in one call
 
     @pytest.mark.parametrize(
         "source",
@@ -541,6 +543,29 @@ class TestStackedBasisAndWidths:
         x = dec.to_eigenbasis(operators._dense(stack)).matrix
         assert _bits(x) == _bits(np.array([dec.to_eigenbasis(operators._dense(m)).matrix for m in stack]))
         assert _bits(dec.from_eigenbasis(x)) == _bits(np.array([dec.from_eigenbasis(m) for m in x]))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda: random_hermitian(np.random.default_rng(4), 5),  # dense
+            lambda: lmg_hamiltonian(101, 0.6),  # parity blocks
+        ],
+        ids=["dense", "blocks"],
+    )
+    def test_a_diagonal_stack_scales_the_rows(self, source, k):
+        dec = eigendecompose(source())
+        n = dec.source_dim
+        d = np.random.default_rng(k).normal(size=(k, n))
+        got = dec.to_eigenbasis(operators._diagonal(d)).matrix
+        expected = np.zeros((k, n, n), dtype=np.complex128)
+        for x, row in zip(expected, d):
+            if dec.blocks is None:
+                v = dec.eigenvectors
+                x[...] = (v.conj().T * row) @ v
+            for b in dec.blocks or ():
+                x[np.ix_(b.positions, b.positions)] = (b.vectors.conj().T * row[b.start::2]) @ b.vectors
+        assert got.shape == (k, n, n) and _bits(got) == _bits(expected)
 
 
 class TestLinearAboveTheThreshold:
@@ -920,10 +945,10 @@ class TestInPlaceSymmetrization:
 
         _, family = model_encoding("lmg", twice_j, 2.3, lam=lam)
         spectrum = encoding.encoding_spectrum(family)
-        times = np.array([0.0, 0.7, 2.3])[:, None, None]
-        got = [encoding._integral_matrices(spectrum, t).matrix for t in (2.3, times)]
+        stacks = [np.array(times)[:, None, None] for times in ([2.3], [0.0, 0.7, 2.3])]
+        got = [encoding._integral_matrices(spectrum, t).matrix for t in stacks]
         monkeypatch.setattr(encoding, "_symmetrize", lambda h: h)
-        for value, t in zip(got, (2.3, times)):
+        for value, t in zip(got, stacks):
             h = encoding._integral_matrices(spectrum, t).matrix
             assert np.array_equal(_uint64(value), _uint64(0.5 * (h + h.conj().mT)))
 
@@ -999,6 +1024,7 @@ class TestOperatorRecords:
         assert h.shape == (101, 101) and dense.dtype == np.complex128
 
     def test_forms_follow_the_products(self):
+        from thermalqfi.encoding import ExplicitGenerator, generator_stack
         from thermalqfi.models import lmg_hamiltonian
 
         jz = operators.operator_form(spin_operators(100)[2])
@@ -1007,9 +1033,10 @@ class TestOperatorRecords:
         assert c.form == "blocks" and c.tridiagonal == (True, True)  # [diagonal, blocks]
         assert commutator_i(jz, jz).form == "diagonal"
         assert commutator_i(h, h).form == "blocks"
-        assert (0.0 * h).form == "diagonal" and (2.0 * h).form == "blocks"
+        zero = generator_stack(ExplicitGenerator(h, 0.0))([0.0]).member(0)  # t h at t = 0
+        assert zero.form == "diagonal" and (2.0 * h).form == "blocks"
         assert commutator_i(jz, operators.operator_form(spin_operators(100)[0])).form == "tridiagonal"
         # ([h, h] is blocks by the rule, though its entries all vanish)
-        for record in (c, 0.0 * h, h + 0.3 * jz):
+        for record in (c, zero, h + 0.3 * jz):
             detected = operators.operator_form(record.matrix.copy())
             assert (detected.form, detected.tridiagonal) == (record.form, record.tridiagonal)

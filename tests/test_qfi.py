@@ -733,16 +733,27 @@ class TestNoRescans:
 
 
 def _forms(record):
-    """(form, tridiagonal flags, real blocks) of each member of a record."""
-    members = [record.member(i) for i in range(record.shape[0])] if record.stacked else [record]
-    return [(m.form, m.tridiagonal, [not np.iscomplexobj(p) for p in m.parts] if m.form == "blocks" else []) for m in members]
+    """(form, tridiagonal flags, real blocks) of a record, a stack as a whole."""
+    real = [not np.iscomplexobj(p) for p in record.parts] if record.form == "blocks" else []
+    return record.form, record.tridiagonal, real
+
+
+def _detected_forms(m):
+    """_forms of what the gate's detection finds on an array; on a stack,
+    detection on the whole stack: on the entries nonzero in any member,
+    real and imaginary parts apart, which is all that detection reads."""
+    import thermalqfi.operators as operators
+
+    if m.ndim == 3:
+        m = (m.real != 0).any(axis=0) + 1j * (m.imag != 0).any(axis=0)
+    return _forms(operators.operator_form(m.copy()))
 
 
 def _record_forms(monkeypatch):
     """Wrap every consumer of an operator record to compare each record it
-    is given, member by member, with what the gate's detection finds on
-    the record's dense array (the array it was built from where it keeps
-    one); the mismatches and the count of records checked are collected."""
+    is given with what the gate's detection finds on the record's dense
+    array (the array it was built from where it keeps one), a stack as a
+    whole; the mismatches and the count of records checked are collected."""
     import thermalqfi.operators as operators
     import thermalqfi.qfi as qfi_module
 
@@ -753,10 +764,7 @@ def _record_forms(monkeypatch):
         if not isinstance(x, operators.Hermitian):
             return
         stack = x.__dict__.get("matrix")
-        stack = dense(x) if stack is None else stack
-        detected = [operators.operator_form(m.copy()) for m in (stack if x.stacked else stack[None])]
-        expected = [(d.form, d.tridiagonal, [not np.iscomplexobj(p) for p in d.parts] if d.form == "blocks" else [])
-                    for d in detected]
+        expected = _detected_forms(dense(x) if stack is None else stack)
         seen["checked"] += 1
         if _forms(x) != expected:
             seen["mismatches"].append((where, x.shape, _forms(x), expected))
@@ -801,7 +809,8 @@ def _run_form_configs():
 
 class TestCarriedForms:
     """Every record that reaches a consumer carries the form the gate's
-    detection finds on its dense array: on the four figure sweeps, the
+    detection finds on its dense array, a stack the form detection finds
+    on the whole stack: on the four figure sweeps, the
     verify grids (2J <= 81, so dense or diagonal, as detection found them
     before records existed) and compute points at 2J = 100, 101 and 400."""
 

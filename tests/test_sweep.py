@@ -673,7 +673,7 @@ class TestDiagonalProbe:
         diagonal = operators._diagonal
         for name, module in list(sys.modules.items()):
             if name.startswith("thermalqfi") and getattr(module, "_diagonal", None) is diagonal:
-                monkeypatch.setattr(module, "_diagonal", lambda d, members=None: operators._dense(diagonal(d).matrix))
+                monkeypatch.setattr(module, "_diagonal", lambda d: operators._dense(diagonal(d).matrix))
 
         def dense(h):
             evals, evecs = np.linalg.eigh(h.matrix)

@@ -158,3 +158,32 @@ def test_spectral_probe_validation():
         SpectralProbe(np.array([0.7, 0.7]), eye)
     with pytest.raises(ValueError, match="nonnegative"):
         SpectralProbe(np.array([1.2, -0.2]), eye)
+
+
+class TestSpectralProbeEigenvectors:
+    """The eigenvectors of a SpectralProbe are a unitary matrix, one column
+    per probability; anything else is refused before any QFI is formed."""
+
+    P = np.array([0.4, 0.3, 0.2, 0.1])
+
+    def test_a_non_unitary_matrix_is_refused(self):
+        # unrefused, twice the identity would make qfi_general 16 times the true F
+        with pytest.raises(ValueError, match="not unitary"):
+            SpectralProbe(self.P, 2.0 * np.eye(4))
+
+    def test_a_non_square_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="square"):
+            SpectralProbe(self.P, np.eye(4)[:, :3])
+
+    def test_a_matrix_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="dimension 3, not 4"):
+            SpectralProbe(self.P, np.eye(3))
+
+    def test_a_unitary_matrix_is_kept_as_given(self):
+        from thermalqfi.qfi import qfi_general
+
+        vectors = np.linalg.eigh(spin_operators(3)[0])[1]
+        probe = SpectralProbe(self.P, vectors)
+        assert probe.eigenvectors.dtype == np.complex128
+        assert probe.eigenvectors.tobytes() == vectors.astype(np.complex128).tobytes()
+        assert qfi_general(SpectralProbe(self.P, np.eye(4)), spin_operators(3)[0]) > 0.0
