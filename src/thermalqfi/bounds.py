@@ -31,10 +31,10 @@ from .encoding import (
 from .operators import (
     SpectralDecomposition,
     _dense,
+    _widths,
     commutator_i,
     eigendecompose,
     seminorm,
-    stacked_seminorms,
 )
 from .qfi import (
     QfiReport,
@@ -351,18 +351,17 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     checks it: each stack is taken as a dense record. A LAPACK error or
     a missed residual certificate of the stacked eigendecompose raises
     EigensolverError, and boltzmann_weights checks each beta as on the
-    single-point path. One stacked eigendecompose and one
-    stacked_seminorms per seminorm give the bits of per-matrix calls;
-    stacked_plan, one route_sums and one bound_rows give the bits of
-    bound_report.
+    single-point path. One stacked eigendecompose and one _widths call
+    per seminorm give the bits of per-matrix calls; stacked_plan, one
+    route_sums and one bound_rows give the bits of bound_report.
     """
     scaled = _dense(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
     h = _dense(hamiltonians)
     decomposition = eigendecompose(h, "Hamiltonian stack")
     evals = decomposition.eigenvalues
     plan = stacked_plan(decomposition, scaled)
-    h_width = stacked_seminorms(h, "Hamiltonian stack")
+    h_width = _widths(h, "Hamiltonian stack")
     weights = boltzmann_weights(evals, betas.tolist())
-    scales = BoundScales(h_width, _probe_gap(evals, h_width), stacked_seminorms(_dense(generators), "generator stack"))
+    scales = BoundScales(h_width, _probe_gap(evals, h_width), _widths(_dense(generators), "generator stack"))
     sums = route_sums(plan, weights.probabilities, weights.betas)
     return bound_rows(plan, sums, weights.betas, times, scales)

@@ -25,7 +25,7 @@ from .encoding import (
     transformed_generator,
 )
 from . import operators
-from .operators import Hermitian, _dense, _diagonal, _with_matrix
+from .operators import Hermitian, _dense, _diagonal, _symmetrize, _with_matrix
 from .spin import banded_jz_jx_squared, check_twice_j, spin_operator_forms, spin_operators
 from .thermal import GibbsState, gibbs_state
 
@@ -48,11 +48,6 @@ class Scenario:
     h: TransformedLocalGenerator
 
 
-def _symmetrized_square(a: np.ndarray) -> np.ndarray:
-    x = a @ a
-    return 0.5 * (x + x.conj().T)
-
-
 def _jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     """(J_z, J_x^2) for the twisting and collective-spin models: the dense
     product of J_x up to operators.DENSE_MAX_DIM, whose bits the figure
@@ -61,7 +56,7 @@ def _jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     if check_twice_j(twice_j) + 1 > operators.DENSE_MAX_DIM:
         return banded_jz_jx_squared(twice_j)
     jx, _, jz = spin_operators(twice_j)
-    jx2 = _symmetrized_square(jx)
+    jx2 = _symmetrize(jx @ jx)
     square = _with_matrix(_diagonal(np.diagonal(jx2)), jx2) if twice_j == 1 else _dense(jx2)
     return _with_matrix(_diagonal(np.diagonal(jz).real), jz), square
 

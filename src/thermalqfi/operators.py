@@ -149,7 +149,8 @@ def _is_tridiagonal(block: np.ndarray) -> bool:
 
 
 def _real_tridiagonal(block: np.ndarray) -> np.ndarray:
-    """The isospectral real matrix of a complex Hermitian tridiagonal block.
+    """The isospectral real matrix of a complex Hermitian tridiagonal block,
+    or of each block of a (..., n, n) stack.
 
     The diagonal phase similarity that makes each subdiagonal entry e_k
     real and positive (Golub & Van Loan, Matrix Computations, 8.4) maps
@@ -157,8 +158,11 @@ def _real_tridiagonal(block: np.ndarray) -> np.ndarray:
     Re(d_k) and off-diagonals |e_k|. It is read from the lower triangle,
     the one eigvalsh reads, and solved in real arithmetic.
     """
-    off = np.abs(np.diagonal(block, -1))
-    return np.diag(np.diagonal(block).real) + np.diag(off, -1) + np.diag(off, 1)
+    k = np.arange(block.shape[-1])
+    out = np.zeros(block.shape)
+    out[..., k, k] = block[..., k, k].real
+    out[..., k[1:], k[:-1]] = out[..., k[:-1], k[1:]] = np.abs(block[..., k[1:], k[:-1]])
+    return out
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -540,21 +544,6 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     return SpectralDecomposition(evals, evecs, h.dim, order, h, blocks)
 
 
-def stacked_seminorms(h: Hermitian, what: str) -> list[float]:
-    """seminorm of each matrix of a (k, n, n) stack record, in the stack's
-    form, with its bits: a diagonal stack is read off its diagonals, any
-    other takes one stacked eigvalsh, which gives the bits of per-matrix
-    calls. Above DENSE_MAX_DIM, where a sweep's chunk of times holds one
-    generator, each matrix takes seminorm's own path."""
-    if h.dim > DENSE_MAX_DIM:
-        return [seminorm(h.member(i)) for i in range(h.shape[0])]
-    if h.form == "diagonal":
-        d = h.parts[0].real
-        return (d.max(axis=-1) - d.min(axis=-1)).tolist()
-    evals = _eigvalsh(h.matrix, what)
-    return (evals[:, -1] - evals[:, 0]).tolist()
-
-
 def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(m)
@@ -584,7 +573,7 @@ def matrix_exp_scaled(a, scale) -> np.ndarray:
     return (dec.eigenvectors * weights) @ dec.eigenvectors.conj().T
 
 
-def _times_i_symmetrized(x: np.ndarray) -> np.ndarray:
+def _times_i_symmetrize(x: np.ndarray) -> np.ndarray:
     """0.5 (i x + (i x)^dagger), in place where x is complex."""
     x = np.multiply(x, 1j, out=x if np.iscomplexobj(x) else None)
     if logger.isEnabledFor(logging.DEBUG):
@@ -630,9 +619,9 @@ def commutator_i(a, b):
     if ha.form == "diagonal" and not ha.stacked:
         d = ha.parts[0]
         if hb.form == "blocks":
-            parts = [_times_i_symmetrized(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
+            parts = [_times_i_symmetrize(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
             return _blocks(*parts, hb.tridiagonal)
-        x = _times_i_symmetrized(_scaled_commutator(d, hb.matrix))
+        x = _times_i_symmetrize(_scaled_commutator(d, hb.matrix))
         if hb.form == "diagonal":
             return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1)), x)
         return _dense(x, hb.form)
@@ -641,39 +630,44 @@ def commutator_i(a, b):
         for p, q in zip(ha.parts, hb.parts):
             x = p @ q
             x -= q @ p
-            parts.append(_times_i_symmetrized(x))
+            parts.append(_times_i_symmetrize(x))
         return _blocks(*parts)
     ma, mb = ha.matrix, hb.matrix
     x = ma @ mb
     x -= mb @ ma
-    return _dense(_times_i_symmetrized(x))
+    return _dense(_times_i_symmetrize(x))
+
+
+def _widths(h: Hermitian, what: str) -> np.ndarray:
+    """E_max - E_min of each matrix of a record of any shape, as an array
+    of its leading shape (0-d for one matrix). The form decides the
+    solve: a diagonal record is read off its real diagonals, parity
+    blocks are solved block by block, and a complex tridiagonal block, or
+    a tridiagonal matrix (the linear model's J_x, J_y and C above
+    DENSE_MAX_DIM), in real arithmetic (_real_tridiagonal). Each part
+    takes one eigvalsh over the whole stack, which gives the bits of
+    per-matrix calls."""
+    if h.form == "diagonal":
+        d = h.parts[0].real
+        return d.max(axis=-1) - d.min(axis=-1)
+    flags = h.tridiagonal if h.form == "blocks" else (h.form == "tridiagonal",)
+    spectra = [
+        _eigvalsh(_real_tridiagonal(part) if banded and np.iscomplexobj(part) else part, what)
+        for part, banded in zip(h.parts, flags)
+    ]
+    top, bottom = zip(*((e[..., -1], e[..., 0]) for e in spectra))
+    return functools.reduce(np.maximum, top) - functools.reduce(np.minimum, bottom)
 
 
 def seminorm(a) -> float:
-    """Spectral width E_max - E_min of a Hermitian matrix.
+    """Spectral width E_max - E_min of a Hermitian matrix: the one-matrix
+    case of _widths.
 
     Nonnegative; zero exactly when A is a multiple of the identity (within
     eigensolver tolerance). Invariant under unitary conjugation and under
-    shifts A -> A + c*I. The form decides the solve: a diagonal A is read
-    off its real diagonal, parity blocks are solved block by block, and a
-    complex tridiagonal block, or a tridiagonal matrix (the linear
-    model's J_x, J_y and C above DENSE_MAX_DIM), in real arithmetic
-    (_real_tridiagonal). An array goes through the gate.
+    shifts A -> A + c*I. An array goes through the gate.
     """
-    h = as_hermitian(a, "seminorm argument")
-    if h.form == "diagonal":
-        d = h.parts[0]
-        return float(d.real.max() - d.real.min())
-    if h.form == "dense":
-        evals = _eigvalsh(h.parts[0], "seminorm argument")
-        return float(evals[-1] - evals[0])
-    flags = h.tridiagonal if h.form == "blocks" else (True,)
-    blocks = [
-        _real_tridiagonal(block) if np.iscomplexobj(block) and banded else block
-        for block, banded in zip(h.parts, flags)
-    ]
-    spectra = [_eigvalsh(block, "seminorm argument") for block in blocks]
-    return float(max(e[-1] for e in spectra) - min(e[0] for e in spectra))
+    return float(_widths(as_hermitian(a, "seminorm argument"), "seminorm argument"))
 
 
 def variance(a, rho) -> float:

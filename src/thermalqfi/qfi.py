@@ -38,8 +38,8 @@ from .operators import (
     SpectralDecomposition,
     _dense,
     _interleave,
+    _widths,
     commutator_i,
-    stacked_seminorms,
 )
 from .thermal import GibbsState
 
@@ -75,6 +75,8 @@ def tanhc(x):
 
 
 def _clamped(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ArithmeticError(f"{what} = {value} is not finite")
     if value >= 0.0:
         return value
     if value >= -NEGATIVE_CLAMP:
@@ -350,16 +352,11 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
     F = beta^2 Var[C] - beta^2 sum_{i != j} p_i (1 - tanhc^2(beta D_ij / 2)) |C_ij|^2
     with C = i[H, h] and D_ij the energy differences of the probe
     Hamiltonian. Both orientations of each pair contribute with their own
-    weight; degenerate pairs drop out exactly since tanhc(0) = 1.
+    weight; degenerate pairs drop out exactly since tanhc(0) = 1. The
+    k = 1 case of route_sums.
     """
     _require_gibbs(rho0)
-    hm = as_operator(h)
-    if hm.shape[0] != rho0.dim:
-        raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {rho0.dim}")
-    comm = commutator_i(rho0.decomposition.source, hm)
-    v = rho0.eigenvectors
-    pairs, cdiag, cdiag_abs2, delta = _commutator_elements(_dense(v.conj().T @ comm.matrix @ v), rho0.eigenvalues)
-    return _commutator_sums(rho0.probabilities[None], (rho0.beta,), cdiag, cdiag_abs2, pairs, delta)[1][0]
+    return probe_sums(spectral_plan(rho0.decomposition, h), rho0).f_thermal[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,13 +422,13 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
 def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) -> SpectralPlan:
     """The plan of an (m, n, n) stack record of generators, with the bits
     of spectral_plan for each: one commutator, one basis change of each
-    stack and one stacked_seminorms call, over the union of the
-    generators' supports (an entry outside a generator's own support is
-    an exact zero in its row, which adds nothing to a correctly rounded
-    fsum). The decomposition is one probe's, shared by every generator
-    (the times of a sweep), or a stacked one built by eigendecompose,
-    one probe per generator (a stack of scenarios). spectral_plan passes
-    a one-member stack through here. Every step reads the records' forms:
+    stack and one _widths call, over the union of the generators'
+    supports (an entry outside a generator's own support is an exact
+    zero in its row, which adds nothing to a correctly rounded fsum).
+    The decomposition is one probe's, shared by every generator (the
+    times of a sweep), or a stacked one built by eigendecompose, one
+    probe per generator (a stack of scenarios). spectral_plan passes a
+    one-member stack through here. Every step reads the records' forms:
     above DENSE_MAX_DIM an oat or lmg generator, its commutator and their
     squares stay two half-size parity blocks."""
     comm = commutator_i(decomposition.source, generators)
@@ -447,7 +444,7 @@ def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) ->
         c_delta=c_delta,
         cdiag=cdiag,
         cdiag_abs2=cdiag_abs2,
-        noncommutativity=np.asarray(stacked_seminorms(comm, "commutator stack")),
+        noncommutativity=_widths(comm, "commutator stack"),
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import operators
-from .operators import Hermitian, _blocks, _dense, _diagonal, _with_matrix
+from .operators import Hermitian, _blocks, _dense, _diagonal, _symmetrize, _with_matrix
 
 # Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
 # the oat and lmg models keep their operators as half-size parity blocks,
@@ -104,19 +104,15 @@ def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     return _diagonal(m), _blocks(*halves, (True, True))
 
 
-def _symmetrized(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
-
-
 def oat_commutator(twice_j) -> np.ndarray:
     """J_x J_y + J_y J_x, the traceless operator whose spectral width
     controls the one-axis-twisting bound (it is i[J_z, J_x^2] up to sign
     and the evolution time)."""
     jx, jy, _ = spin_operators(twice_j)
-    return _symmetrized(jx @ jy + jy @ jx)
+    return _symmetrize(jx @ jy + jy @ jx)
 
 
 def rotated_oat_operator(twice_j) -> np.ndarray:
     """J_x^2 - J_y^2; unitarily equivalent to oat_commutator, so isospectral."""
     jx, jy, _ = spin_operators(twice_j)
-    return _symmetrized(jx @ jx - jy @ jy)
+    return _symmetrize(jx @ jx - jy @ jy)

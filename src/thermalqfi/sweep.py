@@ -70,9 +70,12 @@ class SweepRow:
 
 CSV_COLUMNS = tuple(f.metadata["column"] or f.name for f in fields(SweepRow))
 _CELLS = tuple(f.metadata["cell"] for f in fields(SweepRow))
+_GATES = tuple(f.metadata["gate"] for f in fields(SweepRow))
 _field_values = attrgetter(*(f.name for f in fields(SweepRow)))
+# the six bound columns, read off a BoundReport by the names they share with it
+_bound_values = attrgetter(*(f.name for f in fields(SweepRow) if f.name.endswith("_bound")))
 # the valid `outputs` keys, in the order of the first column each one gates
-OUTPUT_KEYS = tuple(dict.fromkeys(f.metadata["gate"] for f in fields(SweepRow) if f.metadata["gate"]))
+OUTPUT_KEYS = tuple(dict.fromkeys(gate for gate in _GATES if gate))
 
 
 class ConfigError(ValueError):
@@ -95,8 +98,9 @@ class SweepConfig:
     def from_dict(cls, raw: dict) -> "SweepConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
+        known = {"lambda" if f.name == "lam" else f.name for f in fields(cls)} | {"metadata"}
         for key in raw:
-            if key not in _KNOWN_FIELDS:
+            if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
 
         model = raw.get("model")
@@ -164,20 +168,6 @@ class SweepConfig:
         )
 
 
-_KNOWN_FIELDS = {
-    "model",
-    "twice_j",
-    "axis",
-    "lambda",
-    "beta_grid",
-    "p_grid",
-    "t_grid",
-    "outputs",
-    "output_path",
-    "metadata",
-}
-
-
 def _check_grid(name: str, values, low=None, high=None, strict_high=False) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)) or len(values) == 0:
         raise ConfigError(f"{name}: must be a nonempty list of numbers")
@@ -207,40 +197,18 @@ def load_config(path) -> SweepConfig:
     return SweepConfig.from_dict(raw)
 
 
-def _gated_off(outputs) -> dict:
-    """None for every gated field whose output key is not requested."""
-    gates = {f.name: f.metadata["gate"] for f in fields(SweepRow)}
-    return {name: None for name, gate in gates.items() if gate is not None and gate not in outputs}
-
-
-def _row(config: SweepConfig, gated_off: dict, closed_forms, t: float, beta: float, routes, bounds) -> SweepRow:
-    f_general, f_thermal, f_sld = routes
-    closed_q = closed_v = None
-    if closed_forms is not None:
-        closed_q = closed_forms[0](config.twice_j, beta, t)
-        closed_v = closed_forms[1](config.twice_j, beta, t)
-    values = {
-        "model": config.model,
-        "j": config.twice_j / 2.0,
-        "beta": beta,
-        "p": polarization(beta),
-        "t": t,
-        "lam": config.lam,
-        "f_general": f_general,
-        "f_thermal": f_thermal,
-        "f_sld": f_sld,
-        "variance_bound": bounds.variance_bound,
-        "seminorm_bound": bounds.seminorm_bound,
-        "product_bound": bounds.product_bound,
-        "convexity_bound": bounds.convexity_bound,
-        "gap_variance_bound": bounds.gap_variance_bound,
-        "gap_seminorm_bound": bounds.gap_seminorm_bound,
-        "closed_qfi": closed_q,
-        "closed_variance": closed_v,
-        "ordering_ok": bounds.ordering_ok,
-    }
-    values.update(gated_off)
-    return SweepRow(**values)
+def _row(config: SweepConfig, off, closed_forms, t: float, beta: float, p: float, routes, bounds) -> SweepRow:
+    """The row at (t, beta), P = polarization(beta): its fields in SweepRow
+    order, None at the positions off, the fields gated by an output key
+    that config.outputs does not name."""
+    closed = (None, None) if closed_forms is None else [f(config.twice_j, beta, t) for f in closed_forms]
+    values = [
+        config.model, config.twice_j / 2.0, beta, p, t, config.lam, *routes, *_bound_values(bounds), *closed,
+        bounds.ordering_ok,
+    ]
+    for i in off:
+        values[i] = None
+    return SweepRow(*values)
 
 
 # the fields every config of one run_sweeps call must share: its spin and grids
@@ -253,7 +221,6 @@ class _Encoding(NamedTuple):
     config: SweepConfig
     scales: BoundScales
     generators: Callable[[list[float]], np.ndarray]
-    gated_off: dict
     closed_forms: tuple | None
 
 
@@ -265,8 +232,8 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     (ValueError names the first field that differs). Every model's probe
     is J_z, so the probe eigendecomposition and the Gibbs weights of
     every beta are built once per call. Once per config: ||H||, the gap,
-    ||dH/dlambda||, the generator family (for lmg, the
-    eigendecomposition of H(lambda)) and the gated-off columns. The
+    ||dH/dlambda|| and the generator family (for lmg, the
+    eigendecomposition of H(lambda)); once per beta, its polarization. The
     (config, time) pairs then go through in chunks of
     DENSE_MAX_DIM^2 // n^2 (at least one), so a chunk's generators hold
     no more entries than one DENSE_MAX_DIM x DENSE_MAX_DIM matrix,
@@ -293,11 +260,12 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
             decomposition = eigendecompose(probe_h, "Hamiltonian")
         closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
         scales = bound_scales(decomposition, scheme)
-        encodings.append(_Encoding(config, scales, generator_stack(scheme), _gated_off(config.outputs), closed_forms))
+        encodings.append(_Encoding(config, scales, generator_stack(scheme), closed_forms))
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
     betas = list(first.beta_grid) if first.beta_grid is not None else [beta_from_polarization(p) for p in first.p_grid]
     weights = boltzmann_weights(decomposition.eigenvalues, betas)
     betas = weights.betas
+    polarizations = [polarization(beta) for beta in betas]
     pairs = [(index, t) for index, config in enumerate(configs) for t in config.t_grid]
     step = max(1, DENSE_MAX_DIM**2 // decomposition.source_dim**2)
     rows = [[] for _ in configs]
@@ -314,12 +282,12 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
         scales = BoundScales(*encodings[0].scales[:2], [encodings[index].scales.dh_width for index, _ in chunk])
         bounds = bound_rows(plan, sums, row_betas, times, scales)
         routes = zip(sums.f_general, sums.f_thermal, sums.f_sld)
-        chunk_rows = zip([t for t in times for _ in betas], row_betas, routes, bounds)
+        chunk_rows = zip([t for t in times for _ in betas], row_betas, polarizations * len(chunk), routes, bounds)
         for index, run_times in runs:
-            config, _, _, gated_off, closed_forms = encodings[index]
-            out = rows[index]
-            for t, beta, point, chain in itertools.islice(chunk_rows, len(run_times) * len(betas)):
-                out.append(_row(config, gated_off, closed_forms, t, beta, point, chain))
+            config, _, _, closed_forms = encodings[index]
+            off = [i for i, gate in enumerate(_GATES) if gate and gate not in config.outputs]
+            run_rows = itertools.islice(chunk_rows, len(run_times) * len(betas))
+            rows[index].extend(_row(config, off, closed_forms, *row) for row in run_rows)
     return rows
 
 

@@ -29,14 +29,15 @@ def hermitian_pairs(draw, min_dim=2, max_dim=8):
     return random_hermitian(rng, dim), random_hermitian(rng, dim)
 
 
-def record_solver_calls(monkeypatch, *names):
-    """Patch each numpy.linalg.<name> to record (dimension, complex?) per call."""
+def record_solver_calls(monkeypatch, *names, key=lambda a: (a.shape[-1], np.iscomplexobj(a))):
+    """Patch each numpy.linalg.<name> to record key(a) per call: by default
+    (matrix size, complex?), the same for one matrix and for a stack."""
     calls = []
     for name in names:
         original = getattr(np.linalg, name)
 
         def recording(a, *args, _original=original, **kwargs):
-            calls.append((a.shape[0], np.iscomplexobj(a)))
+            calls.append(key(a))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)

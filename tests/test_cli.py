@@ -263,6 +263,14 @@ def test_numerical_errors_exit_3(monkeypatch, capsys, exc):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_a_route_that_is_not_finite_exits_3(capsys):
+    # at beta = 1e200, beta^2 overflows to inf and Var[C] minus the weighted
+    # sum, about F / beta^2, underflows to 0: the thermal route is inf * 0
+    code = main(["compute", "--model", "linear", "--twice-j", "3", "--beta", "1e200", "--t", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: thermal-route QFI = nan is not finite\n"
+
+
 def test_figures_run_reports_ordering(tmp_path, capsys):
     assert main(["figures", "--out", str(tmp_path), "--run"]) == 0
     out = capsys.readouterr().out

@@ -471,7 +471,7 @@ class TestStacks:
 
     @pytest.mark.parametrize(
         "solver, helper, suffix",
-        [("eigh", "eigendecompose", " (hermiticity defect 1.000e-03)"), ("eigvalsh", "stacked_seminorms", "")],
+        [("eigh", "eigendecompose", " (hermiticity defect 1.000e-03)"), ("eigvalsh", "_widths", "")],
     )
     def test_a_lapack_error_raises_for_the_stack(self, monkeypatch, solver, helper, suffix):
         def failing(a):
@@ -499,28 +499,60 @@ def _detected_member_forms(stack):
     return tuple("diagonal" if operators.operator_form(m).form == "diagonal" else "dense" for m in stack)
 
 
+def _stack_widths(stack: operators.Hermitian) -> list[float]:
+    return operators._widths(stack, "stack").tolist()
+
+
 class TestStackedBasisAndWidths:
-    """The basis changes and stacked_seminorms take a stack with the bits
-    of per-matrix calls."""
+    """The basis changes and the widths take a stack with the bits of
+    per-matrix calls."""
 
     @pytest.mark.parametrize("dim", [2, 3, 11, 81, 82, 102])
-    def test_stacked_seminorms_have_the_bits_of_seminorm(self, dim):
+    def test_stacked_widths_have_the_bits_of_seminorm(self, dim):
         stack = _mixed_stack(dim)
         forms = _detected_member_forms(stack)
-        widths = operators.stacked_seminorms(operators._dense(stack), "stack")
+        widths = _stack_widths(operators._dense(stack))
         # up to DENSE_MAX_DIM these are the forms the gate finds on each member
         assert repr(widths) == repr([seminorm(m if f == "diagonal" else operators._dense(m)) for m, f in zip(stack, forms)])
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("twice_j", [100, 101, 400])
+    def test_block_stacks_above_the_threshold_have_the_bits_of_seminorm(self, twice_j, k, monkeypatch):
+        # H(lambda) in real blocks, and C = i[J_z, H(lambda)] in complex tridiagonal ones
+        hamiltonians = [lmg_hamiltonian(twice_j, lam) for lam in (0.6, -0.7, 1.0)[:k]]
+        _, _, jz = spin_operators(twice_j)
+        for members in (hamiltonians, [commutator_i(jz, h) for h in hamiltonians]):
+            stack = operators.concatenate([h.member(None) for h in members])
+            assert stack.form == "blocks" and stack.shape == (k, twice_j + 1, twice_j + 1)
+            calls = record_solver_calls(monkeypatch, "eigvalsh")
+            widths = _stack_widths(stack)
+            assert sorted(calls) == [((twice_j + 1) // 2, False), ((twice_j + 2) // 2, False)]
+            monkeypatch.undo()
+            assert repr(widths) == repr([seminorm(h) for h in members])
+
+    @pytest.mark.parametrize("twice_j", [100, 101, 400])
+    def test_a_tridiagonal_stack_above_the_threshold_has_the_bits_of_seminorm(self, twice_j, monkeypatch):
+        # the linear model's C = i[J_z, t J_x] at three times
+        jx, _, jz = spin_operators(twice_j)
+        members = [commutator_i(jz, operators._dense(t * jx, "tridiagonal")) for t in (0.7, 2.3, 3.14)]
+        stack = operators.concatenate([c.member(None) for c in members])
+        assert stack.form == "tridiagonal" and stack.shape == (3, twice_j + 1, twice_j + 1)
+        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        widths = _stack_widths(stack)
+        assert calls == [(twice_j + 1, False)]  # one real solve for the whole stack
+        monkeypatch.undo()
+        assert repr(widths) == repr([seminorm(c) for c in members])
+
     def test_diagonal_members_make_no_solver_call(self, monkeypatch):
         ones = np.array([[2.0 + 0j], [-1.0]])
-        assert repr(operators.stacked_seminorms(operators._diagonal(ones), "1x1 stack")) == "[0.0, 0.0]"
+        assert repr(_stack_widths(operators._diagonal(ones))) == "[0.0, 0.0]"
         stack = _mixed_stack(11)
-        calls = record_solver_calls(monkeypatch, "eigvalsh")
+        calls = record_solver_calls(monkeypatch, "eigvalsh", key=lambda a: a.shape)
         diagonal = np.diagonal(stack[[1, 2, 5]], axis1=1, axis2=2)
-        operators.stacked_seminorms(operators._diagonal(diagonal), "stack")
+        _stack_widths(operators._diagonal(diagonal))
         assert calls == []  # a diagonal stack is read off its diagonals
-        operators.stacked_seminorms(operators._dense(stack), "stack")
-        assert calls == [(6, True)]  # a mixed stack is dense: every member, in one call
+        _stack_widths(operators._dense(stack))
+        assert calls == [(6, 11, 11)]  # a mixed stack is dense: every member, in one call
 
     @pytest.mark.parametrize(
         "source",

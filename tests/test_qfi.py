@@ -105,6 +105,23 @@ class TestThermalRoute:
             qfi_thermal(probe, jx)
 
 
+class TestClamp:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_value_that_is_not_finite_is_refused(self, value):
+        import thermalqfi.qfi as qfi_module
+
+        with pytest.raises(ArithmeticError, match=f"^thermal-route QFI = {value} is not finite$"):
+            qfi_module._clamped(value, "thermal-route QFI")
+
+    def test_rounding_residue_clamps_and_a_negative_value_is_refused(self):
+        import thermalqfi.qfi as qfi_module
+
+        assert qfi_module._clamped(-1e-11, "F") == 0.0
+        assert qfi_module._clamped(2.5, "F") == 2.5
+        with pytest.raises(ArithmeticError, match="negative beyond the clamp window"):
+            qfi_module._clamped(-1e-9, "F")
+
+
 class TestSldRoute:
     def test_uniform_spectrum_gives_zero(self):
         jx, _, jz = spin_operators(3)
@@ -486,6 +503,7 @@ def _assert_support_sums_are_dense_sums(probe, scheme, h):
         probe.decomposition, probe.hamiltonian, as_operator(h), probe.probabilities, probe.beta
     )
     assert repr((report.f_general, report.f_thermal, report.f_sld)) == repr((general, thermal, sld))
+    assert repr(qfi_thermal(probe, h)) == repr(thermal)
     assert repr(bounds.variance_bound) == repr(probe.beta**2 * var_c)
     assert repr(bounds.gap_variance_bound) == repr(4.0 * var_c / bounds.min_gap**2)
 
@@ -581,8 +599,10 @@ class TestBandPath:
     @pytest.mark.parametrize("twice_j", [100, 101, 200, 400, 2000])
     def test_band_built_matrices_match_the_dense_product(self, twice_j):
         import thermalqfi.models as models
+        from thermalqfi.operators import _symmetrize
 
-        dense = models._symmetrized_square(spin_operators(twice_j)[0])
+        jx = spin_operators(twice_j)[0]
+        dense = _symmetrize(jx @ jx)
         jz, scheme = models.model_encoding("oat", twice_j, 1.0)
         np.testing.assert_array_equal(jz.matrix, np.diag(m_values(twice_j)))
         assert np.abs(scheme.generator.matrix - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -601,7 +621,7 @@ class TestBandPath:
 
         monkeypatch.setattr(spin, "spin_operators", refuse)
         monkeypatch.setattr(models, "spin_operators", refuse)
-        monkeypatch.setattr(models, "_symmetrized_square", refuse)
+        monkeypatch.setattr(models, "_symmetrize", refuse)
         if banded:
             _point(model, twice_j, lam)
         else:
@@ -771,7 +791,7 @@ def _record_forms(monkeypatch):
 
     consumers = [
         (qfi_module, "_generator_elements", 1), (qfi_module, "_commutator_elements", 1),
-        (operators, "seminorm", 1), (operators, "stacked_seminorms", 1), (operators, "eigendecompose", 1),
+        (operators, "seminorm", 1), (operators, "_widths", 1), (operators, "eigendecompose", 1),
         (operators, "commutator_i", 2),
     ]
     for module, name, count in consumers:

@@ -158,6 +158,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=f"unknown config field '{key}'"):
                 SweepConfig.from_dict(qubit_config(**{key: 1}))
 
+    def test_the_lmg_parameter_is_spelled_lambda(self):
+        raw = {"model": "lmg", "twice_j": 2, "beta_grid": [1.0], "t_grid": [1.0]}
+        assert SweepConfig.from_dict({**raw, "lambda": 0.6}).lam == 0.6
+        with pytest.raises(ConfigError, match="^unknown config field 'lam'$"):
+            SweepConfig.from_dict({**raw, "lam": 0.6})
+
     def test_metadata_passthrough_allowed(self):
         SweepConfig.from_dict(qubit_config(metadata={"note": "x"}))
 

@@ -159,12 +159,12 @@ def test_stacked_reports_equal_the_single_point_reports(seed):
 
 
 def test_one_solver_call_per_dimension_and_quantity(monkeypatch):
-    calls = record_solver_calls(monkeypatch, "eigh", "eigvalsh")
+    calls = record_solver_calls(monkeypatch, "eigh", "eigvalsh", key=lambda a: a.shape)
     scenarios = list(verify._random_scenarios(verify.DEFAULT_SEED))
     sizes = [scenario[0].shape[0] for scenario in scenarios]
     reports = list(verify._random_reports(verify.DEFAULT_SEED))
-    # eigvalsh on A, eigh on H, eigvalsh on C and H; a stack's leading axis is its size
-    assert [k for k, _ in calls] == [sizes.count(dim) for dim in range(2, 9) for _ in range(4)]
+    # eigvalsh on A, eigh on H, eigvalsh on C and H, each on the stack of every draw of one dimension
+    assert calls == [(sizes.count(dim), dim, dim) for dim in range(2, 9) for _ in range(4)]
     # stacks in ascending dimension, each in draw order
     assert [index for index, _ in reports] == sorted(range(len(sizes)), key=sizes.__getitem__)
 
