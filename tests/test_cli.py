@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -248,6 +249,42 @@ def test_routes_above_81_do_not_depend_on_the_thread_count(tmp_path, model, lam)
     one, two = (json.loads(_cli_bytes(args, threads, tmp_path))["qfi"] for threads in (1, 2))
     for name in ("f_general", "f_thermal", "f_sld"):
         assert repr(one[name]) == repr(two[name]), name
+
+
+# SHA-256 of `compute` stdout above 81 at one BLAS thread, recorded with
+# numpy 2.4.6 on OpenBLAS 0.3.31, x86-64: (model, lambda, 2J, beta, t).
+COMPUTE_DIGESTS = {
+    ("oat", None, 100, "1.7", "2.3"): "117709aa4e696d844098b6934e4974cf099cacf7c70f89c47a5057f32987df62",
+    ("oat", None, 100, "4.19", "2.78"): "ed0452386558c1eb7237efe448d11843bfd3671a6dfbd3d91618ef4cf403f023",
+    ("oat", None, 200, "1.7", "2.3"): "585d708a05eea4f684c1911c298c363a648aa59450a0d0787618d4a4b0dd88fd",
+    ("oat", None, 200, "4.19", "2.78"): "7dbfec3c1f035aa795236067a8ae27f7ebfed5d81c4b987256e3d695a3f1b09e",
+    ("oat", None, 400, "1.7", "2.3"): "c644eabdc2608647ef07094e92ca8c1e515e3efaa19f0ea0e2a0bb9010e72c80",
+    ("oat", None, 400, "4.19", "2.78"): "63d92fdb559ee5c367542e94403d5d0e8931e18efbff3abbc17852e423b15693",
+    ("lmg", "1", 100, "1.7", "2.3"): "f1c6960d0875b9d12faee5be5159a4bbe34a263126658f309ac9dc0b3f4bbd87",
+    ("lmg", "1", 100, "4.19", "2.78"): "2435a5e4a251424dbc851ccfab27ff004f8c754fa0b99d153075c6c4dcd00487",
+    ("lmg", "1", 200, "1.7", "2.3"): "7c63155fc2be92ab458dd55fa058af9e006755f4815a4b6e0e4ad27750601535",
+    ("lmg", "1", 200, "4.19", "2.78"): "5bfaf4ff717e5803ac7479e5ff19664f5066a16198b0af97b1eb8fe5a46eb542",
+    ("lmg", "1", 400, "1.7", "2.3"): "1e18546274d7e74868c8230e07f969467369a8b9c145611dde599ae6a83dda43",
+    ("lmg", "1", 400, "4.19", "2.78"): "07782fb12e699318e2292c7d9cb848a168bd33612989363ab46d4b3caa3f25f5",
+    ("lmg", "-0.7", 100, "1.7", "2.3"): "2dc6adb575cc7d64e68ee7119a4d84b5d72b671d46f1bf24cca224731b62db4b",
+    ("lmg", "-0.7", 100, "4.19", "2.78"): "5f29941bf1cb59b505de8cf25c1a340a9d3c2aaf588586909c62a1e2b420536f",
+    ("lmg", "-0.7", 200, "1.7", "2.3"): "8eadc7eb485a0e27b774b9a35618575508a22bdbfce60b53797c5e7df0f16eac",
+    ("lmg", "-0.7", 200, "4.19", "2.78"): "842372ad61b43597dee08022b11a7995fdcd8cc93884fc603b99cda2895f53ae",
+    ("lmg", "-0.7", 400, "1.7", "2.3"): "1040e8c7f38f88b5f803387b43f767df4f78464653b3604dbd83911380475651",
+    ("lmg", "-0.7", 400, "4.19", "2.78"): "39bafb2b38d73cf0856a38d61fae55ca645bfeb0d1f3326053c1dac3d0d4a68d",
+}
+
+
+@pytest.mark.parametrize(
+    "model, lam, twice_j, beta, t", list(COMPUTE_DIGESTS), ids=["-".join(map(str, key)) for key in COMPUTE_DIGESTS]
+)
+def test_compute_bytes_above_81_are_pinned(tmp_path, model, lam, twice_j, beta, t):
+    # every output byte of a large-spin point at one BLAS thread, the
+    # thread count README's contract ties the bytes above 81 to
+    args = ["compute", "--model", model, "--twice-j", str(twice_j), "--beta", beta, "--t", t]
+    args += [] if lam is None else ["--lam", lam]
+    digest = hashlib.sha256(_cli_bytes(args, 1, tmp_path)).hexdigest()
+    assert digest == COMPUTE_DIGESTS[model, lam, twice_j, beta, t]
 
 
 @pytest.mark.parametrize("exc", [ArithmeticError("negative QFI"), OverflowError("exp overflow")])
