@@ -145,9 +145,9 @@ def generator_explicit(a, t) -> TransformedLocalGenerator:
     return transformed_generator(ExplicitGenerator(a, t))
 
 
-def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
-    """(exp(i d t) - 1)/(i d) with the removable singularity at d = 0, at
-    one time t or at a (T, 1, 1) array of times.
+def _kernel_entries(delta: np.ndarray, t) -> np.ndarray:
+    """(exp(i d t) - 1)/(i d) entry by entry, with the removable
+    singularity at d = 0, at one time t or at a (T, 1, 1) array of times.
 
     For |d*t| below the cutoff the two-term series t*(1 + i d t/2) is used;
     its truncation error is O(t * (d t)^2) ~ 1e-18 * t at the switchover.
@@ -160,6 +160,39 @@ def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
     if small.any():
         kernel[small] = np.broadcast_to(t, x.shape)[small] * (1.0 + 0.5j * x[small])
     return kernel
+
+
+def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
+    """_kernel_entries of an antisymmetric n x n array of level differences
+    E_m - E_n, with its bits, evaluated on one triangle only.
+
+    The kernel at -d is the conjugate of the kernel at d, with +0 for a
+    zero imaginary part, as the formula gives it wherever its products do
+    not underflow. So the upper triangle and the diagonal are evaluated in
+    one (n + 1, g) array (g = n - n // 2): the top-left h x h quarter
+    (h = n // 2) over the transposed bottom-right g x g one, folded into
+    one triangle each, then the top-right h x g quarter; the lower
+    triangle is their conjugates.
+    """
+    n = delta.shape[-1]
+    h, g = n // 2, n - n // 2
+    upper = np.tri(g, dtype=bool).T
+    packed = np.empty((n + 1, g))
+    packed[:g] = delta[:g, :g]
+    packed[g] = 0.0
+    np.copyto(packed[1 : g + 1], delta[h:, h:].T, where=upper.T)
+    packed[g + 1 :] = delta[:h, h:]
+    kernel = _kernel_entries(packed, t)
+    mirror = np.conjugate(kernel)
+    mirror.imag += 0.0  # -0 to +0
+    out = np.empty(kernel.shape[:-2] + (n, n), dtype=complex)
+    out[..., :h, h:] = kernel[..., g + 1 :, :]
+    out[..., h:, :h] = mirror[..., g + 1 :, :].mT
+    out[..., :h, :h] = mirror[..., :h, :h].mT
+    np.copyto(out[..., :h, :h], kernel[..., :h, :h], where=upper[:h, :h])
+    out[..., h:, h:] = mirror[..., 1 : g + 1, :]
+    np.copyto(out[..., h:, h:], kernel[..., 1 : g + 1, :].mT, where=upper)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,9 @@ central correctness property, certified in QfiReport.
 
 Every beta-dependent sum lives in one evaluator, route_sums. It takes the
 probabilities of k probes as a (k, n) array and a SpectralPlan, which
-holds the beta-independent matrix elements over their nonzero support,
-every array with a leading axis of m generators, each serving k / m
+holds the beta-independent matrix elements over their support (the
+entries the operator's form can hold, read from the form, or the nonzero
+entries of a scanned dense matrix), every array with a leading axis of m generators, each serving k / m
 consecutive rows (the betas of each time of a chunk of sweep times, one
 row per scenario of a stack, or every row for the one generator of a
 single point). Each sum is one pass over a (rows, support) term array per
@@ -19,13 +20,15 @@ entries than the plan's generators and the probabilities together. fsum
 is correctly rounded, so a row's result depends only on its own terms,
 not on k, on the chunks or on the order of the terms. A row of
 EXACT_SUM_MIN_TERMS terms or more is summed exactly in buckets of the
-terms' binary exponents instead (_exact_sum), which returns fsum's bits
-in a few array passes. The public route functions, qfi_report and the bound
+terms' binary exponents instead (_exact_sum), merged in integer
+arithmetic and rounded once, which returns fsum's bits in a few array
+passes. The public route functions, qfi_report and the bound
 chain are its k = 1 case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -38,6 +41,7 @@ from .operators import (
     SpectralDecomposition,
     _dense,
     _interleave,
+    _off_diagonal,
     _widths,
     commutator_i,
 )
@@ -48,12 +52,15 @@ from .thermal import GibbsState
 SUPPORT_TOL = 1e-14
 NEGATIVE_CLAMP = 1e-10
 # Rows of at least this many terms are summed by _exact_sum instead of
-# math.fsum: 1,024 terms take about 60 us either way, and 80,000 terms
-# (an lmg row at 2J = 400) 7.6 ms in fsum against 2.8 ms.
+# math.fsum: 1,024 normally spread terms take about 40 us either way, and
+# 80,000 terms spanning 1,000 binary orders (an lmg row at 2J = 400)
+# 15 ms in fsum against 1.1 ms.
 EXACT_SUM_MIN_TERMS = 1024
-# the smallest normal binary exponent, as np.frexp counts it; subnormals
-# share its bucket
-_MIN_BUCKET_EXP = -1021
+# the 26 low mantissa bits that _exact_sum splits off each term
+_LOW_BITS = (1 << 26) - 1
+# bucket integers per int64 in _exact_sum's merge: 2^54 (2^9 - 1) < 2^63
+_FOLD = 9
+_FOLD_WEIGHTS = 1 << np.arange(_FOLD, dtype=np.int64)
 
 
 def tanhc(x):
@@ -96,10 +103,10 @@ def _probe_parts(probe, h):
 
 
 class Support(NamedTuple):
-    """The nonzero off-diagonal entries of a real n x n array: their row
-    and column indices and their values. Over a stack of arrays it is the
-    union of their supports, values holds one row per array, and an entry
-    outside an array's own support is an exact zero in its row."""
+    """Off-diagonal entries of a real n x n array: their row and column
+    indices and their values. Over a stack of arrays, values holds one row
+    per array, and an entry outside an array's own support is an exact
+    zero in its row."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -107,6 +114,8 @@ class Support(NamedTuple):
 
 
 def _support(abs2: np.ndarray) -> Support:
+    """The nonzero off-diagonal entries of a dense array, or their union
+    over a stack, found by a scan."""
     mask = abs2 != 0.0
     if mask.ndim == 3:
         mask = mask.any(axis=0)
@@ -119,32 +128,74 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return np.diagonal(a, axis1=-2, axis2=-1)
 
 
+@functools.lru_cache(maxsize=2)
+def _form_pairs(sizes: tuple[int, ...], banded: tuple[bool, ...], step: int):
+    """Row and column indices of the off-diagonal entries that a form can
+    hold, read-only and shared by every record of that layout (h and C of
+    a plan), and where each part's entries end: every one of an m x m
+    part, row by row as _off_diagonal reads them, or the upper then the
+    lower band where banded says the part is tridiagonal. Part s sits at
+    the indices s + step * (its own indices) of the full matrix (step 2
+    for parity blocks)."""
+    counts = [2 * (m - 1) if band else m * (m - 1) for m, band in zip(sizes, banded)]
+    stops = tuple(np.cumsum(counts).tolist())
+    rows, cols = np.empty((2, stops[-1]), dtype=np.intp)
+    for start, (m, band, stop, count) in enumerate(zip(sizes, banded, stops, counts)):
+        r, c = rows[stop - count : stop], cols[stop - count : stop]
+        if band:
+            r[: m - 1] = c[m - 1 :] = np.arange(m - 1)
+            r[m - 1 :] = c[: m - 1] = np.arange(1, m)
+        else:
+            k = np.arange(m - 1)
+            r.reshape(m, m - 1)[...] = np.arange(m)[:, None]
+            np.greater_equal(k, np.arange(m)[:, None], out=c.reshape(m, m - 1))
+            c.reshape(m, m - 1)[...] += k  # row i skips column i
+        for index in (r, c):
+            index *= step
+            index += start
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, stops
+
+
+def _form_support(parts, banded, step: int) -> Support:
+    """The off-diagonal entries that a form holds, read without a scan from
+    |x_ij|^2 of each of its parts, at the indices of _form_pairs. Exact
+    zeros among them add nothing to a correctly rounded sum."""
+    rows, cols, stops = _form_pairs(tuple(a.shape[-1] for a in parts), tuple(banded), step)
+    values = np.empty(parts[0].shape[:-2] + rows.shape)
+    for abs2, band, begin, stop in zip(parts, banded, [0, *stops], stops):
+        m, v = abs2.shape[-1], values[..., begin:stop]
+        if band:
+            v[..., : m - 1] = np.diagonal(abs2, 1, -2, -1)
+            v[..., m - 1 :] = np.diagonal(abs2, -1, -2, -1)
+        else:
+            v.reshape(v.shape[:-1] + (m - 1, m))[...] = _off_diagonal(abs2)
+    return Support(rows, cols, values)
+
+
 def _squares(x: Hermitian):
-    """|x_ij|^2 of an operator in its form, as (the support of its
-    off-diagonal entries, the row sums, the diagonal), each over the full
-    index range: nothing is read outside the stored form, so parity
-    blocks stay two half-size complex arrays. A row of a block is summed
-    with the exact zeros between its entries put back, in a real
-    half-height array, so the sums keep the bits of the dense rows. The
-    entries of the support come block by block, which no correctly
-    rounded sum can tell apart."""
+    """|x_ij|^2 of an operator in its form, as (its off-diagonal support,
+    the row sums, the diagonal), each over the full index range. The
+    support of parity blocks and of a tridiagonal matrix is read from the
+    form (_form_support), and nothing is read outside the stored form, so
+    parity blocks stay two half-size complex arrays. A dense matrix, the
+    form of every matrix up to DENSE_MAX_DIM, where dense storage hides
+    sparsity, is scanned for its nonzero entries. A row of a block is
+    summed with the exact zeros between its entries put back, in a real
+    half-height array, so the sums keep the bits of the dense rows."""
     if x.form == "diagonal":
         d = np.abs(x.parts[0]) ** 2
         return Support(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(d.shape[:-1] + (0,))), d, d
-    if x.form == "blocks":
-        supports, sums, diagonals = [], [], []
-        for start, block in enumerate(x.parts):
-            abs2 = np.abs(block) ** 2
-            support = _support(abs2)
-            supports.append(Support(start + 2 * support.rows, start + 2 * support.cols, support.values))
-            rows = np.zeros(abs2.shape[:-1] + (x.dim,))
-            rows[..., start::2] = abs2
-            sums.append(rows.sum(axis=-1))
-            diagonals.append(_diagonal(abs2))
-        rows, cols, values = (np.concatenate(p, axis=-1) for p in zip(*supports))
-        return Support(rows, cols, values), _interleave(*sums), _interleave(*diagonals)
-    abs2 = np.abs(x.parts[0]) ** 2
-    return _support(abs2), abs2.sum(axis=-1), _diagonal(abs2).copy()
+    abs2 = [np.abs(part) ** 2 for part in x.parts]
+    if x.form != "blocks":
+        support = _support(abs2[0]) if x.form == "dense" else _form_support(abs2, (True,), 1)
+        return support, abs2[0].sum(axis=-1), _diagonal(abs2[0]).copy()
+    sums = []
+    for start, a in enumerate(abs2):
+        rows = np.zeros(a.shape[:-1] + (x.dim,))
+        rows[..., start::2] = a
+        sums.append(rows.sum(axis=-1))
+    return _form_support(abs2, x.tridiagonal, 2), _interleave(*sums), _interleave(*map(_diagonal, abs2))
 
 
 def _generator_elements(ht: Hermitian):
@@ -167,33 +218,41 @@ def _exact_sum(x: np.ndarray) -> float:
     """math.fsum of a 1-D float array, bit for bit.
 
     From EXACT_SUM_MIN_TERMS terms on, the terms are summed exactly in
-    buckets of their binary exponent (Demmel & Hida, SIAM J. Sci. Comput.
-    25, 1214, 2003): x = M 2^(e - 53) with an integer mantissa |M| < 2^53
-    (e clamped at -1021, so the subnormals share one bucket), split as
-    M / 2^26 = whole + frac into its high part and its 26 low bits
-    (frac a multiple of 2^-26). Fewer than 2^26 terms per bucket keep
-    every partial sum of either part an exactly representable multiple,
-    so each bucket total times 2^(e - 27) is exact, and one fsum of the
-    bucket totals is the correctly rounded sum of x, as fsum's own.
-    A short row, a non-finite term, or an exponent at which a bucket
-    could overflow leaves the row to math.fsum, and so does a row whose
-    terms are all zeros, whose sign fsum decides.
+    buckets of their biased binary exponent b (Demmel & Hida, SIAM J. Sci.
+    Comput. 25, 1214, 2003), where x = M 2^(b - 1075) with an integer
+    mantissa |M| < 2^53 (a subnormal, b = 0, counts in units of 2^-1075,
+    so its |M| < 2^53 too). Each term is split by its bits into its high
+    part, with the 26 low mantissa bits cleared, and the exact low
+    remainder. Fewer than 2^26 terms per bucket keep every partial sum of
+    either part an exactly representable multiple of its unit, so the
+    bucket totals are the integers W_b and L_b of
+    sum x = sum_b (W_b 2^26 + L_b) 2^(b - 1075), an integer N times
+    2^-1075. N is merged in integer arithmetic and divided once: CPython's
+    int true division is correctly rounded, as fsum is. A short row, an
+    exponent at which a bucket could overflow (which every inf and NaN
+    has), or a row whose exact sum is zero, whose sign fsum decides, is
+    left to math.fsum.
     """
-    if x.size < EXACT_SUM_MIN_TERMS or x.size >= 2**26 or not np.isfinite(x).all():
+    if x.size < EXACT_SUM_MIN_TERMS or x.size >= 2**26:
         return math.fsum(x.tolist())
-    exponents = np.frexp(x)[1]
-    np.maximum(exponents, _MIN_BUCKET_EXP, out=exponents)
-    low, high = int(exponents.min()), int(exponents.max())
-    if high + x.size.bit_length() > 1023:
+    bits = x.view(np.int64)
+    biased = bits >> 52
+    biased &= 0x7FF
+    top = int(biased.max())
+    if top - 1022 + x.size.bit_length() > 1023:
         return math.fsum(x.tolist())
-    frac, whole = np.modf(np.ldexp(x, 27 - exponents))
-    exponents -= low
-    scale = np.arange(low - 27, high - 26)
-    buckets = np.concatenate(
-        (np.ldexp(np.bincount(exponents, weights=whole), scale), np.ldexp(np.bincount(exponents, weights=frac), scale))
-    )
-    buckets = buckets[buckets != 0.0]
-    return math.fsum((buckets if buckets.size else x).tolist())
+    high = (bits & ~_LOW_BITS).view(np.float64)
+    units = np.arange(top + 1) - 1075
+    whole = np.ldexp(np.bincount(biased, weights=high), -26 - units).astype(np.int64)
+    low = np.ldexp(np.bincount(biased, weights=x - high), -units).astype(np.int64)
+    # N = sum_k c_k 2^k with c_k = W_(k-26) + L_k, |c_k| < 2^54; _FOLD
+    # consecutive c_k fold exactly into one int64 before Python ints take over
+    totals = np.zeros(top + 27 + (-(top + 27) % _FOLD), dtype=np.int64)
+    totals[26 : top + 27] = whole
+    totals[: top + 1] += low
+    folded = (totals.reshape(-1, _FOLD) @ _FOLD_WEIGHTS).tolist()
+    n = sum(map(int.__lshift__, folded, range(0, _FOLD * len(folded), _FOLD)))
+    return n / (1 << 1075) if n else math.fsum(x.tolist())
 
 
 def _fsum_rows(terms: np.ndarray) -> list[float]:
@@ -364,12 +423,12 @@ class SpectralPlan:
     """Everything the routes and bounds need that does not depend on beta.
 
     Built once per (probe Hamiltonian, generator) from h and C = i[H, h]
-    in the probe eigenbasis: the nonzero off-diagonal |h_ij|^2 and
-    |C_ij|^2 with their indices (h_pairs, c_pairs), the probe level
-    differences at the entries of c_pairs (c_delta), Var_i[h], C_ii,
-    |C_ii|^2 and ||C||. Each temperature is then a handful of weighted
-    sums over that support; the exact zeros left out would add nothing
-    to a correctly rounded fsum. generator is the record the plan was
+    in the probe eigenbasis: the off-diagonal |h_ij|^2 and |C_ij|^2 over
+    their support (_squares) with their indices (h_pairs, c_pairs), the
+    probe level differences at the entries of c_pairs (c_delta), Var_i[h],
+    C_ii, |C_ii|^2 and ||C||. Each temperature is then a handful of
+    weighted sums over that support; the exact zeros left out, or kept,
+    add nothing to a correctly rounded fsum. generator is the record the plan was
     built from; bound_report reuses a report's plan only for that same
     record and the same probe.
 

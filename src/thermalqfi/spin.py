@@ -14,8 +14,8 @@ from .operators import Hermitian, _blocks, _dense, _diagonal, _symmetrize, _with
 
 # Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
 # the oat and lmg models keep their operators as half-size parity blocks,
-# so one compute point at 2J = 2000 peaks at about 138 MB (oat) and
-# 320 MB (lmg) of ru_maxrss, in one process with one BLAS thread.
+# so one compute point at 2J = 2000 peaks at about 137 MB (oat) and
+# 258 MB (lmg) of ru_maxrss, in one process with one BLAS thread.
 # Anything larger is refused before a single array is allocated.
 MAX_TWICE_J = 2000
 

@@ -44,19 +44,33 @@ def record_solver_calls(monkeypatch, *names, key=lambda a: (a.shape[-1], np.isco
     return calls
 
 
+def full_array_kernel(delta, t):
+    """(exp(i d t) - 1)/(i d) on every entry of an array of level
+    differences d, at one time t or a (T, 1, 1) array of times, formed out
+    of place from the definition: the series t (1 + i d t / 2) where
+    |d t| < KERNEL_SERIES_CUTOFF. The reference for the one-triangle
+    kernel."""
+    from thermalqfi.encoding import KERNEL_SERIES_CUTOFF
+
+    x = delta * t
+    small = np.abs(x) < KERNEL_SERIES_CUTOFF
+    kernel = (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, delta))
+    kernel[small] = np.broadcast_to(t, x.shape)[small] * (1.0 + 0.5j * x[small])
+    return kernel
+
+
 def full_kernel_generator(family, t):
     """The spectral-kernel generator of a HamiltonianFamily at one time t,
     formed on the full n x n arrays: V = W^dagger dH/dlambda W times the
-    kernel of every level difference E_m - E_n, rotated back and
-    symmetrized out of place. Where H(lambda) splits by parity and
-    dH/dlambda conserves it, V is an exact zero across the blocks, so this
-    has the bits of the block-by-block kernel."""
-    from thermalqfi.encoding import _phase_kernel
+    kernel of every level difference E_m - E_n (full_array_kernel),
+    rotated back and symmetrized out of place. Where H(lambda) splits by
+    parity and dH/dlambda conserves it, V is an exact zero across the
+    blocks, so this has the bits of the block-by-block kernel."""
     from thermalqfi.operators import eigendecompose
 
     dec = eigendecompose(family.hamiltonian(family.lam))
     e = dec.eigenvalues
-    x = dec.from_eigenbasis(dec.to_eigenbasis(family.dh_dlambda).matrix * _phase_kernel(e[:, None] - e[None, :], t))
+    x = dec.from_eigenbasis(dec.to_eigenbasis(family.dh_dlambda).matrix * full_array_kernel(e[:, None] - e[None, :], t))
     return 0.5 * (x + x.conj().T)
 
 

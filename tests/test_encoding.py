@@ -21,7 +21,7 @@ from thermalqfi.qfi import qfi_general
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
 
-from conftest import full_kernel_generator, hermitian_pairs, per_time_generator
+from conftest import full_array_kernel, full_kernel_generator, hermitian_pairs, per_time_generator
 
 
 class TestExplicit:
@@ -104,6 +104,42 @@ class TestBlockKernel:
         assert not isinstance(spectrum.v_eig, tuple)
         h = transformed_generator(family).h
         assert h[0::2, 1::2].any()  # J_x couples the two parities
+
+
+class TestPhaseKernel:
+    """The one-triangle kernel has the bits of the formula on every entry,
+    signed zeros included."""
+
+    @staticmethod
+    def _assert_same_bits(delta, t):
+        got, expected = encoding._phase_kernel(delta, t), full_array_kernel(delta, t)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-12, 0.3, 2.7, 6.1])  # 1e-12: the series branch
+    @pytest.mark.parametrize("lam", [1.0, -0.7])
+    def test_lmg_parity_blocks_at_400(self, lam, t):
+        family = HamiltonianFamily(lambda x: lmg_hamiltonian(400, x), spin_operators(400)[2], lam, 1.0)
+        deltas = encoding.encoding_spectrum(family).delta
+        assert [d.shape for d in deltas] == [(201, 201), (200, 200)]
+        for delta in deltas:
+            self._assert_same_bits(delta, t)
+
+    def test_the_fig3a_stack_of_times(self):
+        from thermalqfi.models import model_encoding
+
+        _, scheme = model_encoding("lmg", 10, 1.0, lam=1.0)
+        delta = encoding.encoding_spectrum(scheme).delta
+        assert delta.shape == (11, 11)
+        self._assert_same_bits(delta, np.array([0.0, 1e-12, 0.3, 2.7, 6.1])[:, None, None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12])
+    def test_every_small_size_and_degenerate_levels(self, n):
+        # odd and even n fold differently; equal levels give exact zeros off the diagonal
+        levels = np.sort(np.random.default_rng(n).normal(size=n)).round(1) * 7.0
+        delta = levels[:, None] - levels[None, :]
+        for t in (0.0, 1e-12, 0.3, 2.7, np.array([0.0, 1e-12, 6.1])[:, None, None]):
+            self._assert_same_bits(delta, t)
 
 
 def _schemes():

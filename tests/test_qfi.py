@@ -514,14 +514,50 @@ SUPPORT_MODELS = [
 ]
 
 
+SUPPORT_IDS = ["x", "y", "z", "oat", "lmg", "lmg-neg"]
+# every model up to 40, where the support is scanned; above 81 the parity
+# blocks, whose support is read from the form
+SUPPORT_POINTS = [(model, twice_j) for model in zip(SUPPORT_MODELS, SUPPORT_IDS) for twice_j in (1, 3, 10, 40)] + [
+    (model, twice_j) for model in zip(SUPPORT_MODELS[3:], SUPPORT_IDS[3:]) for twice_j in (100, 101, 200, 400)
+]
+
+
 class TestSupportSums:
-    @pytest.mark.parametrize("twice_j", [1, 3, 10, 40])
-    @pytest.mark.parametrize("model, axis, lam", SUPPORT_MODELS, ids=["x", "y", "z", "oat", "lmg", "lmg-neg"])
+    @pytest.mark.parametrize(
+        "model, axis, lam, twice_j",
+        [(*model, twice_j) for (model, _), twice_j in SUPPORT_POINTS],
+        ids=[f"{name}-{twice_j}" for (_, name), twice_j in SUPPORT_POINTS],
+    )
     def test_model_points_bit_identical_to_dense_sums(self, model, axis, lam, twice_j):
         for beta in (1e-6, 1e-3, 0.3, 2.5, 40.0):
             for t in (0.0, 0.7, 3.14):
                 scenario = build_scenario(model, twice_j, beta, t, axis=axis, lam=lam)
                 _assert_support_sums_are_dense_sums(scenario.probe, scenario.scheme, scenario.h)
+
+    @pytest.mark.parametrize(
+        "form, zero_share", [("blocks", 0.3), ("tridiagonal", 0.3), ("blocks", 1.0)], ids=["blocks", "band", "no-pairs"]
+    )
+    def test_exact_zeros_inside_a_form_are_summed_as_the_dense_sums(self, form, zero_share):
+        # the form-read support holds every entry a block or band can hold,
+        # exact zeros too: zero terms leave each sum's bits alone, and a row
+        # of zero terms only sums to +0, as the dense row does
+        from thermalqfi.operators import _blocks, _dense
+
+        twice_j = 89  # n = 90, above DENSE_MAX_DIM
+        rng = np.random.default_rng(5)
+        m = random_hermitian(rng, twice_j + 1)
+        index = np.arange(twice_j + 1)
+        outside = (index[:, None] - index[None, :]) % 2 == 1 if form == "blocks" else abs(index[:, None] - index[None, :]) > 1
+        zeros = rng.random(m.shape) < zero_share
+        m[outside | zeros | zeros.T] = 0.0
+        np.fill_diagonal(m, rng.normal(size=twice_j + 1))
+        record = _blocks(m[0::2, 0::2], m[1::2, 1::2]) if form == "blocks" else _dense(m, "tridiagonal")
+        probe = gibbs_state(spin_operators(twice_j)[2], 0.9)
+        scheme = ExplicitGenerator(record, 1.3)
+        h = transformed_generator(scheme)
+        values = qfi_report(probe, h).plan.h_pairs.values
+        assert h.operator.form == form and (values == 0.0).any() and values.any() == (zero_share < 1.0)
+        _assert_support_sums_are_dense_sums(probe, scheme, h)
 
     def test_random_scenarios_bit_identical_to_dense_sums(self):
         rng = np.random.default_rng(20240611)
@@ -674,6 +710,27 @@ class TestExactSum:
         x = rng.normal(size=length) * 10.0 ** rng.uniform(-300, 300, size=length)
         x[::7] = 5e-324 * rng.integers(-9, 9, size=x[::7].size)  # subnormals
         assert _exact_sum(x) == math.fsum(x.tolist())
+
+    def test_a_row_spanning_a_thousand_binary_orders(self):
+        # the shape of an lmg row at 2J = 400 and beta about 4: 80,000
+        # positive terms whose exponents fill about 1,000 buckets
+        from thermalqfi.qfi import _exact_sum
+
+        rng = np.random.default_rng(400)
+        x = np.ldexp(rng.uniform(0.5, 1.0, size=80_000), rng.integers(-1000, 1, size=80_000))
+        assert np.unique(np.frexp(x)[1]).size > 990
+        assert repr(_exact_sum(x)) == repr(math.fsum(x.tolist()))
+
+    def test_a_row_whose_exact_sum_is_subnormal(self):
+        from thermalqfi.qfi import _exact_sum
+
+        rng = np.random.default_rng(7)
+        big = np.ldexp(rng.uniform(0.5, 1.0, size=1500), rng.integers(-1060, 900, size=1500))
+        tiny = 5e-324 * rng.integers(1, 2**40, size=8).astype(float)  # subnormal terms, an exactly subnormal total
+        x = rng.permutation(np.concatenate((big, -big, tiny, [-1e-310])))
+        expected = math.fsum(x.tolist())
+        assert 0.0 < abs(expected) < 2.2250738585072014e-308
+        assert repr(_exact_sum(x)) == repr(expected)
 
     @pytest.mark.parametrize(
         "special",
