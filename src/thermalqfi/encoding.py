@@ -179,7 +179,6 @@ def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
     upper = np.tri(g, dtype=bool).T
     packed = np.empty((n + 1, g))
     packed[:g] = delta[:g, :g]
-    packed[g] = 0.0
     np.copyto(packed[1 : g + 1], delta[h:, h:].T, where=upper.T)
     packed[g + 1 :] = delta[:h, h:]
     kernel = _kernel_entries(packed, t)

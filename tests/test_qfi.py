@@ -726,7 +726,7 @@ class TestExactSum:
         tiny = 5e-324 * rng.integers(1, 2**40, size=8).astype(float)  # subnormal terms, an exactly subnormal total
         x = rng.permutation(np.concatenate((big, -big, tiny, [-1e-310])))
         expected = math.fsum(x.tolist())
-        assert 0.0 < abs(expected) < 2.2250738585072014e-308
+        assert 0.0 < abs(expected) < np.finfo(float).tiny
         assert repr(_exact_sum(x)) == repr(expected)
 
     @pytest.mark.parametrize(
