@@ -168,11 +168,12 @@ def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
 
     The kernel at -d is the conjugate of the kernel at d, with +0 for a
     zero imaginary part, as the formula gives it wherever its products do
-    not underflow. So the upper triangle and the diagonal are evaluated in
-    one (n + 1, g) array (g = n - n // 2): the top-left h x h quarter
-    (h = n // 2) over the transposed bottom-right g x g one, folded into
-    one triangle each, then the top-right h x g quarter; the lower
-    triangle is their conjugates.
+    not underflow. So only the upper triangle and the diagonal are
+    evaluated, in one (n + 1, g) array (h = n // 2, g = n - h): its first
+    g + 1 rows hold the top-left quarter on and above their diagonal and,
+    below it, the bottom-right quarter transposed and shifted down a row;
+    its last h rows hold the top-right h x g quarter. The lower triangle
+    is filled with the conjugates.
     """
     n = delta.shape[-1]
     h, g = n // 2, n - n // 2
