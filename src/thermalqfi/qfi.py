@@ -14,16 +14,15 @@ entries the operator's form can hold, read from the form, or the nonzero
 entries of a scanned dense matrix), every array with a leading axis of m generators, each serving k / m
 consecutive rows (the betas of each time of a chunk of sweep times, one
 row per scenario of a stack, or every row for the one generator of a
-single point). Each sum is one pass over a (rows, support) term array per
-chunk of rows, and one math.fsum per row; a chunk's terms hold no more
-entries than the plan's generators and the probabilities together. fsum
-is correctly rounded, so a row's result depends only on its own terms,
-not on k, on the chunks or on the order of the terms. A row of
-EXACT_SUM_MIN_TERMS terms or more is summed exactly in buckets of the
-terms' binary exponents instead (_exact_sum), merged in integer
-arithmetic and rounded once, which returns fsum's bits in a few array
-passes. The public route functions, qfi_report and the bound
-chain are its k = 1 case.
+single point). Each sum is one (rows, support) term array per chunk of
+rows, and every row's sum has the bits of math.fsum of that row's terms
+(_fsum_rows): a long row is summed exactly in buckets of its terms'
+binary exponents (_exact_sum), a large array of short rows together in
+long double under a certified error bound (_long_sums), and the rest by
+one fsum per row. fsum is correctly rounded, so a row's result depends
+only on its own terms, not on k, on the chunks, on the order of the
+terms or on exact zeros among them. The public route functions,
+qfi_report and the bound chain are its k = 1 case.
 """
 
 from __future__ import annotations
@@ -61,6 +60,18 @@ _LOW_BITS = (1 << 26) - 1
 # bucket integers per int64 in _exact_sum's merge: 2^54 (2^9 - 1) < 2^63
 _FOLD = 9
 _FOLD_WEIGHTS = 1 << np.arange(_FOLD, dtype=np.int64)
+# Shorter rows are summed together in long double (_long_sums) when their
+# array holds at least this many terms: the pass costs about 35 us fixed,
+# and overtakes one fsum per row between 1,100 and 2,100 entries for rows
+# of 11 to 110 terms.
+LONG_SUM_MIN_ENTRIES = 2048
+_LONG = np.finfo(np.longdouble)
+# long double must carry more bits and a wider exponent range than double
+# (x87 extended, IEEE quad; not where it is double, nor double-double)
+LONG_SUMS = _LONG.nmant > np.finfo(float).nmant and _LONG.maxexp > np.finfo(float).maxexp
+# route_sums sums at least this many terms per chunk, so that small
+# inputs still give _long_sums arrays worth summing together
+CHUNK_FLOOR_ENTRIES = 2**13
 
 
 def tanhc(x):
@@ -255,44 +266,75 @@ def _exact_sum(x: np.ndarray) -> float:
     return n / (1 << 1075) if n else math.fsum(x.tolist())
 
 
-def _fsum_rows(terms: np.ndarray) -> list[float]:
-    """One math.fsum per row of a (k, m) term array; long rows go through
-    _exact_sum, with the same bits."""
-    if terms.shape[1] < EXACT_SUM_MIN_TERMS:
-        return [math.fsum(row.tolist()) for row in terms]
-    return [_exact_sum(row) for row in terms]
+def _long_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a (k, m) term array summed in long double and rounded
+    to double, and whether that double is certified to be fsum's.
+
+    In any order of its m - 1 additions, a row's long-double sum s is off
+    from the exact sum S by at most gamma_(m-1) sum|x|, with
+    gamma_j = j u / (1 - j u) and u half of long double's eps (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
+    err = (m + 1) u sum|x|, with sum|x| summed in double (off by at most
+    a factor 1 + 2^-42 for m < 1024), covers that bound and the rounding
+    of err and of the gaps below. d = double(s) is certified where
+    [s - err, s + err] lies strictly between the midpoints from d to its
+    two neighbours, which long double holds exactly: S then rounds to d,
+    fsum's correctly rounded result. A zero d, whose sign fsum decides,
+    and a row with sum|x| of 2^1023 or more (every non-finite row, and
+    every row whose fsum could overflow on the way) are never certified.
+    """
+    with np.errstate(all="ignore"):  # non-finite rows are left to fsum
+        s = terms.sum(axis=1, dtype=np.longdouble)
+        total = np.abs(terms).sum(axis=1)
+        d = s.astype(float)
+        below, above = (np.nextafter(d, to).astype(np.longdouble) for to in (-np.inf, np.inf))
+        err = total * ((terms.shape[1] + 1) * _LONG.eps / 2)
+        certified = (total < 2.0**1023) & (d != 0.0)
+        certified &= s - (d + below) / 2 > err
+        certified &= (d + above) / 2 - s > err
+    return d, certified
+
+
+def _fsum_rows(terms: np.ndarray, kept: np.ndarray | None = None) -> list[float]:
+    """math.fsum of each row of a (k, m) term array, bit for bit, by one of
+    three paths chosen by the array's shape.
+
+    A row of EXACT_SUM_MIN_TERMS terms or more goes through _exact_sum,
+    cut first to its kept terms where a mask kept marks the only terms
+    that can be nonzero. Shorter rows of an array of at least
+    LONG_SUM_MIN_ENTRIES terms are summed together by _long_sums, where
+    LONG_SUMS holds, and a row it does not certify goes through fsum on
+    its own. Every other row is one math.fsum.
+    """
+    k, m = terms.shape
+    if m >= EXACT_SUM_MIN_TERMS:
+        return [_exact_sum(row) for row in (terms if kept is None else map(np.compress, kept, terms))]
+    if not LONG_SUMS or k * m < LONG_SUM_MIN_ENTRIES:
+        return [math.fsum(row) for row in terms.tolist()]
+    sums, certified = _long_sums(terms)
+    sums = sums.tolist()
+    for r in np.flatnonzero(~certified).tolist():
+        sums[r] = math.fsum(terms[r].tolist())
+    return sums
 
 
 def _generator_sums(p, var_i, h: Support):
     """The convexity sum sum_i 4 p_i Var[h]_i and the general and SLD
     routes for each row of p (k, n).
 
-    A pair whose weight p_i + p_j falls below SUPPORT_TOL is dropped from
-    its row before anything is divided by that weight, and its terms stay
-    out of the row's fsum.
+    A pair whose weight p_i + p_j falls below SUPPORT_TOL is dropped
+    before anything is divided by that weight: its terms are exact zeros,
+    which add nothing to a row's sum.
     """
     convexity = _fsum_rows(4.0 * p * var_i)
     pi, pj = p.take(h.rows, axis=1), p.take(h.cols, axis=1)
     pair_sum = pi + pj
-    mask = pair_sum >= SUPPORT_TOL
-    kept = mask.sum(axis=1).tolist()
-    pair_sum = np.where(mask, pair_sum, 1.0)  # a dropped pair is never divided by its weight
-    general_terms = (8.0 * (pi * pj) / pair_sum * h.values)[mask]
-    sld_terms = (2.0 * (pi - pj) ** 2 / pair_sum * h.values)[mask]
-    exact = h.rows.size >= EXACT_SUM_MIN_TERMS  # a row's terms may be long enough for _exact_sum
-    f_general, f_sld = [], []
-    start = 0
-    for first, count in zip(convexity, kept):
-        stop = start + count
-        general, sld = general_terms[start:stop], sld_terms[start:stop]
-        if exact:
-            general, sld = _exact_sum(general), _exact_sum(sld)
-        else:
-            general, sld = math.fsum(general.tolist()), math.fsum(sld.tolist())
-        f_general.append(_clamped(first - general, "general-route QFI"))
-        f_sld.append(_clamped(sld, "SLD-route QFI"))
-        start = stop
-    return convexity, f_general, f_sld
+    kept = pair_sum >= SUPPORT_TOL
+    pair_sum = np.where(kept, pair_sum, 1.0)  # a dropped pair is never divided by its weight
+    general = _fsum_rows(np.where(kept, 8.0 * (pi * pj) / pair_sum * h.values, 0.0), kept)
+    sld = _fsum_rows(np.where(kept, 2.0 * (pi - pj) ** 2 / pair_sum * h.values, 0.0), kept)
+    f_general = [_clamped(first - second, "general-route QFI") for first, second in zip(convexity, general)]
+    return convexity, f_general, [_clamped(value, "SLD-route QFI") for value in sld]
 
 
 def _commutator_sums(p, betas, cdiag, cdiag_abs2, c: Support, delta):
@@ -350,18 +392,20 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     every row for a single generator). Row r has the bits of the k = 1
     call on row r against its own generator.
 
-    The rows are summed in chunks small enough that no (rows, support)
-    term array holds more entries than the arrays handed in, the plan's
-    generators and p, together: a temporary grows with the generators
-    and the k x n probabilities the caller holds, never with
-    k x support, which for a nearly dense generator is n/2 times larger.
-    The chunks split the rows as evenly as that allows, ceil(k / m) rows
-    each for the fewest chunks m, so none is a short remainder.
-    A stack's (k, n, n) generators have more entries than k rows of its
-    support, so a stack of scenarios is one chunk.
+    The rows are summed in chunks of about equal size, ceil(k / c) rows
+    each for the fewest chunks c, none holding more terms in a (rows,
+    support) array than the larger of the arrays handed in (the plan's
+    generators and p together) and CHUNK_FLOOR_ENTRIES. A temporary then
+    grows with the inputs, never with k x support, which for a nearly
+    dense generator is n/2 times larger, and the floor, about 130 KB of
+    long-double temporaries, gives _fsum_rows arrays large enough to sum
+    together (fig3b's 100 betas are two chunks, not ten). A stack's
+    (k, n, n) generators have more entries than k rows of its support,
+    so a stack of scenarios is one chunk.
     """
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
-    step = max(1, (math.prod(plan.generator.shape) + p.size) // support)
+    entries = max(math.prod(plan.generator.shape) + p.size, CHUNK_FLOOR_ENTRIES)
+    step = max(1, entries // support)
     step = -(-len(p) // -(-len(p) // step)) if len(p) else step  # equal chunks, none larger than step
     per = len(p) // len(plan.var_i)
     sums = RouteSums([], [], [], [], [])

@@ -759,6 +759,167 @@ class TestExactSum:
         assert repr(bounds) == repr(fsum_bounds)
 
 
+
+def _fsum_outcome(f):
+    """What f() returns, by repr, or the exception it raises."""
+    try:
+        return repr(f())
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _padded(rows, m):
+    """The given rows (each of at most m terms, padded with zeros) on top of
+    random ones, enough rows for an array of LONG_SUM_MIN_ENTRIES terms."""
+    from thermalqfi.qfi import LONG_SUM_MIN_ENTRIES
+
+    k = max(len(rows) + 1, -(-LONG_SUM_MIN_ENTRIES // m))
+    terms = np.random.default_rng(m).normal(size=(k, m))
+    terms[: len(rows)] = 0.0
+    for r, row in enumerate(rows):
+        terms[r, : len(row)] = row
+    return terms
+
+
+# rows whose fsum lands on, or just off, a midpoint between two doubles,
+# cancels exactly, is made of signed zeros, is subnormal, overflows (at the
+# end or on the way) or holds infinities and NaN
+SPECIAL_ROWS = {
+    "midpoint-to-even": [1.0, 2.0**-53],
+    "above-midpoint": [1.0, 2.0**-53, 2.0**-106],
+    "below-midpoint": [1.0, 2.0**-53, -(2.0**-106)],
+    "odd-midpoint": [1.0 + 2.0**-52, 2.0**-53],
+    "one-ulp-from-midpoint": [1.0, 2.0**-53 - 2.0**-105],
+    "cancels": [0.1, 0.7, -0.1, -0.7],
+    "cancels-far-apart": [1e300, 1e-300, -1e300, -1e-300],
+    "all-zero": [0.0, 0.0],
+    "negative-zeros": [-0.0, -0.0],
+    "mixed-zeros": [-0.0, 0.0, -0.0],
+    "subnormal": [5e-324, 5e-324, -1e-323, 1.5e-323],
+    "overflow": [1e308, 1e308],
+    "intermediate-overflow": [1e308, 1e308, -1e308],
+    "largest-double": [np.finfo(float).max, 1e291],
+    "inf": [math.inf, 1.0],
+    "-inf": [-math.inf, 1.0],
+    "nan": [math.nan, 1.0],
+    "inf-inf": [math.inf, -math.inf],
+}
+
+
+class TestLongSums:
+    """qfi._fsum_rows equals one math.fsum per row bit for bit on every
+    path, and _long_sums certifies no row whose double is not fsum's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 80),
+        m=st.one_of(st.integers(1, 40), st.integers(100, 130), st.integers(1000, 1023)),
+        low=st.integers(-1074, 1010),
+        spread=st.integers(0, 2100),
+        signs=st.sampled_from(["positive", "mixed", "cancel"]),
+    )
+    def test_equals_fsum(self, seed, k, m, low, spread, signs):
+        from thermalqfi.qfi import _fsum_rows, _long_sums
+
+        rng = np.random.default_rng(seed)
+        high = min(low + spread, 1023)  # up to near overflow, where a row's fsum may raise
+        terms = np.ldexp(rng.uniform(0.5, 1.0, size=(k, m)), rng.integers(low, high + 1, size=(k, m)))
+        if signs != "positive":
+            terms *= rng.choice([-1.0, 1.0], size=(k, m))
+        if signs == "cancel":  # every term meets its negation in the other half of its row
+            terms[:, m // 2 : 2 * (m // 2)] = -terms[:, : m // 2][:, ::-1]
+        expected = _fsum_outcome(lambda: [math.fsum(row.tolist()) for row in terms])
+        assert _fsum_outcome(lambda: _fsum_rows(terms)) == expected
+        d, certified = _long_sums(terms)
+        for r in np.flatnonzero(certified):
+            assert repr(d[r].item()) == repr(math.fsum(terms[r].tolist()))
+
+    @pytest.mark.parametrize("m", [4, 121])
+    @pytest.mark.parametrize("name", list(SPECIAL_ROWS))
+    def test_special_rows_behave_as_fsum(self, name, m):
+        from thermalqfi.qfi import _fsum_rows
+
+        row = SPECIAL_ROWS[name]
+        terms = _padded([row, row[::-1]], m)
+        expected = _fsum_outcome(lambda: [math.fsum(r.tolist()) for r in terms])
+        assert _fsum_outcome(lambda: _fsum_rows(terms)) == expected
+
+    def test_both_sides_of_the_crossover(self, monkeypatch):
+        import thermalqfi.qfi as qfi
+
+        calls = []
+        long_sums = qfi._long_sums
+        monkeypatch.setattr(qfi, "_long_sums", lambda terms: calls.append(terms.shape) or long_sums(terms))
+        rng = np.random.default_rng(5)
+        entries = qfi.LONG_SUM_MIN_ENTRIES
+        # fsum per row, fsum per row, together, _exact_sum, fsum per row, together
+        shapes = [(1, 1000), (2, entries // 2 - 1), (3, entries // 3 + 1), (2, 1024), (entries // 11, 11), (entries // 11 + 1, 11)]
+        for shape in shapes:
+            terms = rng.normal(size=shape) * 10.0 ** rng.uniform(-20, 20, size=shape)
+            assert repr(qfi._fsum_rows(terms)) == repr([math.fsum(row.tolist()) for row in terms])
+        assert calls == ([shapes[2], shapes[5]] if qfi.LONG_SUMS else [])
+
+
+# SHA-256 of render_csv(run_sweep(config)) of each figure config, as the
+# benchmark records them (one BLAS thread, x86-64)
+FIGURE_CSV_DIGESTS = {
+    "fig2a": "da7bcd11b8507bf4d2d36bf82c203bb01eee54ff41feaff4f502730a02d4ba13",
+    "fig2b": "a893be15a7d22841d0667a9b10f7bd66d6aad68ef38bd3d4d78d27afbce12748",
+    "fig3a": "9299ce4314c250e22c12d992cd54c7bd63117bfe6c7b3b13816c4710ed158c9f",
+    "fig3b": "9617fd65dfa8a77da88d655387c61c0ec80e7dfe65113db5da2fcaa21b6ea2a6",
+}
+
+
+def _figure_sweep(name):
+    from thermalqfi.sweep import SweepConfig, figure_configs, run_sweep
+
+    raw = figure_configs()[name]
+    return run_sweep(SweepConfig.from_dict({k: v for k, v in raw.items() if k not in ("metadata", "output_path")}))
+
+
+class TestLongSumPaths:
+    def test_fig3b_support_sums_are_summed_together_in_two_chunks(self, monkeypatch):
+        import thermalqfi.qfi as qfi
+
+        if not qfi.LONG_SUMS:
+            pytest.skip("long double has no more precision than double here")
+        calls = []
+        long_sums = qfi._long_sums
+        monkeypatch.setattr(qfi, "_long_sums", lambda terms: calls.append(terms.shape) or long_sums(terms))
+        rows = _figure_sweep("fig3b")
+        # the general, SLD, second-moment and weighted sums, every row, in at most two chunks each
+        assert sum(k for k, _ in calls) == 4 * len(rows) == 400
+        assert len(calls) <= 4 * 2
+
+    @pytest.mark.parametrize("fallback", ["guard-off", "no-certificate"])
+    def test_figures_and_criterion_4_do_not_depend_on_the_path(self, fallback, monkeypatch):
+        import hashlib
+
+        import thermalqfi.qfi as qfi
+        from thermalqfi import verify
+        from thermalqfi.sweep import render_csv
+
+        seed = verify.DEFAULT_SEED
+        expected = (repr(list(verify._random_reports(seed))), verify.check_bound_chain(seed))
+        uncertified = []
+        if fallback == "guard-off":  # as where long double is double
+            monkeypatch.setattr(qfi, "LONG_SUMS", False)
+        else:  # every row of every batched array goes through fsum on its own
+            long_sums = qfi._long_sums
+
+            def failing(terms):
+                sums, certified = long_sums(terms)
+                uncertified.append(len(terms))
+                return sums, np.zeros_like(certified)
+
+            monkeypatch.setattr(qfi, "_long_sums", failing)
+        for name, digest in FIGURE_CSV_DIGESTS.items():
+            assert hashlib.sha256(render_csv(_figure_sweep(name)).encode()).hexdigest() == digest, name
+        assert (repr(list(verify._random_reports(seed))), verify.check_bound_chain(seed)) == expected
+        assert bool(uncertified) == (fallback == "no-certificate" and qfi.LONG_SUMS)
+
+
 def _point_at(model, twice_j, lam=None):
     from thermalqfi.bounds import bound_report
 
@@ -920,7 +1081,9 @@ class TestEvenChunks:
         generator_sums, route_sums = qfi_module._generator_sums, qfi_module.route_sums
         monkeypatch.setattr(qfi_module, "_generator_sums", lambda p, *a: chunks.append(len(p)) or generator_sums(p, *a))
         monkeypatch.setattr(sweep_module, "route_sums", lambda *a: calls.append(a) or route_sums(*a))
-        for name, expected in (("fig2a", [10, 9]), ("fig3b", [10] * 10)):
+        # the chunk floor of 2^13 terms takes fig2a's 19 rows in one chunk and
+        # fig3b's 100 in two (they were [10, 9] and [10] * 10 without it)
+        for name, expected in (("fig2a", [19]), ("fig3b", [50, 50])):
             chunks.clear(), calls.clear()
             run_sweep(SweepConfig.from_dict({k: v for k, v in figure_configs()[name].items() if k != "metadata"}))
             assert chunks == expected, name
