@@ -15,7 +15,8 @@ pairs that judge F by the rounding error F carries (SLD_ROUNDING).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -182,13 +183,14 @@ def gap_bounds(rho0: GibbsState, h) -> GapBounds:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundReport:
     """The QFI next to every bound, with the ordering certificate.
 
     f is the SLD-route QFI, which sums only nonnegative terms and so keeps
     its digits at high temperature, where the general route loses about
-    eps/beta^2; the ordering is judged on it.
+    eps/beta^2; the ordering is judged on it. A plain record, mutable
+    and unhashable: nothing hashes or mutates one.
     """
 
     f: float
@@ -201,6 +203,10 @@ class BoundReport:
     min_gap: float
     noncommutativity: float
     ordering_ok: bool
+
+
+# bound_rows' result: one list per BoundReport field, one entry per row
+BoundColumns = namedtuple("BoundColumns", [f.name for f in fields(BoundReport)])
 
 
 # the certified orderings x <= y as (x, y) rows of a chain: 0 f, 1 variance,
@@ -275,11 +281,10 @@ def _per_row(value, k: int) -> list:
     return np.repeat(value, k // np.size(value)).tolist()
 
 
-def bound_rows(
-    plan: SpectralPlan, sums: RouteSums, betas, times, scales: BoundScales, f=None
-) -> list[BoundReport]:
-    """The BoundReport of each row of sums = route_sums(plan, p, betas),
-    with every ordering certificate judged at once on arrays.
+def bound_rows(plan: SpectralPlan, sums: RouteSums, betas, times, scales: BoundScales, f=None) -> BoundColumns:
+    """The BoundReport fields of each row of sums = route_sums(plan, p,
+    betas), as columns, with every ordering certificate judged at once on
+    arrays. Row r's report is BoundReport(*(column[r] for column in ...)).
 
     times (the evolution times of the product bound), plan.noncommutativity
     and each field of scales hold one value for every row, one per row,
@@ -287,6 +292,7 @@ def bound_rows(
     generator serves (_per_row). The chain is then formed in Python
     floats, row by row, so each row has the bits of a single point. f,
     the QFI the chain is judged on, defaults to the rows' SLD route.
+    Without a product bound its column is None in every row.
     """
     k = len(betas)
     f = sums.f_sld if f is None else f
@@ -302,12 +308,9 @@ def bound_rows(
     gap_semi = [width**2 / gap**2 for width, gap in zip(widths, gaps)]
     chain = [f, v_bound, s_bound, convexity, gap_var, gap_semi]
     ordering_ok = _ordering_ok(chain if p_bound is None else [*chain, p_bound])
-    return [
-        BoundReport(*row)
-        for row in zip(
-            f, v_bound, s_bound, p_bound or [None] * k, convexity, gap_var, gap_semi, gaps, widths, ordering_ok
-        )
-    ]
+    return BoundColumns(
+        f, v_bound, s_bound, p_bound or [None] * k, convexity, gap_var, gap_semi, gaps, widths, ordering_ok
+    )
 
 
 def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None = None) -> BoundReport:
@@ -335,8 +338,8 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     scales = bound_scales(rho0.decomposition, scheme)
     f = None if qfi_result is None else (qfi_result.f_sld,)
     # a NumericUnitary carries no t, and has no product bound to use one
-    (bounds,) = bound_rows(plan, sums, (rho0.beta,), getattr(scheme, "t", None), scales, f=f)
-    return bounds
+    columns = bound_rows(plan, sums, (rho0.beta,), getattr(scheme, "t", None), scales, f=f)
+    return BoundReport(*(column[0] for column in columns))
 
 
 def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundReport]:
@@ -364,4 +367,4 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     weights = boltzmann_weights(evals, betas.tolist())
     scales = BoundScales(h_width, _probe_gap(evals, h_width), _widths(_dense(generators), "generator stack"))
     sums = route_sums(plan, weights.probabilities, weights.betas)
-    return bound_rows(plan, sums, weights.betas, times, scales)
+    return list(map(BoundReport, *bound_rows(plan, sums, weights.betas, times, scales)))

@@ -17,11 +17,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundScales, bound_rows, bound_scales
+from .bounds import BoundColumns, BoundScales, bound_rows, bound_scales
 from .encoding import generator_stack
 from .models import AXES, MODELS, closed_forms_for, model_encoding
 from .operators import DENSE_MAX_DIM, concatenate, eigendecompose
-from .qfi import route_sums, stacked_plan
+from .qfi import RouteSums, route_sums, stacked_plan
 from .spin import check_twice_j
 from .thermal import beta_from_polarization, boltzmann_weights, polarization
 
@@ -42,11 +42,12 @@ def _column(cell, gate: str | None = None, name: str | None = None):
     return field(metadata={"cell": cell, "gate": gate, "column": name})
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepRow:
     """One sweep point and the only spelling of the row schema: the field
     order is the CSV column and JSON key order, and each field's metadata
-    names its column, its cell formatter and the output key gating it."""
+    names its column, its cell formatter and the output key gating it.
+    A plain record, mutable and unhashable: nothing hashes or mutates one."""
 
     model: str = _column(str)
     j: float = _column(_float_cell, name="J")
@@ -69,11 +70,13 @@ class SweepRow:
 
 
 CSV_COLUMNS = tuple(f.metadata["column"] or f.name for f in fields(SweepRow))
+_NAMES = tuple(f.name for f in fields(SweepRow))
 _CELLS = tuple(f.metadata["cell"] for f in fields(SweepRow))
 _GATES = tuple(f.metadata["gate"] for f in fields(SweepRow))
-_field_values = attrgetter(*(f.name for f in fields(SweepRow)))
-# the six bound columns, read off a BoundReport by the names they share with it
-_bound_values = attrgetter(*(f.name for f in fields(SweepRow) if f.name.endswith("_bound")))
+_field_values = attrgetter(*_NAMES)
+# the columns a sweep fills chunk by chunk: the swept grids, and the routes,
+# bounds and certificate read off route_sums and bound_rows by the names they share
+_FILLED = tuple(name for name in _NAMES if name in {"beta", "p", "t", *RouteSums._fields, *BoundColumns._fields})
 # the valid `outputs` keys, in the order of the first column each one gates
 OUTPUT_KEYS = tuple(dict.fromkeys(gate for gate in _GATES if gate))
 
@@ -197,20 +200,6 @@ def load_config(path) -> SweepConfig:
     return SweepConfig.from_dict(raw)
 
 
-def _row(config: SweepConfig, off, closed_forms, t: float, beta: float, p: float, routes, bounds) -> SweepRow:
-    """The row at (t, beta), P = polarization(beta): its fields in SweepRow
-    order, None at the positions off, the fields gated by an output key
-    that config.outputs does not name."""
-    closed = (None, None) if closed_forms is None else [f(config.twice_j, beta, t) for f in closed_forms]
-    values = [
-        config.model, config.twice_j / 2.0, beta, p, t, config.lam, *routes, *_bound_values(bounds), *closed,
-        bounds.ordering_ok,
-    ]
-    for i in off:
-        values[i] = None
-    return SweepRow(*values)
-
-
 # the fields every config of one run_sweeps call must share: its spin and grids
 _SHARED_FIELDS = ("twice_j", "beta_grid", "p_grid", "t_grid")
 
@@ -240,7 +229,10 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     whichever configs they come from. Each chunk is one generator stack
     record (scanned by nothing), one stacked_plan, and
     one route_sums and one bound_rows call over its pairs x betas rows,
-    with each time and scale given per generator.
+    with each time and scale given per generator. Their columns extend one
+    list per SweepRow field a config emits; the closed forms map over its
+    (beta, t) columns, a constant, gated-off or missing column repeats one
+    value, and one SweepRow is built per row at the end.
     """
     configs = list(configs)
     if not configs:
@@ -268,11 +260,15 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     polarizations = [polarization(beta) for beta in betas]
     pairs = [(index, t) for index, config in enumerate(configs) for t in config.t_grid]
     step = max(1, DENSE_MAX_DIM**2 // decomposition.source_dim**2)
-    rows = [[] for _ in configs]
+    # per config, one list per filled column it emits; a gated-off column is never filled
+    filled = [
+        {name: [] for name, gate in zip(_NAMES, _GATES) if name in _FILLED and (gate is None or gate in config.outputs)}
+        for config in configs
+    ]
     for start in range(0, len(pairs), step):
         chunk = pairs[start:start + step]
         runs = [(index, [t for _, t in run]) for index, run in itertools.groupby(chunk, itemgetter(0))]
-        stacks = [encodings[index].generators(times) for index, times in runs]
+        stacks = [encodings[index].generators(run_times) for index, run_times in runs]
         plan = stacked_plan(decomposition, concatenate(stacks))
         # generator g is pair g of the chunk; row r is its pair r // len(betas) at beta r % len(betas)
         times = [t for _, t in chunk]
@@ -281,13 +277,25 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
         # ||H|| and the gap are the shared probe's; ||dH/dlambda|| is each generator's config's
         scales = BoundScales(*encodings[0].scales[:2], [encodings[index].scales.dh_width for index, _ in chunk])
         bounds = bound_rows(plan, sums, row_betas, times, scales)
-        routes = zip(sums.f_general, sums.f_thermal, sums.f_sld)
-        chunk_rows = zip([t for t in times for _ in betas], row_betas, polarizations * len(chunk), routes, bounds)
+        chunk_columns = {
+            **sums._asdict(), **bounds._asdict(),
+            "beta": row_betas, "p": polarizations * len(chunk), "t": [t for t in times for _ in betas],
+        }
+        stop = 0
         for index, run_times in runs:
-            config, _, _, closed_forms = encodings[index]
-            off = [i for i, gate in enumerate(_GATES) if gate and gate not in config.outputs]
-            run_rows = itertools.islice(chunk_rows, len(run_times) * len(betas))
-            rows[index].extend(_row(config, off, closed_forms, *row) for row in run_rows)
+            start_row, stop = stop, stop + len(run_times) * len(betas)
+            for name, column in filled[index].items():
+                column.extend(chunk_columns[name][start_row:stop])
+    rows = []
+    for (config, _, _, closed_forms), columns in zip(encodings, filled):
+        if closed_forms is not None:
+            beta_t = columns["beta"], columns["t"]
+            columns["closed_qfi"], columns["closed_variance"] = (
+                list(map(form, itertools.repeat(config.twice_j), *beta_t)) for form in closed_forms
+            )
+        constants = {"model": config.model, "j": config.twice_j / 2.0, "lam": config.lam}
+        values = (columns.get(name) or itertools.repeat(constants.get(name)) for name in _NAMES)
+        rows.append(list(map(SweepRow, *values)))
     return rows
 
 
@@ -300,9 +308,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
 def render_csv(rows: list[SweepRow]) -> str:
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join([cell(value) for cell, value in zip(_CELLS, _field_values(row))]) for row in rows)
-    return "\n".join(lines) + "\n"
+    # column by column: a float column without None goes straight through _float_cell's format
+    cells = [
+        map("%.17g".__mod__, column) if cell is _float_cell and None not in column else map(cell, column)
+        for cell, column in zip(_CELLS, zip(*map(_field_values, rows)))
+    ]
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
 
 
 def rows_as_dicts(rows: list[SweepRow]) -> list[dict]:

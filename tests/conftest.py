@@ -84,3 +84,10 @@ def per_time_generator(scheme):
     if isinstance(scheme, ExplicitGenerator):
         return lambda t: t * scheme.generator.matrix
     return lambda t: full_kernel_generator(scheme, t)
+
+
+def bound_reports(*args, **kwargs):
+    """bound_rows' columns zipped into one BoundReport per row."""
+    from thermalqfi.bounds import BoundReport, bound_rows
+
+    return list(map(BoundReport, *bound_rows(*args, **kwargs)))

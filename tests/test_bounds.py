@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -289,6 +290,25 @@ class TestBoundReport:
         report = bound_report(probe, scheme)
         assert report.product_bound is None
         assert report.ordering_ok
+
+    def test_a_plain_record(self):
+        # built once per report from bound_rows' columns: a plain, mutable
+        # and unhashable dataclass, whose replace, fields, vars, == and repr work
+        scenario = build_scenario("oat", 4, 1.0, 1.0)
+        report = bound_report(scenario.probe, scenario.scheme, h=scenario.h)
+        names = [
+            "f", "variance_bound", "seminorm_bound", "product_bound", "convexity_bound", "gap_variance_bound",
+            "gap_seminorm_bound", "min_gap", "noncommutativity", "ordering_ok",
+        ]
+        assert [f.name for f in dataclasses.fields(BoundReport)] == names
+        assert list(vars(report)) == names and vars(report) == dataclasses.asdict(report)
+        assert repr(report) == "BoundReport(" + ", ".join(f"{k}={v!r}" for k, v in vars(report).items()) + ")"
+        assert report == bound_report(scenario.probe, scenario.scheme, h=scenario.h)
+        failed = dataclasses.replace(report, ordering_ok=False)
+        assert failed != report and report.ordering_ok is True
+        assert dataclasses.replace(failed, ordering_ok=True) == report
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
 
     def test_f_is_the_sld_route_at_high_temperature(self):
         """At 2J = 200, beta = 1e-6 the general route has lost about eps/beta^2

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import thermalqfi.verify as verify
+from thermalqfi.bounds import BoundReport
 from thermalqfi.cli import main
 from thermalqfi.verify import CheckResult, run_verify
 
@@ -42,6 +44,8 @@ def test_compute_json_keys_in_order(capsys):
         "variance_bound", "seminorm_bound", "product_bound", "convexity_bound", "gap_variance_bound",
         "gap_seminorm_bound", "min_gap", "noncommutativity", "ordering_ok",
     ]
+    # the keys are read off the BoundReport record, leaving out f (it repeats qfi.f_sld)
+    assert list(payload["bounds"]) == [f.name for f in fields(BoundReport) if f.name != "f"]
 
 
 def test_compute_lmg_requires_lambda(capsys):

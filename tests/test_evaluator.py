@@ -9,7 +9,7 @@ import pytest
 
 import thermalqfi.qfi as qfi_module
 from thermalqfi import verify
-from thermalqfi.bounds import bound_report, bound_rows, bound_scales, stacked_bound_reports
+from thermalqfi.bounds import bound_report, bound_scales, stacked_bound_reports
 from thermalqfi.encoding import ExplicitGenerator
 from thermalqfi.models import model_encoding
 from thermalqfi.operators import eigendecompose
@@ -17,7 +17,7 @@ from thermalqfi.qfi import SUPPORT_TOL, probe_sums, qfi_general, qfi_sld, route_
 from thermalqfi.sweep import SweepConfig, run_sweep
 from thermalqfi.thermal import SpectralProbe, boltzmann_weights, gibbs_from_spectrum, gibbs_state
 
-from conftest import per_time_generator, random_hermitian
+from conftest import bound_reports, per_time_generator, random_hermitian
 
 # from the infinite-temperature state through the effectively pure regime
 EXTREME_BETAS = (0.0,) + tuple(10.0**e for e in range(-6, 6))
@@ -41,7 +41,7 @@ def test_beta_rows_equal_the_single_point_calls(model, axis, lam, twice_j):
     for t in EXTREME_TIMES:
         plan = spectral_plan(decomposition, generator(t))
         sums = route_sums(plan, weights.probabilities, weights.betas)
-        rows = bound_rows(plan, sums, weights.betas, t, scales)
+        rows = bound_reports(plan, sums, weights.betas, t, scales)
         pair_sums = weights.probabilities[:, plan.h_pairs.rows] + weights.probabilities[:, plan.h_pairs.cols]
         kept = pair_sums >= SUPPORT_TOL
         partly_dropped |= bool(np.any(kept.any(axis=1) & ~kept.all(axis=1)))
@@ -50,7 +50,7 @@ def test_beta_rows_equal_the_single_point_calls(model, axis, lam, twice_j):
             assert repr(weights.probabilities[r].tolist()) == repr(rho0.probabilities.tolist())
             assert (weights.log_partition[r], weights.effectively_pure[r]) == (rho0.log_partition, rho0.effectively_pure)
             point = probe_sums(plan, rho0)
-            (bounds,) = bound_rows(plan, point, (rho0.beta,), t, scales)
+            (bounds,) = bound_reports(plan, point, (rho0.beta,), t, scales)
             # repr round-trips a double, so equal reprs mean equal bits
             assert repr(tuple(field[r] for field in sums)) == repr(tuple(field[0] for field in point))
             assert repr(rows[r]) == repr(bounds), f"t={t} beta={beta}"
@@ -80,7 +80,7 @@ def test_a_sweep_over_the_extreme_grid_equals_the_single_point_calls(model, axis
         for beta in EXTREME_BETAS:
             rho0 = gibbs_from_spectrum(decomposition, beta)
             sums = probe_sums(plan, rho0)
-            (bounds,) = bound_rows(plan, sums, (rho0.beta,), t, scales)
+            (bounds,) = bound_reports(plan, sums, (rho0.beta,), t, scales)
             expected.append((t, beta, sums.f_general[0], sums.f_thermal[0], sums.f_sld[0], bounds.variance_bound,
                              bounds.seminorm_bound, bounds.product_bound, bounds.convexity_bound,
                              bounds.gap_variance_bound, bounds.gap_seminorm_bound, bounds.ordering_ok))

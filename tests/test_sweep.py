@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -5,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+import thermalqfi.bounds as bounds_module
 import thermalqfi.operators as operators
+import thermalqfi.sweep as sweep_module
 from thermalqfi.bounds import (
     ORDERING_RTOL,
     SLD_ROUNDING,
-    bound_rows,
     bound_scales,
     gap_bounds,
     scheme_product_bound,
@@ -24,6 +26,7 @@ from thermalqfi.sweep import (
     OUTPUT_KEYS,
     ConfigError,
     SweepConfig,
+    SweepRow,
     emit_csv,
     emit_json,
     figure_configs,
@@ -36,7 +39,7 @@ from thermalqfi.sweep import (
 )
 from thermalqfi.thermal import gibbs_from_spectrum
 
-from conftest import per_time_generator
+from conftest import bound_reports, per_time_generator
 
 EXPECTED_HEADER = (
     "model,J,beta,P,t,lambda,f_general,f_thermal,f_sld,variance_bound,seminorm_bound,"
@@ -337,6 +340,111 @@ class TestEmission:
         emit_json(rows, path)
         assert path.read_text(encoding="utf-8") == render_json(rows)
         assert [list(record) for record in json.loads(render_json(rows))] == [list(CSV_COLUMNS)] * 2
+
+
+# the SweepRow attributes in column order, and the columns whose cells are
+# numbers, written out here, independently of the SweepRow metadata
+ROW_NAMES = (
+    "model", "j", "beta", "p", "t", "lam", "f_general", "f_thermal", "f_sld", "variance_bound", "seminorm_bound",
+    "product_bound", "convexity_bound", "gap_variance_bound", "gap_seminorm_bound", "closed_qfi",
+    "closed_variance", "ordering_ok",
+)
+NUMBER_NAMES = ROW_NAMES[1:-1]
+
+
+def _mixed_rows():
+    """Rows of three configs, joined: an lmg sweep (lambda set, no closed
+    forms), an oat sweep (closed forms) and a linear sweep with gap_bounds
+    gated off, so some columns hold None in part of the rows only."""
+    grids = {"beta_grid": [0.5, 2.0], "t_grid": [0.0, 1.0]}
+    raws = [
+        {"model": "lmg", "twice_j": 4, "lambda": -0.7, **grids},
+        {"model": "oat", "twice_j": 4, **grids},
+        {"model": "linear", "twice_j": 4, "axis": "x", **grids,
+         "outputs": [k for k in OUTPUT_KEYS if k != "gap_bounds"]},
+    ]
+    rows = [row for raw in raws for row in run_sweep(SweepConfig.from_dict(raw))]
+    for name in ("lam", "convexity_bound", "closed_qfi", "closed_variance"):
+        assert {getattr(row, name) is None for row in rows} == {True, False}, name
+    return rows
+
+
+class TestColumnarRows:
+    def test_render_csv_of_mixed_rows_equals_a_per_cell_reference(self):
+        rows = _mixed_rows()
+
+        def number(value):
+            return "" if value is None else format(value, ".17g")
+
+        expected = [EXPECTED_HEADER] + [
+            ",".join([row.model, *(number(getattr(row, name)) for name in NUMBER_NAMES),
+                      "true" if row.ordering_ok else "false"])
+            for row in rows
+        ]
+        assert render_csv(rows) == "\n".join(expected) + "\n"
+
+    def test_render_json_of_mixed_rows_equals_a_per_key_reference(self):
+        rows = _mixed_rows()
+        keys = EXPECTED_HEADER.split(",")
+        expected = [dict(zip(keys, (getattr(row, name) for name in ROW_NAMES))) for row in rows]
+        assert render_json(rows) == json.dumps(expected, indent=2) + "\n"
+
+    def test_a_fig3b_sweep_builds_no_bound_report(self, monkeypatch):
+        built = []
+
+        class Spy(bounds_module.BoundReport):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_module, "BoundReport", Spy)
+        rows = run_sweep(SweepConfig.from_dict(figure_configs()["fig3b"]))
+        assert len(rows) == 100 and built == []
+        # the spy sees the reports that are still built: one per bound_report call
+        scenario = build_scenario("lmg", 10, 1.1, 3.14, lam=1.0)
+        bounds_module.bound_report(scenario.probe, scenario.scheme, h=scenario.h)
+        assert len(built) == 1
+
+    def test_run_sweeps_builds_one_sweep_row_per_row(self, monkeypatch):
+        built = []
+
+        class Spy(SweepRow):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "SweepRow", Spy)
+        # two times per chunk at n = 57: three chunks, the middle one shared by both configs
+        grids = {"twice_j": 56, "beta_grid": [0.3, 1.1, 4.0], "t_grid": [0.5, 1.0, 2.0]}
+        configs = [SweepConfig.from_dict({"model": "oat", **grids}),
+                   SweepConfig.from_dict({"model": "lmg", "lambda": 0.6, **grids})]
+        rows = run_sweeps(configs)
+        assert [len(config_rows) for config_rows in rows] == [9, 9]
+        assert len(built) == 18
+        assert all(type(row) is Spy for config_rows in rows for row in config_rows)
+
+    def test_sweep_row_is_a_plain_record(self):
+        # built once per row from the sweep's columns: a plain, mutable and
+        # unhashable dataclass, whose replace, fields, vars, == and repr work
+        rows = run_sweep(SweepConfig.from_dict(qubit_config(beta_grid=[0.5, 2.0], outputs=["qfi_general"])))
+        row = rows[0]
+        fields = dataclasses.fields(SweepRow)
+        assert tuple(f.name for f in fields) == ROW_NAMES
+        assert ",".join(f.metadata["column"] or f.name for f in fields) == EXPECTED_HEADER
+        assert [f.name for f in fields if f.metadata["gate"] == "gap_bounds"] == [
+            "convexity_bound", "gap_variance_bound", "gap_seminorm_bound",
+        ]
+        assert fields[0].metadata["cell"]("oat") == "oat" and fields[-1].metadata["cell"](False) == "false"
+        assert fields[2].metadata["cell"](None) == "" and fields[2].metadata["cell"](0.1) == "0.10000000000000001"
+        assert tuple(vars(row)) == ROW_NAMES and vars(row) == dataclasses.asdict(row)
+        assert repr(row) == "SweepRow(" + ", ".join(f"{k}={v!r}" for k, v in vars(row).items()) + ")"
+        assert rows == run_sweep(SweepConfig.from_dict(qubit_config(beta_grid=[0.5, 2.0], outputs=["qfi_general"])))
+        assert rows[0] != rows[1]
+        failed = dataclasses.replace(row, ordering_ok=False)
+        assert failed != row and row.ordering_ok is True
+        assert dataclasses.replace(failed, ordering_ok=True) == row
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(row)
 
 
 class TestFigureConfigs:
@@ -663,7 +771,7 @@ def _plan_points(model, twice_j, axis, lam, decompose):
         for beta in (1e-6, 0.3, 1.1, 7.5):
             rho0 = gibbs_from_spectrum(decomposition, beta)
             sums = probe_sums(plan, rho0)
-            out.append(repr((sums, bound_rows(plan, sums, (rho0.beta,), t, scales))))
+            out.append(repr((sums, bound_reports(plan, sums, (rho0.beta,), t, scales))))
     return out
 
 
