@@ -31,7 +31,7 @@ from .encoding import (
 )
 from .operators import (
     SpectralDecomposition,
-    _dense,
+    _blocks,
     _widths,
     commutator_i,
     eigendecompose,
@@ -347,24 +347,24 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     stack, given as arrays of H, A, beta and t, each equal by repr to
     bound_report(gibbs_state(H, beta), ExplicitGenerator(A, t)).
 
-    Precondition: every scenario takes the single-point dense branch
+    Precondition: every scenario takes the single-point one-block path
     throughout. H and A are exactly Hermitian and finite, H, t A and
     C = i[H, t A] each have a nonzero off-diagonal entry,
     n <= DENSE_MAX_DIM, and t is finite and positive. Nothing here
-    checks it: each stack is taken as a dense record. A LAPACK error or
+    checks it: each stack is taken as one block. A LAPACK error or
     a missed residual certificate of the stacked eigendecompose raises
     EigensolverError, and boltzmann_weights checks each beta as on the
     single-point path. One stacked eigendecompose and one _widths call
     per seminorm give the bits of per-matrix calls; stacked_plan, one
     route_sums and one bound_rows give the bits of bound_report.
     """
-    scaled = _dense(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
-    h = _dense(hamiltonians)
+    scaled = _blocks(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
+    h = _blocks(hamiltonians)
     decomposition = eigendecompose(h, "Hamiltonian stack")
     evals = decomposition.eigenvalues
     plan = stacked_plan(decomposition, scaled)
     h_width = _widths(h, "Hamiltonian stack")
     weights = boltzmann_weights(evals, betas.tolist())
-    scales = BoundScales(h_width, _probe_gap(evals, h_width), _widths(_dense(generators), "generator stack"))
+    scales = BoundScales(h_width, _probe_gap(evals, h_width), _widths(_blocks(generators), "generator stack"))
     sums = route_sums(plan, weights.probabilities, weights.betas)
     return list(map(BoundReport, *bound_rows(plan, sums, weights.betas, times, scales)))

@@ -22,7 +22,6 @@ from .operators import (
     Hermitian,
     SpectralDecomposition,
     _blocks,
-    _dense,
     _diagonal,
     _require_finite,
     _symmetrize,
@@ -199,11 +198,11 @@ def _phase_kernel(delta: np.ndarray, t) -> np.ndarray:
 class EncodingSpectrum:
     """The time-independent half of the spectral-kernel generator: the
     eigendecomposition of H(lambda), V = W^dagger dH/dlambda W and the
-    level differences E_m - E_n. When H(lambda) is in parity blocks and
-    dH/dlambda conserves parity too (diagonal or block form), V is an
-    exact zero across the blocks, and v_eig and delta are tuples holding
-    one array per block, over that block's levels. diagonal says that
-    H(lambda) and dH/dlambda are both diagonal, so every h is."""
+    level differences E_m - E_n. When H(lambda) is in blocks (one block
+    when it is dense) and dH/dlambda is diagonal or in the same blocks, V
+    is an exact zero between the blocks, and v_eig and delta are tuples
+    holding one array per block, over that block's levels. diagonal says
+    that H(lambda) and dH/dlambda are both diagonal, so every h is."""
 
     decomposition: SpectralDecomposition
     v_eig: np.ndarray | tuple[np.ndarray, ...]
@@ -216,13 +215,13 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
 
     Both basis changes go through the decomposition, so a diagonal
     dH/dlambda (J_z for lmg) scales instead of multiplying, and an
-    H(lambda) in parity blocks changes basis block by block."""
+    H(lambda) in blocks changes basis block by block."""
     dec = eigendecompose(scheme.hamiltonian(scheme.lam), "encoding Hamiltonian")
     v = scheme.dh_dlambda
     if dec.source.shape != v.shape:
         raise ValueError(f"dimension mismatch: H {dec.source.shape}, dH/dlambda {v.shape}")
     diagonal = False
-    if dec.blocks is not None and v.form in ("diagonal", "blocks"):
+    if dec.conserves(v):
         v_eig = tuple(dec.to_block_eigenbases(v))
         levels = [dec.eigenvalues[block.positions] for block in dec.blocks]
         delta = tuple(e[:, None] - e[None, :] for e in levels)
@@ -241,11 +240,11 @@ def encoding_spectrum(scheme: HamiltonianFamily) -> EncodingSpectrum:
 
 def _integral_matrices(spectrum: EncodingSpectrum, t: np.ndarray) -> Hermitian:
     """h_mn = V_mn * k(E_m - E_n, t) in the eigenbasis of H(lambda), rotated
-    back and symmetrized, Hermitian by construction; over the same-parity
-    pairs only, block by block, when V is split by parity (see
-    EncodingSpectrum), and then kept as its two parity blocks. A
-    (T, n, n) stack for T times given as a (T, 1, 1) array, with the
-    bits of one matrix per time."""
+    back and symmetrized, Hermitian by construction; over the pairs
+    within each block only, block by block, when V is split into blocks
+    (see EncodingSpectrum), and then kept in those blocks, else as one
+    block. A (T, n, n) stack for T times given as a (T, 1, 1) array, with
+    the bits of one matrix per time."""
     dec = spectrum.decomposition
     if isinstance(spectrum.v_eig, tuple):
         parts = [v * _phase_kernel(delta, t) for v, delta in zip(spectrum.v_eig, spectrum.delta)]
@@ -256,7 +255,7 @@ def _integral_matrices(spectrum: EncodingSpectrum, t: np.ndarray) -> Hermitian:
         residue = 0.5 * max(np.max(hermiticity_defect(x)) for x in raw)
         if residue > 0.0:
             logger.debug("generator_integral: symmetrized residue %.3e", residue)
-    return _blocks(*map(_symmetrize, raw)) if len(raw) == 2 else _dense(_symmetrize(raw[0]))
+    return _blocks(*map(_symmetrize, raw))
 
 
 def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:

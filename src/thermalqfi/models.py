@@ -25,7 +25,7 @@ from .encoding import (
     transformed_generator,
 )
 from . import operators
-from .operators import Hermitian, _dense, _diagonal, _symmetrize, _with_matrix
+from .operators import Hermitian, _blocks, _diagonal, _symmetrize, _with_matrix
 from .spin import banded_jz_jx_squared, check_twice_j, spin_operator_forms, spin_operators
 from .thermal import GibbsState, gibbs_state
 
@@ -57,7 +57,7 @@ def _jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
         return banded_jz_jx_squared(twice_j)
     jx, _, jz = spin_operators(twice_j)
     jx2 = _symmetrize(jx @ jx)
-    square = _with_matrix(_diagonal(np.diagonal(jx2)), jx2) if twice_j == 1 else _dense(jx2)
+    square = _with_matrix(_diagonal(np.diagonal(jx2)), jx2) if twice_j == 1 else _blocks(jx2)
     return _with_matrix(_diagonal(np.diagonal(jz).real), jz), square
 
 

@@ -1,21 +1,22 @@
 """Hermitian operator algebra with explicit accuracy contracts.
 
 An operator is a Hermitian record that holds a matrix, or a stack of
-them, in the form it was made in: diagonal, two parity blocks, Hermitian
-tridiagonal, or dense. The spin and band builders, the generators, the
-block basis changes and commutator_i make records; a plain array is
-scanned and its form detected once, by as_hermitian, the one gate for
-user arrays. Everything downstream reads the form instead of scanning
-for it, so a parity operator above DENSE_MAX_DIM stays as two half
-blocks end to end. The public functions take an array or a record and
-return records. The tolerances are module constants so the contracts
-stay visible at the call sites that enforce them. All operations are
-pure and thread-safe.
+them, in one of two forms: diagonal, or k interleaved diagonal blocks,
+where k = 1 is the dense matrix and k = 2 the parity sectors. The spin
+and band builders, the generators, the block basis changes and
+commutator_i make records; a plain array is scanned and its form
+detected once, by as_hermitian, the one gate for user arrays. Everything
+downstream reads the form instead of scanning for it, so a parity
+operator above DENSE_MAX_DIM stays as two half blocks end to end. The
+public functions take an array or a record and return records. The
+tolerances are module constants so the contracts stay visible at the
+call sites that enforce them. All operations are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -165,12 +166,16 @@ def _real_tridiagonal(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The (..., n) array whose even-index entries are even and odd-index
-    entries odd."""
-    out = np.empty(even.shape[:-1] + (even.shape[-1] + odd.shape[-1],), dtype=np.result_type(even, odd))
-    out[..., 0::2] = even
-    out[..., 1::2] = odd
+def _interleave(*parts: np.ndarray) -> np.ndarray:
+    """The new (..., n) array whose entries s, s + k, s + 2k, ... are those
+    of part s, for k parts."""
+    if len(parts) == 1:
+        return parts[0].copy()
+    k = len(parts)
+    size = sum(part.shape[-1] for part in parts)
+    out = np.empty(parts[0].shape[:-1] + (size,), dtype=np.result_type(*parts))
+    for start, part in enumerate(parts):
+        out[..., start::k] = part
     return out
 
 
@@ -180,23 +185,19 @@ class Hermitian:
     the form that names how it is stored (dim is the matrix size n):
 
     - "diagonal": parts = (d,), the diagonal, (..., n);
-    - "blocks": parts = (even, odd), the diagonal blocks over the even and
-      the odd indices, every entry between an even and an odd index being
-      an exact zero. In the ascending J_z basis index k carries J + M = k,
-      so these are the two parity sectors that J_z, J_x^2,
-      H(lambda) = J_x^2 + lambda J_z and their commutators conserve. A
-      block is real when its imaginary part is exactly zero, and
-      tridiagonal[b] says whether block b is tridiagonal;
-    - "tridiagonal": parts = (m,), the full matrix, Hermitian tridiagonal
-      (the linear model's J_x, J_y and C above DENSE_MAX_DIM);
-    - "dense": parts = (m,), the full matrix.
+    - "blocks": parts = (b_0, ..., b_(k-1)), the blocks over the indices
+      s, s + k, s + 2k, ... of each s < k, every entry between two blocks
+      an exact zero, and tridiagonal[s] whether block s is Hermitian
+      tridiagonal. One block is the dense matrix. Two are the parity
+      sectors: in the ascending J_z basis index i carries J + M = i, whose
+      parity J_z, J_x^2, H(lambda) = J_x^2 + lambda J_z and their
+      commutators conserve.
 
-    Every form but dense is used only where detection on the dense array
-    would find it: diagonal wherever every off-diagonal entry is an
-    exact zero, blocks and tridiagonal only above DENSE_MAX_DIM. A stack
-    has one form, that of all of it: a stack is diagonal only when every
-    matrix of it is. A single matrix is the one-member stack member(None).
-    The dense array is made only when asked for (matrix).
+    A record is diagonal, split or flagged only where detection on its
+    dense array (operator_form) would find it so, and a stack only where
+    all of it is. A single matrix is the one-member stack member(None).
+    The dense array is made only when asked for (matrix); one block is
+    its own dense array.
     """
 
     form: str
@@ -216,24 +217,22 @@ class Hermitian:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The dense complex array."""
-        if self.form in ("dense", "tridiagonal"):
+        """The dense complex array (one block is stored as it)."""
+        if self.form == "blocks" and len(self.parts) == 1:
             return self.parts[0]
         out = np.zeros(self.shape, dtype=np.complex128)
         if self.form == "diagonal":
-            k = np.arange(self.dim)
-            out[..., k, k] = self.parts[0]
-        else:
-            out[..., 0::2, 0::2], out[..., 1::2, 1::2] = self.parts
+            out.reshape(self.shape[:-2] + (-1,))[..., :: self.dim + 1] = self.parts[0]
+            return out
+        for start, block in enumerate(self.parts):
+            out[..., start :: len(self.parts), start :: len(self.parts)] = block
         return out
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, (..., n)."""
         if self.form == "diagonal":
             return self.parts[0]
-        if self.form == "blocks":
-            return _interleave(*(np.diagonal(b, axis1=-2, axis2=-1) for b in self.parts))
-        return np.diagonal(self.parts[0], axis1=-2, axis2=-1)
+        return _interleave(*(np.diagonal(b, axis1=-2, axis2=-1) for b in self.parts))
 
     def member(self, i: int | None) -> Hermitian:
         """Member i of a stack, or for i = None the one-member stack of a
@@ -250,30 +249,26 @@ class Hermitian:
 
     def __add__(self, other: Hermitian) -> Hermitian:
         """A + D of a single matrix A and a diagonal D, in A's form."""
-        d = other.parts[0]
+        d = other.diagonal()
         if self.form == "diagonal":
             return _diagonal(self.parts[0] + d)
-        if self.form != "blocks":
-            return _dense(self.matrix + other.matrix, self.form)
         parts = []
         for start, block in enumerate(self.parts):
             out = block.astype(np.result_type(block, d))
-            k = np.arange(out.shape[-1])
-            out[k, k] += d[start::2]
+            i = np.arange(out.shape[-1])
+            out[i, i] += d[start :: len(self.parts)]
             parts.append(out)
-        return _blocks(*parts, self.tridiagonal)
+        return _blocks(*parts, tridiagonal=self.tridiagonal)
 
 
 def _diagonal(d: np.ndarray) -> Hermitian:
     return Hermitian("diagonal", (d,), d.shape[-1])
 
 
-def _blocks(even: np.ndarray, odd: np.ndarray, tridiagonal=(False, False)) -> Hermitian:
-    return Hermitian("blocks", (even, odd), even.shape[-1] + odd.shape[-1], tuple(tridiagonal))
-
-
-def _dense(m: np.ndarray, form: str = "dense") -> Hermitian:
-    return Hermitian(form, (m,), m.shape[-1])
+def _blocks(*parts: np.ndarray, tridiagonal=None) -> Hermitian:
+    """The record of k blocks (one: a dense matrix), unflagged by default."""
+    flags = (False,) * len(parts) if tridiagonal is None else tuple(tridiagonal)
+    return Hermitian("blocks", parts, sum(part.shape[-1] for part in parts), flags)
 
 
 def _with_matrix(record: Hermitian, m: np.ndarray) -> Hermitian:
@@ -285,21 +280,20 @@ def _with_matrix(record: Hermitian, m: np.ndarray) -> Hermitian:
 def operator_form(m: np.ndarray) -> Hermitian:
     """The record of a Hermitian complex matrix, in the form detection
     finds on it: diagonal when every off-diagonal entry is an exact zero
-    (of either sign); above DENSE_MAX_DIM, parity blocks when every entry
-    between an even and an odd index is one, else tridiagonal when every
-    nonzero entry lies on the three central bands; else dense. The gate's
-    detection, and the reference for every form a builder or a product
-    names; m is kept as the record's matrix."""
+    (of either sign); above DENSE_MAX_DIM, two parity blocks when every
+    entry between an even and an odd index is one, else one block,
+    flagged tridiagonal when every nonzero entry lies on the three
+    central bands; else one unflagged block. The gate's detection, and
+    the reference for every form a builder or a product names; m is kept
+    as the record's matrix."""
     n = m.shape[0]
     if n == 1 or (m[1, 0] == 0 and m[0, 1] == 0 and not _off_diagonal(m).any()):
         record = _diagonal(np.diagonal(m))
     elif n > DENSE_MAX_DIM and not (m[0::2, 1::2].any() or m[1::2, 0::2].any()):
         halves = [_real_if_exact(m[start::2, start::2]) for start in (0, 1)]
-        record = _blocks(*halves, [_is_tridiagonal(b) for b in halves])
-    elif n > DENSE_MAX_DIM and _is_tridiagonal(m):
-        record = _dense(m, "tridiagonal")
+        record = _blocks(*halves, tridiagonal=[_is_tridiagonal(b) for b in halves])
     else:
-        record = _dense(m)
+        record = _blocks(m, tridiagonal=[n > DENSE_MAX_DIM and _is_tridiagonal(m)])
     return _with_matrix(record, m)
 
 
@@ -314,13 +308,14 @@ def as_hermitian(a, what: str = "matrix") -> Hermitian:
 
 def concatenate(records) -> Hermitian:
     """The stacks of records, one after another, as one stack: in their
-    common form, or else dense."""
+    common layout (form, block count and tridiagonal flags), or else as
+    one unflagged block."""
     records = list(records)
     if len(records) == 1:
         return records[0]
-    if len({r.form for r in records}) == 1 and records[0].tridiagonal == records[-1].tridiagonal:
+    if len({(r.form, len(r.parts), r.tridiagonal) for r in records}) == 1:
         return replace(records[0], parts=tuple(np.concatenate(p) for p in zip(*(r.parts for r in records))))
-    return _dense(np.concatenate([r.matrix for r in records]))
+    return _blocks(np.concatenate([r.matrix for r in records]))
 
 
 def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, diagonal: bool = False) -> np.ndarray:
@@ -334,9 +329,10 @@ def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray, diagonal: bool
 
 @dataclass(frozen=True, eq=False)
 class ParityBlock:
-    """One parity sector of a split decomposition: the source indices
-    start, start + 2, ..., the positions of its eigenvalues in the
-    ascending spectrum, and its eigenvectors (real for a real block)."""
+    """One of k blocks of a decomposition: the source indices start,
+    start + k, ..., the positions of its eigenvalues in the ascending
+    spectrum, and its eigenvectors (real for a real block; a (k, n, n)
+    stack for the one block of a stacked decomposition)."""
 
     start: int
     positions: np.ndarray
@@ -345,25 +341,24 @@ class ParityBlock:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Ascending real eigenvalues and orthonormal eigenvector columns.
+    """Ascending real eigenvalues and orthonormal eigenvectors.
 
     Certified at construction: max |V^dagger V - I| <= 1e-10 and
     max |V diag(E) V^dagger - A| <= 1e-10 * max(1, max|A|). order is set
     when the source was diagonal: the eigenvectors are then the unit
     vectors e_order[k], and basis changes reindex instead of multiplying.
-    blocks is set when the source was in parity blocks: basis changes
-    then run block by block. In both cases vectors is None and the full
-    eigenvector matrix is made only when asked for (eigenvectors).
-    source is the record that was decomposed.
+    Otherwise blocks holds one ParityBlock per block of the source, and
+    basis changes run block by block. The full eigenvector matrix is made
+    only when asked for (eigenvectors). source is the record that was
+    decomposed.
 
-    A stacked decomposition holds the eigenpairs of a (k, n, n) dense
-    stack record, every array with a leading axis of k. The basis
-    changes take a stack of operators, against one decomposition or a
-    stack of k, with the bits of per-matrix calls on each member.
+    A stacked decomposition, of a (k, n, n) one-block stack record, has
+    eigenvalues and vectors with a leading axis of k. The basis changes
+    take a stack of operators, against one decomposition or a stack of k,
+    with the bits of per-matrix calls on each member.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray | None
     source_dim: int
     order: np.ndarray | None = None
     source: Hermitian | None = field(default=None, repr=False)
@@ -371,79 +366,79 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        if self.vectors is not None:
-            return self.vectors
+        if self.blocks is not None and len(self.blocks) == 1:
+            return self.blocks[0].vectors
         out = np.zeros((self.source_dim, self.source_dim), dtype=np.complex128)
         if self.order is not None:
             out[self.order, np.arange(self.source_dim)] = 1.0
         for block in self.blocks or ():
-            out[block.start::2, block.positions] = block.vectors
+            out[block.start :: len(self.blocks), block.positions] = block.vectors
         return out
+
+    def conserves(self, op: Hermitian) -> bool:
+        """Whether op is diagonal or in the blocks of a block decomposition."""
+        return self.blocks is not None and (op.form == "diagonal" or len(op.parts) == len(self.blocks))
 
     def to_eigenbasis(self, op) -> Hermitian:
         """V^dagger op V. The form of op decides the work: for a diagonal
         source, op reindexed by order (op itself when order is the
         identity), which equals the product up to the sign of exact
-        zeros; a diagonal op, or a diagonal stack, scales the rows of
-        V^dagger instead of multiplying; on a block decomposition a
-        diagonal or block op takes only the products within each block.
-        An array goes through the gate."""
+        zeros; otherwise an op the blocks conserve takes only the products
+        within each block (a diagonal op scales the rows of V_b^dagger),
+        and any other op the products of every pair of blocks. An array
+        goes through the gate."""
         h = as_hermitian(op, "operator")
         if self.order is not None:
             if np.array_equal(self.order, np.arange(self.source_dim)):
                 return h
             if h.form == "diagonal":
                 return replace(h, parts=(h.parts[0][..., self.order],))
-            return _dense(h.matrix[..., self.order[:, None], self.order])
-        if self.blocks is not None:
-            out = np.zeros(h.shape, dtype=np.complex128)
-            if h.form in ("blocks", "diagonal"):
-                for block, x in zip(self.blocks, self.to_block_eigenbases(h)):
-                    out[..., block.positions[:, None], block.positions] = x
-                return _dense(out)
-            m = h.matrix
-            for a in self.blocks:
-                for b in self.blocks:
-                    x = m[..., a.start::2, b.start::2]
-                    out[..., a.positions[:, None], b.positions] = _sandwich(a.vectors.conj().T, x, b.vectors)
-            return _dense(out)
-        v = self.eigenvectors
-        diagonal = h.form == "diagonal"
-        return _dense(_sandwich(v.conj().mT, h.parts[0] if diagonal else h.matrix, v, diagonal))
+            return _blocks(h.matrix[..., self.order[:, None], self.order])
+        if self.conserves(h):
+            pieces = zip(self.blocks, self.blocks, self.to_block_eigenbases(h))
+        else:
+            k, m, pairs = len(self.blocks), h.matrix, itertools.product(self.blocks, repeat=2)
+            pieces = ((a, b, _sandwich(a.vectors.conj().mT, m[..., a.start::k, b.start::k], b.vectors)) for a, b in pairs)
+        if len(self.blocks) == 1:  # one block at every position in order: its product is the matrix
+            return _blocks(next(pieces)[2])
+        out = np.zeros(h.shape, dtype=np.complex128)
+        for a, b, x in pieces:
+            out[..., a.positions[:, None], b.positions] = x
+        return _blocks(out)
 
     def to_block_eigenbases(self, op: Hermitian) -> list[np.ndarray]:
-        """V_b^dagger op_b V_b for each parity block b of a block
-        decomposition, of an op (or a stack) in diagonal or block form; a
-        diagonal op scales the rows of V_b^dagger."""
+        """V_b^dagger op_b V_b for each block b of the decomposition, of an
+        op (or a stack) that is diagonal or in the same blocks. A diagonal
+        op scales the rows of V_b^dagger instead of multiplying: within
+        eps * max|d| of the product, since BLAS then multiplies in another
+        operand layout."""
         if op.form == "diagonal":
-            d = op.parts[0]
-            return [_sandwich(b.vectors.conj().T, d[..., b.start::2], b.vectors, True) for b in self.blocks]
-        return [_sandwich(b.vectors.conj().T, x, b.vectors) for b, x in zip(self.blocks, op.parts)]
+            d, k = op.parts[0], len(self.blocks)
+            return [_sandwich(b.vectors.conj().mT, d[..., b.start :: k], b.vectors, True) for b in self.blocks]
+        return [_sandwich(b.vectors.conj().mT, x, b.vectors) for b, x in zip(self.blocks, op.parts)]
 
     def from_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V x V^dagger, the inverse of to_eigenbasis, for an array x."""
-        if self.blocks is not None:
-            out = np.zeros_like(x, dtype=np.complex128)
-            for a in self.blocks:
-                for b in self.blocks:
-                    xab = x[..., a.positions[:, None], b.positions]
-                    if a is b or xab.any():
-                        out[..., a.start::2, b.start::2] = _sandwich(a.vectors, xab, b.vectors.conj().T)
+        """V x V^dagger, the inverse of to_eigenbasis, for an array x; a
+        pair of blocks between which x is an exact zero is skipped."""
+        if self.order is not None:
+            if np.array_equal(self.order, np.arange(self.source_dim)):
+                return x
+            out = np.empty_like(x)
+            out[..., self.order[:, None], self.order] = x
             return out
-        if self.order is None:
-            v = self.eigenvectors
-            return v @ x @ v.conj().mT
-        if np.array_equal(self.order, np.arange(self.source_dim)):
-            return x
-        out = np.empty_like(x)
-        out[..., self.order[:, None], self.order] = x
+        k = len(self.blocks)
+        out = np.zeros_like(x, dtype=np.complex128)
+        for a, b in itertools.product(self.blocks, repeat=2):
+            xab = x[..., a.positions[:, None], b.positions]
+            if a is b or xab.any():
+                out[..., a.start :: k, b.start :: k] = _sandwich(a.vectors, xab, b.vectors.conj().mT)
         return out
 
-    def from_block_eigenbases(self, parts) -> tuple[np.ndarray, np.ndarray]:
-        """The parity blocks V_b x_b V_b^dagger of from_eigenbasis of an x
-        that is an exact zero across parity, given as one part per block,
-        x over that block's positions (or a stack of them)."""
-        return tuple(_sandwich(block.vectors, x, block.vectors.conj().T) for block, x in zip(self.blocks, parts))
+    def from_block_eigenbases(self, parts) -> tuple[np.ndarray, ...]:
+        """The blocks V_b x_b V_b^dagger of from_eigenbasis of an x that is
+        an exact zero between blocks, given as one part per block, x over
+        that block's positions (or a stack of them)."""
+        return tuple(_sandwich(block.vectors, x, block.vectors.conj().mT) for block, x in zip(self.blocks, parts))
 
 
 def _shape(m: np.ndarray) -> str:
@@ -488,23 +483,26 @@ def _certify(ortho, recon, scale, what: str) -> None:
     )
 
 
-def _blockwise_eigh(halves: tuple[np.ndarray, np.ndarray], what: str):
-    """Eigenpairs of a matrix from its two parity blocks: the merged
-    ascending eigenvalues, the ParityBlocks and the largest orthonormality
-    and reconstruction residuals."""
-    parts = [_eigh(half, what) for half in halves]
-    residuals = [_residuals(e, v, half) for (e, v), half in zip(parts, halves)]
-    merged = np.concatenate([e for e, _ in parts])
+def _blockwise_eigh(parts: tuple[np.ndarray, ...], what: str):
+    """Eigenpairs of a matrix, or of a one-block stack, from its blocks:
+    the ascending eigenvalues, the ParityBlocks and the largest
+    orthonormality and reconstruction residuals (one per stack member).
+    One block's eigenvalues are eigh's, already ascending, at every
+    position in order; those of several blocks are merged."""
+    if len(parts) == 1:
+        evals, vectors = _eigh(parts[0], what)
+        block = ParityBlock(0, np.arange(evals.shape[-1]), vectors)
+        return evals, (block,), *_residuals(evals, vectors, parts[0])
+    solved = [_eigh(part, what) for part in parts]
+    ortho, recon = (max(r) for r in zip(*(_residuals(e, v, part) for (e, v), part in zip(solved, parts))))
+    merged = np.concatenate([e for e, _ in solved])
     ascending = np.argsort(merged, kind="stable")
     positions = np.empty(merged.size, dtype=np.intp)
     positions[ascending] = np.arange(merged.size)
-    split = parts[0][0].size
-    blocks = (
-        ParityBlock(0, positions[:split], parts[0][1]),
-        ParityBlock(1, positions[split:], parts[1][1]),
+    stops = np.cumsum([e.size for e, _ in solved]).tolist()
+    blocks = tuple(
+        ParityBlock(start, positions[stop - e.size : stop], v) for start, ((e, v), stop) in enumerate(zip(solved, stops))
     )
-    ortho = max(r[0] for r in residuals)
-    recon = max(r[1] for r in residuals)
     return merged[ascending], blocks, ortho, recon
 
 
@@ -517,14 +515,14 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     its eigenvalues are the stably sorted real diagonal and its
     eigenvectors the matching unit vectors, which is bit for bit what
     eigh returns for a nondegenerate diagonal (the identity for J_z).
-    A matrix in parity blocks is solved block by block, in real
-    arithmetic where a block is real; the residuals are certified per
-    block, which is the same contract since the cross blocks are exact
-    zeros on both sides. A dense (k, n, n) stack record takes one stacked
+    A matrix in blocks is solved block by block, in real arithmetic where
+    a block is real; the residuals are certified per block, which is the
+    same contract since the entries between blocks are exact zeros on
+    both sides. A one-block (k, n, n) stack record takes one stacked
     eigh, with the bits and the certificate of per-matrix calls.
     """
     h = as_hermitian(a, what)
-    order = blocks = evecs = None
+    order = blocks = None
     if h.form == "diagonal":
         d = h.parts[0]
         scale = max(1.0, float(np.max(np.abs(d))))
@@ -532,16 +530,11 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
         evals = d.real[order]
         ortho = 0.0
         recon = float(np.max(np.abs(d[order] - evals)))
-    elif h.form == "blocks":
-        scale = max(1.0, max(float(np.max(np.abs(b))) for b in h.parts))
-        evals, blocks, ortho, recon = _blockwise_eigh(h.parts, what)
     else:
-        m = h.parts[0]
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        evals, evecs = _eigh(m, what)
-        ortho, recon = _residuals(evals, evecs, m)
+        scale = functools.reduce(np.maximum, (np.abs(b).max(axis=(-2, -1)) for b in h.parts), 1.0)
+        evals, blocks, ortho, recon = _blockwise_eigh(h.parts, what)
     _certify(ortho, recon, scale, what)
-    return SpectralDecomposition(evals, evecs, h.dim, order, h, blocks)
+    return SpectralDecomposition(evals, h.dim, order, h, blocks)
 
 
 def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
@@ -606,11 +599,11 @@ def commutator_i(a, b):
     same IEEE operations per nonzero entry as the zero-padded products
     (only the sign of an exact zero may differ, as it does between BLAS
     kernels), and keeps B's form: [diagonal, blocks] is blocks, block by
-    block, and [diagonal, tridiagonal] is tridiagonal. [diagonal,
-    diagonal] is diagonal, scaled on B's dense array, which the result
-    keeps as its matrix, so its zeros carry the signs of the products.
-    [blocks, blocks] is blocks, one product per block. Anything else is
-    a dense product.
+    block, with B's tridiagonal flags. [diagonal, diagonal] is diagonal,
+    scaled on B's dense array, which the result keeps as its matrix, so
+    its zeros carry the signs of the products. [blocks, blocks] in the
+    same number of blocks is blocks, one product per block. Anything
+    else is a product of the dense arrays, one block.
     """
     ha = as_hermitian(a, "commutator argument A")
     hb = as_hermitian(b, "commutator argument B")
@@ -619,41 +612,37 @@ def commutator_i(a, b):
     if ha.form == "diagonal" and not ha.stacked:
         d = ha.parts[0]
         if hb.form == "blocks":
-            parts = [_times_i_symmetrize(_scaled_commutator(d[s::2], p)) for s, p in enumerate(hb.parts)]
-            return _blocks(*parts, hb.tridiagonal)
+            k = len(hb.parts)
+            parts = [_times_i_symmetrize(_scaled_commutator(d[s::k], p)) for s, p in enumerate(hb.parts)]
+            return _blocks(*parts, tridiagonal=hb.tridiagonal)
         x = _times_i_symmetrize(_scaled_commutator(d, hb.matrix))
-        if hb.form == "diagonal":
-            return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1)), x)
-        return _dense(x, hb.form)
-    if ha.form == hb.form == "blocks" and not ha.stacked:
-        parts = []
-        for p, q in zip(ha.parts, hb.parts):
-            x = p @ q
-            x -= q @ p
-            parts.append(_times_i_symmetrize(x))
-        return _blocks(*parts)
-    ma, mb = ha.matrix, hb.matrix
-    x = ma @ mb
-    x -= mb @ ma
-    return _dense(_times_i_symmetrize(x))
+        return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1)), x)
+    if ha.form == hb.form == "blocks" and len(ha.parts) == len(hb.parts):
+        pairs = zip(ha.parts, hb.parts)
+    else:
+        pairs = [(ha.matrix, hb.matrix)]
+    parts = []
+    for p, q in pairs:
+        x = p @ q
+        x -= q @ p
+        parts.append(_times_i_symmetrize(x))
+    return _blocks(*parts)
 
 
 def _widths(h: Hermitian, what: str) -> np.ndarray:
     """E_max - E_min of each matrix of a record of any shape, as an array
     of its leading shape (0-d for one matrix). The form decides the
-    solve: a diagonal record is read off its real diagonals, parity
-    blocks are solved block by block, and a complex tridiagonal block, or
-    a tridiagonal matrix (the linear model's J_x, J_y and C above
-    DENSE_MAX_DIM), in real arithmetic (_real_tridiagonal). Each part
-    takes one eigvalsh over the whole stack, which gives the bits of
-    per-matrix calls."""
+    solve: a diagonal record is read off its real diagonals, and blocks
+    are solved block by block, a complex block flagged tridiagonal (the
+    linear model's J_x, J_y and C above DENSE_MAX_DIM) in real
+    arithmetic (_real_tridiagonal). Each block takes one eigvalsh over
+    the whole stack, which gives the bits of per-matrix calls."""
     if h.form == "diagonal":
         d = h.parts[0].real
         return d.max(axis=-1) - d.min(axis=-1)
-    flags = h.tridiagonal if h.form == "blocks" else (h.form == "tridiagonal",)
     spectra = [
         _eigvalsh(_real_tridiagonal(part) if banded and np.iscomplexobj(part) else part, what)
-        for part, banded in zip(h.parts, flags)
+        for part, banded in zip(h.parts, h.tridiagonal)
     ]
     top, bottom = zip(*((e[..., -1], e[..., 0]) for e in spectra))
     return functools.reduce(np.maximum, top) - functools.reduce(np.minimum, bottom)

@@ -7,22 +7,23 @@ the classical distinguishability of the probe spectrum. Agreement of the
 three at 1e-8 relative on full-rank thermal probes is the package's
 central correctness property, certified in QfiReport.
 
-Every beta-dependent sum lives in one evaluator, route_sums. It takes the
-probabilities of k probes as a (k, n) array and a SpectralPlan, which
-holds the beta-independent matrix elements over their support (the
+Every beta-dependent sum lives in one evaluator, route_sums. It takes
+the probabilities of k probes as a (k, n) array and a SpectralPlan,
+which holds the beta-independent matrix elements over their support (the
 entries the operator's form can hold, read from the form, or the nonzero
-entries of a scanned dense matrix), every array with a leading axis of m generators, each serving k / m
-consecutive rows (the betas of each time of a chunk of sweep times, one
-row per scenario of a stack, or every row for the one generator of a
-single point). Each sum is one (rows, support) term array per chunk of
-rows, and every row's sum has the bits of math.fsum of that row's terms
-(_fsum_rows): a long row is summed exactly in buckets of its terms'
-binary exponents (_exact_sum), a large array of short rows together in
-long double under a certified error bound (_long_sums), and the rest by
-one fsum per row. fsum is correctly rounded, so a row's result depends
-only on its own terms, not on k, on the chunks, on the order of the
-terms or on exact zeros among them. The public route functions,
-qfi_report and the bound chain are its k = 1 case.
+entries of a scanned dense block), every array with a leading axis of m
+generators, each serving k / m consecutive rows (the betas of each time
+of a chunk of sweep times, one row per scenario of a stack, or every row
+for the one generator of a single point). Each sum is one (rows,
+support) term array per chunk of rows, and every row's sum has the bits
+of math.fsum of that row's terms (_fsum_rows): a long row is summed
+exactly in buckets of its terms' binary exponents (_exact_sum), a large
+array of short rows together in long double under a certified error
+bound (_long_sums), and the rest by one fsum per row. fsum is correctly
+rounded, so a row's result depends only on its own terms, not on k, on
+the chunks, on the order of the terms or on exact zeros among them. The
+public route functions, qfi_report and the bound chain are its k = 1
+case.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .encoding import as_operator
 from .operators import (
     Hermitian,
     SpectralDecomposition,
-    _dense,
+    _blocks,
     _interleave,
     _off_diagonal,
     _widths,
@@ -140,14 +141,13 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _form_pairs(sizes: tuple[int, ...], banded: tuple[bool, ...], step: int):
+def _form_pairs(sizes: tuple[int, ...], banded: tuple[bool, ...]):
     """Row and column indices of the off-diagonal entries that a form can
     hold, read-only and shared by every record of that layout (h and C of
     a plan), and where each part's entries end: every one of an m x m
     part, row by row as _off_diagonal reads them, or the upper then the
-    lower band where banded says the part is tridiagonal. Part s sits at
-    the indices s + step * (its own indices) of the full matrix (step 2
-    for parity blocks)."""
+    lower band where banded says the part is tridiagonal. Part s of k
+    sits at the indices s + k * (its own indices) of the full matrix."""
     counts = [2 * (m - 1) if band else m * (m - 1) for m, band in zip(sizes, banded)]
     stops = tuple(np.cumsum(counts).tolist())
     rows, cols = np.empty((2, stops[-1]), dtype=np.intp)
@@ -162,17 +162,17 @@ def _form_pairs(sizes: tuple[int, ...], banded: tuple[bool, ...], step: int):
             np.greater_equal(k, np.arange(m)[:, None], out=c.reshape(m, m - 1))
             c.reshape(m, m - 1)[...] += k  # row i skips column i
         for index in (r, c):
-            index *= step
+            index *= len(sizes)
             index += start
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols, stops
 
 
-def _form_support(parts, banded, step: int) -> Support:
+def _form_support(parts, banded) -> Support:
     """The off-diagonal entries that a form holds, read without a scan from
     |x_ij|^2 of each of its parts, at the indices of _form_pairs. Exact
     zeros among them add nothing to a correctly rounded sum."""
-    rows, cols, stops = _form_pairs(tuple(a.shape[-1] for a in parts), tuple(banded), step)
+    rows, cols, stops = _form_pairs(tuple(a.shape[-1] for a in parts), tuple(banded))
     values = np.empty(parts[0].shape[:-2] + rows.shape)
     for abs2, band, begin, stop in zip(parts, banded, [0, *stops], stops):
         m, v = abs2.shape[-1], values[..., begin:stop]
@@ -187,26 +187,26 @@ def _form_support(parts, banded, step: int) -> Support:
 def _squares(x: Hermitian):
     """|x_ij|^2 of an operator in its form, as (its off-diagonal support,
     the row sums, the diagonal), each over the full index range. The
-    support of parity blocks and of a tridiagonal matrix is read from the
-    form (_form_support), and nothing is read outside the stored form, so
-    parity blocks stay two half-size complex arrays. A dense matrix, the
-    form of every matrix up to DENSE_MAX_DIM, where dense storage hides
-    sparsity, is scanned for its nonzero entries. A row of a block is
-    summed with the exact zeros between its entries put back, in a real
-    half-height array, so the sums keep the bits of the dense rows."""
+    support of blocks is read from the form (_form_support), and nothing
+    is read outside the stored form, so parity blocks stay two half-size
+    complex arrays. One block not flagged tridiagonal, the form of every
+    matrix up to DENSE_MAX_DIM, where dense storage hides sparsity, is
+    scanned for its nonzero entries. A row of one of several blocks is
+    summed with the exact zeros between its entries put back, so the sums
+    keep the bits of the dense rows."""
     if x.form == "diagonal":
         d = np.abs(x.parts[0]) ** 2
         return Support(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(d.shape[:-1] + (0,))), d, d
     abs2 = [np.abs(part) ** 2 for part in x.parts]
-    if x.form != "blocks":
-        support = _support(abs2[0]) if x.form == "dense" else _form_support(abs2, (True,), 1)
-        return support, abs2[0].sum(axis=-1), _diagonal(abs2[0]).copy()
+    k = len(abs2)
+    support = _support(abs2[0]) if x.tridiagonal == (False,) else _form_support(abs2, x.tridiagonal)
     sums = []
-    for start, a in enumerate(abs2):
-        rows = np.zeros(a.shape[:-1] + (x.dim,))
-        rows[..., start::2] = a
+    for start, rows in enumerate(abs2):
+        if k > 1:  # the exact zeros between the block's entries put back
+            rows = np.zeros(rows.shape[:-1] + (x.dim,))
+            rows[..., start::k] = abs2[start]
         sums.append(rows.sum(axis=-1))
-    return _form_support(abs2, x.tridiagonal, 2), _interleave(*sums), _interleave(*map(_diagonal, abs2))
+    return support, _interleave(*sums), _interleave(*map(_diagonal, abs2))
 
 
 def _generator_elements(ht: Hermitian):
@@ -382,6 +382,12 @@ def _row_arrays(plan: SpectralPlan, start: int, stop: int, per: int) -> tuple:
     )
 
 
+def chunk_size(count: int, limit: int) -> int:
+    """ceil(count / c) for the fewest chunks c = ceil(count / limit): the
+    size of about equal chunks, none larger than limit (limit for none)."""
+    return -(-count // -(-count // limit)) if count else limit
+
+
 def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     """The three routes, Var[C] and the convexity sum of k probes at once.
 
@@ -392,21 +398,19 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     every row for a single generator). Row r has the bits of the k = 1
     call on row r against its own generator.
 
-    The rows are summed in chunks of about equal size, ceil(k / c) rows
-    each for the fewest chunks c, none holding more terms in a (rows,
-    support) array than the larger of the arrays handed in (the plan's
-    generators and p together) and CHUNK_FLOOR_ENTRIES. A temporary then
-    grows with the inputs, never with k x support, which for a nearly
-    dense generator is n/2 times larger, and the floor, about 130 KB of
-    long-double temporaries, gives _fsum_rows arrays large enough to sum
-    together (fig3b's 100 betas are two chunks, not ten). A stack's
-    (k, n, n) generators have more entries than k rows of its support,
-    so a stack of scenarios is one chunk.
+    The rows are summed in chunks of about equal size (chunk_size), none
+    holding more terms in a (rows, support) array than the larger of the
+    arrays handed in (the plan's generators and p together) and
+    CHUNK_FLOOR_ENTRIES. A temporary then grows with the inputs, never with
+    k x support, which for a nearly dense generator is n/2 times larger, and
+    the floor, about 130 KB of long-double temporaries, gives _fsum_rows
+    arrays large enough to sum together (fig3b's 100 betas are two chunks,
+    not ten). A stack's (k, n, n) generators have more entries than k rows
+    of its support, so a stack of scenarios is one chunk.
     """
     support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
     entries = max(math.prod(plan.generator.shape) + p.size, CHUNK_FLOOR_ENTRIES)
-    step = max(1, entries // support)
-    step = -(-len(p) // -(-len(p) // step)) if len(p) else step  # equal chunks, none larger than step
+    step = chunk_size(len(p), max(1, entries // support))
     per = len(p) // len(plan.var_i)
     sums = RouteSums([], [], [], [], [])
     for start in range(0, len(p), step):
@@ -433,14 +437,14 @@ def qfi_general(probe, h) -> float:
     exactly; a pure probe reduces to 4 Var[h] on its support.
     """
     p, v, hm = _probe_parts(probe, h)
-    pairs, var_i = _generator_elements(_dense(v.conj().T @ hm @ v))
+    pairs, var_i = _generator_elements(_blocks(v.conj().T @ hm @ v))
     return _generator_sums(p[None], var_i, pairs)[1][0]
 
 
 def qfi_sld(probe, h) -> float:
     """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
     p, v, hm = _probe_parts(probe, h)
-    pairs, var_i = _generator_elements(_dense(v.conj().T @ hm @ v))
+    pairs, var_i = _generator_elements(_blocks(v.conj().T @ hm @ v))
     return _generator_sums(p[None], var_i, pairs)[2][0]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import operators
-from .operators import Hermitian, _blocks, _dense, _diagonal, _symmetrize, _with_matrix
+from .operators import Hermitian, _blocks, _diagonal, _symmetrize, _with_matrix
 
 # Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
 # the oat and lmg models keep their operators as half-size parity blocks,
@@ -68,11 +68,12 @@ def spin_operators(twice_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def spin_operator_forms(twice_j) -> tuple[Hermitian, Hermitian, Hermitian]:
     """(J_x, J_y, J_z) of spin_operators as operator records: J_z diagonal,
-    J_x and J_y dense, or tridiagonal above operators.DENSE_MAX_DIM (they
-    flip the parity of J + M, so they never split into parity blocks)."""
+    J_x and J_y one block each, flagged tridiagonal above
+    operators.DENSE_MAX_DIM (they flip the parity of J + M, so they never
+    split into parity blocks)."""
     jx, jy, jz = spin_operators(twice_j)
-    form = "tridiagonal" if jz.shape[0] > operators.DENSE_MAX_DIM else "dense"
-    return _dense(jx, form), _dense(jy, form), _with_matrix(_diagonal(m_values(twice_j)), jz)
+    flag = [jz.shape[0] > operators.DENSE_MAX_DIM]
+    return _blocks(jx, tridiagonal=flag), _blocks(jy, tridiagonal=flag), _with_matrix(_diagonal(m_values(twice_j)), jz)
 
 
 def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -101,7 +102,7 @@ def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     diagonal = np.concatenate(([0.0], square)) + np.concatenate((square, [0.0]))
     off = h[:-1] * h[1:]  # between k and k + 2
     halves = [_tridiagonal(diagonal[start::2], off[start::2]) for start in (0, 1)]
-    return _diagonal(m), _blocks(*halves, (True, True))
+    return _diagonal(m), _blocks(*halves, tridiagonal=(True, True))
 
 
 def oat_commutator(twice_j) -> np.ndarray:

@@ -21,7 +21,7 @@ from .bounds import BoundColumns, BoundScales, bound_rows, bound_scales
 from .encoding import generator_stack
 from .models import AXES, MODELS, closed_forms_for, model_encoding
 from .operators import DENSE_MAX_DIM, concatenate, eigendecompose
-from .qfi import RouteSums, route_sums, stacked_plan
+from .qfi import RouteSums, chunk_size, route_sums, stacked_plan
 from .spin import check_twice_j
 from .thermal import beta_from_polarization, boltzmann_weights, polarization
 
@@ -223,10 +223,11 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     every beta are built once per call. Once per config: ||H||, the gap,
     ||dH/dlambda|| and the generator family (for lmg, the
     eigendecomposition of H(lambda)); once per beta, its polarization. The
-    (config, time) pairs then go through in chunks of
-    DENSE_MAX_DIM^2 // n^2 (at least one), so a chunk's generators hold
-    no more entries than one DENSE_MAX_DIM x DENSE_MAX_DIM matrix,
-    whichever configs they come from. Each chunk is one generator stack
+    (config, time) pairs then go through in chunks of about equal size
+    (qfi.chunk_size), none larger than DENSE_MAX_DIM^2 // n^2 (at least
+    one), so a chunk's generators hold no more entries than one
+    DENSE_MAX_DIM x DENSE_MAX_DIM matrix, whichever configs they come
+    from. Each chunk is one generator stack
     record (scanned by nothing), one stacked_plan, and
     one route_sums and one bound_rows call over its pairs x betas rows,
     with each time and scale given per generator. Their columns extend one
@@ -259,7 +260,7 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     betas = weights.betas
     polarizations = [polarization(beta) for beta in betas]
     pairs = [(index, t) for index, config in enumerate(configs) for t in config.t_grid]
-    step = max(1, DENSE_MAX_DIM**2 // decomposition.source_dim**2)
+    step = chunk_size(len(pairs), max(1, DENSE_MAX_DIM**2 // decomposition.source_dim**2))
     # per config, one list per filled column it emits; a gated-off column is never filled
     filled = [
         {name: [] for name, gate in zip(_NAMES, _GATES) if name in _FILLED and (gate is None or gate in config.outputs)}

@@ -129,7 +129,7 @@ class TestPhaseKernel:
         from thermalqfi.models import model_encoding
 
         _, scheme = model_encoding("lmg", 10, 1.0, lam=1.0)
-        delta = encoding.encoding_spectrum(scheme).delta
+        (delta,) = encoding.encoding_spectrum(scheme).delta  # a dense H(lambda) is one block
         assert delta.shape == (11, 11)
         self._assert_same_bits(delta, np.array([0.0, 1e-12, 0.3, 2.7, 6.1])[:, None, None])
 

@@ -146,9 +146,10 @@ def _count_tanhc(monkeypatch):
 
 @pytest.mark.parametrize(
     "twice_j, expected",
-    # DENSE_MAX_DIM^2 // n^2 times per chunk: 133 at n = 7, so all four
-    # times are one chunk of 16 rows; 3 at n = 41, so chunks of 3 and 1
-    [(6, [16]), (40, [12, 4])],
+    # at most DENSE_MAX_DIM^2 // n^2 times per chunk, in chunks of about
+    # equal size: 133 at n = 7, so all four times are one chunk of 16 rows;
+    # 3 at n = 41, so two chunks of 2 times (8 rows each)
+    [(6, [16]), (40, [8, 8])],
     ids=["one-chunk", "two-chunks"],
 )
 def test_tanhc_runs_once_per_time_chunk(monkeypatch, twice_j, expected):

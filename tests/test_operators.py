@@ -259,6 +259,12 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(x).tobytes()
 
 
+def _layout(record: operators.Hermitian):
+    """A record's form and its tridiagonal flags, one per block: one
+    unflagged block is a dense matrix."""
+    return record.form, record.tridiagonal
+
+
 def _eigenspaces(evals, evecs):
     """For each distinct eigenvalue, the set of unit vectors spanning its eigenspace."""
     rows = np.argmax(np.abs(evecs), axis=0)
@@ -277,10 +283,10 @@ class TestDiagonalFastPath:
         assert operators.operator_form(DIAGONAL_CASES["negative-zero-offdiagonal"]).form == "diagonal"
         assert operators.operator_form(jz.T).form == "diagonal"
         assert operators.operator_form(np.eye(1, dtype=np.complex128)).form == "diagonal"
-        assert operators.operator_form(jx).form == "dense"
+        assert _layout(operators.operator_form(jx)) == ("blocks", (False,))  # one dense block
         late = jz.copy()
         late[6, 2] = 1e-300
-        assert operators.operator_form(late).form == "dense"
+        assert _layout(operators.operator_form(late)) == ("blocks", (False,))
 
     @pytest.mark.parametrize("twice_j", [1, 3, 10, 100, 400])
     def test_jz_eigh_is_the_exact_identity(self, twice_j):
@@ -429,13 +435,13 @@ class TestStacks:
     def test_commutator(self, name):
         # records: the stacks are taken as they are, unscanned
         a, b = STACKS[name], STACKS[name][::-1].copy()
-        single = np.array([commutator_i(operators._dense(x), operators._dense(y)).matrix for x, y in zip(a, b)])
-        assert _bits(commutator_i(operators._dense(a), operators._dense(b)).matrix) == _bits(single)
+        single = np.array([commutator_i(operators._blocks(x), operators._blocks(y)).matrix for x, y in zip(a, b)])
+        assert _bits(commutator_i(operators._blocks(a), operators._blocks(b)).matrix) == _bits(single)
 
     @pytest.mark.parametrize("name", sorted(set(STACKS) - {"dim8-one-non-hermitian"}))
     def test_eigendecompose_of_a_stack(self, name):
         stack = STACKS[name]
-        dec = eigendecompose(operators._dense(stack), "H stack")
+        dec = eigendecompose(operators._blocks(stack), "H stack")
         for e, v, m in zip(dec.eigenvalues, dec.eigenvectors, stack):
             dec = eigendecompose(m)
             assert _bits(e) == _bits(dec.eigenvalues) and _bits(v) == _bits(dec.eigenvectors)
@@ -449,7 +455,7 @@ class TestStacks:
             "of H misses its residual contract", "of H stack misses its residual contract at matrix 0"
         )
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            eigendecompose(operators._dense(stack), "H stack")
+            eigendecompose(operators._blocks(stack), "H stack")
 
     def test_eigendecompose_of_a_stack_names_the_first_matrix_that_misses(self, monkeypatch):
         stack = STACKS["dim5"]
@@ -467,7 +473,7 @@ class TestStacks:
             f"{ortho[1]:.3e}, reconstruction {recon[1]:.3e} (scale {max(1.0, np.abs(stack[1]).max()):.3e})"
         )
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            eigendecompose(operators._dense(stack), "H stack")
+            eigendecompose(operators._blocks(stack), "H stack")
 
     @pytest.mark.parametrize(
         "solver, helper, suffix",
@@ -481,7 +487,7 @@ class TestStacks:
         message = f"eigensolver failed on a 4x8x8 H stack: Eigenvalues did not converge{suffix}"
         stack = STACKS["dim8-one-non-hermitian"]
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
-            getattr(operators, helper)(operators._dense(stack), "H stack")
+            getattr(operators, helper)(operators._blocks(stack), "H stack")
 
 
 def _mixed_stack(dim):
@@ -495,8 +501,9 @@ def _mixed_stack(dim):
 
 
 def _detected_member_forms(stack):
-    """The form of each member of a stack array, diagonal or dense."""
-    return tuple("diagonal" if operators.operator_form(m).form == "diagonal" else "dense" for m in stack)
+    """The form of each member of a stack array: diagonal, or blocks (one
+    dense block up to DENSE_MAX_DIM)."""
+    return tuple(operators.operator_form(m).form for m in stack)
 
 
 def _stack_widths(stack: operators.Hermitian) -> list[float]:
@@ -511,9 +518,9 @@ class TestStackedBasisAndWidths:
     def test_stacked_widths_have_the_bits_of_seminorm(self, dim):
         stack = _mixed_stack(dim)
         forms = _detected_member_forms(stack)
-        widths = _stack_widths(operators._dense(stack))
+        widths = _stack_widths(operators._blocks(stack))
         # up to DENSE_MAX_DIM these are the forms the gate finds on each member
-        assert repr(widths) == repr([seminorm(m if f == "diagonal" else operators._dense(m)) for m, f in zip(stack, forms)])
+        assert repr(widths) == repr([seminorm(m if f == "diagonal" else operators._blocks(m)) for m, f in zip(stack, forms)])
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("twice_j", [100, 101, 400])
@@ -534,9 +541,9 @@ class TestStackedBasisAndWidths:
     def test_a_tridiagonal_stack_above_the_threshold_has_the_bits_of_seminorm(self, twice_j, monkeypatch):
         # the linear model's C = i[J_z, t J_x] at three times
         jx, _, jz = spin_operators(twice_j)
-        members = [commutator_i(jz, operators._dense(t * jx, "tridiagonal")) for t in (0.7, 2.3, 3.14)]
+        members = [commutator_i(jz, operators._blocks(t * jx, tridiagonal=[True])) for t in (0.7, 2.3, 3.14)]
         stack = operators.concatenate([c.member(None) for c in members])
-        assert stack.form == "tridiagonal" and stack.shape == (3, twice_j + 1, twice_j + 1)
+        assert _layout(stack) == ("blocks", (True,)) and stack.shape == (3, twice_j + 1, twice_j + 1)
         calls = record_solver_calls(monkeypatch, "eigvalsh")
         widths = _stack_widths(stack)
         assert calls == [(twice_j + 1, False)]  # one real solve for the whole stack
@@ -551,8 +558,8 @@ class TestStackedBasisAndWidths:
         diagonal = np.diagonal(stack[[1, 2, 5]], axis1=1, axis2=2)
         _stack_widths(operators._diagonal(diagonal))
         assert calls == []  # a diagonal stack is read off its diagonals
-        _stack_widths(operators._dense(stack))
-        assert calls == [(6, 11, 11)]  # a mixed stack is dense: every member, in one call
+        _stack_widths(operators._blocks(stack))
+        assert calls == [(6, 11, 11)]  # a mixed stack is one dense block: every member, in one call
 
     @pytest.mark.parametrize(
         "source",
@@ -572,8 +579,8 @@ class TestStackedBasisAndWidths:
         # no diagonal member: a 2-D diagonal operator takes the scaling
         # shortcut, whose bits may differ from the product's
         stack = np.array([random_hermitian(rng, dim), 1.7 * _jx_squared(dim - 1), jy])
-        x = dec.to_eigenbasis(operators._dense(stack)).matrix
-        assert _bits(x) == _bits(np.array([dec.to_eigenbasis(operators._dense(m)).matrix for m in stack]))
+        x = dec.to_eigenbasis(operators._blocks(stack)).matrix
+        assert _bits(x) == _bits(np.array([dec.to_eigenbasis(operators._blocks(m)).matrix for m in stack]))
         assert _bits(dec.from_eigenbasis(x)) == _bits(np.array([dec.from_eigenbasis(m) for m in x]))
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -591,12 +598,10 @@ class TestStackedBasisAndWidths:
         d = np.random.default_rng(k).normal(size=(k, n))
         got = dec.to_eigenbasis(operators._diagonal(d)).matrix
         expected = np.zeros((k, n, n), dtype=np.complex128)
+        k_blocks = len(dec.blocks)  # one for a dense source
         for x, row in zip(expected, d):
-            if dec.blocks is None:
-                v = dec.eigenvectors
-                x[...] = (v.conj().T * row) @ v
-            for b in dec.blocks or ():
-                x[np.ix_(b.positions, b.positions)] = (b.vectors.conj().T * row[b.start::2]) @ b.vectors
+            for b in dec.blocks:
+                x[np.ix_(b.positions, b.positions)] = (b.vectors.conj().T * row[b.start :: k_blocks]) @ b.vectors
         assert got.shape == (k, n, n) and _bits(got) == _bits(expected)
 
 
@@ -694,7 +699,7 @@ class TestParityBlocks:
         eigvalshs = record_solver_calls(monkeypatch, "eigvalsh")
         dec = eigendecompose(h)
         seminorm(h)
-        assert (dec.blocks is not None) == split
+        assert len(dec.blocks) == (2 if split else 1)  # a dense matrix is one block
         expected = _halves(dim) if split else [(dim, True)]
         assert eighs == expected
         assert eigvalshs == expected
@@ -702,7 +707,8 @@ class TestParityBlocks:
     def test_no_split_across_parity(self, monkeypatch):
         jx, _, _ = spin_operators(100)  # J_x flips the parity of J + M
         calls = record_solver_calls(monkeypatch, "eigh")
-        assert eigendecompose(jx).blocks is None
+        (block,) = eigendecompose(jx).blocks  # one full-size block
+        assert block.start == 0 and _bits(block.positions) == _bits(np.arange(101))
         assert calls == [(101, True)]
 
     def test_tridiagonal_complex_blocks_are_solved_real(self, monkeypatch):
@@ -792,7 +798,7 @@ class TestParityBlocks:
         dec = eigendecompose(lmg_hamiltonian(twice_j, lam))
         jz = spin_operators(twice_j)[2]
         scaled = dec.to_eigenbasis(jz).matrix  # the gate finds it diagonal: scaled
-        multiplied = dec.to_eigenbasis(operators._dense(jz)).matrix  # taken as dense: multiplied
+        multiplied = dec.to_eigenbasis(operators._blocks(jz)).matrix  # taken as one block: multiplied
         assert dec.blocks is not None
         assert np.max(np.abs(scaled - multiplied)) <= np.finfo(float).eps * np.abs(np.diagonal(jz)).max()
 
@@ -947,8 +953,8 @@ class TestInPlaceSymmetrization:
             a = hermitian((stack_k, dim, dim) if a_kind == "dense-stack" else (dim, dim), a_complex)
         b = hermitian((dim, dim) if k is None and a_kind != "dense-stack" else (stack_k, dim, dim), b_complex)
         # records, taken as they are: a real stack is never converted on this path
-        record_a = operators._diagonal(np.diagonal(a)) if a_kind == "diagonal" else operators._dense(a)
-        got = commutator_i(record_a, operators._dense(b)).matrix
+        record_a = operators._diagonal(np.diagonal(a)) if a_kind == "diagonal" else operators._blocks(a)
+        got = commutator_i(record_a, operators._blocks(b)).matrix
         assert got.dtype == np.complex128
         assert np.array_equal(_uint64(got), _uint64(_old_commutator(a, b, a_kind == "diagonal")))
         if b.ndim == 2:
@@ -1062,13 +1068,62 @@ class TestOperatorRecords:
         jz = operators.operator_form(spin_operators(100)[2])
         h = lmg_hamiltonian(100, 0.6)
         c = commutator_i(jz, h)
-        assert c.form == "blocks" and c.tridiagonal == (True, True)  # [diagonal, blocks]
+        assert _layout(c) == ("blocks", (True, True))  # [diagonal, blocks]
         assert commutator_i(jz, jz).form == "diagonal"
-        assert commutator_i(h, h).form == "blocks"
+        assert _layout(commutator_i(h, h)) == ("blocks", (False, False))
         zero = generator_stack(ExplicitGenerator(h, 0.0))([0.0]).member(0)  # t h at t = 0
-        assert zero.form == "diagonal" and (2.0 * h).form == "blocks"
-        assert commutator_i(jz, operators.operator_form(spin_operators(100)[0])).form == "tridiagonal"
+        assert zero.form == "diagonal" and _layout(2.0 * h) == ("blocks", (True, True))
+        jx = operators.operator_form(spin_operators(100)[0])
+        assert _layout(commutator_i(jz, jx)) == ("blocks", (True,))  # one tridiagonal block
+        assert _layout(commutator_i(jx, h)) == ("blocks", (False,))  # across parity: one dense block
         # ([h, h] is blocks by the rule, though its entries all vanish)
-        for record in (c, zero, h + 0.3 * jz):
-            detected = operators.operator_form(record.matrix.copy())
-            assert (detected.form, detected.tridiagonal) == (record.form, record.tridiagonal)
+        for record in (c, zero, h + 0.3 * jz, commutator_i(jz, jx)):
+            assert _layout(operators.operator_form(record.matrix.copy())) == _layout(record)
+
+    @pytest.mark.parametrize("twice_j", [1, 10, 81, 82, 400])
+    @pytest.mark.parametrize(
+        "model, axis, lam",
+        [("linear", "x", None), ("linear", "y", None), ("linear", "z", None), ("oat", "x", None), ("lmg", "x", -0.7)],
+        ids=["linear-x", "linear-y", "linear-z", "oat", "lmg"],
+    )
+    def test_every_model_record_has_one_of_two_layouts(self, model, axis, lam, twice_j):
+        # diagonal, or k blocks with one tridiagonal flag each: a dense
+        # matrix is the one-block case, a tridiagonal one a flagged block
+        from thermalqfi.encoding import HamiltonianFamily
+        from thermalqfi.models import build_scenario
+
+        scenario = build_scenario(model, twice_j, 0.7, 2.3, axis=axis, lam=lam)
+        probe_h = scenario.probe.decomposition.source
+        scheme = scenario.scheme
+        encoding = (
+            [scheme.hamiltonian(scheme.lam), scheme.dh_dlambda]
+            if isinstance(scheme, HamiltonianFamily)
+            else [scheme.generator]
+        )
+        records = [probe_h, scenario.h.operator, commutator_i(probe_h, scenario.h.operator), *encoding]
+        for record in records:
+            assert record.form in ("diagonal", "blocks")
+            if record.form == "diagonal":
+                assert len(record.parts) == 1 and record.tridiagonal == ()
+            else:
+                assert len(record.tridiagonal) == len(record.parts) >= 1
+            assert sum(p.shape[-1] for p in record.parts) == record.dim == twice_j + 1
+
+    def test_concatenate_keeps_a_layout_only_when_every_record_shares_it(self):
+        # oat's C is two tridiagonal parity blocks, lmg's two unflagged
+        # ones: a stack of oat, lmg and oat may not keep the first and last
+        # records' flags, or lmg's blocks are solved as tridiagonal
+        from thermalqfi.models import build_scenario
+
+        members = []
+        for model, lam in (("oat", None), ("lmg", 1.0), ("oat", None)):
+            scenario = build_scenario(model, 100, 0.7, 2.3, lam=lam)
+            members.append(commutator_i(scenario.probe.decomposition.source, scenario.h.operator))
+        oat, lmg = ("blocks", (True, True)), ("blocks", (False, False))
+        assert [_layout(c) for c in members] == [oat, lmg, oat]
+        stack = operators.concatenate([c.member(None) for c in members])
+        widths = operators._widths(stack, "stack")
+        np.testing.assert_allclose(widths, [seminorm(c) for c in members], rtol=1e-12)
+        assert _layout(stack) == ("blocks", (False,))  # one dense block
+        kept = operators.concatenate([members[0].member(None), members[2].member(None)])
+        assert _layout(kept) == ("blocks", (True, True))

@@ -310,7 +310,7 @@ class TestSweepScans:
         scanned = TestPlanScans._count_scans(monkeypatch)
         run_sweep(config)
         # dH/dlambda, J_z and H(lambda) are built as records, and the 64
-        # times' generators (two chunks, of 54 and 10) are Hermitian by
+        # times' generators (two chunks of 32) are Hermitian by
         # construction: nothing is scanned (67 scans when each time made
         # its own generator, 5 when each chunk was scanned)
         assert scanned == []
@@ -532,28 +532,30 @@ class TestSupportSums:
                 _assert_support_sums_are_dense_sums(scenario.probe, scenario.scheme, scenario.h)
 
     @pytest.mark.parametrize(
-        "form, zero_share", [("blocks", 0.3), ("tridiagonal", 0.3), ("blocks", 1.0)], ids=["blocks", "band", "no-pairs"]
+        "flags, zero_share", [((False, False), 0.3), ((True,), 0.3), ((False, False), 1.0)], ids=["blocks", "band", "no-pairs"]
     )
-    def test_exact_zeros_inside_a_form_are_summed_as_the_dense_sums(self, form, zero_share):
-        # the form-read support holds every entry a block or band can hold,
-        # exact zeros too: zero terms leave each sum's bits alone, and a row
-        # of zero terms only sums to +0, as the dense row does
-        from thermalqfi.operators import _blocks, _dense
+    def test_exact_zeros_inside_a_form_are_summed_as_the_dense_sums(self, flags, zero_share):
+        # the form-read support holds every entry two parity blocks or one
+        # tridiagonal block can hold, exact zeros too: zero terms leave each
+        # sum's bits alone, and a row of zero terms only sums to +0, as the
+        # dense row does
+        from thermalqfi.operators import _blocks
 
         twice_j = 89  # n = 90, above DENSE_MAX_DIM
         rng = np.random.default_rng(5)
         m = random_hermitian(rng, twice_j + 1)
         index = np.arange(twice_j + 1)
-        outside = (index[:, None] - index[None, :]) % 2 == 1 if form == "blocks" else abs(index[:, None] - index[None, :]) > 1
+        band = flags == (True,)
+        outside = abs(index[:, None] - index[None, :]) > 1 if band else (index[:, None] - index[None, :]) % 2 == 1
         zeros = rng.random(m.shape) < zero_share
         m[outside | zeros | zeros.T] = 0.0
         np.fill_diagonal(m, rng.normal(size=twice_j + 1))
-        record = _blocks(m[0::2, 0::2], m[1::2, 1::2]) if form == "blocks" else _dense(m, "tridiagonal")
+        record = _blocks(m, tridiagonal=flags) if band else _blocks(m[0::2, 0::2], m[1::2, 1::2])
         probe = gibbs_state(spin_operators(twice_j)[2], 0.9)
         scheme = ExplicitGenerator(record, 1.3)
         h = transformed_generator(scheme)
         values = qfi_report(probe, h).plan.h_pairs.values
-        assert h.operator.form == form and (values == 0.0).any() and values.any() == (zero_share < 1.0)
+        assert h.operator.tridiagonal == flags and (values == 0.0).any() and values.any() == (zero_share < 1.0)
         _assert_support_sums_are_dense_sums(probe, scheme, h)
 
     def test_random_scenarios_bit_identical_to_dense_sums(self):
@@ -956,7 +958,7 @@ class TestNoRescans:
         cached = operators.Hermitian.matrix
 
         def no_dense_blocks(self):
-            assert self.form != "blocks", "a parity operator was made dense"
+            assert self.form != "blocks" or len(self.parts) == 1, "a parity operator was made dense"
             return cached.__get__(self, type(self))
 
         monkeypatch.setattr(operators.Hermitian, "matrix", property(no_dense_blocks))
@@ -1046,8 +1048,8 @@ class TestCarriedForms:
     """Every record that reaches a consumer carries the form the gate's
     detection finds on its dense array, a stack the form detection finds
     on the whole stack: on the four figure sweeps, the
-    verify grids (2J <= 81, so dense or diagonal, as detection found them
-    before records existed) and compute points at 2J = 100, 101 and 400."""
+    verify grids (2J <= 81, so one dense block or diagonal, as detection
+    found them before records existed) and compute points at 2J = 100, 101 and 400."""
 
     def test_carried_forms_equal_the_detected_ones(self, monkeypatch):
         seen = _record_forms(monkeypatch)
@@ -1061,10 +1063,10 @@ class TestCarriedForms:
         import thermalqfi.operators as operators
         import thermalqfi.spin as spin
 
-        if mutant == "blocks-as-dense":  # J_x^2 above 81 tagged dense
-            monkeypatch.setattr(spin, "_blocks", lambda *a: operators._dense(operators._blocks(*a).matrix))
+        if mutant == "blocks-as-dense":  # J_x^2 above 81 tagged one dense block
+            monkeypatch.setattr(spin, "_blocks", lambda *a, **k: operators._blocks(operators._blocks(*a, **k).matrix))
         else:  # J_x^2 up to 81 tagged diagonal, though its array is dense
-            monkeypatch.setattr(models, "_dense", lambda m: operators._with_matrix(operators._diagonal(np.diagonal(m)), m))
+            monkeypatch.setattr(models, "_blocks", lambda m: operators._with_matrix(operators._diagonal(np.diagonal(m)), m))
         seen = _record_forms(monkeypatch)
         for twice_j in (10, 400):
             _point_at("oat", twice_j)

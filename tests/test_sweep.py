@@ -559,16 +559,33 @@ class TestRunSweeps:
         configs = _shared_configs(twice_j, grid)
         shapes = _spy_stacked_plan(monkeypatch)
         shared = run_sweeps(configs)
-        # the (config, time) pairs go through in chunks of DENSE_MAX_DIM^2 // n^2,
-        # whichever configs they come from
+        # the (config, time) pairs go through in the fewest chunks of about
+        # equal size of at most DENSE_MAX_DIM^2 // n^2, whichever configs
+        # they come from
         n = twice_j + 1
         pairs = len(configs) * len(SHARED_T_GRID)
-        step = max(1, operators.DENSE_MAX_DIM**2 // n**2)
+        limit = max(1, operators.DENSE_MAX_DIM**2 // n**2)
+        step = math.ceil(pairs / math.ceil(pairs / limit))
         assert [m for m, _, _ in shapes] == [min(step, pairs - start) for start in range(0, pairs, step)]
         assert len(shared) == len(configs)
         for config, rows in zip(configs, shared):
             # repr round-trips a double, so equal reprs mean equal bits
             assert [repr(row) for row in rows] == [repr(row) for row in run_sweep(config)]
+
+    def test_fig3a_goes_as_two_equal_chunks(self, monkeypatch):
+        # 64 times at n = 11, at most 54 per chunk: two chunks of 32, each
+        # large enough that its support sums are summed together in long
+        # double (a 10-time remainder, 1,100 terms per sum, was too small)
+        import thermalqfi.qfi as qfi_module
+
+        shapes = _spy_stacked_plan(monkeypatch)
+        long_sums = []
+        original = qfi_module._long_sums
+        monkeypatch.setattr(qfi_module, "_long_sums", lambda terms: long_sums.append(len(terms)) or original(terms))
+        run_sweep(SweepConfig.from_dict(figure_configs()["fig3a"]))
+        assert [m for m, _, _ in shapes] == [32, 32]
+        if qfi_module.LONG_SUMS:
+            assert long_sums == [32] * 8  # four support sums per chunk
 
     def test_no_chunk_holds_more_entries_than_one_dense_matrix(self, monkeypatch):
         shapes = _spy_stacked_plan(monkeypatch)
@@ -642,7 +659,7 @@ PLAN_CONFIGS = {
     "lmg-spin-half": SweepConfig.from_dict({
         "model": "lmg", "twice_j": 1, "lambda": 1.0, "beta_grid": [0.5, 3.0], "t_grid": [0.0, 0.5, 3.14],
     }),
-    # 64 times at n = 11 are two chunks, of 54 and 10 times
+    # 64 times at n = 11 are two chunks of 32 times
     "oat-64-times": SweepConfig.from_dict({
         "model": "oat", "twice_j": 10, "beta_grid": [0.1, 1.1, 9.0],
         "t_grid": [round(0.05 * k, 12) for k in range(64)],
@@ -781,17 +798,18 @@ class TestDiagonalProbe:
     def test_fast_path_matches_dense_path_bit_for_bit(self, monkeypatch, model, axis, lam, twice_j):
         fast = _plan_points(model, twice_j, axis, lam, lambda h: operators.eigendecompose(h, "Hamiltonian"))
         assert fast[0].count("BoundReport") == 1
-        # the dense path: eigh's decomposition (order=None) and every
-        # diagonal record made dense, so each basis change, commutator and
-        # width is a product or a solve
+        # the dense path: eigh's decomposition as one block (order=None) and
+        # every diagonal record made one dense block, so each basis change,
+        # commutator and width is a product or a solve
         diagonal = operators._diagonal
         for name, module in list(sys.modules.items()):
             if name.startswith("thermalqfi") and getattr(module, "_diagonal", None) is diagonal:
-                monkeypatch.setattr(module, "_diagonal", lambda d: operators._dense(diagonal(d).matrix))
+                monkeypatch.setattr(module, "_diagonal", lambda d: operators._blocks(diagonal(d).matrix))
 
         def dense(h):
             evals, evecs = np.linalg.eigh(h.matrix)
-            return operators.SpectralDecomposition(evals, evecs, h.shape[0], source=h)
+            block = operators.ParityBlock(0, np.arange(h.dim), evecs)
+            return operators.SpectralDecomposition(evals, h.dim, source=h, blocks=(block,))
 
         assert fast == _plan_points(model, twice_j, axis, lam, dense)
 
