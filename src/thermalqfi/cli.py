@@ -2,20 +2,22 @@
 
 Exit codes: 0 success, 1 verification failure (including a sweep row that
 violates the bound ordering), 2 config error (including an output path
-that cannot be written), 3 numerical failure.
+that cannot be written), 3 numerical failure (including a floating-point
+overflow).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import BoundReport, bound_report
-from .models import AXES, MODELS, build_scenario, closed_qfi, closed_variance
+from .models import AXES, MODELS, build_scenario, check_options, closed_qfi, closed_variance
 from .operators import EigensolverError
 from .qfi import QfiReport, qfi_report
 from .sweep import (
@@ -78,16 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> int:
     beta = args.beta if args.beta is not None else beta_from_polarization(args.p)
-    if args.model == "lmg" and args.lam is None:
-        raise ConfigError("lambda: required for the lmg model (pass --lam)")
-    if args.model != "lmg" and args.lam is not None:
-        raise ConfigError("lambda: only valid for the lmg model")
-    if args.lam is not None and not math.isfinite(args.lam):
-        raise ConfigError("lambda: must be a finite number")
-    if args.model != "linear" and args.axis is not None:
-        raise ConfigError("axis: only valid for the linear model")
+    axis, lam = check_options(args.model, args.axis, args.lam)
     try:
-        scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=args.axis or "x", lam=args.lam)
+        scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=axis, lam=lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = qfi_report(scenario.probe, scenario.h)
@@ -158,14 +153,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return run_verify(seed=args.seed, out_path=args.out)
-        if args.command == "figures":
-            return _cmd_figures(args)
+        # a floating-point overflow, division by zero or invalid operation
+        # is a numerical failure (exit 3), not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "compute":
+                return _cmd_compute(args)
+            if args.command == "sweep":
+                return _cmd_sweep(args)
+            if args.command == "verify":
+                return run_verify(seed=args.seed, out_path=args.out)
+            if args.command == "figures":
+                return _cmd_figures(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

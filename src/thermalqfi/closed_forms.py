@@ -47,6 +47,14 @@ def _one_minus_exp2(x: float) -> float:
     return -math.expm1(-2.0 * x)
 
 
+def _spin_beta(twice_j, beta) -> tuple[float, float]:
+    """(J, beta) as floats, for a valid 2J and beta >= 0."""
+    j, beta = spin_value(twice_j), float(beta)
+    if beta < 0.0:
+        raise ValueError("beta must be >= 0")
+    return j, beta
+
+
 def _log_sinh(x: float) -> float:
     # x > 0; for large x, sinh(x) = e^x (1 - e^{-2x}) / 2
     if x > 20.0:
@@ -62,10 +70,7 @@ def linear_qfi_closed(twice_j, beta: float, t: float) -> float:
     Vanishes like t^2 b^2 J(J+1)/3 at high temperature and saturates at
     2J t^2 (standard quantum limit) as beta grows.
     """
-    j = spin_value(twice_j)
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    j, beta = _spin_beta(twice_j, beta)
     if beta == 0.0:
         return 0.0
     jp = j + 0.5
@@ -79,10 +84,7 @@ def linear_variance_closed(twice_j, beta: float, t: float) -> float:
     beta*J far past the float overflow point is still fine. The t^2 factor
     is explicit here, matching h = t J_x.
     """
-    j = spin_value(twice_j)
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    j, beta = _spin_beta(twice_j, beta)
     if beta == 0.0 or t == 0.0:
         return 0.0
     if beta > 2.0 * (_LOG_MAX - math.log(max(j, 1.0))) * _SWITCH_MARGIN:
@@ -154,10 +156,7 @@ def oat_qfi_closed(twice_j, beta: float, t: float) -> float:
     (t^2/2) (1 + sech b)/(1 - sech b) [sech(b) eta], which tends to
     t^2 J (2J - 1).
     """
-    spin_value(twice_j)
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    _, beta = _spin_beta(twice_j, beta)
     if twice_j == 1 or beta == 0.0:
         return 0.0
     if _oat_large_beta(twice_j, beta):
@@ -177,10 +176,7 @@ def oat_variance_closed(twice_j, beta: float, t: float) -> float:
     leave the normal range it is evaluated as
     (1/2) beta^2 t^2 [sech(b) eta] / (1 - sech b)^2, which tends to
     beta^2 t^2 J (2J - 1)."""
-    spin_value(twice_j)
-    beta = float(beta)
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    _, beta = _spin_beta(twice_j, beta)
     if twice_j == 1 or beta == 0.0:
         return 0.0
     if beta > _OAT_VARIANCE_SWITCH:

@@ -7,6 +7,7 @@ H(lambda) = J_x^2 + lambda J_z goes through the spectral-kernel route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,27 @@ from .thermal import GibbsState, gibbs_state
 
 MODELS = ("linear", "oat", "lmg")
 AXES = ("x", "y", "z")
+
+
+def check_options(model: str, axis=None, lam=None) -> tuple[str, float | None]:
+    """The checked (axis, lambda) of a model's options, None meaning absent:
+    the axis applies to the linear model only, x by default; lambda is
+    required by the lmg model, a finite number, and valid only there. A
+    mistake raises ValueError, worded the same for every front end."""
+    if axis is not None and model != "linear":
+        raise ValueError("axis: only valid for the linear model")
+    axis = "x" if axis is None else axis
+    if axis not in AXES:
+        raise ValueError(f"axis: must be one of {AXES}, got {axis!r}")
+    if model != "lmg":
+        if lam is not None:
+            raise ValueError("lambda: only valid for the lmg model")
+        return axis, None
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+        raise ValueError("lambda: required (a number) for the lmg model")
+    if not math.isfinite(lam):
+        raise ValueError("lambda: must be a finite number")
+    return axis, float(lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +139,16 @@ def closed_forms_for(model: str, axis: str | None):
     return None
 
 
+def _closed(scenario: Scenario, which: int) -> float | None:
+    forms = closed_forms_for(scenario.model, scenario.axis)
+    return None if forms is None else forms[which](scenario.twice_j, scenario.beta, scenario.t)
+
+
 def closed_qfi(scenario: Scenario) -> float | None:
     """Analytic QFI where one exists (see closed_forms_for)."""
-    forms = closed_forms_for(scenario.model, scenario.axis)
-    return None if forms is None else forms[0](scenario.twice_j, scenario.beta, scenario.t)
+    return _closed(scenario, 0)
 
 
 def closed_variance(scenario: Scenario) -> float | None:
     """Analytic variance bound where one exists (same coverage as closed_qfi)."""
-    forms = closed_forms_for(scenario.model, scenario.axis)
-    return None if forms is None else forms[1](scenario.twice_j, scenario.beta, scenario.t)
+    return _closed(scenario, 1)

@@ -149,20 +149,13 @@ def _is_tridiagonal(block: np.ndarray) -> bool:
     return np.count_nonzero(block) == bands
 
 
-def _real_tridiagonal(block: np.ndarray) -> np.ndarray:
-    """The isospectral real matrix of a complex Hermitian tridiagonal block,
-    or of each block of a (..., n, n) stack.
-
-    The diagonal phase similarity that makes each subdiagonal entry e_k
-    real and positive (Golub & Van Loan, Matrix Computations, 8.4) maps
-    the block to the real symmetric tridiagonal matrix with diagonal
-    Re(d_k) and off-diagonals |e_k|. It is read from the lower triangle,
-    the one eigvalsh reads, and solved in real arithmetic.
-    """
-    k = np.arange(block.shape[-1])
-    out = np.zeros(block.shape)
-    out[..., k, k] = block[..., k, k].real
-    out[..., k[1:], k[:-1]] = out[..., k[:-1], k[1:]] = np.abs(block[..., k[1:], k[:-1]])
+def _symmetric_tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The real symmetric tridiagonal matrix with the bands diagonal,
+    (..., n), and off, (..., n - 1), or the stack of them."""
+    k = np.arange(diagonal.shape[-1])
+    out = np.zeros(diagonal.shape + k.shape)
+    out[..., k, k] = diagonal
+    out[..., k[1:], k[:-1]] = out[..., k[:-1], k[1:]] = off
     return out
 
 
@@ -441,20 +434,21 @@ class SpectralDecomposition:
         return tuple(_sandwich(block.vectors, x, block.vectors.conj().mT) for block, x in zip(self.blocks, parts))
 
 
-def _shape(m: np.ndarray) -> str:
-    return "x".join(map(str, m.shape))
-
-
-def _eigh(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a matrix or of a (k, n, n) stack; a LAPACK error raises
+def _solve(solver, m: np.ndarray, what: str):
+    """solver(m), for np.linalg.eigh or eigvalsh of a matrix or a (k, n, n)
+    stack; a LAPACK error or a non-finite eigenvalue raises
     EigensolverError with the largest Hermiticity defect."""
     try:
-        return np.linalg.eigh(m)
+        out = solver(m)
+        if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
+            raise np.linalg.LinAlgError("non-finite eigenvalue")
+        return out
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigensolver failed on a {_shape(m)} {what}: {exc} "
-            f"(hermiticity defect {np.max(hermiticity_defect(m)):.3e})"
-        ) from exc
+        with np.errstate(invalid="ignore"):  # inf - inf, where m holds infinities
+            defect = np.max(hermiticity_defect(m))
+        shape = "x".join(map(str, m.shape))
+        message = f"eigensolver failed on a {shape} {what}: {exc} (hermiticity defect {defect:.3e})"
+        raise EigensolverError(message) from exc
 
 
 def _residuals(evals: np.ndarray, evecs: np.ndarray, m: np.ndarray):
@@ -469,8 +463,9 @@ def _certify(ortho, recon, scale, what: str) -> None:
     """Raise EigensolverError unless the residuals meet the
     eigendecomposition contract: 1e-10 orthonormality, and reconstruction
     1e-10 relative to scale. Residuals of a stack, one per matrix, name
-    the first matrix that misses it."""
-    missed = np.flatnonzero((ortho > ORTHONORMALITY_TOL) | (recon > RECONSTRUCTION_RTOL * scale))
+    the first matrix that misses it; a NaN residual misses."""
+    met = (ortho <= ORTHONORMALITY_TOL) & (recon <= RECONSTRUCTION_RTOL * scale)
+    missed = np.flatnonzero(np.logical_not(met))
     if missed.size == 0:
         return
     where = ""
@@ -490,10 +485,10 @@ def _blockwise_eigh(parts: tuple[np.ndarray, ...], what: str):
     One block's eigenvalues are eigh's, already ascending, at every
     position in order; those of several blocks are merged."""
     if len(parts) == 1:
-        evals, vectors = _eigh(parts[0], what)
+        evals, vectors = _solve(np.linalg.eigh, parts[0], what)
         block = ParityBlock(0, np.arange(evals.shape[-1]), vectors)
         return evals, (block,), *_residuals(evals, vectors, parts[0])
-    solved = [_eigh(part, what) for part in parts]
+    solved = [_solve(np.linalg.eigh, part, what) for part in parts]
     ortho, recon = (max(r) for r in zip(*(_residuals(e, v, part) for (e, v), part in zip(solved, parts))))
     merged = np.concatenate([e for e, _ in solved])
     ascending = np.argsort(merged, kind="stable")
@@ -519,9 +514,13 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     a block is real; the residuals are certified per block, which is the
     same contract since the entries between blocks are exact zeros on
     both sides. A one-block (k, n, n) stack record takes one stacked
-    eigh, with the bits and the certificate of per-matrix calls.
+    eigh, with the bits and the certificate of per-matrix calls; any
+    other stack raises ValueError.
     """
     h = as_hermitian(a, what)
+    if h.stacked and (h.form == "diagonal" or len(h.parts) > 1):
+        layout = "diagonal" if h.form == "diagonal" else f"in {len(h.parts)} blocks"
+        raise ValueError(f"eigendecompose takes a stack only as one block; this {what} stack is {layout}")
     order = blocks = None
     if h.form == "diagonal":
         d = h.parts[0]
@@ -535,15 +534,6 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
         evals, blocks, ortho, recon = _blockwise_eigh(h.parts, what)
     _certify(ortho, recon, scale, what)
     return SpectralDecomposition(evals, h.dim, order, h, blocks)
-
-
-def _eigvalsh(m: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigensolver failed on a {_shape(m)} {what}: {exc}"
-        ) from exc
 
 
 def matrix_exp_scaled(a, scale) -> np.ndarray:
@@ -633,17 +623,25 @@ def _widths(h: Hermitian, what: str) -> np.ndarray:
     """E_max - E_min of each matrix of a record of any shape, as an array
     of its leading shape (0-d for one matrix). The form decides the
     solve: a diagonal record is read off its real diagonals, and blocks
-    are solved block by block, a complex block flagged tridiagonal (the
-    linear model's J_x, J_y and C above DENSE_MAX_DIM) in real
-    arithmetic (_real_tridiagonal). Each block takes one eigvalsh over
-    the whole stack, which gives the bits of per-matrix calls."""
+    are solved block by block. Each block takes one eigvalsh over the
+    whole stack, which gives the bits of per-matrix calls.
+
+    A complex block flagged tridiagonal (the linear model's J_x, J_y and
+    C above DENSE_MAX_DIM) is solved in real arithmetic: the diagonal
+    phase similarity that makes each subdiagonal entry e_k real and
+    positive (Golub & Van Loan, Matrix Computations, 8.4) maps it to the
+    real symmetric tridiagonal matrix with diagonal Re(d_k) and
+    off-diagonals |e_k|, read from the lower triangle, the one eigvalsh
+    reads."""
     if h.form == "diagonal":
         d = h.parts[0].real
         return d.max(axis=-1) - d.min(axis=-1)
-    spectra = [
-        _eigvalsh(_real_tridiagonal(part) if banded and np.iscomplexobj(part) else part, what)
-        for part, banded in zip(h.parts, h.tridiagonal)
-    ]
+    spectra = []
+    for part, banded in zip(h.parts, h.tridiagonal):
+        if banded and np.iscomplexobj(part):
+            k = np.arange(part.shape[-1])
+            part = _symmetric_tridiagonal(part[..., k, k].real, np.abs(part[..., k[1:], k[:-1]]))
+        spectra.append(_solve(np.linalg.eigvalsh, part, what))
     top, bottom = zip(*((e[..., -1], e[..., 0]) for e in spectra))
     return functools.reduce(np.maximum, top) - functools.reduce(np.minimum, bottom)
 
@@ -672,7 +670,7 @@ def variance(a, rho) -> float:
     trace = complex(np.trace(mr)).real
     if abs(trace - 1.0) > 1e-12:
         raise ValueError(f"density operator trace {trace!r} is not 1 within 1e-12")
-    lo = float(_eigvalsh(mr, "density operator")[0])
+    lo = float(_solve(np.linalg.eigvalsh, mr, "density operator")[0])
     if lo < -1e-10:
         raise ValueError(f"density operator is not positive semidefinite (min eigenvalue {lo:.3e})")
     ra = mr @ ma

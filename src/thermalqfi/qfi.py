@@ -29,6 +29,7 @@ case.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -498,14 +499,14 @@ class SpectralPlan:
     noncommutativity: np.ndarray
 
 
-def _relative_spread(f_general: float, f_thermal: float, f_sld: float) -> float:
-    """Largest pairwise difference of the three routes over the largest
-    |F|, so a small F cannot hide a disagreement; 0 when all three are 0."""
-    scale = max(abs(f_general), abs(f_thermal), abs(f_sld))
+def _relative_spread(*values: float) -> float:
+    """Largest pairwise difference of the values (such as the three
+    routes) over the largest magnitude, so a small F cannot hide a
+    disagreement; 0 when all are 0."""
+    scale = max(map(abs, values))
     if scale == 0.0:
         return 0.0
-    spread = max(abs(f_general - f_thermal), abs(f_general - f_sld), abs(f_thermal - f_sld))
-    return spread / scale
+    return max(abs(a - b) for a, b in itertools.combinations(values, 2)) / scale
 
 
 def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:

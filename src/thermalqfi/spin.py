@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import operators
-from .operators import Hermitian, _blocks, _diagonal, _symmetrize, _with_matrix
+from .operators import Hermitian, _blocks, _diagonal, _symmetric_tridiagonal, _symmetrize, _with_matrix
 
 # Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
 # the oat and lmg models keep their operators as half-size parity blocks,
@@ -76,14 +76,6 @@ def spin_operator_forms(twice_j) -> tuple[Hermitian, Hermitian, Hermitian]:
     return _blocks(jx, tridiagonal=flag), _blocks(jy, tridiagonal=flag), _with_matrix(_diagonal(m_values(twice_j)), jz)
 
 
-def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The real symmetric tridiagonal matrix with these bands."""
-    out = np.diag(diagonal)
-    k = np.arange(off.size)
-    out[k, k + 1] = out[k + 1, k] = off
-    return out
-
-
 def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     """(J_z, J_x^2) as operator records, filled in from their bands
     without forming J_x or any product: J_z diagonal, J_x^2 as its two
@@ -101,7 +93,7 @@ def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
     square = h * h
     diagonal = np.concatenate(([0.0], square)) + np.concatenate((square, [0.0]))
     off = h[:-1] * h[1:]  # between k and k + 2
-    halves = [_tridiagonal(diagonal[start::2], off[start::2]) for start in (0, 1)]
+    halves = [_symmetric_tridiagonal(diagonal[start::2], off[start::2]) for start in (0, 1)]
     return _diagonal(m), _blocks(*halves, tridiagonal=(True, True))
 
 

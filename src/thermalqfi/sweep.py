@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundColumns, BoundScales, bound_rows, bound_scales
 from .encoding import generator_stack
-from .models import AXES, MODELS, closed_forms_for, model_encoding
+from .models import MODELS, check_options, closed_forms_for, model_encoding
 from .operators import DENSE_MAX_DIM, concatenate, eigendecompose
 from .qfi import RouteSums, chunk_size, route_sums, stacked_plan
 from .spin import check_twice_j
@@ -126,21 +126,10 @@ class SweepConfig:
             raise ConfigError("t_grid: required")
         t_grid = _check_grid("t_grid", raw["t_grid"], low=0.0)
 
-        axis = raw.get("axis", "x")
-        if "axis" in raw and model != "linear":
-            raise ConfigError("axis: only valid for the linear model")
-        if axis not in AXES:
-            raise ConfigError(f"axis: must be one of {AXES}, got {axis!r}")
-
-        lam = raw.get("lambda")
-        if model == "lmg":
-            if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-                raise ConfigError("lambda: required (a number) for the lmg model")
-            if not math.isfinite(lam):
-                raise ConfigError("lambda: must be a finite number")
-            lam = float(lam)
-        elif lam is not None:
-            raise ConfigError("lambda: only valid for the lmg model")
+        try:
+            axis, lam = check_options(model, raw.get("axis"), raw.get("lambda"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
         defined = [k for k in OUTPUT_KEYS if k != "closed_forms" or closed_forms_for(model, axis)]
         outputs = raw.get("outputs", defined)  # by default every output the model defines

@@ -118,12 +118,6 @@ def _grid_rows(variants, twice_js):
                 yield model, twice_j, beta, t, lam, rows[beta, t]
 
 
-def _relative_deviation(closed: float, numeric: float) -> float:
-    """|closed - numeric| over the larger magnitude of the two; 0 when both are 0."""
-    scale = max(abs(closed), abs(numeric))
-    return 0.0 if scale == 0.0 else abs(closed - numeric) / scale
-
-
 @_criterion(1, "three-way QFI agreement")
 def check_three_way_agreement(seed):
     """The general, thermal and SLD routes agree at 1e-8 relative on the
@@ -153,7 +147,7 @@ def check_linear_closed_form(seed):
     for _, twice_j, beta, t, _, row in _grid_rows((("linear", None),), WIDE_TWICE_J):
         pipeline = row.f_general
         closed = linear_qfi_closed(twice_j, beta, t)
-        rel = _relative_deviation(closed, pipeline)
+        rel = _relative_spread(closed, pipeline)
         worst = max(worst, rel)
         if rel > CLOSED_FORM_RTOL:
             return Failure(
@@ -185,7 +179,7 @@ def check_variance_closed_forms(seed):
         if model == "oat":
             checks.append(("oat qfi", closed_qfi(twice_j, beta, t), row.f_general))
         for label, closed, numeric in checks:
-            rel = _relative_deviation(closed, numeric)
+            rel = _relative_spread(closed, numeric)
             worst = max(worst, rel)
             if rel > CLOSED_FORM_RTOL:
                 return Failure(
@@ -269,13 +263,13 @@ def check_bound_chain(seed):
     lin = build_scenario("linear", 4, beta, t)  # J = 2
     lin_rep = bound_report(lin.probe, lin.scheme, h=lin.h)
     expect_semi = beta**2 * t**2 * 4.0**2 / 4.0
-    if _relative_deviation(lin_rep.seminorm_bound, expect_semi) > 1e-12:
+    if _relative_spread(lin_rep.seminorm_bound, expect_semi) > 1e-12:
         return Failure(f"linear seminorm bound {lin_rep.seminorm_bound!r} != beta^2 t^2 (2J)^2/4 = {expect_semi!r}",
                        _point_config("linear", 4, beta, t, None))
     oat = build_scenario("oat", 4, beta, t)  # integer J = 2
     oat_rep = bound_report(oat.probe, oat.scheme, h=oat.h)
     expect_prod = beta**2 * t**2 * 2.0**6
-    if _relative_deviation(oat_rep.product_bound, expect_prod) > 1e-12:
+    if _relative_spread(oat_rep.product_bound, expect_prod) > 1e-12:
         return Failure(f"twisting product bound {oat_rep.product_bound!r} != beta^2 t^2 J^6 = {expect_prod!r}",
                        _point_config("oat", 4, beta, t, None))
     return f"ordering_ok on the full grid and {RANDOM_SCENARIO_COUNT} random scenarios (seed {seed}); spot values exact"

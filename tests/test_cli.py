@@ -12,6 +12,7 @@ import pytest
 import thermalqfi.verify as verify
 from thermalqfi.bounds import BoundReport
 from thermalqfi.cli import main
+from thermalqfi.sweep import ConfigError, SweepConfig
 from thermalqfi.verify import CheckResult, run_verify
 
 
@@ -81,6 +82,44 @@ def test_compute_rejects_a_non_finite_lambda(capsys, lam):
     code = main(["compute", "--model", "lmg", "--twice-j", "2", "--beta", "1", "--t", "1", f"--lam={lam}"])
     assert code == 2
     assert capsys.readouterr().err == "config error: lambda: must be a finite number\n"
+
+
+# each model-option mistake, as a sweep config and as compute flags
+OPTION_MISTAKES = {
+    "axis-on-oat": ({"model": "oat", "axis": "y"}, ["--model", "oat", "--axis", "y"]),
+    "axis-on-lmg": ({"model": "lmg", "lambda": 0.6, "axis": "x"}, ["--model", "lmg", "--lam", "0.6", "--axis", "x"]),
+    "missing-lambda": ({"model": "lmg"}, ["--model", "lmg"]),
+    "nan-lambda": ({"model": "lmg", "lambda": math.nan}, ["--model", "lmg", "--lam=nan"]),
+    "inf-lambda": ({"model": "lmg", "lambda": math.inf}, ["--model", "lmg", "--lam=inf"]),
+    "minus-inf-lambda": ({"model": "lmg", "lambda": -math.inf}, ["--model", "lmg", "--lam=-inf"]),
+    "lambda-on-linear": ({"model": "linear", "lambda": 1.0}, ["--model", "linear", "--lam", "1"]),
+    "lambda-on-oat": ({"model": "oat", "lambda": 1.0}, ["--model", "oat", "--lam", "1"]),
+}
+
+
+@pytest.mark.parametrize("config, flags", OPTION_MISTAKES.values(), ids=OPTION_MISTAKES)
+def test_compute_and_a_sweep_config_word_each_option_mistake_alike(capsys, config, flags):
+    with pytest.raises(ConfigError) as sweep_error:
+        SweepConfig.from_dict({**config, "twice_j": 2, "beta_grid": [1.0], "t_grid": [1.0]})
+    code = main(["compute", *flags, "--twice-j", "2", "--beta", "1", "--t", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {sweep_error.value}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model", "oat", "--twice-j", "4", "--beta", "1", "--t", "1e200"], "overflow encountered in square"),
+        (["--model", "lmg", "--twice-j", "4", "--beta", "1", "--t", "1", "--lam", "1e308"], "overflow encountered in multiply"),
+    ],
+    ids=["oat-t-1e200", "lmg-lambda-1e308"],
+)
+def test_a_floating_point_overflow_exits_3(capsys, flags, message):
+    """One stderr line and exit 3, not numpy warnings (or, under an error
+    filter, a traceback) nor a config error about non-finite entries."""
+    code = main(["compute", *flags])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.parametrize("verb", ["compute", "sweep", "verify", "figures"])

@@ -475,19 +475,54 @@ class TestStacks:
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
             eigendecompose(operators._blocks(stack), "H stack")
 
-    @pytest.mark.parametrize(
-        "solver, helper, suffix",
-        [("eigh", "eigendecompose", " (hermiticity defect 1.000e-03)"), ("eigvalsh", "_widths", "")],
-    )
-    def test_a_lapack_error_raises_for_the_stack(self, monkeypatch, solver, helper, suffix):
+    @pytest.mark.parametrize("solver, helper", [("eigh", "eigendecompose"), ("eigvalsh", "_widths")])
+    def test_a_lapack_error_raises_for_the_stack(self, monkeypatch, solver, helper):
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, solver, failing)
-        message = f"eigensolver failed on a 4x8x8 H stack: Eigenvalues did not converge{suffix}"
+        message = "eigensolver failed on a 4x8x8 H stack: Eigenvalues did not converge (hermiticity defect 1.000e-03)"
         stack = STACKS["dim8-one-non-hermitian"]
         with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
             getattr(operators, helper)(operators._blocks(stack), "H stack")
+
+    def test_a_stack_in_several_blocks_or_diagonal_is_refused(self):
+        h = lmg_hamiltonian(100, 0.6)
+        with pytest.raises(ValueError, match="^eigendecompose takes a stack only as one block; this H stack is in 2 blocks$"):
+            eigendecompose(operators.concatenate([h.member(None)] * 2), "H")
+        with pytest.raises(ValueError, match="^eigendecompose takes a stack only as one block; this H stack is diagonal$"):
+            eigendecompose(operators._diagonal(np.array([[1.0, 2.0], [3.0, 0.0]])), "H")
+
+
+class TestNonFiniteSpectra:
+    """A record skips the gate's finiteness scan, so a non-finite entry
+    reaches LAPACK, which returns NaN eigenvalues rather than failing."""
+
+    @staticmethod
+    def _nan_pair():
+        m = np.eye(3, dtype=np.complex128)
+        m[0, 1] = m[1, 0] = np.nan
+        return operators._blocks(m)
+
+    def test_eigendecompose_raises(self):
+        message = "eigensolver failed on a 3x3 H: non-finite eigenvalue (hermiticity defect nan)"
+        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
+            eigendecompose(self._nan_pair(), "H")
+
+    def test_seminorm_raises(self):
+        with pytest.raises(EigensolverError, match="non-finite eigenvalue"):
+            seminorm(self._nan_pair())
+
+    def test_an_overflowing_lmg_hamiltonian_raises(self):
+        with np.errstate(over="ignore"):
+            h = lmg_hamiltonian(4, 1e308)  # lambda J_z overflows to inf
+        with pytest.raises(EigensolverError, match="non-finite eigenvalue"):
+            eigendecompose(h)
+
+    @pytest.mark.parametrize("ortho, recon", [(np.nan, 0.0), (0.0, np.nan), (np.array([0.0, np.nan]), np.zeros(2))])
+    def test_a_nan_residual_misses_the_certificate(self, ortho, recon):
+        with pytest.raises(EigensolverError, match="misses its residual contract"):
+            operators._certify(ortho, recon, np.ones(np.shape(ortho)), "H")
 
 
 def _mixed_stack(dim):
