@@ -34,7 +34,6 @@ from .encoding import (
     ExplicitGenerator,
     HamiltonianFamily,
     NumericUnitary,
-    TransformedLocalGenerator,
     evolution_unitary,
     generator_explicit,
     generator_fd,

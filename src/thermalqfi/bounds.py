@@ -26,13 +26,13 @@ from .encoding import (
     ExplicitGenerator,
     HamiltonianFamily,
     NumericUnitary,
-    as_operator,
     transformed_generator,
 )
 from .operators import (
     SpectralDecomposition,
     _blocks,
     _widths,
+    as_hermitian,
     commutator_i,
     eigendecompose,
     seminorm,
@@ -89,12 +89,12 @@ def _convexity_sum(rho0: GibbsState, hm: np.ndarray) -> float:
 
 
 def _probe_commutator(rho0: GibbsState, h):
-    return commutator_i(rho0.decomposition.source, as_operator(h))
+    return commutator_i(rho0.decomposition.source, as_hermitian(h, "generator"))
 
 
 def noncommutativity(hamiltonian, h) -> float:
     """c = ||i[H, h]||; zero exactly when the encoding commutes with H."""
-    return seminorm(commutator_i(hamiltonian, as_operator(h)))
+    return seminorm(commutator_i(hamiltonian, as_hermitian(h, "generator")))
 
 
 def variance_bound(rho0: GibbsState, h) -> float:
@@ -172,7 +172,7 @@ def gap_bounds(rho0: GibbsState, h) -> GapBounds:
     The gap treats spacings below 1e-9 * ||H|| as degenerate; a fully
     degenerate probe Hamiltonian has no usable gap and raises.
     """
-    hm = as_operator(h)
+    hm = as_hermitian(h, "generator")
     comm = commutator_i(rho0.decomposition.source, hm)
     gap = float(minimum_gap(rho0.eigenvalues, GAP_DEGENERACY_RTOL * seminorm(rho0.decomposition.source)))
     return GapBounds(
@@ -329,7 +329,7 @@ def bound_report(rho0: GibbsState, scheme, h=None, qfi_result: QfiReport | None 
     if (
         qfi_result is not None
         and qfi_result.probe is rho0
-        and qfi_result.plan.generator is as_operator(h)
+        and qfi_result.plan.generator is as_hermitian(h, "generator")
     ):
         plan, sums = qfi_result.plan, qfi_result.sums
     else:

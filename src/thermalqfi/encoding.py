@@ -8,6 +8,7 @@ unchanged; the test suite asserts that insensitivity numerically.
 The generator h = i U^dagger dU/dlambda is computed three independent
 ways: exactly for an explicit generator, through the spectral kernel of a
 Hamiltonian family, and by central differences on a black-box unitary.
+Each route returns h as an operators.Hermitian record.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .operators import (
     _diagonal,
     _require_finite,
     _symmetrize,
-    _with_matrix,
     as_hermitian,
     eigendecompose,
     hermiticity_defect,
@@ -103,33 +103,6 @@ class NumericUnitary:
 EncodingScheme = ExplicitGenerator | HamiltonianFamily | NumericUnitary
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedLocalGenerator:
-    """Hermitian generator of parameter changes in the probe frame, with a
-    tag recording which route produced it. operator is its record: a
-    record a generator builds is taken as it is, an array goes through
-    the gate here, so no consumer scans it again."""
-
-    operator: Hermitian
-    method: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "operator", as_hermitian(self.operator, "generator"))
-
-    @property
-    def h(self) -> np.ndarray:
-        """The generator as a dense matrix."""
-        return self.operator.matrix
-
-
-def as_operator(h) -> Hermitian:
-    """The record of a TransformedLocalGenerator, or of a bare matrix taken
-    in here: the one gate for a bare generator array."""
-    if isinstance(h, TransformedLocalGenerator):
-        return h.operator
-    return as_hermitian(h, "generator")
-
-
 def _finite(h: Hermitian) -> Hermitian:
     """h, once every stored entry is proved finite. A generator is
     Hermitian by construction, but t A and the spectral kernel overflow
@@ -139,7 +112,7 @@ def _finite(h: Hermitian) -> Hermitian:
     return h
 
 
-def generator_explicit(a, t) -> TransformedLocalGenerator:
+def generator_explicit(a, t) -> Hermitian:
     """h = t * A, exact for U = exp(-i lambda A t)."""
     return transformed_generator(ExplicitGenerator(a, t))
 
@@ -258,7 +231,7 @@ def _integral_matrices(spectrum: EncodingSpectrum, t: np.ndarray) -> Hermitian:
     return _blocks(*map(_symmetrize, raw))
 
 
-def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
+def generator_integral(scheme: HamiltonianFamily) -> Hermitian:
     """Generator via the spectral kernel in the eigenbasis of H(lambda).
 
     h_mn = V_mn * k(E_m - E_n, t) with V = dH/dlambda in that basis. The
@@ -268,12 +241,13 @@ def generator_integral(scheme: HamiltonianFamily) -> TransformedLocalGenerator:
     return transformed_generator(scheme)
 
 
-def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
+def generator_fd(scheme: NumericUnitary) -> Hermitian:
     """Second-order central-difference generator i U^dagger dU/dlambda.
 
     The anti-Hermitian residue before symmetrization is O(step^2) and is
     logged at DEBUG; halving the step shrinks the disagreement with the spectral
-    route by about a factor of four.
+    route by about a factor of four. The symmetrized array goes through
+    the gate (as_hermitian), which scans it and detects its form.
     """
     step = scheme.fd_step
     u0 = require_unitary(scheme.unitary(scheme.lam), "U(lambda)")
@@ -285,15 +259,14 @@ def generator_fd(scheme: NumericUnitary) -> TransformedLocalGenerator:
     if logger.isEnabledFor(logging.DEBUG):
         residue = 0.5 * hermiticity_defect(raw)
         logger.debug("generator_fd: anti-Hermitian residue %.3e at step %.1e", residue, step)
-    return TransformedLocalGenerator(_symmetrize(raw), "finite-difference")
+    return as_hermitian(_symmetrize(raw), "generator")
 
 
-def transformed_generator(scheme: EncodingScheme) -> TransformedLocalGenerator:
-    """h at the scheme's time t: generator_stack's one-member stack [t], or
-    central differences for a black-box unitary."""
+def transformed_generator(scheme: EncodingScheme) -> Hermitian:
+    """h at the scheme's time t: member 0 of generator_stack's one-member
+    stack [t], or central differences for a black-box unitary."""
     if isinstance(scheme, (ExplicitGenerator, HamiltonianFamily)):
-        method = "explicit" if isinstance(scheme, ExplicitGenerator) else "integral"
-        return TransformedLocalGenerator(generator_stack(scheme)([scheme.t]).member(0), method)
+        return generator_stack(scheme)([scheme.t]).member(0)
     if isinstance(scheme, NumericUnitary):
         return generator_fd(scheme)
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
@@ -304,9 +277,9 @@ def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[
     t-independent work (the eigendecomposition of H(lambda)) is done once
     and scheme.t is ignored. An explicit stack is t A for each t, in A's
     form, a spectral-kernel stack one broadcast kernel and one broadcast
-    rotation; either is diagonal when all of it is (when every time is 0,
-    where h vanishes, it keeps its dense array as its matrix). Each is
-    Hermitian by construction, and proved finite."""
+    rotation; either is diagonal when all of it is (as when every time
+    is 0, where h vanishes). Each is Hermitian by construction, and
+    proved finite."""
     if isinstance(scheme, ExplicitGenerator):
         a, spectrum, diagonal = scheme.generator, None, False
     elif isinstance(scheme, HamiltonianFamily):
@@ -323,7 +296,7 @@ def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[
         else:
             h = _integral_matrices(spectrum, times[:, None, None])
         if h.form != "diagonal" and (diagonal or (times == 0.0).all()):
-            h = _with_matrix(_diagonal(h.diagonal()), h.matrix)
+            h = _diagonal(h.diagonal())
         return _finite(h)
 
     return stack

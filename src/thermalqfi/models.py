@@ -22,11 +22,10 @@ from .encoding import (
     EncodingScheme,
     ExplicitGenerator,
     HamiltonianFamily,
-    TransformedLocalGenerator,
     transformed_generator,
 )
 from . import operators
-from .operators import Hermitian, _blocks, _diagonal, _symmetrize, _with_matrix
+from .operators import Hermitian, _blocks, _diagonal, _symmetrize
 from .spin import banded_jz_jx_squared, check_twice_j, spin_operator_forms, spin_operators
 from .thermal import GibbsState, gibbs_state
 
@@ -67,7 +66,7 @@ class Scenario:
     lam: float | None
     probe: GibbsState
     scheme: object
-    h: TransformedLocalGenerator
+    h: Hermitian
 
 
 def _jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
@@ -79,8 +78,8 @@ def _jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:
         return banded_jz_jx_squared(twice_j)
     jx, _, jz = spin_operators(twice_j)
     jx2 = _symmetrize(jx @ jx)
-    square = _with_matrix(_diagonal(np.diagonal(jx2)), jx2) if twice_j == 1 else _blocks(jx2)
-    return _with_matrix(_diagonal(np.diagonal(jz).real), jz), square
+    square = _diagonal(np.diagonal(jx2)) if twice_j == 1 else _blocks(jx2)
+    return _diagonal(np.diagonal(jz).real), square
 
 
 def lmg_hamiltonian(twice_j, lam: float) -> Hermitian:

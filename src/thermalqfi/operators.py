@@ -2,10 +2,11 @@
 
 An operator is a Hermitian record that holds a matrix, or a stack of
 them, in one of two forms: diagonal, or k interleaved diagonal blocks,
-where k = 1 is the dense matrix and k = 2 the parity sectors. The spin
-and band builders, the generators, the block basis changes and
-commutator_i make records; a plain array is scanned and its form
-detected once, by as_hermitian, the one gate for user arrays. Everything
+where k = 1 is the dense matrix and k = 2 the parity sectors. A record
+is its form and parts; its dense array is built only when asked for.
+The spin and band builders, the generators, the block basis changes
+and commutator_i make records; a plain array is scanned and its form
+detected once, by as_hermitian, the one gate for arrays. Everything
 downstream reads the form instead of scanning for it, so a parity
 operator above DENSE_MAX_DIM stays as two half blocks end to end. The
 public functions take an array or a record and return records. The
@@ -189,8 +190,8 @@ class Hermitian:
     A record is diagonal, split or flagged only where detection on its
     dense array (operator_form) would find it so, and a stack only where
     all of it is. A single matrix is the one-member stack member(None).
-    The dense array is made only when asked for (matrix); one block is
-    its own dense array.
+    A record keeps no dense array beside its parts: matrix builds one
+    when asked for, and one block is its own dense array.
     """
 
     form: str
@@ -229,10 +230,8 @@ class Hermitian:
 
     def member(self, i: int | None) -> Hermitian:
         """Member i of a stack, or for i = None the one-member stack of a
-        single matrix; a dense array the record keeps is indexed alike."""
-        record = replace(self, parts=tuple(p[i] for p in self.parts))
-        kept = self.__dict__.get("matrix")
-        return record if kept is None else _with_matrix(record, kept[i])
+        single matrix."""
+        return replace(self, parts=tuple(p[i] for p in self.parts))
 
     def __mul__(self, c) -> Hermitian:
         """c A for a real scalar c."""
@@ -264,12 +263,6 @@ def _blocks(*parts: np.ndarray, tridiagonal=None) -> Hermitian:
     return Hermitian("blocks", parts, sum(part.shape[-1] for part in parts), flags)
 
 
-def _with_matrix(record: Hermitian, m: np.ndarray) -> Hermitian:
-    """record, with the dense array it was read from kept as its matrix."""
-    record.__dict__["matrix"] = m
-    return record
-
-
 def operator_form(m: np.ndarray) -> Hermitian:
     """The record of a Hermitian complex matrix, in the form detection
     finds on it: diagonal when every off-diagonal entry is an exact zero
@@ -277,21 +270,19 @@ def operator_form(m: np.ndarray) -> Hermitian:
     entry between an even and an odd index is one, else one block,
     flagged tridiagonal when every nonzero entry lies on the three
     central bands; else one unflagged block. The gate's detection, and
-    the reference for every form a builder or a product names; m is kept
-    as the record's matrix."""
+    the reference for every form a builder or a product names. One block
+    is m itself; the other forms are read off m."""
     n = m.shape[0]
     if n == 1 or (m[1, 0] == 0 and m[0, 1] == 0 and not _off_diagonal(m).any()):
-        record = _diagonal(np.diagonal(m))
-    elif n > DENSE_MAX_DIM and not (m[0::2, 1::2].any() or m[1::2, 0::2].any()):
+        return _diagonal(np.diagonal(m))
+    if n > DENSE_MAX_DIM and not (m[0::2, 1::2].any() or m[1::2, 0::2].any()):
         halves = [_real_if_exact(m[start::2, start::2]) for start in (0, 1)]
-        record = _blocks(*halves, tridiagonal=[_is_tridiagonal(b) for b in halves])
-    else:
-        record = _blocks(m, tridiagonal=[n > DENSE_MAX_DIM and _is_tridiagonal(m)])
-    return _with_matrix(record, m)
+        return _blocks(*halves, tridiagonal=[_is_tridiagonal(b) for b in halves])
+    return _blocks(m, tridiagonal=[n > DENSE_MAX_DIM and _is_tridiagonal(m)])
 
 
 def as_hermitian(a, what: str = "matrix") -> Hermitian:
-    """The one gate for a user array: a record passes as it is; an array is
+    """The one gate for an array: a record passes as it is; an array is
     scanned once (require_hermitian) and its form detected once
     (operator_form)."""
     if isinstance(a, Hermitian):
@@ -434,21 +425,28 @@ class SpectralDecomposition:
         return tuple(_sandwich(block.vectors, x, block.vectors.conj().mT) for block, x in zip(self.blocks, parts))
 
 
-def _solve(solver, m: np.ndarray, what: str):
+def _solve(solver, m, what: str):
     """solver(m), for np.linalg.eigh or eigvalsh of a matrix or a (k, n, n)
-    stack; a LAPACK error or a non-finite eigenvalue raises
-    EigensolverError with the largest Hermiticity defect."""
+    stack, or for _real_diagonal of a diagonal record; a LAPACK error or a
+    non-finite eigenvalue raises EigensolverError with the largest
+    Hermiticity defect, before any arithmetic on the spectrum can warn."""
     try:
         out = solver(m)
         if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
             raise np.linalg.LinAlgError("non-finite eigenvalue")
         return out
     except np.linalg.LinAlgError as exc:
+        m = m.matrix if isinstance(m, Hermitian) else m
         with np.errstate(invalid="ignore"):  # inf - inf, where m holds infinities
             defect = np.max(hermiticity_defect(m))
         shape = "x".join(map(str, m.shape))
         message = f"eigensolver failed on a {shape} {what}: {exc} (hermiticity defect {defect:.3e})"
         raise EigensolverError(message) from exc
+
+
+def _real_diagonal(h: Hermitian) -> np.ndarray:
+    """The unsorted eigenvalues of a diagonal record: its real diagonal."""
+    return h.parts[0].real
 
 
 def _residuals(evals: np.ndarray, evecs: np.ndarray, m: np.ndarray):
@@ -509,7 +507,8 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
     basis-independent quantities. A diagonal matrix skips the eigensolver:
     its eigenvalues are the stably sorted real diagonal and its
     eigenvectors the matching unit vectors, which is bit for bit what
-    eigh returns for a nondegenerate diagonal (the identity for J_z).
+    eigh returns for a nondegenerate diagonal (the identity for J_z), and
+    a non-finite diagonal raises EigensolverError as eigh's output does.
     A matrix in blocks is solved block by block, in real arithmetic where
     a block is real; the residuals are certified per block, which is the
     same contract since the entries between blocks are exact zeros on
@@ -523,10 +522,10 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
         raise ValueError(f"eigendecompose takes a stack only as one block; this {what} stack is {layout}")
     order = blocks = None
     if h.form == "diagonal":
-        d = h.parts[0]
+        d, real = h.parts[0], _solve(_real_diagonal, h, what)
         scale = max(1.0, float(np.max(np.abs(d))))
-        order = np.argsort(d.real, kind="stable")
-        evals = d.real[order]
+        order = np.argsort(real, kind="stable")
+        evals = real[order]
         ortho = 0.0
         recon = float(np.max(np.abs(d[order] - evals)))
     else:
@@ -590,10 +589,9 @@ def commutator_i(a, b):
     (only the sign of an exact zero may differ, as it does between BLAS
     kernels), and keeps B's form: [diagonal, blocks] is blocks, block by
     block, with B's tridiagonal flags. [diagonal, diagonal] is diagonal,
-    scaled on B's dense array, which the result keeps as its matrix, so
-    its zeros carry the signs of the products. [blocks, blocks] in the
-    same number of blocks is blocks, one product per block. Anything
-    else is a product of the dense arrays, one block.
+    read off B's dense array scaled so. [blocks, blocks] in the same
+    number of blocks is blocks, one product per block. Anything else is
+    a product of the dense arrays, one block.
     """
     ha = as_hermitian(a, "commutator argument A")
     hb = as_hermitian(b, "commutator argument B")
@@ -606,7 +604,7 @@ def commutator_i(a, b):
             parts = [_times_i_symmetrize(_scaled_commutator(d[s::k], p)) for s, p in enumerate(hb.parts)]
             return _blocks(*parts, tridiagonal=hb.tridiagonal)
         x = _times_i_symmetrize(_scaled_commutator(d, hb.matrix))
-        return _with_matrix(_diagonal(np.diagonal(x, axis1=-2, axis2=-1)), x)
+        return _diagonal(np.diagonal(x, axis1=-2, axis2=-1).copy())
     if ha.form == hb.form == "blocks" and len(ha.parts) == len(hb.parts):
         pairs = zip(ha.parts, hb.parts)
     else:
@@ -634,7 +632,7 @@ def _widths(h: Hermitian, what: str) -> np.ndarray:
     off-diagonals |e_k|, read from the lower triangle, the one eigvalsh
     reads."""
     if h.form == "diagonal":
-        d = h.parts[0].real
+        d = _solve(_real_diagonal, h, what)
         return d.max(axis=-1) - d.min(axis=-1)
     spectra = []
     for part, banded in zip(h.parts, h.tridiagonal):

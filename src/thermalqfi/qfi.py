@@ -36,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoding import as_operator
 from .operators import (
     Hermitian,
     SpectralDecomposition,
@@ -44,6 +43,7 @@ from .operators import (
     _interleave,
     _off_diagonal,
     _widths,
+    as_hermitian,
     commutator_i,
 )
 from .thermal import GibbsState
@@ -107,7 +107,7 @@ def _clamped(value: float, what: str) -> float:
 def _probe_parts(probe, h):
     p = np.asarray(probe.probabilities, dtype=float)
     v = np.asarray(probe.eigenvectors)
-    hm = as_operator(h)
+    hm = as_hermitian(h, "generator")
     if hm.shape[0] != v.shape[0]:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {v.shape[0]}")
     if np.any(p < 0.0):
@@ -513,14 +513,14 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
     """Build the beta-independent plan for the probe Hamiltonian H, read as
     the source of its eigendecomposition, and generator h.
 
-    Nothing is scanned here. A TransformedLocalGenerator holds its
-    record, and a bare h goes through as_operator, the gate; H is the
-    record that was decomposed, and C = i[H, h] is exactly Hermitian in
-    floating point, since commutator_i returns 0.5 (X + X^dagger), in the
-    form that the forms of H and h give it. The plan is stacked_plan of
-    the one-member stack of h, with h kept as its generator.
+    A generator record is taken as it is; only an array h is scanned,
+    once, by the gate (as_hermitian). H is the record that was
+    decomposed, and C = i[H, h] is exactly Hermitian in floating
+    point, since commutator_i returns 0.5 (X + X^dagger), in the form
+    that the forms of H and h give it. The plan is stacked_plan of the
+    one-member stack of h, with h kept as its generator.
     """
-    hm = as_operator(h)
+    hm = as_hermitian(h, "generator")
     dim = decomposition.source_dim
     if hm.shape[0] != dim:
         raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {dim}")

@@ -10,12 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import operators
-from .operators import Hermitian, _blocks, _diagonal, _symmetric_tridiagonal, _symmetrize, _with_matrix
+from .operators import Hermitian, _blocks, _diagonal, _symmetric_tridiagonal, _symmetrize
 
 # Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
 # the oat and lmg models keep their operators as half-size parity blocks,
-# so one compute point at 2J = 2000 peaks at about 137 MB (oat) and
-# 258 MB (lmg) of ru_maxrss, in one process with one BLAS thread.
+# so one compute point at 2J = 2000 peaks at about 123 MB (oat) and
+# 258 MB (lmg) of ru_maxrss, and the linear model, whose J_x and J_y are
+# dense arrays, at about 334 MB, in one process with one BLAS thread.
 # Anything larger is refused before a single array is allocated.
 MAX_TWICE_J = 2000
 
@@ -73,7 +74,7 @@ def spin_operator_forms(twice_j) -> tuple[Hermitian, Hermitian, Hermitian]:
     split into parity blocks)."""
     jx, jy, jz = spin_operators(twice_j)
     flag = [jz.shape[0] > operators.DENSE_MAX_DIM]
-    return _blocks(jx, tridiagonal=flag), _blocks(jy, tridiagonal=flag), _with_matrix(_diagonal(m_values(twice_j)), jz)
+    return _blocks(jx, tridiagonal=flag), _blocks(jy, tridiagonal=flag), _diagonal(m_values(twice_j))
 
 
 def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:

@@ -380,7 +380,7 @@ def _fd_gap(family, reference: np.ndarray, step: float) -> float:
         lam=family.lam,
         fd_step=step,
     )
-    return float(np.max(np.abs(generator_fd(numeric).h - reference)))
+    return float(np.max(np.abs(generator_fd(numeric).matrix - reference)))
 
 
 @_criterion(9, "generator route cross-check")
@@ -397,7 +397,7 @@ def check_lmg_generator_routes(seed):
         for lam in (0.5, 1.0):
             for t in (1.0, 3.14):
                 family = model_encoding("lmg", twice_j, t, lam=lam)[1]
-                h_int = generator_integral(family).h
+                h_int = generator_integral(family).matrix
                 scale = max(1.0, float(np.max(np.abs(h_int))))
                 gap_full = _fd_gap(family, h_int, 1e-5)
                 rel = gap_full / scale

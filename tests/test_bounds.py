@@ -49,7 +49,7 @@ class TestVarianceBound:
                 f = qfi_general(scenario.probe, scenario.h)
                 assert f <= variance_bound(scenario.probe, scenario.h) + 1e-9
                 # oracle: the dense Tr[rho C^2] - Tr[rho C]^2 route
-                c = commutator_i(scenario.probe.hamiltonian, scenario.h.h)
+                c = commutator_i(scenario.probe.hamiltonian, scenario.h.matrix)
                 assert beta**2 * variance(c, scenario.probe.density_matrix()) == pytest.approx(
                     variance_bound(scenario.probe, scenario.h), rel=1e-12
                 )
@@ -255,13 +255,13 @@ class TestNoncommutativity:
 
     def test_zero_noncommutativity_implies_zero_qfi(self):
         scenario = build_scenario("linear", 5, 2.0, 1.7, axis="z")
-        assert noncommutativity(scenario.probe.hamiltonian, scenario.h.h) <= 1e-12
+        assert noncommutativity(scenario.probe.hamiltonian, scenario.h.matrix) <= 1e-12
         assert qfi_general(scenario.probe, scenario.h) <= 1e-12
 
     def test_linear_model_value(self):
         twice_j, t = 6, 2.0
         scenario = build_scenario("linear", twice_j, 1.0, t)
-        assert noncommutativity(scenario.probe.hamiltonian, scenario.h.h) == pytest.approx(
+        assert noncommutativity(scenario.probe.hamiltonian, scenario.h.matrix) == pytest.approx(
             t * twice_j, rel=1e-10
         )
 

@@ -294,8 +294,8 @@ def test_routes_above_81_do_not_depend_on_the_thread_count(tmp_path, model, lam)
         assert repr(one[name]) == repr(two[name]), name
 
 
-# SHA-256 of `compute` stdout above 81 at one BLAS thread, recorded with
-# numpy 2.4.6 on OpenBLAS 0.3.31, x86-64: (model, lambda, 2J, beta, t).
+# SHA-256 of `compute` stdout at one BLAS thread, recorded with numpy
+# 2.4.6 on OpenBLAS 0.3.31, x86-64: (model, axis or lambda, 2J, beta, t).
 COMPUTE_DIGESTS = {
     ("oat", None, 100, "1.7", "2.3"): "117709aa4e696d844098b6934e4974cf099cacf7c70f89c47a5057f32987df62",
     ("oat", None, 100, "4.19", "2.78"): "ed0452386558c1eb7237efe448d11843bfd3671a6dfbd3d91618ef4cf403f023",
@@ -315,19 +315,27 @@ COMPUTE_DIGESTS = {
     ("lmg", "-0.7", 200, "4.19", "2.78"): "842372ad61b43597dee08022b11a7995fdcd8cc93884fc603b99cda2895f53ae",
     ("lmg", "-0.7", 400, "1.7", "2.3"): "1040e8c7f38f88b5f803387b43f767df4f78464653b3604dbd83911380475651",
     ("lmg", "-0.7", 400, "4.19", "2.78"): "39bafb2b38d73cf0856a38d61fae55ca645bfeb0d1f3326053c1dac3d0d4a68d",
+    # small spins, on the diagonal paths: J_z times J_z (linear z), H(lambda)
+    # diagonal and descending (lmg at 2J = 1), and the zero-time generator
+    ("linear", "z", 1, "1.7", "2.3"): "4d86d6beb11d55fe06405bf19389cfd0d0984d9dc0714ee3255060e4bffd319f",
+    ("linear", "z", 10, "1.7", "2.3"): "eafb42cadd739dcc014c80fd174f1d7bf4b0721fbcc65402b7da7cd64b8b741d",
+    ("lmg", "-0.7", 1, "1.7", "2.3"): "b47ba526db6d89eb3823dec5080b2081b54d1ab1abb23379109bc9184b0bdcbb",
+    ("oat", None, 10, "1.7", "0"): "68c12a9dbe6c1935a40a4963f5f02cb75b4ee793cb43e2dc544cc6dbee73eebb",
+    ("linear", "x", 10, "1.7", "0"): "0387b5b2ba0b0f731b0c1fd4ee757ab1141dea16f03581b2cd4eefb819d6214f",
 }
 
 
 @pytest.mark.parametrize(
-    "model, lam, twice_j, beta, t", list(COMPUTE_DIGESTS), ids=["-".join(map(str, key)) for key in COMPUTE_DIGESTS]
+    "model, option, twice_j, beta, t", list(COMPUTE_DIGESTS), ids=["-".join(map(str, key)) for key in COMPUTE_DIGESTS]
 )
-def test_compute_bytes_above_81_are_pinned(tmp_path, model, lam, twice_j, beta, t):
-    # every output byte of a large-spin point at one BLAS thread, the
-    # thread count README's contract ties the bytes above 81 to
+def test_compute_bytes_are_pinned(tmp_path, model, option, twice_j, beta, t):
+    # every output byte of a compute point at one BLAS thread, the thread
+    # count README's contract ties the bytes above 81 to; option is the
+    # linear model's axis or the lmg model's lambda
     args = ["compute", "--model", model, "--twice-j", str(twice_j), "--beta", beta, "--t", t]
-    args += [] if lam is None else ["--lam", lam]
+    args += [] if option is None else ["--axis" if model == "linear" else "--lam", option]
     digest = hashlib.sha256(_cli_bytes(args, 1, tmp_path)).hexdigest()
-    assert digest == COMPUTE_DIGESTS[model, lam, twice_j, beta, t]
+    assert digest == COMPUTE_DIGESTS[model, option, twice_j, beta, t]
 
 
 @pytest.mark.parametrize("exc", [ArithmeticError("negative QFI"), OverflowError("exp overflow")])

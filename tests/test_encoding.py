@@ -16,7 +16,7 @@ from thermalqfi.encoding import (
     transformed_generator,
 )
 from thermalqfi.models import lmg_hamiltonian
-from thermalqfi.operators import hermiticity_defect, seminorm
+from thermalqfi.operators import Hermitian, hermiticity_defect, seminorm
 from thermalqfi.qfi import qfi_general
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
@@ -28,17 +28,16 @@ class TestExplicit:
     def test_scales_generator(self):
         jx, _, _ = spin_operators(2)
         out = generator_explicit(jx, 2.0)
-        assert out.method == "explicit"
-        np.testing.assert_array_equal(out.h, 2.0 * jx)
+        np.testing.assert_array_equal(out.matrix, 2.0 * jx)
 
     def test_squared_generator_passes_through(self):
         jx, _, _ = spin_operators(4)
         jx2 = jx @ jx
-        np.testing.assert_array_equal(generator_explicit(jx2, 1.0).h, jx2)
+        np.testing.assert_array_equal(generator_explicit(jx2, 1.0).matrix, jx2)
 
     def test_zero_time(self):
         jx, _, _ = spin_operators(1)
-        assert np.max(np.abs(generator_explicit(jx, 0.0).h)) == 0.0
+        assert np.max(np.abs(generator_explicit(jx, 0.0).matrix)) == 0.0
 
     def test_rejects_negative_time(self):
         jx, _, _ = spin_operators(1)
@@ -51,28 +50,27 @@ class TestIntegral:
         _, _, jz = spin_operators(3)
         family = HamiltonianFamily(lambda lam: lam * jz, jz, lam=0.8, t=2.5)
         out = generator_integral(family)
-        assert out.method == "integral"
-        np.testing.assert_allclose(out.h, 2.5 * jz, atol=1e-12)
+        np.testing.assert_allclose(out.matrix, 2.5 * jz, atol=1e-12)
 
     def test_zero_time_gives_zero(self):
         _, _, jz = spin_operators(2)
         family = HamiltonianFamily(lambda lam: lmg_hamiltonian(2, lam), jz, lam=1.0, t=0.0)
-        assert np.max(np.abs(generator_integral(family).h)) <= 1e-15
+        assert np.max(np.abs(generator_integral(family).matrix)) <= 1e-15
 
     def test_hermitian_output(self):
         _, _, jz = spin_operators(6)
         family = HamiltonianFamily(lambda lam: lmg_hamiltonian(6, lam), jz, lam=0.5, t=3.14)
-        assert hermiticity_defect(generator_integral(family).h) == 0.0
+        assert hermiticity_defect(generator_integral(family).matrix) == 0.0
 
     @pytest.mark.parametrize("twice_j,lam,t", [(2, 1.0, 1.0), (4, 0.5, 3.14), (8, 1.0, 2.0)])
     def test_against_finite_difference_oracle(self, twice_j, lam, t):
         _, _, jz = spin_operators(twice_j)
         family = HamiltonianFamily(lambda v: lmg_hamiltonian(twice_j, v), jz, lam=lam, t=t)
-        spectral = generator_integral(family).h
+        spectral = generator_integral(family).matrix
         numeric = NumericUnitary(
             lambda v: evolution_unitary(lmg_hamiltonian(twice_j, v), t), lam=lam, fd_step=1e-5
         )
-        fd = generator_fd(numeric).h
+        fd = generator_fd(numeric).matrix
         scale = max(1.0, float(np.max(np.abs(spectral))))
         assert np.max(np.abs(fd - spectral)) / scale <= 1e-5
 
@@ -81,7 +79,7 @@ class TestIntegral:
     def test_seminorm_bounded_by_time_and_derivative(self, pair):
         base, deriv = pair
         family = HamiltonianFamily(lambda lam: base + lam * deriv, deriv, lam=0.6, t=1.7)
-        h = generator_integral(family).h
+        h = generator_integral(family).matrix
         assert seminorm(h) <= 1.7 * seminorm(deriv) + 1e-8
 
 
@@ -92,7 +90,7 @@ class TestBlockKernel:
         family = HamiltonianFamily(lambda lam: lmg_hamiltonian(twice_j, lam), jz, 0.6, 2.3)
         spectrum = encoding.encoding_spectrum(family)
         assert isinstance(spectrum.v_eig, tuple)  # J_z conserves parity
-        blocked = transformed_generator(family).h
+        blocked = transformed_generator(family).matrix
         # the diagonal J_z, scaled as the blocks are
         assert blocked.tobytes() == full_kernel_generator(family, 2.3).tobytes()
 
@@ -102,7 +100,7 @@ class TestBlockKernel:
         spectrum = encoding.encoding_spectrum(family)
         assert spectrum.decomposition.blocks is not None
         assert not isinstance(spectrum.v_eig, tuple)
-        h = transformed_generator(family).h
+        h = transformed_generator(family).matrix
         assert h[0::2, 1::2].any()  # J_x couples the two parities
 
 
@@ -189,25 +187,25 @@ class TestFiniteDifference:
         jx, _, _ = spin_operators(2)
         t = 1.3
         numeric = NumericUnitary(lambda lam: evolution_unitary(lam * t * jx, 1.0), lam=0.4, fd_step=1e-5)
-        h = generator_fd(numeric).h
+        h = generator_fd(numeric).matrix
         np.testing.assert_allclose(h, t * jx, rtol=1e-8, atol=1e-8)
 
     def test_parameter_independent_unitary(self):
         u = evolution_unitary(spin_operators(2)[0], 0.9)
         numeric = NumericUnitary(lambda lam: u, lam=0.0, fd_step=1e-5)
-        assert np.max(np.abs(generator_fd(numeric).h)) <= 1e-10
+        assert np.max(np.abs(generator_fd(numeric).matrix)) <= 1e-10
 
     def test_step_halving_is_second_order(self):
         twice_j, lam, t = 4, 0.5, 3.14  # truncation well above the roundoff floor here
         _, _, jz = spin_operators(twice_j)
         family = HamiltonianFamily(lambda v: lmg_hamiltonian(twice_j, v), jz, lam=lam, t=t)
-        spectral = generator_integral(family).h
+        spectral = generator_integral(family).matrix
 
         def gap(step):
             numeric = NumericUnitary(
                 lambda v: evolution_unitary(lmg_hamiltonian(twice_j, v), t), lam=lam, fd_step=step
             )
-            return float(np.max(np.abs(generator_fd(numeric).h - spectral)))
+            return float(np.max(np.abs(generator_fd(numeric).matrix - spectral)))
 
         ratio = gap(2e-4) / gap(1e-4)
         assert 3.0 <= ratio <= 5.0
@@ -224,13 +222,18 @@ class TestFiniteDifference:
 
 
 class TestDispatchAndConventions:
-    def test_dispatch_tags(self):
+    def test_dispatch_by_scheme_type(self):
+        # each scheme takes its own route, and every route returns a record
         jx, _, jz = spin_operators(2)
-        assert transformed_generator(ExplicitGenerator(jx, 1.0)).method == "explicit"
+        explicit = transformed_generator(ExplicitGenerator(jx, 1.0))
         fam = HamiltonianFamily(lambda lam: lmg_hamiltonian(2, lam), jz, lam=1.0, t=1.0)
-        assert transformed_generator(fam).method == "integral"
         num = NumericUnitary(lambda lam: evolution_unitary(lam * jx, 1.0), lam=0.3)
-        assert transformed_generator(num).method == "finite-difference"
+        pairs = [(explicit, generator_explicit(jx, 1.0)), (transformed_generator(fam), generator_integral(fam))]
+        pairs.append((transformed_generator(num), generator_fd(num)))
+        for routed, direct in pairs:
+            assert isinstance(routed, Hermitian)
+            assert np.array_equal(routed.matrix, direct.matrix)
+        assert np.array_equal(explicit.matrix, jx)
         with pytest.raises(TypeError):
             transformed_generator(object())
 
@@ -245,8 +248,8 @@ class TestDispatchAndConventions:
                 lambda v: evolution_unitary(sign * lmg_hamiltonian(twice_j, v), t), lam=lam, fd_step=1e-5
             )
 
-        h_minus = generator_fd(unitary(1.0)).h
-        h_plus = generator_fd(unitary(-1.0)).h
+        h_minus = generator_fd(unitary(1.0)).matrix
+        h_plus = generator_fd(unitary(-1.0)).matrix
         scale = np.max(np.abs(h_minus))
         np.testing.assert_allclose(np.abs(h_plus), np.abs(h_minus), atol=1e-8 * scale)
         np.testing.assert_allclose(
@@ -293,12 +296,12 @@ class TestDebugResidue:
         ids=["integral", "fd"],
     )
     def test_not_measured_without_debug(self, caplog, monkeypatch, build):
-        expected = build().h
+        expected = build().matrix
 
         def refuse(*args, **kwargs):
             raise AssertionError("residue measured with DEBUG off")
 
         monkeypatch.setattr(encoding, "hermiticity_defect", refuse)
         with caplog.at_level(logging.INFO, logger="thermalqfi.encoding"):
-            got = build().h
+            got = build().matrix
         assert np.array_equal(got, expected)

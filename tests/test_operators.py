@@ -21,7 +21,7 @@ from thermalqfi.operators import (
     variance,
 )
 from thermalqfi.models import lmg_hamiltonian
-from thermalqfi.spin import spin_operators
+from thermalqfi.spin import spin_operator_forms, spin_operators
 from thermalqfi.thermal import gibbs_state, partition_moment_ratio
 
 from conftest import hermitian_matrices, hermitian_pairs, random_hermitian, record_solver_calls
@@ -279,7 +279,7 @@ class TestDiagonalFastPath:
         jx, _, jz = spin_operators(6)
         record = operators.operator_form(jz)
         assert record.form == "diagonal" and _bits(record.parts[0]) == _bits(np.diagonal(jz))
-        assert record.matrix is jz  # the gate keeps the array it read
+        assert _bits(record.matrix) == _bits(jz)  # the dense array rebuilt from the diagonal
         assert operators.operator_form(DIAGONAL_CASES["negative-zero-offdiagonal"]).form == "diagonal"
         assert operators.operator_form(jz.T).form == "diagonal"
         assert operators.operator_form(np.eye(1, dtype=np.complex128)).form == "diagonal"
@@ -296,8 +296,8 @@ class TestDiagonalFastPath:
         assert _bits(evals) == _bits(np.diagonal(jz).real)
         dec = eigendecompose(jz)
         np.testing.assert_array_equal(dec.order, np.arange(twice_j + 1))
-        assert dec.source.matrix is jz
-        assert dec.to_eigenbasis(jz).matrix is jz
+        assert _bits(dec.source.matrix) == _bits(jz)
+        assert _bits(dec.to_eigenbasis(jz).matrix) == _bits(jz)
 
     @pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
     def test_eigendecompose_matches_eigh(self, name, monkeypatch):
@@ -518,6 +518,30 @@ class TestNonFiniteSpectra:
             h = lmg_hamiltonian(4, 1e308)  # lambda J_z overflows to inf
         with pytest.raises(EigensolverError, match="non-finite eigenvalue"):
             eigendecompose(h)
+
+    @staticmethod
+    def _non_finite_diagonal(kind):
+        if kind == "nan":
+            return operators._diagonal(np.array([-1.0, np.nan, 1.0]))
+        with np.errstate(over="ignore"):
+            return 1e308 * spin_operator_forms(4)[2]  # J_z: -2e308 and 2e308 overflow to -inf and inf
+
+    @pytest.mark.parametrize("kind", ["overflow", "nan"])
+    def test_a_diagonal_record_takes_the_same_rule(self, kind):
+        # read off the diagonal, with no solve, and refused before any
+        # arithmetic on it can warn (the suite makes a RuntimeWarning an error)
+        r = self._non_finite_diagonal(kind)
+        n = r.dim
+        message = f"eigensolver failed on a {n}x{n} H: non-finite eigenvalue (hermiticity defect nan)"
+        with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
+            eigendecompose(r, "H")
+        with pytest.raises(EigensolverError, match="non-finite eigenvalue"):
+            seminorm(r)
+
+    def test_a_diagonal_stack_takes_the_same_rule(self):
+        stack = operators._diagonal(np.array([[-1.0, 0.0, 1.0], [-1.0, np.inf, 1.0]]))
+        with pytest.raises(EigensolverError, match="^eigensolver failed on a 2x3x3 C: non-finite eigenvalue"):
+            operators._widths(stack, "C")
 
     @pytest.mark.parametrize("ortho, recon", [(np.nan, 0.0), (0.0, np.nan), (np.array([0.0, np.nan]), np.zeros(2))])
     def test_a_nan_residual_misses_the_certificate(self, ortho, recon):
@@ -761,7 +785,7 @@ class TestParityBlocks:
         from thermalqfi.models import build_scenario
 
         scenario = build_scenario("lmg", 100, 0.7, 2.3, lam=0.6)
-        c = commutator_i(scenario.probe.hamiltonian, scenario.h.h).matrix  # dense within each block
+        c = commutator_i(scenario.probe.hamiltonian, scenario.h).matrix  # dense within each block
         calls = record_solver_calls(monkeypatch, "eigvalsh")
         width = seminorm(c)
         assert calls == [(51, True), (50, True)]
@@ -1034,7 +1058,7 @@ class TestInPlaceSymmetrization:
         u0, up, um = (np.asarray(scheme.unitary(scheme.lam + s), dtype=np.complex128) for s in (0.0, step, -step))
         raw = 1j * (u0.conj().T @ (up - um)) / (2.0 * step)
         expected = 0.5 * (raw + raw.conj().T)
-        assert np.array_equal(_uint64(generator_fd(scheme).h), _uint64(expected))
+        assert np.array_equal(_uint64(generator_fd(scheme).matrix), _uint64(expected))
 
 
 def _overflowing(shape, part):
@@ -1135,7 +1159,7 @@ class TestOperatorRecords:
             if isinstance(scheme, HamiltonianFamily)
             else [scheme.generator]
         )
-        records = [probe_h, scenario.h.operator, commutator_i(probe_h, scenario.h.operator), *encoding]
+        records = [probe_h, scenario.h, commutator_i(probe_h, scenario.h), *encoding]
         for record in records:
             assert record.form in ("diagonal", "blocks")
             if record.form == "diagonal":
@@ -1153,7 +1177,7 @@ class TestOperatorRecords:
         members = []
         for model, lam in (("oat", None), ("lmg", 1.0), ("oat", None)):
             scenario = build_scenario(model, 100, 0.7, 2.3, lam=lam)
-            members.append(commutator_i(scenario.probe.decomposition.source, scenario.h.operator))
+            members.append(commutator_i(scenario.probe.decomposition.source, scenario.h))
         oat, lmg = ("blocks", (True, True)), ("blocks", (False, False))
         assert [_layout(c) for c in members] == [oat, lmg, oat]
         stack = operators.concatenate([c.member(None) for c in members])

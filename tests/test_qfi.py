@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from thermalqfi.encoding import ExplicitGenerator, HamiltonianFamily, TransformedLocalGenerator, transformed_generator
+from thermalqfi.bounds import bound_report
+from thermalqfi.encoding import ExplicitGenerator, HamiltonianFamily, transformed_generator
 from thermalqfi.models import build_scenario
 from thermalqfi.operators import NotHermitianError, eigendecompose
 from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, spectral_plan, tanhc
@@ -442,12 +443,12 @@ JZ = np.diag([0.5, -0.5])
     [
         (lambda: ExplicitGenerator(NOT_HERMITIAN, 1.0), "generator"),
         (lambda: HamiltonianFamily(lambda lam: JZ, NOT_HERMITIAN, 1.0, 1.0), "dH/dlambda"),
-        (lambda: TransformedLocalGenerator(NOT_HERMITIAN, "explicit"), "generator"),
         (lambda: qfi_report(gibbs_state(JZ, 1.0), NOT_HERMITIAN), "generator"),
         (lambda: spectral_plan(gibbs_state(JZ, 1.0).decomposition, NOT_HERMITIAN), "generator"),
+        (lambda: bound_report(gibbs_state(JZ, 1.0), ExplicitGenerator(JZ, 1.0), h=NOT_HERMITIAN), "generator"),
         (lambda: eigendecompose(NOT_HERMITIAN, "Hamiltonian"), "Hamiltonian"),
     ],
-    ids=["explicit", "family", "transformed", "qfi_report", "spectral_plan", "eigendecompose"],
+    ids=["explicit", "family", "qfi_report", "spectral_plan", "bound_report", "eigendecompose"],
 )
 def test_each_owner_refuses_a_non_hermitian_matrix(make, message):
     with pytest.raises(NotHermitianError, match=f"^{message} is not Hermitian: defect 1.000e\\+00"):
@@ -494,13 +495,12 @@ def _dense_route_sums(decomposition, hamiltonian, h, p, beta):
 
 
 def _assert_support_sums_are_dense_sums(probe, scheme, h):
-    from thermalqfi.bounds import bound_report
-    from thermalqfi.encoding import as_operator
+    from thermalqfi.operators import as_hermitian
 
     report = qfi_report(probe, h)
     bounds = bound_report(probe, scheme, h=h, qfi_result=report)
     general, thermal, sld, var_c = _dense_route_sums(
-        probe.decomposition, probe.hamiltonian, as_operator(h), probe.probabilities, probe.beta
+        probe.decomposition, probe.hamiltonian, as_hermitian(h), probe.probabilities, probe.beta
     )
     assert repr((report.f_general, report.f_thermal, report.f_sld)) == repr((general, thermal, sld))
     assert repr(qfi_thermal(probe, h)) == repr(thermal)
@@ -555,7 +555,7 @@ class TestSupportSums:
         scheme = ExplicitGenerator(record, 1.3)
         h = transformed_generator(scheme)
         values = qfi_report(probe, h).plan.h_pairs.values
-        assert h.operator.tridiagonal == flags and (values == 0.0).any() and values.any() == (zero_share < 1.0)
+        assert h.tridiagonal == flags and (values == 0.0).any() and values.any() == (zero_share < 1.0)
         _assert_support_sums_are_dense_sums(probe, scheme, h)
 
     def test_random_scenarios_bit_identical_to_dense_sums(self):
@@ -949,7 +949,6 @@ class TestNoRescans:
     @pytest.mark.parametrize("model, lam", [("oat", None), ("lmg", 1.0)], ids=["oat", "lmg"])
     def test_a_compute_point_at_400_scans_and_detects_nothing(self, monkeypatch, model, lam):
         import thermalqfi.operators as operators
-        from thermalqfi.encoding import as_operator
 
         calls = []
         for name in ("_hermitian", "operator_form", "_is_tridiagonal", "_off_diagonal"):
@@ -965,7 +964,7 @@ class TestNoRescans:
         bounds = _point_at(model, 400, lam)
         assert bounds.ordering_ok and calls == []
         # a user array is scanned once and its form detected once, by the gate
-        as_operator(spin_operators(400)[0])
+        operators.as_hermitian(spin_operators(400)[0])
         assert calls.count("_hermitian") == 1 and calls.count("operator_form") == 1
 
 
@@ -989,8 +988,10 @@ def _detected_forms(m):
 def _record_forms(monkeypatch):
     """Wrap every consumer of an operator record to compare each record it
     is given with what the gate's detection finds on the record's dense
-    array (the array it was built from where it keeps one), a stack as a
-    whole; the mismatches and the count of records checked are collected."""
+    array, a stack as a whole; the mismatches and the count of records
+    checked are collected. A record's dense array is built from its
+    parts, so a record whose parts hold the wrong matrix is caught by
+    _model_record_mismatches, not here."""
     import thermalqfi.operators as operators
     import thermalqfi.qfi as qfi_module
 
@@ -1000,8 +1001,7 @@ def _record_forms(monkeypatch):
     def check(x, where):
         if not isinstance(x, operators.Hermitian):
             return
-        stack = x.__dict__.get("matrix")
-        expected = _detected_forms(dense(x) if stack is None else stack)
+        expected = _detected_forms(dense(x))
         seen["checked"] += 1
         if _forms(x) != expected:
             seen["mismatches"].append((where, x.shape, _forms(x), expected))
@@ -1030,6 +1030,27 @@ def _record_forms(monkeypatch):
     return seen
 
 
+def _model_record_mismatches(twice_js):
+    """(2J, name) of every model record whose dense array differs, bit for
+    bit, from the dense product it stands for: J_x, J_y and J_z of
+    spin_operators, and J_x^2 = _symmetrize(J_x @ J_x). The reference for
+    the records up to DENSE_MAX_DIM, where the figure and verify bytes
+    rest on those products."""
+    import thermalqfi.models as models
+    from thermalqfi.operators import _symmetrize
+    from thermalqfi.spin import spin_operator_forms
+
+    mismatches = []
+    for twice_j in twice_js:
+        jx, jy, jz = spin_operators(twice_j)
+        jx2 = _symmetrize(jx @ jx)
+        records = (*spin_operator_forms(twice_j), *models._jz_jx_squared(twice_j))
+        for name, record, expected in zip(("J_x", "J_y", "J_z", "J_z", "J_x^2"), records, (jx, jy, jz, jz, jx2)):
+            if record.matrix.tobytes() != expected.tobytes():
+                mismatches.append((twice_j, name))
+    return mismatches
+
+
 def _run_form_configs():
     from thermalqfi import verify
     from thermalqfi.sweep import SweepConfig, figure_configs, run_sweep, run_sweeps
@@ -1051,6 +1072,11 @@ class TestCarriedForms:
     verify grids (2J <= 81, so one dense block or diagonal, as detection
     found them before records existed) and compute points at 2J = 100, 101 and 400."""
 
+    def test_model_records_are_their_dense_products(self):
+        from thermalqfi.operators import DENSE_MAX_DIM
+
+        assert _model_record_mismatches(range(1, DENSE_MAX_DIM)) == []
+
     def test_carried_forms_equal_the_detected_ones(self, monkeypatch):
         seen = _record_forms(monkeypatch)
         _run_form_configs()
@@ -1066,11 +1092,13 @@ class TestCarriedForms:
         if mutant == "blocks-as-dense":  # J_x^2 above 81 tagged one dense block
             monkeypatch.setattr(spin, "_blocks", lambda *a, **k: operators._blocks(operators._blocks(*a, **k).matrix))
         else:  # J_x^2 up to 81 tagged diagonal, though its array is dense
-            monkeypatch.setattr(models, "_blocks", lambda m: operators._with_matrix(operators._diagonal(np.diagonal(m)), m))
+            monkeypatch.setattr(models, "_blocks", lambda m: operators._diagonal(np.diagonal(m)))
         seen = _record_forms(monkeypatch)
         for twice_j in (10, 400):
             _point_at("oat", twice_j)
-        assert seen["mismatches"]
+        # a record mislabelled in its detected form is caught by the form
+        # check; one whose parts lose entries, by the dense reference
+        assert seen["mismatches"] if mutant == "blocks-as-dense" else _model_record_mismatches([10])
 
 
 class TestEvenChunks:

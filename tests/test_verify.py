@@ -14,8 +14,8 @@ import thermalqfi.operators as operators
 import thermalqfi.qfi as qfi_module
 from thermalqfi import verify
 from thermalqfi.bounds import bound_report
-from thermalqfi.encoding import ExplicitGenerator, TransformedLocalGenerator
-from thermalqfi.operators import EigensolverError
+from thermalqfi.encoding import ExplicitGenerator
+from thermalqfi.operators import EigensolverError, as_hermitian
 from thermalqfi.thermal import gibbs_state
 
 from conftest import record_solver_calls
@@ -89,7 +89,7 @@ def test_generator_routes_report_an_offset_finite_difference(monkeypatch):
 
     def offset(scheme):
         generator = original(scheme)
-        return TransformedLocalGenerator(generator.h + 1e-3 * np.eye(generator.h.shape[0]), generator.method)
+        return as_hermitian(generator.matrix + 1e-3 * np.eye(generator.dim))
 
     monkeypatch.setattr(verify, "generator_fd", offset)
     result = verify.check_lmg_generator_routes()
