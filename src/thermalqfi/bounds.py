@@ -252,27 +252,32 @@ def _derivative(scheme) -> np.ndarray | None:
     raise TypeError(f"unknown encoding scheme type: {type(scheme).__name__}")
 
 
-def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
-    """The scales for the probe Hamiltonian H, read as the source of its
-    eigendecomposition.
+def probe_scales(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||H|| and the minimum gap of one ascending probe spectrum (n,), or
+    of each of a (k, n) stack, as 0-d or (k,) arrays.
 
-    The gap treats spacings below 1e-9 * ||H|| as degenerate. Nothing is
-    scanned: H is the record that was decomposed, and dH/dlambda the
-    record the scheme carrying it took in.
+    ||H|| is the width E_max - E_min of the spectrum the decomposition
+    already holds. For a diagonal probe it is bit for bit seminorm(H); for
+    a dense one, eigh's extreme eigenvalues may differ from eigvalsh's in
+    their last bits. The gap treats spacings below 1e-9 * ||H|| as
+    degenerate.
     """
+    h_width = energies[..., -1] - energies[..., 0]
+    return h_width, minimum_gap(energies, GAP_DEGENERACY_RTOL * h_width)
+
+
+def derivative_width(scheme) -> float | None:
+    """||dH/dlambda|| of an encoding, None where it exposes no derivative.
+    Nothing is scanned: dH/dlambda is the record the scheme took in."""
     derivative = _derivative(scheme)
-    h_width = seminorm(decomposition.source)
-    return BoundScales(
-        h_width=h_width,
-        min_gap=float(_probe_gap(decomposition.eigenvalues, h_width)),
-        dh_width=None if derivative is None else seminorm(derivative),
-    )
+    return None if derivative is None else seminorm(derivative)
 
 
-def _probe_gap(energies: np.ndarray, h_width) -> np.ndarray:
-    """The minimum gap of one probe spectrum, or of each of a (k, n) stack
-    against its own one of k widths."""
-    return minimum_gap(energies, GAP_DEGENERACY_RTOL * np.asarray(h_width))
+def bound_scales(decomposition: SpectralDecomposition, scheme) -> BoundScales:
+    """The scales of the probe Hamiltonian H, read off its
+    eigendecomposition (probe_scales), and of the encoding."""
+    h_width, min_gap = probe_scales(decomposition.eigenvalues)
+    return BoundScales(float(h_width), float(min_gap), derivative_width(scheme))
 
 
 def _per_row(value, k: int) -> list:
@@ -354,17 +359,16 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     checks it: each stack is taken as one block. A LAPACK error or
     a missed residual certificate of the stacked eigendecompose raises
     EigensolverError, and boltzmann_weights checks each beta as on the
-    single-point path. One stacked eigendecompose and one _widths call
-    per seminorm give the bits of per-matrix calls; stacked_plan, one
-    route_sums and one bound_rows give the bits of bound_report.
+    single-point path. One stacked eigendecompose (which also gives
+    ||H||) and one _widths call each for ||A|| and ||C|| give the bits
+    of per-matrix calls; stacked_plan, one route_sums and one bound_rows
+    give the bits of bound_report.
     """
     scaled = _blocks(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
-    h = _blocks(hamiltonians)
-    decomposition = eigendecompose(h, "Hamiltonian stack")
+    decomposition = eigendecompose(_blocks(hamiltonians), "Hamiltonian stack")
     evals = decomposition.eigenvalues
     plan = stacked_plan(decomposition, scaled)
-    h_width = _widths(h, "Hamiltonian stack")
     weights = boltzmann_weights(evals, betas.tolist())
-    scales = BoundScales(h_width, _probe_gap(evals, h_width), _widths(_blocks(generators), "generator stack"))
+    scales = BoundScales(*probe_scales(evals), _widths(_blocks(generators), "generator stack"))
     sums = route_sums(plan, weights.probabilities, weights.betas)
     return list(map(BoundReport, *bound_rows(plan, sums, weights.betas, times, scales)))

@@ -538,12 +538,14 @@ def eigendecompose(a, what: str = "matrix") -> SpectralDecomposition:
 def matrix_exp_scaled(a, scale) -> np.ndarray:
     """exp(scale * A) for Hermitian A, evaluated through its eigenbasis.
 
-    scale = -1j*t yields the evolution unitary; negative real scale yields
-    unnormalized Boltzmann weights. Large positive real exponents are
-    refused because they overflow; thermal weights should go through
-    thermal.gibbs_state, which works relative to the ground energy.
+    A may be given as its SpectralDecomposition, which is then used as it
+    is, so one decomposition serves several scales. scale = -1j*t yields
+    the evolution unitary; negative real scale yields unnormalized
+    Boltzmann weights. Large positive real exponents are refused because
+    they overflow; thermal weights should go through thermal.gibbs_state,
+    which works relative to the ground energy.
     """
-    dec = eigendecompose(a)
+    dec = a if isinstance(a, SpectralDecomposition) else eigendecompose(a)
     exponents = complex(scale) * dec.eigenvalues
     peak = float(np.max(exponents.real))
     if peak > EXP_ARG_LIMIT:

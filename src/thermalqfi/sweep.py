@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundColumns, BoundScales, bound_rows, bound_scales
+from .bounds import BoundColumns, BoundScales, bound_rows, derivative_width, probe_scales
 from .encoding import generator_stack
 from .models import MODELS, check_options, closed_forms_for, model_encoding
 from .operators import DENSE_MAX_DIM, concatenate, eigendecompose
@@ -197,7 +197,7 @@ class _Encoding(NamedTuple):
     """One config's beta- and t-independent parts, over the shared probe."""
 
     config: SweepConfig
-    scales: BoundScales
+    dh_width: float | None
     generators: Callable[[list[float]], np.ndarray]
     closed_forms: tuple | None
 
@@ -209,9 +209,10 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
     The configs must share twice_j, the temperature grid and t_grid
     (ValueError names the first field that differs). Every model's probe
     is J_z, so the probe eigendecomposition and the Gibbs weights of
-    every beta are built once per call. Once per config: ||H||, the gap,
-    ||dH/dlambda|| and the generator family (for lmg, the
-    eigendecomposition of H(lambda)); once per beta, its polarization. The
+    every beta are built once per call, and so are ||H|| and the gap,
+    read off that decomposition. Once per config: ||dH/dlambda|| and the
+    generator family (for lmg, the eigendecomposition of H(lambda)); once
+    per beta, its polarization. The
     (config, time) pairs then go through in chunks of about equal size
     (qfi.chunk_size), none larger than DENSE_MAX_DIM^2 // n^2 (at least
     one), so a chunk's generators hold no more entries than one
@@ -241,9 +242,9 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
         if decomposition is None:
             decomposition = eigendecompose(probe_h, "Hamiltonian")
         closed_forms = closed_forms_for(config.model, config.axis) if "closed_forms" in config.outputs else None
-        scales = bound_scales(decomposition, scheme)
-        encodings.append(_Encoding(config, scales, generator_stack(scheme), closed_forms))
+        encodings.append(_Encoding(config, derivative_width(scheme), generator_stack(scheme), closed_forms))
     del scheme  # the lmg family's closure holds J_x^2; only its spectrum is needed from here on
+    probe_widths = probe_scales(decomposition.eigenvalues)  # ||H|| and the gap
     betas = list(first.beta_grid) if first.beta_grid is not None else [beta_from_polarization(p) for p in first.p_grid]
     weights = boltzmann_weights(decomposition.eigenvalues, betas)
     betas = weights.betas
@@ -265,7 +266,7 @@ def run_sweeps(configs) -> list[list[SweepRow]]:
         row_betas = betas * len(chunk)
         sums = route_sums(plan, np.tile(weights.probabilities, (len(chunk), 1)), row_betas)
         # ||H|| and the gap are the shared probe's; ||dH/dlambda|| is each generator's config's
-        scales = BoundScales(*encodings[0].scales[:2], [encodings[index].scales.dh_width for index, _ in chunk])
+        scales = BoundScales(*probe_widths, [encodings[index].dh_width for index, _ in chunk])
         bounds = bound_rows(plan, sums, row_betas, times, scales)
         chunk_columns = {
             **sums._asdict(), **bounds._asdict(),
@@ -295,14 +296,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     return run_sweeps([config])[0]
 
 
+def _column_cells(cell, column: tuple):
+    """The cells of one column: a float column without None goes straight
+    through _float_cell's format, and one that is None in every row is
+    empty cells."""
+    if cell is _float_cell:
+        missing = column.count(None)
+        if missing == 0:
+            return map("%.17g".__mod__, column)
+        if missing == len(column):
+            return itertools.repeat("", missing)
+    return map(cell, column)
+
+
 def render_csv(rows: list[SweepRow]) -> str:
     if not rows:
         raise ValueError("no rows to emit")
-    # column by column: a float column without None goes straight through _float_cell's format
-    cells = [
-        map("%.17g".__mod__, column) if cell is _float_cell and None not in column else map(cell, column)
-        for cell, column in zip(_CELLS, zip(*map(_field_values, rows)))
-    ]
+    cells = [_column_cells(cell, column) for cell, column in zip(_CELLS, zip(*map(_field_values, rows)))]
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
 
 

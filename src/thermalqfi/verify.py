@@ -21,9 +21,9 @@ import numpy as np
 
 from .bounds import bound_report, stacked_bound_reports
 from .closed_forms import large_j_linear_approx, linear_qfi_closed, oat_seminorm_semiclassical
-from .encoding import ExplicitGenerator, NumericUnitary, evolution_unitary, generator_fd, generator_integral
+from .encoding import ExplicitGenerator, NumericUnitary, _integral_matrices, encoding_spectrum, generator_fd
 from .models import build_scenario, closed_forms_for, model_encoding
-from .operators import _symmetrize, seminorm
+from .operators import _symmetrize, eigendecompose, matrix_exp_scaled, seminorm
 from .qfi import _relative_spread
 from .spin import oat_commutator
 from .sweep import SweepConfig, figure_configs, render_csv, run_sweep, run_sweeps
@@ -81,6 +81,7 @@ def _criterion(number: int, name: str):
 
 
 GRID_VARIANTS = (("linear", None), ("oat", None)) + tuple(("lmg", lam) for lam in LMG_LAMBDAS)
+GRID_OUTPUTS = ("qfi_general", "qfi_thermal", "qfi_sld", "variance_bound", "seminorm_bound", "gap_bounds")
 
 
 def _point_config(model, twice_j, beta, t, lam) -> dict:
@@ -89,7 +90,7 @@ def _point_config(model, twice_j, beta, t, lam) -> dict:
         "twice_j": twice_j,
         "beta_grid": [beta],
         "t_grid": [t],
-        "outputs": ["qfi_general", "qfi_thermal", "qfi_sld", "variance_bound", "seminorm_bound", "gap_bounds"],
+        "outputs": list(GRID_OUTPUTS),
     }
     if model == "linear":
         cfg["axis"] = "x"
@@ -99,9 +100,9 @@ def _point_config(model, twice_j, beta, t, lam) -> dict:
 
 
 def _grid_config(model, twice_j, lam) -> SweepConfig:
-    """The repro config of a variant's first grid point, widened to GRID_BETA x GRID_T."""
-    raw = _point_config(model, twice_j, GRID_BETA[0], GRID_T[0], lam)
-    return SweepConfig.from_dict({**raw, "beta_grid": list(GRID_BETA), "t_grid": list(GRID_T)})
+    """A variant's repro config (_point_config) widened to GRID_BETA x
+    GRID_T, built as SweepConfig.from_dict would parse it."""
+    return SweepConfig(model, twice_j, GRID_T, beta_grid=GRID_BETA, lam=lam, outputs=GRID_OUTPUTS)
 
 
 def _grid_rows(variants, twice_js):
@@ -191,16 +192,18 @@ def check_variance_closed_forms(seed):
 
 def _random_draws(seed: int):
     """Criterion 4's draws of each scenario, in the order dim, H, A, beta,
-    t from one seeded stream: one (4, dim, dim) normal draw holding the
-    real and then the imaginary parts of H's Gaussian matrix, then A's,
-    and the two uniforms beta and t."""
+    t from one seeded stream: one (4, dim, dim) standard normal draw
+    holding the real and then the imaginary parts of H's Gaussian matrix,
+    then A's, and one draw of two uniforms in [0, 1), mapped to beta in
+    [0.05, 10) and t in [0.1, 3.14) by rng.uniform's own low + (high -
+    low) * u, so the stream and its bits are those of rng.normal and two
+    rng.uniform calls."""
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_SCENARIO_COUNT):
         dim = int(rng.integers(2, 9))
-        normals = rng.normal(size=(4, dim, dim))
-        beta = float(rng.uniform(0.05, 10.0))
-        t = float(rng.uniform(0.1, 3.14))
-        yield normals, beta, t
+        normals = rng.standard_normal((4, dim, dim))
+        u_beta, u_t = rng.random(2).tolist()
+        yield normals, 0.05 + (10.0 - 0.05) * u_beta, 0.1 + (3.14 - 0.1) * u_t
 
 
 def _hermitian_parts(normals: np.ndarray) -> np.ndarray:
@@ -353,33 +356,47 @@ def check_semiclassical_seminorm(seed):
     values 2 (J=1) and 2 sqrt(3) (J=3/2), and the ratio to 2J^2
     nondecreasing from J = 3/2 up (at J = 1 the estimate is already exact,
     so the ratio starts at 1 and the monotone run begins one step later)."""
-    exact_1 = seminorm(oat_commutator(2))
-    exact_32 = seminorm(oat_commutator(3))
-    if abs(exact_1 - 2.0) > 1e-9:
-        return Failure(f"J=1 seminorm {exact_1!r} != 2")
-    if abs(exact_32 - 2.0 * math.sqrt(3.0)) > 1e-9:
-        return Failure(f"J=3/2 seminorm {exact_32!r} != 2 sqrt(3)")
+    twice_js = (2, 3, 4, 10, 20, 40, 80)  # J = 1, 3/2, 2, 5, 10, 20, 40
+    exact = {twice_j: seminorm(oat_commutator(twice_j)) for twice_j in twice_js}
+    if abs(exact[2] - 2.0) > 1e-9:
+        return Failure(f"J=1 seminorm {exact[2]!r} != 2")
+    if abs(exact[3] - 2.0 * math.sqrt(3.0)) > 1e-9:
+        return Failure(f"J=3/2 seminorm {exact[3]!r} != 2 sqrt(3)")
     ratios = []
-    for twice_j in (2, 3, 4, 10, 20, 40, 80):  # J = 1, 3/2, 2, 5, 10, 20, 40
-        exact = seminorm(oat_commutator(twice_j))
+    for twice_j, width in exact.items():
         estimate = oat_seminorm_semiclassical(twice_j)
-        if exact > estimate + 1e-9:
-            return Failure(f"2J={twice_j}: exact {exact!r} exceeds 2J^2 = {estimate!r}")
-        ratios.append(exact / estimate)
+        if width > estimate + 1e-9:
+            return Failure(f"2J={twice_j}: exact {width!r} exceeds 2J^2 = {estimate!r}")
+        ratios.append(width / estimate)
     tail = ratios[1:]  # from J = 3/2 on
     if any(b < a - 1e-12 for a, b in zip(tail, tail[1:])):
         return Failure(f"ratio not nondecreasing from J=3/2: {ratios}")
     return f"exact values reproduced; ratios to 2J^2: {[round(r, 4) for r in ratios]}"
 
 
-def _fd_gap(family, reference: np.ndarray, step: float) -> float:
+def _unitaries(family, decomposition):
+    """U(lambda', t) = exp(-i H(lambda') t) of a family, given the
+    decomposition of H(lambda) at its own lambda: each other H(lambda')
+    is decomposed once and each unitary formed once, for as long as the
+    returned function lives."""
+
+    @functools.cache
+    def decompose(value):
+        if value == family.lam:
+            return decomposition
+        return eigendecompose(family.hamiltonian(value), "encoding Hamiltonian")
+
+    @functools.cache
+    def unitary(value, t):
+        return matrix_exp_scaled(decompose(value), -1j * t)
+
+    return unitary
+
+
+def _fd_gap(unitary, lam: float, t: float, reference: np.ndarray, step: float) -> float:
     """Largest entry of |finite-difference generator - reference| for the
-    family's unitary exp(-i H(lambda) t) at the given step."""
-    numeric = NumericUnitary(
-        unitary=lambda value: evolution_unitary(family.hamiltonian(value), family.t),
-        lam=family.lam,
-        fd_step=step,
-    )
+    unitary at time t, unitary(lambda', t), at the given step."""
+    numeric = NumericUnitary(unitary=lambda value: unitary(value, t), lam=lam, fd_step=step)
     return float(np.max(np.abs(generator_fd(numeric).matrix - reference)))
 
 
@@ -389,23 +406,29 @@ def check_lmg_generator_routes(seed):
     relative on the collective-spin family, and halving the step shrinks
     the gap by a factor in [3, 5] wherever the gap sits above the roundoff
     floor (below ~1e-9 the O(eps/step) subtraction noise, not the stencil
-    truncation, dominates and no step scaling can show)."""
+    truncation, dominates and no step scaling can show). Per (2J, lambda)
+    H(lambda) is decomposed once, for the spectral kernel at both times
+    and for U(lambda), and so is each H(lambda +- step)."""
     noise_floor = 1e-9
+    times = (1.0, 3.14)
     worst_rel = 0.0
     ratios = []
     for twice_j in (2, 4, 8):  # J = 1, 2, 4
         for lam in (0.5, 1.0):
-            for t in (1.0, 3.14):
-                family = model_encoding("lmg", twice_j, t, lam=lam)[1]
-                h_int = generator_integral(family).matrix
+            family = model_encoding("lmg", twice_j, times[0], lam=lam)[1]  # its own t is not read
+            spectrum = encoding_spectrum(family)
+            generators = _integral_matrices(spectrum, np.array(times)[:, None, None])
+            unitary = _unitaries(family, spectrum.decomposition)
+            for i, t in enumerate(times):
+                h_int = generators.member(i).matrix
                 scale = max(1.0, float(np.max(np.abs(h_int))))
-                gap_full = _fd_gap(family, h_int, 1e-5)
+                gap_full = _fd_gap(unitary, family.lam, t, h_int, 1e-5)
                 rel = gap_full / scale
                 worst_rel = max(worst_rel, rel)
                 if rel > 1e-5:
                     return Failure(f"2J={twice_j} lam={lam} t={t}: fd vs spectral rel gap {rel:.3e}")
                 if gap_full > noise_floor:
-                    ratio = gap_full / _fd_gap(family, h_int, 5e-6)
+                    ratio = gap_full / _fd_gap(unitary, family.lam, t, h_int, 5e-6)
                     ratios.append(ratio)
                     if not (3.0 <= ratio <= 5.0):
                         return Failure(f"2J={twice_j} lam={lam} t={t}: step-halving ratio {ratio!r} outside [3, 5]")

@@ -10,6 +10,7 @@ from thermalqfi.bounds import (
     BoundReport,
     UnsupportedEncodingError,
     bound_report,
+    bound_scales,
     gap_bounds,
     minimum_gap,
     noncommutativity,
@@ -19,8 +20,8 @@ from thermalqfi.bounds import (
     variance_bound,
 )
 from thermalqfi.encoding import ExplicitGenerator, NumericUnitary, evolution_unitary
-from thermalqfi.models import build_scenario
-from thermalqfi.operators import commutator_i, variance
+from thermalqfi.models import build_scenario, model_encoding
+from thermalqfi.operators import commutator_i, eigendecompose, seminorm, variance
 from thermalqfi.qfi import QfiReport, qfi_general, qfi_report
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
@@ -114,6 +115,16 @@ class TestProductBound:
         with pytest.raises(TypeError, match="^unknown encoding scheme type: object$") as excinfo:
             scheme_product_bound(probe, object())
         assert excinfo.type is TypeError
+
+    @pytest.mark.parametrize("model, lam", [("linear", None), ("oat", None), ("lmg", -0.7)])
+    def test_h_width_has_the_bits_of_the_probe_seminorm(self, model, lam):
+        """||H|| is read off the probe decomposition; for the diagonal J_z
+        of every model it is bit for bit seminorm(J_z), so no product bound
+        or gap threshold of a model moves."""
+        for twice_j in range(1, 401):
+            jz, scheme = model_encoding(model, twice_j, 1.0, lam=lam)
+            width = bound_scales(eigendecompose(jz), scheme).h_width
+            assert float.hex(width) == float.hex(seminorm(jz)), twice_j
 
     def test_dominates_seminorm_bound(self):
         for twice_j in (2, 4, 7):

@@ -369,19 +369,35 @@ def _mixed_rows():
     return rows
 
 
+def _per_cell_csv(rows):
+    """The CSV of rows, formatted one cell at a time."""
+
+    def number(value):
+        return "" if value is None else format(value, ".17g")
+
+    expected = [EXPECTED_HEADER] + [
+        ",".join([row.model, *(number(getattr(row, name)) for name in NUMBER_NAMES),
+                  "true" if row.ordering_ok else "false"])
+        for row in rows
+    ]
+    return "\n".join(expected) + "\n"
+
+
 class TestColumnarRows:
     def test_render_csv_of_mixed_rows_equals_a_per_cell_reference(self):
         rows = _mixed_rows()
+        assert render_csv(rows) == _per_cell_csv(rows)
 
-        def number(value):
-            return "" if value is None else format(value, ".17g")
-
-        expected = [EXPECTED_HEADER] + [
-            ",".join([row.model, *(number(getattr(row, name)) for name in NUMBER_NAMES),
-                      "true" if row.ordering_ok else "false"])
-            for row in rows
-        ]
-        assert render_csv(rows) == "\n".join(expected) + "\n"
+    def test_render_csv_of_columns_absent_in_every_row_equals_a_per_cell_reference(self):
+        # lambda and both closed forms are None in every row, gap_bounds' columns in none
+        rows = run_sweep(SweepConfig.from_dict(
+            {"model": "oat", "twice_j": 4, "beta_grid": [0.5, 2.0], "t_grid": [0.0, 1.0],
+             "outputs": [k for k in OUTPUT_KEYS if k != "closed_forms"]}
+        ))
+        for name in ("lam", "closed_qfi", "closed_variance"):
+            assert {getattr(row, name) for row in rows} == {None}, name
+        assert None not in {row.convexity_bound for row in rows}
+        assert render_csv(rows) == _per_cell_csv(rows)
 
     def test_render_json_of_mixed_rows_equals_a_per_key_reference(self):
         rows = _mixed_rows()
@@ -571,6 +587,14 @@ class TestRunSweeps:
         for config, rows in zip(configs, shared):
             # repr round-trips a double, so equal reprs mean equal bits
             assert [repr(row) for row in rows] == [repr(row) for row in run_sweep(config)]
+
+    def test_the_probe_scales_are_formed_once_per_call(self, monkeypatch):
+        # ||H|| and the gap belong to the shared probe; only ||dH/dlambda|| is per config
+        gaps = []
+        original = bounds_module.minimum_gap
+        monkeypatch.setattr(bounds_module, "minimum_gap", lambda *args: gaps.append(args) or original(*args))
+        shared = run_sweeps(_shared_configs(10, "beta_grid"))
+        assert len(shared) == len(SHARED_PROBE_VARIANTS) and len(gaps) == 1
 
     def test_fig3a_goes_as_two_equal_chunks(self, monkeypatch):
         # 64 times at n = 11, at most 54 per chunk: two chunks of 32, each

@@ -4,6 +4,8 @@ values were computed point by point. Criterion 4's stacked random audit
 gives the single-point reports and detail lines."""
 
 import dataclasses
+import hashlib
+import json
 import re
 import sys
 
@@ -82,6 +84,17 @@ def test_three_way_agreement_catches_a_small_relative_disagreement(monkeypatch):
         "f_thermal=0.0003922650537690856, f_sld=0.00039226466150442434)"
     )
     assert result.repro == verify._point_config("lmg", 2, 0.1, 0.5, 0.5)
+
+
+def test_generator_routes_decompose_each_matrix_once(monkeypatch):
+    """Per (2J, lambda), H(lambda) serves the spectral kernel at both
+    times and U(lambda) at both steps, and each H(lambda +- step) both
+    times: no matrix reaches eigh twice."""
+    inputs = record_solver_calls(monkeypatch, "eigh", key=lambda a: (a.shape, a.dtype.str, a.tobytes()))
+    assert verify.check_lmg_generator_routes().passed
+    # H(lambda) and H(lambda +- 1e-5) for each of 6 (2J, lambda) pairs, and
+    # H(lambda +- 5e-6) for each of the 4 points above the noise floor
+    assert len(inputs) == len(set(inputs)) == 6 * 3 + 4 * 2
 
 
 def test_generator_routes_report_an_offset_finite_difference(monkeypatch):
@@ -163,8 +176,9 @@ def test_one_solver_call_per_dimension_and_quantity(monkeypatch):
     scenarios = list(verify._random_scenarios(verify.DEFAULT_SEED))
     sizes = [scenario[0].shape[0] for scenario in scenarios]
     reports = list(verify._random_reports(verify.DEFAULT_SEED))
-    # eigvalsh on A, eigh on H, eigvalsh on C and H, each on the stack of every draw of one dimension
-    assert calls == [(sizes.count(dim), dim, dim) for dim in range(2, 9) for _ in range(4)]
+    # eigh on H (which also gives ||H||), eigvalsh on C and on A, each on
+    # the stack of every draw of one dimension
+    assert calls == [(sizes.count(dim), dim, dim) for dim in range(2, 9) for _ in range(3)]
     # stacks in ascending dimension, each in draw order
     assert [index for index, _ in reports] == sorted(range(len(sizes)), key=sizes.__getitem__)
 
@@ -194,7 +208,7 @@ def test_bound_chain_reports_an_injected_violation(monkeypatch):
     assert result.detail == (
         "ordering violated on random scenario 0 (seed 20240611, dim 5, beta 5.650179841085711, t 0.418368107667338): "
         "BoundReport(f=1e+300, variance_bound=335.42509351886423, seminorm_bound=355.0523179669273, "
-        "product_bound=1712.3888458333695, convexity_bound=4.735800665429704, gap_variance_bound=128.80627053868096, "
+        "product_bound=1712.3888458333693, convexity_bound=4.735800665429704, gap_variance_bound=128.80627053868096, "
         "gap_seminorm_bound=136.34330229637933, min_gap=0.571211570818599, noncommutativity=6.669816726164058, "
         "ordering_ok=False)"
     )
@@ -209,7 +223,7 @@ def test_bound_chain_reports_the_lowest_violating_scenario(monkeypatch):
     assert result.detail == (
         "ordering violated on random scenario 1 (seed 20240611, dim 3, beta 8.100999886402791, t 1.939326616218242): "
         "BoundReport(f=1e+300, variance_bound=4121.936482468714, seminorm_bound=4343.793774182643, "
-        "product_bound=7646.251843703916, convexity_bound=18.823431058971654, gap_variance_bound=97.34820841978593, "
+        "product_bound=7646.25184370391, convexity_bound=18.823431058971654, gap_variance_bound=97.34820841978593, "
         "gap_seminorm_bound=102.58783546524728, min_gap=1.6064900333870025, noncommutativity=16.27143924097198, "
         "ordering_ok=False)"
     )
@@ -226,3 +240,20 @@ def test_bound_chain_raises_the_single_point_certificate_error(monkeypatch):
     )
     with pytest.raises(EigensolverError, match=f"^{re.escape(message)}$"):
         verify.check_bound_chain()
+
+
+# SHA-256 of json.dumps([asdict(check) for check in verify.run_all(seed)],
+# sort_keys=True): every criterion's number, name, verdict, detail line
+# and repro config
+VERIFY_DIGESTS = {
+    verify.DEFAULT_SEED: "78edf6c8b700b408e27bb0af02ace70c57420717c1b80cf12937e500e20915ca",
+    1: "f502fb7da0e16f13cdcb733870953154666dca7683733abacbcd0026068d6b25",
+    7: "1fb98b4f691643602394f7fb1d1cd7c7cd904ab1559c51a168bfd9de1f97373c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+def test_verify_bytes_are_pinned(seed):
+    checks = [dataclasses.asdict(check) for check in verify.run_all(seed)]
+    digest = hashlib.sha256(json.dumps(checks, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[seed]
