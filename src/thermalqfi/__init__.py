@@ -34,10 +34,7 @@ from .encoding import (
     ExplicitGenerator,
     HamiltonianFamily,
     NumericUnitary,
-    evolution_unitary,
-    generator_explicit,
     generator_fd,
-    generator_integral,
     transformed_generator,
 )
 from .models import (
@@ -84,7 +81,6 @@ from .sweep import (
 )
 from .thermal import (
     GibbsState,
-    SpectralProbe,
     beta_from_polarization,
     gibbs_state,
     partition_moment_ratio,

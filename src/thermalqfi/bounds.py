@@ -364,7 +364,7 @@ def stacked_bound_reports(hamiltonians, generators, betas, times) -> list[BoundR
     of per-matrix calls; stacked_plan, one route_sums and one bound_rows
     give the bits of bound_report.
     """
-    scaled = _blocks(times[:, None, None] * generators)  # h = t A, as generator_explicit forms it
+    scaled = _blocks(times[:, None, None] * generators)  # h = t A, as generator_stack forms it
     decomposition = eigendecompose(_blocks(hamiltonians), "Hamiltonian stack")
     evals = decomposition.eigenvalues
     plan = stacked_plan(decomposition, scaled)

@@ -21,7 +21,6 @@ from .models import AXES, MODELS, build_scenario, check_options, closed_qfi, clo
 from .operators import EigensolverError
 from .qfi import QfiReport, qfi_report
 from .sweep import (
-    ConfigError,
     SweepConfig,
     emit_csv,
     emit_json,
@@ -81,10 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compute(args) -> int:
     beta = args.beta if args.beta is not None else beta_from_polarization(args.p)
     axis, lam = check_options(args.model, args.axis, args.lam)
-    try:
-        scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=axis, lam=lam)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = build_scenario(args.model, args.twice_j, beta, args.t, axis=axis, lam=lam)
     report = qfi_report(scenario.probe, scenario.h)
     bounds = bound_report(scenario.probe, scenario.scheme, h=scenario.h, qfi_result=report)
     payload = {
@@ -164,13 +160,11 @@ def main(argv=None) -> int:
                 return run_verify(seed=args.seed, out_path=args.out)
             if args.command == "figures":
                 return _cmd_figures(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except (EigensolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    except (ValueError, OSError) as exc:  # an unwritable output path is a config fault too
+    # a ConfigError is a ValueError, and an unwritable output path is a config fault too
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     parser.error(f"unknown command {args.command!r}")

@@ -29,7 +29,6 @@ from .operators import (
     as_hermitian,
     eigendecompose,
     hermiticity_defect,
-    matrix_exp_scaled,
     require_unitary,
 )
 
@@ -110,11 +109,6 @@ def _finite(h: Hermitian) -> Hermitian:
     for part in h.parts:
         _require_finite(part)
     return h
-
-
-def generator_explicit(a, t) -> Hermitian:
-    """h = t * A, exact for U = exp(-i lambda A t)."""
-    return transformed_generator(ExplicitGenerator(a, t))
 
 
 def _kernel_entries(delta: np.ndarray, t) -> np.ndarray:
@@ -227,18 +221,8 @@ def _integral_matrices(spectrum: EncodingSpectrum, t: np.ndarray) -> Hermitian:
     if logger.isEnabledFor(logging.DEBUG):
         residue = 0.5 * max(np.max(hermiticity_defect(x)) for x in raw)
         if residue > 0.0:
-            logger.debug("generator_integral: symmetrized residue %.3e", residue)
+            logger.debug("generator_stack: symmetrized residue %.3e", residue)
     return _blocks(*map(_symmetrize, raw))
-
-
-def generator_integral(scheme: HamiltonianFamily) -> Hermitian:
-    """Generator via the spectral kernel in the eigenbasis of H(lambda).
-
-    h_mn = V_mn * k(E_m - E_n, t) with V = dH/dlambda in that basis. The
-    kernel satisfies k(-d) = conj(k(d)), so h is Hermitian, and reduces to
-    t*V when [H, V] = 0.
-    """
-    return transformed_generator(scheme)
 
 
 def generator_fd(scheme: NumericUnitary) -> Hermitian:
@@ -300,8 +284,3 @@ def generator_stack(scheme: ExplicitGenerator | HamiltonianFamily) -> Callable[[
         return _finite(h)
 
     return stack
-
-
-def evolution_unitary(hamiltonian, t) -> np.ndarray:
-    """exp(-i H t); convenience for building NumericUnitary evaluators."""
-    return matrix_exp_scaled(hamiltonian, -1j * float(t))

@@ -39,7 +39,6 @@ import numpy as np
 from .operators import (
     Hermitian,
     SpectralDecomposition,
-    _blocks,
     _interleave,
     _off_diagonal,
     _widths,
@@ -48,8 +47,9 @@ from .operators import (
 )
 from .thermal import GibbsState
 
-# probe support truncation for non-thermal probes: pairs whose combined
-# weight falls below this are outside the support sum
+# probe support truncation: pairs whose combined weight falls below this
+# (two excited levels of an effectively pure probe, each at the
+# probability floor) are outside the support sum
 SUPPORT_TOL = 1e-14
 NEGATIVE_CLAMP = 1e-10
 # Rows of at least this many terms are summed by _exact_sum instead of
@@ -102,17 +102,6 @@ def _clamped(value: float, what: str) -> float:
     if value >= -NEGATIVE_CLAMP:
         return 0.0
     raise ArithmeticError(f"{what} = {value:.6e} is negative beyond the clamp window")
-
-
-def _probe_parts(probe, h):
-    p = np.asarray(probe.probabilities, dtype=float)
-    v = np.asarray(probe.eigenvectors)
-    hm = as_hermitian(h, "generator")
-    if hm.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: generator dim {hm.shape[0]}, probe dim {v.shape[0]}")
-    if np.any(p < 0.0):
-        raise ValueError("negative probe probability")
-    return p, v, hm.matrix
 
 
 class Support(NamedTuple):
@@ -430,32 +419,32 @@ def probe_sums(plan: SpectralPlan, rho0: GibbsState) -> RouteSums:
     return route_sums(plan, rho0.probabilities[None], (rho0.beta,))
 
 
-def qfi_general(probe, h) -> float:
+def _require_gibbs(rho0, route: str) -> None:
+    if not isinstance(rho0, GibbsState):
+        raise TypeError(f"{route} requires a GibbsState probe, got {type(rho0).__name__}")
+
+
+def qfi_general(rho0: GibbsState, h) -> float:
     """Mixed-state dynamic QFI from the probe spectrum.
 
     F = sum_i 4 p_i Var[h]_i - sum_{i != j} 8 p_i p_j / (p_i + p_j) |h_ij|^2
     in the probe eigenbasis. A uniform spectrum cancels the two sums
-    exactly; a pure probe reduces to 4 Var[h] on its support.
+    exactly; an effectively pure probe reduces to 4 Var[h] in its ground
+    state. The k = 1 case of route_sums.
     """
-    p, v, hm = _probe_parts(probe, h)
-    pairs, var_i = _generator_elements(_blocks(v.conj().T @ hm @ v))
-    return _generator_sums(p[None], var_i, pairs)[1][0]
+    _require_gibbs(rho0, "qfi_general")
+    return probe_sums(spectral_plan(rho0.decomposition, h), rho0).f_general[0]
 
 
-def qfi_sld(probe, h) -> float:
-    """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2."""
-    p, v, hm = _probe_parts(probe, h)
-    pairs, var_i = _generator_elements(_blocks(v.conj().T @ hm @ v))
-    return _generator_sums(p[None], var_i, pairs)[2][0]
-
-
-def _require_gibbs(rho0) -> None:
-    if not isinstance(rho0, GibbsState):
-        raise TypeError("the thermal route requires a GibbsState probe")
+def qfi_sld(rho0: GibbsState, h) -> float:
+    """SLD-route QFI: F = sum_{i,j} 2 (p_i - p_j)^2 / (p_i + p_j) |h_ij|^2.
+    The k = 1 case of route_sums."""
+    _require_gibbs(rho0, "qfi_sld")
+    return probe_sums(spectral_plan(rho0.decomposition, h), rho0).f_sld[0]
 
 
 def qfi_thermal(rho0: GibbsState, h) -> float:
-    """Thermal-commutator route, defined only for genuine Gibbs probes.
+    """Thermal-commutator route.
 
     F = beta^2 Var[C] - beta^2 sum_{i != j} p_i (1 - tanhc^2(beta D_ij / 2)) |C_ij|^2
     with C = i[H, h] and D_ij the energy differences of the probe
@@ -463,7 +452,7 @@ def qfi_thermal(rho0: GibbsState, h) -> float:
     weight; degenerate pairs drop out exactly since tanhc(0) = 1. The
     k = 1 case of route_sums.
     """
-    _require_gibbs(rho0)
+    _require_gibbs(rho0, "qfi_thermal")
     return probe_sums(spectral_plan(rho0.decomposition, h), rho0).f_thermal[0]
 
 
@@ -579,7 +568,7 @@ class QfiReport:
 
 
 def qfi_report(rho0: GibbsState, h) -> QfiReport:
-    _require_gibbs(rho0)
+    _require_gibbs(rho0, "qfi_report")
     plan = spectral_plan(rho0.decomposition, h)
     sums = probe_sums(plan, rho0)
     f_general, f_thermal, f_sld = sums.f_general[0], sums.f_thermal[0], sums.f_sld[0]

@@ -19,9 +19,9 @@ from thermalqfi.bounds import (
     seminorm_bound,
     variance_bound,
 )
-from thermalqfi.encoding import ExplicitGenerator, NumericUnitary, evolution_unitary
+from thermalqfi.encoding import ExplicitGenerator, NumericUnitary
 from thermalqfi.models import build_scenario, model_encoding
-from thermalqfi.operators import commutator_i, eigendecompose, seminorm, variance
+from thermalqfi.operators import commutator_i, eigendecompose, matrix_exp_scaled, seminorm, variance
 from thermalqfi.qfi import QfiReport, qfi_general, qfi_report
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
@@ -105,7 +105,7 @@ class TestProductBound:
     def test_numeric_unitary_unsupported(self):
         jx, _, jz = spin_operators(2)
         probe = gibbs_state(jz, 1.0)
-        scheme = NumericUnitary(lambda lam: evolution_unitary(lam * jx, 1.0), lam=0.5)
+        scheme = NumericUnitary(lambda lam: matrix_exp_scaled(lam * jx, -1j), lam=0.5)
         message = "^numeric-unitary encodings expose no dH/dlambda; the product bound is undefined$"
         with pytest.raises(UnsupportedEncodingError, match=message):
             scheme_product_bound(probe, scheme)
@@ -297,7 +297,7 @@ class TestBoundReport:
     def test_numeric_unitary_scheme_omits_product_bound(self):
         jx, _, jz = spin_operators(2)
         probe = gibbs_state(jz, 1.0)
-        scheme = NumericUnitary(lambda lam: evolution_unitary(lam * 1.5 * jx, 1.0), lam=0.5)
+        scheme = NumericUnitary(lambda lam: matrix_exp_scaled(lam * 1.5 * jx, -1j), lam=0.5)
         report = bound_report(probe, scheme)
         assert report.product_bound is None
         assert report.ordering_ok

@@ -186,7 +186,14 @@ def test_sweep_config_error_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": "nope"}), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: model: must be one of ('linear', 'oat', 'lmg'), got 'nope'\n"
+
+
+def test_a_compute_value_error_is_a_config_error(capsys):
+    # the ValueError of building the scenario leaves main as a ConfigError does
+    code = main(["compute", "--model", "lmg", "--twice-j", "0", "--beta", "1", "--t", "1", "--lam", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: twice_j must be a positive integer, got 0\n"
 
 
 def test_sweep_has_no_parallelism_option(tmp_path, capsys):

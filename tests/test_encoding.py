@@ -9,14 +9,11 @@ from thermalqfi.encoding import (
     ExplicitGenerator,
     HamiltonianFamily,
     NumericUnitary,
-    evolution_unitary,
-    generator_explicit,
     generator_fd,
-    generator_integral,
     transformed_generator,
 )
 from thermalqfi.models import lmg_hamiltonian
-from thermalqfi.operators import Hermitian, hermiticity_defect, seminorm
+from thermalqfi.operators import Hermitian, hermiticity_defect, matrix_exp_scaled, seminorm
 from thermalqfi.qfi import qfi_general
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import gibbs_state
@@ -27,17 +24,17 @@ from conftest import full_array_kernel, full_kernel_generator, hermitian_pairs, 
 class TestExplicit:
     def test_scales_generator(self):
         jx, _, _ = spin_operators(2)
-        out = generator_explicit(jx, 2.0)
+        out = transformed_generator(ExplicitGenerator(jx, 2.0))
         np.testing.assert_array_equal(out.matrix, 2.0 * jx)
 
     def test_squared_generator_passes_through(self):
         jx, _, _ = spin_operators(4)
         jx2 = jx @ jx
-        np.testing.assert_array_equal(generator_explicit(jx2, 1.0).matrix, jx2)
+        np.testing.assert_array_equal(transformed_generator(ExplicitGenerator(jx2, 1.0)).matrix, jx2)
 
     def test_zero_time(self):
         jx, _, _ = spin_operators(1)
-        assert np.max(np.abs(generator_explicit(jx, 0.0).matrix)) == 0.0
+        assert np.max(np.abs(transformed_generator(ExplicitGenerator(jx, 0.0)).matrix)) == 0.0
 
     def test_rejects_negative_time(self):
         jx, _, _ = spin_operators(1)
@@ -49,26 +46,26 @@ class TestIntegral:
     def test_commuting_family_reduces_to_linear(self):
         _, _, jz = spin_operators(3)
         family = HamiltonianFamily(lambda lam: lam * jz, jz, lam=0.8, t=2.5)
-        out = generator_integral(family)
+        out = transformed_generator(family)
         np.testing.assert_allclose(out.matrix, 2.5 * jz, atol=1e-12)
 
     def test_zero_time_gives_zero(self):
         _, _, jz = spin_operators(2)
         family = HamiltonianFamily(lambda lam: lmg_hamiltonian(2, lam), jz, lam=1.0, t=0.0)
-        assert np.max(np.abs(generator_integral(family).matrix)) <= 1e-15
+        assert np.max(np.abs(transformed_generator(family).matrix)) <= 1e-15
 
     def test_hermitian_output(self):
         _, _, jz = spin_operators(6)
         family = HamiltonianFamily(lambda lam: lmg_hamiltonian(6, lam), jz, lam=0.5, t=3.14)
-        assert hermiticity_defect(generator_integral(family).matrix) == 0.0
+        assert hermiticity_defect(transformed_generator(family).matrix) == 0.0
 
     @pytest.mark.parametrize("twice_j,lam,t", [(2, 1.0, 1.0), (4, 0.5, 3.14), (8, 1.0, 2.0)])
     def test_against_finite_difference_oracle(self, twice_j, lam, t):
         _, _, jz = spin_operators(twice_j)
         family = HamiltonianFamily(lambda v: lmg_hamiltonian(twice_j, v), jz, lam=lam, t=t)
-        spectral = generator_integral(family).matrix
+        spectral = transformed_generator(family).matrix
         numeric = NumericUnitary(
-            lambda v: evolution_unitary(lmg_hamiltonian(twice_j, v), t), lam=lam, fd_step=1e-5
+            lambda v: matrix_exp_scaled(lmg_hamiltonian(twice_j, v), -1j * t), lam=lam, fd_step=1e-5
         )
         fd = generator_fd(numeric).matrix
         scale = max(1.0, float(np.max(np.abs(spectral))))
@@ -79,7 +76,7 @@ class TestIntegral:
     def test_seminorm_bounded_by_time_and_derivative(self, pair):
         base, deriv = pair
         family = HamiltonianFamily(lambda lam: base + lam * deriv, deriv, lam=0.6, t=1.7)
-        h = generator_integral(family).matrix
+        h = transformed_generator(family).matrix
         assert seminorm(h) <= 1.7 * seminorm(deriv) + 1e-8
 
 
@@ -177,7 +174,7 @@ class TestGeneratorStack:
             stack([0.5, -1.0])
 
     def test_a_numeric_unitary_has_no_stack(self):
-        numeric = NumericUnitary(lambda lam: evolution_unitary(lam * spin_operators(2)[0], 1.0), lam=0.4)
+        numeric = NumericUnitary(lambda lam: matrix_exp_scaled(lam * spin_operators(2)[0], -1j), lam=0.4)
         with pytest.raises(TypeError, match="no time family"):
             encoding.generator_stack(numeric)
 
@@ -186,12 +183,12 @@ class TestFiniteDifference:
     def test_explicit_generator_recovered(self):
         jx, _, _ = spin_operators(2)
         t = 1.3
-        numeric = NumericUnitary(lambda lam: evolution_unitary(lam * t * jx, 1.0), lam=0.4, fd_step=1e-5)
+        numeric = NumericUnitary(lambda lam: matrix_exp_scaled(lam * t * jx, -1j), lam=0.4, fd_step=1e-5)
         h = generator_fd(numeric).matrix
         np.testing.assert_allclose(h, t * jx, rtol=1e-8, atol=1e-8)
 
     def test_parameter_independent_unitary(self):
-        u = evolution_unitary(spin_operators(2)[0], 0.9)
+        u = matrix_exp_scaled(spin_operators(2)[0], -0.9j)
         numeric = NumericUnitary(lambda lam: u, lam=0.0, fd_step=1e-5)
         assert np.max(np.abs(generator_fd(numeric).matrix)) <= 1e-10
 
@@ -199,11 +196,11 @@ class TestFiniteDifference:
         twice_j, lam, t = 4, 0.5, 3.14  # truncation well above the roundoff floor here
         _, _, jz = spin_operators(twice_j)
         family = HamiltonianFamily(lambda v: lmg_hamiltonian(twice_j, v), jz, lam=lam, t=t)
-        spectral = generator_integral(family).matrix
+        spectral = transformed_generator(family).matrix
 
         def gap(step):
             numeric = NumericUnitary(
-                lambda v: evolution_unitary(lmg_hamiltonian(twice_j, v), t), lam=lam, fd_step=step
+                lambda v: matrix_exp_scaled(lmg_hamiltonian(twice_j, v), -1j * t), lam=lam, fd_step=step
             )
             return float(np.max(np.abs(generator_fd(numeric).matrix - spectral)))
 
@@ -227,8 +224,11 @@ class TestDispatchAndConventions:
         jx, _, jz = spin_operators(2)
         explicit = transformed_generator(ExplicitGenerator(jx, 1.0))
         fam = HamiltonianFamily(lambda lam: lmg_hamiltonian(2, lam), jz, lam=1.0, t=1.0)
-        num = NumericUnitary(lambda lam: evolution_unitary(lam * jx, 1.0), lam=0.3)
-        pairs = [(explicit, generator_explicit(jx, 1.0)), (transformed_generator(fam), generator_integral(fam))]
+        num = NumericUnitary(lambda lam: matrix_exp_scaled(lam * jx, -1j), lam=0.3)
+        pairs = [
+            (explicit, encoding.generator_stack(ExplicitGenerator(jx, 1.0))([1.0]).member(0)),
+            (transformed_generator(fam), encoding.generator_stack(fam)([1.0]).member(0)),
+        ]
         pairs.append((transformed_generator(num), generator_fd(num)))
         for routed, direct in pairs:
             assert isinstance(routed, Hermitian)
@@ -245,7 +245,7 @@ class TestDispatchAndConventions:
 
         def unitary(sign):
             return NumericUnitary(
-                lambda v: evolution_unitary(sign * lmg_hamiltonian(twice_j, v), t), lam=lam, fd_step=1e-5
+                lambda v: matrix_exp_scaled(sign * lmg_hamiltonian(twice_j, v), -1j * t), lam=lam, fd_step=1e-5
             )
 
         h_minus = generator_fd(unitary(1.0)).matrix
@@ -271,7 +271,7 @@ def _lmg_family(lam=1.0, t=1.0):
 
 
 def _lmg_unitary(lam=1.0, t=1.0):
-    return NumericUnitary(unitary=lambda value: evolution_unitary(lmg_hamiltonian(4, value), t), lam=lam)
+    return NumericUnitary(unitary=lambda value: matrix_exp_scaled(lmg_hamiltonian(4, value), -1j * t), lam=lam)
 
 
 class TestDebugResidue:
@@ -280,10 +280,10 @@ class TestDebugResidue:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: generator_integral(_lmg_family()), "generator_integral: symmetrized residue"),
+            (lambda: transformed_generator(_lmg_family()), "generator_stack: symmetrized residue"),
             (lambda: generator_fd(_lmg_unitary()), "generator_fd: anti-Hermitian residue"),
         ],
-        ids=["integral", "fd"],
+        ids=["stack", "fd"],
     )
     def test_logged_at_debug(self, caplog, build, message):
         with caplog.at_level(logging.DEBUG, logger="thermalqfi.encoding"):
@@ -292,8 +292,8 @@ class TestDebugResidue:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: generator_integral(_lmg_family()), lambda: generator_fd(_lmg_unitary())],
-        ids=["integral", "fd"],
+        [lambda: transformed_generator(_lmg_family()), lambda: generator_fd(_lmg_unitary())],
+        ids=["stack", "fd"],
     )
     def test_not_measured_without_debug(self, caplog, monkeypatch, build):
         expected = build().matrix

@@ -15,7 +15,7 @@ from thermalqfi.models import model_encoding
 from thermalqfi.operators import eigendecompose
 from thermalqfi.qfi import SUPPORT_TOL, probe_sums, qfi_general, qfi_sld, route_sums, spectral_plan
 from thermalqfi.sweep import SweepConfig, run_sweep
-from thermalqfi.thermal import SpectralProbe, boltzmann_weights, gibbs_from_spectrum, gibbs_state
+from thermalqfi.thermal import boltzmann_weights, gibbs_from_spectrum, gibbs_state
 
 from conftest import bound_reports, per_time_generator, random_hermitian
 
@@ -116,16 +116,18 @@ def test_tridiagonal_stack_with_zeros_in_its_union_support_equals_bound_report()
         assert repr(report) == repr(bound_report(gibbs_state(hamiltonian, beta), ExplicitGenerator(generator, t)))
 
 
-def test_pure_spectral_probe_divides_no_zero_weight():
+def test_pure_gibbs_probe_divides_no_zero_weight():
     rng = np.random.default_rng(3)
     dim = 5
-    _, vectors = np.linalg.eigh(random_hermitian(rng, dim))
+    probe = gibbs_state(random_hermitian(rng, dim), 1e4)
     h = random_hermitian(rng, dim)
-    probe = SpectralProbe(np.eye(dim)[0], vectors)
+    # every excited weight is at the floor, so each pair of two excited
+    # levels weighs less than SUPPORT_TOL and is dropped
+    assert probe.effectively_pure and 2.0 * probe.probabilities[1:].max() < SUPPORT_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a 0/0 on the dropped pairs would warn
         general, sld = qfi_general(probe, h), qfi_sld(probe, h)
-    state = vectors[:, 0]
+    state = probe.eigenvectors[:, 0]
     variance = np.vdot(state, h @ h @ state).real - np.vdot(state, h @ state).real ** 2
     # a pure probe: both routes are 4 Var[h] in the occupied state
     assert general == pytest.approx(4.0 * variance, rel=1e-12)

@@ -1050,10 +1050,10 @@ class TestInPlaceSymmetrization:
             assert np.array_equal(_uint64(value), _uint64(0.5 * (h + h.conj().mT)))
 
     def test_finite_difference_generator_has_the_out_of_place_bits(self):
-        from thermalqfi.encoding import NumericUnitary, evolution_unitary, generator_fd
+        from thermalqfi.encoding import NumericUnitary, generator_fd
 
         jx, _, jz = spin_operators(6)
-        scheme = NumericUnitary(lambda lam: evolution_unitary(jx @ jx + lam * jz, 1.3), 0.4, 1e-4)
+        scheme = NumericUnitary(lambda lam: matrix_exp_scaled(jx @ jx + lam * jz, -1.3j), 0.4, 1e-4)
         step = scheme.fd_step
         u0, up, um = (np.asarray(scheme.unitary(scheme.lam + s), dtype=np.complex128) for s in (0.0, step, -step))
         raw = 1j * (u0.conj().T @ (up - um)) / (2.0 * step)

@@ -10,9 +10,10 @@ from thermalqfi.bounds import bound_report
 from thermalqfi.encoding import ExplicitGenerator, HamiltonianFamily, transformed_generator
 from thermalqfi.models import build_scenario
 from thermalqfi.operators import NotHermitianError, eigendecompose
+import thermalqfi.qfi as qfi_module
 from thermalqfi.qfi import QfiReport, qfi_general, qfi_report, qfi_sld, qfi_thermal, spectral_plan, tanhc
 from thermalqfi.spin import m_values, spin_operators
-from thermalqfi.thermal import SpectralProbe, gibbs_state
+from thermalqfi.thermal import gibbs_state
 
 from conftest import hermitian_pairs, random_hermitian, record_solver_calls
 
@@ -57,25 +58,18 @@ class TestGeneralRoute:
         assert f == pytest.approx(math.tanh(1.0) ** 2, abs=1e-12)
 
     def test_pure_probe_reduces_to_four_variance(self):
-        # ground state of J_z with h = t J_x: 4 Var = 4 t^2 / 4 = t^2
-        jx, _, _ = spin_operators(1)
-        probe = SpectralProbe(np.array([1.0, 0.0]), np.eye(2, dtype=complex))
+        # effectively pure ground state of J_z with h = t J_x: 4 Var = 4 t^2 / 4 = t^2
+        jx, _, jz = spin_operators(1)
+        probe = gibbs_state(jz, 1e4)
+        assert probe.effectively_pure
         t = 1.7
         assert qfi_general(probe, t * jx) == pytest.approx(t * t, rel=1e-12)
+        assert qfi_sld(probe, t * jx) == pytest.approx(t * t, rel=1e-12)
 
     def test_deep_thermal_matches_pure_limit(self):
         jx, _, jz = spin_operators(1)
         probe = gibbs_state(jz, 50.0)
         assert qfi_general(probe, jx) == pytest.approx(1.0, rel=1e-6)
-
-    def test_rejects_negative_probability(self):
-        jx, _, _ = spin_operators(1)
-        probe = gibbs_state(spin_operators(1)[2], 1.0)
-        bad = SpectralProbe.__new__(SpectralProbe)
-        object.__setattr__(bad, "probabilities", np.array([1.2, -0.2]))
-        object.__setattr__(bad, "eigenvectors", probe.eigenvectors)
-        with pytest.raises(ValueError, match="negative"):
-            qfi_general(bad, jx)
 
     def test_dimension_mismatch(self):
         probe = gibbs_state(spin_operators(1)[2], 1.0)
@@ -99,24 +93,21 @@ class TestThermalRoute:
         f = qfi_thermal(scenario.probe, scenario.h)
         assert 0.0 < f <= 1e-6 * 10.0**2 / 4.0
 
-    def test_rejects_non_gibbs_probe(self):
+    @pytest.mark.parametrize("route", [qfi_general, qfi_thermal, qfi_sld, qfi_report], ids=lambda f: f.__name__)
+    def test_rejects_non_gibbs_probe(self, route):
+        # a density matrix is not a probe: every route takes a GibbsState
         jx, _, _ = spin_operators(1)
-        probe = SpectralProbe(np.array([0.6, 0.4]), np.eye(2, dtype=complex))
-        with pytest.raises(TypeError, match="Gibbs"):
-            qfi_thermal(probe, jx)
+        with pytest.raises(TypeError, match=f"^{route.__name__} requires a GibbsState probe, got ndarray$"):
+            route(np.diag([0.6, 0.4]), jx)
 
 
 class TestClamp:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_value_that_is_not_finite_is_refused(self, value):
-        import thermalqfi.qfi as qfi_module
-
         with pytest.raises(ArithmeticError, match=f"^thermal-route QFI = {value} is not finite$"):
             qfi_module._clamped(value, "thermal-route QFI")
 
     def test_rounding_residue_clamps_and_a_negative_value_is_refused(self):
-        import thermalqfi.qfi as qfi_module
-
         assert qfi_module._clamped(-1e-11, "F") == 0.0
         assert qfi_module._clamped(2.5, "F") == 2.5
         with pytest.raises(ArithmeticError, match="negative beyond the clamp window"):
@@ -179,6 +170,38 @@ class TestReport:
             values.append(f)
             assert f <= beta**2 * 6.0**2 / 4.0 + 1e-15
         assert values[0] > values[1] > values[2]
+
+
+def _one_path_probes():
+    for model, lam in (("oat", None), ("lmg", 1.0)):
+        for twice_j in (10, 100):
+            scenario = build_scenario(model, twice_j, 0.9, 1.3, lam=lam)
+            yield pytest.param(scenario.probe, scenario.h, id=f"{model}-{twice_j}")
+    rng = np.random.default_rng(5)
+    yield pytest.param(gibbs_state(random_hermitian(rng, 7), 1.1), random_hermitian(rng, 7), id="dense-random")
+
+
+class TestOnePath:
+    """Each public route is one k = 1 route_sums call and reads its field
+    of the sums qfi_report reads, so the two agree bit for bit."""
+
+    @pytest.mark.parametrize("probe, h", _one_path_probes())
+    @pytest.mark.parametrize(
+        "route, field", [(qfi_general, "f_general"), (qfi_thermal, "f_thermal"), (qfi_sld, "f_sld")]
+    )
+    def test_route_is_one_route_sums_call_with_the_report_bits(self, monkeypatch, probe, h, route, field):
+        calls = []
+        original = qfi_module.route_sums
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qfi_module, "route_sums", counting)
+        value = route(probe, h)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert repr(value) == repr(getattr(qfi_report(probe, h), field))
 
 
 class TestRelativeSpread:

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from thermalqfi.operators import matrix_exp_scaled
 from thermalqfi.spin import spin_operators
 from thermalqfi.thermal import (
-    SpectralProbe,
     beta_from_polarization,
     gibbs_state,
     partition_moment_ratio,
@@ -149,41 +148,3 @@ class TestPolarization:
             beta_from_polarization(1.0)
         with pytest.raises(ValueError):
             beta_from_polarization(-0.2)
-
-
-def test_spectral_probe_validation():
-    eye = np.eye(2, dtype=complex)
-    SpectralProbe(np.array([0.5, 0.5]), eye)
-    with pytest.raises(ValueError, match="sum"):
-        SpectralProbe(np.array([0.7, 0.7]), eye)
-    with pytest.raises(ValueError, match="nonnegative"):
-        SpectralProbe(np.array([1.2, -0.2]), eye)
-
-
-class TestSpectralProbeEigenvectors:
-    """The eigenvectors of a SpectralProbe are a unitary matrix, one column
-    per probability; anything else is refused before any QFI is formed."""
-
-    P = np.array([0.4, 0.3, 0.2, 0.1])
-
-    def test_a_non_unitary_matrix_is_refused(self):
-        # unrefused, twice the identity would make qfi_general 16 times the true F
-        with pytest.raises(ValueError, match="not unitary"):
-            SpectralProbe(self.P, 2.0 * np.eye(4))
-
-    def test_a_non_square_matrix_is_refused(self):
-        with pytest.raises(ValueError, match="square"):
-            SpectralProbe(self.P, np.eye(4)[:, :3])
-
-    def test_a_matrix_of_another_size_is_refused(self):
-        with pytest.raises(ValueError, match="dimension 3, not 4"):
-            SpectralProbe(self.P, np.eye(3))
-
-    def test_a_unitary_matrix_is_kept_as_given(self):
-        from thermalqfi.qfi import qfi_general
-
-        vectors = np.linalg.eigh(spin_operators(3)[0])[1]
-        probe = SpectralProbe(self.P, vectors)
-        assert probe.eigenvectors.dtype == np.complex128
-        assert probe.eigenvectors.tobytes() == vectors.astype(np.complex128).tobytes()
-        assert qfi_general(SpectralProbe(self.P, np.eye(4)), spin_operators(3)[0]) > 0.0
