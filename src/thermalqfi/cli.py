@@ -57,15 +57,18 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--axis", choices=AXES, help="encoding axis (linear model only; default x)")
     compute.add_argument("--lam", type=float, help="encoding parameter (lmg model only)")
     compute.add_argument("--out", help="write the JSON report here instead of stdout")
+    compute.set_defaults(handler=_cmd_compute)
 
     swp = sub.add_parser("sweep", help="run a grid sweep from a JSON config")
     swp.add_argument("--config", required=True, help="path to the sweep config")
     swp.add_argument("--out", help="output path (overrides the config's output_path; default stdout)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
+    swp.set_defaults(handler=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the full acceptance battery")
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the randomized bound audit")
     ver.add_argument("--out", help="path for the machine-readable JSON summary")
+    ver.set_defaults(handler=_cmd_verify)
 
     figs = sub.add_parser("figures", help="emit the four canonical figure sweep configs")
     figs.add_argument("--out", default="figures", help="directory for the config files")
@@ -74,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run each config, write its CSV and report whether every row is ordering_ok",
     )
+    figs.set_defaults(handler=_cmd_figures)
     return parser
 
 
@@ -126,6 +130,10 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _cmd_verify(args) -> int:
+    return run_verify(seed=args.seed, out_path=args.out)
+
+
 def _cmd_figures(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,20 +154,13 @@ def _cmd_figures(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the subcommand is required, so every parse names the verb to run
+    args = _build_parser().parse_args(argv)
     try:
         # a floating-point overflow, division by zero or invalid operation
         # is a numerical failure (exit 3), not a warning
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if args.command == "compute":
-                return _cmd_compute(args)
-            if args.command == "sweep":
-                return _cmd_sweep(args)
-            if args.command == "verify":
-                return run_verify(seed=args.seed, out_path=args.out)
-            if args.command == "figures":
-                return _cmd_figures(args)
+            return args.handler(args)
     except (EigensolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
@@ -167,5 +168,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG_ERROR

@@ -590,10 +590,12 @@ def commutator_i(a, b):
     same IEEE operations per nonzero entry as the zero-padded products
     (only the sign of an exact zero may differ, as it does between BLAS
     kernels), and keeps B's form: [diagonal, blocks] is blocks, block by
-    block, with B's tridiagonal flags. [diagonal, diagonal] is diagonal,
-    read off B's dense array scaled so. [blocks, blocks] in the same
-    number of blocks is blocks, one product per block. Anything else is
-    a product of the dense arrays, one block.
+    block, with B's tridiagonal flags. [diagonal, diagonal] is the
+    complex zero diagonal in B's shape, formed without a product: the +0
+    that the scaled dense arrays leave on their diagonal for finite
+    entries. [blocks, blocks] in the same number of blocks is blocks, one
+    product per block. Anything else is a product of the dense arrays,
+    one block.
     """
     ha = as_hermitian(a, "commutator argument A")
     hb = as_hermitian(b, "commutator argument B")
@@ -605,8 +607,7 @@ def commutator_i(a, b):
             k = len(hb.parts)
             parts = [_times_i_symmetrize(_scaled_commutator(d[s::k], p)) for s, p in enumerate(hb.parts)]
             return _blocks(*parts, tridiagonal=hb.tridiagonal)
-        x = _times_i_symmetrize(_scaled_commutator(d, hb.matrix))
-        return _diagonal(np.diagonal(x, axis1=-2, axis2=-1).copy())
+        return _diagonal(np.zeros(hb.shape[:-1], dtype=np.complex128))
     if ha.form == hb.form == "blocks" and len(ha.parts) == len(hb.parts):
         pairs = zip(ha.parts, hb.parts)
     else:

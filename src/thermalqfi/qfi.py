@@ -9,9 +9,10 @@ central correctness property, certified in QfiReport.
 
 Every beta-dependent sum lives in one evaluator, route_sums. It takes
 the probabilities of k probes as a (k, n) array and a SpectralPlan,
-which holds the beta-independent matrix elements over their support (the
-entries the operator's form can hold, read from the form, or the nonzero
-entries of a scanned dense block), every array with a leading axis of m
+which holds the beta-independent matrix elements of h and C over the one
+off-diagonal support they share (the entries their form can hold, read
+from the form, or the entries of a scanned dense block nonzero in either
+operator), every array with a leading axis of m
 generators, each serving k / m consecutive rows (the betas of each time
 of a chunk of sweep times, one row per scenario of a stack, or every row
 for the one generator of a single point). Each sum is one (rows,
@@ -104,28 +105,6 @@ def _clamped(value: float, what: str) -> float:
     raise ArithmeticError(f"{what} = {value:.6e} is negative beyond the clamp window")
 
 
-class Support(NamedTuple):
-    """Off-diagonal entries of a real n x n array: their row and column
-    indices and their values. Over a stack of arrays, values holds one row
-    per array, and an entry outside an array's own support is an exact
-    zero in its row."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-
-def _support(abs2: np.ndarray) -> Support:
-    """The nonzero off-diagonal entries of a dense array, or their union
-    over a stack, found by a scan."""
-    mask = abs2 != 0.0
-    if mask.ndim == 3:
-        mask = mask.any(axis=0)
-    np.fill_diagonal(mask, False)
-    rows, cols = np.nonzero(mask)
-    return Support(rows, cols, abs2[..., rows, cols])
-
-
 def _diagonal(a: np.ndarray) -> np.ndarray:
     return np.diagonal(a, axis1=-2, axis2=-1)
 
@@ -133,11 +112,11 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _form_pairs(sizes: tuple[int, ...], banded: tuple[bool, ...]):
     """Row and column indices of the off-diagonal entries that a form can
-    hold, read-only and shared by every record of that layout (h and C of
-    a plan), and where each part's entries end: every one of an m x m
-    part, row by row as _off_diagonal reads them, or the upper then the
-    lower band where banded says the part is tridiagonal. Part s of k
-    sits at the indices s + k * (its own indices) of the full matrix."""
+    hold, read-only and shared by every plan of that layout, and where
+    each part's entries end: every one of an m x m part, row by row as
+    _off_diagonal reads them, or the upper then the lower band where
+    banded says the part is tridiagonal. Part s of k sits at the indices
+    s + k * (its own indices) of the full matrix."""
     counts = [2 * (m - 1) if band else m * (m - 1) for m, band in zip(sizes, banded)]
     stops = tuple(np.cumsum(counts).tolist())
     rows, cols = np.empty((2, stops[-1]), dtype=np.intp)
@@ -158,61 +137,65 @@ def _form_pairs(sizes: tuple[int, ...], banded: tuple[bool, ...]):
     return rows, cols, stops
 
 
-def _form_support(parts, banded) -> Support:
-    """The off-diagonal entries that a form holds, read without a scan from
-    |x_ij|^2 of each of its parts, at the indices of _form_pairs. Exact
-    zeros among them add nothing to a correctly rounded sum."""
-    rows, cols, stops = _form_pairs(tuple(a.shape[-1] for a in parts), tuple(banded))
-    values = np.empty(parts[0].shape[:-2] + rows.shape)
-    for abs2, band, begin, stop in zip(parts, banded, [0, *stops], stops):
-        m, v = abs2.shape[-1], values[..., begin:stop]
+def _pair_values(abs2, support, banded) -> np.ndarray:
+    """|x_ij|^2 at the pairs of a support from _squares, given the squares
+    of each part of a form: gathered at the scanned pairs of one block
+    (no stops), or read without a scan at the indices of _form_pairs."""
+    rows, cols, stops = support
+    if stops is None:
+        return abs2[0][..., rows, cols]
+    values = np.empty(abs2[0].shape[:-2] + rows.shape)
+    for part, band, begin, stop in zip(abs2, banded, [0, *stops], stops):
+        m, v = part.shape[-1], values[..., begin:stop]
         if band:
-            v[..., : m - 1] = np.diagonal(abs2, 1, -2, -1)
-            v[..., m - 1 :] = np.diagonal(abs2, -1, -2, -1)
+            v[..., : m - 1] = np.diagonal(part, 1, -2, -1)
+            v[..., m - 1 :] = np.diagonal(part, -1, -2, -1)
         else:
-            v.reshape(v.shape[:-1] + (m - 1, m))[...] = _off_diagonal(abs2)
-    return Support(rows, cols, values)
+            v.reshape(v.shape[:-1] + (m - 1, m))[...] = _off_diagonal(part)
+    return values
 
 
-def _squares(x: Hermitian):
-    """|x_ij|^2 of an operator in its form, as (its off-diagonal support,
-    the row sums, the diagonal), each over the full index range. The
-    support of blocks is read from the form (_form_support), and nothing
-    is read outside the stored form, so parity blocks stay two half-size
-    complex arrays. One block not flagged tridiagonal, the form of every
-    matrix up to DENSE_MAX_DIM, where dense storage hides sparsity, is
-    scanned for its nonzero entries. A row of one of several blocks is
-    summed with the exact zeros between its entries put back, so the sums
-    keep the bits of the dense rows."""
-    if x.form == "diagonal":
-        d = np.abs(x.parts[0]) ** 2
-        return Support(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(d.shape[:-1] + (0,))), d, d
-    abs2 = [np.abs(part) ** 2 for part in x.parts]
-    k = len(abs2)
-    support = _support(abs2[0]) if x.tridiagonal == (False,) else _form_support(abs2, x.tridiagonal)
+def _squares(ht: Hermitian, ct: Hermitian):
+    """The off-diagonal support that h and C = i[H, h] share in the probe
+    eigenbasis, and what the plan keeps of their squares, one matrix or a
+    stack, over the full index range: (rows, cols, |h_ij|^2 and |C_ij|^2
+    at those pairs, the row sums of |h_ij|^2, the diagonal |C_ii|^2).
+
+    h and C come in one layout (form, block count and tridiagonal flags):
+    C_ij = i (E_i - E_j) h_ij lives on h's off-diagonal pairs. Blocks give
+    their pairs from the form (_form_pairs), and nothing outside the form
+    is read, so parity blocks stay two half-size arrays. One block not
+    flagged tridiagonal (every matrix up to DENSE_MAX_DIM, where dense
+    storage hides sparsity) is scanned once, for the entries nonzero in h
+    or C in any member. An entry outside one operator's own support is an
+    exact zero among its values, which adds nothing to a correctly
+    rounded sum. h's squares go before C's are formed. A row of one of
+    several blocks is summed with the exact zeros between its entries put
+    back, so the sums keep the bits of the dense rows."""
+    if ht.form == "diagonal":
+        no_pairs, no_values = np.empty(0, np.intp), np.empty(ht.shape[:-2] + (0,))
+        return no_pairs, no_pairs, no_values, np.abs(ht.parts[0]) ** 2, no_values, np.abs(ct.parts[0]) ** 2
+    k = len(ht.parts)
+    if ht.tridiagonal == (False,):
+        mask = (ht.parts[0] != 0.0) | (ct.parts[0] != 0.0)
+        if mask.ndim == 3:
+            mask = mask.any(axis=0)
+        np.fill_diagonal(mask, False)
+        support = (*np.nonzero(mask), None)
+    else:
+        support = _form_pairs(tuple(a.shape[-1] for a in ht.parts), ht.tridiagonal)
+    h2 = [np.abs(part) ** 2 for part in ht.parts]
     sums = []
-    for start, rows in enumerate(abs2):
+    for start, row in enumerate(h2):
         if k > 1:  # the exact zeros between the block's entries put back
-            rows = np.zeros(rows.shape[:-1] + (x.dim,))
-            rows[..., start::k] = abs2[start]
-        sums.append(rows.sum(axis=-1))
-    return support, _interleave(*sums), _interleave(*map(_diagonal, abs2))
-
-
-def _generator_elements(ht: Hermitian):
-    """The support of |h_ij|^2 and the eigenstate variances Var_i[h] from
-    h in the probe eigenbasis, one matrix or a stack, read in its form."""
-    support, sums, _ = _squares(ht)
-    return support, sums - np.real(ht.diagonal()) ** 2
-
-
-def _commutator_elements(ct: Hermitian, energies):
-    """The support of |C_ij|^2, the diagonal C_ii, the diagonal |C_ii|^2
-    and the probe level differences at the entries of the support, from C
-    in the probe eigenbasis, one matrix or a stack, read in its form."""
-    pairs, _, cdiag_abs2 = _squares(ct)
-    delta = energies[..., pairs.rows] - energies[..., pairs.cols]
-    return pairs, np.real(ct.diagonal()).copy(), cdiag_abs2, delta
+            row = np.zeros(row.shape[:-1] + (ht.dim,))
+            row[..., start::k] = h2[start]
+        sums.append(row.sum(axis=-1))
+    h_values = _pair_values(h2, support, ht.tridiagonal)
+    del h2
+    c2 = [np.abs(part) ** 2 for part in ct.parts]
+    c_values = _pair_values(c2, support, ht.tridiagonal)
+    return *support[:2], h_values, _interleave(*sums), c_values, _interleave(*map(_diagonal, c2))
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -308,34 +291,35 @@ def _fsum_rows(terms: np.ndarray, kept: np.ndarray | None = None) -> list[float]
     return sums
 
 
-def _generator_sums(p, var_i, h: Support):
+def _generator_sums(p, pi, var_i, cols, h_values):
     """The convexity sum sum_i 4 p_i Var[h]_i and the general and SLD
-    routes for each row of p (k, n).
+    routes for each row of p (k, n); pi holds p at the rows of the
+    support, and p_j is gathered here, at its columns.
 
     A pair whose weight p_i + p_j falls below SUPPORT_TOL is dropped
     before anything is divided by that weight: its terms are exact zeros,
     which add nothing to a row's sum.
     """
     convexity = _fsum_rows(4.0 * p * var_i)
-    pi, pj = p.take(h.rows, axis=1), p.take(h.cols, axis=1)
+    pj = p.take(cols, axis=1)
     pair_sum = pi + pj
     kept = pair_sum >= SUPPORT_TOL
     pair_sum = np.where(kept, pair_sum, 1.0)  # a dropped pair is never divided by its weight
-    general = _fsum_rows(np.where(kept, 8.0 * (pi * pj) / pair_sum * h.values, 0.0), kept)
-    sld = _fsum_rows(np.where(kept, 2.0 * (pi - pj) ** 2 / pair_sum * h.values, 0.0), kept)
+    general = _fsum_rows(np.where(kept, 8.0 * (pi * pj) / pair_sum * h_values, 0.0), kept)
+    sld = _fsum_rows(np.where(kept, 2.0 * (pi - pj) ** 2 / pair_sum * h_values, 0.0), kept)
     f_general = [_clamped(first - second, "general-route QFI") for first, second in zip(convexity, general)]
     return convexity, f_general, [_clamped(value, "SLD-route QFI") for value in sld]
 
 
-def _commutator_sums(p, betas, cdiag, cdiag_abs2, c: Support, delta):
+def _commutator_sums(p, pi, betas, cdiag, cdiag_abs2, c_values, delta):
     """Var[C] and the thermal route for each row of p (k, n) at its beta;
-    delta holds the probe level differences at the entries of c."""
+    pi holds p, and delta the probe level differences, at the pairs of
+    the support."""
     betas = np.asarray(betas, dtype=float)
-    p_pairs = p.take(c.rows, axis=1)
     mean = _fsum_rows(p * cdiag)
-    second_moment = _fsum_rows(np.concatenate((p * cdiag_abs2, p_pairs * c.values), axis=1))
+    second_moment = _fsum_rows(np.concatenate((p * cdiag_abs2, pi * c_values), axis=1))
     weight = 1.0 - tanhc(0.5 * betas[:, None] * delta) ** 2
-    weighted = _fsum_rows(p_pairs * weight * c.values)
+    weighted = _fsum_rows(pi * weight * c_values)
     var_c = [moment - m * m for moment, m in zip(second_moment, mean)]
     f_thermal = [
         _clamped(beta * beta * (var - second), "thermal-route QFI")
@@ -355,21 +339,14 @@ class RouteSums(NamedTuple):
 
 
 def _row_arrays(plan: SpectralPlan, start: int, stop: int, per: int) -> tuple:
-    """var_i, h_pairs, cdiag, cdiag_abs2, c_pairs and c_delta for rows
+    """var_i, h_values, cdiag, cdiag_abs2, c_values and c_delta for rows
     start..stop of a plan whose generators each serve per consecutive
     rows: one generator's arrays when the rows share it, else one row of
     each array per row."""
-    h, c = plan.h_pairs, plan.c_pairs
     first, last = start // per, (stop - 1) // per
     served = first if first == last else np.arange(start, stop) // per
-    return (
-        plan.var_i[served],
-        Support(h.rows, h.cols, h.values[served]),
-        plan.cdiag[served],
-        plan.cdiag_abs2[served],
-        Support(c.rows, c.cols, c.values[served]),
-        plan.c_delta if plan.c_delta.ndim == 1 else plan.c_delta[served],
-    )
+    arrays = (a[served] for a in (plan.var_i, plan.h_values, plan.cdiag, plan.cdiag_abs2, plan.c_values))
+    return (*arrays, plan.c_delta if plan.c_delta.ndim == 1 else plan.c_delta[served])
 
 
 def chunk_size(count: int, limit: int) -> int:
@@ -388,7 +365,10 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     every row for a single generator). Row r has the bits of the k = 1
     call on row r against its own generator.
 
-    The rows are summed in chunks of about equal size (chunk_size), none
+    Every sum runs over the one support that h and C share: a chunk
+    gathers p once at its rows, for the general, SLD and thermal sums
+    and Var[C] alike, and once at its columns, inside the general and
+    SLD sums. The rows are summed in chunks of about equal size (chunk_size), none
     holding more terms in a (rows, support) array than the larger of the
     arrays handed in (the plan's generators and p together) and
     CHUNK_FLOOR_ENTRIES. A temporary then grows with the inputs, never with
@@ -398,7 +378,7 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     not ten). A stack's (k, n, n) generators have more entries than k rows
     of its support, so a stack of scenarios is one chunk.
     """
-    support = max(len(plan.h_pairs.rows), len(plan.c_pairs.rows), 1)
+    support = max(len(plan.rows), 1)
     entries = max(math.prod(plan.generator.shape) + p.size, CHUNK_FLOOR_ENTRIES)
     step = chunk_size(len(p), max(1, entries // support))
     per = len(p) // len(plan.var_i)
@@ -406,9 +386,10 @@ def route_sums(plan: SpectralPlan, p: np.ndarray, betas) -> RouteSums:
     for start in range(0, len(p), step):
         stop = min(start + step, len(p))
         rows = slice(start, stop)
-        var_i, h_pairs, cdiag, cdiag_abs2, c_pairs, c_delta = _row_arrays(plan, start, stop, per)
-        convexity, f_general, f_sld = _generator_sums(p[rows], var_i, h_pairs)
-        var_c, f_thermal = _commutator_sums(p[rows], betas[rows], cdiag, cdiag_abs2, c_pairs, c_delta)
+        var_i, h_values, cdiag, cdiag_abs2, c_values, c_delta = _row_arrays(plan, start, stop, per)
+        pi = p[rows].take(plan.rows, axis=1)  # the one gather at the rows, read by every sum
+        convexity, f_general, f_sld = _generator_sums(p[rows], pi, var_i, plan.cols, h_values)
+        var_c, f_thermal = _commutator_sums(p[rows], pi, betas[rows], cdiag, cdiag_abs2, c_values, c_delta)
         for field, chunk in zip(sums, (f_general, f_thermal, f_sld, var_c, convexity)):
             field.extend(chunk)
     return sums
@@ -461,14 +442,15 @@ class SpectralPlan:
     """Everything the routes and bounds need that does not depend on beta.
 
     Built once per (probe Hamiltonian, generator) from h and C = i[H, h]
-    in the probe eigenbasis: the off-diagonal |h_ij|^2 and |C_ij|^2 over
-    their support (_squares) with their indices (h_pairs, c_pairs), the
-    probe level differences at the entries of c_pairs (c_delta), Var_i[h],
-    C_ii, |C_ii|^2 and ||C||. Each temperature is then a handful of
-    weighted sums over that support; the exact zeros left out, or kept,
-    add nothing to a correctly rounded fsum. generator is the record the plan was
-    built from; bound_report reuses a report's plan only for that same
-    record and the same probe.
+    in the probe eigenbasis, which share one off-diagonal support
+    (_squares): its row and column indices (rows, cols), the off-diagonal
+    |h_ij|^2 and |C_ij|^2 at those pairs (h_values, c_values), the probe
+    level differences there (c_delta), Var_i[h], C_ii, |C_ii|^2 and
+    ||C||. Each temperature is then a handful of weighted sums over that
+    support; the exact zeros left out, or kept, add nothing to a
+    correctly rounded fsum. generator is the record the plan was built
+    from; bound_report reuses a report's plan only for that same record
+    and the same probe.
 
     A plan is built from a stack of m generators (stacked_plan: the times
     of a sweep chunk, a stack of scenarios, or the one-member stack of a
@@ -479,9 +461,11 @@ class SpectralPlan:
     """
 
     generator: Hermitian
-    h_pairs: Support
+    rows: np.ndarray
+    cols: np.ndarray
+    h_values: np.ndarray
     var_i: np.ndarray
-    c_pairs: Support
+    c_values: np.ndarray
     c_delta: np.ndarray
     cdiag: np.ndarray
     cdiag_abs2: np.ndarray
@@ -519,9 +503,10 @@ def spectral_plan(decomposition: SpectralDecomposition, h) -> SpectralPlan:
 def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) -> SpectralPlan:
     """The plan of an (m, n, n) stack record of generators, with the bits
     of spectral_plan for each: one commutator, one basis change of each
-    stack and one _widths call, over the union of the generators'
-    supports (an entry outside a generator's own support is an exact
-    zero in its row, which adds nothing to a correctly rounded fsum).
+    stack and one _widths call, over the one support that the generators
+    and their commutators share (an entry outside an operator's own
+    support is an exact zero in its row, which adds nothing to a
+    correctly rounded fsum).
     The decomposition is one probe's, shared by every generator (the
     times of a sweep), or a stacked one built by eigendecompose, one
     probe per generator (a stack of scenarios). spectral_plan passes a
@@ -529,17 +514,18 @@ def stacked_plan(decomposition: SpectralDecomposition, generators: Hermitian) ->
     above DENSE_MAX_DIM an oat or lmg generator, its commutator and their
     squares stay two half-size parity blocks."""
     comm = commutator_i(decomposition.source, generators)
-    h_pairs, var_i = _generator_elements(decomposition.to_eigenbasis(generators))
-    c_pairs, cdiag, cdiag_abs2, c_delta = _commutator_elements(
-        decomposition.to_eigenbasis(comm), decomposition.eigenvalues
-    )
+    ht, ct = decomposition.to_eigenbasis(generators), decomposition.to_eigenbasis(comm)
+    rows, cols, h_values, h_sums, c_values, cdiag_abs2 = _squares(ht, ct)
+    energies = decomposition.eigenvalues
     return SpectralPlan(
         generator=generators,
-        h_pairs=h_pairs,
-        var_i=var_i,
-        c_pairs=c_pairs,
-        c_delta=c_delta,
-        cdiag=cdiag,
+        rows=rows,
+        cols=cols,
+        h_values=h_values,
+        var_i=h_sums - np.real(ht.diagonal()) ** 2,
+        c_values=c_values,
+        c_delta=energies[..., rows] - energies[..., cols],
+        cdiag=np.real(ct.diagonal()).copy(),
         cdiag_abs2=cdiag_abs2,
         noncommutativity=_widths(comm, "commutator stack"),
     )

@@ -14,9 +14,9 @@ from .operators import Hermitian, _blocks, _diagonal, _symmetric_tridiagonal, _s
 
 # Largest accepted 2J. A dense complex matrix at dimension 2001 takes 64 MB;
 # the oat and lmg models keep their operators as half-size parity blocks,
-# so one compute point at 2J = 2000 peaks at about 123 MB (oat) and
-# 258 MB (lmg) of ru_maxrss, and the linear model, whose J_x and J_y are
-# dense arrays, at about 334 MB, in one process with one BLAS thread.
+# so one compute point at 2J = 2000 peaks at about 123 MB (oat, 60 MB at
+# t = 0) and 258 MB (lmg) of ru_maxrss, and the linear model, whose J_x and
+# J_y are dense arrays, at 276 MB (153 MB along z), with one BLAS thread.
 # Anything larger is refused before a single array is allocated.
 MAX_TWICE_J = 2000
 
@@ -51,30 +51,33 @@ def _ladder(m: np.ndarray) -> np.ndarray:
 
 
 def spin_operators(twice_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J_x, J_y, J_z) as complex matrices.
+    """(J_x, J_y, J_z) as complex matrices, the dense arrays of
+    spin_operator_forms.
 
     J_z is diagonal with entries M; the ladder elements are
     sqrt(J(J+1) - M(M+1)), so J_x and J_y come out exactly Hermitian.
     """
-    m = m_values(twice_j)
-    dim = m.size
-    jz = np.diag(m.astype(np.complex128))
-    jplus = np.zeros((dim, dim), dtype=np.complex128)
-    jplus[np.arange(1, dim), np.arange(dim - 1)] = _ladder(m)
-    jminus = jplus.conj().T
-    jx = 0.5 * (jplus + jminus)
-    jy = -0.5j * (jplus - jminus)
-    return jx, jy, jz
+    return tuple(record.matrix for record in spin_operator_forms(twice_j))
 
 
 def spin_operator_forms(twice_j) -> tuple[Hermitian, Hermitian, Hermitian]:
-    """(J_x, J_y, J_z) of spin_operators as operator records: J_z diagonal,
-    J_x and J_y one block each, flagged tridiagonal above
-    operators.DENSE_MAX_DIM (they flip the parity of J + M, so they never
-    split into parity blocks)."""
-    jx, jy, jz = spin_operators(twice_j)
-    flag = [jz.shape[0] > operators.DENSE_MAX_DIM]
-    return _blocks(jx, tridiagonal=flag), _blocks(jy, tridiagonal=flag), _diagonal(m_values(twice_j))
+    """(J_x, J_y, J_z) as operator records: J_z diagonal, J_x and J_y one
+    block each, flagged tridiagonal above operators.DENSE_MAX_DIM (they
+    flip the parity of J + M, so they never split into parity blocks).
+
+    J_x and J_y are filled in from their bands, the half ladder elements
+    h, with the bits of 0.5 (J_+ + J_-) and -0.5j (J_+ - J_-): J_x is
+    real, and J_y holds -i h below its diagonal, i h above, and the
+    signed zero complex(0.0, -0.0) that product leaves everywhere else.
+    """
+    m = m_values(twice_j)
+    half = 0.5 * _ladder(m)
+    jx = _symmetric_tridiagonal(np.zeros(m.size), half).astype(np.complex128)
+    jy = np.full(jx.shape, complex(0.0, -0.0))
+    k = np.arange(m.size - 1)
+    jy.imag[k + 1, k], jy.imag[k, k + 1] = -half, half
+    flag = [m.size > operators.DENSE_MAX_DIM]
+    return _blocks(jx, tridiagonal=flag), _blocks(jy, tridiagonal=flag), _diagonal(m)
 
 
 def banded_jz_jx_squared(twice_j) -> tuple[Hermitian, Hermitian]:

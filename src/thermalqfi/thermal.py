@@ -22,15 +22,14 @@ class GibbsState:
     probabilities are ground-shifted Boltzmann weights, clamped at
     PROBABILITY_FLOOR so the state stays full rank; effectively_pure marks
     the regime where every excited weight underflowed. log_partition is
-    the full log Z, assembled as -beta*ground_energy plus the log of the
-    shifted sum, so it never overflows.
+    the full log Z, assembled as -beta E_0 (E_0 the ground energy) plus
+    the log of the shifted sum, so it never overflows.
     """
 
     beta: float
     decomposition: SpectralDecomposition
     probabilities: np.ndarray
     log_partition: float
-    ground_energy: float
     effectively_pure: bool
 
     @property
@@ -46,10 +45,6 @@ class GibbsState:
     @property
     def eigenvectors(self) -> np.ndarray:
         return self.decomposition.eigenvectors
-
-    @property
-    def dim(self) -> int:
-        return self.decomposition.source_dim
 
     def density_matrix(self) -> np.ndarray:
         v = self.eigenvectors
@@ -85,7 +80,6 @@ def gibbs_from_spectrum(decomposition: SpectralDecomposition, beta: float) -> Gi
         decomposition=decomposition,
         probabilities=weights.probabilities[0],
         log_partition=weights.log_partition[0],
-        ground_energy=weights.ground_energy[0],
         effectively_pure=weights.effectively_pure[0],
     )
 
@@ -97,7 +91,6 @@ class BoltzmannWeights(NamedTuple):
     betas: list[float]
     probabilities: np.ndarray
     log_partition: list[float]
-    ground_energy: list[float]
     effectively_pure: list[bool]
 
 
@@ -121,7 +114,6 @@ def boltzmann_weights(energies, betas) -> BoltzmannWeights:
         betas=betas,
         probabilities=weights / np.asarray(shifted_z)[:, None],
         log_partition=[float(-beta * g + math.log(z)) for beta, g, z in zip(betas, grounds, shifted_z)],
-        ground_energy=grounds,
         effectively_pure=effectively_pure,
     )
 

@@ -189,6 +189,46 @@ def test_sweep_config_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: model: must be one of ('linear', 'oat', 'lmg'), got 'nope'\n"
 
 
+_QUBIT = {"model": "linear", "twice_j": 1, "beta_grid": [2.0], "t_grid": [1.0]}
+CONFIG_MISTAKES = {
+    "not-an-object": ([_QUBIT], "config: expected a JSON object"),
+    "no-t-grid": ({k: v for k, v in _QUBIT.items() if k != "t_grid"}, "t_grid: required"),
+    "outputs-not-a-list": ({**_QUBIT, "outputs": "qfi_general"}, "outputs: must be a nonempty list"),
+    "output-path-not-a-string": ({**_QUBIT, "output_path": 3}, "output_path: must be a string"),
+    "grid-not-a-list": ({**_QUBIT, "beta_grid": 2.0}, "beta_grid: must be a nonempty list of numbers"),
+    "non-finite-grid-entry": ({**_QUBIT, "t_grid": [1.0, math.inf]}, "t_grid[1]: must be a finite number, got inf"),
+    "axis-outside-x-y-z": ({**_QUBIT, "axis": "w"}, "axis: must be one of ('x', 'y', 'z'), got 'w'"),
+}
+
+
+@pytest.mark.parametrize("config, message", CONFIG_MISTAKES.values(), ids=CONFIG_MISTAKES)
+def test_each_sweep_config_mistake_exits_2_with_its_message(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")  # math.inf is written as Infinity
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_sweep_row_that_fails_the_ordering_exits_1(tmp_path, monkeypatch, capsys):
+    # the general and SLD routes read 1e300, above every bound, injected as
+    # the verify tests inject a violation
+    import thermalqfi.sweep as sweep_module
+
+    original = sweep_module.route_sums
+
+    def huge(plan, p, betas):
+        return original(plan, p, betas)._replace(f_general=[1e300] * len(p), f_sld=[1e300] * len(p))
+
+    monkeypatch.setattr(sweep_module, "route_sums", huge)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_QUBIT, "beta_grid": [0.5, 2.0]}), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "bound ordering violated on 2 row(s); first offender: model=linear J=0.5 beta=0.5 t=1.0 lambda=None\n"
+    )
+    assert (tmp_path / "rows.csv").read_text().count(",false\n") == 2
+
+
 def test_a_compute_value_error_is_a_config_error(capsys):
     # the ValueError of building the scenario leaves main as a ConfigError does
     code = main(["compute", "--model", "lmg", "--twice-j", "0", "--beta", "1", "--t", "1", "--lam", "1"])

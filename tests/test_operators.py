@@ -142,6 +142,18 @@ class TestCommutator:
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
         assert hermiticity_defect(commutator_i(a, b).matrix) == 0.0
 
+    @pytest.mark.parametrize("b_complex", [False, True])
+    def test_two_diagonals_give_the_zero_diagonal(self, b_complex):
+        # a stack of diagonal generators against a diagonal probe: every
+        # entry +0, complex, in the stack's diagonal shape
+        rng = np.random.default_rng(4)
+        d = rng.normal(size=(3, 6)) + (1j * rng.normal(size=(3, 6)) if b_complex else 0.0)
+        c = commutator_i(operators._diagonal(rng.normal(size=6)), operators._diagonal(d))
+        assert c.form == "diagonal" and c.shape == (3, 6, 6)
+        (zeros,) = c.parts
+        assert zeros.dtype == np.complex128 and zeros.shape == (3, 6)
+        assert not zeros.view(np.int64).any()  # +0 in both parts, no signed zero
+
 
 class TestSeminorm:
     @pytest.mark.parametrize("twice_j", [1, 2, 3, 7, 20])

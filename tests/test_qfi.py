@@ -577,7 +577,7 @@ class TestSupportSums:
         probe = gibbs_state(spin_operators(twice_j)[2], 0.9)
         scheme = ExplicitGenerator(record, 1.3)
         h = transformed_generator(scheme)
-        values = qfi_report(probe, h).plan.h_pairs.values
+        values = qfi_report(probe, h).plan.h_values
         assert h.tridiagonal == flags and (values == 0.0).any() and values.any() == (zero_share < 1.0)
         _assert_support_sums_are_dense_sums(probe, scheme, h)
 
@@ -604,10 +604,10 @@ class TestSupportSums:
         # 2 (n - 2) = 798 off-diagonal entries of 160,801 at 2J = 400
         scenario = build_scenario("oat", 400, 1.3, 2.1)
         plan = qfi_report(scenario.probe, scenario.h).plan
-        assert plan.h_pairs.values.size == 798
-        assert plan.c_pairs.values.size == 798
+        assert plan.rows.shape == plan.cols.shape == (798,)
+        assert plan.h_values.size == plan.c_values.size == 798
         assert plan.c_delta.shape == (798,)
-        assert np.all(plan.h_pairs.values > 0.0)
+        assert np.all(plan.h_values > 0.0)
 
 
 class TestParityBlockAgreement:
@@ -777,7 +777,7 @@ class TestExactSum:
         import thermalqfi.qfi as qfi
 
         report, bounds = _point("lmg", twice_j, 0.6)
-        assert report.plan.h_pairs.rows.size >= qfi.EXACT_SUM_MIN_TERMS  # the kernel sums these rows
+        assert report.plan.rows.size >= qfi.EXACT_SUM_MIN_TERMS  # the kernel sums these rows
         monkeypatch.setattr(qfi, "EXACT_SUM_MIN_TERMS", 10**9)
         fsum_report, fsum_bounds = _point("lmg", twice_j, 0.6)
         assert repr(report) == repr(fsum_report)
@@ -1030,7 +1030,7 @@ def _record_forms(monkeypatch):
             seen["mismatches"].append((where, x.shape, _forms(x), expected))
 
     consumers = [
-        (qfi_module, "_generator_elements", 1), (qfi_module, "_commutator_elements", 1),
+        (qfi_module, "_squares", 2),
         (operators, "seminorm", 1), (operators, "_widths", 1), (operators, "eigendecompose", 1),
         (operators, "commutator_i", 2),
     ]
@@ -1083,6 +1083,7 @@ def _run_form_configs():
     for variants, twice_js in ((verify.GRID_VARIANTS, verify.GRID_TWICE_J), (verify.GRID_VARIANTS[:2], verify.WIDE_TWICE_J)):
         for twice_j in twice_js:
             run_sweeps([verify._grid_config(model, twice_j, lam) for model, lam in variants])
+    list(verify._random_reports(verify.DEFAULT_SEED))  # criterion 4's stacks
     for twice_j in (100, 101, 400):
         for model, lam in (("oat", None), ("lmg", 1.0), ("lmg", -0.7)):
             _point_at(model, twice_j, lam)
@@ -1091,9 +1092,10 @@ def _run_form_configs():
 class TestCarriedForms:
     """Every record that reaches a consumer carries the form the gate's
     detection finds on its dense array, a stack the form detection finds
-    on the whole stack: on the four figure sweeps, the
-    verify grids (2J <= 81, so one dense block or diagonal, as detection
-    found them before records existed) and compute points at 2J = 100, 101 and 400."""
+    on the whole stack: on the four figure sweeps, the verify grids
+    (2J <= 81, so one dense block or diagonal, as detection found them
+    before records existed), criterion 4's stacks and compute points at
+    2J = 100, 101 and 400."""
 
     def test_model_records_are_their_dense_products(self):
         from thermalqfi.operators import DENSE_MAX_DIM
@@ -1105,6 +1107,32 @@ class TestCarriedForms:
         _run_form_configs()
         assert seen["checked"] > 300
         assert seen["mismatches"] == []
+
+    def test_h_and_c_reach_the_plan_in_one_layout(self, monkeypatch):
+        # the plan reads one support for both: C_ij = i (E_i - E_j) h_ij
+        # lives on h's off-diagonal pairs, and both come in one form, block
+        # count and set of tridiagonal flags
+        import thermalqfi.qfi as qfi_module
+
+        layouts = []
+        squares = qfi_module._squares
+
+        def recording(ht, ct):
+            layouts.append(tuple((x.form, len(x.parts), x.tridiagonal) for x in (ht, ct)))
+            return squares(ht, ct)
+
+        monkeypatch.setattr(qfi_module, "_squares", recording)
+        _run_form_configs()
+        for axis in ("x", "z"):  # the linear model's band and diagonal forms
+            scenario = build_scenario("linear", 100, 1.7, 2.3, axis=axis)
+            qfi_report(scenario.probe, scenario.h)
+        assert len(layouts) > 30
+        assert [pair for pair in layouts if pair[0] != pair[1]] == []
+        met = {layout for layout, _ in layouts}
+        assert met == {
+            ("diagonal", 1, ()), ("blocks", 1, (False,)), ("blocks", 1, (True,)),
+            ("blocks", 2, (False, False)), ("blocks", 2, (True, True)),
+        }
 
     @pytest.mark.parametrize("mutant", ["blocks-as-dense", "dense-as-diagonal"])
     def test_a_wrong_form_is_caught(self, monkeypatch, mutant):

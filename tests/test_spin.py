@@ -35,6 +35,26 @@ def test_dimensions_and_m_ordering():
     np.testing.assert_array_equal(m_values(3), [-1.5, -0.5, 0.5, 1.5])
 
 
+def _ladder_formula(twice_j):
+    """(J_x, J_y) as 0.5 (J_+ + J_-) and -0.5j (J_+ - J_-), from the
+    dense raising operator J_+."""
+    m = m_values(twice_j)
+    j = twice_j / 2.0
+    jplus = np.zeros((m.size, m.size), dtype=np.complex128)
+    jplus[np.arange(1, m.size), np.arange(m.size - 1)] = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    jminus = jplus.conj().T
+    return 0.5 * (jplus + jminus), -0.5j * (jplus - jminus)
+
+
+@pytest.mark.parametrize("twice_j", [*range(1, 131), 400])
+def test_band_built_operators_have_the_ladder_formula_bits(twice_j):
+    # compared as int64 views, so the signed zeros off J_y's bands count too
+    jx, jy, jz = spin_operators(twice_j)
+    for got, expected in zip((jx, jy), _ladder_formula(twice_j)):
+        assert got.dtype == expected.dtype and np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(jz.view(np.int64), np.diag(m_values(twice_j).astype(np.complex128)).view(np.int64))
+
+
 def test_pauli_halves():
     jx, jy, jz = spin_operators(1)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -313,6 +313,8 @@ class TestEmission:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv([], tmp_path / "x.csv")
+        with pytest.raises(ValueError, match="^no rows to emit$"):
+            render_json([])
 
     def test_write_failure_surfaces_path(self, tmp_path):
         rows = run_sweep(SweepConfig.from_dict(qubit_config()))
